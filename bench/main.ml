@@ -685,7 +685,7 @@ let runtime () =
              Array.init 8 (fun i ->
                  Array.init 8 (fun j -> float_of_int (((i * 31) + (j * 17)) mod 23)))
            in
-           Staged.stage (fun () -> ignore (Rb_matching.Hungarian.min_cost_assignment m)));
+           Staged.stage (fun () -> ignore (Rb_matching.Matcher.min_cost m)));
       ]
   in
   let instance = Toolkit.Instance.monotonic_clock in
@@ -725,102 +725,6 @@ let runtime () =
           | Some [] | None -> Printf.eprintf "  %-42s (no estimate)\n" name)
         results)
     tests
-
-(* -------------------------------------------------------- matcher-bench *)
-
-(* Assignment-matcher registry benchmark (DESIGN.md §14). Two parts:
-   differential agreement on binder-shaped instances (every registered
-   matcher must produce the same optimal total and, after
-   canonicalization, byte-identical assignments), then the thousand-op
-   scaling race — one row per operation of the parameterized fft
-   kernel with banded FU-affinity candidates, the shape a binding
-   cycle at scale produces. Stdout carries only deterministic verdicts;
-   measured walls go to stderr and runtime/ gauges, and the >=10x
-   sparse-vs-dense speedup lands in the matching/bench/speedup_10x
-   counter, which the CI perf gate compares exactly against the
-   baseline's 1. *)
-let matcher_bench () =
-  let module Cost_graph = Rb_matching.Cost_graph in
-  let module Matcher = Rb_matching.Matcher in
-  Rb_matching.Matchers.ensure_registered ();
-  let names = Matcher.names () in
-  Printf.printf "  registered matchers: %s\n" (String.concat ", " names);
-  let dense8 =
-    Array.init 8 (fun i ->
-        Array.init 8 (fun j -> float_of_int (((i * 31) + (j * 17)) mod 23)))
-  in
-  let sparse64 =
-    Array.init 64 (fun r ->
-        Array.init 6 (fun k ->
-            ((r + (k * 13)) mod 80, float_of_int (((r * 7) + (k * 29)) mod 41))))
-  in
-  List.iter
-    (fun (label, g) ->
-      let totals = List.map (fun m -> Matcher.min_cost_total ~matcher:m g) names in
-      let assigns =
-        List.map (fun m -> Matcher.min_cost_assignment ~matcher:m g) names
-      in
-      let t0 = List.hd totals and a0 = List.hd assigns in
-      let agree =
-        List.for_all (fun t -> t = t0) totals
-        && List.for_all (fun a -> a = a0) assigns
-      in
-      Printf.printf "  %-13s total=%g canonical-agreement=%b\n" label t0 agree)
-    [
-      ("dense 8x8", Cost_graph.of_dense dense8);
-      ("sparse 64x80", Cost_graph.of_rows ~cols:80 sparse64);
-    ];
-  (* Thousand-op race: fft256 is 4096 operations; each op row gets a
-     12-arc band of candidate FU columns, weights salted by the op's
-     kind so the instance is a function of the kernel DFG. *)
-  let dfg = Rb_workload.Kernels.fft_n ~n:256 in
-  let rows = Dfg.op_count dfg in
-  let cols = rows + 64 and deg = 12 in
-  let cand =
-    Array.init rows (fun r ->
-        let salt = match (Dfg.op dfg r).Dfg.kind with Dfg.Add -> 0 | Dfg.Mul -> 3 in
-        Array.init deg (fun k ->
-            let c = if k = 0 then r else (r + (k * 7)) mod cols in
-            (c, float_of_int (((r * 31) + (k * 17) + salt) mod 97))))
-  in
-  let g = Cost_graph.of_rows ~cols cand in
-  Printf.printf "  scaling instance: fft256 -> %d rows x %d cols, %d arcs\n" rows
-    cols (Cost_graph.arcs g);
-  let race =
-    List.map
-      (fun m ->
-        let t0 = Metrics.now_s () in
-        let total = Matcher.min_cost_total ~matcher:m g in
-        let wall = Metrics.now_s () -. t0 in
-        Metrics.set_gauge
-          (Metrics.gauge ~scope:"runtime" (Printf.sprintf "matcher %s s" m))
-          wall;
-        Printf.eprintf "  [matcher %-9s %8.4f s]\n" m wall;
-        (m, total, wall))
-      names
-  in
-  let total_of m = match List.assoc_opt m (List.map (fun (m, t, _) -> (m, t)) race) with
-    | Some t -> t
-    | None -> nan
-  in
-  let wall_of m =
-    match List.find_opt (fun (m', _, _) -> m' = m) race with
-    | Some (_, _, w) -> w
-    | None -> infinity
-  in
-  List.iter
-    (fun (m, total, _) -> Printf.printf "  %-9s total=%g\n" m total)
-    race;
-  let agree = List.for_all (fun (_, t, _) -> t = total_of "hungarian") race in
-  Printf.printf "  all matchers optimal-equal: %b\n" agree;
-  (* The acceptance pin: the sparse auction engine at >=10x under the
-     dense reference on the same instance, equal totals. Flipping to 0
-     (or totals diverging) breaks the exact counter diff. *)
-  let speedup = wall_of "hungarian" /. wall_of "auction" in
-  Printf.eprintf "  [auction speedup over hungarian: %.1fx]\n" speedup;
-  Metrics.set_gauge (Metrics.gauge ~scope:"runtime" "matcher auction-speedup") speedup;
-  if agree && speedup >= 10.0 then
-    Metrics.incr (Metrics.counter ~scope:"matching" "bench/speedup_10x")
 
 (* ---------------------------------------------------------------- serve *)
 
@@ -1047,14 +951,14 @@ and serve_admission_micro ~pool () =
 
 let section_order =
   [ "fig4"; "fig5"; "fig6"; "headline"; "eqn1"; "sat-attack"; "attack-portfolio";
-    "analysis"; "solver-bench"; "matcher-bench"; "methodology"; "quality";
-    "postlock"; "ablation"; "serve"; "runtime" ]
+    "analysis"; "solver-bench"; "methodology"; "quality"; "postlock";
+    "ablation"; "serve"; "runtime" ]
 
 let usage () =
   Printf.eprintf
     "usage: main.exe [--jobs N] [--sections a,b,...] [--list-sections]\n\
     \       [--metrics FILE] [--checkpoint FILE] [--resume]\n\
-    \       [--solver-budget N] [--matcher NAME] [SECTION...]\n\
+    \       [--solver-budget N] [SECTION...]\n\
      available sections: %s\n"
     (String.concat " " section_order)
 
@@ -1105,10 +1009,13 @@ let () =
      is a stop-the-world synchronisation of all domains — at the
      default 256k-word minor heap that sync fires hundreds of times
      and costs ~10% wall on the SAT-attack section alone. A 4M-word
-     minor heap (inherited by the worker domains) makes collections
-     ~30x rarer, and the looser space_overhead trades heap headroom
-     for less major-GC work. Determinism is untouched: GC pacing never
-     feeds anything printed to stdout. *)
+     minor heap makes the main domain's collections ~30x rarer, and
+     the looser space_overhead trades heap headroom for less major-GC
+     work. On OCaml 5.1 the minor heap size set here is not inherited
+     by the pool's worker domains, which keep the default; only
+     OCAMLRUNPARAM (e.g. s=4M) sizes every domain's minor heap.
+     Determinism is untouched: GC pacing never feeds anything printed
+     to stdout. *)
   Gc.set
     { (Gc.get ()) with minor_heap_size = 4 * 1024 * 1024; space_overhead = 200 };
   let jobs = ref (Pool.default_jobs ()) in
@@ -1118,7 +1025,6 @@ let () =
   let checkpoint_path = ref None in
   let resume = ref false in
   let solver_budget = ref None in
-  let matcher = ref None in
   let rec parse = function
     | [] -> ()
     | "--list-sections" :: rest ->
@@ -1157,12 +1063,6 @@ let () =
     | [ "--solver-budget" ] ->
       Printf.eprintf "--solver-budget expects a value\n";
       exit 2
-    | "--matcher" :: m :: rest ->
-      matcher := Some m;
-      parse rest
-    | [ "--matcher" ] ->
-      Printf.eprintf "--matcher expects a value\n";
-      exit 2
     | ("--help" | "-h") :: _ ->
       usage ();
       exit 0
@@ -1183,9 +1083,6 @@ let () =
       solver_budget :=
         Some (parse_pos_int "--solver-budget" (String.sub arg 16 (String.length arg - 16)));
       parse rest
-    | arg :: rest when String.length arg > 10 && String.sub arg 0 10 = "--matcher=" ->
-      matcher := Some (String.sub arg 10 (String.length arg - 10));
-      parse rest
     | arg :: _ when String.length arg >= 2 && String.sub arg 0 2 = "--" ->
       Printf.eprintf "unknown option %s\n" arg;
       usage ();
@@ -1204,14 +1101,6 @@ let () =
     exit 2
   end;
   Rb_core.Binders.ensure_registered ();
-  Rb_matching.Matchers.ensure_registered ();
-  (match !matcher with
-  | None -> ()
-  | Some m -> (
-    try Rb_matching.Matcher.use m
-    with Invalid_argument msg ->
-      Printf.eprintf "--matcher: %s\n" msg;
-      exit 2));
   Metrics.set_enabled true;
   let journal =
     Option.map (fun path -> Checkpoint.create ~path ~resume:!resume) !checkpoint_path
@@ -1242,7 +1131,6 @@ let () =
             ("attack-portfolio", attack_portfolio ~pool ~limit:attack_limit);
             ("analysis", static_analysis);
             ("solver-bench", solver_bench);
-            ("matcher-bench", matcher_bench);
             ("methodology", methodology);
             ("serve", serve_replay ~pool);
             ("runtime", runtime);

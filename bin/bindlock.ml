@@ -29,10 +29,9 @@ module Render = Rb_service.Render
 module Serve = Rb_service.Serve
 open Cmdliner
 
-(* Populate the binder and matcher registries before any --binder or
-   --matcher argument is parsed against them. *)
+(* Populate the binder registry before any --binder argument is
+   parsed against it. *)
 let () = Rb_core.Binders.ensure_registered ()
-let () = Rb_matching.Matchers.ensure_registered ()
 
 let benchmark_arg =
   let doc = "Benchmark name (one of: " ^ String.concat ", " (Benchmark.names ()) ^ ")." in
@@ -89,20 +88,6 @@ let binder_arg =
          ~doc:("Binding algorithm, resolved from the binder registry: "
                ^ String.concat ", " (Binder.names ()) ^ "."))
 
-(* Selecting the assignment algorithm is a pure performance knob:
-   matchers are output-equivalent (registry-canonicalized ties), so
-   this sets the process-wide default rather than entering the job
-   description — job digests and cached results must not depend on
-   it. *)
-let matcher_arg =
-  let matchers = Rb_matching.Matcher.names () in
-  let algo = Arg.enum (List.map (fun n -> (n, n)) matchers) in
-  Arg.(value & opt algo (Rb_matching.Matcher.default ())
-       & info [ "matcher" ] ~docv:"ALGO"
-           ~doc:("Assignment algorithm for binding matchings, resolved from the \
-                  matcher registry (output-equivalent; a speed/scaling choice): "
-                 ^ String.concat ", " matchers ^ "."))
-
 let kind_arg =
   let op_kind = Arg.enum [ ("add", Dfg.Add); ("mul", Dfg.Mul) ] in
   Arg.(value & opt op_kind Dfg.Mul & info [ "kind" ] ~docv:"KIND"
@@ -115,8 +100,7 @@ let minterms_arg =
   Arg.(value & opt int 2 & info [ "minterms" ] ~docv:"M" ~doc:"Locked inputs per FU.")
 
 let bind_cmd =
-  let run name seed binder matcher kind locked_fus minterms_per_fu format =
-    Rb_matching.Matcher.use matcher;
+  let run name seed binder kind locked_fus minterms_per_fu format =
     Result.map (Render.print format)
       (Result.map_error to_msg
          (run_job
@@ -125,7 +109,7 @@ let bind_cmd =
   Cmd.v
     (Cmd.info "bind" ~doc:"Bind and lock one benchmark; report error and overhead.")
     Term.(term_result
-            (const run $ benchmark_arg $ seed_arg $ binder_arg $ matcher_arg $ kind_arg
+            (const run $ benchmark_arg $ seed_arg $ binder_arg $ kind_arg
              $ locked_fus_arg $ minterms_arg $ format_arg))
 
 (* ---------------------------------------------------------------- lint *)
@@ -265,8 +249,7 @@ let custom_cmd =
     Arg.(value & opt int 256 & info [ "trace-length" ] ~docv:"N"
            ~doc:"Synthesized workload length (heavy-tailed generator).")
   in
-  let run file matcher kind locked_fus minterms_per_fu trace_length seed =
-    Rb_matching.Matcher.use matcher;
+  let run file kind locked_fus minterms_per_fu trace_length seed =
     let contents =
       let ic = open_in file in
       let n = in_channel_length ic in
@@ -286,7 +269,7 @@ let custom_cmd =
   Cmd.v
     (Cmd.info "custom" ~doc:"Co-design binding/locking for a user kernel in DFG text format.")
     Term.(term_result
-            (const run $ file_arg $ matcher_arg $ kind_arg $ locked_fus_arg $ minterms_arg
+            (const run $ file_arg $ kind_arg $ locked_fus_arg $ minterms_arg
              $ trace_len_arg $ seed_arg))
 
 (* ---------------------------------------------------------- export-dfg *)

@@ -32,10 +32,9 @@ module Fast = struct
     { table; fus; cycles; n_ops = Dfg.op_count (Schedule.dfg schedule) }
 
   (* One max-weight matching per cycle. [solve_cycle] is either the
-     totals-only registry path (no tie canonicalization — optimal
-     totals are matcher-invariant, and this is the codesign sweep's
-     hot loop) or the canonical-assignment path for materialized
-     bindings. *)
+     totals-only path (no tie canonicalization — optimal totals are
+     unique, and this is the codesign sweep's hot loop) or the
+     canonical-assignment path for materialized bindings. *)
   let run t ~locks ~solve_cycle =
     let subset_of = Hashtbl.create 8 in
     List.iter
@@ -63,13 +62,13 @@ module Fast = struct
 
   let best_errors t ~locks =
     run t ~locks ~solve_cycle:(fun _ matrix ->
-        int_of_float (Matcher.max_weight_total_dense matrix))
+        int_of_float (Matcher.max_weight_total matrix))
 
   let best_binding t ~locks =
     let fu_of_op = Array.make t.n_ops (-1) in
     let errors =
       run t ~locks ~solve_cycle:(fun ops matrix ->
-          let assignment = Matcher.max_weight_dense matrix in
+          let assignment = Matcher.max_weight matrix in
           let sub = ref 0 in
           Array.iteri
             (fun row col ->

@@ -5,7 +5,7 @@ module Matcher = Rb_matching.Matcher
 type weight_fn =
   kind:Dfg.op_kind -> cycle:int -> op:Dfg.op_id -> fu:int -> float
 
-let bind ?matcher ?(on_bound = fun ~op:_ ~fu:_ -> ()) ~objective ~weight schedule
+let bind ?(on_bound = fun ~op:_ ~fu:_ -> ()) ~objective ~weight schedule
     allocation =
   let dfg = Schedule.dfg schedule in
   let fu_of_op = Array.make (Dfg.op_count dfg) (-1) in
@@ -22,12 +22,12 @@ let bind ?matcher ?(on_bound = fun ~op:_ ~fu:_ -> ()) ~objective ~weight schedul
           (fun op -> Array.map (fun fu -> weight ~kind ~cycle ~op ~fu) fus)
           ops
       in
-      (* Registry solve + canonical tie-break: whichever matcher is
-         selected, the binding that comes back is byte-identical. *)
+      (* Canonical (lex-min) optimum: ties never depend on solver
+         internals. *)
       let assignment =
         match objective with
-        | `Maximize -> Matcher.max_weight_dense ?matcher matrix
-        | `Minimize -> Matcher.min_cost_dense ?matcher matrix
+        | `Maximize -> Matcher.max_weight matrix
+        | `Minimize -> Matcher.min_cost matrix
       in
       Array.iteri
         (fun row col ->

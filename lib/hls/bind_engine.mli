@@ -24,18 +24,16 @@ type weight_fn =
     FU. *)
 
 val bind :
-  ?matcher:string ->
   ?on_bound:(op:Rb_dfg.Dfg.op_id -> fu:int -> unit) ->
   objective:[ `Maximize | `Minimize ] ->
   weight:weight_fn ->
   Rb_sched.Schedule.t ->
   Allocation.t ->
   Binding.t
-(** Run the scaffold. Each cycle's assignment is solved by the
-    {!Rb_matching.Matcher} registry ([?matcher] overrides the
-    process-wide default) and canonicalized, so the resulting binding
-    is byte-identical whichever algorithm solves it. [on_bound] fires
-    once per operation, immediately after its cycle's matching is
-    fixed and before the next cycle is weighed. Raises
+(** Run the scaffold. Each cycle's assignment is solved by
+    {!Rb_matching.Matcher}, which returns the lexicographically
+    smallest optimum, so tied cycles bind deterministically.
+    [on_bound] fires once per operation, immediately after its cycle's
+    matching is fixed and before the next cycle is weighed. Raises
     [Invalid_argument] if the allocation cannot cover some cycle's
     concurrency. *)

@@ -1,29 +1,28 @@
 (* Canonical tie-breaking for optimal assignments.
 
-   Different exact matchers (Hungarian, auction, Jonker–Volgenant) may
-   return *different* optimal assignments when optima are tied — and
-   binders produce massively tied instances (e.g. the codesign fast
-   path weighs every unlocked FU 0). The determinism contract requires
-   byte-identical reports whichever matcher is selected, so the
-   registry normalizes every assignment to a canonical representative
-   before it reaches a binder.
+   Tied optima are the norm, not the exception: binders produce
+   massively tied instances (e.g. the codesign fast path weighs every
+   unlocked FU 0), and which optimum the Hungarian core lands on is an
+   artifact of its augmentation order. Binder output must not depend
+   on that artifact, so every assignment is normalized to a canonical
+   representative before it reaches a binder.
 
    The canonical form is the lexicographically smallest optimal
-   assignment (compare [assign.(0)], then [assign.(1)], ...). Why it
-   is matcher-independent: given any optimal dual [(u, v)] satisfying
-   the contract (feasibility [w_ij >= u_i + v_j], tightness on matched
-   arcs, [v_j <= 0] with [v_j = 0] on unmatched columns), a
-   row-perfect matching is optimal iff it uses only *tight* arcs
+   assignment (compare [assign.(0)], then [assign.(1)], ...). Given
+   any optimal dual [(u, v)] satisfying the solver contract
+   (feasibility [w_ij >= u_i + v_j], tightness on matched cells,
+   [v_j <= 0] with [v_j = 0] on unmatched columns), a row-perfect
+   matching is optimal iff it uses only *tight* cells
    ([w_ij = u_i + v_j]) and covers every column with [v_j < 0]. That
    optimal face is the set of optimal matchings itself, so it is the
    same for every valid dual — and walking it lexicographically yields
-   the same answer no matter which algorithm produced the input.
+   the same answer whichever optimum the solver returned.
 
    Procedure: fix rows in ascending order. For row [i], try its tight
    columns in ascending order, stopping at the column it already
    holds. A move of [i] from [j_old] to candidate [c] must transform
    the current matching into another member of the optimal face with
-   [i] on [c], which takes two searches over tight arcs through
+   [i] on [c], which takes two searches over tight cells through
    unfixed rows and unlocked columns:
    1. re-match the rows displaced by taking [c], Kuhn-style, ending at
       any free column (free columns have [v = 0], so using one is
@@ -39,7 +38,7 @@
    succeeds iff some optimal-face matching with the desired prefix
    exists; the attempt is rolled back from a snapshot on failure. Once
    row [i] is fixed its column is locked. The pass is
-   O(rows * tight-arcs) per attempted candidate in the worst case and
+   O(rows * tight-cells) per attempted candidate in the worst case and
    near-free on untied instances. *)
 
 (* Relative tolerance for tightness tests. Integer-valued weights (all
@@ -48,10 +47,11 @@
    matters for arbitrary float instances. *)
 let slack_tol w u v = 1e-9 *. (1.0 +. Float.abs w +. Float.abs u +. Float.abs v)
 
-let lex_min graph ~assignment ~row_duals ~col_duals =
-  let rows = Cost_graph.rows graph and cols = Cost_graph.cols graph in
+let lex_min cost ~assignment ~row_duals ~col_duals =
+  let rows = Array.length cost in
   if rows = 0 then [||]
   else begin
+    let cols = Array.length cost.(0) in
     let assign = Array.copy assignment in
     let col_row = Array.make cols (-1) in
     Array.iteri (fun r c -> col_row.(c) <- r) assign;
@@ -65,11 +65,13 @@ let lex_min graph ~assignment ~row_duals ~col_duals =
     let col_off = Array.make (cols + 1) 0 in
     let count = ref 0 in
     for r = 0 to rows - 1 do
-      Cost_graph.iter_row graph r (fun c w ->
+      Array.iteri
+        (fun c w ->
           if is_tight r c w then begin
             incr count;
             col_off.(c + 1) <- col_off.(c + 1) + 1
-          end);
+          end)
+        cost.(r);
       row_off.(r + 1) <- !count
     done;
     for c = 0 to cols - 1 do
@@ -80,13 +82,15 @@ let lex_min graph ~assignment ~row_duals ~col_duals =
     let col_fill = Array.copy col_off in
     let fill = ref 0 in
     for r = 0 to rows - 1 do
-      Cost_graph.iter_row graph r (fun c w ->
+      Array.iteri
+        (fun c w ->
           if is_tight r c w then begin
             row_adj.(!fill) <- c;
             incr fill;
             col_adj.(col_fill.(c)) <- r;
             col_fill.(c) <- col_fill.(c) + 1
           end)
+        cost.(r)
     done;
     let must_cover c =
       col_duals.(c) < -.(1e-9 *. (1.0 +. Float.abs col_duals.(c)))

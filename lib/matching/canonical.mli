@@ -1,20 +1,20 @@
 (** Canonical tie-breaking over the optimal face of an assignment.
 
-    Matchers agree on the optimal total but not, under ties, on the
-    assignment itself. Given any optimal assignment together with dual
-    potentials meeting the {!Matcher.solution} contract, {!lex_min}
-    returns the lexicographically smallest optimal assignment — a
-    representative that is provably independent of which matcher (and
-    which valid dual) produced the input, because the optimal face is
-    exactly the row-perfect matchings on tight arcs that keep every
-    negative-dual column covered. See DESIGN.md §14. *)
+    Given any optimal assignment of a dense cost matrix together with
+    dual potentials meeting the {!Hungarian.solve_with_duals}
+    contract, {!lex_min} returns the lexicographically smallest
+    optimal assignment — a representative that depends only on the
+    matrix, not on which optimum (or which valid dual) the solver
+    produced, because the optimal face is exactly the row-perfect
+    matchings on tight cells that keep every negative-dual column
+    covered. See DESIGN.md §14. *)
 
 val lex_min :
-  Cost_graph.t ->
+  float array array ->
   assignment:int array ->
   row_duals:float array ->
   col_duals:float array ->
   int array
-(** O(rows · arcs) worst case; near-free when optima are untied.
-    Exact for integer-grid weights; uses a relative 1e-9 slack
-    tolerance on arbitrary floats. *)
+(** O(rows · tight cells) per attempted move in the worst case;
+    near-free when optima are untied. Exact for integer-grid weights;
+    uses a relative 1e-9 slack tolerance on arbitrary floats. *)

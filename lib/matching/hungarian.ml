@@ -4,17 +4,6 @@
    [way.(j)] remembers the alternating path used to augment. Each of
    the [n] phases grows the matching by one row in O(n*m). *)
 
-(* Metrics: every binding algorithm bottoms out here, so assignment
-   counts, augmenting-path phases and inner relaxation scans are the
-   work units that explain binder runtime. Accumulated locally and
-   flushed once per call to keep the O(n*m) core branch-free. *)
-module Metrics = Rb_util.Metrics
-
-let m_assignments = Metrics.counter ~scope:"matching" "assignments"
-let m_phases = Metrics.counter ~scope:"matching" "augmenting_phases"
-let m_scans = Metrics.counter ~scope:"matching" "relaxation_scans"
-let t_assignment = Metrics.timer ~scope:"matching" "assignment"
-
 let validate cost =
   let rows = Array.length cost in
   if rows = 0 then (0, 0)
@@ -34,15 +23,14 @@ let validate cost =
     (rows, cols)
   end
 
-(* The uninstrumented core. Requires a validated matrix with
-   [1 <= rows <= cols]. Returns [(assign, u, v, scans)] where [u], [v]
-   are 0-indexed optimal dual potentials satisfying, at termination:
+(* Requires a validated matrix with [1 <= rows <= cols]. Returns
+   [(assign, u, v, scans)] where [u], [v] are 0-indexed optimal dual
+   potentials satisfying, at termination:
    - feasibility: [cost.(i).(j) >= u.(i) +. v.(j)] for every cell;
    - complementary slackness: equality on every matched cell;
    - [v.(j) <= 0.], with [v.(j) = 0.] on every unmatched column.
-   These conventions are the matcher contract ({!Matcher.solution});
-   the registry's canonicalization pass depends on them. *)
-let solve_core cost =
+   {!Canonical.lex_min} depends on these conventions. *)
+let solve_with_duals cost =
   let n = Array.length cost and m = Array.length cost.(0) in
   let scans = ref 0 in
   let u = Array.make (n + 1) 0.0 in
@@ -99,28 +87,3 @@ let solve_core cost =
   let u0 = Array.init n (fun i -> u.(i + 1)) in
   let v0 = Array.init m (fun j -> v.(j + 1)) in
   (assign, u0, v0, !scans)
-
-let solve_with_duals cost =
-  let rows, cols = validate cost in
-  if rows = 0 then ([||], [||], Array.make cols 0.0, 0) else solve_core cost
-
-let min_cost_assignment cost =
-  let rows, _cols = validate cost in
-  if rows = 0 then [||]
-  else begin
-    Metrics.incr m_assignments;
-    Metrics.time t_assignment @@ fun () ->
-    let assign, _u, _v, scans = solve_core cost in
-    Metrics.add m_phases rows;
-    Metrics.add m_scans scans;
-    assign
-  end
-
-let max_weight_assignment weight =
-  let negated = Array.map (Array.map (fun w -> -.w)) weight in
-  min_cost_assignment negated
-
-let assignment_weight weight assign =
-  let total = ref 0.0 in
-  Array.iteri (fun r c -> total := !total +. weight.(r).(c)) assign;
-  !total

@@ -1,5 +1,5 @@
-(** Optimal assignment on weighted bipartite graphs — the dense
-    Hungarian reference.
+(** Optimal assignment on dense weighted bipartite graphs — the
+    Hungarian algorithm with potentials.
 
     Every binding algorithm in this library — the paper's
     obfuscation-aware binding (Sec. IV-B) as well as the area-aware [20]
@@ -9,38 +9,28 @@
     edge weights. The paper invokes Karp's O(mn log n) matching [23];
     this module implements the classical O(n^2 m) Hungarian algorithm
     with potentials, which is exact and comfortably fast at HLS sizes
-    (|rows| <= |cols| <= a few dozen).
+    (one instance is at most the cycle's operations of one kind times
+    that kind's FUs).
 
-    At thousand-op sizes, prefer the {!Matcher} registry, which selects
-    between this reference and the sparse auction / Jonker–Volgenant
-    engines while verifying them differentially against it.
+    This is the uninstrumented core; binders go through {!Matcher},
+    which records metrics and canonicalizes tied optima.
 
     Matrices are rectangular with [rows <= cols]; every row is
     assigned, columns may be left unassigned. *)
 
-val min_cost_assignment : float array array -> int array
-(** [min_cost_assignment cost] returns [assign] with [assign.(r)] the
-    column matched to row [r], minimizing the total cost. All rows must
-    have the same positive length [cols >= rows]. The 0-row matrix
-    [[||]] yields [[||]]. Raises [Invalid_argument] on a ragged or
-    over-tall matrix, or when any weight is NaN or infinite (NaN would
-    silently corrupt the potentials). *)
-
-val max_weight_assignment : float array array -> int array
-(** Same matching, maximizing the total weight (implemented by
-    negation; weights may be any finite float). *)
-
-val assignment_weight : float array array -> int array -> float
-(** [assignment_weight w assign] is the total weight of an assignment,
-    a convenience for checking optima in tests and reports. *)
+val validate : float array array -> int * int
+(** [validate cost] is [(rows, cols)]. All rows must have the same
+    positive length [cols >= rows]; the 0-row matrix [[||]] yields
+    [(0, 0)]. Raises [Invalid_argument] on a ragged or over-tall
+    matrix, or when any weight is NaN or infinite (NaN would silently
+    corrupt the potentials). *)
 
 val solve_with_duals :
   float array array -> int array * float array * float array * int
-(** [solve_with_duals cost] is the uninstrumented reference core used
-    by the {!Matcher} registry: [(assign, u, v, scans)] where [u]/[v]
-    are optimal dual potentials satisfying the matcher contract —
+(** [solve_with_duals cost] minimizes the total cost of a matrix that
+    {!validate} accepted with [rows >= 1]. It returns
+    [(assign, u, v, scans)]: [assign.(r)] is the column matched to row
+    [r]; [u]/[v] are optimal dual potentials with
     [cost.(i).(j) >= u.(i) +. v.(j)] everywhere, equality on matched
-    cells, [v.(j) <= 0.] with equality on unmatched columns — and
-    [scans] counts inner relaxation scans. Records no metrics (the
-    registry attributes work to the selected matcher itself). Same
-    validation as {!min_cost_assignment}. *)
+    cells, and [v.(j) <= 0.] with equality on unmatched columns; and
+    [scans] counts inner relaxation scans. Records no metrics. *)

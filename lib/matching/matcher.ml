@@ -1,216 +1,48 @@
-(* Name-keyed registry of assignment algorithms, mirroring the binder
-   registry (lib/hls/binder.ml). Every registered matcher solves the
-   same problem — min-cost row-perfect assignment on a sparse cost
-   graph — and returns optimal dual potentials alongside the primal so
-   the registry can (a) certify optimality in tests and (b) normalize
-   tied optima to one canonical assignment, keeping binder output
-   byte-identical whichever matcher is selected. *)
+(* Instrumented entry points over the dense Hungarian core. Perf
+   tooling reads these counters and timers by name, so their keys
+   are fixed. *)
 
 module Metrics = Rb_util.Metrics
 
-exception Infeasible of string
-
-type solution = {
-  assignment : int array;
-  row_duals : float array;
-  col_duals : float array;
-  phases : int;
-  scans : int;
-}
-
-module type S = sig
-  val name : string
-  val description : string
-  val phase_metric : string
-  val solve : Cost_graph.t -> solution
-end
-
-(* Legacy totals (same keys the Hungarian module has always recorded)
-   plus per-algorithm attribution. Metric names may contain '/', so
-   "auction/assignments" under scope "matching" yields the
-   "matching/auction/assignments" key promised by the issue. *)
 let m_assignments = Metrics.counter ~scope:"matching" "assignments"
 let m_phases = Metrics.counter ~scope:"matching" "augmenting_phases"
 let m_scans = Metrics.counter ~scope:"matching" "relaxation_scans"
 let t_assignment = Metrics.timer ~scope:"matching" "assignment"
 let t_canonical = Metrics.timer ~scope:"matching" "canonicalize"
 
-type entry = {
-  impl : (module S);
-  m_calls : Metrics.counter;
-  m_algo_phases : Metrics.counter;
-  m_algo_scans : Metrics.counter;
-}
-
-let registry : (string, entry) Hashtbl.t = Hashtbl.create 7
-let registry_mutex = Mutex.create ()
-
-let register (module M : S) =
-  let entry =
-    {
-      impl = (module M);
-      m_calls = Metrics.counter ~scope:"matching" (M.name ^ "/assignments");
-      m_algo_phases = Metrics.counter ~scope:"matching" (M.name ^ "/" ^ M.phase_metric);
-      m_algo_scans = Metrics.counter ~scope:"matching" (M.name ^ "/relaxation_scans");
-    }
+(* Min-cost solve of a validated matrix with [rows >= 1]. One
+   augmenting phase per row. *)
+let solve cost =
+  Metrics.incr m_assignments;
+  let ((_, _, _, scans) as sol) =
+    Metrics.time t_assignment (fun () -> Hungarian.solve_with_duals cost)
   in
-  Mutex.protect registry_mutex (fun () -> Hashtbl.replace registry M.name entry)
+  Metrics.add m_phases (Array.length cost);
+  Metrics.add m_scans scans;
+  sol
 
-let find name = Mutex.protect registry_mutex (fun () -> Hashtbl.find_opt registry name)
-
-let names () =
-  Mutex.protect registry_mutex (fun () ->
-      Hashtbl.fold (fun name _ acc -> name :: acc) registry [])
-  |> List.sort String.compare
-
-let require name =
-  match find name with
-  | Some e -> e
-  | None ->
-      invalid_arg
-        (Printf.sprintf "unknown matcher %S (registered: %s)" name
-           (String.concat ", " (names ())))
-
-let describe name =
-  let e = require name in
-  let (module M : S) = e.impl in
-  M.description
-
-(* The process-wide default, selected by [--matcher] on bindlock/bench.
-   Deliberately *not* part of Rb_service job descriptions: matchers are
-   output-equivalent by construction, so the selection must not perturb
-   job digests or cached results. *)
-let default_name = Atomic.make "hungarian"
-let default () = Atomic.get default_name
-
-let use name =
-  ignore (require name);
-  Atomic.set default_name name
-
-(* Kuhn's augmenting-path maximum matching, used as a feasibility
-   pre-check on incomplete graphs: a sparse instance whose candidate
-   lists cannot cover every row (a Hall violation, including an
-   arc-free row) must fail loudly rather than return a partial or
-   filler-padded assignment. O(rows * arcs); skipped when the graph is
-   complete, where rows <= cols guarantees feasibility. *)
-let check_feasible graph =
-  let rows = Cost_graph.rows graph and cols = Cost_graph.cols graph in
-  let col_row = Array.make cols (-1) in
-  let visited = Array.make cols (-1) in
-  let rec augment stamp r =
-    let ok = ref false in
-    Cost_graph.iter_row graph r (fun c _ ->
-        if (not !ok) && visited.(c) <> stamp then begin
-          visited.(c) <- stamp;
-          if col_row.(c) = -1 || augment stamp col_row.(c) then begin
-            col_row.(c) <- r;
-            ok := true
-          end
-        end);
-    !ok
-  in
-  for r = 0 to rows - 1 do
-    if not (augment r r) then
-      raise
-        (Infeasible
-           (Printf.sprintf
-              "matcher: no row-perfect matching exists (row %d cannot be \
-               assigned; %d rows, %d cols, %d arcs)"
-              r rows cols (Cost_graph.arcs graph)))
-  done
-
-let empty_solution graph =
-  {
-    assignment = [||];
-    row_duals = [||];
-    col_duals = Array.make (Cost_graph.cols graph) 0.0;
-    phases = 0;
-    scans = 0;
-  }
-
-(* Instrumented min-cost solve: feasibility pre-check, the selected
-   algorithm under both the legacy "matching/*" totals and its own
-   "matching/<name>/*" attribution, duals left raw (canonicalization
-   is a separate, separately-timed step). *)
-let solve_entry entry graph =
-  let (module M : S) = entry.impl in
-  if Cost_graph.rows graph = 0 then empty_solution graph
+let min_cost cost =
+  let rows, _ = Hungarian.validate cost in
+  if rows = 0 then [||]
   else begin
-    if not (Cost_graph.complete graph) then check_feasible graph;
-    Metrics.incr m_assignments;
-    Metrics.incr entry.m_calls;
-    let sol = Metrics.time t_assignment (fun () -> M.solve graph) in
-    Metrics.add m_phases sol.phases;
-    Metrics.add m_scans sol.scans;
-    Metrics.add entry.m_algo_phases sol.phases;
-    Metrics.add entry.m_algo_scans sol.scans;
-    sol
+    let assignment, row_duals, col_duals, _ = solve cost in
+    Metrics.time t_canonical (fun () ->
+        Canonical.lex_min cost ~assignment ~row_duals ~col_duals)
   end
 
-let solve ?matcher graph =
-  let name = match matcher with Some n -> n | None -> default () in
-  solve_entry (require name) graph
+let negate = Array.map (Array.map (fun w -> -.w))
 
-let canonicalize graph sol =
-  if Array.length sol.assignment = 0 then sol.assignment
-  else
-    Metrics.time t_canonical (fun () ->
-        Canonical.lex_min graph ~assignment:sol.assignment
-          ~row_duals:sol.row_duals ~col_duals:sol.col_duals)
+(* The canonical representative is computed on the negated instance,
+   whose optimal face is the max-weight one. *)
+let max_weight weight = min_cost (negate weight)
 
-let min_cost_assignment ?matcher graph =
-  let sol = solve ?matcher graph in
-  canonicalize graph sol
-
-let min_cost_total ?matcher graph =
-  let sol = solve ?matcher graph in
-  Cost_graph.assignment_weight graph sol.assignment
-
-(* Max-weight is min-cost on the negated graph. The canonical
-   representative is computed on the negated instance, so it is the
-   same for either orientation. *)
-let max_weight_assignment ?matcher graph =
-  min_cost_assignment ?matcher (Cost_graph.negate graph)
-
-let max_weight_total ?matcher graph = -.min_cost_total ?matcher (Cost_graph.negate graph)
-
-(* Dense conveniences for binder call sites. *)
-let min_cost_dense ?matcher cost = min_cost_assignment ?matcher (Cost_graph.of_dense cost)
-
-let max_weight_dense ?matcher weight =
-  max_weight_assignment ?matcher (Cost_graph.of_dense weight)
-
-let max_weight_total_dense ?matcher weight =
-  max_weight_total ?matcher (Cost_graph.of_dense weight)
-
-(* The dense Hungarian reference, registered here so the registry is
-   never empty and "hungarian" (the default) always resolves. Sparse
-   graphs are densified with a filler weight no optimal assignment of
-   a feasible instance can touch: any all-real assignment costs at
-   most rows*max, any filler-using one at least fill + (rows-1)*min,
-   and fill = (rows+1)*(max-min) + max + 1 separates the two. Duals
-   from the padded matrix remain valid for the real arcs. *)
-module Hungarian_ref = struct
-  let name = "hungarian"
-
-  let description =
-    "dense Hungarian reference (e-maxx potentials, O(n^2 m)); exact oracle for \
-     the sparse engines"
-
-  let phase_metric = "augmenting_phases"
-
-  let solve graph =
-    let cost =
-      if Cost_graph.complete graph then Cost_graph.to_dense ~fill:0.0 graph
-      else begin
-        let lo, hi = Cost_graph.weight_range graph in
-        let rows = float_of_int (Cost_graph.rows graph) in
-        let fill = ((rows +. 1.0) *. (hi -. lo)) +. hi +. 1.0 in
-        Cost_graph.to_dense ~fill graph
-      end
-    in
-    let assignment, row_duals, col_duals, scans = Hungarian.solve_with_duals cost in
-    { assignment; row_duals; col_duals; phases = Array.length cost; scans }
-end
-
-let () = register (module Hungarian_ref)
+let max_weight_total weight =
+  let cost = negate weight in
+  let rows, _ = Hungarian.validate cost in
+  if rows = 0 then 0.0
+  else begin
+    let assignment, _, _, _ = solve cost in
+    let total = ref 0.0 in
+    Array.iteri (fun r c -> total := !total +. weight.(r).(c)) assignment;
+    !total
+  end

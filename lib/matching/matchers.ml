@@ -1,17 +1,3 @@
-(* Registration hub for the non-reference matchers, mirroring
-   Rb_core.Binders. The Hungarian reference registers itself when
-   Matcher loads (so the default always resolves); auction and JV are
-   registered here so entry points opt in explicitly and library users
-   linking only the reference pay nothing. Idempotent and
-   thread-safe. *)
-
-let mutex = Mutex.create ()
-let registered = ref false
-
-let ensure_registered () =
-  Mutex.protect mutex (fun () ->
-      if not !registered then begin
-        registered := true;
-        Matcher.register (module Jv);
-        Matcher.register (module Auction)
-      end)
+(* A no-op kept for the end-to-end benchmark driver, which calls it;
+   see matchers.mli. *)
+let ensure_registered () = ()

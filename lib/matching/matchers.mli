@@ -1,6 +1,6 @@
-(** Registers the sparse matchers ("auction", "jv") into the
-    {!Matcher} registry, alongside the always-present "hungarian"
-    reference. Idempotent; call from entry points before parsing a
-    [--matcher] flag. *)
+(** Kept for one caller; see {!ensure_registered}. *)
 
 val ensure_registered : unit -> unit
+(** A no-op: there is one assignment engine ({!Matcher}) and nothing
+    to register. It remains only because the end-to-end benchmark
+    driver ([perfbench/workloads.ml]) calls it. *)

@@ -13,8 +13,8 @@
     incremental attacks do not drown in dead learnt clauses. It
     comfortably handles the miter-style instances produced by
     {!Attack} (tens of thousands of clauses, hundreds of thousands of
-    conflicts). {!Solver_ref} retains the seed implementation as a
-    differential-testing oracle.
+    conflicts). The test suite keeps the seed implementation
+    ([test/solver_ref.ml]) as a differential-testing oracle.
 
     All heuristics count logical work only (conflicts, restart
     indices, reduction cadence), so runs are bit-deterministic across

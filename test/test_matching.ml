@@ -1,11 +1,15 @@
 module Hungarian = Rb_matching.Hungarian
-module Cost_graph = Rb_matching.Cost_graph
 module Matcher = Rb_matching.Matcher
 
-let () = Rb_matching.Matchers.ensure_registered ()
+let assignment_weight weight assign =
+  let total = ref 0.0 in
+  Array.iteri (fun r c -> total := !total +. weight.(r).(c)) assign;
+  !total
+
+let negate m = Array.map (Array.map (fun w -> -.w)) m
 
 let check_assignment name matrix expected_cols =
-  let assign = Hungarian.min_cost_assignment matrix in
+  let assign = Matcher.min_cost matrix in
   Alcotest.(check (array int)) name expected_cols assign
 
 let test_identity () =
@@ -21,34 +25,34 @@ let test_antidiagonal () =
 let test_classic_3x3 () =
   (* Classic example: optimal cost 5 via (0,1) (1,0) (2,2). *)
   let m = [| [| 4.0; 1.0; 3.0 |]; [| 2.0; 0.0; 5.0 |]; [| 3.0; 2.0; 2.0 |] |] in
-  let assign = Hungarian.min_cost_assignment m in
-  Alcotest.(check (float 1e-9)) "cost 5" 5.0 (Hungarian.assignment_weight m assign)
+  let assign = Matcher.min_cost m in
+  Alcotest.(check (float 1e-9)) "cost 5" 5.0 (assignment_weight m assign)
 
 let test_rectangular () =
   let m = [| [| 10.0; 1.0; 10.0; 10.0 |]; [| 10.0; 10.0; 10.0; 2.0 |] |] in
-  let assign = Hungarian.min_cost_assignment m in
+  let assign = Matcher.min_cost m in
   Alcotest.(check (array int)) "uses cheap columns" [| 1; 3 |] assign
 
 let test_max_weight () =
   let m = [| [| 1.0; 5.0 |]; [| 6.0; 2.0 |] |] in
-  let assign = Hungarian.max_weight_assignment m in
+  let assign = Matcher.max_weight m in
   Alcotest.(check (array int)) "max picks 5+6" [| 1; 0 |] assign;
-  Alcotest.(check (float 1e-9)) "weight" 11.0 (Hungarian.assignment_weight m assign)
+  Alcotest.(check (float 1e-9)) "weight" 11.0 (assignment_weight m assign)
 
 let test_negative_weights () =
   let m = [| [| -5.0; -1.0 |]; [| -2.0; -8.0 |] |] in
-  let assign = Hungarian.max_weight_assignment m in
-  Alcotest.(check (float 1e-9)) "best of a bad lot" (-3.0) (Hungarian.assignment_weight m assign)
+  let assign = Matcher.max_weight m in
+  Alcotest.(check (float 1e-9)) "best of a bad lot" (-3.0) (assignment_weight m assign)
 
 let test_single_cell () =
-  Alcotest.(check (array int)) "1x1" [| 0 |] (Hungarian.min_cost_assignment [| [| 7.0 |] |])
+  Alcotest.(check (array int)) "1x1" [| 0 |] (Matcher.min_cost [| [| 7.0 |] |])
 
 let test_all_equal_weights () =
   (* any perfect matching is optimal; result must still be a valid
      injective assignment *)
   let m = Array.make_matrix 4 6 3.0 in
-  let assign = Hungarian.min_cost_assignment m in
-  Alcotest.(check (float 1e-9)) "cost 12" 12.0 (Hungarian.assignment_weight m assign);
+  let assign = Matcher.min_cost m in
+  Alcotest.(check (float 1e-9)) "cost 12" 12.0 (assignment_weight m assign);
   Alcotest.(check int) "distinct columns" 4
     (List.length (List.sort_uniq Int.compare (Array.to_list assign)))
 
@@ -56,28 +60,23 @@ let test_large_random_consistency () =
   (* max on w == -(min on -w) at a size brute force cannot check *)
   let rng = Rb_util.Rng.create 2024 in
   let m = Array.init 40 (fun _ -> Array.init 40 (fun _ -> float_of_int (Rb_util.Rng.int rng 1000))) in
-  let neg = Array.map (Array.map (fun w -> -.w)) m in
-  let a1 = Hungarian.max_weight_assignment m in
-  let a2 = Hungarian.min_cost_assignment neg in
+  let neg = negate m in
+  let a1 = Matcher.max_weight m in
+  let a2 = Matcher.min_cost neg in
   Alcotest.(check (float 1e-6)) "duality at 40x40"
-    (Hungarian.assignment_weight m a1)
-    (-. Hungarian.assignment_weight neg a2)
+    (assignment_weight m a1)
+    (-. assignment_weight neg a2)
 
 let test_empty_is_empty () =
   (* The 0-row matrix is a legal (empty) assignment problem: binders
      meet it on cycles with no operations of a kind. *)
-  Alcotest.(check (array int)) "hungarian min" [||] (Hungarian.min_cost_assignment [||]);
-  Alcotest.(check (array int)) "hungarian max" [||] (Hungarian.max_weight_assignment [||]);
-  Alcotest.(check (array int)) "registry dense" [||] (Matcher.min_cost_dense [||]);
-  List.iter
-    (fun m ->
-      Alcotest.(check (array int)) (m ^ " empty graph") [||]
-        (Matcher.min_cost_assignment ~matcher:m (Cost_graph.of_rows ~cols:0 [||])))
-    (Matcher.names ())
+  Alcotest.(check (array int)) "min" [||] (Matcher.min_cost [||]);
+  Alcotest.(check (array int)) "max" [||] (Matcher.max_weight [||]);
+  Alcotest.(check (float 0.0)) "max total" 0.0 (Matcher.max_weight_total [||])
 
 let test_validation_errors () =
   let invalid name m =
-    match Hungarian.min_cost_assignment m with
+    match Matcher.min_cost m with
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.failf "%s: expected Invalid_argument" name
   in
@@ -87,72 +86,14 @@ let test_validation_errors () =
   invalid "nan weight" [| [| 1.0; nan |] |];
   invalid "inf weight" [| [| infinity; 2.0 |] |];
   invalid "neg inf weight" [| [| 1.0; neg_infinity |] |];
-  (match Hungarian.max_weight_assignment [| [| nan; 1.0 |] |] with
+  (match Matcher.max_weight [| [| nan; 1.0 |] |] with
    | exception Invalid_argument _ -> ()
    | _ -> Alcotest.fail "max nan: expected Invalid_argument");
-  (match Cost_graph.of_rows ~cols:3 [| [| (0, nan) |] |] with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "sparse nan: expected Invalid_argument");
-  (match Cost_graph.of_rows ~cols:2 [| [| (2, 1.0) |] |] with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "col out of range: expected Invalid_argument");
-  (match Cost_graph.of_rows ~cols:2 [| [| (0, 1.0); (0, 2.0) |] |] with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "duplicate arc: expected Invalid_argument")
+  match Matcher.max_weight_total [| [| 1.0 |]; [| 2.0 |] |] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "total too tall: expected Invalid_argument"
 
-(* {1 Registry} *)
-
-let test_registry_names () =
-  let names = Matcher.names () in
-  List.iter
-    (fun n ->
-      Alcotest.(check bool) (n ^ " registered") true (List.mem n names))
-    [ "auction"; "hungarian"; "jv" ];
-  Alcotest.(check (list string)) "sorted" (List.sort String.compare names) names;
-  List.iter
-    (fun n -> Alcotest.(check bool) (n ^ " described") true (Matcher.describe n <> ""))
-    names;
-  (match Matcher.describe "no-such-matcher" with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "describe unknown: expected Invalid_argument")
-
-let test_registry_use_default () =
-  let before = Matcher.default () in
-  Alcotest.(check string) "hungarian at startup" "hungarian" before;
-  Fun.protect
-    ~finally:(fun () -> Matcher.use before)
-    (fun () ->
-      Matcher.use "auction";
-      Alcotest.(check string) "use sticks" "auction" (Matcher.default ());
-      match Matcher.use "no-such-matcher" with
-      | exception Invalid_argument _ ->
-        Alcotest.(check string) "failed use leaves default" "auction" (Matcher.default ())
-      | () -> Alcotest.fail "use unknown: expected Invalid_argument")
-
-let test_infeasible () =
-  (* Row 1 has no arcs: Hall violation, reported before any algorithm
-     runs, under the same exception for every matcher. *)
-  let g = Cost_graph.of_rows ~cols:3 [| [| (0, 1.0) |]; [||] |] in
-  List.iter
-    (fun m ->
-      match Matcher.min_cost_assignment ~matcher:m g with
-      | exception Matcher.Infeasible _ -> ()
-      | _ -> Alcotest.failf "%s: expected Infeasible" m)
-    (Matcher.names ());
-  (* Two rows forced onto the same single column. *)
-  let pinch = Cost_graph.of_rows ~cols:3 [| [| (1, 1.0) |]; [| (1, 2.0) |] |] in
-  List.iter
-    (fun m ->
-      match Matcher.min_cost_total ~matcher:m pinch with
-      | exception Matcher.Infeasible _ -> ()
-      | _ -> Alcotest.failf "%s pinch: expected Infeasible" m)
-    (Matcher.names ())
-
-(* {1 Differential properties}
-
-   The registry's correctness story: every registered matcher produces
-   the same optimal total as the dense Hungarian reference, and after
-   canonicalization the same byte-identical assignment. *)
+(* {1 Properties} *)
 
 let brute_force_min matrix =
   let rows = Array.length matrix and cols = if matrix = [||] then 0 else Array.length matrix.(0) in
@@ -172,71 +113,59 @@ let brute_force_min matrix =
   go 0 0.0;
   !best
 
-let matrix_gen =
+(* Integer weights in [lo, hi] on a matrix of at most
+   [max_rows] x [max_cols] (rows clamped to cols). *)
+let gen_matrix ~max_rows ~max_cols ~lo ~hi =
   QCheck2.Gen.(
-    bind (pair (int_range 1 6) (int_range 1 7)) (fun (rows, cols) ->
+    bind (pair (int_range 1 max_rows) (int_range 1 max_cols)) (fun (rows, cols) ->
         let rows = min rows cols in
         array_size (return rows)
-          (array_size (return cols) (map float_of_int (int_range 0 50)))))
+          (array_size (return cols) (map float_of_int (int_range lo hi)))))
+
+let matrix_gen = gen_matrix ~max_rows:6 ~max_cols:7 ~lo:0 ~hi:50
 
 (* Small weight alphabet: optima are massively tied, exercising the
    canonical tie-break rather than the optimizer. *)
-let tied_matrix_gen =
-  QCheck2.Gen.(
-    bind (pair (int_range 1 5) (int_range 1 7)) (fun (rows, cols) ->
-        let rows = min rows cols in
-        array_size (return rows)
-          (array_size (return cols) (map float_of_int (int_range 0 2)))))
+let tied_matrix_gen = gen_matrix ~max_rows:5 ~max_cols:6 ~lo:0 ~hi:3
+let signed_matrix_gen = gen_matrix ~max_rows:6 ~max_cols:7 ~lo:(-30) ~hi:30
 
-(* Feasible sparse graphs: row r always carries its identity arc
-   (column r), plus a random bundle of extras, with signed weights. *)
-let sparse_graph_gen =
-  QCheck2.Gen.(
-    bind (pair (int_range 1 10) (int_range 0 6)) (fun (rows, extra_cols) ->
-        let cols = rows + extra_cols in
-        let arc_weight = map float_of_int (int_range (-30) 30) in
-        let row r =
-          bind (list_size (int_range 0 4) (pair (int_range 0 (cols - 1)) arc_weight))
-            (fun extras ->
-              bind arc_weight (fun w0 ->
-                  let tbl = Hashtbl.create 8 in
-                  Hashtbl.replace tbl r w0;
-                  List.iter
-                    (fun (c, w) -> if not (Hashtbl.mem tbl c) then Hashtbl.add tbl c w)
-                    extras;
-                  let arcs = Hashtbl.fold (fun c w acc -> (c, w) :: acc) tbl [] in
-                  return
-                    (Array.of_list
-                       (List.sort (fun (a, _) (b, _) -> Int.compare a b) arcs))))
-        in
-        map
-          (fun rows_arcs -> Cost_graph.of_rows ~cols (Array.of_list rows_arcs))
-          (flatten_l (List.init rows row))))
-
-let same_assignment a b = a = (b : int array)
-
-let check_all_matchers_agree g =
-  let reference = Matcher.min_cost_assignment ~matcher:"hungarian" g in
-  let ref_total = Cost_graph.assignment_weight g reference in
-  List.for_all
-    (fun m ->
-      let a = Matcher.min_cost_assignment ~matcher:m g in
-      let total = Matcher.min_cost_total ~matcher:m g in
-      same_assignment reference a
-      && abs_float (Cost_graph.assignment_weight g a -. ref_total) < 1e-6
-      && abs_float (total -. ref_total) < 1e-6)
-    (Matcher.names ())
+(* The canonical contract by enumeration: injections are generated in
+   lexicographic order, so the first one attaining the optimum is the
+   lexicographically smallest optimal assignment. *)
+let brute_force_lex_min matrix =
+  let best = brute_force_min matrix in
+  let rows = Array.length matrix and cols = Array.length matrix.(0) in
+  let assign = Array.make rows (-1) in
+  let used = Array.make cols false in
+  let rec go row acc =
+    if row = rows then acc = best
+    else begin
+      let found = ref false and c = ref 0 in
+      while (not !found) && !c < cols do
+        if not used.(!c) then begin
+          used.(!c) <- true;
+          assign.(row) <- !c;
+          found := go (row + 1) (acc +. matrix.(row).(!c));
+          used.(!c) <- false
+        end;
+        incr c
+      done;
+      !found
+    end
+  in
+  if not (go 0 0.0) then failwith "brute_force_lex_min: optimum not attained";
+  assign
 
 let qcheck_optimal_vs_brute_force =
   QCheck2.Test.make ~name:"Hungarian matches brute force" ~count:300 matrix_gen
     (fun m ->
-      let assign = Hungarian.min_cost_assignment m in
-      abs_float (Hungarian.assignment_weight m assign -. brute_force_min m) < 1e-6)
+      let assign = Matcher.min_cost m in
+      abs_float (assignment_weight m assign -. brute_force_min m) < 1e-6)
 
 let qcheck_assignment_valid =
   QCheck2.Test.make ~name:"assignment is injective and total" ~count:300 matrix_gen
     (fun m ->
-      let assign = Hungarian.min_cost_assignment m in
+      let assign = Matcher.min_cost m in
       let cols = Array.length m.(0) in
       Array.length assign = Array.length m
       && Array.for_all (fun c -> c >= 0 && c < cols) assign
@@ -246,73 +175,53 @@ let qcheck_assignment_valid =
 let qcheck_max_min_duality =
   QCheck2.Test.make ~name:"max on negated = min" ~count:200 matrix_gen
     (fun m ->
-      let neg = Array.map (Array.map (fun w -> -.w)) m in
-      let min_a = Hungarian.min_cost_assignment m in
-      let max_a = Hungarian.max_weight_assignment neg in
-      abs_float
-        (Hungarian.assignment_weight m min_a +. Hungarian.assignment_weight neg max_a)
-      < 1e-6)
+      let neg = negate m in
+      let min_a = Matcher.min_cost m in
+      let max_a = Matcher.max_weight neg in
+      abs_float (assignment_weight m min_a +. assignment_weight neg max_a) < 1e-6)
 
-let qcheck_dense_differential =
-  QCheck2.Test.make ~name:"all matchers agree on dense instances" ~count:300
-    matrix_gen
-    (fun m ->
-      let g = Cost_graph.of_dense m in
-      check_all_matchers_agree g
-      && abs_float (Matcher.min_cost_total g -. brute_force_min m) < 1e-6)
-
-let qcheck_tied_differential =
+let qcheck_tied_lex_min =
   QCheck2.Test.make ~name:"canonical assignment identical under heavy ties"
-    ~count:300 tied_matrix_gen
-    (fun m -> check_all_matchers_agree (Cost_graph.of_dense m))
+    ~count:500 tied_matrix_gen
+    (fun m -> Matcher.min_cost m = brute_force_lex_min m)
 
-let qcheck_sparse_differential =
-  QCheck2.Test.make ~name:"all matchers agree on sparse instances" ~count:300
-    sparse_graph_gen check_all_matchers_agree
-
-let qcheck_dense_max_weight =
-  QCheck2.Test.make ~name:"max-weight dense entry points agree" ~count:200
-    matrix_gen
+let qcheck_max_weight_entry_points =
+  QCheck2.Test.make ~name:"max-weight dense entry points agree" ~count:500
+    tied_matrix_gen
     (fun m ->
-      let reference = Matcher.max_weight_dense ~matcher:"hungarian" m in
-      List.for_all
-        (fun name ->
-          same_assignment reference (Matcher.max_weight_dense ~matcher:name m)
-          && abs_float
-               (Matcher.max_weight_total_dense ~matcher:name m
-               -. Hungarian.assignment_weight m reference)
-             < 1e-6)
-        (Matcher.names ()))
+      Matcher.max_weight m = brute_force_lex_min (negate m)
+      && Matcher.max_weight_total m = -.brute_force_min (negate m))
 
-(* Dual-feasibility contract from matcher.mli: w(i,j) >= u(i) + v(j) on
-   every arc, equality on matched arcs, v(j) <= 0 with equality on
-   unmatched columns. Certifies optimality without a reference solve. *)
-let duals_certify name g =
-  let s = Matcher.solve ~matcher:name g in
+(* Dual-feasibility contract of [Hungarian.solve_with_duals]:
+   w(i,j) >= u(i) + v(j) on every cell, equality on matched cells,
+   v(j) <= 0 with equality on unmatched columns. Certifies optimality
+   without a reference solve. *)
+let duals_certify m =
+  let assignment, row_duals, col_duals, _ = Hungarian.solve_with_duals m in
   let tol = 1e-6 in
-  let ok = ref (Array.length s.Matcher.assignment = Cost_graph.rows g) in
-  let matched_col = Array.make (Cost_graph.cols g) false in
+  let ok = ref (Array.length assignment = Array.length m) in
+  let matched_col = Array.make (Array.length m.(0)) false in
   Array.iteri
     (fun r c ->
       matched_col.(c) <- true;
-      let tight = ref false in
-      Cost_graph.iter_row g r (fun j w ->
-          if w < s.Matcher.row_duals.(r) +. s.Matcher.col_duals.(j) -. tol then ok := false;
-          if j = c && abs_float (w -. (s.Matcher.row_duals.(r) +. s.Matcher.col_duals.(j))) <= tol
-          then tight := true);
-      if not !tight then ok := false)
-    s.Matcher.assignment;
+      if abs_float (m.(r).(c) -. (row_duals.(r) +. col_duals.(c))) > tol then ok := false)
+    assignment;
+  Array.iteri
+    (fun r row ->
+      Array.iteri
+        (fun j w -> if w < row_duals.(r) +. col_duals.(j) -. tol then ok := false)
+        row)
+    m;
   Array.iteri
     (fun j v ->
       if v > tol then ok := false;
       if (not matched_col.(j)) && abs_float v > tol then ok := false)
-    s.Matcher.col_duals;
+    col_duals;
   !ok
 
 let qcheck_dual_contract =
-  QCheck2.Test.make ~name:"optimal duals certify every matcher" ~count:200
-    sparse_graph_gen
-    (fun g -> List.for_all (fun m -> duals_certify m g) (Matcher.names ()))
+  QCheck2.Test.make ~name:"Hungarian duals certify optimality" ~count:200
+    signed_matrix_gen duals_certify
 
 let () =
   Alcotest.run "rb_matching"
@@ -331,22 +240,14 @@ let () =
           Alcotest.test_case "empty" `Quick test_empty_is_empty;
           Alcotest.test_case "validation" `Quick test_validation_errors;
         ] );
-      ( "registry",
-        [
-          Alcotest.test_case "names and describe" `Quick test_registry_names;
-          Alcotest.test_case "use and default" `Quick test_registry_use_default;
-          Alcotest.test_case "infeasible" `Quick test_infeasible;
-        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             qcheck_optimal_vs_brute_force;
             qcheck_assignment_valid;
             qcheck_max_min_duality;
-            qcheck_dense_differential;
-            qcheck_tied_differential;
-            qcheck_sparse_differential;
-            qcheck_dense_max_weight;
+            qcheck_tied_lex_min;
+            qcheck_max_weight_entry_points;
             qcheck_dual_contract;
           ] );
     ]

@@ -1,5 +1,4 @@
 module Solver = Rb_sat.Solver
-module Solver_ref = Rb_sat.Solver_ref
 module Order_heap = Rb_sat.Order_heap
 module Tseitin = Rb_sat.Tseitin
 module Attack = Rb_sat.Attack

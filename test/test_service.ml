@@ -844,8 +844,13 @@ let test_serve_conn_fault_isolation () =
         with_socket_server ~jobs:1 (fun path ->
             let try_once () =
               let fd = connect path in
-              send fd ({|{"schema":"rb-job/1","id":0,"op":"list"}|} ^ "\n");
-              let answer = recv_line fd in
+              let answer =
+                match send fd ({|{"schema":"rb-job/1","id":0,"op":"list"}|} ^ "\n") with
+                | () -> recv_line fd
+                (* the faulted handler may close before the request is
+                   written: a closed connection, not a test failure *)
+                | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ""
+              in
               Unix.close fd;
               answer
             in
