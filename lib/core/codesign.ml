@@ -62,24 +62,22 @@ let optimal ?(max_assignments = 500_000) k schedule allocation spec =
     let fast = Obf_binding.Fast.prepare table schedule allocation ~kind in
     let subsets = index_subsets spec in
     let fus = Array.of_list spec.locked_fus in
-    let choices = Array.map (fun _ -> subsets) fus in
     let best = ref None in
     let searched = ref 0 in
-    let consider _acc tuple =
+    let consider () tuple errors =
       incr searched;
-      let locks = Array.to_list (Array.mapi (fun i subset -> (fus.(i), subset)) tuple) in
-      let errors = Obf_binding.Fast.best_errors fast ~locks in
-      (match !best with
-       | Some (best_errors, _) when best_errors >= errors -> ()
-       | Some _ | None ->
-         (* Copy: the tuple array is reused by the enumerator. *)
-         best := Some (errors, List.map (fun (fu, s) -> (fu, Array.copy s)) locks));
-      ()
+      match !best with
+      | Some (best_errors, _) when best_errors >= errors -> ()
+      | Some _ | None ->
+        (* Copy: the tuple array is reused by the enumerator. *)
+        best := Some (errors, Array.copy tuple)
     in
-    Combi.fold_cartesian choices ~init:() ~f:consider;
+    Obf_binding.Fast.fold_product fast ~fus ~subsets ~init:() ~f:consider;
     match !best with
     | None -> assert false
-    | Some (_, locks) -> `Solution (finalize k schedule allocation spec table locks !searched)
+    | Some (_, tuple) ->
+      let locks = Array.to_list (Array.mapi (fun i s -> (fus.(i), subsets.(s))) tuple) in
+      `Solution (finalize k schedule allocation spec table locks !searched)
   end
 
 let heuristic k schedule allocation spec =

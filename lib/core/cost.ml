@@ -33,9 +33,4 @@ let candidates t = Array.copy t.minterms
 
 let cand_count t ~cand ~op = t.counts.(cand).(op)
 
-let subset_weight t ~subset ~op =
-  let total = ref 0 in
-  Array.iter (fun cand -> total := !total + t.counts.(cand).(op)) subset;
-  !total
-
 let subset_minterms t subset = Array.to_list (Array.map (fun c -> t.minterms.(c)) subset)

@@ -37,9 +37,5 @@ val candidates : cand_table -> Minterm.t array
 val cand_count : cand_table -> cand:int -> op:Dfg.op_id -> int
 (** Occurrences of candidate [cand] (by index) in operation [op]. *)
 
-val subset_weight : cand_table -> subset:int array -> op:Dfg.op_id -> int
-(** Sum of {!cand_count} over a candidate-index subset — Eqn. 3 for an
-    FU locking that subset. *)
-
 val subset_minterms : cand_table -> int array -> Minterm.t list
 (** Resolve candidate indices back to minterms. *)

@@ -1,8 +1,8 @@
 module Dfg = Rb_dfg.Dfg
 module Schedule = Rb_sched.Schedule
-module Matcher = Rb_matching.Matcher
 module Allocation = Rb_hls.Allocation
 module Bind_engine = Rb_hls.Bind_engine
+module Metrics = Rb_util.Metrics
 
 let bind k config schedule allocation =
   let weight ~kind:_ ~cycle:_ ~op ~fu =
@@ -10,72 +10,191 @@ let bind k config schedule allocation =
   in
   Bind_engine.bind ~objective:`Maximize ~weight schedule allocation
 
+let m_combinations = Metrics.counter ~scope:"codesign" "combinations"
+
 module Fast = struct
+  (* An operation's weight on an FU locking candidate subset [s] is the
+     sum of its candidate counts over [s], so operations with equal
+     count vectors ("classes") weigh the same everywhere, and cycles
+     with equal class multisets have equal optima. *)
   type t = {
-    table : Cost.cand_table;
     fus : int array;
-    cycles : int array array;
-    n_ops : int;
+    cand_class : int array array; (* candidate -> class -> count *)
+    n_classes : int;
+    group_rows : int array array; (* classes of one cycle shape *)
+    group_mult : int array; (* cycles of that shape *)
   }
 
   let prepare table schedule allocation ~kind =
     let fus = Array.of_list (Allocation.fu_ids allocation kind) in
-    let cycles =
-      Array.init (Schedule.n_cycles schedule) (fun c ->
-          Array.of_list (Schedule.ops_in_cycle schedule kind c))
+    let n_cands = Array.length (Cost.candidates table) in
+    let class_of_vec = Hashtbl.create 64 in
+    let vecs = ref [] in
+    let class_of op =
+      let vec = Array.init n_cands (fun cand -> Cost.cand_count table ~cand ~op) in
+      if Array.for_all (( = ) 0) vec then None
+      else
+        match Hashtbl.find_opt class_of_vec vec with
+        | Some cls -> Some cls
+        | None ->
+          let cls = Hashtbl.length class_of_vec in
+          Hashtbl.add class_of_vec vec cls;
+          vecs := vec :: !vecs;
+          Some cls
     in
-    Array.iter
-      (fun ops ->
-        if Array.length ops > Array.length fus then
-          invalid_arg "Obf_binding.Fast.prepare: allocation too small")
-      cycles;
-    { table; fus; cycles; n_ops = Dfg.op_count (Schedule.dfg schedule) }
+    let group_of_shape = Hashtbl.create 64 in
+    let shapes = ref [] in
+    for c = 0 to Schedule.n_cycles schedule - 1 do
+      let ops = Schedule.ops_in_cycle schedule kind c in
+      if List.length ops > Array.length fus then
+        invalid_arg "Obf_binding.Fast.prepare: allocation too small";
+      (* Zero rows never change a max-weight total when rows <= FUs. *)
+      let shape = Array.of_list (List.filter_map class_of ops) in
+      Array.sort Int.compare shape;
+      if Array.length shape > 0 then
+        match Hashtbl.find_opt group_of_shape shape with
+        | Some mult -> incr mult
+        | None ->
+          let mult = ref 1 in
+          Hashtbl.add group_of_shape shape mult;
+          shapes := (shape, mult) :: !shapes
+    done;
+    let vecs = Array.of_list (List.rev !vecs) in
+    let shapes = Array.of_list (List.rev !shapes) in
+    {
+      fus;
+      cand_class = Array.init n_cands (fun cand -> Array.map (fun v -> v.(cand)) vecs);
+      n_classes = Array.length vecs;
+      group_rows = Array.map fst shapes;
+      group_mult = Array.map (fun (_, mult) -> !mult) shapes;
+    }
 
-  (* One max-weight matching per cycle. [solve_cycle] is either the
-     totals-only path (no tie canonicalization — optimal totals are
-     unique, and this is the codesign sweep's hot loop) or the
-     canonical-assignment path for materialized bindings. *)
-  let run t ~locks ~solve_cycle =
-    let subset_of = Hashtbl.create 8 in
+  (* [class_weights t subset].(cls): weight of class [cls] on an FU
+     locking candidate subset [subset] (Eqn. 3). *)
+  let class_weights t subset =
+    let w = Array.make t.n_classes 0 in
+    Array.iter
+      (fun cand ->
+        let counts = t.cand_class.(cand) in
+        for cls = 0 to t.n_classes - 1 do
+          w.(cls) <- w.(cls) + counts.(cls)
+        done)
+      subset;
+    w
+
+  (* Both kernels below are exact without a matching solver: unlocked
+     FUs weigh 0, weights are non-negative, and rows <= FUs, so any
+     partial matching of a cycle's rows into the locked FUs extends to
+     a full binding of the same weight. A cycle's optimum is therefore
+     its best partial matching into the locked FUs. *)
+
+  (* Subset DP over bitmasks of the locked FUs, one row at a time:
+     [best.(mask)] is the best partial matching into the FUs of
+     [mask]. *)
+  let best_errors t ~locks =
+    Metrics.incr m_combinations;
+    let subset_at = Array.make (Array.length t.fus) None in
     List.iter
       (fun (fu, subset) ->
-        if not (Array.exists (( = ) fu) t.fus) then
-          invalid_arg "Obf_binding.Fast: locked FU of the wrong kind";
-        Hashtbl.replace subset_of fu subset)
+        match Array.find_index (( = ) fu) t.fus with
+        | None -> invalid_arg "Obf_binding.Fast: locked FU of the wrong kind"
+        | Some j -> subset_at.(j) <- Some subset)
       locks;
-    let total = ref 0 in
-    let weigh op fu =
-      match Hashtbl.find_opt subset_of fu with
-      | None -> 0.0
-      | Some subset -> float_of_int (Cost.subset_weight t.table ~subset ~op)
+    let weights =
+      Array.of_list
+        (List.filter_map (Option.map (class_weights t)) (Array.to_list subset_at))
     in
-    Array.iter
-      (fun ops ->
-        if Array.length ops > 0 then begin
-          let matrix =
-            Array.map (fun op -> Array.map (fun fu -> weigh op fu) t.fus) ops
-          in
-          total := !total + solve_cycle ops matrix
-        end)
-      t.cycles;
+    let n_locks = Array.length weights in
+    let full = (1 lsl n_locks) - 1 in
+    let best = Array.make (full + 1) 0 in
+    let total = ref 0 in
+    Array.iteri
+      (fun g rows ->
+        Array.fill best 0 (full + 1) 0;
+        Array.iter
+          (fun cls ->
+            for mask = full downto 1 do
+              let b = ref best.(mask) in
+              for l = 0 to n_locks - 1 do
+                if mask land (1 lsl l) <> 0 then begin
+                  let v = best.(mask lxor (1 lsl l)) + weights.(l).(cls) in
+                  if v > !b then b := v
+                end
+              done;
+              best.(mask) <- !b
+            done)
+          rows;
+        total := !total + (t.group_mult.(g) * best.(full)))
+      t.group_rows;
     !total
 
-  let best_errors t ~locks =
-    run t ~locks ~solve_cycle:(fun _ matrix ->
-        int_of_float (Matcher.max_weight_total matrix))
-
-  let best_binding t ~locks =
-    let fu_of_op = Array.make t.n_ops (-1) in
-    let errors =
-      run t ~locks ~solve_cycle:(fun ops matrix ->
-          let assignment = Matcher.max_weight matrix in
-          let sub = ref 0 in
-          Array.iteri
-            (fun row col ->
-              sub := !sub + int_of_float matrix.(row).(col);
-              fu_of_op.(ops.(row)) <- t.fus.(col))
-            assignment;
-          !sub)
+  (* Subset DP over bitmasks of a cycle's rows, one locked FU at a
+     time: [state.(rm)] is the best partial matching of rows in [rm]
+     into the FUs placed so far. Tuples sharing a prefix share its
+     states, so a leaf costs one step per row. *)
+  let fold_product t ~fus ~subsets ~init ~f =
+    Array.iteri
+      (fun i fu ->
+        if not (Array.mem fu t.fus) then
+          invalid_arg "Obf_binding.Fast: locked FU of the wrong kind";
+        for j = 0 to i - 1 do
+          if fus.(j) = fu then invalid_arg "Obf_binding.Fast: duplicate locked FU"
+        done)
+      fus;
+    let n_locks = Array.length fus and n_subsets = Array.length subsets in
+    let weights = Array.map (class_weights t) subsets in
+    let states =
+      Array.init n_locks (fun _ ->
+          Array.map (fun rows -> Array.make (1 lsl Array.length rows) 0) t.group_rows)
     in
-    (fu_of_op, errors)
+    let tuple = Array.make n_locks 0 in
+    let leaves = ref 0 in
+    let rec place l acc =
+      let prev = states.(l) in
+      let acc = ref acc in
+      for s = 0 to n_subsets - 1 do
+        tuple.(l) <- s;
+        let w = weights.(s) in
+        if l = n_locks - 1 then begin
+          let total = ref 0 in
+          Array.iteri
+            (fun g rows ->
+              let st = prev.(g) in
+              let full = Array.length st - 1 in
+              let b = ref st.(full) in
+              Array.iteri
+                (fun r cls ->
+                  let v = st.(full lxor (1 lsl r)) + w.(cls) in
+                  if v > !b then b := v)
+                rows;
+              total := !total + (t.group_mult.(g) * !b))
+            t.group_rows;
+          incr leaves;
+          acc := f !acc tuple !total
+        end
+        else begin
+          let next = states.(l + 1) in
+          Array.iteri
+            (fun g rows ->
+              let st = prev.(g) and nx = next.(g) in
+              for rm = 0 to Array.length st - 1 do
+                let b = ref st.(rm) in
+                Array.iteri
+                  (fun r cls ->
+                    if rm land (1 lsl r) <> 0 then begin
+                      let v = st.(rm lxor (1 lsl r)) + w.(cls) in
+                      if v > !b then b := v
+                    end)
+                  rows;
+                nx.(rm) <- !b
+              done)
+            t.group_rows;
+          acc := place (l + 1) !acc
+        end
+      done;
+      !acc
+    in
+    let acc = if n_locks = 0 then f init tuple 0 else place 0 init in
+    Metrics.add m_combinations (if n_locks = 0 then 1 else !leaves);
+    acc
 end

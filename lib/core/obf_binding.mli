@@ -19,11 +19,22 @@ val bind :
 
 (** Allocation-light fast path used by the co-design enumerators: the
     locked minterm sets are given as candidate-index subsets per locked
-    FU over a prebuilt {!Cost.cand_table}. *)
+    FU over a prebuilt {!Cost.cand_table}.
+
+    Exact without a matching solver. Unlocked FUs weigh 0, weights are
+    occurrence counts (never negative), and every cycle has at most as
+    many operations as FUs, so any partial matching of a cycle's
+    operations into the locked FUs extends to a full binding of equal
+    weight. Each cycle's optimum is thus the best partial matching into
+    the locked FUs, found by an integer subset DP over bitmasks of them
+    (2{^|L|} states for |L| locked FUs). Operations whose candidate
+    counts are all zero are dropped, and cycles with the same multiset
+    of count vectors are solved once. *)
 module Fast : sig
   type t
   (** Preprocessed (schedule, allocation, table) state reused across
-      millions of assignments. *)
+      millions of assignments. Immutable, so one value can be shared by
+      concurrent callers. *)
 
   val prepare :
     Cost.cand_table ->
@@ -32,14 +43,31 @@ module Fast : sig
     kind:Rb_dfg.Dfg.op_kind ->
     t
   (** Specialize to one operation kind (the paper binds kinds
-      separately; only FUs of [kind] can be locked in this state). *)
+      separately; only FUs of [kind] can be locked in this state).
+      Raises [Invalid_argument] if a cycle has more operations of
+      [kind] than the allocation has FUs of it. *)
 
   val best_errors : t -> locks:(int * int array) list -> int
   (** Maximum Eqn. 2 value over bindings of this kind's operations,
-      where [locks] gives (FU id, candidate-index subset) pairs.
-      Does not materialize the binding. *)
+      where [locks] gives (FU id, candidate-index subset) pairs; a
+      repeated FU takes its last subset. Does not materialize the
+      binding. Counts one ["codesign/combinations"]. Raises
+      [Invalid_argument] on a locked FU of another kind. *)
 
-  val best_binding : t -> locks:(int * int array) list -> int array * int
-  (** As {!best_errors} but also returns the kind's operation-to-FU
-      map (entries for other kinds are -1). *)
+  val fold_product :
+    t ->
+    fus:int array ->
+    subsets:int array array ->
+    init:'a ->
+    f:('a -> int array -> int -> 'a) ->
+    'a
+  (** [fold_product t ~fus ~subsets ~init ~f] folds [f acc tuple
+      errors] over every way of locking each FU [fus.(i)] with one
+      subset [subsets.(tuple.(i))], in lexicographic order of [tuple]
+      ([fus.(0)] most significant); [errors] is {!best_errors} of those
+      locks. Tuples sharing a prefix share its DP states, so the
+      exhaustive co-design search pays about one step per cycle row per
+      tuple. [tuple] is reused between calls and must not be retained.
+      Counts one ["codesign/combinations"] per tuple. Raises
+      [Invalid_argument] on a repeated FU or one of another kind. *)
 end

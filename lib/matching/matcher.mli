@@ -22,9 +22,3 @@ val min_cost : float array array -> int array
 val max_weight : float array array -> int array
 (** [max_weight w] is the lexicographically smallest assignment
     maximizing the total weight ({!min_cost} on the negated matrix). *)
-
-val max_weight_total : float array array -> float
-(** [max_weight_total w] is the optimal total weight without
-    canonicalizing the assignment behind it — optimal totals are
-    unique already. The hot path of search loops that only rank
-    candidates (the co-design sweep). *)

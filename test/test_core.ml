@@ -15,6 +15,7 @@ module Experiments = Rb_core.Experiments
 module Testgen = Rb_testsupport.Testgen
 module Limits = Rb_util.Limits
 module Checkpoint = Rb_util.Checkpoint
+module Combi = Rb_util.Combi
 
 (* The paper's Fig. 2 setting: 5 add operations over 2 cycles, 3 adder
    FUs, FU0 locks 'x' = (1,1), FU1 locks 'y' = (2,2). *)
@@ -59,15 +60,7 @@ let test_cand_table_matches_kmatrix () =
         Alcotest.(check int) "cand count = K" (Kmatrix.count k m op)
           (Cost.cand_count table ~cand:c ~op)
       done)
-    candidates;
-  (* subset weight is additive *)
-  let subset = [| 0; 2; 4 |] in
-  for op = 0 to Dfg.op_count dfg - 1 do
-    let expected =
-      Array.fold_left (fun acc c -> acc + Kmatrix.count k candidates.(c) op) 0 subset
-    in
-    Alcotest.(check int) "subset weight" expected (Cost.subset_weight table ~subset ~op)
-  done
+    candidates
 
 (* --------------------------------------------------- obfuscation-aware *)
 
@@ -218,6 +211,128 @@ let test_fast_rejects_wrong_kind_fu () =
     match Obf_binding.Fast.best_errors fast ~locks:[ (mul_fu, [| 0 |]) ] with
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.fail "wrong-kind FU accepted"
+
+(* The per-cycle Hungarian path the integer kernel replaced, kept as a
+   differential oracle: one dense max-weight matching per cycle over
+   every FU of [kind], unlocked FUs weighing 0, the last lock of a
+   repeated FU winning. *)
+let hungarian_best_errors table schedule allocation ~kind ~locks =
+  let fus = Array.of_list (Allocation.fu_ids allocation kind) in
+  let subset_of = Hashtbl.create 8 in
+  List.iter (fun (fu, subset) -> Hashtbl.replace subset_of fu subset) locks;
+  let weigh op fu =
+    match Hashtbl.find_opt subset_of fu with
+    | None -> 0.0
+    | Some subset ->
+      float_of_int
+        (Array.fold_left (fun acc cand -> acc + Cost.cand_count table ~cand ~op) 0 subset)
+  in
+  let total = ref 0 in
+  for c = 0 to Schedule.n_cycles schedule - 1 do
+    let ops = Array.of_list (Schedule.ops_in_cycle schedule kind c) in
+    let matrix = Array.map (fun op -> Array.map (weigh op) fus) ops in
+    Array.iteri
+      (fun row col -> total := !total + int_of_float matrix.(row).(col))
+      (Rb_matching.Matcher.max_weight matrix)
+  done;
+  !total
+
+(* A random kernel instance for the differential properties. Half the
+   seeds take a random DFG under its path-based schedule; the other half
+   take flat DFGs whose operations read one of a few input pairs,
+   scattered over a few cycles, so identical operations and identical
+   cycles repeat. FUs may exceed the schedule's need, and the candidate
+   list mixes the most frequent minterms with ones that never occur. *)
+let kernel_instance seed =
+  let rng = Rb_util.Rng.create seed in
+  let dfg, schedule =
+    if Rb_util.Rng.bool rng then begin
+      let dfg = Testgen.random_dfg seed ~n_ops:(6 + Rb_util.Rng.int rng 14) in
+      (dfg, Scheduler.path_based dfg)
+    end
+    else begin
+      let b = Dfg.Builder.create "flat" in
+      let inputs = Array.init 3 (fun i -> Dfg.Builder.input b (Printf.sprintf "in%d" i)) in
+      let n_ops = 4 + Rb_util.Rng.int rng 12 in
+      for _ = 1 to n_ops do
+        let lhs = Rb_util.Rng.pick rng inputs and rhs = Rb_util.Rng.pick rng inputs in
+        let op = if Rb_util.Rng.int rng 3 = 0 then Dfg.Builder.mul else Dfg.Builder.add in
+        ignore (op b lhs rhs)
+      done;
+      let dfg = Dfg.Builder.finish b in
+      let n_cycles = 1 + Rb_util.Rng.int rng 4 in
+      (dfg, Schedule.make dfg ~cycle_of:(Array.init n_ops (fun _ -> Rb_util.Rng.int rng n_cycles)))
+    end
+  in
+  let trace = Testgen.skewed_trace (seed + 1) dfg ~n:32 in
+  let k = Kmatrix.build trace in
+  let kind = if Rb_util.Rng.bool rng then Dfg.Add else Dfg.Mul in
+  let need = Allocation.for_schedule schedule in
+  let extra () = Rb_util.Rng.int rng 2 in
+  let allocation =
+    {
+      Allocation.adders = max 1 need.Allocation.adders + extra ();
+      multipliers = max 1 need.Allocation.multipliers + extra ();
+    }
+  in
+  let unused =
+    let rec find i =
+      let m = Minterm.of_int (i mod Minterm.space_size) in
+      if Kmatrix.total_occurrences k m = 0 then m else find (i + 1)
+    in
+    find (Rb_util.Rng.int rng Minterm.space_size)
+  in
+  let candidates =
+    Array.of_list (Kmatrix.top_minterms ~kind k ~n:(1 + Rb_util.Rng.int rng 4) @ [ unused ])
+  in
+  let table = Cost.cand_table k candidates in
+  (rng, schedule, allocation, kind, table, Array.length candidates)
+
+let random_subset rng n_cands =
+  Array.init (1 + Rb_util.Rng.int rng 3) (fun _ -> Rb_util.Rng.int rng n_cands)
+
+let qcheck_fast_matches_hungarian =
+  QCheck2.Test.make ~name:"Fast.best_errors = per-cycle Hungarian" ~count:400
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng, schedule, allocation, kind, table, n_cands = kernel_instance seed in
+      let fast = Obf_binding.Fast.prepare table schedule allocation ~kind in
+      let fus = Array.of_list (Allocation.fu_ids allocation kind) in
+      Rb_util.Rng.shuffle rng fus;
+      (* 1..|FUs| locked, sometimes with one FU locked twice. *)
+      let n_locked = 1 + Rb_util.Rng.int rng (Array.length fus) in
+      let locks = List.init n_locked (fun i -> (fus.(i), random_subset rng n_cands)) in
+      let locks =
+        if Rb_util.Rng.int rng 4 = 0 then locks @ [ (fus.(0), random_subset rng n_cands) ]
+        else locks
+      in
+      Obf_binding.Fast.best_errors fast ~locks
+      = hungarian_best_errors table schedule allocation ~kind ~locks)
+
+let qcheck_fold_product_matches_hungarian =
+  QCheck2.Test.make ~name:"Fast.fold_product = per-cycle Hungarian, in order" ~count:150
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng, schedule, allocation, kind, table, n_cands = kernel_instance seed in
+      let fast = Obf_binding.Fast.prepare table schedule allocation ~kind in
+      let fus = Array.of_list (Allocation.fu_ids allocation kind) in
+      Rb_util.Rng.shuffle rng fus;
+      let fus = Array.sub fus 0 (1 + Rb_util.Rng.int rng (min 3 (Array.length fus))) in
+      let subsets = Array.init (1 + Rb_util.Rng.int rng 4) (fun _ -> random_subset rng n_cands) in
+      let expected =
+        Combi.fold_cartesian
+          (Array.map (fun _ -> Array.init (Array.length subsets) Fun.id) fus)
+          ~init:[]
+          ~f:(fun acc tuple ->
+            let locks = Array.to_list (Array.mapi (fun i s -> (fus.(i), subsets.(s))) tuple) in
+            (Array.copy tuple, hungarian_best_errors table schedule allocation ~kind ~locks)
+            :: acc)
+      in
+      let got =
+        Obf_binding.Fast.fold_product fast ~fus ~subsets ~init:[] ~f:(fun acc tuple errors ->
+            (Array.copy tuple, errors) :: acc)
+      in
+      got = expected)
 
 (* ------------------------------------------------------------ codesign *)
 
@@ -858,5 +973,7 @@ let () =
             qcheck_obf_binding_optimal;
             qcheck_thm2_exhaustive;
             qcheck_optimal_dominates_heuristic;
+            qcheck_fast_matches_hungarian;
+            qcheck_fold_product_matches_hungarian;
           ] );
     ]

@@ -71,8 +71,7 @@ let test_empty_is_empty () =
   (* The 0-row matrix is a legal (empty) assignment problem: binders
      meet it on cycles with no operations of a kind. *)
   Alcotest.(check (array int)) "min" [||] (Matcher.min_cost [||]);
-  Alcotest.(check (array int)) "max" [||] (Matcher.max_weight [||]);
-  Alcotest.(check (float 0.0)) "max total" 0.0 (Matcher.max_weight_total [||])
+  Alcotest.(check (array int)) "max" [||] (Matcher.max_weight [||])
 
 let test_validation_errors () =
   let invalid name m =
@@ -86,12 +85,9 @@ let test_validation_errors () =
   invalid "nan weight" [| [| 1.0; nan |] |];
   invalid "inf weight" [| [| infinity; 2.0 |] |];
   invalid "neg inf weight" [| [| 1.0; neg_infinity |] |];
-  (match Matcher.max_weight [| [| nan; 1.0 |] |] with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "max nan: expected Invalid_argument");
-  match Matcher.max_weight_total [| [| 1.0 |]; [| 2.0 |] |] with
+  match Matcher.max_weight [| [| nan; 1.0 |] |] with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "total too tall: expected Invalid_argument"
+  | _ -> Alcotest.fail "max nan: expected Invalid_argument"
 
 (* {1 Properties} *)
 
@@ -189,8 +185,9 @@ let qcheck_max_weight_entry_points =
   QCheck2.Test.make ~name:"max-weight dense entry points agree" ~count:500
     tied_matrix_gen
     (fun m ->
-      Matcher.max_weight m = brute_force_lex_min (negate m)
-      && Matcher.max_weight_total m = -.brute_force_min (negate m))
+      let a = Matcher.max_weight m in
+      a = brute_force_lex_min (negate m)
+      && assignment_weight m a = -.brute_force_min (negate m))
 
 (* Dual-feasibility contract of [Hungarian.solve_with_duals]:
    w(i,j) >= u(i) + v(j) on every cell, equality on matched cells,
