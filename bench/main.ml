@@ -665,10 +665,25 @@ let runtime () =
       ~locks:[ (0, [ candidates.(0); candidates.(1) ]) ]
   in
   let input = { Binder.schedule; allocation; profile; k; config; candidates } in
+  (* The kernel-scale front end's hot call: heuristic co-design of
+     2 adders x 2 minterms (|C|=10) on the 9,216-op fft-512 kernel. *)
+  let heuristic_fft512 =
+    let fft = Workload.parametric "fft" ~n:512 in
+    let schedule = Workload.schedule ~limits:{ Rb_sched.Scheduler.adders = 8; multipliers = 8 } fft in
+    let k = Kmatrix.build (Workload.trace fft) in
+    let allocation = Allocation.for_schedule schedule in
+    let spec =
+      { Codesign.scheme = Scheme.Sfll_rem;
+        locked_fus = List.filteri (fun i _ -> i < 2) (Allocation.fu_ids allocation Dfg.Add);
+        minterms_per_fu = 2;
+        candidates = Array.of_list (Kmatrix.top_minterms ~kind:Dfg.Add k ~n:10) }
+    in
+    fun () -> ignore (Codesign.heuristic k schedule allocation spec)
+  in
   let open Bechamel in
   (* One microbench per registered binder (all run on the same dct
-     input: 1 locked FU x 2 minterms, |C|=10), plus the two hot
-     non-binder kernels. *)
+     input: 1 locked FU x 2 minterms, |C|=10), plus the hot non-binder
+     kernels. *)
   let tests =
     List.map
       (fun name ->
@@ -680,6 +695,7 @@ let runtime () =
     @ [
         Test.make ~name:"K-matrix build (dct, 256 samples)"
           (Staged.stage (fun () -> ignore (Kmatrix.build trace)));
+        Test.make ~name:"heuristic co-design (fft 512)" (Staged.stage heuristic_fft512);
         Test.make ~name:"Hungarian 8x8"
           (let m =
              Array.init 8 (fun i ->

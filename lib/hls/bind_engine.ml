@@ -9,10 +9,12 @@ let bind ?(on_bound = fun ~op:_ ~fu:_ -> ()) ~objective ~weight schedule
     allocation =
   let dfg = Schedule.dfg schedule in
   let fu_of_op = Array.make (Dfg.op_count dfg) (-1) in
+  let add_fus = Array.of_list (Allocation.fu_ids allocation Dfg.Add)
+  and mul_fus = Array.of_list (Allocation.fu_ids allocation Dfg.Mul) in
   let bind_cycle kind cycle =
     let ops = Array.of_list (Schedule.ops_in_cycle schedule kind cycle) in
     if Array.length ops > 0 then begin
-      let fus = Array.of_list (Allocation.fu_ids allocation kind) in
+      let fus = match kind with Dfg.Add -> add_fus | Dfg.Mul -> mul_fus in
       if Array.length ops > Array.length fus then
         invalid_arg
           (Printf.sprintf "Bind_engine: cycle %d needs %d %s FUs, %d allocated" cycle

@@ -43,27 +43,25 @@ let latch_resident_values binding =
    while area-aware binding retires each bank's value before the next
    one is born. *)
 let count binding =
-  let schedule = Binding.schedule binding in
-  let n_cycles = Schedule.n_cycles schedule in
-  let allocation = Binding.allocation binding in
-  let values =
-    value_lifetimes binding |> List.filter (fun v -> not (bypassed binding v))
-  in
-  let bank_peak fu =
-    let mine = List.filter (fun (p, _, _) -> Binding.fu_of_op binding p = fu) values in
-    let best = ref 0 in
-    for b = 0 to n_cycles - 1 do
-      let live =
-        List.fold_left
-          (fun acc (_, birth, death) -> if birth <= b && b < death then acc + 1 else acc)
-          0 mine
-      in
-      if live > !best then best := live
-    done;
-    !best
-  in
-  let total = ref 0 in
-  for fu = 0 to Allocation.total allocation - 1 do
-    total := !total + bank_peak fu
-  done;
-  !total
+  let n_cycles = Schedule.n_cycles (Binding.schedule binding) in
+  let n_fus = Allocation.total (Binding.allocation binding) in
+  (* Per bank, +1 at each value's birth boundary and -1 at its death:
+     the running sum at boundary [b] is the bank's occupancy there. *)
+  let delta = Array.make_matrix n_fus (n_cycles + 1) 0 in
+  List.iter
+    (fun ((p, birth, death) as v) ->
+      if birth < death && not (bypassed binding v) then begin
+        let d = delta.(Binding.fu_of_op binding p) in
+        d.(birth) <- d.(birth) + 1;
+        d.(death) <- d.(death) - 1
+      end)
+    (value_lifetimes binding);
+  Array.fold_left
+    (fun total d ->
+      let live = ref 0 and peak = ref 0 in
+      for b = 0 to n_cycles - 1 do
+        live := !live + d.(b);
+        if !live > !peak then peak := !live
+      done;
+      total + !peak)
+    0 delta

@@ -5,7 +5,24 @@ module Allocation = Rb_hls.Allocation
 module Trace = Rb_sim.Trace
 module Exec = Rb_sim.Exec
 
-let run dp trace ~sample =
+(* The control schedule bucketed by cycle, each bucket in the
+   datapath's own order, so a simulated cycle touches only its own
+   issues and writes. *)
+type program = { issues : Datapath.issue list array; writes : Datapath.write list array }
+
+let program dp =
+  let n_cycles = Schedule.n_cycles (Binding.schedule (Datapath.binding dp)) in
+  let bucket cycle_of items =
+    let by_cycle = Array.make n_cycles [] in
+    List.iter (fun x -> by_cycle.(cycle_of x) <- x :: by_cycle.(cycle_of x)) (List.rev items);
+    by_cycle
+  in
+  {
+    issues = bucket (fun (i : Datapath.issue) -> i.Datapath.cycle) (Datapath.issues dp);
+    writes = bucket (fun (w : Datapath.write) -> w.Datapath.cycle) (Datapath.writes dp);
+  }
+
+let simulate program dp trace ~sample =
   let binding = Datapath.binding dp in
   let schedule = Binding.schedule binding in
   let dfg = Schedule.dfg schedule in
@@ -25,33 +42,32 @@ let run dp trace ~sample =
     (* Read phase: all of this cycle's issues sample their sources
        against the pre-cycle state. *)
     let fired =
-      List.filter_map
+      List.map
         (fun (i : Datapath.issue) ->
-          if i.Datapath.cycle = cycle then begin
-            let a = read i.Datapath.lhs_src and b = read i.Datapath.rhs_src in
-            let kind = (Dfg.op dfg i.Datapath.op).Dfg.kind in
-            let v = Dfg.eval_kind kind a b in
-            results.(i.Datapath.op) <- v;
-            Some (i.Datapath.fu, i.Datapath.op, v)
-          end
-          else None)
-        (Datapath.issues dp)
+          let a = read i.Datapath.lhs_src and b = read i.Datapath.rhs_src in
+          let kind = (Dfg.op dfg i.Datapath.op).Dfg.kind in
+          let v = Dfg.eval_kind kind a b in
+          results.(i.Datapath.op) <- v;
+          (i.Datapath.fu, v))
+        program.issues.(cycle)
     in
     (* Write phase: FU output latches, then register-file commits. *)
-    List.iter (fun (fu, _, v) -> latches.(fu) <- v) fired;
+    List.iter (fun (fu, v) -> latches.(fu) <- v) fired;
     List.iter
-      (fun (w : Datapath.write) ->
-        if w.Datapath.cycle = cycle then registers.(w.Datapath.register) <- results.(w.Datapath.op))
-      (Datapath.writes dp)
+      (fun (w : Datapath.write) -> registers.(w.Datapath.register) <- results.(w.Datapath.op))
+      program.writes.(cycle)
   done;
   results
 
+let run dp trace ~sample = simulate (program dp) dp trace ~sample
+
 let check_trace dp trace =
+  let program = program dp in
   let n = Trace.length trace in
   let rec go sample =
     if sample >= n then Ok ()
     else begin
-      let rtl = run dp trace ~sample in
+      let rtl = simulate program dp trace ~sample in
       let golden = Exec.eval_clean trace ~sample in
       let rec compare_ops op =
         if op >= Array.length rtl then None

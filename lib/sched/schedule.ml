@@ -1,27 +1,40 @@
 module Dfg = Rb_dfg.Dfg
 
-type t = { dfg : Dfg.t; cycle_of : int array; n_cycles : int }
+type t = {
+  dfg : Dfg.t;
+  cycle_of : int array;
+  n_cycles : int;
+  buckets : Dfg.op_id list array array; (* kind -> cycle -> ascending ids *)
+  peak : int array; (* kind -> largest bucket length *)
+}
+
+let kind_index = function Dfg.Add -> 0 | Dfg.Mul -> 1
 
 let make dfg ~cycle_of =
-  if Array.length cycle_of <> Dfg.op_count dfg then
+  let n = Dfg.op_count dfg in
+  if Array.length cycle_of <> n then
     invalid_arg "Schedule.make: cycle array length mismatch";
   Array.iter (fun c -> if c < 0 then invalid_arg "Schedule.make: negative cycle") cycle_of;
   let n_cycles = 1 + Array.fold_left max 0 cycle_of in
-  { dfg; cycle_of = Array.copy cycle_of; n_cycles }
+  let buckets = Array.init 2 (fun _ -> Array.make n_cycles []) in
+  (* Consing in descending id order leaves every bucket ascending. *)
+  for id = n - 1 downto 0 do
+    let k = kind_index (Dfg.op dfg id).Dfg.kind and c = cycle_of.(id) in
+    buckets.(k).(c) <- id :: buckets.(k).(c)
+  done;
+  let peak =
+    Array.map (Array.fold_left (fun m ops -> max m (List.length ops)) 0) buckets
+  in
+  { dfg; cycle_of = Array.copy cycle_of; n_cycles; buckets; peak }
 
 let dfg t = t.dfg
 let cycle_of t id = t.cycle_of.(id)
 let n_cycles t = t.n_cycles
 
 let ops_in_cycle t kind cycle =
-  Dfg.ops_of_kind t.dfg kind |> List.filter (fun id -> t.cycle_of.(id) = cycle)
+  if cycle < 0 || cycle >= t.n_cycles then [] else t.buckets.(kind_index kind).(cycle)
 
-let max_concurrency t kind =
-  let counts = Array.make t.n_cycles 0 in
-  List.iter
-    (fun id -> counts.(t.cycle_of.(id)) <- counts.(t.cycle_of.(id)) + 1)
-    (Dfg.ops_of_kind t.dfg kind);
-  Array.fold_left max 0 counts
+let max_concurrency t kind = t.peak.(kind_index kind)
 
 let validate t =
   let n = Dfg.op_count t.dfg in

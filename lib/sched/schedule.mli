@@ -8,7 +8,8 @@
 type t
 
 val make : Rb_dfg.Dfg.t -> cycle_of:int array -> t
-(** Wrap a cycle assignment. Raises [Invalid_argument] if the array
+(** Wrap a cycle assignment and index its operations by (kind, cycle),
+    in O(operations + cycles). Raises [Invalid_argument] if the array
     length differs from the operation count or a cycle is negative. *)
 
 val dfg : t -> Rb_dfg.Dfg.t
@@ -21,11 +22,14 @@ val n_cycles : t -> int
 
 val ops_in_cycle : t -> Rb_dfg.Dfg.op_kind -> int -> Rb_dfg.Dfg.op_id list
 (** Operations of one kind scheduled in one cycle, ascending id. These
-    are the concurrent sets [N_t] of Sec. IV-B. *)
+    are the concurrent sets [N_t] of Sec. IV-B; [[]] for a cycle outside
+    [\[0, n_cycles)]. {!make} indexes every (kind, cycle) pair in one
+    pass, so this is an O(1) lookup, and repeated calls share one
+    (immutable) list rather than rebuilding it. *)
 
 val max_concurrency : t -> Rb_dfg.Dfg.op_kind -> int
 (** Largest per-cycle operation count of a kind — the minimum FU
-    allocation able to execute the schedule. *)
+    allocation able to execute the schedule. O(1), read off the index. *)
 
 val validate : t -> (unit, string) result
 (** Checks dependency causality: every operation is scheduled strictly

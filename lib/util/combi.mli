@@ -24,12 +24,6 @@ val cartesian_product : 'a list list -> 'a list list
     element from each list, in order. The product of an empty list of
     lists is [[[]]]. *)
 
-val fold_cartesian : 'a array array -> init:'b -> f:('b -> 'a array -> 'b) -> 'b
-(** [fold_cartesian choices ~init ~f] folds [f] over every tuple of the
-    product [choices.(0) x choices.(1) x ...] without materializing the
-    product. The tuple array passed to [f] is reused and must not be
-    retained. *)
-
 val product_size : int list -> int
 (** Product of the list, saturating at [max_int] instead of wrapping so
     enumeration-size guards stay sound. *)

@@ -320,7 +320,7 @@ let qcheck_fold_product_matches_hungarian =
       let fus = Array.sub fus 0 (1 + Rb_util.Rng.int rng (min 3 (Array.length fus))) in
       let subsets = Array.init (1 + Rb_util.Rng.int rng 4) (fun _ -> random_subset rng n_cands) in
       let expected =
-        Combi.fold_cartesian
+        Combi_ref.fold_cartesian
           (Array.map (fun _ -> Array.init (Array.length subsets) Fun.id) fus)
           ~init:[]
           ~f:(fun acc tuple ->

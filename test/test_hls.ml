@@ -303,6 +303,22 @@ let test_binder_registry_matches_direct () =
   Alcotest.(check bool) "power binding identical" true
     (via_registry.Binder.binding = direct)
 
+let qcheck_register_count_matches_oracle =
+  QCheck2.Test.make ~name:"register count = per-boundary recount" ~count:100
+    QCheck2.Gen.(pair (int_range 0 10_000) (int_range 0 2))
+    (fun (seed, spare) ->
+      let dfg = Testgen.random_dfg seed ~n_ops:(4 + (seed mod 40)) in
+      let schedule = Scheduler.path_based ~limits:{ Scheduler.adders = 2; multipliers = 2 } dfg in
+      let min = Allocation.for_schedule schedule in
+      let allocation =
+        { Allocation.adders = min.Allocation.adders + spare;
+          multipliers = min.Allocation.multipliers + spare }
+      in
+      List.for_all
+        (fun binding -> Registers.count binding = Registers_ref.count binding)
+        [ Testgen.random_valid_binding (seed + 1) schedule allocation;
+          Rb_hls.Area_binding.bind schedule allocation ])
+
 let qcheck_baseline_binders_always_valid =
   QCheck2.Test.make ~name:"area/power binders always produce valid bindings" ~count:40
     QCheck2.Gen.(int_range 0 10_000)
@@ -363,5 +379,6 @@ let () =
             test_binder_registry_matches_direct;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ qcheck_baseline_binders_always_valid ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ qcheck_baseline_binders_always_valid; qcheck_register_count_matches_oracle ] );
     ]

@@ -164,6 +164,37 @@ let qcheck_asap_is_lower_bound =
         (fun id -> Schedule.cycle_of schedule id >= asap.(id))
         (List.init (Dfg.op_count dfg) Fun.id))
 
+(* The pre-index definitions of [N_t] and peak concurrency: filter
+   every op of the kind on its cycle. *)
+let ref_ops_in_cycle schedule kind cycle =
+  Dfg.ops_of_kind (Schedule.dfg schedule) kind
+  |> List.filter (fun id -> Schedule.cycle_of schedule id = cycle)
+
+let ref_max_concurrency schedule kind =
+  let best = ref 0 in
+  for c = 0 to Schedule.n_cycles schedule - 1 do
+    best := max !best (List.length (ref_ops_in_cycle schedule kind c))
+  done;
+  !best
+
+let qcheck_index_matches_filter =
+  QCheck2.Test.make ~name:"cycle index = filter definition" ~count:80
+    QCheck2.Gen.(pair (int_range 0 10_000) bool)
+    (fun (seed, force_directed) ->
+      let dfg = Testgen.random_dfg seed ~n_ops:(5 + (seed mod 40)) in
+      let schedule =
+        if force_directed then
+          Rb_sched.Force_directed.schedule ~latency:(Dfg.critical_path_length dfg + (seed mod 3)) dfg
+        else Scheduler.path_based ~limits:(limits (1 + (seed mod 3)) (1 + (seed mod 2))) dfg
+      in
+      List.for_all
+        (fun kind ->
+          Schedule.max_concurrency schedule kind = ref_max_concurrency schedule kind
+          && List.for_all
+               (fun c -> Schedule.ops_in_cycle schedule kind c = ref_ops_in_cycle schedule kind c)
+               (List.init (Schedule.n_cycles schedule + 2) (fun c -> c - 1)))
+        [ Dfg.Add; Dfg.Mul ])
+
 let () =
   Alcotest.run "rb_sched"
     [
@@ -198,5 +229,5 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_path_based_always_valid; qcheck_asap_is_lower_bound ] );
+          [ qcheck_path_based_always_valid; qcheck_asap_is_lower_bound; qcheck_index_matches_filter ] );
     ]

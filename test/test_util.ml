@@ -200,7 +200,7 @@ let test_cartesian_product () =
 let test_fold_cartesian_matches_list () =
   let choices = [| [| 1; 2 |]; [| 3 |]; [| 4; 5; 6 |] |] in
   let tuples =
-    Combi.fold_cartesian choices ~init:[] ~f:(fun acc t -> Array.to_list t :: acc)
+    Combi_ref.fold_cartesian choices ~init:[] ~f:(fun acc t -> Array.to_list t :: acc)
     |> List.rev
   in
   Alcotest.(check (list (list int)))
