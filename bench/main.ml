@@ -43,7 +43,6 @@ module Dfg = Rb_dfg.Dfg
 module Workload = Rb_workload.Benchmark
 module Kmatrix = Rb_sim.Kmatrix
 module Allocation = Rb_hls.Allocation
-module Profile = Rb_hls.Profile
 module Binder = Rb_hls.Binder
 module Experiments = Rb_core.Experiments
 module Ablation = Rb_core.Ablation
@@ -658,19 +657,22 @@ let runtime () =
   let trace = Workload.trace bench in
   let allocation = Allocation.for_schedule schedule in
   let k = Kmatrix.build trace in
-  let profile = Profile.build trace in
+  let profile = Rb_sim.Operands.build trace in
   let candidates = Array.of_list (Kmatrix.top_minterms ~kind:Dfg.Add k ~n:10) in
   let config =
     Rb_locking.Config.make ~scheme:Scheme.Sfll_rem
       ~locks:[ (0, [ candidates.(0); candidates.(1) ]) ]
   in
   let input = { Binder.schedule; allocation; profile; k; config; candidates } in
+  let fft512 = Workload.parametric "fft" ~n:512 in
+  (* 256 samples of the 9,216-op fft-512 kernel: the K-matrix and
+     profile builds every context derives from one golden pass. *)
+  let trace_fft512 = Workload.trace fft512 in
   (* The kernel-scale front end's hot call: heuristic co-design of
-     2 adders x 2 minterms (|C|=10) on the 9,216-op fft-512 kernel. *)
+     2 adders x 2 minterms (|C|=10) on the same kernel. *)
   let heuristic_fft512 =
-    let fft = Workload.parametric "fft" ~n:512 in
-    let schedule = Workload.schedule ~limits:{ Rb_sched.Scheduler.adders = 8; multipliers = 8 } fft in
-    let k = Kmatrix.build (Workload.trace fft) in
+    let schedule = Workload.schedule ~limits:{ Rb_sched.Scheduler.adders = 8; multipliers = 8 } fft512 in
+    let k = Kmatrix.build trace_fft512 in
     let allocation = Allocation.for_schedule schedule in
     let spec =
       { Codesign.scheme = Scheme.Sfll_rem;
@@ -695,6 +697,10 @@ let runtime () =
     @ [
         Test.make ~name:"K-matrix build (dct, 256 samples)"
           (Staged.stage (fun () -> ignore (Kmatrix.build trace)));
+        Test.make ~name:"K-matrix build (fft 512)"
+          (Staged.stage (fun () -> ignore (Kmatrix.build trace_fft512)));
+        Test.make ~name:"profile build (fft 512)"
+          (Staged.stage (fun () -> ignore (Rb_sim.Operands.build trace_fft512)));
         Test.make ~name:"heuristic co-design (fft 512)" (Staged.stage heuristic_fft512);
         Test.make ~name:"Hungarian 8x8"
           (let m =

@@ -17,7 +17,6 @@ module Kmatrix = Rb_sim.Kmatrix
 module Exec = Rb_sim.Exec
 module Allocation = Rb_hls.Allocation
 module Binding = Rb_hls.Binding
-module Profile = Rb_hls.Profile
 module Registers = Rb_hls.Registers
 module Switching = Rb_hls.Switching
 module Config = Rb_locking.Config
@@ -33,9 +32,10 @@ let () =
   Format.printf "%a@." Dfg.pp bench.Benchmark.dfg;
   Format.printf "%a, allocated %a@.@." Schedule.pp schedule Allocation.pp allocation;
 
-  (* Profile the typical workload. *)
-  let k = Kmatrix.build trace in
-  let profile = Profile.build trace in
+  (* Profile the typical workload: one golden pass, whose operand
+     columns are both the power profile and the K matrix's input. *)
+  let profile = Rb_sim.Operands.build trace in
+  let k = Kmatrix.of_operands profile in
   let candidates = Array.of_list (Kmatrix.top_minterms ~kind:Dfg.Mul k ~n:10) in
   Format.printf "Top multiplier input minterms in the trace:@.";
   Array.iteri

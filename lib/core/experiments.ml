@@ -52,8 +52,10 @@ type context = {
 
 let context ?(n_candidates = 10) ~name schedule trace =
   let allocation = Allocation.for_schedule schedule in
-  let k = Kmatrix.build trace in
-  let profile = Profile.build trace in
+  (* One golden pass: the profile is the operand columns, and the K
+     matrix counts them. *)
+  let profile = Rb_sim.Operands.build trace in
+  let k = Kmatrix.of_operands profile in
   let area_binding = Rb_hls.Area_binding.bind schedule allocation in
   let power_binding = Rb_hls.Power_binding.bind schedule allocation ~profile in
   assert_lint ~subject:(name ^ "/area-binding") schedule allocation area_binding;

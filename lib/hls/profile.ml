@@ -1,42 +1,24 @@
-module Dfg = Rb_dfg.Dfg
-module Trace = Rb_sim.Trace
-module Exec = Rb_sim.Exec
+module Operands = Rb_sim.Operands
+module Minterm = Rb_dfg.Minterm
 
-type t = {
-  n_samples : int;
-  a_values : int array array; (* op -> sample -> lhs word *)
-  b_values : int array array;
-}
+type t = Operands.t
 
-let build trace =
-  let dfg = Trace.dfg trace in
-  let n_ops = Dfg.op_count dfg in
-  let n_samples = Trace.length trace in
-  let a_values = Array.init n_ops (fun _ -> Array.make n_samples 0) in
-  let b_values = Array.init n_ops (fun _ -> Array.make n_samples 0) in
-  for s = 0 to n_samples - 1 do
-    let evals = Exec.eval_clean trace ~sample:s in
-    for id = 0 to n_ops - 1 do
-      a_values.(id).(s) <- evals.(id).Exec.a;
-      b_values.(id).(s) <- evals.(id).Exec.b
-    done
-  done;
-  { n_samples; a_values; b_values }
+let operands t op ~sample = Minterm.unpack (Operands.minterm t op ~sample)
 
-let n_samples t = t.n_samples
+(* Bit count of a minterm's 16 bits, branch-free. *)
+let popcount16 x =
+  let x = x - ((x lsr 1) land 0x5555) in
+  let x = (x land 0x3333) + ((x lsr 2) land 0x3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f in
+  (x + (x lsr 8)) land 0x1f
 
-let operands t op ~sample = (t.a_values.(op).(sample), t.b_values.(op).(sample))
-
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-  go x 0
-
+(* A minterm packs both operand words side by side, so the toggles of
+   the two input ports are the bits set in the xor of the minterms. *)
 let expected_input_hamming t op1 op2 =
   let total = ref 0 in
-  for s = 0 to t.n_samples - 1 do
-    total :=
-      !total
-      + popcount (t.a_values.(op1).(s) lxor t.a_values.(op2).(s))
-      + popcount (t.b_values.(op1).(s) lxor t.b_values.(op2).(s))
+  for s = 0 to Operands.n_samples t - 1 do
+    let m1 = Minterm.to_int (Operands.minterm t op1 ~sample:s) in
+    let m2 = Minterm.to_int (Operands.minterm t op2 ~sample:s) in
+    total := !total + popcount16 (m1 lxor m2)
   done;
-  float_of_int !total /. float_of_int t.n_samples
+  float_of_int !total /. float_of_int (Operands.n_samples t)

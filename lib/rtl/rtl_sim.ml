@@ -64,21 +64,25 @@ let run dp trace ~sample = simulate (program dp) dp trace ~sample
 let check_trace dp trace =
   let program = program dp in
   let n = Trace.length trace in
+  (* One compiled golden evaluator for the whole trace; its result
+     buffer is overwritten per sample. *)
+  let fast = Exec.Fast.make trace in
+  let golden = Exec.Fast.results fast in
   let rec go sample =
     if sample >= n then Ok ()
     else begin
       let rtl = simulate program dp trace ~sample in
-      let golden = Exec.eval_clean trace ~sample in
+      Exec.Fast.eval_clean fast ~sample;
       let rec compare_ops op =
         if op >= Array.length rtl then None
-        else if rtl.(op) <> golden.(op).Exec.result then Some op
+        else if rtl.(op) <> golden.(op) then Some op
         else compare_ops (op + 1)
       in
       match compare_ops 0 with
       | Some op ->
         Error
           (Printf.sprintf "sample %d op %d: RTL %d, dataflow %d" sample op rtl.(op)
-             golden.(op).Exec.result)
+             golden.(op))
       | None -> go (sample + 1)
     end
   in

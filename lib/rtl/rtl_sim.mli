@@ -4,7 +4,7 @@
     time — reading FU operand ports through their selected sources,
     latching FU outputs, committing register-file writes at cycle
     boundaries — and returns each operation's computed result. Agreement
-    with the dataflow executor {!Rb_sim.Exec.eval_clean} is the
+    with the dataflow executor's golden run ({!Rb_sim.Exec}) is the
     end-to-end proof that binding, register allocation and mux wiring
     preserve the kernel's semantics; {!check_trace} asserts it over a
     whole workload. *)
@@ -14,5 +14,6 @@ val run : Datapath.t -> Rb_sim.Trace.t -> sample:int -> int array
     [Invalid_argument] if the trace wraps a different DFG. *)
 
 val check_trace : Datapath.t -> Rb_sim.Trace.t -> (unit, string) result
-(** Compare {!run} against {!Rb_sim.Exec.eval_clean} on every sample;
-    the error names the first mismatching (sample, op). *)
+(** Compare {!run} against the golden dataflow results on every
+    sample, with one {!Rb_sim.Exec.Fast} evaluator compiled for the
+    whole trace; the error names the first mismatching (sample, op). *)

@@ -5,7 +5,6 @@ module Kmatrix = Rb_sim.Kmatrix
 module Exec = Rb_sim.Exec
 module Allocation = Rb_hls.Allocation
 module Binding = Rb_hls.Binding
-module Profile = Rb_hls.Profile
 module Config = Rb_locking.Config
 module Scheme = Rb_locking.Scheme
 module Binder = Rb_hls.Binder
@@ -61,8 +60,10 @@ let context t name seed =
         let schedule = Benchmark.schedule b in
         let trace = Benchmark.trace ~seed b in
         let allocation = Allocation.for_schedule schedule in
-        let k = Kmatrix.build trace in
-        let profile = Profile.build trace in
+        (* One golden pass: the profile is the operand columns, and
+           the K matrix counts them. *)
+        let profile = Rb_sim.Operands.build trace in
+        let k = Kmatrix.of_operands profile in
         Store.Context { benchmark = b; schedule; trace; allocation; k; profile })
   with
   | Store.Context c -> c

@@ -4,8 +4,6 @@ module Word = Rb_dfg.Word
 module Schedule = Rb_sched.Schedule
 module Config = Rb_locking.Config
 
-type op_eval = { a : int; b : int; result : int }
-
 (* The simulator is the innermost hot loop of every experiment, so the
    counters count whole evaluations and flush op totals once per call
    rather than bumping inside the per-op loop. *)
@@ -182,30 +180,6 @@ let eval_locked_into (f : Fast.t) ~row ~tables ~a ~b ~r =
   done;
   !injections
 
-(* --------------------------------------------------- compatibility API *)
-
-let to_op_evals n a b r =
-  Array.init n (fun id -> { a = a.(id); b = b.(id); result = r.(id) })
-
-let eval_clean trace ~sample =
-  let f = Fast.make trace in
-  Fast.eval_clean f ~sample;
-  to_op_evals f.Fast.n f.Fast.a f.Fast.b f.Fast.r
-
-let eval_locked trace ~sample ~fu_of_op ~config =
-  let f = Fast.make trace in
-  if Array.length fu_of_op <> f.Fast.n then
-    invalid_arg "Exec.eval_locked: binding width";
-  let tables = locked_tables config ~fu_of_op f.Fast.n in
-  let injections =
-    eval_locked_into f ~row:(Trace.sample trace sample) ~tables ~a:f.Fast.a
-      ~b:f.Fast.b ~r:f.Fast.r
-  in
-  Metrics.incr m_locked_evals;
-  Metrics.add m_op_evals f.Fast.n;
-  Metrics.add m_injections injections;
-  (to_op_evals f.Fast.n f.Fast.a f.Fast.b f.Fast.r, injections)
-
 type error_report = {
   samples : int;
   error_events : int;
@@ -281,8 +255,8 @@ let application_errors schedule trace ~fu_of_op ~config =
         else burst := 0)
       cycle_hit
   done;
-  (* Counter totals match the unfused implementation (which ran
-     [eval_clean] and [eval_locked] per sample), so metric baselines
+  (* Counter totals match the unfused implementation (which ran one
+     golden and one locked evaluation per sample), so metric baselines
      stay comparable. *)
   Metrics.add m_clean_evals n_samples;
   Metrics.add m_locked_evals n_samples;

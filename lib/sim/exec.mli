@@ -2,31 +2,27 @@
 
     Two execution modes back the whole evaluation:
 
-    - {!eval_clean}: the golden run. Per sample, every operation's
-      operand pair and result — the raw material of the K matrix
-      (Sec. IV-A) and of the switching model.
-    - {!eval_locked}: the wrong-key run. Operations bound to a locked
-      FU produce corrupted output whenever their (possibly already
-      corrupted) operands form a locked minterm, and the corruption
-      propagates through the dataflow — the application-level error the
-      paper is engineering. *)
+    - the golden run ({!Fast.eval_clean}). Per sample, every
+      operation's operand pair and result — the raw material of the K
+      matrix (Sec. IV-A) and of the switching model.
+    - the wrong-key run (inside {!application_errors}). Operations
+      bound to a locked FU produce corrupted output whenever their
+      (possibly already corrupted) operands form a locked minterm, and
+      the corruption propagates through the dataflow — the
+      application-level error the paper is engineering. *)
 
 module Dfg = Rb_dfg.Dfg
 module Minterm = Rb_dfg.Minterm
-
-type op_eval = { a : int; b : int; result : int }
-(** One operation's operand pair and result in one sample. *)
 
 (** Zero-allocation evaluation for sample loops.
 
     [make] compiles the trace's DFG once — operand sources flattened
     to int arrays, input names resolved to sample columns — and
     allocates result buffers that every subsequent {!Fast.eval_clean}
-    reuses. Callers that sweep a whole trace (the K-matrix build, the
-    error aggregation) pay the interpretive cost per trace instead of
-    per sample and allocate nothing inside the loop. The one-shot
-    {!eval_clean}/{!eval_locked} functions below stay as conveniences
-    for single-sample callers. *)
+    reuses. Callers that sweep a whole trace (the golden operand
+    columns, the error aggregation, the RTL trace check) pay the
+    interpretive cost per trace instead of per sample and allocate
+    nothing inside the loop. *)
 module Fast : sig
   type t
 
@@ -50,21 +46,6 @@ module Fast : sig
   val results : t -> int array
   (** Results; same ownership rules as {!a}. *)
 end
-
-val eval_clean : Trace.t -> sample:int -> op_eval array
-(** Golden evaluation of one sample, indexed by operation id. *)
-
-val eval_locked :
-  Trace.t ->
-  sample:int ->
-  fu_of_op:int array ->
-  config:Rb_locking.Config.t ->
-  op_eval array * int
-(** Wrong-key evaluation of one sample under a binding ([fu_of_op]
-    maps operation id to FU id) and a locking configuration. Returns
-    the per-operation evaluations (with corruption propagated) and the
-    number of error-injection events (locked-FU executions whose
-    operand minterm was locked). *)
 
 type error_report = {
   samples : int;  (** trace length *)

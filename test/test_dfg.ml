@@ -177,9 +177,9 @@ let test_expr_matches_reference () =
        let trace =
          Rb_sim.Trace.generate dfg ~n:1 ~f:(fun _ name -> lookup name)
        in
-       let results = Rb_sim.Exec.eval_clean trace ~sample:0 in
+       let results = Exec_ref.eval_clean trace ~sample:0 in
        let out = List.hd (Dfg.outputs dfg) in
-       Alcotest.(check int) "DFG = interpreter" expected results.(out).Rb_sim.Exec.result
+       Alcotest.(check int) "DFG = interpreter" expected results.(out).Exec_ref.result
      | Ok _ -> Alcotest.fail "expected one output")
 
 let test_expr_constant_folding () =
@@ -246,9 +246,9 @@ let qcheck_expr_compile_matches_interpreter =
       match (Expr.compile program, Expr.eval_reference program ~inputs:lookup) with
       | Ok dfg, Ok [ (_, expected) ] ->
         let trace = Rb_sim.Trace.generate dfg ~n:1 ~f:(fun _ name -> lookup name) in
-        let results = Rb_sim.Exec.eval_clean trace ~sample:0 in
+        let results = Exec_ref.eval_clean trace ~sample:0 in
         let out = List.hd (Dfg.outputs dfg) in
-        results.(out).Rb_sim.Exec.result = expected
+        results.(out).Exec_ref.result = expected
       | Ok _, Ok _ -> false
       | Error _, _ | _, Error _ -> false)
 

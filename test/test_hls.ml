@@ -8,7 +8,6 @@ module Profile = Rb_hls.Profile
 module Registers = Rb_hls.Registers
 module Switching = Rb_hls.Switching
 module Testgen = Rb_testsupport.Testgen
-module Exec = Rb_sim.Exec
 
 let setup seed =
   let dfg = Testgen.random_dfg seed ~n_ops:24 in
@@ -126,14 +125,14 @@ let test_engine_rejects_small_allocation () =
 let test_profile_matches_exec () =
   let dfg = Testgen.random_dfg 5 ~n_ops:10 in
   let trace = Testgen.random_trace 6 dfg in
-  let profile = Profile.build trace in
-  Alcotest.(check int) "samples" (Rb_sim.Trace.length trace) (Profile.n_samples profile);
-  for s = 0 to Profile.n_samples profile - 1 do
-    let evals = Exec.eval_clean trace ~sample:s in
+  let profile = Rb_sim.Operands.build trace in
+  Alcotest.(check int) "samples" (Rb_sim.Trace.length trace) (Rb_sim.Operands.n_samples profile);
+  for s = 0 to Rb_sim.Operands.n_samples profile - 1 do
+    let evals = Exec_ref.eval_clean trace ~sample:s in
     for op = 0 to Dfg.op_count dfg - 1 do
       let a, b = Profile.operands profile op ~sample:s in
       Alcotest.(check (pair int int)) "operands agree"
-        (evals.(op).Exec.a, evals.(op).Exec.b)
+        (evals.(op).Exec_ref.a, evals.(op).Exec_ref.b)
         (a, b)
     done
   done
@@ -141,7 +140,7 @@ let test_profile_matches_exec () =
 let test_expected_hamming_properties () =
   let dfg = Testgen.random_dfg 7 ~n_ops:8 in
   let trace = Testgen.random_trace 8 dfg in
-  let profile = Profile.build trace in
+  let profile = Rb_sim.Operands.build trace in
   Alcotest.(check (float 1e-9)) "self distance" 0.0 (Profile.expected_input_hamming profile 3 3);
   Alcotest.(check (float 1e-9)) "symmetry"
     (Profile.expected_input_hamming profile 1 4)
@@ -180,7 +179,7 @@ let test_power_binding_beats_random_on_switching () =
       let schedule = Scheduler.path_based dfg in
       let allocation = Allocation.for_schedule schedule in
       let trace = Testgen.skewed_trace (seed + 50) dfg in
-      let profile = Profile.build trace in
+      let profile = Rb_sim.Operands.build trace in
       let power = Rb_hls.Power_binding.bind schedule allocation ~profile in
       let power_sw = Switching.rate power profile in
       List.iter
@@ -218,7 +217,7 @@ let test_switching_rate_bounds () =
   let schedule = Scheduler.path_based dfg in
   let allocation = Allocation.for_schedule schedule in
   let trace = Testgen.random_trace 33 dfg in
-  let profile = Profile.build trace in
+  let profile = Rb_sim.Operands.build trace in
   let binding = Testgen.random_valid_binding 34 schedule allocation in
   let rate = Switching.rate binding profile in
   Alcotest.(check bool) "in [0,1]" true (rate >= 0.0 && rate <= 1.0)
@@ -234,7 +233,7 @@ let test_switching_zero_when_no_transitions () =
   let allocation = { Allocation.adders = 2; multipliers = 0 } in
   let binding = Binding.make schedule allocation ~fu_of_op:[| 0; 1 |] in
   let trace = Testgen.random_trace 35 dfg in
-  let profile = Profile.build trace in
+  let profile = Rb_sim.Operands.build trace in
   Alcotest.(check (float 1e-9)) "no transitions" 0.0 (Switching.rate binding profile)
 
 (* ----------------------------------------------------- binder registry *)
@@ -249,7 +248,7 @@ let binder_input seed =
   let schedule = Scheduler.path_based dfg in
   let allocation = Allocation.for_schedule schedule in
   let trace = Testgen.skewed_trace (seed + 1) dfg in
-  let profile = Profile.build trace in
+  let profile = Rb_sim.Operands.build trace in
   let k = Kmatrix.build trace in
   let candidates = Array.of_list (Kmatrix.top_minterms ~kind:Dfg.Add k ~n:4) in
   let config = Config.make ~scheme:Scheme.Sfll_rem ~locks:[ (0, [ candidates.(0) ]) ] in
@@ -327,11 +326,43 @@ let qcheck_baseline_binders_always_valid =
       let schedule = Scheduler.path_based dfg in
       let allocation = Allocation.for_schedule schedule in
       let trace = Testgen.skewed_trace (seed + 1) dfg in
-      let profile = Profile.build trace in
+      let profile = Rb_sim.Operands.build trace in
       (* Binding.make raises on invalid results; reaching here means both passed. *)
       let (_ : Binding.t) = Rb_hls.Area_binding.bind schedule allocation in
       let (_ : Binding.t) = Rb_hls.Power_binding.bind schedule allocation ~profile in
       true)
+
+(* Operand columns against the original two-table profile kept in
+   test/profile_ref.ml: every operand pair and every pairwise expected
+   Hamming distance exactly equal, and power binding unchanged. *)
+let qcheck_profile_matches_reference =
+  QCheck2.Test.make ~name:"profile = two-table reference" ~count:60
+    QCheck2.Gen.(pair (int_range 0 10_000) (oneofl [ 1; 2; 33; 257 ]))
+    (fun (seed, n) ->
+      let dfg = Testgen.random_dfg seed ~n_ops:(1 + (seed mod 20)) in
+      let trace =
+        if seed mod 2 = 0 then Testgen.random_trace ~n (seed + 1) dfg
+        else Testgen.skewed_trace ~n (seed + 1) dfg
+      in
+      let profile = Rb_sim.Operands.build trace and reference = Profile_ref.build trace in
+      let ops = List.init (Dfg.op_count dfg) Fun.id in
+      let schedule = Scheduler.path_based dfg in
+      let allocation = Allocation.for_schedule schedule in
+      Rb_sim.Operands.n_samples profile = Profile_ref.n_samples reference
+      && List.for_all
+           (fun op ->
+             List.for_all
+               (fun sample ->
+                 Profile.operands profile op ~sample = Profile_ref.operands reference op ~sample)
+               (List.init n Fun.id)
+             && List.for_all
+                  (fun op2 ->
+                    Profile.expected_input_hamming profile op op2
+                    = Profile_ref.expected_input_hamming reference op op2)
+                  ops)
+           ops
+      && Binding.fu_array (Rb_hls.Power_binding.bind schedule allocation ~profile)
+         = Binding.fu_array (Profile_ref.power_bind schedule allocation reference))
 
 let () =
   Alcotest.run "rb_hls"
@@ -357,6 +388,7 @@ let () =
         [
           Alcotest.test_case "matches exec" `Quick test_profile_matches_exec;
           Alcotest.test_case "hamming properties" `Quick test_expected_hamming_properties;
+          QCheck_alcotest.to_alcotest qcheck_profile_matches_reference;
         ] );
       ( "baselines",
         [

@@ -4,7 +4,6 @@ module Scheduler = Rb_sched.Scheduler
 module Allocation = Rb_hls.Allocation
 module Binding = Rb_hls.Binding
 module Registers = Rb_hls.Registers
-module Profile = Rb_hls.Profile
 module Benchmark = Rb_workload.Benchmark
 module Datapath = Rb_rtl.Datapath
 module Rtl_sim = Rb_rtl.Rtl_sim
@@ -63,7 +62,7 @@ let test_mux_inputs_positive_when_shared () =
 (* ------------------------------------------------------------ rtl sim *)
 
 let all_binders schedule allocation trace =
-  let profile = Profile.build trace in
+  let profile = Rb_sim.Operands.build trace in
   [
     ("area", Rb_hls.Area_binding.bind schedule allocation);
     ("power", Rb_hls.Power_binding.bind schedule allocation ~profile);

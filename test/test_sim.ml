@@ -55,12 +55,12 @@ let test_trace_validation () =
 let test_eval_clean_by_hand () =
   let dfg = tiny_dfg () in
   let t = tiny_trace dfg in
-  let e = Exec.eval_clean t ~sample:0 in
-  Alcotest.(check int) "y = 1+2" 3 e.(0).Exec.result;
-  Alcotest.(check int) "z = 3*3" 9 e.(1).Exec.result;
-  Alcotest.(check (pair int int)) "z operands" (3, 3) (e.(1).Exec.a, e.(1).Exec.b);
-  let e2 = Exec.eval_clean t ~sample:2 in
-  Alcotest.(check int) "z = 30*2" 60 e2.(1).Exec.result
+  let e = Exec_ref.eval_clean t ~sample:0 in
+  Alcotest.(check int) "y = 1+2" 3 e.(0).Exec_ref.result;
+  Alcotest.(check int) "z = 3*3" 9 e.(1).Exec_ref.result;
+  Alcotest.(check (pair int int)) "z operands" (3, 3) (e.(1).Exec_ref.a, e.(1).Exec_ref.b);
+  let e2 = Exec_ref.eval_clean t ~sample:2 in
+  Alcotest.(check int) "z = 30*2" 60 e2.(1).Exec_ref.result
 
 let lock_z_config () =
   (* lock FU 1 on minterm (3,3) — z's operands in samples 0 and 1. *)
@@ -71,12 +71,12 @@ let test_eval_locked_injects () =
   let t = tiny_trace dfg in
   (* op0 (add) -> FU 0, op1 (mul) -> FU 1 *)
   let fu_of_op = [| 0; 1 |] in
-  let results, injections = Exec.eval_locked t ~sample:0 ~fu_of_op ~config:(lock_z_config ()) in
+  let results, injections = Exec_ref.eval_locked t ~sample:0 ~fu_of_op ~config:(lock_z_config ()) in
   Alcotest.(check int) "one injection" 1 injections;
-  Alcotest.(check int) "corrupted output" (Config.corrupt 9) results.(1).Exec.result;
-  let results2, injections2 = Exec.eval_locked t ~sample:2 ~fu_of_op ~config:(lock_z_config ()) in
+  Alcotest.(check int) "corrupted output" (Config.corrupt 9) results.(1).Exec_ref.result;
+  let results2, injections2 = Exec_ref.eval_locked t ~sample:2 ~fu_of_op ~config:(lock_z_config ()) in
   Alcotest.(check int) "no injection on other data" 0 injections2;
-  Alcotest.(check int) "clean output" 60 results2.(1).Exec.result
+  Alcotest.(check int) "clean output" 60 results2.(1).Exec_ref.result
 
 let test_corruption_propagates () =
   (* Lock the *add* FU: its corrupted result changes the multiply's
@@ -85,11 +85,11 @@ let test_corruption_propagates () =
   let t = tiny_trace dfg in
   let fu_of_op = [| 0; 1 |] in
   let config = Config.make ~scheme:Scheme.Sfll_rem ~locks:[ (0, [ Minterm.pack 1 2 ]) ] in
-  let results, injections = Exec.eval_locked t ~sample:0 ~fu_of_op ~config in
+  let results, injections = Exec_ref.eval_locked t ~sample:0 ~fu_of_op ~config in
   Alcotest.(check int) "inject at add" 1 injections;
   let corrupted_y = Config.corrupt 3 in
-  Alcotest.(check int) "downstream operand" corrupted_y results.(1).Exec.a;
-  Alcotest.(check int) "downstream result" ((corrupted_y * 3) land 255) results.(1).Exec.result
+  Alcotest.(check int) "downstream operand" corrupted_y results.(1).Exec_ref.a;
+  Alcotest.(check int) "downstream result" ((corrupted_y * 3) land 255) results.(1).Exec_ref.result
 
 let schedule_of dfg = Schedule.make dfg ~cycle_of:[| 0; 1 |]
 
@@ -138,7 +138,7 @@ let test_eval_locked_multi_kind_config () =
     Config.make ~scheme:Scheme.Sfll_rem
       ~locks:[ (0, [ Minterm.pack 1 2 ]); (1, [ Minterm.pack (Config.corrupt 3) 3 ]) ]
   in
-  let _, injections = Exec.eval_locked t ~sample:0 ~fu_of_op:[| 0; 1 |] ~config in
+  let _, injections = Exec_ref.eval_locked t ~sample:0 ~fu_of_op:[| 0; 1 |] ~config in
   Alcotest.(check int) "both kinds inject" 2 injections
 
 let test_trace_sub () =
@@ -262,6 +262,196 @@ let qcheck_clean_hits_match_kmatrix =
         in
         report.Exec.clean_hits = expected)
 
+(* ----------------------------------------------- evaluator oracle *)
+
+(* The compiled evaluator against the per-sample interpreter of
+   test/exec_ref.ml, on every sample of a random trace. *)
+let qcheck_fast_matches_reference =
+  QCheck2.Test.make ~name:"compiled evaluator = reference interpreter" ~count:60
+    QCheck2.Gen.(int_range 0 5_000)
+    (fun seed ->
+      let dfg = Testgen.random_dfg seed ~n_ops:(1 + (seed mod 20)) in
+      let t = Testgen.random_trace ~n:8 (seed + 1) dfg in
+      let fast = Exec.Fast.make t in
+      List.for_all
+        (fun sample ->
+          Exec.Fast.eval_clean fast ~sample;
+          let expected = Exec_ref.eval_clean t ~sample in
+          Array.map (fun (e : Exec_ref.op_eval) -> e.a) expected = Exec.Fast.a fast
+          && Array.map (fun (e : Exec_ref.op_eval) -> e.b) expected = Exec.Fast.b fast
+          && Array.map (fun (e : Exec_ref.op_eval) -> e.result) expected
+             = Exec.Fast.results fast)
+        (List.init (Trace.length t) Fun.id))
+
+(* The fused error report against one golden and one locked reference
+   evaluation per sample. One or two FUs lock the trace's most common
+   minterms, so injections and their propagation are frequent. *)
+let qcheck_error_report_matches_reference =
+  QCheck2.Test.make ~name:"error report = per-sample reference" ~count:40
+    QCheck2.Gen.(int_range 0 5_000)
+    (fun seed ->
+      let dfg = Testgen.random_dfg seed ~n_ops:(2 + (seed mod 14)) in
+      let t = Testgen.skewed_trace ~n:24 (seed + 1) dfg in
+      let schedule = Rb_sched.Scheduler.path_based dfg in
+      let allocation = Rb_hls.Allocation.for_schedule schedule in
+      let binding = Testgen.random_valid_binding (seed + 2) schedule allocation in
+      let fu_of_op = Rb_hls.Binding.fu_array binding in
+      let top = Kmatrix.top_minterms (Kmatrix.build t) ~n:3 in
+      let fus = List.sort_uniq compare [ fu_of_op.(0); fu_of_op.(Dfg.op_count dfg - 1) ] in
+      let config =
+        Config.make ~scheme:Scheme.Sfll_rem
+          ~locks:(List.mapi (fun i fu -> (fu, if i = 0 then top else List.tl top)) fus)
+      in
+      let report = Exec.application_errors schedule t ~fu_of_op ~config in
+      let locked id (e : Exec_ref.op_eval) =
+        Config.is_locked_input config ~fu:fu_of_op.(id) (Minterm.pack e.a e.b)
+      in
+      let ops = List.init (Dfg.op_count dfg) Fun.id in
+      let events = ref 0 and hits = ref 0 and words = ref 0 and samples = ref 0 in
+      let cycles = ref 0 and burst_max = ref 0 in
+      for sample = 0 to Trace.length t - 1 do
+        let golden = Exec_ref.eval_clean t ~sample in
+        let faulty, injections = Exec_ref.eval_locked t ~sample ~fu_of_op ~config in
+        events := !events + injections;
+        Array.iteri (fun id e -> if locked id e then incr hits) golden;
+        let wrong =
+          List.length
+            (List.filter (fun out -> golden.(out).result <> faulty.(out).result) (Dfg.outputs dfg))
+        in
+        words := !words + wrong;
+        if wrong > 0 then incr samples;
+        let burst = ref 0 in
+        for c = 0 to Schedule.n_cycles schedule - 1 do
+          let in_cycle id = Schedule.cycle_of schedule id = c in
+          if List.exists (fun id -> in_cycle id && locked id faulty.(id)) ops then begin
+            incr cycles;
+            incr burst;
+            burst_max := max !burst_max !burst
+          end
+          else burst := 0
+        done
+      done;
+      report.Exec.samples = Trace.length t
+      && report.Exec.error_events = !events
+      && report.Exec.clean_hits = !hits
+      && report.Exec.corrupted_output_words = !words
+      && report.Exec.corrupted_samples = !samples
+      && report.Exec.corrupted_cycles = !cycles
+      && report.Exec.max_consecutive_cycles = !burst_max)
+
+(* ----------------------------------------------- K-matrix oracle *)
+
+(* Every query of the CSR K matrix against the original hash-table
+   implementation kept in test/kmatrix_ref.ml. [seen] lists the
+   minterms some operation saw; [unseen] is one no operation saw. *)
+let kmatrix_agrees k r =
+  let dfg = Kmatrix.dfg k in
+  let ops = List.init (Dfg.op_count dfg) Fun.id in
+  let seen =
+    List.concat_map (fun op -> List.map fst (Kmatrix_ref.op_histogram r op)) ops
+    |> List.sort_uniq Minterm.compare
+  in
+  let unseen =
+    let rec first i =
+      let m = Minterm.of_int i in
+      if List.mem m seen then first (i + 1) else m
+    in
+    first 0
+  in
+  let kinds = [ None; Some Dfg.Add; Some Dfg.Mul ] in
+  List.for_all
+    (fun op ->
+      Kmatrix.op_histogram k op = Kmatrix_ref.op_histogram r op
+      && List.for_all
+           (fun m -> Kmatrix.count k m op = Kmatrix_ref.count r m op)
+           (unseen :: seen)
+      && Kmatrix.count_set k (Minterm.Set.of_list (unseen :: seen)) op
+         = Kmatrix_ref.count_set r (Minterm.Set.of_list (unseen :: seen)) op)
+    ops
+  && List.for_all
+       (fun m ->
+         Kmatrix.total_occurrences k m = Kmatrix_ref.total_occurrences r m
+         && Kmatrix.op_concentration k m = Kmatrix_ref.op_concentration r m)
+       (unseen :: seen)
+  && Kmatrix.distinct_minterms k = Kmatrix_ref.distinct_minterms r
+  && List.for_all
+       (fun kind ->
+         Kmatrix.all_minterms ?kind k = Kmatrix_ref.all_minterms ?kind r
+         && List.for_all
+              (fun n ->
+                Kmatrix.top_minterms ?kind k ~n = Kmatrix_ref.top_minterms ?kind r ~n
+                && Kmatrix.head_mass ?kind k ~n = Kmatrix_ref.head_mass ?kind r ~n)
+              [ 0; 1; 3; 10; 1_000 ])
+       kinds
+
+(* A random DFG whose op 0 adds the two inputs [x] and [y]; a trace
+   with x = s mod 256 and y = s / 256 gives op 0 a distinct minterm in
+   every sample, the worst case for the build's probing. *)
+let distinct_column_trace seed ~n_ops ~n =
+  let rng = Rb_util.Rng.create seed in
+  let b = B.create "distinct" in
+  let x = B.input b "x" and y = B.input b "y" in
+  let made = ref [ B.add b x y ] in
+  for _ = 2 to n_ops do
+    let operand () =
+      match Rb_util.Rng.int rng 4 with
+      | 0 -> x
+      | 1 -> B.const (Rb_util.Rng.int rng 256)
+      | _ -> List.nth !made (Rb_util.Rng.int rng (List.length !made))
+    in
+    let lhs = operand () and rhs = operand () in
+    let op = if Rb_util.Rng.int rng 3 = 0 then B.mul b lhs rhs else B.add b lhs rhs in
+    made := op :: !made
+  done;
+  let dfg = B.finish b in
+  Trace.generate dfg ~n ~f:(fun s input -> if input = "x" then s land 255 else s lsr 8)
+
+let qcheck_kmatrix_matches_reference =
+  QCheck2.Test.make ~name:"K matrix = hash-table reference (traces)" ~count:60
+    QCheck2.Gen.(triple (int_range 0 5_000) (oneofl [ 1; 2; 257 ]) (int_range 0 2))
+    (fun (seed, n, shape) ->
+      let t =
+        match shape with
+        | 0 -> Testgen.random_trace ~n seed (Testgen.random_dfg seed ~n_ops:(1 + (seed mod 25)))
+        | 1 -> Testgen.skewed_trace ~n seed (Testgen.random_dfg seed ~n_ops:(1 + (seed mod 25)))
+        | _ -> distinct_column_trace seed ~n_ops:(1 + (seed mod 12)) ~n
+      in
+      let r = Kmatrix_ref.build t in
+      kmatrix_agrees (Kmatrix.build t) r
+      && kmatrix_agrees (Kmatrix.of_operands (Rb_sim.Operands.build t)) r)
+
+(* Explicit counts: minterms drawn from a small pool so entries repeat
+   within and across an operation's lists, and zero counts are common. *)
+let qcheck_kmatrix_of_counts_matches_reference =
+  QCheck2.Test.make ~name:"K matrix = hash-table reference (of_counts)" ~count:200
+    QCheck2.Gen.(int_range 0 5_000)
+    (fun seed ->
+      let rng = Rb_util.Rng.create seed in
+      let dfg = Testgen.random_dfg seed ~n_ops:(1 + (seed mod 10)) in
+      let n = Dfg.op_count dfg in
+      let pool = Array.init 6 (fun _ -> Minterm.of_int (Rb_util.Rng.int rng 65536)) in
+      let entries =
+        List.init (Rb_util.Rng.int rng 12) (fun _ ->
+            ( Rb_util.Rng.int rng n,
+              List.init (Rb_util.Rng.int rng 5) (fun _ ->
+                  (Rb_util.Rng.pick rng pool, Rb_util.Rng.int rng 3)) ))
+      in
+      kmatrix_agrees (Kmatrix.of_counts dfg entries) (Kmatrix_ref.of_counts dfg entries))
+
+let test_kmatrix_of_counts_zero_entries () =
+  let dfg = Testgen.fig2_dfg () in
+  let k = Testgen.fig2_kmatrix dfg in
+  (* OPD lists x and y with count 0: both stay entries. *)
+  Alcotest.(check (list (pair int int))) "zero entries listed"
+    [ (Minterm.to_int Testgen.minterm_x, 0); (Minterm.to_int Testgen.minterm_y, 0) ]
+    (List.map (fun (m, c) -> (Minterm.to_int m, c)) (Kmatrix.op_histogram k 3));
+  let dup =
+    Kmatrix.of_counts dfg
+      [ (0, [ (Testgen.minterm_x, 2); (Testgen.minterm_x, 0) ]); (0, [ (Testgen.minterm_x, 3) ]) ]
+  in
+  Alcotest.(check int) "duplicates summed" 5 (Kmatrix.count dup Testgen.minterm_x 0);
+  Alcotest.(check int) "one entry" 1 (List.length (Kmatrix.op_histogram dup 0))
+
 let () =
   Alcotest.run "rb_sim"
     [
@@ -293,7 +483,15 @@ let () =
           Alcotest.test_case "of_counts validation" `Quick test_kmatrix_of_counts_validation;
           Alcotest.test_case "head mass" `Quick test_kmatrix_head_mass;
           Alcotest.test_case "op concentration" `Quick test_kmatrix_op_concentration;
+          Alcotest.test_case "of_counts zero entries" `Quick test_kmatrix_of_counts_zero_entries;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ qcheck_clean_hits_match_kmatrix ] );
+        List.map QCheck_alcotest.to_alcotest
+          [
+            qcheck_clean_hits_match_kmatrix;
+            qcheck_kmatrix_matches_reference;
+            qcheck_kmatrix_of_counts_matches_reference;
+            qcheck_fast_matches_reference;
+            qcheck_error_report_matches_reference;
+          ] );
     ]
