@@ -43,7 +43,7 @@ module Dfg = Rb_dfg.Dfg
 module Workload = Rb_workload.Benchmark
 module Kmatrix = Rb_sim.Kmatrix
 module Allocation = Rb_hls.Allocation
-module Binder = Rb_hls.Binder
+module Binders = Rb_core.Binders
 module Experiments = Rb_core.Experiments
 module Ablation = Rb_core.Ablation
 module Render = Rb_core.Render
@@ -663,7 +663,7 @@ let runtime () =
     Rb_locking.Config.make ~scheme:Scheme.Sfll_rem
       ~locks:[ (0, [ candidates.(0); candidates.(1) ]) ]
   in
-  let input = { Binder.schedule; allocation; profile; k; config; candidates } in
+  let input = { Binders.schedule; allocation; profile; k; config; candidates } in
   let fft512 = Workload.parametric "fft" ~n:512 in
   (* 256 samples of the 9,216-op fft-512 kernel: the K-matrix and
      profile builds every context derives from one golden pass. *)
@@ -683,17 +683,16 @@ let runtime () =
     fun () -> ignore (Codesign.heuristic k schedule allocation spec)
   in
   let open Bechamel in
-  (* One microbench per registered binder (all run on the same dct
-     input: 1 locked FU x 2 minterms, |C|=10), plus the hot non-binder
+  (* One microbench per binder (all run on the same dct input: 1
+     locked FU x 2 minterms, |C|=10), plus the hot non-binder
      kernels. *)
   let tests =
     List.map
-      (fun name ->
-        let (module B : Binder.S) = Binder.require name in
+      (fun b ->
         Test.make
-          ~name:(Printf.sprintf "%s binder (dct)" B.name)
-          (Staged.stage (fun () -> ignore (B.bind input))))
-      (Binder.names ())
+          ~name:(Printf.sprintf "%s binder (dct)" (Binders.name b))
+          (Staged.stage (fun () -> ignore (Binders.bind b input))))
+      Binders.all
     @ [
         Test.make ~name:"K-matrix build (dct, 256 samples)"
           (Staged.stage (fun () -> ignore (Kmatrix.build trace)));
@@ -1122,7 +1121,6 @@ let () =
     Printf.eprintf "--resume requires --checkpoint FILE\n";
     exit 2
   end;
-  Rb_core.Binders.ensure_registered ();
   Metrics.set_enabled true;
   let journal =
     Option.map (fun path -> Checkpoint.create ~path ~resume:!resume) !checkpoint_path

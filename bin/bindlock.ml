@@ -17,7 +17,7 @@
 
 module Dfg = Rb_dfg.Dfg
 module Benchmark = Rb_workload.Benchmark
-module Binder = Rb_hls.Binder
+module Binders = Rb_core.Binders
 module Pool = Rb_util.Pool
 module Limits = Rb_util.Limits
 module Job = Rb_service.Job
@@ -28,10 +28,6 @@ module Outcome = Rb_service.Outcome
 module Render = Rb_service.Render
 module Serve = Rb_service.Serve
 open Cmdliner
-
-(* Populate the binder registry before any --binder argument is
-   parsed against it. *)
-let () = Rb_core.Binders.ensure_registered ()
 
 let benchmark_arg =
   let doc = "Benchmark name (one of: " ^ String.concat ", " (Benchmark.names ()) ^ ")." in
@@ -83,10 +79,10 @@ let show_cmd =
 (* ---------------------------------------------------------------- bind *)
 
 let binder_arg =
-  let algo = Arg.enum (List.map (fun n -> (n, n)) (Binder.names ())) in
+  let names = List.map Binders.name Binders.all in
+  let algo = Arg.enum (List.map (fun n -> (n, n)) names) in
   Arg.(value & opt algo "codesign" & info [ "binder" ] ~docv:"ALGO"
-         ~doc:("Binding algorithm, resolved from the binder registry: "
-               ^ String.concat ", " (Binder.names ()) ^ "."))
+         ~doc:("Binding algorithm: " ^ String.concat ", " names ^ "."))
 
 let kind_arg =
   let op_kind = Arg.enum [ ("add", Dfg.Add); ("mul", Dfg.Mul) ] in

@@ -14,60 +14,6 @@ type outcome = {
   stopped : Limits.reason option;
 }
 
-module type S = sig
-  val name : string
-  val description : string
-  val run : ?limit:Limits.t -> N.t -> outcome
-end
-
-(* Registration happens once at startup; lookups after that are
-   read-only, so a plain hash table under a mutex suffices (the binder
-   registry sets the precedent). *)
-let registry : (string, (module S)) Hashtbl.t = Hashtbl.create 8
-let registry_mutex = Mutex.create ()
-
-(* Every attack resolved through the registry reports under the
-   "attack" scope: deterministic run/inference counters plus a
-   segregated wall-clock timer per registered name. *)
-let instrument (module A : S) : (module S) =
-  let runs = Metrics.counter ~scope:"attack" (A.name ^ "_runs") in
-  let inferred = Metrics.counter ~scope:"attack" (A.name ^ "_inferred") in
-  let removed = Metrics.counter ~scope:"attack" (A.name ^ "_gates_removed") in
-  let budget = Metrics.counter ~scope:"attack" (A.name ^ "_stopped") in
-  let wall = Metrics.timer ~scope:"attack" (A.name ^ "_run") in
-  (module struct
-    let name = A.name
-    let description = A.description
-
-    let run ?limit c =
-      Metrics.incr runs;
-      let out = Metrics.time wall (fun () -> A.run ?limit c) in
-      Metrics.add inferred (List.length out.inferred);
-      Metrics.add removed out.gates_removed;
-      if out.stopped <> None then Metrics.incr budget;
-      out
-  end)
-
-let register (module A : S) =
-  Mutex.lock registry_mutex;
-  let duplicate = Hashtbl.mem registry A.name in
-  if not duplicate then Hashtbl.replace registry A.name (instrument (module A : S));
-  Mutex.unlock registry_mutex;
-  if duplicate then
-    invalid_arg (Printf.sprintf "Attacks.register: duplicate attack %S" A.name)
-
-let find name =
-  Mutex.lock registry_mutex;
-  let r = Hashtbl.find_opt registry name in
-  Mutex.unlock registry_mutex;
-  r
-
-let names () =
-  Mutex.lock registry_mutex;
-  let l = Hashtbl.fold (fun name _ acc -> name :: acc) registry [] in
-  Mutex.unlock registry_mutex;
-  List.sort String.compare l
-
 (* ---------- constant-propagation key inference ---------- *)
 
 let stopped_outcome name r =
@@ -298,40 +244,42 @@ let removal ?limit c =
         stopped = None;
       }
 
-(* ---------- registry wiring ---------- *)
+(* ---------- metered entry point ---------- *)
 
-module Const_prop = struct
-  let name = const_prop_name
-  let description = "constant-propagation key inference (SCOPE/SWEEP-style)"
-  let run = const_prop
-end
+type kind = Const_prop | Removal
 
-module Removal = struct
-  let name = removal_name
-  let description = "strip key gates collapsed by inferred assignments"
-  let run = removal
-end
+(* Every attack run through [run] reports under the "attack" scope:
+   deterministic run/inference counters plus a segregated wall-clock
+   timer per attack. *)
+type meter = {
+  runs : Metrics.counter;
+  inferences : Metrics.counter;
+  removed : Metrics.counter;
+  budget : Metrics.counter;
+  wall : Metrics.timer;
+}
 
-let registered =
-  lazy
-    (register (module Const_prop : S);
-     register (module Removal : S))
+let meter name =
+  {
+    runs = Metrics.counter ~scope:"attack" (name ^ "_runs");
+    inferences = Metrics.counter ~scope:"attack" (name ^ "_inferred");
+    removed = Metrics.counter ~scope:"attack" (name ^ "_gates_removed");
+    budget = Metrics.counter ~scope:"attack" (name ^ "_stopped");
+    wall = Metrics.timer ~scope:"attack" (name ^ "_run");
+  }
 
-let ensure_registered () = Lazy.force registered
+let const_prop_meter = meter const_prop_name
+let removal_meter = meter removal_name
 
-let require name =
-  ensure_registered ();
-  match find name with
-  | Some a -> a
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Attacks.require: unknown attack %S (known: %s)" name
-           (String.concat ", " (names ())))
-
-let run ?limit name c =
-  let (module A : S) = require name in
-  A.run ?limit c
-
-let names () =
-  ensure_registered ();
-  names ()
+let run ?limit kind c =
+  let m, attack =
+    match kind with
+    | Const_prop -> (const_prop_meter, const_prop)
+    | Removal -> (removal_meter, removal)
+  in
+  Metrics.incr m.runs;
+  let out = Metrics.time m.wall (fun () -> attack ?limit c) in
+  Metrics.add m.inferences (List.length out.inferred);
+  Metrics.add m.removed out.gates_removed;
+  if out.stopped <> None then Metrics.incr m.budget;
+  out

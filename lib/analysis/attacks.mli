@@ -4,10 +4,9 @@
     {e only} the locked netlist — no working chip to query. They model
     the SCOPE/SWEEP family: propagate constants under trial key-bit
     values, keep the values the structure betrays, then strip the
-    logic those values collapse. Attacks register in a process-wide
-    registry (mirroring the binder registry) so the CLI and bench can
-    enumerate them by name; each registered attack is instrumented
-    with deterministic [Metrics] counters under the ["attack"] scope.
+    logic those values collapse. The two attacks form the closed set
+    {!kind}; {!run} executes one and instruments it with
+    deterministic [Metrics] counters under the ["attack"] scope.
 
     Every attack degrades gracefully: a [limit] or the
     ["analysis/fixpoint"] fault site stops the underlying fixpoint
@@ -33,32 +32,19 @@ type outcome = {
   stopped : Rb_util.Limits.reason option;
 }
 
-(** The registered-attack interface. *)
-module type S = sig
-  val name : string
-  val description : string
-  val run : ?limit:Rb_util.Limits.t -> Rb_netlist.Netlist.t -> outcome
-end
+type kind =
+  | Const_prop  (** ["const-prop"]: {!const_prop} *)
+  | Removal  (** ["removal"]: {!removal} *)
 
-val register : (module S) -> unit
-(** Raises [Invalid_argument] on a duplicate name. *)
+val run : ?limit:Rb_util.Limits.t -> kind -> Rb_netlist.Netlist.t -> outcome
+(** Run one attack. Each call bumps the counters
+    ["attack/<name>_runs"], ["attack/<name>_inferred"] (by the
+    inference count), ["attack/<name>_gates_removed"] and, when the
+    outcome is stopped, ["attack/<name>_stopped"]; wall-clock goes to
+    the timer ["attack/<name>_run"]. [<name>] is the outcome's
+    [attack] field. *)
 
-val names : unit -> string list
-(** Registered attack names, sorted. *)
-
-val require : string -> (module S)
-(** Raises [Invalid_argument] with the known names on a miss. *)
-
-val run :
-  ?limit:Rb_util.Limits.t -> string -> Rb_netlist.Netlist.t -> outcome
-(** [require] then run. *)
-
-val ensure_registered : unit -> unit
-(** Force registration of the built-in attacks (["const-prop"],
-    ["removal"]). Idempotent; callers that enumerate {!names} before
-    ever naming an attack must call this first. *)
-
-(** {1 Built-in attacks, also callable directly} *)
+(** {1 The attacks, uninstrumented} *)
 
 val const_prop : ?limit:Rb_util.Limits.t -> Rb_netlist.Netlist.t -> outcome
 (** Constant-propagation key inference. Three rules, in order:

@@ -49,11 +49,11 @@ let analyze ?limit ~subject c =
         })
       (Keydep.summarize c)
   in
-  (* Both registered attacks run through the registry so their
-     instrumented counters land in every metrics snapshot; const-prop's
+  (* Both attacks run through [Attacks.run] so their instrumented
+     counters land in every metrics snapshot; const-prop's
      inferences are authoritative (removal re-derives the same set). *)
-  let cp = Attacks.run ?limit "const-prop" c in
-  let removal = Attacks.run ?limit "removal" c in
+  let cp = Attacks.run ?limit Attacks.Const_prop c in
+  let removal = Attacks.run ?limit Attacks.Removal c in
   let inferable = cp.Attacks.inferred in
   let n_keys = N.n_keys c in
   let static_resilience =

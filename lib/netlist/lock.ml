@@ -61,12 +61,15 @@ let live_gates c =
   Array.iter visit (Netlist.outputs c);
   live
 
+let live_positions c =
+  let live = live_gates c in
+  Array.of_list (List.filter (fun i -> live.(i)) (List.init (Netlist.n_gates c) Fun.id))
+
+let max_xor_key_bits c = Array.length (live_positions c)
+
 let xor_random ~rng ~key_bits c =
   require_unlocked c "Lock.xor_random";
-  let live = live_gates c in
-  let live_positions =
-    Array.of_list (List.filter (fun i -> live.(i)) (List.init (Netlist.n_gates c) Fun.id))
-  in
+  let live_positions = live_positions c in
   if key_bits <= 0 || key_bits > Array.length live_positions then
     invalid_arg "Lock.xor_random: key_bits out of range";
   (* Choose distinct live gate positions and a polarity per key bit. *)

@@ -27,8 +27,13 @@ type locked = {
 
 val xor_random : rng:Rb_util.Rng.t -> key_bits:int -> Netlist.t -> locked
 (** Insert [key_bits] XOR/XNOR key gates after distinct, randomly
-    chosen gates of an unlocked circuit. Raises [Invalid_argument] if
-    the circuit has fewer gates than [key_bits] or already has keys. *)
+    chosen live gates (gates in the fan-in of some output) of an
+    unlocked circuit. Raises [Invalid_argument] if [key_bits] is not
+    in [1 .. max_xor_key_bits c] or the circuit already has keys. *)
+
+val max_xor_key_bits : Netlist.t -> int
+(** The number of live gates of the circuit: the largest [key_bits]
+    {!xor_random} accepts for it. *)
 
 val point_function : minterms:int list -> Netlist.t -> locked
 (** Lock an unlocked circuit on the given protected input minterms

@@ -10,7 +10,7 @@
 
 type code =
   | Invalid_request  (** malformed JSON, bad field type, out-of-bounds parameter *)
-  | Unknown_target  (** a name that resolves against no registry entry *)
+  | Unknown_target  (** a benchmark or binder name that names nothing *)
   | Infeasible  (** well-formed, but the design cannot satisfy it *)
   | Limit  (** a resource budget or deadline stopped the job *)
   | Overloaded  (** shed by admission control: the daemon is at its in-flight cap *)

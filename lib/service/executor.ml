@@ -7,7 +7,7 @@ module Allocation = Rb_hls.Allocation
 module Binding = Rb_hls.Binding
 module Config = Rb_locking.Config
 module Scheme = Rb_locking.Scheme
-module Binder = Rb_hls.Binder
+module Binders = Rb_core.Binders
 module Cost = Rb_core.Cost
 module Json = Rb_util.Json
 module Pool = Rb_util.Pool
@@ -24,7 +24,6 @@ let fail code fmt = Printf.ksprintf (fun m -> raise (Fail (Error.make code m))) 
 let jobs_counter = Metrics.counter ~scope:"serve" "jobs"
 
 let create ?limit ?store ~pool () =
-  Rb_core.Binders.ensure_registered ();
   let store = match store with Some s -> s | None -> Store.create () in
   { pool; store; limit }
 
@@ -73,7 +72,12 @@ let build_locked scheme width strength seed =
   let base = Rb_netlist.Circuits.adder ~width in
   let rng = Rb_util.Rng.create seed in
   match (scheme : Job.scheme) with
-  | Job.Rll -> Rb_netlist.Lock.xor_random ~rng ~key_bits:strength base
+  | Job.Rll ->
+    let bound = Rb_netlist.Lock.max_xor_key_bits base in
+    if strength > bound then
+      fail Error.Infeasible "rll strength %d exceeds the %d live gates of the %d-bit adder"
+        strength bound width;
+    Rb_netlist.Lock.xor_random ~rng ~key_bits:strength base
   | Job.Pf ->
     let space = 1 lsl (2 * width) in
     let minterms = List.init strength (fun _ -> Rb_util.Rng.int rng space) in
@@ -117,13 +121,7 @@ let run_list () =
         })
       (Benchmark.all ())
   in
-  let binders =
-    List.map
-      (fun name ->
-        let (module B : Binder.S) = Binder.require name in
-        (B.name, B.description))
-      (Binder.names ())
-  in
+  let binders = List.map (fun b -> (Binders.name b, Binders.description b)) Binders.all in
   Outcome.Benchmarks { rows; binders }
 
 let run_show t ~benchmark ~seed =
@@ -150,9 +148,11 @@ let run_show t ~benchmark ~seed =
 
 let run_bind t ~benchmark ~seed ~binder ~kind ~locked_fus:locked_fu_count
     ~minterms_per_fu =
-  (match Binder.find binder with
-   | Some _ -> ()
-   | None -> fail Error.Unknown_target "unknown binder %S" binder);
+  let algo =
+    match Binders.of_name binder with
+    | Some b -> b
+    | None -> fail Error.Unknown_target "unknown binder %S" binder
+  in
   let ctx = context t benchmark seed in
   let { Store.benchmark = b; schedule; trace; allocation; k; profile } = ctx in
   let fus = Allocation.fu_ids allocation kind in
@@ -171,12 +171,10 @@ let run_bind t ~benchmark ~seed ~binder ~kind ~locked_fus:locked_fu_count
      its search spec from its shape. *)
   let codesigned = Rb_core.Codesign.heuristic k schedule allocation spec in
   let input =
-    { Binder.schedule; allocation; profile; k;
+    { Binders.schedule; allocation; profile; k;
       config = codesigned.Rb_core.Codesign.config; candidates }
   in
-  let out = Binder.bind binder input in
-  let config = out.Binder.config in
-  let binding = out.Binder.binding in
+  let { Binders.binding; config } = Binders.bind algo input in
   let report =
     Exec.application_errors schedule trace ~fu_of_op:(Binding.fu_array binding) ~config
   in

@@ -33,8 +33,7 @@ type t
 
 val create :
   ?limit:Rb_util.Limits.t -> ?store:Store.t -> pool:Rb_util.Pool.t -> unit -> t
-(** Registers the built-in binders as a side effect (the registry is
-    idempotent). [store] defaults to a fresh unbounded store; pass a
+(** [store] defaults to a fresh unbounded store; pass a
     [Store.create ~cap_bytes] store to bound resident artifacts. *)
 
 val store : t -> Store.t

@@ -13,6 +13,7 @@ module Limits = Rb_util.Limits
 module Faults = Rb_util.Faults
 module Json = Rb_util.Json
 module Rng = Rb_util.Rng
+module Metrics = Rb_util.Metrics
 module B = Netlist.Builder
 
 (* Reference per-net evaluator for well-formed netlists: Netlist.eval
@@ -447,25 +448,30 @@ let test_cycles () =
 
 (* ------------------------------------------------------------ attacks *)
 
-let test_registry () =
-  Alcotest.(check (list string)) "registered attacks"
-    [ "const-prop"; "removal" ] (Attacks.names ());
-  (match Attacks.require "const-prop" with
-  | (module A : Attacks.S) ->
-      Alcotest.(check string) "name" "const-prop" A.name);
-  (match Attacks.require "no-such-attack" with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument");
-  match
-    Attacks.register
-      (module struct
-        let name = "removal"
-        let description = "dup"
-        let run ?limit:_ _ = assert false
-      end : Attacks.S)
-  with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "duplicate registration must raise"
+(* [Attacks.run] gives the direct call's outcome and counts one run
+   under the attack's own name. *)
+let test_run_matches_direct () =
+  let rng = Rng.create 9 in
+  let c = (Lock.xor_random ~rng ~key_bits:6 (Circuits.adder ~width:4)).Lock.circuit in
+  let runs () =
+    List.map
+      (fun name -> Metrics.counter_value (Metrics.counter ~scope:"attack" (name ^ "_runs")))
+      [ "const-prop"; "removal" ]
+  in
+  List.iter
+    (fun (kind, name, delta, direct) ->
+      Metrics.set_enabled true;
+      Fun.protect ~finally:(fun () -> Metrics.set_enabled false) (fun () ->
+          let before = runs () in
+          let out = Attacks.run kind c in
+          Alcotest.(check (list int)) (name ^ " counted once")
+            (List.map2 ( + ) before delta) (runs ());
+          Alcotest.(check string) "outcome names the attack" name out.Attacks.attack;
+          Alcotest.(check bool) (name ^ " equals the direct call") true (out = direct c)))
+    [
+      (Attacks.Const_prop, "const-prop", [ 1; 0 ], fun c -> Attacks.const_prop c);
+      (Attacks.Removal, "removal", [ 0; 1 ], fun c -> Attacks.removal c);
+    ]
 
 let test_const_prop_recovers_rll () =
   let rng = Rng.create 99 in
@@ -575,7 +581,7 @@ let test_attack_degrades_under_cancel () =
   let limit = Limits.make ~cancel:flag () in
   let rng = Rng.create 5 in
   let locked = Lock.xor_random ~rng ~key_bits:4 (Circuits.adder ~width:3) in
-  let out = Attacks.run ~limit "const-prop" locked.Lock.circuit in
+  let out = Attacks.run ~limit Attacks.Const_prop locked.Lock.circuit in
   Alcotest.(check bool) "stopped with reason" true
     (out.Attacks.stopped = Some Limits.Cancelled);
   Alcotest.(check int) "no inferences claimed" 0
@@ -591,7 +597,7 @@ let test_fault_injection_degrades () =
       Alcotest.(check bool) "fixpoint stops as budget" true
         (r.Engine.stopped = Some Limits.Conflicts);
       Alcotest.(check bool) "not converged" false r.Engine.converged;
-      let out = Attacks.run "removal" c in
+      let out = Attacks.run Attacks.Removal c in
       Alcotest.(check bool) "attack reports the stop" true
         (out.Attacks.stopped = Some Limits.Conflicts);
       Alcotest.(check int) "no inferences under faults" 0
@@ -677,7 +683,7 @@ let () =
       ("cycles", [ Alcotest.test_case "scc extraction" `Quick test_cycles ]);
       ( "attacks",
         [
-          Alcotest.test_case "registry" `Quick test_registry;
+          Alcotest.test_case "run matches direct" `Quick test_run_matches_direct;
           Alcotest.test_case "const-prop recovers RLL" `Quick
             test_const_prop_recovers_rll;
           Alcotest.test_case "const-prop abstains" `Quick

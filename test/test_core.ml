@@ -796,16 +796,12 @@ let test_sweep_journal_tolerates_garbage_values () =
 
 (* ------------------------------------------------ security-aware binders *)
 
-module Binder = Rb_hls.Binder
 module Binders = Rb_core.Binders
 
 let test_binders_registered () =
-  Binders.ensure_registered ();
-  Binders.ensure_registered ();
-  let names = Binder.names () in
-  List.iter
-    (fun n -> Alcotest.(check bool) (n ^ " registered") true (List.mem n names))
-    [ "area"; "power"; "obf"; "codesign" ]
+  Alcotest.(check (list string)) "all four binders"
+    [ "area"; "codesign"; "obf"; "power" ]
+    (List.map Binders.name Binders.all)
 
 let binder_input () =
   let ctx = small_context () in
@@ -816,7 +812,7 @@ let binder_input () =
   in
   ( ctx,
     {
-      Binder.schedule = ctx.Experiments.schedule;
+      Binders.schedule = ctx.Experiments.schedule;
       allocation = ctx.Experiments.allocation;
       profile = ctx.Experiments.profile;
       k = ctx.Experiments.k;
@@ -825,32 +821,30 @@ let binder_input () =
     } )
 
 let test_obf_binder_matches_direct () =
-  Binders.ensure_registered ();
   let ctx, input = binder_input () in
-  let out = Binder.bind "obf" input in
+  let out = Binders.bind Binders.Obf input in
   let direct =
-    Obf_binding.bind ctx.Experiments.k input.Binder.config ctx.Experiments.schedule
+    Obf_binding.bind ctx.Experiments.k input.Binders.config ctx.Experiments.schedule
       ctx.Experiments.allocation
   in
-  Alcotest.(check bool) "binding identical" true (out.Binder.binding = direct);
-  Alcotest.(check bool) "config echoed" true (out.Binder.config == input.Binder.config)
+  Alcotest.(check bool) "binding identical" true (out.Binders.binding = direct);
+  Alcotest.(check bool) "config echoed" true (out.Binders.config == input.Binders.config)
 
 let test_codesign_binder_chooses_config () =
-  Binders.ensure_registered ();
   let _, input = binder_input () in
-  let out = Binder.bind "codesign" input in
+  let out = Binders.bind Binders.Codesign input in
   (* same locked-FU set, minterms drawn from the candidate list *)
   Alcotest.(check (list int)) "locked FUs preserved"
-    (Config.locked_fus input.Binder.config)
-    (Config.locked_fus out.Binder.config);
-  let cands = Array.to_list input.Binder.candidates in
+    (Config.locked_fus input.Binders.config)
+    (Config.locked_fus out.Binders.config);
+  let cands = Array.to_list input.Binders.candidates in
   List.iter
     (fun fu ->
       Minterm.Set.iter
         (fun m ->
           Alcotest.(check bool) "minterm from candidate list" true (List.mem m cands))
-        (Config.minterms_of out.Binder.config fu))
-    (Config.locked_fus out.Binder.config)
+        (Config.minterms_of out.Binders.config fu))
+    (Config.locked_fus out.Binders.config)
 
 (* ------------------------------------------------- parallel determinism *)
 

@@ -236,12 +236,13 @@ let test_switching_zero_when_no_transitions () =
   let profile = Rb_sim.Operands.build trace in
   Alcotest.(check (float 1e-9)) "no transitions" 0.0 (Switching.rate binding profile)
 
-(* ----------------------------------------------------- binder registry *)
+(* ------------------------------------------------------------ binders *)
 
-module Binder = Rb_hls.Binder
+module Binders = Rb_core.Binders
 module Kmatrix = Rb_sim.Kmatrix
 module Config = Rb_locking.Config
 module Scheme = Rb_locking.Scheme
+module Metrics = Rb_util.Metrics
 
 let binder_input seed =
   let dfg = Testgen.random_dfg seed ~n_ops:24 in
@@ -252,55 +253,54 @@ let binder_input seed =
   let k = Kmatrix.build trace in
   let candidates = Array.of_list (Kmatrix.top_minterms ~kind:Dfg.Add k ~n:4) in
   let config = Config.make ~scheme:Scheme.Sfll_rem ~locks:[ (0, [ candidates.(0) ]) ] in
-  { Binder.schedule; allocation; profile; k; config; candidates }
+  { Binders.schedule; allocation; profile; k; config; candidates }
 
+(* The closed set is listed in name order and every name resolves
+   back to its binder. *)
 let test_binder_registry_names () =
-  let names = Binder.names () in
+  let names = List.map Binders.name Binders.all in
+  Alcotest.(check (list string)) "sorted" (List.sort String.compare names) names;
   List.iter
-    (fun n ->
-      Alcotest.(check bool) (n ^ " registered") true (List.mem n names))
-    [ "area"; "power" ];
-  Alcotest.(check (list string)) "sorted" (List.sort String.compare names) names
+    (fun b ->
+      Alcotest.(check bool) (Binders.name b ^ " round-trips") true
+        (Binders.of_name (Binders.name b) = Some b))
+    Binders.all
 
-let contains ~affix s =
-  let n = String.length s and m = String.length affix in
-  let rec go i = i + m <= n && (String.sub s i m = affix || go (i + 1)) in
-  m = 0 || go 0
+let test_binder_unknown () =
+  Alcotest.(check bool) "unknown name resolves to nothing" true
+    (Binders.of_name "no-such-binder" = None)
 
-let test_binder_require_unknown () =
-  match Binder.require "no-such-binder" with
-  | exception Invalid_argument msg ->
-    (* the error must name the known binders so the CLI message is useful *)
-    Alcotest.(check bool) "names the known binders" true
-      (contains ~affix:"area" msg && contains ~affix:"power" msg)
-  | _ -> Alcotest.fail "unknown binder accepted"
-
-let test_binder_duplicate_rejected () =
-  let module Dup = struct
-    let name = "area"
-    let description = "duplicate"
-    let bind (input : Binder.input) =
-      { Binder.binding = Rb_hls.Area_binding.bind input.schedule input.allocation;
-        config = input.config }
-  end in
-  match Binder.register (module Dup) with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "duplicate registration accepted"
-
+(* Every [Binders.bind] call counts exactly once under its own
+   binder's name, and the baselines give the direct call's binding
+   (test_core checks the security-aware pair). *)
 let test_binder_registry_matches_direct () =
   let input = binder_input 42 in
-  let via_registry = Binder.bind "area" input in
-  let direct = Rb_hls.Area_binding.bind input.Binder.schedule input.Binder.allocation in
-  Alcotest.(check bool) "area binding identical" true
-    (via_registry.Binder.binding = direct);
-  Alcotest.(check bool) "config echoed" true (via_registry.Binder.config == input.Binder.config);
-  let via_registry = Binder.bind "power" input in
-  let direct =
-    Rb_hls.Power_binding.bind input.Binder.schedule input.Binder.allocation
-      ~profile:input.Binder.profile
+  let counts () =
+    List.map
+      (fun b -> Metrics.counter_value (Metrics.counter ~scope:"binder" (Binders.name b ^ "_binds")))
+      Binders.all
   in
-  Alcotest.(check bool) "power binding identical" true
-    (via_registry.Binder.binding = direct)
+  let bind_counted b =
+    Metrics.set_enabled true;
+    Fun.protect ~finally:(fun () -> Metrics.set_enabled false) (fun () ->
+        let before = counts () in
+        let out = Binders.bind b input in
+        Alcotest.(check (list int)) (Binders.name b ^ " counted once, others not")
+          (List.map (fun b' -> if b' = b then 1 else 0) Binders.all)
+          (List.map2 ( - ) (counts ()) before);
+        out)
+  in
+  let outputs = List.map (fun b -> (b, bind_counted b)) Binders.all in
+  let area = List.assoc Binders.Area outputs in
+  let direct = Rb_hls.Area_binding.bind input.Binders.schedule input.Binders.allocation in
+  Alcotest.(check bool) "area binding identical" true (area.Binders.binding = direct);
+  Alcotest.(check bool) "config echoed" true (area.Binders.config == input.Binders.config);
+  let power = List.assoc Binders.Power outputs in
+  let direct =
+    Rb_hls.Power_binding.bind input.Binders.schedule input.Binders.allocation
+      ~profile:input.Binders.profile
+  in
+  Alcotest.(check bool) "power binding identical" true (power.Binders.binding = direct)
 
 let qcheck_register_count_matches_oracle =
   QCheck2.Test.make ~name:"register count = per-boundary recount" ~count:100
@@ -405,8 +405,7 @@ let () =
       ( "binder",
         [
           Alcotest.test_case "registry names" `Quick test_binder_registry_names;
-          Alcotest.test_case "unknown binder" `Quick test_binder_require_unknown;
-          Alcotest.test_case "duplicate rejected" `Quick test_binder_duplicate_rejected;
+          Alcotest.test_case "unknown binder" `Quick test_binder_unknown;
           Alcotest.test_case "registry matches direct" `Quick
             test_binder_registry_matches_direct;
         ] );

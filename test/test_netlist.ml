@@ -283,29 +283,6 @@ let test_permutation_network_all_keys_drive_swaps () =
       done)
     [ (2, 2); (3, 3); (4, 2); (4, 5) ]
 
-(* ------------------------------------------------------------- verilog *)
-
-let contains ~affix s =
-  let n = String.length s and m = String.length affix in
-  let rec go i = i + m <= n && (String.sub s i m = affix || go (i + 1)) in
-  m = 0 || go 0
-
-let test_verilog_gates_structure () =
-  let base = Circuits.adder ~width:3 in
-  let rng = Rng.create 3 in
-  let locked = Lock.xor_random ~rng ~key_bits:4 base in
-  let v = Rb_netlist.Verilog_gates.emit ~module_name:"locked_adder" locked.Lock.circuit in
-  List.iter
-    (fun affix -> Alcotest.(check bool) (affix ^ " present") true (contains ~affix v))
-    [ "module locked_adder"; "endmodule"; "input [3:0] key"; "input in_0"; "assign out_0" ];
-  (* one wire per gate *)
-  Alcotest.(check bool) "last gate present" true
-    (contains ~affix:(Printf.sprintf "wire n%d" (Netlist.n_gates locked.Lock.circuit - 1)) v)
-
-let test_verilog_gates_unlocked_has_no_key_port () =
-  let v = Rb_netlist.Verilog_gates.emit (Circuits.multiplier ~width:2) in
-  Alcotest.(check bool) "no key port" false (contains ~affix:"] key" v)
-
 let qcheck_adder_random_widths =
   QCheck2.Test.make ~name:"adders wrap at any width" ~count:100
     QCheck2.Gen.(triple (int_range 1 8) (int_range 0 255) (int_range 0 255))
@@ -373,11 +350,6 @@ let () =
           Alcotest.test_case "permnet wrong key" `Quick test_permutation_network_wrong_key;
           Alcotest.test_case "permnet keys all live" `Quick
             test_permutation_network_all_keys_drive_swaps;
-        ] );
-      ( "verilog",
-        [
-          Alcotest.test_case "structure" `Quick test_verilog_gates_structure;
-          Alcotest.test_case "no key port" `Quick test_verilog_gates_unlocked_has_no_key_port;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -133,7 +133,7 @@ let job_gen =
       return Job.List_benchmarks;
       map2 (fun benchmark seed -> Job.Show { benchmark; seed }) name seed;
       (let* benchmark = name and* seed = seed and* kind = kind in
-       let* binder = oneofl [ "codesign"; "area"; "obf" ]
+       let* binder = oneofl (List.map Rb_core.Binders.name Rb_core.Binders.all)
        and* locked_fus = fus
        and* minterms_per_fu = fus in
        return (Job.Bind { benchmark; seed; binder; kind; locked_fus; minterms_per_fu }));
@@ -503,6 +503,46 @@ let test_serve_respond () =
       Alcotest.(check string) "validation error code" "invalid-request" code;
       Alcotest.(check string) "validation error message" "width must be in 2..8" message)
 
+(* An RLL lock needs one live adder gate per key bit. A strength above
+   that bound is a well-formed request the design cannot satisfy: it
+   answers infeasible, naming the bound, on every op that builds the
+   lock; at the bound the lock builds. *)
+let test_executor_rll_over_strength () =
+  let bound = Rb_netlist.Lock.max_xor_key_bits (Rb_netlist.Circuits.adder ~width:2) in
+  let message strength =
+    Printf.sprintf "rll strength %d exceeds the %d live gates of the 2-bit adder" strength
+      bound
+  in
+  let analyze strength = Job.Analyze { scheme = Some Job.Rll; width = 2; strength; seed = 1789 } in
+  with_executor (fun ex ->
+      let expect_infeasible name strength job =
+        match Executor.run ex job with
+        | Error e ->
+          Alcotest.(check string) (name ^ " code") "infeasible" (Error.code_label e.Error.code);
+          Alcotest.(check string) (name ^ " message") (message strength) e.Error.message
+        | Ok _ -> Alcotest.failf "%s: over-strength rll accepted" name
+      in
+      expect_infeasible "analyze" 16 (analyze 16);
+      expect_infeasible "analyze, every scheme" 16
+        (Job.Analyze { scheme = None; width = 2; strength = 16; seed = 1789 });
+      expect_infeasible "attack" 16
+        (Job.Attack
+           { scheme = Job.Rll; width = 2; strength = 16; seed = 1789; max_iterations = 20_000;
+             portfolio = 1 });
+      expect_infeasible "export-cnf" 200
+        (Job.Export_cnf { scheme = Job.Rll; width = 2; strength = 200; miter = false; seed = 1789 });
+      (match Executor.run ex (analyze bound) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "rll at the bound fails: %s" e.Error.message);
+      let fields =
+        parse_response
+          (Serve.respond ex
+             {|{"schema":"rb-job/1","id":1,"op":"analyze","scheme":"rll","width":2,"strength":16}|})
+      in
+      let code, msg = error_member fields in
+      Alcotest.(check string) "serve code" "infeasible" code;
+      Alcotest.(check string) "serve message" (message 16) msg)
+
 let test_serve_run_pipe () =
   let requests =
     [
@@ -862,6 +902,116 @@ let test_serve_conn_fault_isolation () =
   Alcotest.(check bool) "daemon drains despite per-connection faults" true
     (stop = Some Serve.Drained)
 
+(* ------------------------------------------- Serve: hostile wire input *)
+
+(* The fuzzer probes the wire contract, not how the pipelines scale,
+   so the fields that drive work are clamped before a job is encoded;
+   mutations may still push them out of range. *)
+let cheap (job : Job.t) =
+  match job with
+  | Job.Analyze a -> Job.Analyze { a with width = min a.width 4; strength = min a.strength 24 }
+  | Job.Attack a ->
+    Job.Attack
+      { a with width = min a.width 4; strength = min a.strength 24;
+               max_iterations = min a.max_iterations 16; portfolio = min a.portfolio 2 }
+  | Job.Custom c -> Job.Custom { c with trace_length = min c.trace_length 1_000 }
+  | Job.Export_cnf e ->
+    Job.Export_cnf { e with width = min e.width 4; strength = min e.strength 24 }
+  | job -> job
+
+(* Values that are the wrong type or out of range for some field. *)
+let hostile_values =
+  [
+    Json.Null; Json.Bool true; Json.Int (-1); Json.Int 0; Json.Int 257; Json.Int 100_000_000;
+    Json.Int max_int; Json.Int min_int; Json.Float 0.5; Json.Float (-1e300); Json.String "";
+    Json.String "\xc3"; Json.String "mul"; Json.List [ Json.Int 1 ]; Json.Obj [];
+  ]
+
+(* A valid rb-job/1 envelope of a [job_gen] job with zero to two of its
+   fields (envelope fields included) dropped or replaced by a hostile
+   value. A dropped field takes its default, which can be costly (an
+   attack's 20,000 DIP iterations), so a 250 ms deadline rides along
+   outside the mutated fields: a slow job answers the limit error. *)
+let mutated_envelope_gen =
+  let open QCheck2.Gen in
+  let* job = map cheap job_gen in
+  let fields =
+    match Job.to_json job with
+    | Json.Obj fields -> ("schema", Json.String "rb-job/1") :: ("id", Json.Int 7) :: fields
+    | _ -> assert false
+  in
+  let mutation =
+    let* i = int_bound (List.length fields - 1) in
+    let* value = oneofl (None :: List.map Option.some hostile_values) in
+    return (i, value)
+  in
+  let* mutations = list_size (int_range 0 2) mutation in
+  let mutate fields (i, value) =
+    List.concat
+      (List.mapi
+         (fun j (name, v) ->
+           if j <> i then [ (name, v) ]
+           else match value with None -> [] | Some v -> [ (name, v) ])
+         fields)
+  in
+  let fields = List.fold_left mutate fields mutations in
+  return (Json.to_string (Json.Obj (fields @ [ ("deadline_ms", Json.Int 250) ])))
+
+(* A request carrying multi-byte UTF-8 (two to four bytes per
+   character), cut at an arbitrary byte: the cut usually lands inside
+   the JSON, sometimes inside a character. *)
+let truncated_utf8_gen =
+  let open QCheck2.Gen in
+  let utf8_bytes = [ 'a'; '\xc3'; '\xa9'; '\xe2'; '\x82'; '\xac'; '\xf0'; '\x9f' ] in
+  let* name = string_size ~gen:(oneofl utf8_bytes) (int_range 0 12) in
+  let* op = oneofl [ "show"; "bind"; "export-dfg"; "dot" ] in
+  let line =
+    Json.to_string
+      (Json.Obj
+         [
+           ("schema", Json.String "rb-job/1");
+           ("id", Json.String "caf\xc3\xa9 \xe2\x82\xac");
+           ("op", Json.String op);
+           ("benchmark", Json.String ("dct\xc3\xa9" ^ name));
+         ])
+  in
+  let* cut = int_bound (String.length line) in
+  return (String.sub line 0 cut)
+
+let arbitrary_bytes_gen = QCheck2.Gen.(string_size ~gen:char (int_range 0 200))
+
+let fuzz_executor =
+  lazy (Executor.create ~limit:(Limits.conflicts 20_000) ~pool:(Pool.create ~jobs:1 ()) ())
+
+(* Every input line answers exactly one parseable rb-result/1 line
+   holding exactly one of "ok" and "error", never the internal code,
+   and no exception escapes [Serve.respond]. *)
+let answers_cleanly line =
+  match Serve.respond (Lazy.force fuzz_executor) line with
+  | exception e -> QCheck2.Test.fail_reportf "%s escaped on %S" (Printexc.to_string e) line
+  | answer -> (
+    if String.contains answer '\n' then QCheck2.Test.fail_reportf "multi-line answer %S" answer;
+    match Json.of_string answer with
+    | Ok (Json.Obj fields) -> (
+      if List.assoc_opt "schema" fields <> Some (Json.String "rb-result/1") then
+        QCheck2.Test.fail_reportf "not rb-result/1: %s" answer;
+      match (List.assoc_opt "ok" fields, List.assoc_opt "error" fields) with
+      | Some _, None -> true
+      | None, Some (Json.Obj e) ->
+        if List.assoc_opt "code" e = Some (Json.String "internal") then
+          QCheck2.Test.fail_reportf "internal answer to %S: %s" line answer;
+        true
+      | _ -> QCheck2.Test.fail_reportf "not exactly one of ok/error: %s" answer)
+    | Ok _ | Error _ -> QCheck2.Test.fail_reportf "unparseable answer %S to %S" answer line)
+
+let qcheck_wire_fuzz =
+  QCheck2.Test.make ~name:"serve answers hostile wire input cleanly" ~count:400
+    ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(
+      frequency
+        [ (6, mutated_envelope_gen); (2, truncated_utf8_gen); (2, arbitrary_bytes_gen) ])
+    answers_cleanly
+
 (* ---------------------------------------------------------------- Golden *)
 
 (* dune runtest runs with cwd = _build/default/test (where the golden/
@@ -997,6 +1147,8 @@ let () =
         [
           Alcotest.test_case "cache determinism" `Quick test_executor_cache_determinism;
           Alcotest.test_case "structured errors" `Quick test_executor_errors;
+          Alcotest.test_case "rll over strength is infeasible" `Quick
+            test_executor_rll_over_strength;
           Alcotest.test_case "jobs invariance" `Quick test_executor_jobs_invariant;
           Alcotest.test_case "cache hit rate" `Quick test_executor_batch_cache_rate;
           Alcotest.test_case "deadline" `Quick test_executor_deadline;
@@ -1022,6 +1174,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             qcheck_job_roundtrip; qcheck_job_digest_stable;
-            qcheck_store_eviction_single_flight;
+            qcheck_store_eviction_single_flight; qcheck_wire_fuzz;
           ] );
     ]
