@@ -11,8 +11,7 @@
 
    Usage:
      main.exe [--jobs N] [--sections a,b,...] [--list-sections]
-              [--metrics FILE] [--checkpoint FILE] [--resume]
-              [--solver-budget N] [SECTION...]
+              [--metrics FILE] [--solver-budget N] [SECTION...]
 
      --jobs N        worker domains (default: available cores; 1 = no
                      worker domains, everything runs inline)
@@ -23,12 +22,6 @@
                      per section (name, wall-clock, deterministic
                      counter deltas) plus the full end-of-run metric
                      snapshot; bench/compare.exe diffs two such files
-     --checkpoint F  journal completed sweep chunks to F (JSON lines,
-                     flushed per record); SIGINT flushes it and exits
-                     130, so an interrupted sweep loses nothing
-     --resume        replay chunks already in the --checkpoint journal
-                     instead of recomputing them; stdout is
-                     byte-identical to an uninterrupted run
      --solver-budget N  cap every SAT-attack miter solve at N CDCL
                      conflicts; exhausted cells render as
                      "limit:<reason>@<iterations>" instead of hanging
@@ -62,7 +55,6 @@ module Pool = Rb_util.Pool
 module Metrics = Rb_util.Metrics
 module Json = Rb_util.Json
 module Limits = Rb_util.Limits
-module Checkpoint = Rb_util.Checkpoint
 
 let section name =
   Printf.printf "\n%s\n%s\n%s\n" (String.make 72 '=') name (String.make 72 '=')
@@ -72,7 +64,7 @@ let section name =
 (* Sections built around the shared pool: contexts and the
    configuration sweep are computed once (lazily, in parallel) and
    reused by every section that needs them. *)
-let experiment_sections pool journal =
+let experiment_sections pool =
   let contexts =
     lazy
       (Pool.map_list pool
@@ -84,7 +76,7 @@ let experiment_sections pool journal =
   in
   let suite =
     lazy
-      (Experiments.sweep_suite ~pool ?journal ~max_combos_per_config:2000
+      (Experiments.sweep_suite ~pool ~max_combos_per_config:2000
          ~max_optimal_assignments:200_000 (Lazy.force contexts))
   in
   let fig4 () =
@@ -978,8 +970,7 @@ let section_order =
 let usage () =
   Printf.eprintf
     "usage: main.exe [--jobs N] [--sections a,b,...] [--list-sections]\n\
-    \       [--metrics FILE] [--checkpoint FILE] [--resume]\n\
-    \       [--solver-budget N] [SECTION...]\n\
+    \       [--metrics FILE] [--solver-budget N] [SECTION...]\n\
      available sections: %s\n"
     (String.concat " " section_order)
 
@@ -1043,8 +1034,6 @@ let () =
   let requested = ref [] in
   let list_only = ref false in
   let metrics_out = ref None in
-  let checkpoint_path = ref None in
-  let resume = ref false in
   let solver_budget = ref None in
   let rec parse = function
     | [] -> ()
@@ -1069,15 +1058,6 @@ let () =
     | [ "--metrics" ] ->
       Printf.eprintf "--metrics expects a file name\n";
       exit 2
-    | "--checkpoint" :: path :: rest ->
-      checkpoint_path := Some path;
-      parse rest
-    | [ "--checkpoint" ] ->
-      Printf.eprintf "--checkpoint expects a file name\n";
-      exit 2
-    | "--resume" :: rest ->
-      resume := true;
-      parse rest
     | "--solver-budget" :: n :: rest ->
       solver_budget := Some (parse_pos_int "--solver-budget" n);
       parse rest
@@ -1095,9 +1075,6 @@ let () =
       parse rest
     | arg :: rest when String.length arg > 10 && String.sub arg 0 10 = "--metrics=" ->
       metrics_out := Some (String.sub arg 10 (String.length arg - 10));
-      parse rest
-    | arg :: rest when String.length arg > 13 && String.sub arg 0 13 = "--checkpoint=" ->
-      checkpoint_path := Some (String.sub arg 13 (String.length arg - 13));
       parse rest
     | arg :: rest
       when String.length arg > 16 && String.sub arg 0 16 = "--solver-budget=" ->
@@ -1117,26 +1094,7 @@ let () =
     List.iter print_endline section_order;
     exit 0
   end;
-  if !resume && !checkpoint_path = None then begin
-    Printf.eprintf "--resume requires --checkpoint FILE\n";
-    exit 2
-  end;
   Metrics.set_enabled true;
-  let journal =
-    Option.map (fun path -> Checkpoint.create ~path ~resume:!resume) !checkpoint_path
-  in
-  (* With a checkpoint, ^C must not lose completed chunks: flush the
-     journal (records are flushed per write, this catches any in-flight
-     buffer) and exit with the conventional SIGINT status. Without one,
-     the default fatal-signal behaviour is fine. *)
-  (match journal with
-  | Some j ->
-    Sys.set_signal Sys.sigint
-      (Sys.Signal_handle
-         (fun _ ->
-           Checkpoint.flush_now j;
-           exit 130))
-  | None -> ());
   let attack_limit =
     match !solver_budget with
     | None -> Limits.none
@@ -1144,7 +1102,7 @@ let () =
   in
   Pool.with_pool ~jobs:!jobs (fun pool ->
       let sections =
-        experiment_sections pool journal
+        experiment_sections pool
         @ [
             ("eqn1", eqn1);
             ("sat-attack", sat_attack ~limit:attack_limit);
@@ -1188,12 +1146,6 @@ let () =
           Printf.eprintf "[%s: %.2fs, jobs=%d]\n" name wall (Pool.jobs pool))
         records;
       flush stderr;
-      (match journal with
-      | Some j ->
-        Printf.eprintf "[checkpoint %s: %d chunk(s) journaled]\n" (Checkpoint.path j)
-          (Checkpoint.entries j);
-        Checkpoint.close j
-      | None -> ());
       match !metrics_out with
       | None -> ()
       | Some path ->

@@ -10,8 +10,6 @@ module Combi = Rb_util.Combi
 module Rng = Rb_util.Rng
 module Stats = Rb_util.Stats
 module Pool = Rb_util.Pool
-module Json = Rb_util.Json
-module Checkpoint = Rb_util.Checkpoint
 
 (* Fan a map out over the pool when one is supplied; the inline
    fallback keeps every driver usable without a pool (and is what a
@@ -20,15 +18,6 @@ let pool_map_list pool f l =
   match pool with
   | None -> List.map f l
   | Some pool -> Pool.map_list pool ~f l
-
-(* Fault-isolated variant: the pool-free path goes through the same
-   per-task wrapper, so fault sites, retries and error capture behave
-   identically with and without workers. *)
-let pool_map_result pool ~retries f arr =
-  match pool with
-  | None ->
-    Array.mapi (fun i x -> Pool.run_task_result ~retries ~index:i (fun () -> f x)) arr
-  | Some pool -> Pool.map_array_result ~retries pool ~f arr
 
 (* Every binding/config this module produces is asserted lint-clean
    before it is measured, so a regression in a binder or the co-design
@@ -141,44 +130,7 @@ let run_codesign_optimal ~max_optimal_assignments k schedule allocation spec =
     in
     shrink (Array.length spec.Codesign.candidates - 1)
 
-(* Combination ranges are evaluated in fixed-size chunks, each an
-   independent pool task. The chunk layout and every per-sample RNG
-   derive from the harness seed and the combination index alone — never
-   from the worker count — so a parallel sweep is byte-identical to the
-   sequential one. *)
-let combo_chunk_size = 256
-
-(* Transient per-chunk failures (the fault harness's "pool/task" site,
-   or any future flaky backend) are retried in place this many times
-   before the sweep gives up on the whole run. *)
-let sweep_chunk_retries = 2
-
-(* Journal codec: one evaluated chunk is an array of combo_errors,
-   stored as a list of [e_area; e_power; e_obf] triples. Decoding is
-   defensive — a record that does not match (schema drift, truncated
-   value) falls back to recomputing the chunk. *)
-let encode_chunk combos =
-  Json.List
-    (Array.to_list combos
-    |> List.map (fun c ->
-           Json.List [ Json.Int c.e_area; Json.Int c.e_power; Json.Int c.e_obf ]))
-
-let decode_chunk ~len json =
-  match json with
-  | Json.List items when List.length items = len -> (
-    try
-      Some
-        (Array.of_list
-           (List.map
-              (function
-                | Json.List [ Json.Int a; Json.Int p; Json.Int o ] ->
-                  { e_area = a; e_power = p; e_obf = o }
-                | _ -> raise Exit)
-              items))
-    with Exit -> None)
-  | _ -> None
-
-let sweep ?pool ?journal ?(seed = 7) ?(max_combos_per_config = 2000)
+let sweep ?(seed = 7) ?(max_combos_per_config = 2000)
     ?(max_optimal_assignments = 300_000) ?(fu_counts = [ 1; 2; 3 ])
     ?(minterm_counts = [ 1; 2; 3 ]) ctx kind =
   let candidates = candidates_for ctx kind in
@@ -231,52 +183,7 @@ let sweep ?pool ?journal ?(seed = 7) ?(max_combos_per_config = 2000)
           (max_combos_per_config, true, assignment_at)
         end
       in
-      let n_chunks = (n_combos + combo_chunk_size - 1) / combo_chunk_size in
-      let chunk_len chunk = min combo_chunk_size (n_combos - (chunk * combo_chunk_size)) in
-      (* Keys pin everything a chunk's contents depend on (seed,
-         benchmark, kind, configuration, combo count), so a stale or
-         differently-parameterized journal can never replay into the
-         wrong cell. *)
-      let chunk_key chunk =
-        Printf.sprintf "sweep/s%d/%s/%s/fu%d/m%d/c%d/%d" seed ctx.benchmark
-          (Dfg.kind_label kind) locked_fu_count minterms_per_fu n_combos chunk
-      in
-      let compute_chunk chunk =
-        let lo = chunk * combo_chunk_size in
-        Array.init (chunk_len chunk) (fun i -> eval (assignment_at (lo + i)))
-      in
-      let chunk_task chunk =
-        match journal with
-        | None -> compute_chunk chunk
-        | Some j -> (
-          let key = chunk_key chunk in
-          match
-            Option.bind (Checkpoint.find j key) (decode_chunk ~len:(chunk_len chunk))
-          with
-          | Some combos -> combos
-          | None ->
-            let combos = compute_chunk chunk in
-            Checkpoint.record j key (encode_chunk combos);
-            combos)
-      in
-      let chunk_results =
-        pool_map_result pool ~retries:sweep_chunk_retries chunk_task
-          (Array.init n_chunks Fun.id)
-      in
-      (* Chunks that still fail after the retries abort the sweep —
-         but only after every other chunk ran (and journaled), so a
-         resumed run picks up from here. Lowest index reports first. *)
-      let chunks =
-        Array.map
-          (function
-            | Ok combos -> combos
-            | Error (e : Pool.task_error) ->
-              failwith
-                (Printf.sprintf "Experiments.sweep: %s failed after %d attempt(s): %s"
-                   (chunk_key e.index) e.attempts e.message))
-          chunk_results
-      in
-      let combos = Array.concat (Array.to_list chunks) in
+      let combos = Array.init n_combos (fun t -> eval (assignment_at t)) in
       let spec =
         {
           Codesign.scheme = Rb_locking.Scheme.Sfll_rem;
@@ -612,16 +519,13 @@ type sweep_key = { sk_benchmark : string; sk_kind : Dfg.op_kind }
 let both_kinds ctxs =
   List.concat_map (fun ctx -> [ (ctx, Dfg.Add); (ctx, Dfg.Mul) ]) ctxs
 
-let sweep_suite ?pool ?journal ?seed ?max_combos_per_config ?max_optimal_assignments
+let sweep_suite ?pool ?seed ?max_combos_per_config ?max_optimal_assignments
     ?fu_counts ?minterm_counts ctxs =
-  (* One task per (benchmark, kind); inside a worker the nested chunk
-     map of [sweep] degrades to inline evaluation, so the same pool
-     serves both levels without deadlock. The journal is shared — its
-     own mutex serializes records from concurrent sweeps. *)
+  (* One task per (benchmark, kind): the pool's only level. *)
   pool_map_list pool
     (fun (ctx, kind) ->
       ( { sk_benchmark = ctx.benchmark; sk_kind = kind },
-        sweep ?pool ?journal ?seed ?max_combos_per_config ?max_optimal_assignments
+        sweep ?seed ?max_combos_per_config ?max_optimal_assignments
           ?fu_counts ?minterm_counts ctx kind ))
     (both_kinds ctxs)
 

@@ -65,8 +65,6 @@ type config_result = {
 }
 
 val sweep :
-  ?pool:Rb_util.Pool.t ->
-  ?journal:Rb_util.Checkpoint.t ->
   ?seed:int ->
   ?max_combos_per_config:int ->
   ?max_optimal_assignments:int ->
@@ -82,20 +80,12 @@ val sweep :
     FUs than allocated, fewer candidates than the budget — are
     skipped).
 
-    With [?pool], combination evaluation is fanned out in fixed-size
-    chunks of the (lexicographically ordered) combination space; every
-    sampled combination derives its RNG from the seed and its own
-    index, so the result is byte-identical for any worker count,
-    including [None].
-
-    Chunk evaluation is fault-isolated: a chunk whose task raises is
-    retried in place (twice), and only a chunk that keeps failing
-    aborts the sweep — after every other chunk has completed. With
-    [?journal], each completed chunk is recorded under a key built
-    from the seed, benchmark, kind, configuration and chunk index, and
-    a resumed run replays journaled chunks instead of recomputing them
-    (falling back to recomputation on any decode mismatch) — the
-    returned results are byte-identical either way. *)
+    A configuration whose assignment space fits the budget is
+    evaluated exhaustively: [combos.(t)] is the [t]-th assignment in
+    lexicographic order (one candidate subset per locked FU, first FU
+    most significant). A larger space is sampled, and sample [t] draws
+    its RNG from the seed, configuration and [t] alone. Evaluation is
+    sequential; {!sweep_suite} is the parallel level. *)
 
 val ratio_vs : int -> int -> float
 (** [ratio_vs security baseline] with the zero-baseline floor. *)
@@ -223,7 +213,6 @@ type sweep_key = { sk_benchmark : string; sk_kind : Dfg.op_kind }
 
 val sweep_suite :
   ?pool:Rb_util.Pool.t ->
-  ?journal:Rb_util.Checkpoint.t ->
   ?seed:int ->
   ?max_combos_per_config:int ->
   ?max_optimal_assignments:int ->
@@ -232,10 +221,8 @@ val sweep_suite :
   context list ->
   (sweep_key * config_result list) list
 (** {!sweep} over every (benchmark, kind) pair, in benchmark order
-    with Add before Mul. One pool task per pair; the nested
-    combination-chunk fan-out of {!sweep} runs inline inside those
-    tasks. [?journal] is shared across the whole suite — the sweep
-    keys disambiguate benchmarks and kinds. *)
+    with Add before Mul. One pool task per pair, each a sequential
+    {!sweep}. *)
 
 val fig4_rows : (sweep_key * config_result list) list -> fig4_row list
 (** The {!fig4_row} of every sweep that has at least one feasible

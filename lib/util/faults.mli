@@ -1,13 +1,13 @@
 (** Deterministic fault injection for robustness testing.
 
     Production code sprinkles {!inject} calls at its fault {e sites}
-    (a pool task about to run, a solver about to search); the harness
-    decides — purely from the configured seed, the site name and the
-    caller-supplied key — whether that site throws. The decision is a
-    hash of [(seed, site, key)], so it is independent of execution
-    order, worker count and wall clock: the same configuration fails
-    the same logical tasks on every run, which is what lets CI assert
-    exact recovery behaviour.
+    (a solver about to search, a daemon connection about to be
+    served); the harness decides — purely from the configured seed,
+    the site name and the caller-supplied key — whether that site
+    throws. The decision is a hash of [(seed, site, key)], so it is
+    independent of execution order, worker count and wall clock: the
+    same configuration fails the same logical tasks on every run,
+    which is what lets a test assert exact recovery behaviour.
 
     Injection is {e off by default} and follows the {!Metrics} sink
     discipline: every {!inject} first reads one [Atomic.t] and returns
@@ -15,8 +15,6 @@
     paths cost a predictable branch in production.
 
     Known sites (grep for [Faults.inject] to refresh this list):
-    - ["pool/task"], keyed by task index — fails a {!Pool} task on its
-      first attempt only, so retried tasks always recover;
     - ["sat/budget"], keyed by per-solver solve ordinal — makes a
       budgeted [Solver.solve] report [Unknown] immediately;
     - ["serve/conn"], keyed by connection ordinal — kills one socket
@@ -24,11 +22,14 @@
       serving every other connection;
     - ["store/evict"], keyed by the store's access tick — fails one
       eviction pass; the store stays over cap until the next insert
-      instead of failing the lookup.
+      instead of failing the lookup;
+    - ["analysis/fixpoint"], keyed by abstract-domain name — stops a
+      static-analysis fixpoint before its first pass, reported as the
+      [Conflicts] budget stop a spent pass budget gives.
 
     Configuration can come from the environment (read once at module
-    initialization), which is how the CI fault job enables the harness
-    under an unmodified test binary:
+    initialization), which is how a fault run enables the harness under
+    an unmodified binary:
     [RB_FAULT_SEED] (int, required to enable), [RB_FAULT_RATE]
     (per-mille, default 100), [RB_FAULT_SITES] (comma-separated site
     filter, default all sites).

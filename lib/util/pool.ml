@@ -132,40 +132,6 @@ let map_array t ~f arr =
 
 let map_list t ~f l = Array.to_list (map_array t ~f (Array.of_list l))
 
-type task_error = { index : int; attempts : int; message : string }
-
-let m_retries = Metrics.counter ~scope:"faults" "retries"
-
-(* The fault-isolation wrapper: never raises, so layered on map_array
-   the exactly-once/index-order contract (and the counters and timers
-   above) carry over unchanged. The "pool/task" fault site fires on a
-   task's first attempt only, so any retry budget >= 1 recovers every
-   injected failure deterministically. Exposed so pool-free callers
-   (drivers run without a pool in tests) get byte-identical
-   fault/retry behaviour. *)
-let run_task_result ~retries ~index f =
-  if retries < 0 then invalid_arg "Pool.run_task_result: negative retries";
-  let rec go attempt =
-    match
-      if attempt = 0 then Faults.inject ~site:"pool/task" ~key:(string_of_int index);
-      f ()
-    with
-    | v -> Ok v
-    | exception e ->
-      if attempt < retries then begin
-        Metrics.incr m_retries;
-        go (attempt + 1)
-      end
-      else Error { index; attempts = attempt + 1; message = Printexc.to_string e }
-  in
-  go 0
-
-let map_array_result ?(retries = 0) t ~f arr =
-  if retries < 0 then invalid_arg "Pool.map_array_result: negative retries";
-  map_array t
-    ~f:(fun (i, x) -> run_task_result ~retries ~index:i (fun () -> f x))
-    (Array.mapi (fun i x -> (i, x)) arr)
-
 (* A bounded wait-free single-round exchange buffer. Writers claim
    slots with one fetch-and-add and write their slot unshared; pushes
    past capacity are dropped (the producers are speculative — losing

@@ -1,7 +1,7 @@
 (** A fixed-size domain pool for embarrassingly parallel evaluation.
 
-    The experiment layer fans per-benchmark sweeps and combination
-    ranges out over OCaml 5 domains through this pool. The contract is
+    The experiment layer fans per-benchmark sweeps and suites out over
+    OCaml 5 domains through this pool. The contract is
     deterministic parallelism: {!map_list}/{!map_array} collect results
     by task index, so the output is identical for every worker count —
     including [jobs = 1], which runs tasks inline in the calling domain
@@ -42,34 +42,6 @@ val map_array : t -> f:('a -> 'b) -> 'a array -> 'b array
 
 val map_list : t -> f:('a -> 'b) -> 'a list -> 'b list
 (** {!map_array} over a list. *)
-
-(** One failed task of {!map_array_result}. *)
-type task_error = {
-  index : int;  (** input index of the failing element *)
-  attempts : int;  (** runs spent, i.e. [1 + retries] *)
-  message : string;  (** [Printexc.to_string] of the last exception *)
-}
-
-val map_array_result :
-  ?retries:int -> t -> f:('a -> 'b) -> 'a array -> ('b, task_error) result array
-(** Fault-isolated {!map_array}: a raising task yields its own
-    [Error] slot instead of poisoning the whole map, so one bad sample
-    no longer discards its siblings. The exactly-once/index-order
-    contract is unchanged; results are deterministic for every worker
-    count. A task that raises is re-run up to [retries] more times
-    (default 0) in place, deterministically — tasks must be pure, so a
-    retry of a genuinely failing task fails identically, while an
-    injected first-attempt fault (site ["pool/task"], keyed by task
-    index — see {!Faults}) is always recovered by [retries >= 1].
-    Retries count under ["faults/retries"]. [Invalid_argument] on
-    negative [retries] or a shut-down pool. *)
-
-val run_task_result :
-  retries:int -> index:int -> (unit -> 'b) -> ('b, task_error) result
-(** The per-task wrapper of {!map_array_result}, exposed so a driver
-    running {e without} a pool applies the identical fault-site,
-    retry and error-capture semantics — keeping pooled and pool-free
-    runs byte-identical under fault injection. *)
 
 (** A bounded wait-free exchange buffer for racing pool tasks.
 

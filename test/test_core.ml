@@ -14,7 +14,6 @@ module Methodology = Rb_core.Methodology
 module Experiments = Rb_core.Experiments
 module Testgen = Rb_testsupport.Testgen
 module Limits = Rb_util.Limits
-module Checkpoint = Rb_util.Checkpoint
 module Combi = Rb_util.Combi
 
 (* The paper's Fig. 2 setting: 5 add operations over 2 cycles, 3 adder
@@ -722,77 +721,70 @@ let test_experiments_overhead_fields () =
   Alcotest.(check bool) "power binder wins its own metric" true
     (ov.Experiments.power_switching <= ov.Experiments.obf_switching +. 1e-9)
 
-(* ------------------------------------------------- checkpointed sweeps *)
+(* ------------------------------------------------- sweep enumeration *)
 
-let with_temp_journal f =
-  let path = Filename.temp_file "rb_sweep" ".jsonl" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
-
-let test_sweep_journal_resume_identical () =
+(* An exhaustive configuration evaluates its t-th combination from the
+   t-th assignment in lexicographic order (one candidate subset per
+   locked FU, first FU most significant); its optimal co-design, over
+   the same full candidate list, is the best of them. The fixed
+   baseline bindings pin which FU gets which subset; e_obf alone is
+   blind to that, since the obfuscation-aware binder may relabel FUs. *)
+let test_sweep_exhaustive_lex_order () =
   let ctx = small_context () in
-  let run ?journal () =
-    Experiments.sweep ?journal ~max_combos_per_config:30
-      ~max_optimal_assignments:2_000 ctx Dfg.Mul
+  let kind = Dfg.Mul in
+  let candidates = Experiments.candidates_for ctx kind in
+  let n_cands = Array.length candidates in
+  let fus = Allocation.fu_ids ctx.Experiments.allocation kind in
+  let fast =
+    Obf_binding.Fast.prepare
+      (Cost.cand_table ctx.Experiments.k candidates)
+      ctx.Experiments.schedule ctx.Experiments.allocation ~kind
   in
-  let plain = run () in
-  with_temp_journal (fun path ->
-      let j = Checkpoint.create ~path ~resume:false in
-      let first = run ~journal:j () in
-      let chunks = Checkpoint.entries j in
-      Checkpoint.close j;
-      Alcotest.(check bool) "journaling changes nothing" true (first = plain);
-      Alcotest.(check bool) "chunks were journaled" true (chunks > 0);
-      (* Resume: every chunk replays from the journal, results are
-         byte-identical, and nothing new is appended. *)
-      let r = Checkpoint.create ~path ~resume:true in
-      Alcotest.(check int) "resume loads every chunk" chunks
-        (Checkpoint.entries r);
-      let resumed = run ~journal:r () in
-      Alcotest.(check bool) "resumed results identical" true (resumed = plain);
-      Alcotest.(check int) "no recomputed chunks appended" chunks
-        (Checkpoint.entries r);
-      Checkpoint.close r)
-
-let test_sweep_journal_tolerates_garbage_values () =
-  (* A journal value of the wrong shape must fall back to recomputing
-     the chunk, never crash or corrupt the results. *)
-  let ctx = small_context () in
-  let run ?journal () =
-    Experiments.sweep ?journal ~max_combos_per_config:20 ctx Dfg.Mul
+  let results =
+    Experiments.sweep ~max_combos_per_config:10_000 ~fu_counts:[ 1; 2 ]
+      ~minterm_counts:[ 1; 2 ] ctx kind
   in
-  let plain = run () in
-  with_temp_journal (fun path ->
-      let j = Checkpoint.create ~path ~resume:false in
-      ignore (run ~journal:j ());
-      Checkpoint.close j;
-      (* Corrupt every journaled value in place, keeping the keys. *)
-      let ic = open_in path in
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> ());
-      close_in ic;
-      let oc = open_out path in
-      List.iter
-        (fun line ->
-          match Rb_util.Json.of_string line with
-          | Ok (Rb_util.Json.Obj [ ("k", k); ("v", _) ]) ->
-            output_string oc
-              (Rb_util.Json.to_string
-                 (Rb_util.Json.Obj
-                    [ ("k", k); ("v", Rb_util.Json.String "garbage") ]));
-            output_char oc '\n'
-          | _ -> ())
-        (List.rev !lines);
-      close_out oc;
-      let r = Checkpoint.create ~path ~resume:true in
-      let resumed = run ~journal:r () in
-      Checkpoint.close r;
-      Alcotest.(check bool) "garbage values fall back to recompute" true
-        (resumed = plain))
+  Alcotest.(check int) "four configurations" 4 (List.length results);
+  List.iter
+    (fun (r : Experiments.config_result) ->
+      Alcotest.(check bool) "exhaustive" false r.sampled;
+      Alcotest.(check int) "full candidate list" n_cands r.optimal_candidates_used;
+      let locked_fus = List.filteri (fun i _ -> i < r.locked_fu_count) fus in
+      let subsets = Combi.k_subsets (Array.init n_cands Fun.id) r.minterms_per_fu in
+      let rec lex = function
+        | [] -> [ [] ]
+        | fu :: rest ->
+          List.concat_map
+            (fun s -> List.map (fun tail -> (fu, s) :: tail) (lex rest))
+            subsets
+      in
+      let errors_under binding locks =
+        Cost.expected_errors ctx.Experiments.k binding
+          (Config.make ~scheme:Scheme.Sfll_rem
+             ~locks:
+               (List.map
+                  (fun (fu, s) -> (fu, Array.to_list (Array.map (Array.get candidates) s)))
+                  locks))
+      in
+      let expected =
+        Array.of_list
+          (List.map
+             (fun locks ->
+               ( errors_under ctx.Experiments.area_binding locks,
+                 errors_under ctx.Experiments.power_binding locks,
+                 Obf_binding.Fast.best_errors fast ~locks ))
+             (lex locked_fus))
+      in
+      Alcotest.(check int) "combos_total" (Array.length expected) r.combos_total;
+      Alcotest.(check (array (triple int int int)))
+        "(e_area, e_power, e_obf) in lexicographic order" expected
+        (Array.map
+           (fun (c : Experiments.combo_errors) -> (c.e_area, c.e_power, c.e_obf))
+           r.combos);
+      Alcotest.(check int) "optimal is the best combination"
+        (Array.fold_left (fun acc (_, _, o) -> max acc o) 0 expected)
+        r.e_codesign_optimal)
+    results
 
 (* ------------------------------------------------ security-aware binders *)
 
@@ -947,10 +939,8 @@ let () =
           Alcotest.test_case "quality" `Quick test_experiments_quality;
           Alcotest.test_case "post-binding" `Quick test_experiments_post_binding;
           Alcotest.test_case "overhead fields" `Quick test_experiments_overhead_fields;
-          Alcotest.test_case "journal resume identical" `Slow
-            test_sweep_journal_resume_identical;
-          Alcotest.test_case "journal garbage falls back" `Slow
-            test_sweep_journal_tolerates_garbage_values;
+          Alcotest.test_case "sweep exhaustive lex order" `Quick
+            test_sweep_exhaustive_lex_order;
         ] );
       ( "binders",
         [

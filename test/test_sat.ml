@@ -153,7 +153,7 @@ let test_solve_budget_fault_site () =
       let v = Solver.new_var s in
       Solver.add_clause s [ v ];
       (* The site only arms budgeted solves: unlimited calls are never
-         perturbed, so ordinary tests survive the CI fault job. *)
+         perturbed, so ordinary solves ignore a fault run. *)
       Alcotest.(check bool) "unlimited solve untouched" true
         (Solver.solve s = Solver.Sat);
       match Solver.solve ~limit:(Limits.conflicts 1_000_000) s with

@@ -8,7 +8,6 @@ module Metrics = Rb_util.Metrics
 module Bench_diff = Rb_util.Bench_diff
 module Limits = Rb_util.Limits
 module Faults = Rb_util.Faults
-module Checkpoint = Rb_util.Checkpoint
 module Veci = Rb_util.Veci
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -908,193 +907,6 @@ let test_faults_with_config_restores () =
         (Faults.config () = outer));
   ignore (Faults.with_config None (fun () -> ()))
 
-(* ---------------------------------------------------- Pool result maps *)
-
-let task_error =
-  Alcotest.testable
-    (fun fmt (e : Pool.task_error) ->
-      Format.fprintf fmt "{index=%d; attempts=%d; message=%s}" e.Pool.index
-        e.Pool.attempts e.Pool.message)
-    ( = )
-
-let result_int = Alcotest.(result int task_error)
-
-(* The non-fault tests pin injection off so they hold under the CI
-   fault job, which enables "pool/task" via the environment. *)
-let test_pool_map_result_ok () =
-  Faults.with_config None @@ fun () ->
-  Pool.with_pool ~jobs:4 (fun pool ->
-      Alcotest.(check (array result_int))
-        "all Ok, in index order"
-        (Array.init 20 (fun i -> Ok (i * i)))
-        (Pool.map_array_result pool ~f:(fun x -> x * x) (Array.init 20 Fun.id)))
-
-let test_pool_map_result_captures_errors () =
-  Faults.with_config None @@ fun () ->
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let results =
-        Pool.map_array_result pool
-          ~f:(fun i -> if i mod 3 = 0 then failwith "bad" else i)
-          (Array.init 10 Fun.id)
-      in
-      Array.iteri
-        (fun i r ->
-          if i mod 3 = 0 then
-            match r with
-            | Error (e : Pool.task_error) ->
-              Alcotest.(check int) "error keeps its index" i e.Pool.index;
-              Alcotest.(check int) "no retries by default" 1 e.Pool.attempts;
-              Alcotest.(check bool) "message survives" true
-                (contains ~affix:"bad" e.Pool.message)
-            | Ok _ -> Alcotest.fail "expected failure"
-          else Alcotest.(check result_int) "success unchanged" (Ok i) r)
-        results)
-
-let test_pool_map_result_retries_recover () =
-  (* Injected pool faults fire on attempt 0 only, so one retry always
-     recovers every injected failure. *)
-  Faults.with_config (fault_config ~rate:1000 ~sites:[ "pool/task" ] 9) (fun () ->
-      Pool.with_pool ~jobs:4 (fun pool ->
-          Alcotest.(check (array result_int))
-            "retries:1 absorbs all injections"
-            (Array.init 16 (fun i -> Ok i))
-            (Pool.map_array_result ~retries:1 pool ~f:Fun.id
-               (Array.init 16 Fun.id))))
-
-let test_pool_map_result_injected_errors () =
-  Faults.with_config (fault_config ~rate:400 ~sites:[ "pool/task" ] 21) (fun () ->
-      let expected =
-        Array.init 32 (fun i ->
-            if Faults.fire ~site:"pool/task" ~key:(string_of_int i) then
-              Error
-                {
-                  Pool.index = i;
-                  attempts = 1;
-                  message =
-                    Printexc.to_string
-                      (Faults.Injected ("pool/task:" ^ string_of_int i));
-                }
-            else Ok i)
-      in
-      Alcotest.(check bool) "config injects at least one fault" true
-        (Array.exists Result.is_error expected);
-      let run jobs =
-        Pool.with_pool ~jobs (fun pool ->
-            Pool.map_array_result pool ~f:Fun.id (Array.init 32 Fun.id))
-      in
-      Alcotest.(check (array result_int)) "errors exactly at fired keys" expected
-        (run 4);
-      Alcotest.(check (array result_int)) "jobs=1 = jobs=4" (run 1) (run 4))
-
-let test_pool_map_result_retry_counter () =
-  with_metrics (fun () ->
-      Faults.with_config (fault_config ~rate:1000 ~sites:[ "pool/task" ] 9)
-        (fun () ->
-          Pool.with_pool ~jobs:2 (fun pool ->
-              ignore
-                (Pool.map_array_result ~retries:2 pool ~f:Fun.id
-                   (Array.init 8 Fun.id))));
-      let snap = Metrics.snapshot () in
-      Alcotest.(check int) "every task injected once" 8
-        (counter_at "faults/injected" snap);
-      Alcotest.(check int)
-        "one retry per injected task, none burned on the recovered attempt" 8
-        (counter_at "faults/retries" snap))
-
-let test_pool_run_task_result_attempts () =
-  Faults.with_config None @@ fun () ->
-  let calls = ref 0 in
-  let r =
-    Pool.run_task_result ~retries:2 ~index:3 (fun () ->
-        incr calls;
-        failwith "always")
-  in
-  Alcotest.(check int) "initial try + 2 retries" 3 !calls;
-  match r with
-  | Error (e : Pool.task_error) ->
-    Alcotest.(check int) "attempts recorded" 3 e.Pool.attempts;
-    Alcotest.(check int) "index recorded" 3 e.Pool.index
-  | Ok _ -> Alcotest.fail "expected failure"
-
-(* ----------------------------------------------------------- Checkpoint *)
-
-let with_temp_journal f =
-  let path = Filename.temp_file "rb_ckpt" ".jsonl" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
-
-let test_checkpoint_roundtrip () =
-  with_temp_journal (fun path ->
-      let j = Checkpoint.create ~path ~resume:false in
-      Alcotest.(check int) "fresh journal is empty" 0 (Checkpoint.entries j);
-      Checkpoint.record j "a" (Json.Int 1);
-      Checkpoint.record j "b" (Json.List [ Json.Int 2; Json.Int 3 ]);
-      Checkpoint.record j "a" (Json.Int 99) (* duplicate key: no-op *);
-      Alcotest.(check int) "two entries" 2 (Checkpoint.entries j);
-      Alcotest.(check bool) "duplicate record kept the first value" true
-        (Checkpoint.find j "a" = Some (Json.Int 1));
-      Checkpoint.close j;
-      let r = Checkpoint.create ~path ~resume:true in
-      Alcotest.(check int) "resume loads both" 2 (Checkpoint.entries r);
-      Alcotest.(check bool) "values survive" true
-        (Checkpoint.find r "b" = Some (Json.List [ Json.Int 2; Json.Int 3 ]));
-      Alcotest.(check bool) "missing key misses" true
-        (Checkpoint.find r "c" = None);
-      Checkpoint.close r)
-
-let test_checkpoint_truncate_without_resume () =
-  with_temp_journal (fun path ->
-      let j = Checkpoint.create ~path ~resume:false in
-      Checkpoint.record j "old" (Json.Int 1);
-      Checkpoint.close j;
-      let fresh = Checkpoint.create ~path ~resume:false in
-      Alcotest.(check int) "resume:false discards history" 0
-        (Checkpoint.entries fresh);
-      Checkpoint.close fresh)
-
-let test_checkpoint_torn_tail () =
-  with_temp_journal (fun path ->
-      let j = Checkpoint.create ~path ~resume:false in
-      Checkpoint.record j "a" (Json.Int 1);
-      Checkpoint.record j "b" (Json.Int 2);
-      Checkpoint.close j;
-      (* Simulate a crash mid-write: append half a record. *)
-      let oc = open_out_gen [ Open_append ] 0o644 path in
-      output_string oc {|{"k":"c","v":|};
-      close_out oc;
-      let r = Checkpoint.create ~path ~resume:true in
-      Alcotest.(check int) "torn tail dropped, intact prefix kept" 2
-        (Checkpoint.entries r);
-      (* The resumed journal can append past the torn line. *)
-      Checkpoint.record r "d" (Json.Int 4);
-      Checkpoint.close r;
-      let r2 = Checkpoint.create ~path ~resume:true in
-      (* The torn line still sits mid-file, so loading still stops
-         there — the journal guarantees at-most-lost-tail, not repair. *)
-      Alcotest.(check int) "second resume still sees the prefix" 2
-        (Checkpoint.entries r2);
-      Checkpoint.close r2)
-
-let test_checkpoint_skip_counter () =
-  with_temp_journal (fun path ->
-      with_metrics (fun () ->
-          let j = Checkpoint.create ~path ~resume:false in
-          Checkpoint.record j "a" (Json.Int 1);
-          ignore (Checkpoint.find j "a");
-          ignore (Checkpoint.find j "a");
-          ignore (Checkpoint.find j "nope");
-          Checkpoint.close j;
-          Alcotest.(check int) "hits counted, misses not" 2
-            (counter_at "limits/checkpoint_chunks_skipped" (Metrics.snapshot ()))))
-
-let test_checkpoint_flush_now_safe () =
-  with_temp_journal (fun path ->
-      let j = Checkpoint.create ~path ~resume:false in
-      Checkpoint.record j "a" (Json.Int 1);
-      Checkpoint.flush_now j;
-      Checkpoint.close j;
-      Checkpoint.flush_now j (* after close: still a no-op, not a crash *))
-
 (* --------------------------------------------------------------- QCheck *)
 
 let qcheck_choose_symmetry =
@@ -1359,31 +1171,6 @@ let () =
           Alcotest.test_case "inject payload" `Quick test_faults_inject_payload;
           Alcotest.test_case "with_config restores" `Quick
             test_faults_with_config_restores;
-        ] );
-      ( "pool_result",
-        [
-          Alcotest.test_case "all Ok in order" `Quick test_pool_map_result_ok;
-          Alcotest.test_case "errors captured per task" `Quick
-            test_pool_map_result_captures_errors;
-          Alcotest.test_case "retries recover injections" `Quick
-            test_pool_map_result_retries_recover;
-          Alcotest.test_case "injected errors are deterministic" `Quick
-            test_pool_map_result_injected_errors;
-          Alcotest.test_case "retry counter" `Quick
-            test_pool_map_result_retry_counter;
-          Alcotest.test_case "attempts exhausted" `Quick
-            test_pool_run_task_result_attempts;
-        ] );
-      ( "checkpoint",
-        [
-          Alcotest.test_case "record/find/resume round-trip" `Quick
-            test_checkpoint_roundtrip;
-          Alcotest.test_case "resume:false truncates" `Quick
-            test_checkpoint_truncate_without_resume;
-          Alcotest.test_case "torn tail tolerated" `Quick test_checkpoint_torn_tail;
-          Alcotest.test_case "skip counter" `Quick test_checkpoint_skip_counter;
-          Alcotest.test_case "flush_now after close" `Quick
-            test_checkpoint_flush_now_safe;
         ] );
       ( "rng",
         [
