@@ -2,7 +2,8 @@
    main.exe --metrics). Thin CLI over Rb_util.Bench_diff: counters are
    compared exactly by default (they are deterministic work counts —
    any drift means behaviour changed), wall-clock one-sided with a
-   relative tolerance.
+   relative tolerance. A per-section wall-ratio table (current /
+   baseline) is printed before the verdict; it is informational.
 
    Usage:
      compare.exe [--wall-tol FRAC] [--counter-tol FRAC] [--allow-new]
@@ -76,11 +77,19 @@ let () =
     Printf.eprintf "compare: %s\n" msg;
     exit 2
   | Ok report ->
+    (* Per-section wall clock, so a timing change is visible even
+       under a wide --wall-tol; it never decides the verdict. *)
+    Printf.printf "%-20s %12s %12s %8s\n" "section" "baseline_s" "current_s" "ratio";
+    List.iter
+      (fun (section, base, cur) ->
+        let ratio = if base > 0.0 then Printf.sprintf "%.2fx" (cur /. base) else "-" in
+        Printf.printf "%-20s %12.4f %12.4f %8s\n" section base cur ratio)
+      report.Bench_diff.walls;
     List.iter
       (fun v -> Printf.printf "FAIL %s\n" (Bench_diff.describe v))
       report.Bench_diff.violations;
     (* Notes go to stderr so tooling diffing the gate's stdout sees
-       only pass/fail content. *)
+       only the wall table and pass/fail content. *)
     List.iter
       (fun a -> Printf.eprintf "note: only in current run: %s\n" a)
       report.Bench_diff.additions;

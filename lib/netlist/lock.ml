@@ -263,25 +263,73 @@ let permutation_network ~rng ~layers c =
     description = Printf.sprintf "permnet-%dx%d" layers pairs_per_layer;
   }
 
-let wrong_key_locked_minterms locked ~key =
+(* The one exhaustive sweep. Inputs 0-4 carry fixed lane patterns
+   (bit j of [lane_patterns.(i)] is bit i of j), so one word holds 32
+   consecutive minterms; inputs 5 and up are constant across such a
+   block and come from the block index. The correct-key and candidate
+   circuits are simulated in two reused value arrays and compared a
+   block at a time, in ascending minterm order. *)
+let lane_patterns = [| 0xAAAA_AAAA; 0xCCCC_CCCC; 0xF0F0_F0F0; 0xFF00_FF00; 0xFFFF_0000 |]
+
+(* [sweep_differences locked ~key f] calls [f lo diff] on every block
+   of minterms [lo ..] on which the circuit under [key] differs from
+   the correct key — bit j of [diff] is set iff minterm [lo + j]
+   differs — while [f] returns [true]. *)
+let sweep_differences locked ~key f =
   let c = locked.circuit in
-  let n_in = Netlist.n_inputs c in
-  if n_in > 20 then invalid_arg "Lock.wrong_key_locked_minterms: input space too large";
-  let pack_key k =
-    Array.to_list k
-    |> List.mapi (fun i b -> if b then 1 lsl i else 0)
-    |> List.fold_left ( lor ) 0
+  let n_in = Netlist.n_inputs c and n_keys = Netlist.n_keys c in
+  if n_in > 20 then invalid_arg "Lock: exhaustive sweep over more than 20 inputs";
+  if Array.length key <> n_keys then invalid_arg "Lock: key width";
+  let golden = Array.make (Netlist.n_nets c) 0 in
+  let candidate = Array.make (Netlist.n_nets c) 0 in
+  for k = 0 to n_keys - 1 do
+    golden.(n_in + k) <- (if locked.correct_key.(k) then -1 else 0);
+    candidate.(n_in + k) <- (if key.(k) then -1 else 0)
+  done;
+  let lane_bits = min n_in (Array.length lane_patterns) in
+  for i = 0 to lane_bits - 1 do
+    golden.(i) <- lane_patterns.(i);
+    candidate.(i) <- lane_patterns.(i)
+  done;
+  (* Fewer than 5 inputs fill only the low 2^n_in lanes; the rest
+     repeat those minterms and must not be reported. *)
+  let mask = (1 lsl (1 lsl lane_bits)) - 1 in
+  let outputs = Netlist.outputs c in
+  let rec block b =
+    if b < 1 lsl (n_in - lane_bits) then begin
+      for i = lane_bits to n_in - 1 do
+        let w = if (b lsr (i - lane_bits)) land 1 = 1 then -1 else 0 in
+        golden.(i) <- w;
+        candidate.(i) <- w
+      done;
+      Netlist.eval_lanes c golden;
+      Netlist.eval_lanes c candidate;
+      let diff = ref 0 in
+      for j = 0 to Array.length outputs - 1 do
+        diff := !diff lor (golden.(outputs.(j)) lxor candidate.(outputs.(j)))
+      done;
+      let diff = !diff land mask in
+      if diff = 0 || f (b lsl lane_bits) diff then block (b + 1)
+    end
   in
-  let golden = pack_key locked.correct_key in
-  let wrong = pack_key key in
-  let rec sweep x acc =
-    if x < 0 then acc
-    else
-      let ref_out = Netlist.eval_words c ~inputs:x ~keys:golden in
-      let out = Netlist.eval_words c ~inputs:x ~keys:wrong in
-      sweep (x - 1) (if ref_out <> out then x :: acc else acc)
-  in
-  sweep ((1 lsl n_in) - 1) []
+  block 0
+
+let wrong_key_locked_minterms locked ~key =
+  let rev = ref [] in
+  sweep_differences locked ~key (fun lo diff ->
+      for j = 0 to 31 do
+        if (diff lsr j) land 1 = 1 then rev := (lo + j) :: !rev
+      done;
+      true);
+  List.rev !rev
+
+let first_wrong_minterm locked ~key =
+  let first = ref None in
+  sweep_differences locked ~key (fun lo diff ->
+      let rec lowest j = if (diff lsr j) land 1 = 1 then j else lowest (j + 1) in
+      first := Some (lo + lowest 0);
+      false);
+  !first
 
 let error_rate locked ~key =
   let n_in = Netlist.n_inputs locked.circuit in

@@ -64,10 +64,19 @@ val permutation_network : rng:Rb_util.Rng.t -> layers:int -> Netlist.t -> locked
     drives a real swap. *)
 
 val wrong_key_locked_minterms : locked -> key:bool array -> int list
-(** Exhaustively enumerate the input minterms on which the locked
-    circuit under [key] differs from the correct-key behaviour.
-    Exponential in input count; intended for the <= 16-input units used
-    in tests and benches. *)
+(** Exhaustively enumerate, in ascending order, the input minterms on
+    which the locked circuit under [key] differs from the correct-key
+    behaviour. The one exhaustive sweep of the library (it also backs
+    {!first_wrong_minterm} and {!error_rate}): {!Netlist.eval_lanes}
+    simulates 32 minterms per word, correct and candidate key side by
+    side, with no allocation per block. Exponential in input count;
+    raises [Invalid_argument] above 20 inputs or when [key] does not
+    have the circuit's key width. *)
+
+val first_wrong_minterm : locked -> key:bool array -> int option
+(** The smallest minterm {!wrong_key_locked_minterms} would list, or
+    [None] when [key] is functionally correct. Stops the sweep at the
+    first 32-minterm block that differs. *)
 
 val error_rate : locked -> key:bool array -> float
 (** Fraction of the input space corrupted under [key] (exhaustive). *)

@@ -67,14 +67,44 @@ let eval c ~inputs ~keys =
     c.gates;
   Array.map (fun o -> values.(o)) c.outputs
 
+let eval_lanes c values =
+  let base = c.n_inputs + c.n_keys in
+  let gates = c.gates in
+  let n = Array.length gates in
+  if Array.length values < base + n then invalid_arg "Netlist.eval_lanes: value array too short";
+  (* Forward references read 0, as they read [false] in [eval]. *)
+  Array.fill values base n 0;
+  for i = 0 to n - 1 do
+    values.(base + i) <-
+      (match gates.(i) with
+       | And (a, b) -> values.(a) land values.(b)
+       | Or (a, b) -> values.(a) lor values.(b)
+       | Xor (a, b) -> values.(a) lxor values.(b)
+       | Nand (a, b) -> lnot (values.(a) land values.(b))
+       | Nor (a, b) -> lnot (values.(a) lor values.(b))
+       | Xnor (a, b) -> lnot (values.(a) lxor values.(b))
+       | Not a -> lnot values.(a)
+       | Buf a -> values.(a)
+       | Mux (s, a, b) ->
+         let s = values.(s) in
+         (values.(a) land lnot s) lor (values.(b) land s)
+       | Const v -> if v then -1 else 0)
+  done
+
 let eval_words c ~inputs ~keys =
   if c.n_inputs > 62 || c.n_keys > 62 || Array.length c.outputs > 62 then
     invalid_arg "Netlist.eval_words: more than 62 inputs, keys or outputs";
-  let unpack n width = Array.init width (fun i -> (n lsr i) land 1 = 1) in
-  let out = eval c ~inputs:(unpack inputs c.n_inputs) ~keys:(unpack keys c.n_keys) in
-  Array.to_list out
-  |> List.mapi (fun i b -> if b then 1 lsl i else 0)
-  |> List.fold_left ( lor ) 0
+  let values = Array.make (n_nets c) 0 in
+  for i = 0 to c.n_inputs - 1 do
+    values.(i) <- (inputs lsr i) land 1
+  done;
+  for i = 0 to c.n_keys - 1 do
+    values.(c.n_inputs + i) <- (keys lsr i) land 1
+  done;
+  eval_lanes c values;
+  let out = ref 0 in
+  Array.iteri (fun i o -> out := !out lor ((values.(o) land 1) lsl i)) c.outputs;
+  !out
 
 let unchecked ~n_inputs ~n_keys ~gates ~outputs =
   if n_inputs < 0 || n_keys < 0 then invalid_arg "Netlist.unchecked";

@@ -50,11 +50,26 @@ val eval : t -> inputs:bool array -> keys:bool array -> bool array
 (** Simulate the circuit; returns output values in declaration order.
     Raises [Invalid_argument] on width mismatches. *)
 
+val eval_lanes : t -> int array -> unit
+(** Bit-parallel simulation: [eval_lanes c values] evaluates up to 63
+    input patterns at once, one per bit position ("lane") of an OCaml
+    [int]. [values] is caller-owned and holds one word per net: the
+    caller sets the words of the primary inputs
+    ([values.(0 .. n_inputs-1)]) and key inputs (the next [n_keys]),
+    and [eval_lanes] overwrites every gate net with [land] / [lor] /
+    [lxor] / [lnot] of its operands, so bit [j] of every word is the
+    net's value under pattern [j]. Output values are read back through
+    {!outputs}. Nothing is allocated, so a sweep reuses one array for
+    every block of patterns. A forward reference reads 0, just as it
+    reads [false] in {!eval}; lane by lane the two agree. Raises
+    [Invalid_argument] when [values] is shorter than {!n_nets}. *)
+
 val eval_words : t -> inputs:int -> keys:int -> int
-(** Word-level convenience: bit [i] of [inputs]/[keys] feeds input/key
-    [i] (LSB first); the result packs the outputs the same way. Raises
-    [Invalid_argument] when the circuit has more than 62 inputs, keys
-    or outputs (the packed words would not fit an OCaml [int]). *)
+(** Word-level convenience, a one-lane {!eval_lanes}: bit [i] of
+    [inputs]/[keys] feeds input/key [i] (LSB first); the result packs
+    the outputs the same way. Raises [Invalid_argument] when the
+    circuit has more than 62 inputs, keys or outputs (the packed words
+    would not fit an OCaml [int]). *)
 
 val unchecked : n_inputs:int -> n_keys:int -> gates:gate array -> outputs:net array -> t
 (** Assemble a netlist without the {!Builder}'s structural checks —

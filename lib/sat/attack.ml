@@ -315,25 +315,8 @@ let attack_locked ?max_iterations ?limit ?pool ?portfolio ?on_dip
   in
   run ?max_iterations ?limit ?pool ?portfolio ?on_dip ~oracle ~locked:locked.circuit ()
 
-let key_is_correct (locked : Lock.locked) candidate =
-  let c = locked.circuit in
-  let n_in = Netlist.n_inputs c in
-  if n_in > 20 then invalid_arg "Attack.key_is_correct: input space too large";
-  let pack k =
-    Array.to_list k
-    |> List.mapi (fun i b -> if b then 1 lsl i else 0)
-    |> List.fold_left ( lor ) 0
-  in
-  let golden = pack locked.correct_key and cand = pack candidate in
-  let rec sweep x =
-    if x < 0 then true
-    else if
-      Netlist.eval_words c ~inputs:x ~keys:golden
-      <> Netlist.eval_words c ~inputs:x ~keys:cand
-    then false
-    else sweep (x - 1)
-  in
-  sweep ((1 lsl n_in) - 1)
+let key_is_correct locked candidate =
+  Option.is_none (Lock.first_wrong_minterm locked ~key:candidate)
 
 type approximate_outcome = {
   key : bool array;
@@ -385,11 +368,34 @@ let approximate ?(dip_budget = 30) ?(queries_per_round = 16) ?(estimate_samples 
   in
   let dip_iterations, converged = loop 0 in
   let key = extract_key mem in
-  (* Estimate the residual wrong-output rate of the extracted key. *)
-  let errors = ref 0 in
-  for _ = 1 to estimate_samples do
-    let inputs = random_inputs () in
-    if Netlist.eval circuit ~inputs ~keys:key <> oracle inputs then incr errors
+  (* Estimate the residual wrong-output rate of the extracted key: the
+     samples are drawn one after another as [random_inputs] would draw
+     them, and sample j of a batch of 32 rides in lane j of
+     {!Netlist.eval_lanes}, under the correct and the extracted key. *)
+  let truth = Array.make (Netlist.n_nets circuit) 0 in
+  let guess = Array.make (Netlist.n_nets circuit) 0 in
+  Array.iteri
+    (fun k b ->
+      truth.(n_in + k) <- (if locked.Lock.correct_key.(k) then -1 else 0);
+      guess.(n_in + k) <- (if b then -1 else 0))
+    key;
+  let rec popcount w = if w = 0 then 0 else 1 + popcount (w land (w - 1)) in
+  let errors = ref 0 and drawn = ref 0 in
+  while !drawn < estimate_samples do
+    let lanes = min 32 (estimate_samples - !drawn) in
+    Array.fill truth 0 n_in 0;
+    for j = 0 to lanes - 1 do
+      for i = 0 to n_in - 1 do
+        if Rng.bool rng then truth.(i) <- truth.(i) lor (1 lsl j)
+      done
+    done;
+    Array.blit truth 0 guess 0 n_in;
+    Netlist.eval_lanes circuit truth;
+    Netlist.eval_lanes circuit guess;
+    let diff = ref 0 in
+    Array.iter (fun o -> diff := !diff lor (truth.(o) lxor guess.(o))) (Netlist.outputs circuit);
+    errors := !errors + popcount (!diff land ((1 lsl lanes) - 1));
+    drawn := !drawn + lanes
   done;
   {
     key;

@@ -111,7 +111,12 @@ val attack_locked :
 
 val key_is_correct : Rb_netlist.Lock.locked -> bool array -> bool
 (** Exhaustively check functional equivalence of a candidate key
-    against the construction's correct key (inputs <= 20 bits). *)
+    against the construction's correct key: no input minterm tells them
+    apart ({!Rb_netlist.Lock.first_wrong_minterm} is [None]). The
+    check is the library's one lane sweep, 32 minterms per netlist
+    pass, and stops at the first block that differs. Raises
+    [Invalid_argument] above 20 inputs or on a key of the wrong
+    width. *)
 
 (** Result of the approximate (AppSAT-style) attack. *)
 type approximate_outcome = {
@@ -141,4 +146,6 @@ val approximate :
     low error rate wins quickly. This is the paper's motivation for
     needing {e application-level} corruption, not just SAT iterations.
     Defaults: 30 DIPs, 16 random queries every 5 DIPs, 2000 estimation
-    samples. *)
+    samples. The estimation samples are drawn from the seeded
+    generator one after another, after the random queries, and are
+    simulated 32 at a time with {!Rb_netlist.Netlist.eval_lanes}. *)

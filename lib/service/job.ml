@@ -329,4 +329,9 @@ let of_json v =
   let* () = validate job in
   Ok job
 
-let digest t = Rb_util.Digest.json (to_json t)
+(* An attack's result is portfolio-invariant by contract (see
+   {!Rb_sat.Attack}), so [portfolio] is normalised away: every
+   portfolio size shares the portfolio-1 address. *)
+let digest t =
+  let t = match t with Attack a -> Attack { a with portfolio = 1 } | t -> t in
+  Rb_util.Digest.json (to_json t)

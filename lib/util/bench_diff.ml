@@ -18,6 +18,7 @@ type report = {
   sections_checked : int;
   counters_checked : int;
   additions : string list;
+  walls : (string * float * float) list;
 }
 
 let describe v =
@@ -108,6 +109,7 @@ let compare_docs ?(wall_tol = 0.5) ?(counter_tol = 0.0) ?(allow_new = false)
     let violations = ref [] in
     let additions = ref [] in
     let counters_checked = ref 0 in
+    let walls = ref [] in
     let flag section metric kind baseline current =
       violations := { section; metric; kind; baseline; current } :: !violations
     in
@@ -116,6 +118,7 @@ let compare_docs ?(wall_tol = 0.5) ?(counter_tol = 0.0) ?(allow_new = false)
         match List.find_opt (fun c -> c.name = b.name) cur with
         | None -> flag b.name "" Missing_section 0.0 0.0
         | Some c ->
+          walls := (b.name, b.wall_s, c.wall_s) :: !walls;
           if c.wall_s > b.wall_s *. (1.0 +. wall_tol) then
             flag b.name "wall_s" Wall_regression b.wall_s c.wall_s;
           List.iter
@@ -149,6 +152,7 @@ let compare_docs ?(wall_tol = 0.5) ?(counter_tol = 0.0) ?(allow_new = false)
         sections_checked = List.length base;
         counters_checked = !counters_checked;
         additions = List.rev !additions;
+        walls = List.rev !walls;
       }
 
 let read_file path =

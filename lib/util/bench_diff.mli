@@ -46,6 +46,10 @@ type report = {
   counters_checked : int;
   additions : string list;
       (** sections/counters only in [current]; informational *)
+  walls : (string * float * float) list;
+      (** [(section, baseline wall_s, current wall_s)] for every
+          section in both documents, in baseline order; informational
+          (only {!Wall_regression} fails the gate) *)
 }
 
 val describe : violation -> string

@@ -283,6 +283,51 @@ let test_permutation_network_all_keys_drive_swaps () =
       done)
     [ (2, 2); (3, 3); (4, 2); (4, 5) ]
 
+(* Every gate constructor at least once, in a random order, over
+   operands drawn from all nets — forward and self references included,
+   which both evaluators read as 0 / false. Every gate is an output, and
+   each of the 63 lanes is checked against [Netlist.eval] on its own
+   bits. *)
+let qcheck_eval_lanes_matches_eval =
+  QCheck2.Test.make ~name:"eval_lanes = eval lane by lane" ~count:200
+    QCheck2.Gen.(triple (int_range 1 7) (int_range 0 2) int)
+    (fun (n_in, n_keys, seed) ->
+      let rng = Rng.create seed in
+      let n_gates = 10 + Rng.int rng 20 in
+      let n_nets = n_in + n_keys + n_gates in
+      let net () = Rng.int rng n_nets in
+      let gate k =
+        match k with
+        | 0 -> Netlist.And (net (), net ())
+        | 1 -> Netlist.Or (net (), net ())
+        | 2 -> Netlist.Xor (net (), net ())
+        | 3 -> Netlist.Nand (net (), net ())
+        | 4 -> Netlist.Nor (net (), net ())
+        | 5 -> Netlist.Xnor (net (), net ())
+        | 6 -> Netlist.Not (net ())
+        | 7 -> Netlist.Buf (net ())
+        | 8 -> Netlist.Mux (net (), net (), net ())
+        | _ -> Netlist.Const (Rng.bool rng)
+      in
+      let kinds = Array.init n_gates (fun i -> if i < 10 then i else Rng.int rng 10) in
+      Rng.shuffle rng kinds;
+      let gates = Array.map gate kinds in
+      let outputs = Array.init n_gates (fun i -> n_in + n_keys + i) in
+      let c = Netlist.unchecked ~n_inputs:n_in ~n_keys ~gates ~outputs in
+      let values = Array.make n_nets 0 in
+      for i = 0 to n_in + n_keys - 1 do
+        values.(i) <- Int64.to_int (Rng.bits64 rng)
+      done;
+      let bit w j = (w lsr j) land 1 = 1 in
+      let inputs_words = Array.sub values 0 (n_in + n_keys) in
+      Netlist.eval_lanes c values;
+      List.for_all
+        (fun j ->
+          let inputs = Array.init n_in (fun i -> bit inputs_words.(i) j) in
+          let keys = Array.init n_keys (fun k -> bit inputs_words.(n_in + k) j) in
+          Netlist.eval c ~inputs ~keys = Array.map (fun o -> bit values.(o) j) outputs)
+        (List.init 63 Fun.id))
+
 let qcheck_adder_random_widths =
   QCheck2.Test.make ~name:"adders wrap at any width" ~count:100
     QCheck2.Gen.(triple (int_range 1 8) (int_range 0 255) (int_range 0 255))
@@ -357,5 +402,6 @@ let () =
             qcheck_adder_random_widths;
             qcheck_multiplier_random_widths;
             qcheck_xor_lock_flipping_one_bit;
+            qcheck_eval_lanes_matches_eval;
           ] );
     ]

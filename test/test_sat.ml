@@ -723,6 +723,84 @@ let test_approximate_attack_reports_non_convergence () =
     (Array.length locked.Lock.correct_key)
     (Array.length outcome.Attack.key)
 
+(* ------------------------------------------------------ key checks *)
+
+(* A lock of one of the four schemes on a [width]-bit adder, with its
+   size drawn from [rng]. *)
+let random_lock rng ~scheme ~width =
+  let base = Circuits.adder ~width in
+  match scheme with
+  | 0 -> Lock.xor_random ~rng ~key_bits:(1 + Rng.int rng (min 32 (Lock.max_xor_key_bits base))) base
+  | 1 ->
+    let space = 1 lsl (2 * width) in
+    Lock.point_function ~minterms:(List.init (1 + Rng.int rng 3) (fun _ -> Rng.int rng space)) base
+  | 2 -> Lock.anti_sat ~rng base
+  | _ -> Lock.permutation_network ~rng ~layers:(1 + Rng.int rng 4) base
+
+(* The lane sweep against the scalar one, on the correct key, a
+   one-bit flip and a random key; the error rate is the share of the
+   reference's minterm list. Widths 7-8 (2^14-2^16 minterms) are drawn
+   rarely: the scalar reference is slow there. *)
+let qcheck_key_checks_match_reference =
+  QCheck2.Test.make ~name:"lane key checks = scalar sweep" ~count:40
+    QCheck2.Gen.(
+      triple (int_range 0 3) (frequency [ (12, int_range 1 6); (2, pure 7); (1, pure 8) ]) int)
+    (fun (scheme, width, seed) ->
+      let rng = Rng.create seed in
+      let locked = random_lock rng ~scheme ~width in
+      let n_keys = Array.length locked.Lock.correct_key in
+      let flipped = Array.copy locked.Lock.correct_key in
+      let bit = Rng.int rng n_keys in
+      flipped.(bit) <- not flipped.(bit);
+      let random = Array.init n_keys (fun _ -> Rng.bool rng) in
+      List.for_all
+        (fun key ->
+          let expected = Sweep_ref.wrong_key_locked_minterms locked ~key in
+          Lock.wrong_key_locked_minterms locked ~key = expected
+          && Lock.first_wrong_minterm locked ~key = List.nth_opt expected 0
+          && Lock.error_rate locked ~key
+             = float_of_int (List.length expected)
+               /. float_of_int (1 lsl Netlist.n_inputs locked.Lock.circuit)
+          && Attack.key_is_correct locked key = Sweep_ref.key_is_correct locked key)
+        [ locked.Lock.correct_key; flipped; random ])
+
+let test_key_checks_wide_keys () =
+  (* 11 protected minterms of a 3-bit adder need 66 key bits, more than
+     one OCaml int holds; the sweep takes the key as bools. *)
+  let base = Circuits.adder ~width:3 in
+  let locked = Lock.point_function ~minterms:(List.init 11 (fun i -> 5 * i)) base in
+  Alcotest.(check int) "key width" 66 (Array.length locked.Lock.correct_key);
+  Alcotest.(check bool) "correct key" true (Attack.key_is_correct locked locked.Lock.correct_key);
+  let wrong = Array.copy locked.Lock.correct_key in
+  wrong.(65) <- not wrong.(65);
+  Alcotest.(check bool) "flipped top bit" false (Attack.key_is_correct locked wrong);
+  Alcotest.(check (list int)) "minterm list"
+    (Sweep_ref.wrong_key_locked_minterms locked ~key:wrong)
+    (Lock.wrong_key_locked_minterms locked ~key:wrong)
+
+let test_approximate_estimate_matches_scalar () =
+  (* The estimate evaluates 32 samples per word but draws them in the
+     scalar order; a partial last batch (2000 = 62 * 32 + 16) must
+     count only its own lanes. *)
+  List.iter
+    (fun seed ->
+      let rng = Rng.create seed in
+      let base = Circuits.adder ~width:4 in
+      List.iter
+        (fun locked ->
+          let outcome = Attack.approximate ~dip_budget:3 ~seed locked in
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "seed %d, %s" seed locked.Lock.description)
+            (Sweep_ref.estimated_error_rate locked ~key:outcome.Attack.key ~seed
+               ~skip:outcome.Attack.random_queries ~samples:2000)
+            outcome.Attack.estimated_error_rate)
+        [
+          Lock.xor_random ~rng ~key_bits:8 base;
+          Lock.point_function ~minterms:[ Rng.int rng 256; Rng.int rng 256 ] base;
+          Lock.permutation_network ~rng ~layers:3 base;
+        ])
+    [ 97; 5; 2021 ]
+
 let test_attack_solver_limit () =
   Faults.with_config None @@ fun () ->
   let base = Circuits.adder ~width:3 in
@@ -978,6 +1056,11 @@ let () =
             test_attack_solver_limit;
           Alcotest.test_case "approximate under solver limit" `Quick
             test_approximate_attack_solver_limit;
+          Alcotest.test_case "key checks take keys wider than 62 bits" `Quick
+            test_key_checks_wide_keys;
+          Alcotest.test_case "approximate estimate = scalar" `Quick
+            test_approximate_estimate_matches_scalar;
+          QCheck_alcotest.to_alcotest qcheck_key_checks_match_reference;
         ] );
       ( "portfolio",
         [

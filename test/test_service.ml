@@ -361,6 +361,30 @@ let test_executor_cache_determinism () =
       Alcotest.(check int) "second run misses nothing" before.Store.misses after.Store.misses;
       Alcotest.(check bool) "second run hits" true (after.Store.hits > before.Store.hits))
 
+let test_attack_digest_ignores_portfolio () =
+  (* An attack's result does not depend on how many solvers race for
+     it, so every portfolio size shares the portfolio-1 address; the
+     wire encoding still carries the field. *)
+  let attack portfolio =
+    Job.Attack
+      { scheme = Job.Rll; width = 3; strength = 4; seed = 7; max_iterations = 1000; portfolio }
+  in
+  Alcotest.(check string) "portfolio 1 and 4 share a digest"
+    (Job.digest (attack 1)) (Job.digest (attack 4));
+  Alcotest.(check string) "portfolio-1 address unchanged"
+    (Rb_util.Digest.json (Job.to_json (attack 1)))
+    (Job.digest (attack 1));
+  Alcotest.check job_testable "round-trip keeps portfolio" (attack 4)
+    (decode_ok (Job.to_json (attack 4)));
+  with_executor ~jobs:2 (fun ex ->
+      let first = render_result (Executor.run ex (attack 1)) in
+      let before = Store.stats (Executor.store ex) in
+      let second = render_result (Executor.run ex (attack 4)) in
+      let after = Store.stats (Executor.store ex) in
+      Alcotest.(check string) "same rendering" first second;
+      Alcotest.(check int) "no new miss" before.Store.misses after.Store.misses;
+      Alcotest.(check int) "one store hit" (before.Store.hits + 1) after.Store.hits)
+
 let test_executor_errors () =
   with_executor (fun ex ->
       (match Executor.run ex (Job.Show { benchmark = "nope"; seed = 1789 }) with
@@ -1133,6 +1157,8 @@ let () =
           Alcotest.test_case "envelope fields ignored" `Quick test_job_envelope_ignored;
           Alcotest.test_case "validation errors" `Quick test_job_validation;
           Alcotest.test_case "content address" `Quick test_job_digest;
+          Alcotest.test_case "attack digest ignores portfolio" `Quick
+            test_attack_digest_ignores_portfolio;
         ] );
       ( "store",
         [

@@ -534,7 +534,9 @@ let test_diff_tolerance_pass () =
   let cur = bench_doc [ ("fig6", 1.4, [ ("sat/solves", 10) ]) ] in
   let r = diff ~wall_tol:0.5 base cur in
   Alcotest.(check int) "no violations" 0 (List.length r.Bench_diff.violations);
-  Alcotest.(check int) "counters checked" 1 r.Bench_diff.counters_checked
+  Alcotest.(check int) "counters checked" 1 r.Bench_diff.counters_checked;
+  Alcotest.(check bool) "wall pair reported" true
+    (r.Bench_diff.walls = [ ("fig6", 1.0, 1.4) ])
 
 let test_diff_wall_regression () =
   let base = bench_doc [ ("fig6", 1.0, []) ] in
@@ -584,7 +586,9 @@ let test_diff_new_section_informational () =
   let r = diff base cur in
   Alcotest.(check int) "whole new section never fails" 0
     (List.length r.Bench_diff.violations);
-  Alcotest.(check bool) "noted as an addition" true (r.Bench_diff.additions <> [])
+  Alcotest.(check bool) "noted as an addition" true (r.Bench_diff.additions <> []);
+  Alcotest.(check bool) "walls cover shared sections only" true
+    (r.Bench_diff.walls = [ ("fig6", 1.0, 1.0) ])
 
 let test_diff_missing_section () =
   let base = bench_doc [ ("fig6", 1.0, []); ("quality", 1.0, []) ] in
