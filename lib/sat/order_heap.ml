@@ -19,45 +19,71 @@ let grow arr size default =
 
 let in_heap t v = v <= t.nvars && t.pos.(v) >= 0
 
-let swap t i j =
-  let vi = t.heap.(i) and vj = t.heap.(j) in
-  t.heap.(i) <- vj;
-  t.heap.(j) <- vi;
-  t.pos.(vj) <- i;
-  t.pos.(vi) <- j
+(* The sifts move a hole instead of swapping: the sifted variable is
+   held in a register and written once, at its final slot. The path
+   and the final layout are exactly those of a swap at every step.
+   Every slot below [size] holds a variable in [1..nvars], and [heap],
+   [pos] and [act] cover those, so the loops skip bounds checks; the
+   public entry points validate their variable argument once. *)
+let sift_up t i =
+  let heap = t.heap and pos = t.pos and act = t.act in
+  let v = Array.unsafe_get heap i in
+  let a = Array.unsafe_get act v in
+  let i = ref i in
+  while !i > 0 && a > Array.unsafe_get act (Array.unsafe_get heap ((!i - 1) / 2)) do
+    let parent = (!i - 1) / 2 in
+    let pv = Array.unsafe_get heap parent in
+    Array.unsafe_set heap !i pv;
+    Array.unsafe_set pos pv !i;
+    i := parent
+  done;
+  Array.unsafe_set heap !i v;
+  Array.unsafe_set pos v !i
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if t.act.(t.heap.(i)) > t.act.(t.heap.(parent)) then begin
-      swap t i parent;
-      sift_up t parent
+let sift_down t i =
+  let heap = t.heap and pos = t.pos and act = t.act and size = t.size in
+  let v = Array.unsafe_get heap i in
+  let a = Array.unsafe_get act v in
+  let i = ref i in
+  let moving = ref true in
+  while !moving do
+    let l = (2 * !i) + 1 in
+    if l >= size then moving := false
+    else begin
+      let r = l + 1 in
+      let child =
+        if r < size
+           && Array.unsafe_get act (Array.unsafe_get heap r)
+              > Array.unsafe_get act (Array.unsafe_get heap l)
+        then r
+        else l
+      in
+      let cv = Array.unsafe_get heap child in
+      if Array.unsafe_get act cv > a then begin
+        Array.unsafe_set heap !i cv;
+        Array.unsafe_set pos cv !i;
+        i := child
+      end
+      else moving := false
     end
-  end
+  done;
+  Array.unsafe_set heap !i v;
+  Array.unsafe_set pos v !i
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 in
-  if l < t.size then begin
-    let r = l + 1 in
-    let child = if r < t.size && t.act.(t.heap.(r)) > t.act.(t.heap.(l)) then r else l in
-    if t.act.(t.heap.(child)) > t.act.(t.heap.(i)) then begin
-      swap t i child;
-      sift_down t child
-    end
-  end
-
+(* [ensure] sizes [heap] to hold every variable, so an insert never
+   grows it. *)
 let insert t v =
   if v < 1 || v > t.nvars then invalid_arg "Order_heap.insert";
-  if t.pos.(v) < 0 then begin
-    t.heap <- grow t.heap (t.size + 1) 0;
-    t.heap.(t.size) <- v;
-    t.pos.(v) <- t.size;
-    t.size <- t.size + 1;
-    sift_up t t.pos.(v)
+  if Array.unsafe_get t.pos v < 0 then begin
+    let slot = t.size in
+    Array.unsafe_set t.heap slot v;
+    t.size <- slot + 1;
+    sift_up t slot
   end
 
 let ensure t v =
   if v > t.nvars then begin
+    t.heap <- grow t.heap v 0;
     t.pos <- grow t.pos (v + 1) (-1);
     t.act <- grow t.act (v + 1) 0.0;
     let first = t.nvars + 1 in
@@ -72,13 +98,12 @@ let ensure t v =
 let pop t =
   if t.size = 0 then 0
   else begin
-    let v = t.heap.(0) in
+    let heap = t.heap in
+    let v = Array.unsafe_get heap 0 in
     t.size <- t.size - 1;
-    t.pos.(v) <- -1;
+    Array.unsafe_set t.pos v (-1);
     if t.size > 0 then begin
-      let last = t.heap.(t.size) in
-      t.heap.(0) <- last;
-      t.pos.(last) <- 0;
+      Array.unsafe_set heap 0 (Array.unsafe_get heap t.size);
       sift_down t 0
     end;
     v
@@ -86,14 +111,17 @@ let pop t =
 
 let size t = t.size
 
-let activity t v =
+(* Inlined into the solver's per-literal bump, so the activity it
+   tests against the rescale threshold is never boxed. *)
+let[@inline] activity t v =
   if v < 1 || v > t.nvars then invalid_arg "Order_heap.activity";
-  t.act.(v)
+  Array.unsafe_get t.act v
 
-let bump t v amount =
+let[@inline] bump t v amount =
   if v < 1 || v > t.nvars then invalid_arg "Order_heap.bump";
-  t.act.(v) <- t.act.(v) +. amount;
-  if t.pos.(v) >= 0 then sift_up t t.pos.(v)
+  Array.unsafe_set t.act v (Array.unsafe_get t.act v +. amount);
+  let slot = Array.unsafe_get t.pos v in
+  if slot >= 0 then sift_up t slot
 
 let set_activity t v a =
   if v < 1 || v > t.nvars then invalid_arg "Order_heap.set_activity";

@@ -13,15 +13,27 @@ type stats = {
 }
 
 (* Literal encoding for watch lists: positive literal v -> 2v, negative
-   literal -v -> 2v+1. *)
-let lidx lit = if lit > 0 then 2 * lit else (2 * -lit) + 1
+   literal -v -> 2v+1. Both [lidx] and [abs] (which shadows
+   [Stdlib.abs], identical on every int) are computed from the sign
+   mask [lit asr 62] — 0 for a positive literal, -1 (all ones) for a
+   negative one on 63-bit ints — instead of a branch on the sign: the
+   hot loops apply them to every watcher and every scanned literal,
+   and a sign branch there is data-dependent, so it mispredicts. *)
+let abs lit =
+  let m = lit asr 62 in
+  (lit lxor m) - m
+
+let[@inline] lidx lit =
+  let m = lit asr 62 in
+  (((lit lxor m) - m) lsl 1) - m
 
 (* Watch lists are flat int vectors, one packed int per watcher:
    clause tag in the high bits (arithmetic shifts keep its sign), the
-   blocker literal biased into the low 22 bits. The blocker is some
-   literal of the clause (kept best-effort up to date); when it is
-   already true the propagation loop skips the clause after one int
-   load and one byte load — the common case on the attack miters,
+   blocker's literal index ({!lidx}) in the low 22 bits. The blocker
+   is some literal of the clause (kept best-effort up to date); when
+   it is already true the propagation loop skips the clause after one
+   int load and one byte load, the stored index addressing the
+   assignment byte directly — the common case on the attack miters,
    where most watched clauses are satisfied by earlier assignments.
 
    Binary clauses get a fully inlined fast path: their tag is the
@@ -31,12 +43,18 @@ let lidx lit = if lit > 0 then 2 * lit else (2 * -lit) + 1
    encodings are roughly half binary clauses, so this halves the
    pointer chasing of the hot loop. *)
 let blocker_bits = 22
-let blocker_bias = 1 lsl (blocker_bits - 1)
 let blocker_mask = (1 lsl blocker_bits) - 1
-let max_vars = blocker_bias - 1
-let pack_watch tag blocker = (tag lsl blocker_bits) lor (blocker + blocker_bias)
+let max_vars = (1 lsl (blocker_bits - 1)) - 1 (* lidx of -max_vars fits *)
+let pack_watch tag bi = (tag lsl blocker_bits) lor bi
 let watch_tag p = p asr blocker_bits
-let watch_blocker p = (p land blocker_mask) - blocker_bias
+let watch_blocker p = p land blocker_mask
+
+(* The literal at index [li]: the inverse of {!lidx}, also without a
+   branch ([neg] is 0 or 1). *)
+let[@inline] lit_of_idx li =
+  let neg = li land 1 in
+  ((li lsr 1) lxor -neg) + neg
+
 let binary_tag ci = -ci - 1
 
 (* Clauses live in one flat int arena: a header word (length in the
@@ -87,8 +105,8 @@ type t = {
   mutable learnt_hook : (lbd:int -> int array -> unit) option;
   mutable nvars : int;
   arena : Veci.t; (* flat clause storage: header word, then literals *)
-  mutable watches : Veci.t array; (* lidx -> (ci, blocker) pairs *)
-  mutable assign : Bytes.t; (* lidx -> 0 false / 1 true / 2 unassigned *)
+  mutable watches : Veci.t array; (* lidx -> packed (clause tag, blocker lidx) *)
+  mutable assign : Bytes.t; (* lidx -> 0 false / 1 true / 2 unassigned, +4 at level 0 *)
   mutable level : int array;
   mutable reason : int array; (* var -> clause index or -1 *)
   mutable phase : bool array;
@@ -234,21 +252,33 @@ let n_vars s = s.nvars
 (* Truth values live in a byte array indexed by literal (both
    polarities stored), so the hot loops read one byte per query — no
    sign branch, and an 8x denser cache footprint than an int array.
-   Codes: 0 = false, 1 = true, 2 = unassigned. *)
-let lit_value s lit = Char.code (Bytes.unsafe_get s.assign (lidx lit))
+   Codes: 0 = false, 1 = true, 2 = unassigned, plus the root bit 4 on
+   both bytes of a variable assigned at decision level 0 (4 = false
+   there, 5 = true). Level-0 assignments are never undone, so the bit
+   marks a permanent value: the propagation loop reads it from the byte
+   its truth test already loaded instead of a second, random load of
+   [level]. [land 3] recovers the plain code, and [lsr 2] is 1
+   exactly on a root assignment. *)
+let root_bit = 4
+let lit_value s lit = Char.code (Bytes.unsafe_get s.assign (lidx lit)) land 3
 let var_assigned s v = Bytes.unsafe_get s.assign (2 * v) <> '\002'
-let var_true s v = Bytes.unsafe_get s.assign (2 * v) = '\001'
+let var_true s v = Char.code (Bytes.unsafe_get s.assign (2 * v)) land 1 = 1
 
 let current_level s = s.n_levels
 
+(* The literal's own byte becomes true, its complement's (index
+   [li lxor 1]) false — no branch on the sign. The trail holds each
+   variable at most once and [new_var] sizes every per-variable array
+   past [nvars], so the stores need no bounds checks. *)
 let enqueue s lit reason_idx =
-  let v = abs lit in
-  let t, f = if lit > 0 then '\001', '\000' else '\000', '\001' in
-  Bytes.unsafe_set s.assign (2 * v) t;
-  Bytes.unsafe_set s.assign ((2 * v) + 1) f;
-  s.level.(v) <- current_level s;
-  s.reason.(v) <- reason_idx;
-  s.trail.(s.trail_size) <- lit;
+  let li = lidx lit in
+  let root = if s.n_levels = 0 then root_bit else 0 in
+  Bytes.unsafe_set s.assign li (Char.unsafe_chr (1 lor root));
+  Bytes.unsafe_set s.assign (li lxor 1) (Char.unsafe_chr root);
+  let v = li lsr 1 in
+  Array.unsafe_set s.level v s.n_levels;
+  Array.unsafe_set s.reason v reason_idx;
+  Array.unsafe_set s.trail s.trail_size lit;
   s.trail_size <- s.trail_size + 1
 
 let cls_len s cr = Veci.unsafe_get s.arena cr land hdr_len_mask
@@ -262,7 +292,7 @@ let push_clause s arr =
   Array.iter (fun l -> Veci.push s.arena l) arr;
   cr
 
-let watch s lit tag blocker = Veci.push s.watches.(lidx lit) (pack_watch tag blocker)
+let watch s lit tag bi = Veci.push (Array.unsafe_get s.watches (lidx lit)) (pack_watch tag bi)
 
 (* Attach a clause of length >= 2: watch the first two literals, each
    with the other as blocker. Binary clauses are watched in tagged
@@ -270,8 +300,8 @@ let watch s lit tag blocker = Veci.push s.watches.(lidx lit) (pack_watch tag blo
 let attach s cr =
   let l0 = cls_lit s cr 0 and l1 = cls_lit s cr 1 in
   let tag = if cls_len s cr = 2 then binary_tag cr else cr in
-  watch s l0 tag l1;
-  watch s l1 tag l0
+  watch s l0 tag (lidx l1);
+  watch s l1 tag (lidx l0)
 
 (* Remove one watcher of clause [ci] — order is irrelevant, so the
    last entry is moved into the hole. *)
@@ -362,7 +392,6 @@ let decay_activity s = s.var_inc <- s.var_inc *. s.var_decay_factor
    valid and saves a pointer reload per entry. *)
 let propagate s =
   let assign = s.assign in
-  let level = s.level in
   let arena = Veci.unsafe_data s.arena in
   let conflict = ref (-1) in
   while !conflict = -1 && s.qhead < s.trail_size do
@@ -377,22 +406,21 @@ let propagate s =
     let j = ref 0 in
     while !i < n do
       let entry = Array.unsafe_get w !i in
-      let blocker = watch_blocker entry in
+      let bi = watch_blocker entry in
       incr i;
-      let bli = lidx blocker in
-      if Char.code (Bytes.unsafe_get assign bli) = 1 then begin
+      let bv = Char.code (Bytes.unsafe_get assign bi) in
+      if bv land 3 = 1 then begin
         (* Satisfied via the blocker. Level-0 assignments are never
            undone, so a clause satisfied there is satisfied forever:
            drop its watcher instead of rescanning it every visit. The
            attack miters make this essential — key variables are
            shared by every accumulated observation copy, and without
            the pruning their watch lists (scanned on each key
-           decision) grow linearly with the number of DIPs. *)
-        if Array.unsafe_get level (bli lsr 1) = 0 then ()
-        else begin
-          Array.unsafe_set w !j entry;
-          incr j
-        end
+           decision) grow linearly with the number of DIPs. The entry
+           is always written back (slot [j] < [i] is already read);
+           the root bit decides whether [j] moves past it. *)
+        Array.unsafe_set w !j entry;
+        j := !j + 1 - (bv lsr 2)
       end
       else begin
         let tag = watch_tag entry in
@@ -402,7 +430,7 @@ let propagate s =
           let cr = binary_tag tag in
           Array.unsafe_set w !j entry;
           incr j;
-          if Char.code (Bytes.unsafe_get assign (lidx blocker)) = 0 then begin
+          if bv land 3 = 0 then begin
             while !i < n do
               Array.unsafe_set w !j (Array.unsafe_get w !i);
               incr i;
@@ -410,7 +438,7 @@ let propagate s =
             done;
             conflict := cr
           end
-          else enqueue s blocker cr
+          else enqueue s (lit_of_idx bi) cr
         end
         else begin
           let cr = tag in
@@ -421,25 +449,25 @@ let propagate s =
             Array.unsafe_set arena (base + 1) false_lit
           end;
           let first = Array.unsafe_get arena base in
-          let first_value = Char.code (Bytes.unsafe_get assign (lidx first)) in
-          if first <> blocker && first_value = 1 then begin
-            (* Satisfied by the other watch. Drop the watcher if that
-               holds at level 0 (permanent); else it becomes the
-               blocker. *)
-            if Array.unsafe_get level (lidx first lsr 1) = 0 then ()
-            else begin
-              Array.unsafe_set w !j (pack_watch cr first);
-              incr j
-            end
+          let fi = lidx first in
+          let fv = Char.code (Bytes.unsafe_get assign fi) in
+          if fi <> bi && fv land 3 = 1 then begin
+            (* Satisfied by the other watch, which becomes the blocker;
+               the watcher is dropped if that holds at level 0
+               (permanent). *)
+            Array.unsafe_set w !j (pack_watch cr fi);
+            j := !j + 1 - (fv lsr 2)
           end
           else begin
-            (* Look for a replacement watch. *)
+            (* Look for a replacement watch: the first literal that is
+               not false. *)
             let len = Array.unsafe_get arena cr land hdr_len_mask in
             let k = ref 2 in
             while
               !k < len
               && Char.code
                    (Bytes.unsafe_get assign (lidx (Array.unsafe_get arena (base + !k))))
+                 land 3
                  = 0
             do
               incr k
@@ -447,13 +475,13 @@ let propagate s =
             if !k < len then begin
               Array.unsafe_set arena (base + 1) (Array.unsafe_get arena (base + !k));
               Array.unsafe_set arena (base + !k) false_lit;
-              watch s (Array.unsafe_get arena (base + 1)) cr first
+              watch s (Array.unsafe_get arena (base + 1)) cr fi
             end
             else begin
               (* Unit or conflicting: keep watching false_lit. *)
-              Array.unsafe_set w !j (pack_watch cr first);
+              Array.unsafe_set w !j (pack_watch cr fi);
               incr j;
-              if first_value = 0 then begin
+              if fv land 3 = 0 then begin
                 (* Conflict: keep the remaining entries and bail. *)
                 while !i < n do
                   Array.unsafe_set w !j (Array.unsafe_get w !i);
@@ -472,15 +500,19 @@ let propagate s =
   done;
   !conflict
 
+(* Unassign everything above [target_level]. [trail_lim] holds every
+   open level and the trail's entries are allocated variables, so the
+   loop needs no bounds checks. *)
 let backtrack s target_level =
   if current_level s > target_level then begin
-    let bound = s.trail_lim.(target_level) in
+    let bound = Array.unsafe_get s.trail_lim target_level in
+    let assign = s.assign in
     for i = s.trail_size - 1 downto bound do
-      let v = abs s.trail.(i) in
-      s.phase.(v) <- var_true s v;
-      Bytes.unsafe_set s.assign (2 * v) '\002';
-      Bytes.unsafe_set s.assign ((2 * v) + 1) '\002';
-      s.reason.(v) <- -1;
+      let v = abs (Array.unsafe_get s.trail i) in
+      Array.unsafe_set s.phase v (var_true s v);
+      Bytes.unsafe_set assign (2 * v) '\002';
+      Bytes.unsafe_set assign ((2 * v) + 1) '\002';
+      Array.unsafe_set s.reason v (-1);
       Order_heap.insert s.order v
     done;
     s.trail_size <- bound;
@@ -500,23 +532,27 @@ let new_decision_level s =
 let compute_lbd s lits =
   s.lbd_stamp <- s.lbd_stamp + 1;
   let stamp = s.lbd_stamp in
+  let level = s.level and mark = s.lbd_mark in
+  let data = Veci.unsafe_data lits in
   let distinct = ref 0 in
-  Veci.iter
-    (fun q ->
-      let lv = s.level.(abs q) in
-      if s.lbd_mark.(lv) <> stamp then begin
-        s.lbd_mark.(lv) <- stamp;
-        incr distinct
-      end)
-    lits;
+  for i = 0 to Veci.length lits - 1 do
+    let lv = Array.unsafe_get level (abs (Array.unsafe_get data i)) in
+    if Array.unsafe_get mark lv <> stamp then begin
+      Array.unsafe_set mark lv stamp;
+      incr distinct
+    end
+  done;
   !distinct
 
 (* First-UIP conflict analysis. Returns (asserting literal, backjump
    level); the rest of the learnt clause is left in [s.learnt_buf] in
-   discovery order for {!record_learnt} to consume. *)
+   discovery order for {!record_learnt} to consume. Every index is a
+   variable of a stored clause or a trail position, so the loops skip
+   bounds checks. *)
 let analyze s confl =
   Veci.clear s.learnt_buf;
   let arena = Veci.unsafe_data s.arena in
+  let seen = s.seen and level = s.level and trail = s.trail in
   let counter = ref 0 in
   let p = ref 0 in
   let index = ref (s.trail_size - 1) in
@@ -531,35 +567,39 @@ let analyze s confl =
     for i = 1 to len do
       let q = Array.unsafe_get arena (cr + i) in
       let v = abs q in
-      if q <> !p && (not s.seen.(v)) && s.level.(v) > 0 then begin
-        s.seen.(v) <- true;
+      if q <> !p && (not (Array.unsafe_get seen v)) && Array.unsafe_get level v > 0 then begin
+        Array.unsafe_set seen v true;
         bump_var s v;
-        if s.level.(v) >= current_level s then incr counter
+        if Array.unsafe_get level v >= current_level s then incr counter
         else Veci.push s.learnt_buf q
       end
     done;
-    (* Select the next literal on the trail to resolve on. *)
-    let rec next_seen i = if s.seen.(abs s.trail.(i)) then i else next_seen (i - 1) in
-    index := next_seen !index;
-    let p_lit = s.trail.(!index) in
-    index := !index - 1;
+    (* Select the next literal on the trail to resolve on: the counter
+       is positive, so a seen variable lies at or below [index]. *)
+    while not (Array.unsafe_get seen (abs (Array.unsafe_get trail !index))) do
+      decr index
+    done;
+    let p_lit = Array.unsafe_get trail !index in
+    decr index;
     let v = abs p_lit in
-    s.seen.(v) <- false;
+    Array.unsafe_set seen v false;
     decr counter;
     p := p_lit;
     if !counter = 0 then finished := true
     else begin
-      clause_idx := s.reason.(v);
+      clause_idx := Array.unsafe_get s.reason v;
       assert (!clause_idx >= 0)
     end
   done;
   let asserting = - !p in
   let backjump = ref 0 in
-  Veci.iter
-    (fun q ->
-      s.seen.(abs q) <- false;
-      if s.level.(abs q) > !backjump then backjump := s.level.(abs q))
-    s.learnt_buf;
+  let tail = Veci.unsafe_data s.learnt_buf in
+  for i = 0 to Veci.length s.learnt_buf - 1 do
+    let v = abs (Array.unsafe_get tail i) in
+    Array.unsafe_set seen v false;
+    let lv = Array.unsafe_get level v in
+    if lv > !backjump then backjump := lv
+  done;
   (asserting, !backjump)
 
 (* Install the clause learnt by {!analyze} (asserting literal plus
@@ -583,49 +623,56 @@ let record_learnt s asserting backjump =
        literal shares, so it contributes exactly one more level. *)
     let lbd = 1 + compute_lbd s s.learnt_buf in
     backtrack s backjump;
-    let arr = Array.make (nb + 1) asserting in
-    for k = 0 to nb - 1 do
-      arr.(1 + k) <- Veci.unsafe_get s.learnt_buf (nb - 1 - k)
+    (* Written straight into the arena: header, asserting literal, then
+       the tail in reverse discovery order. *)
+    let cr = Veci.length s.arena in
+    let len = nb + 1 in
+    Veci.push s.arena (len lor (lbd lsl hdr_len_bits));
+    Veci.push s.arena asserting;
+    for k = nb - 1 downto 0 do
+      Veci.push s.arena (Veci.unsafe_get s.learnt_buf k)
     done;
     (* Move a max-level literal (other than the asserting one) to
        position 1 so both watches are correct after backjumping. *)
-    let best = ref 1 in
-    for i = 2 to Array.length arr - 1 do
-      if s.level.(abs arr.(i)) > s.level.(abs arr.(!best)) then best := i
+    let arena = Veci.unsafe_data s.arena in
+    let level = s.level in
+    let best = ref (cr + 2) in
+    let best_level = ref (Array.unsafe_get level (abs (Array.unsafe_get arena !best))) in
+    for i = cr + 3 to cr + len do
+      let lv = Array.unsafe_get level (abs (Array.unsafe_get arena i)) in
+      if lv > !best_level then begin
+        best := i;
+        best_level := lv
+      end
     done;
-    let tmp = arr.(1) in
-    arr.(1) <- arr.(!best);
-    arr.(!best) <- tmp;
-    let cr = push_clause s arr in
-    Veci.unsafe_set s.arena cr (Array.length arr lor (lbd lsl hdr_len_bits));
+    let tmp = Array.unsafe_get arena (cr + 2) in
+    Array.unsafe_set arena (cr + 2) (Array.unsafe_get arena !best);
+    Array.unsafe_set arena !best tmp;
     Veci.push s.learnts cr;
     attach s cr;
     s.s_learned <- s.s_learned + 1;
     enqueue s asserting cr;
-    (* [arr] was copied into the arena by push_clause, so ownership
-       transfers to the hook without another allocation. *)
     match s.learnt_hook with
     | None -> ()
-    | Some f -> f ~lbd arr
+    | Some f -> f ~lbd (Array.sub arena (cr + 1) len)
   end
 
 (* Learnt-database reduction: drop the worst half of the removable
    learnt clauses, ranked by LBD (highest first, older clause wins a
-   tie). Never removed: clauses currently acting as the reason of a
-   trail assignment (their indices are live in [reason]), binary
-   clauses, and glue clauses (LBD <= 2). *)
+   tie). Never removed: binary clauses, glue clauses (LBD <= 2), and
+   clauses currently acting as the reason of a trail assignment.
+   The locked test is MiniSat's [reason.(var of literal 0) = cr]: a
+   clause of three or more literals only ever propagates the literal
+   in slot 0 (propagation puts the unit there; a learnt clause's
+   asserting literal is stored there), and that true literal is never
+   swapped out of slot 0 while it stays assigned. *)
 let reduce_db s =
   s.s_reduces <- s.s_reduces + 1;
-  let locked = Array.make (Veci.length s.arena) false in
-  for i = 0 to s.trail_size - 1 do
-    let r = s.reason.(abs s.trail.(i)) in
-    if r >= 0 then locked.(r) <- true
-  done;
   let n_learnts = Veci.length s.learnts in
   let removable = ref [] in
   Veci.iter
     (fun cr ->
-      if (not locked.(cr)) && cls_len s cr > 2 && cls_lbd s cr > 2 then
+      if cls_len s cr > 2 && cls_lbd s cr > 2 && s.reason.(abs (cls_lit s cr 0)) <> cr then
         removable := cr :: !removable)
     s.learnts;
   let ranked =
@@ -655,11 +702,11 @@ let reduce_db s =
     keep
 
 let pick_branch_var s =
-  let rec next () =
-    let v = Order_heap.pop s.order in
-    if v = 0 then 0 else if var_assigned s v then next () else v
-  in
-  next ()
+  let v = ref (Order_heap.pop s.order) in
+  while !v <> 0 && var_assigned s !v do
+    v := Order_heap.pop s.order
+  done;
+  !v
 
 (* Luby restart sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ...
    [luby x] is the value at 0-based index [x]. *)

@@ -325,24 +325,28 @@ let test_db_reduction_on_pigeonhole () =
     (Solver.live_learnt_clauses s < st.learned);
   Alcotest.(check bool) "reasons survive reduction" true (Solver.reasons_are_live s)
 
+(* Random 3-SAT with three distinct variables per clause, drawn in the
+   same order as the solver-bench generator in bench/main.ml, so a
+   seed here is the same instance as the bench's. *)
+let random_3sat rng ~n_vars ~n_clauses =
+  List.init n_clauses (fun _ ->
+      let rec distinct () =
+        let a = 1 + Rng.int rng n_vars in
+        let b = 1 + Rng.int rng n_vars in
+        let c = 1 + Rng.int rng n_vars in
+        if a = b || b = c || a = c then distinct () else (a, b, c)
+      in
+      let a, b, c = distinct () in
+      let sign x = if Rng.bool rng then x else -x in
+      [ sign a; sign b; sign c ])
+
 let test_db_reduction_keeps_solver_usable () =
   (* A satisfiable phase-transition instance (the solver-bench pinned
      seed): thousands of conflicts, so the database is reduced at
      least once, and the model can be checked directly. *)
   let rng = Rng.create 12 in
   let n_vars = 180 in
-  let clauses =
-    List.init 767 (fun _ ->
-        let rec distinct () =
-          let a = 1 + Rng.int rng n_vars in
-          let b = 1 + Rng.int rng n_vars in
-          let c = 1 + Rng.int rng n_vars in
-          if a = b || b = c || a = c then distinct () else (a, b, c)
-        in
-        let a, b, c = distinct () in
-        let sign x = if Rng.bool rng then x else -x in
-        [ sign a; sign b; sign c ])
-  in
+  let clauses = random_3sat rng ~n_vars ~n_clauses:767 in
   let s = Solver.create () in
   ignore (Solver.new_vars s n_vars);
   List.iter (Solver.add_clause s) clauses;
@@ -364,6 +368,56 @@ let test_db_reduction_keeps_solver_usable () =
     Alcotest.(check bool) "negated assumption respected" false (Solver.value s v)
   | Solver.Unsat -> ()
   | Solver.Unknown _ -> Alcotest.fail "unlimited solve returned Unknown"
+
+(* ------------------------------------------------- search fingerprint *)
+
+(* The exact search of the five solver-bench instances. Every
+   decision, conflict, propagation, learnt clause and restart is a
+   pure function of the clause order and the heuristics, so these
+   counts change only when the search does: a speed-up that claims to
+   keep the search must keep them, and a deliberate heuristic change
+   re-pins them (and [bench/baseline.json]) with the reason stated. *)
+let test_search_fingerprint () =
+  let case label ~verdict ~decisions ~conflicts ~propagations ~learned ~restarts s =
+    let got =
+      match Solver.solve s with
+      | Solver.Sat -> "sat"
+      | Solver.Unsat -> "unsat"
+      | Solver.Unknown _ -> "unknown"
+    in
+    Alcotest.(check string) (label ^ " verdict") verdict got;
+    let st = Solver.stats s in
+    Alcotest.(check (list (pair string int)))
+      (label ^ " stats")
+      [
+        ("decisions", decisions); ("conflicts", conflicts); ("propagations", propagations);
+        ("learned", learned); ("restarts", restarts);
+      ]
+      [
+        ("decisions", st.decisions); ("conflicts", st.conflicts);
+        ("propagations", st.propagations); ("learned", st.learned);
+        ("restarts", st.restarts);
+      ]
+  in
+  let three_sat seed ~n_vars ~n_clauses =
+    let s = Solver.create () in
+    ignore (Solver.new_vars s n_vars);
+    List.iter (Solver.add_clause s) (random_3sat (Rng.create seed) ~n_vars ~n_clauses);
+    s
+  in
+  case "3-sat seed 11" ~verdict:"sat" ~decisions:1517 ~conflicts:1240 ~propagations:39013
+    ~learned:1240 ~restarts:7
+    (three_sat 11 ~n_vars:150 ~n_clauses:615);
+  case "3-sat seed 12" ~verdict:"sat" ~decisions:7654 ~conflicts:6177 ~propagations:213292
+    ~learned:6177 ~restarts:29
+    (three_sat 12 ~n_vars:180 ~n_clauses:767);
+  case "3-sat seed 14" ~verdict:"unsat" ~decisions:528 ~conflicts:425 ~propagations:10810
+    ~learned:418 ~restarts:3
+    (three_sat 14 ~n_vars:130 ~n_clauses:650);
+  case "pigeonhole 7 into 6" ~verdict:"unsat" ~decisions:1198 ~conflicts:991
+    ~propagations:12416 ~learned:985 ~restarts:6 (pigeonhole 7 6);
+  case "pigeonhole 8 into 7" ~verdict:"unsat" ~decisions:7811 ~conflicts:6414
+    ~propagations:91508 ~learned:6405 ~restarts:30 (pigeonhole 8 7)
 
 (* ------------------------------------------------- differential oracle *)
 
@@ -465,6 +519,37 @@ let qcheck_diverse_configs_match_reference =
           | Solver.Unsat -> not expected
           | Solver.Unknown _ -> false)
         [ 0; 1; 2; 3; 4 ])
+
+(* The learnt hook is where the solver's clauses leave it (portfolio
+   clause sharing), so every clause it hands out must be a well-formed
+   DIMACS clause over allocated variables and implied by the formula
+   alone: F /\ not C is unsatisfiable, as decided by the oracle. *)
+let qcheck_learnt_hook_clauses_are_implied =
+  QCheck2.Test.make ~name:"learnt-hook clauses are implied by the formula" ~count:40
+    QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 16 30))
+    (fun (seed, n_vars) ->
+      let rng = Rng.create seed in
+      let n_clauses = (n_vars * 43 / 10) + Rng.int rng 4 in
+      let clauses = random_3sat rng ~n_vars ~n_clauses in
+      let s = Solver.create () in
+      ignore (Solver.new_vars s n_vars);
+      List.iter (Solver.add_clause s) clauses;
+      let learnt = ref [] in
+      Solver.set_learnt_hook s
+        (Some (fun ~lbd c -> learnt := (lbd, c) :: !learnt));
+      ignore (Solver.solve s);
+      List.for_all
+        (fun (lbd, c) ->
+          let n = Array.length c in
+          n > 0 && lbd >= 1 && lbd <= n
+          && Array.for_all (fun l -> l <> 0 && abs l <= n_vars) c
+          &&
+          let r = Solver_ref.create () in
+          ignore (Solver_ref.new_vars r n_vars);
+          List.iter (Solver_ref.add_clause r) clauses;
+          Array.iter (fun l -> Solver_ref.add_clause r [ -l ]) c;
+          Solver_ref.solve r = Solver_ref.Unsat)
+        !learnt)
 
 let qcheck_unknown_leaves_instance_reusable =
   (* A budgeted Unknown must not poison the instance: the same solver,
@@ -1025,6 +1110,8 @@ let () =
           Alcotest.test_case "usable after reduction" `Quick
             test_db_reduction_keeps_solver_usable;
         ] );
+      ( "search",
+        [ Alcotest.test_case "solver-bench fingerprint" `Quick test_search_fingerprint ] );
       ( "tseitin",
         [
           Alcotest.test_case "matches simulation" `Quick test_tseitin_matches_simulation;
@@ -1085,5 +1172,6 @@ let () =
             qcheck_differential_incremental_assumptions;
             qcheck_diverse_configs_match_reference;
             qcheck_unknown_leaves_instance_reusable;
+            qcheck_learnt_hook_clauses_are_implied;
           ] );
     ]

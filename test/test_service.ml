@@ -333,8 +333,8 @@ let qcheck_store_eviction_single_flight =
 
 (* -------------------------------------------------------------- Executor *)
 
-let with_executor ?(jobs = 1) f =
-  Pool.with_pool ~jobs (fun pool -> f (Executor.create ~pool ()))
+let with_executor ?(jobs = 1) ?limit f =
+  Pool.with_pool ~jobs (fun pool -> f (Executor.create ?limit ~pool ()))
 
 let render_result = function
   | Ok outcome -> Render.to_text outcome
@@ -1059,8 +1059,8 @@ let golden_text name job () =
           Alcotest.(check string) name (read_golden name) (Render.to_text outcome)
       | Error e -> Alcotest.failf "job failed: %s" e.Error.message)
 
-let golden_json name job () =
-  with_executor (fun ex ->
+let golden_json ?limit name job () =
+  with_executor ?limit (fun ex ->
       match Executor.run ex job with
       | Ok outcome ->
           Alcotest.(check string) name (read_golden name)
@@ -1121,6 +1121,16 @@ let attack_rll =
     { scheme = Job.Rll; width = 4; strength = 4; seed = 1789; max_iterations = 20_000;
       portfolio = 1 }
 
+(* A 6-layer permutation network, the lock class that dominates the
+   perfbench attack workload, under that workload's 20k-conflict
+   executor budget. This key falls in 6 DIPs within the budget; the
+   recovered key and the DIP count follow the solver's search path,
+   so a change to the search is likely to show here. *)
+let attack_permnet =
+  Job.Attack
+    { scheme = Job.Permnet; width = 4; strength = 6; seed = 5; max_iterations = 20_000;
+      portfolio = 1 }
+
 let golden_tests =
   [
     Alcotest.test_case "list.txt" `Quick (golden_text "list.txt" Job.List_benchmarks);
@@ -1142,6 +1152,9 @@ let golden_tests =
     Alcotest.test_case "attack_pf.json at portfolio 4" `Quick
       (golden_json "attack_pf.json" attack_pf_racing);
     Alcotest.test_case "attack_rll.json" `Quick (golden_json "attack_rll.json" attack_rll);
+    Alcotest.test_case "attack_permnet.json" `Quick
+      (golden_json ~limit:(Rb_util.Limits.conflicts 20_000) "attack_permnet.json"
+         attack_permnet);
     Alcotest.test_case "export_dfg_dct.txt" `Quick
       (golden_text "export_dfg_dct.txt" (Job.Export_dfg { benchmark = "dct" }));
     Alcotest.test_case "dot_fir.txt" `Quick
