@@ -291,10 +291,7 @@ let sat_attack ~limit () =
             ~base
             ~locked:(Lock.point_function ~minterms base)
             ~epsilon_minterms:(Some h))
-        (* h=2 at width 5 runs ~1000 DIPs through ever-growing CNFs:
-           minutes, not insight — the width-4 row already shows the
-           trend. *)
-        (if width >= 5 then [ 1 ] else [ 1; 2 ]);
+        [ 1; 2 ];
       attack_case
         ~label:(Printf.sprintf "permnet 4 layers, %d-bit adder" width)
         ~base
@@ -741,10 +738,12 @@ let runtime () =
 
 (* ---------------------------------------------------------------- serve *)
 
-(* The serve daemon's job palette: ~40 distinct feasible jobs spanning
+(* The serve daemon's job palette: 41 distinct feasible jobs spanning
    every operation the service layer executes. The replay stream
-   below revisits these at random, so consecutive requests overlap
-   heavily — the regime the content-addressed store is built for. *)
+   below revisits these at random, so consecutive requests repeat
+   whole jobs — the regime the job-outcome store is built for. Its
+   binds share benchmark contexts across binders, but only whole
+   outcomes are cached, so each bind builds its own context. *)
 let serve_palette () =
   let open Rb_service.Job in
   let bind benchmark binder seed =
@@ -808,18 +807,18 @@ let serve_palette () =
     ]
 
 (* Traffic replay through the Rb_service executor — the serve daemon's
-   dispatch path (job stream -> batches -> pool -> content-addressed
-   store) minus the NDJSON transport. The stream draws from the fixed
+   dispatch path (job stream -> batches -> pool -> job-outcome store)
+   minus the NDJSON transport. The stream draws from the fixed
    palette, so the cache hit/miss split is a property of the workload
-   and byte-identical for every --jobs value (the store's single-flight
-   discipline guarantees one miss per distinct key even when workers
-   race). Stdout carries only deterministic counts; latency
-   percentiles and throughput are timings, so they go to stderr and
-   runtime/ gauges. *)
+   and byte-identical for every --jobs value: the store's single-flight
+   discipline gives one miss per distinct job even when workers race,
+   so the misses equal the palette size. Stdout carries only
+   deterministic counts; latency percentiles and throughput are
+   timings, so they go to stderr and runtime/ gauges. *)
 let rec serve_replay ~pool () =
   section
     "Serve - rb-job/1 traffic replay: 100k overlapping jobs through the\n\
-     executor's content-addressed store (p50/p99 latency on stderr)";
+     executor's job-outcome store (p50/p99 latency on stderr)";
   let palette = Array.of_list (serve_palette ()) in
   let n_jobs = 100_000 in
   let batch = 64 in
@@ -868,15 +867,14 @@ let rec serve_replay ~pool () =
   serve_admission_micro ~pool ()
 
 (* The bounded daemon: the same traffic shape under --store-cap. The
-   palette is closure-free on purpose — export jobs cache Locked
-   netlists and Exported text, pure data whose Obj.reachable_words
-   cost is a stable property of the value — and the replay is
-   sequential, so the LRU access order, and with it the
-   [cache/evictions] delta the perf gate pins, is deterministic and
-   identical on every machine and compiler the gate runs on. The
-   acceptance bar: evictions actually happen, resident bytes stay at
-   the cap, and every response is byte-identical to the unbounded
-   daemon's. *)
+   palette is closure-free on purpose — export jobs cache Exported
+   text, pure data whose Obj.reachable_words cost is a stable property
+   of the value — and the replay is sequential, so the LRU access
+   order, and with it the [cache/evictions] delta the perf gate pins,
+   is deterministic and identical on every machine and compiler the
+   gate runs on. The acceptance bar: evictions actually happen,
+   resident bytes stay at the cap, and every response is
+   byte-identical to the unbounded daemon's. *)
 and serve_bounded_replay ~pool () =
   let open Rb_service.Job in
   let palette =

@@ -164,9 +164,10 @@ let attack_cmd =
   in
   let portfolio_arg =
     Arg.(value & opt int 1 & info [ "portfolio" ] ~docv:"N"
-           ~doc:"Racing solver configurations per miter round (1-64). The reported \
-                 attack result is identical for every portfolio size and --jobs \
-                 value; larger portfolios only race the hard solves.")
+           ~doc:"Racing solver configurations per miter round (1-64), clamped to \
+                 the --jobs worker count. The reported attack result is identical \
+                 for every portfolio size and --jobs value; larger portfolios only \
+                 race the hard solves.")
   in
   let run scheme width strength seed format jobs portfolio =
     let t0 = Sys.time () in
@@ -327,9 +328,9 @@ let serve_cmd =
   in
   let store_cap_arg =
     Arg.(value & opt (some int) None & info [ "store-cap" ] ~docv:"MB"
-           ~doc:"Bound the result cache to $(docv) megabytes; least-recently-used \
-                 artifacts are evicted when an insert overflows the cap \
-                 (default: unbounded).")
+           ~doc:"Bound the job-outcome cache to $(docv) megabytes; the \
+                 least-recently-used outcomes are evicted when an insert \
+                 overflows the cap (default: unbounded).")
   in
   let max_inflight_arg =
     Arg.(value & opt (some int) None & info [ "max-inflight" ] ~docv:"N"

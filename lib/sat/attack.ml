@@ -85,11 +85,16 @@ let new_member locked i =
     act;
   }
 
+(* Members race only on pool workers, so a portfolio larger than the
+   pool (or any portfolio without one) is clamped: a member with no
+   worker to run on could only solve after member 0, which is what the
+   smaller portfolio already does. *)
 let new_miter ?pool ?(portfolio = 1) ?(limit = Limits.none) locked =
   if portfolio < 1 then invalid_arg "Attack.new_miter: portfolio must be >= 1";
+  let racing = match pool with None -> 1 | Some p -> min portfolio (Pool.jobs p) in
   {
     locked;
-    members = Array.init portfolio (new_member locked);
+    members = Array.init racing (new_member locked);
     pool;
     share = Pool.Share_buffer.create ~capacity:share_capacity;
     limit;
@@ -111,8 +116,9 @@ let decisive = function Solver.Sat | Solver.Unsat -> true | Solver.Unknown _ -> 
 
 (* One miter round.
 
-   A single member solves directly. A portfolio races all members over
-   the pool under two round-local cancel flags with asymmetric roles,
+   A single member solves directly. A portfolio (more than one member
+   implies a pool, see [new_miter]) races all members over the pool
+   under two round-local cancel flags with asymmetric roles,
    which is what makes the race deterministic in its reported result
    (see the contract note above [run]):
 
@@ -157,9 +163,8 @@ let budget_stop = function
 let solve_round m =
   let members = m.members in
   let n = Array.length members in
-  if n = 1 then
-    (Solver.solve ~assumptions:[ members.(0).act ] ~limit:m.limit members.(0).solver, 0)
-  else begin
+  match m.pool with
+  | Some pool when n > 1 ->
     let budgeted = Limits.has_budget m.limit in
     let unsat_found = Limits.new_cancel () in
     let helpers_stop = Limits.new_cancel () in
@@ -185,21 +190,7 @@ let solve_round m =
       | _ -> if i = 0 && (decisive r || budget_stop r) then Limits.cancel helpers_stop);
       r
     in
-    let results =
-      match m.pool with
-      | Some pool -> Pool.map_array pool ~f:solve_member (Array.init n (fun i -> i))
-      | None ->
-        (* Pool-free (or nested) fallback: member 0 solves alone, and
-           the helpers only get a turn — in index order — when member
-           0 could not decide the round within its budget. *)
-        let out = Array.make n (Solver.Unknown Limits.Cancelled) in
-        out.(0) <- solve_member 0;
-        if not (decisive out.(0) || budget_stop out.(0)) then
-          for i = 1 to n - 1 do
-            if not (Limits.cancelled helpers_stop) then out.(i) <- solve_member i
-          done;
-        out
-    in
+    let results = Pool.map_array pool ~f:solve_member (Array.init n (fun i -> i)) in
     List.iter
       (fun (origin, clause) ->
         let lits = Array.to_list clause in
@@ -223,7 +214,7 @@ let solve_round m =
         results;
       if !unsat >= 0 then (Solver.Unsat, !unsat) else (results.(0), 0)
     end
-  end
+  | _ -> (Solver.solve ~assumptions:[ members.(0).act ] ~limit:m.limit members.(0).solver, 0)
 
 (* Lex-min canonicalization: the lexicographically smallest assignment
    of [vars] consistent with the instance under the [prefix0]

@@ -28,12 +28,14 @@
 
     {2 Portfolio and the deterministic-result contract}
 
-    With [portfolio = n > 1], [n] identically-encoded members with
-    diversified search heuristics ({!Solver.diverse_config}) race each
-    round over the worker pool, exchanging short low-LBD learnt
-    clauses at round boundaries (sound because members' variable
-    spaces are aligned and learnt clauses are implied by the shared
-    clause database alone). The {e reported} DIP sequence and key are
+    With [portfolio = n > 1] and a pool of [j] workers, [min n j]
+    identically-encoded members with diversified search heuristics
+    ({!Solver.diverse_config}) race each round over the worker pool
+    (a member beyond the pool size has no worker to race on, and
+    without a pool the attack runs one member), exchanging short
+    low-LBD learnt clauses at round boundaries (sound because members'
+    variable spaces are aligned and learnt clauses are implied by the
+    shared clause database alone). The {e reported} DIP sequence and key are
     identical at every [jobs]/[portfolio] combination, by
     construction:
 
@@ -89,11 +91,10 @@ val run :
     limit yields [Solver_limit] instead of hanging on a pathologically
     hard miter. Key extraction after an [Unsat] miter is never
     budgeted. [?portfolio] (default 1, [Invalid_argument] below 1) is
-    the number of racing solver members; [?pool] supplies the workers
-    they race on (without it a portfolio degenerates to trying members
-    in index order, still correct). [?on_dip] observes each canonical
-    DIP as it is queried, in order — the test hook for the
-    deterministic-sequence contract. The returned key is the smallest
+    the number of racing solver members, clamped to [Pool.jobs] of
+    [?pool], the workers they race on, and to 1 without a pool.
+    [?on_dip] observes each canonical DIP as it is queried, in order —
+    the test hook for the deterministic-sequence contract. The returned key is the smallest
     consistent with all recorded DIPs; callers typically verify it
     exhaustively against the oracle in tests. *)
 

@@ -9,7 +9,6 @@ module Config = Rb_locking.Config
 module Scheme = Rb_locking.Scheme
 module Binders = Rb_core.Binders
 module Cost = Rb_core.Cost
-module Json = Rb_util.Json
 module Pool = Rb_util.Pool
 module Metrics = Rb_util.Metrics
 
@@ -30,43 +29,36 @@ let create ?limit ?store ~pool () =
 let store t = t.store
 let pool t = t.pool
 
-(* Artifact keys: a tag plus the canonicalized identifying fields.
-   The "artifact:" prefix keeps them in a separate namespace from the
-   "job:" whole-result keys. *)
-let akey fields = "artifact:" ^ Rb_util.Digest.json (Json.Obj fields)
-
 let find_benchmark name =
   match Benchmark.find name with
   | b -> b
   | exception Not_found -> fail Error.Unknown_target "unknown benchmark %S" name
 
-(* -------------------------------------------------- shared artifacts *)
+(* Everything derived from (benchmark, seed) before binding. *)
+type context = {
+  benchmark : Benchmark.t;
+  schedule : Schedule.t;
+  trace : Rb_sim.Trace.t;
+  allocation : Allocation.t;
+  k : Kmatrix.t;
+  profile : Rb_hls.Profile.t;
+}
 
-(* Everything derived from (benchmark, seed) before binding; shared by
-   show, bind and lint on the same inputs. *)
-let context t name seed =
+let context name seed =
   let b = find_benchmark name in
-  let key =
-    akey
-      [
-        ("artifact", Json.String "context");
-        ("benchmark", Json.String b.Benchmark.name);
-        ("seed", Json.Int seed);
-      ]
-  in
-  match
-    Store.find_or_compute t.store ~key (fun () ->
-        let schedule = Benchmark.schedule b in
-        let trace = Benchmark.trace ~seed b in
-        let allocation = Allocation.for_schedule schedule in
-        (* One golden pass: the profile is the operand columns, and
-           the K matrix counts them. *)
-        let profile = Rb_sim.Operands.build trace in
-        let k = Kmatrix.of_operands profile in
-        Store.Context { benchmark = b; schedule; trace; allocation; k; profile })
-  with
-  | Store.Context c -> c
-  | _ -> assert false
+  let schedule = Benchmark.schedule b in
+  let trace = Benchmark.trace ~seed b in
+  (* One golden pass: the profile is the operand columns, and the K
+     matrix counts them. *)
+  let profile = Rb_sim.Operands.build trace in
+  {
+    benchmark = b;
+    schedule;
+    trace;
+    allocation = Allocation.for_schedule schedule;
+    k = Kmatrix.of_operands profile;
+    profile;
+  }
 
 let build_locked scheme width strength seed =
   let base = Rb_netlist.Circuits.adder ~width in
@@ -84,26 +76,6 @@ let build_locked scheme width strength seed =
     Rb_netlist.Lock.point_function ~minterms base
   | Job.Antisat -> Rb_netlist.Lock.anti_sat ~rng base
   | Job.Permnet -> Rb_netlist.Lock.permutation_network ~rng ~layers:strength base
-
-(* Locked adders are shared across attack, analyze and export-cnf on
-   the same (scheme, width, strength, seed). *)
-let locked t scheme width strength seed =
-  let key =
-    akey
-      [
-        ("artifact", Json.String "locked");
-        ("scheme", Json.String (Job.scheme_label scheme));
-        ("width", Json.Int width);
-        ("strength", Json.Int strength);
-        ("seed", Json.Int seed);
-      ]
-  in
-  match
-    Store.find_or_compute t.store ~key (fun () ->
-        Store.Locked (build_locked scheme width strength seed))
-  with
-  | Store.Locked l -> l
-  | _ -> assert false
 
 (* ----------------------------------------------------------- pipelines *)
 
@@ -124,14 +96,12 @@ let run_list () =
   let binders = List.map (fun b -> (Binders.name b, Binders.description b)) Binders.all in
   Outcome.Benchmarks { rows; binders }
 
-let run_show t ~benchmark ~seed =
-  let ctx = context t benchmark seed in
-  let b = ctx.Store.benchmark in
-  let k = ctx.Store.k in
+let run_show ~benchmark ~seed =
+  let { benchmark = b; schedule; k; _ } = context benchmark seed in
   let buf = Buffer.create 1024 in
   let f = Format.formatter_of_buffer buf in
   Format.fprintf f "%a@.%a@.source: %s@." Dfg.pp b.Benchmark.dfg Schedule.pp
-    ctx.Store.schedule b.Benchmark.source;
+    schedule b.Benchmark.source;
   Format.fprintf f "workload: top-10 minterms carry %.0f%% of occurrences@.@."
     (100.0 *. Kmatrix.head_mass k ~n:10);
   List.iter
@@ -146,15 +116,14 @@ let run_show t ~benchmark ~seed =
   Format.pp_print_flush f ();
   Outcome.Shown (Buffer.contents buf)
 
-let run_bind t ~benchmark ~seed ~binder ~kind ~locked_fus:locked_fu_count
+let run_bind ~benchmark ~seed ~binder ~kind ~locked_fus:locked_fu_count
     ~minterms_per_fu =
   let algo =
     match Binders.of_name binder with
     | Some b -> b
     | None -> fail Error.Unknown_target "unknown binder %S" binder
   in
-  let ctx = context t benchmark seed in
-  let { Store.benchmark = b; schedule; trace; allocation; k; profile } = ctx in
+  let { benchmark = b; schedule; trace; allocation; k; profile } = context benchmark seed in
   let fus = Allocation.fu_ids allocation kind in
   if List.length fus < locked_fu_count then
     fail Error.Infeasible "only %d %s FUs allocated" (List.length fus)
@@ -191,7 +160,7 @@ let run_bind t ~benchmark ~seed ~binder ~kind ~locked_fus:locked_fu_count
     }
 
 let lint_design ctx locked_fu_count minterms_per_fu min_lambda =
-  let { Store.benchmark = b; schedule; allocation; k; _ } = ctx in
+  let { benchmark = b; schedule; allocation; k; _ } = ctx in
   List.filter_map
     (fun kind ->
       let fus = Allocation.fu_ids allocation kind in
@@ -239,45 +208,13 @@ let run_lint t ~benchmark ~seed ~locked_fus ~minterms_per_fu ~min_lambda =
     | None -> Benchmark.all ()
     | Some name -> [ find_benchmark name ]
   in
-  let min_lambda_json =
-    match min_lambda with None -> Json.Null | Some l -> Json.Float l
-  in
   let design_reports =
     Pool.map_list t.pool
       ~f:(fun b ->
-        let key =
-          akey
-            [
-              ("artifact", Json.String "lint-design");
-              ("benchmark", Json.String b.Benchmark.name);
-              ("seed", Json.Int seed);
-              ("locked_fus", Json.Int locked_fus);
-              ("minterms_per_fu", Json.Int minterms_per_fu);
-              ("min_lambda", min_lambda_json);
-            ]
-        in
-        match
-          Store.find_or_compute t.store ~key (fun () ->
-              Store.Reports
-                (lint_design
-                   (context t b.Benchmark.name seed)
-                   locked_fus minterms_per_fu min_lambda))
-        with
-        | Store.Reports rs -> rs
-        | _ -> assert false)
+        lint_design (context b.Benchmark.name seed) locked_fus minterms_per_fu min_lambda)
       benches
   in
-  let gate_reports =
-    if benchmark <> None then []
-    else begin
-      let key = akey [ ("artifact", Json.String "lint-gates"); ("seed", Json.Int seed) ] in
-      match
-        Store.find_or_compute t.store ~key (fun () -> Store.Reports (lint_gates seed))
-      with
-      | Store.Reports rs -> rs
-      | _ -> assert false
-    end
-  in
+  let gate_reports = if benchmark = None then lint_gates seed else [] in
   Outcome.Linted (gate_reports @ List.concat design_reports)
 
 let run_analyze t ~limit ~scheme ~width ~strength ~seed =
@@ -289,49 +226,15 @@ let run_analyze t ~limit ~scheme ~width ~strength ~seed =
   let reports =
     Pool.map_list t.pool
       ~f:(fun s ->
-        let l = locked t s width strength seed in
-        let key =
-          akey
-            [
-              ("artifact", Json.String "analysis");
-              ("scheme", Json.String (Job.scheme_label s));
-              ("width", Json.Int width);
-              ("strength", Json.Int strength);
-              ("seed", Json.Int seed);
-            ]
-        in
-        match
-          Store.find_or_compute t.store ~key (fun () ->
-              let r =
-                Rb_analysis.Report.analyze ?limit
-                  ~subject:l.Rb_netlist.Lock.description l.Rb_netlist.Lock.circuit
-              in
-              (* Report.analyze degrades in place on a volatile stop
-                 (stopped = Deadline/Cancelled) instead of raising.
-                 Raising here removes the Pending entry, so the
-                 truncated report surfaces as a structured limit error
-                 and is never cached — the artifact key doesn't encode
-                 the deadline, and a later identical request must
-                 recompute in full rather than replay the partial
-                 report. Budget stops (conflicts/propagations) are a
-                 deterministic property of the executor's fixed limit
-                 and stay cacheable. *)
-              (match r.Rb_analysis.Report.stopped with
-              | Some ((Limits.Deadline | Limits.Cancelled) as reason) ->
-                fail Error.Limit "analysis of %s stopped: %s"
-                  l.Rb_netlist.Lock.description
-                  (Limits.reason_label reason)
-              | Some _ | None -> ());
-              Store.Analysis r)
-        with
-        | Store.Analysis r -> r
-        | _ -> assert false)
+        let l = build_locked s width strength seed in
+        Rb_analysis.Report.analyze ?limit ~subject:l.Rb_netlist.Lock.description
+          l.Rb_netlist.Lock.circuit)
       schemes
   in
   Outcome.Analyzed reports
 
 let run_attack t ~limit ~scheme ~width ~strength ~seed ~max_iterations ~portfolio =
-  let l = locked t scheme width strength seed in
+  let l = build_locked scheme width strength seed in
   let stats =
     Format.asprintf "%a" Rb_netlist.Netlist.pp_stats l.Rb_netlist.Lock.circuit
   in
@@ -365,9 +268,8 @@ let run_attack t ~limit ~scheme ~width ~strength ~seed ~max_iterations ~portfoli
   Outcome.Attacked
     { Outcome.description = l.Rb_netlist.Lock.description; stats; outcome }
 
-let run_custom t ~source ~kind ~locked_fus:locked_fu_count ~minterms_per_fu
+let run_custom ~source ~kind ~locked_fus:locked_fu_count ~minterms_per_fu
     ~trace_length ~seed =
-  ignore t;
   let parsed =
     match (source : Job.custom_source) with
     | Job.Expr_source s -> Rb_dfg.Expr.compile s
@@ -416,8 +318,8 @@ let run_custom t ~source ~kind ~locked_fus:locked_fu_count ~minterms_per_fu
   Format.pp_print_flush f ();
   Outcome.Custom_report (Buffer.contents buf)
 
-let run_export_cnf t ~scheme ~width ~strength ~miter ~seed =
-  let l = locked t scheme width strength seed in
+let run_export_cnf ~scheme ~width ~strength ~miter ~seed =
+  let l = build_locked scheme width strength seed in
   let d =
     if miter then Rb_sat.Dimacs.miter l.Rb_netlist.Lock.circuit
     else Rb_sat.Dimacs.of_netlist l.Rb_netlist.Lock.circuit
@@ -434,9 +336,9 @@ let run_export_cnf t ~scheme ~width ~strength ~miter ~seed =
 let execute t ~limit (job : Job.t) =
   match job with
   | Job.List_benchmarks -> run_list ()
-  | Job.Show { benchmark; seed } -> run_show t ~benchmark ~seed
+  | Job.Show { benchmark; seed } -> run_show ~benchmark ~seed
   | Job.Bind { benchmark; seed; binder; kind; locked_fus; minterms_per_fu } ->
-    run_bind t ~benchmark ~seed ~binder ~kind ~locked_fus ~minterms_per_fu
+    run_bind ~benchmark ~seed ~binder ~kind ~locked_fus ~minterms_per_fu
   | Job.Lint { benchmark; seed; locked_fus; minterms_per_fu; min_lambda } ->
     run_lint t ~benchmark ~seed ~locked_fus ~minterms_per_fu ~min_lambda
   | Job.Analyze { scheme; width; strength; seed } ->
@@ -444,9 +346,9 @@ let execute t ~limit (job : Job.t) =
   | Job.Attack { scheme; width; strength; seed; max_iterations; portfolio } ->
     run_attack t ~limit ~scheme ~width ~strength ~seed ~max_iterations ~portfolio
   | Job.Custom { source; kind; locked_fus; minterms_per_fu; trace_length; seed } ->
-    run_custom t ~source ~kind ~locked_fus ~minterms_per_fu ~trace_length ~seed
+    run_custom ~source ~kind ~locked_fus ~minterms_per_fu ~trace_length ~seed
   | Job.Export_cnf { scheme; width; strength; miter; seed } ->
-    run_export_cnf t ~scheme ~width ~strength ~miter ~seed
+    run_export_cnf ~scheme ~width ~strength ~miter ~seed
   | Job.Export_dfg { benchmark } ->
     let b = find_benchmark benchmark in
     Outcome.Exported (Rb_dfg.Dfg_text.to_string b.Benchmark.dfg)
@@ -485,7 +387,7 @@ let run ?deadline_s t job =
   | Error e -> Error e
   | Ok () -> (
     match
-      Store.find_or_compute t.store ~key:("job:" ^ Job.digest job) (fun () ->
+      Store.find_or_compute t.store ~key:(Job.digest job) (fun () ->
           (* A job that spent its whole deadline queued behind a batch
              (or arrived after SIGINT) stops here instead of starting
              work it can no longer finish in time. *)
@@ -496,10 +398,9 @@ let run ?deadline_s t job =
              during the run means the outcome may be truncated, so
              refuse to cache or return it. *)
           check_volatile limit ~when_:"during execution";
-          Store.Value outcome)
+          outcome)
     with
-    | Store.Value o -> Ok o
-    | _ -> Error (Error.make Error.Internal "corrupt cache entry")
+    | o -> Ok o
     | exception Fail e -> Error e
     | exception e -> Error (Error.make Error.Internal (Printexc.to_string e)))
 

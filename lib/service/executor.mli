@@ -9,10 +9,10 @@
       themselves (per-benchmark lints, per-scheme analyses); nested
       maps run inline, so [run] itself may be called from a pool task
       (the serve batch path);
-    - a {!Store.t} content-addressed cache, keyed by job and artifact
-      digests, so repeated work (the same benchmark context under two
-      binders, the same locked adder under attack and export-cnf) is
-      computed once;
+    - a {!Store.t} cache of whole job outcomes, keyed by
+      {!Job.digest}, so a repeated job is computed once; a job's
+      intermediate products (benchmark contexts, locked netlists,
+      reports) are not cached, and each job rebuilds what it needs;
     - an optional {!Rb_util.Limits.t} threaded into the budgeted
       pipelines (SAT attack, analysis); the CLI passes none — keeping
       its outputs byte-identical to the pre-service commands — while
@@ -34,7 +34,7 @@ type t
 val create :
   ?limit:Rb_util.Limits.t -> ?store:Store.t -> pool:Rb_util.Pool.t -> unit -> t
 (** [store] defaults to a fresh unbounded store; pass a
-    [Store.create ~cap_bytes] store to bound resident artifacts. *)
+    [Store.create ~cap_bytes] store to bound resident outcomes. *)
 
 val store : t -> Store.t
 val pool : t -> Rb_util.Pool.t

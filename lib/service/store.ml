@@ -1,31 +1,14 @@
 module Metrics = Rb_util.Metrics
 module Faults = Rb_util.Faults
 
-type context = {
-  benchmark : Rb_workload.Benchmark.t;
-  schedule : Rb_sched.Schedule.t;
-  trace : Rb_sim.Trace.t;
-  allocation : Rb_hls.Allocation.t;
-  k : Rb_sim.Kmatrix.t;
-  profile : Rb_hls.Profile.t;
-}
-
-type artifact =
-  | Context of context
-  | Locked of Rb_netlist.Lock.locked
-  | Text of string
-  | Reports of Rb_lint.Report.t list
-  | Analysis of Rb_analysis.Report.t
-  | Value of Outcome.t
-
-type ready = { artifact : artifact; cost : int; mutable last_use : int }
+type ready = { outcome : Outcome.t; cost : int; mutable last_use : int }
 
 (* A pending entry carries a result box shared with every waiter: the
    computing worker publishes into the box before broadcasting, so a
    waiter that wakes up after the Ready entry has already been evicted
-   (tiny cap, hot churn) still receives the artifact it waited for —
+   (tiny cap, hot churn) still receives the outcome it waited for —
    eviction can shrink the cache but never break single-flight. *)
-type pending = { mutable settled : artifact option }
+type pending = { mutable settled : Outcome.t option }
 
 type entry = Ready of ready | Pending of pending
 
@@ -64,11 +47,11 @@ let create ?cap_bytes () =
     evictions = 0;
   }
 
-(* Byte cost of keeping an artifact resident: the words reachable from
-   it. Pure data (netlists, traces, reports, outcome records), so the
-   traversal is cheap relative to the compute it prices and the result
-   is a stable property of the value, not of when it was built. *)
-let cost_of artifact = Obj.reachable_words (Obj.repr artifact) * (Sys.word_size / 8)
+(* Byte cost of keeping an outcome resident: the words reachable from
+   it. Outcomes are pure data, so the traversal is cheap relative to
+   the compute it prices and the result is a stable property of the
+   value, not of when it was built. *)
+let cost_of outcome = Obj.reachable_words (Obj.repr outcome) * (Sys.word_size / 8)
 
 let touch t r =
   t.tick <- t.tick + 1;
@@ -116,20 +99,20 @@ let rec find_or_compute t ~key f =
     touch t r;
     Mutex.unlock t.mutex;
     Metrics.incr cache_hits;
-    r.artifact
+    r.outcome
   | Some (Pending p) ->
     (* Another worker is computing this key: wait on the shared box.
-       The box (not the table) is the hand-off, so the artifact
+       The box (not the table) is the hand-off, so the outcome
        reaches every waiter even if the Ready entry is evicted before
        the waiter re-runs. An empty box after the broadcast means the
        computing worker failed; re-inspect and compute ourselves. *)
     Condition.wait t.cond t.mutex;
     (match p.settled with
-    | Some artifact ->
+    | Some outcome ->
       t.hits <- t.hits + 1;
       Mutex.unlock t.mutex;
       Metrics.incr cache_hits;
-      artifact
+      outcome
     | None ->
       Mutex.unlock t.mutex;
       find_or_compute t ~key f)
@@ -152,7 +135,7 @@ let rec find_or_compute t ~key f =
     let cost = cost_of result in
     Mutex.lock t.mutex;
     p.settled <- Some result;
-    let r = { artifact = result; cost; last_use = 0 } in
+    let r = { outcome = result; cost; last_use = 0 } in
     touch t r;
     Hashtbl.replace t.table key (Ready r);
     t.bytes <- t.bytes + cost;

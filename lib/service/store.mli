@@ -1,17 +1,17 @@
-(** Content-addressed artifact store with single-flight computation
-    and optional byte-cost-accounted LRU eviction.
+(** Job-outcome cache: single-flight computation and optional
+    byte-cost-accounted LRU eviction.
 
-    The executor keys every intermediate it produces — parsed
-    benchmark contexts, locked netlists, lint/analysis reports, CNF
-    text, whole job outcomes — by a digest of its canonicalized inputs
-    ({!Rb_util.Digest}), so a workload that revisits the same
-    (benchmark, seed, scheme, binder, budget) combination pays for the
-    pipeline once.
+    The executor keys each successful {!Outcome.t} by its job's digest
+    ({!Job.digest}), so a workload that repeats a job (the same
+    benchmark, seed, scheme, binder and budget) pays for the pipeline
+    once. Only whole job outcomes are cached: the intermediate
+    products of a job (contexts, locked netlists, reports) are
+    rebuilt by every job that needs them.
 
     Lookups are {e single-flight}: when several pool workers ask for
     the same missing key concurrently, exactly one computes while the
     rest block on a condition variable and receive the finished
-    artifact through a result box shared with the computing worker.
+    outcome through a result box shared with the computing worker.
     That discipline is what keeps the [cache/hits] and [cache/misses]
     counters deterministic across [--jobs] — each distinct key
     accounts for exactly one miss no matter how many workers race for
@@ -20,53 +20,35 @@
     failures are never cached.
 
     With [cap_bytes] set the store is {e bounded}: each resident
-    artifact is priced by its reachable words, and inserts that push
+    outcome is priced by its reachable words, and inserts that push
     the total over the cap evict least-recently-used Ready entries
     until it fits again ([cache/evictions] counter, [store/bytes]
     gauge). Eviction composes with single-flight: a waiter blocked on
-    a pending computation receives the artifact through the shared box
+    a pending computation receives the outcome through the shared box
     even if the cache slot is evicted before the waiter wakes, and
     in-flight (Pending) entries are never eviction victims. Without a
-    cap the store is unbounded and in-memory, as before; it lives as
-    long as its executor. *)
-
-type context = {
-  benchmark : Rb_workload.Benchmark.t;
-  schedule : Rb_sched.Schedule.t;
-  trace : Rb_sim.Trace.t;
-  allocation : Rb_hls.Allocation.t;
-  k : Rb_sim.Kmatrix.t;
-  profile : Rb_hls.Profile.t;
-}
-(** Everything derived from (benchmark, seed) before binding. *)
-
-type artifact =
-  | Context of context
-  | Locked of Rb_netlist.Lock.locked
-  | Text of string
-  | Reports of Rb_lint.Report.t list
-  | Analysis of Rb_analysis.Report.t
-  | Value of Outcome.t
+    cap the store is unbounded and in-memory; it lives as long as its
+    executor. *)
 
 type t
 
 val create : ?cap_bytes:int -> unit -> t
-(** [cap_bytes] bounds the resident artifact bytes; omitted means
+(** [cap_bytes] bounds the resident outcome bytes; omitted means
     unbounded. [Invalid_argument] when [cap_bytes < 1]. *)
 
-val cost_of : artifact -> int
-(** The byte cost eviction accounts for one artifact: its reachable
-    words times the word size. Each artifact is priced independently,
-    so structure shared between resident artifacts is counted once
-    {e per artifact} that reaches it — [stats.bytes] (and the
+val cost_of : Outcome.t -> int
+(** The byte cost eviction accounts for one outcome: its reachable
+    words times the word size. Each outcome is priced independently,
+    so structure shared between resident outcomes is counted once
+    {e per outcome} that reaches it — [stats.bytes] (and the
     [store/bytes] gauge) is a conservative {e upper} bound on real
     residency, and a tight [cap_bytes] may evict earlier than true
     memory use requires. Size [--store-cap] against this accounting,
     not against heap profiles. Exposed for tests and capacity
     planning. *)
 
-val find_or_compute : t -> key:string -> (unit -> artifact) -> artifact
-(** Return the cached artifact for [key], or run the thunk (at most
+val find_or_compute : t -> key:string -> (unit -> Outcome.t) -> Outcome.t
+(** Return the cached outcome for [key], or run the thunk (at most
     one concurrent run per key) and cache its result, evicting LRU
     entries if the insert overflows the cap. Exceptions from the
     thunk propagate to the computing caller and leave the key absent;

@@ -1,9 +1,7 @@
-(** Content-address digests for the artifact store.
+(** Content-address digests for the job-outcome store.
 
-    The service layer keys every cached artifact (parsed DFGs,
-    schedules, bound netlists, CNF encodings, attack verdicts, whole
-    job results) by a digest of its {e canonicalized} inputs, so two
-    requests that mean the same thing — regardless of JSON field
+    The service layer keys every cached job outcome by a digest of the
+    job's {e canonicalized} JSON form, so two requests that mean the same thing — regardless of JSON field
     order — address the same cache slot. The digest is MD5 (via
     [Stdlib.Digest]) rendered as lowercase hex: 32 characters, cheap,
     and collision-resistant far beyond the cache sizes involved; this

@@ -938,8 +938,9 @@ let test_attack_portfolio_deterministic () =
       List.iteri
         (fun i locked ->
           let reference = observe_attack locked in
-          (* Racing on the pool, racing without one (members tried in
-             index order), and a larger portfolio: all identical. *)
+          (* Racing on the pool, no pool (clamped to one member), and a
+             portfolio larger than the pool (clamped to its 3 workers):
+             all identical. *)
           List.iteri
             (fun j observed ->
               Alcotest.(check bool)

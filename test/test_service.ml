@@ -189,14 +189,14 @@ let test_store_single_flight () =
   let computed = Atomic.make 0 in
   let compute () =
     Atomic.incr computed;
-    Store.Text "payload"
+    Outcome.Exported "payload"
   in
   let first = Store.find_or_compute store ~key:"k" compute in
   let second = Store.find_or_compute store ~key:"k" compute in
   (match (first, second) with
-  | Store.Text a, Store.Text b ->
-      Alcotest.(check string) "same artifact" a b
-  | _ -> Alcotest.fail "unexpected artifact shape");
+  | Outcome.Exported a, Outcome.Exported b ->
+      Alcotest.(check string) "same outcome" a b
+  | _ -> Alcotest.fail "unexpected outcome shape");
   Alcotest.(check int) "computed once" 1 (Atomic.get computed);
   let { Store.hits; misses; _ } = Store.stats store in
   Alcotest.(check int) "one miss" 1 misses;
@@ -209,15 +209,15 @@ let test_store_failure_not_cached () =
   let flaky () =
     Atomic.incr attempts;
     if Atomic.get attempts = 1 then failwith "transient";
-    Store.Text "recovered"
+    Outcome.Exported "recovered"
   in
   (match Store.find_or_compute store ~key:"k" flaky with
   | exception Failure m -> Alcotest.(check string) "error propagates" "transient" m
   | _ -> Alcotest.fail "first attempt should raise");
   Alcotest.(check int) "failure leaves no entry" 0 (Store.size store);
   (match Store.find_or_compute store ~key:"k" flaky with
-  | Store.Text s -> Alcotest.(check string) "retry recomputes" "recovered" s
-  | _ -> Alcotest.fail "unexpected artifact shape");
+  | Outcome.Exported s -> Alcotest.(check string) "retry recomputes" "recovered" s
+  | _ -> Alcotest.fail "unexpected outcome shape");
   let { Store.hits; misses; _ } = Store.stats store in
   Alcotest.(check int) "every attempt is a miss" 2 misses;
   Alcotest.(check int) "no hits" 0 hits
@@ -228,14 +228,14 @@ let test_store_concurrent_single_flight () =
   let compute () =
     Atomic.incr computed;
     Domain.cpu_relax ();
-    Store.Text "shared"
+    Outcome.Exported "shared"
   in
   Pool.with_pool ~jobs:4 (fun pool ->
       let results =
         Pool.map_array pool
           ~f:(fun _ ->
             match Store.find_or_compute store ~key:"hot" compute with
-            | Store.Text s -> s
+            | Outcome.Exported s -> s
             | _ -> "?")
           (Array.init 16 Fun.id)
       in
@@ -245,10 +245,10 @@ let test_store_concurrent_single_flight () =
   Alcotest.(check int) "one miss regardless of racing workers" 1 misses;
   Alcotest.(check int) "everyone else hits" 15 hits
 
-(* Three same-cost artifacts against a cap that holds two: the insert
+(* Three same-cost outcomes against a cap that holds two: the insert
    of the third must evict exactly the least-recently-used entry. *)
 let test_store_lru_eviction () =
-  let payload c = Store.Text (String.make 1000 c) in
+  let payload c = Outcome.Exported (String.make 1000 c) in
   let cost = Store.cost_of (payload 'a') in
   let store = Store.create ~cap_bytes:(2 * cost) () in
   let computed = Atomic.make 0 in
@@ -258,8 +258,8 @@ let test_store_lru_eviction () =
           Atomic.incr computed;
           payload c)
     with
-    | Store.Text s -> s
-    | _ -> Alcotest.fail "unexpected artifact shape"
+    | Outcome.Exported s -> s
+    | _ -> Alcotest.fail "unexpected outcome shape"
   in
   ignore (get "a" 'a');
   ignore (get "b" 'b');
@@ -280,7 +280,7 @@ let test_store_lru_eviction () =
    degrade — store temporarily over cap — never surface to the
    caller; the next unfaulted insert catches up. *)
 let test_store_evict_fault_degrades () =
-  let payload c = Store.Text (String.make 1000 c) in
+  let payload c = Outcome.Exported (String.make 1000 c) in
   let cost = Store.cost_of (payload 'a') in
   let store = Store.create ~cap_bytes:(2 * cost) () in
   let get key c =
@@ -304,7 +304,7 @@ let test_store_evict_fault_degrades () =
 
 (* Single-flight must hold under eviction churn: racing workers on a
    store whose cap holds only a fraction of the key space always get
-   the artifact belonging to their key, never a stale or foreign
+   the outcome belonging to their key, never a stale or foreign
    one. *)
 let qcheck_store_eviction_single_flight =
   let open QCheck2.Gen in
@@ -312,7 +312,7 @@ let qcheck_store_eviction_single_flight =
   QCheck2.Test.make ~name:"bounded store serves the right artifact under churn"
     ~count:25 gen (fun keys ->
       let payload i = String.make (50 * (i + 1)) (Char.chr (Char.code 'a' + i)) in
-      let cost = Store.cost_of (Store.Text (payload 7)) in
+      let cost = Store.cost_of (Outcome.Exported (payload 7)) in
       let store = Store.create ~cap_bytes:(2 * cost) () in
       let ok =
         Pool.with_pool ~jobs:4 (fun pool ->
@@ -320,9 +320,9 @@ let qcheck_store_eviction_single_flight =
               ~f:(fun i ->
                 match
                   Store.find_or_compute store ~key:(string_of_int i) (fun () ->
-                      Store.Text (payload i))
+                      Outcome.Exported (payload i))
                 with
-                | Store.Text s -> s = payload i
+                | Outcome.Exported s -> s = payload i
                 | _ -> false)
               (Array.of_list keys))
       in
@@ -340,19 +340,20 @@ let render_result = function
   | Ok outcome -> Render.to_text outcome
   | Error e -> "error: " ^ Error.code_label e.Error.code ^ ": " ^ e.Error.message
 
+let dct_bind =
+  Job.Bind
+    {
+      benchmark = "dct";
+      seed = 1789;
+      binder = "codesign";
+      kind = Rb_dfg.Dfg.Mul;
+      locked_fus = 2;
+      minterms_per_fu = 2;
+    }
+
 let test_executor_cache_determinism () =
   with_executor (fun ex ->
-      let job =
-        Job.Bind
-          {
-            benchmark = "dct";
-            seed = 1789;
-            binder = "codesign";
-            kind = Rb_dfg.Dfg.Mul;
-            locked_fus = 2;
-            minterms_per_fu = 2;
-          }
-      in
+      let job = dct_bind in
       let first = render_result (Executor.run ex job) in
       let before = Store.stats (Executor.store ex) in
       let second = render_result (Executor.run ex job) in
@@ -360,6 +361,20 @@ let test_executor_cache_determinism () =
       Alcotest.(check string) "cache hit renders identically" first second;
       Alcotest.(check int) "second run misses nothing" before.Store.misses after.Store.misses;
       Alcotest.(check bool) "second run hits" true (after.Store.hits > before.Store.hits))
+
+(* The store caches whole job outcomes and nothing else: a bind,
+   which builds a benchmark context on the way, leaves exactly its
+   own outcome behind, one miss and no hits. *)
+let test_executor_one_entry_per_job () =
+  with_executor (fun ex ->
+      (match Executor.run ex dct_bind with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "bind fails: %s" e.Error.message);
+      let store = Executor.store ex in
+      Alcotest.(check int) "one store entry" 1 (Store.size store);
+      let { Store.hits; misses; _ } = Store.stats store in
+      Alcotest.(check int) "one miss" 1 misses;
+      Alcotest.(check int) "no hits" 0 hits)
 
 let test_attack_digest_ignores_portfolio () =
   (* An attack's result does not depend on how many solvers race for
@@ -655,12 +670,13 @@ let test_executor_deadline () =
 
 (* An analysis truncated mid-run by a deadline marks itself stopped
    in place instead of raising; the executor must convert that into a
-   limit error and keep the partial report out of the artifact cache.
+   limit error and keep the partial report out of the outcome cache.
    Deadlines a few microseconds away usually expire after the
    before-execution check but during the analysis itself, exercising
-   the in-thunk guard; whenever any run was cut short, a later
-   deadline-free run of the identical job must yield complete reports
-   (stopped = None on every scheme), not a cached partial replay. *)
+   the job-level during-execution check; whenever any run was cut
+   short, a later deadline-free run of the identical job must yield
+   complete reports (stopped = None on every scheme), not a cached
+   partial replay. *)
 let test_analyze_truncation_not_cached () =
   with_executor (fun ex ->
       let job = Job.Analyze { scheme = None; width = 4; strength = 4; seed = 1789 } in
@@ -1185,6 +1201,8 @@ let () =
       ( "executor",
         [
           Alcotest.test_case "cache determinism" `Quick test_executor_cache_determinism;
+          Alcotest.test_case "a bind job leaves exactly one store entry" `Quick
+            test_executor_one_entry_per_job;
           Alcotest.test_case "structured errors" `Quick test_executor_errors;
           Alcotest.test_case "rll over strength is infeasible" `Quick
             test_executor_rll_over_strength;
