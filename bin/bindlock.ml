@@ -228,8 +228,7 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze"
        ~doc:"Static vulnerability report for locked designs: oracle-less key \
-             inference, probability skew, dead logic, cycles and key \
-             observability.")
+             inference, probability skew, dead logic and key observability.")
     Term.(term_result
             (const run $ scheme_arg $ width_arg $ strength_arg $ seed_arg
              $ format_arg $ jobs_arg $ fail_arg))

@@ -8,11 +8,11 @@
     {!kind}; {!run} executes one and instruments it with
     deterministic [Metrics] counters under the ["attack"] scope.
 
-    Every attack degrades gracefully: a [limit] or the
-    ["analysis/fixpoint"] fault site stops the underlying fixpoint
-    early, and the outcome carries the {!Rb_util.Limits.reason} with
-    {e no} inferences claimed — a budget-stopped attack must never
-    report half-propagated values as recovered key bits. *)
+    Every attack degrades gracefully: a tripped [limit] stops the
+    underlying propagation before it sweeps, and the outcome carries
+    the {!Rb_util.Limits.reason} with {e no} inferences claimed — a
+    stopped attack must never report unpropagated values as recovered
+    key bits. *)
 
 type inference = {
   bit : int;  (** key bit index *)
@@ -74,8 +74,7 @@ val removal : ?limit:Rb_util.Limits.t -> Rb_netlist.Netlist.t -> outcome
     gate eliminated (constants folded, pass-through gates bypassed,
     dead logic dropped). The rebuilt circuit keeps the original
     input/key widths — stripped key inputs simply drive nothing — so
-    it remains comparable under [Netlist.eval]. No-op (beyond
-    inference) on structurally ill-formed netlists. *)
+    it remains comparable under [Netlist.eval]. *)
 
 val strip :
   Rb_netlist.Netlist.t ->

@@ -1,102 +1,38 @@
 module Netlist = Rb_netlist.Netlist
 module Limits = Rb_util.Limits
 module Metrics = Rb_util.Metrics
-module Faults = Rb_util.Faults
 
 let m_runs = Metrics.counter ~scope:"analysis" "fixpoint_runs"
-let m_passes = Metrics.counter ~scope:"analysis" "fixpoint_passes"
 let m_transfers = Metrics.counter ~scope:"analysis" "transfers"
 
-module type DOMAIN = sig
-  type v
+type 'v outcome = { values : 'v array; stopped : Limits.reason option }
 
-  val name : string
-  val equal : v -> v -> bool
-  val join : v -> v -> v
-  val bogus : v
-
-  val transfer :
-    driven:Netlist.net -> Netlist.gate -> read:(Netlist.net -> v) -> v
-end
-
-type 'v outcome = {
-  values : 'v array;
-  passes : int;
-  converged : bool;
-  stopped : Limits.reason option;
-}
-
-module Make (D : DOMAIN) = struct
-  let run ?(limit = Limits.none) ?max_passes ~init netlist =
-    let n_nets = Netlist.n_nets netlist in
-    let gates = Netlist.gates netlist in
-    let n_gates = Array.length gates in
-    let base = n_nets - n_gates in
-    let max_passes =
-      match max_passes with Some m -> max m 0 | None -> n_gates + 2
-    in
-    Metrics.incr m_runs;
-    let values = Array.init n_nets init in
-    let read net =
-      if net < 0 || net >= n_nets then D.bogus else values.(net)
-    in
-    let passes = ref 0 in
-    let converged = ref (n_gates = 0) in
-    let stopped = ref None in
-    (* The fault site models budget exhaustion: a firing injection stops
-       the iteration exactly as a spent pass budget would, under the
-       deterministic [Conflicts] reason class. *)
-    (try Faults.inject ~site:"analysis/fixpoint" ~key:D.name
-     with Faults.Injected _ ->
-       stopped := Some Limits.Conflicts;
-       converged := false);
-    while (not !converged) && !stopped = None do
-      if !passes >= max_passes then stopped := Some Limits.Conflicts
-      else begin
-        (match Limits.interrupted limit with
-        | Some r -> stopped := Some r
-        | None ->
-            incr passes;
-            Metrics.incr m_passes;
-            let changed = ref false in
-            for i = 0 to n_gates - 1 do
-              let driven = base + i in
-              let old = values.(driven) in
-              let fresh = D.transfer ~driven gates.(i) ~read in
-              let next = D.join old fresh in
-              if not (D.equal old next) then begin
-                values.(driven) <- next;
-                changed := true
-              end
-            done;
-            Metrics.add m_transfers n_gates;
-            if not !changed then converged := true)
-      end
-    done;
-    (match !stopped with Some r -> Limits.note r | None -> ());
-    { values; passes = !passes; converged = !converged; stopped = !stopped }
-end
+let run ?(limit = Limits.none) ~init ~transfer netlist =
+  let gates = Netlist.gates netlist in
+  let n_gates = Array.length gates in
+  let base = Netlist.n_nets netlist - n_gates in
+  Metrics.incr m_runs;
+  let values = Array.init (Netlist.n_nets netlist) init in
+  match Limits.interrupted limit with
+  | Some r ->
+      Limits.note r;
+      { values; stopped = Some r }
+  | None ->
+      let read net = values.(net) in
+      for i = 0 to n_gates - 1 do
+        values.(base + i) <- transfer gates.(i) ~read
+      done;
+      Metrics.add m_transfers n_gates;
+      { values; stopped = None }
 
 let output_cone netlist =
-  let n_nets = Netlist.n_nets netlist in
   let gates = Netlist.gates netlist in
-  let base = n_nets - Array.length gates in
-  let in_cone = Array.make n_nets false in
+  let base = Netlist.n_nets netlist - Array.length gates in
+  let in_cone = Array.make (Netlist.n_nets netlist) false in
   let rec visit net =
-    if net >= 0 && net < n_nets && not in_cone.(net) then begin
+    if not in_cone.(net) then begin
       in_cone.(net) <- true;
-      if net >= base then
-        match gates.(net - base) with
-        | And (a, b) | Or (a, b) | Xor (a, b) | Nand (a, b) | Nor (a, b)
-        | Xnor (a, b) ->
-            visit a;
-            visit b
-        | Not a | Buf a -> visit a
-        | Mux (s, a, b) ->
-            visit s;
-            visit a;
-            visit b
-        | Const _ -> ()
+      if net >= base then List.iter visit (Netlist.gate_fanin gates.(net - base))
     end
   in
   Array.iter visit (Netlist.outputs netlist);

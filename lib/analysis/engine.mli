@@ -1,98 +1,45 @@
-(** The generic forward-dataflow fixpoint engine over gate-level
-    netlists.
+(** The forward-dataflow sweep over gate-level netlists.
 
     Every structural analysis in this library — ternary constant
     propagation, signal-probability estimation, key-dependence cones —
-    is one instantiation of the same loop: give every net a value from
-    an analysis-specific domain, sweep the gates in index order
-    recomputing each driven net from its operands, and repeat until
-    nothing changes. On netlists from {!Rb_netlist.Netlist.Builder}
-    (acyclic by construction, gates in topological order) the loop
-    converges in two passes: one to compute, one to confirm. On
-    {!Rb_netlist.Netlist.unchecked} circuits, forward references make
-    the gate graph cyclic and the sweep becomes a genuine fixpoint
-    iteration — which is exactly what cycle-tolerant analyses
-    (SRCLock-style cyclic locking, Sec. zoo of the ROADMAP) need.
+    is one instantiation of the same loop: give every input and key net
+    a boundary value, then visit the gates in index order and compute
+    each driven net from its operands. Netlists come from
+    {!Rb_netlist.Netlist.Builder}, so the gate array is a topological
+    order and one sweep computes every net exactly; there is nothing to
+    iterate.
 
-    Termination is {e never} left to the domain: every run carries a
-    pass budget (defaulting to one pass per gate plus slack, enough for
-    any finite-height lattice to converge on any graph), and an
-    optional {!Rb_util.Limits.t} for cooperative cancellation. A run
-    that stops early reports [converged = false] and the tripped
-    {!Rb_util.Limits.reason} instead of spinning — the same graceful
-    degradation contract as the budgeted SAT solver.
+    A run polls {!Rb_util.Limits.interrupted} once, before the sweep.
+    A run stopped there reports the tripped {!Rb_util.Limits.reason}
+    and leaves every gate net at its [init] value, so a consumer can
+    degrade to a partial result instead of trusting half-computed
+    values — the same contract as the budgeted SAT solver.
 
     When {!Rb_util.Metrics} collection is enabled, runs count under the
-    ["analysis"] scope ([fixpoint_runs], [fixpoint_passes],
-    [transfers]); the deterministic counters feed the bench section and
-    the CI perf gate. The fault site ["analysis/fixpoint"] (keyed by
-    the domain name) lets the robustness harness force a budget-style
-    stop without touching the domain code. *)
-
-module type DOMAIN = sig
-  type v
-
-  val name : string
-  (** Stable identifier: metric labels, fault-injection keys. *)
-
-  val equal : v -> v -> bool
-  (** Convergence test between an old and a recomputed value. *)
-
-  val join : v -> v -> v
-  (** [join old fresh]: the value stored after recomputation. Lattice
-      analyses join towards top so iteration is monotone; numeric
-      analyses may simply return [fresh] (Gauss–Seidel) and rely on
-      the pass budget plus [equal] for convergence. *)
-
-  val bogus : v
-  (** Value read for an operand net outside the circuit (negative or
-      past the last net) — the engine never follows ill-formed
-      references, mirroring {!Rb_netlist.Analysis.structural_errors}
-      semantics. Use the domain's "no information" element. *)
-
-  val transfer :
-    driven:Rb_netlist.Netlist.net ->
-    Rb_netlist.Netlist.gate ->
-    read:(Rb_netlist.Netlist.net -> v) ->
-    v
-  (** Recompute the value of the net [driven] from its gate and the
-      current values of its operands. [read] is total: ill-formed
-      operands yield {!bogus}, forward references yield the operand's
-      current (possibly not-yet-computed) value. [driven] lets
-      domains special-case their own net (e.g. damped self-updates on
-      cyclic nets). *)
-end
+    ["analysis"] scope ([fixpoint_runs], and [transfers], one per gate
+    swept); the deterministic counters feed the bench section and the
+    CI perf gate. *)
 
 type 'v outcome = {
   values : 'v array;  (** per net, length {!Rb_netlist.Netlist.n_nets} *)
-  passes : int;  (** full gate sweeps executed *)
-  converged : bool;
-      (** a sweep completed with no value change; [false] means the
-          pass budget or a limit stopped the iteration first *)
   stopped : Rb_util.Limits.reason option;
-      (** why iteration stopped early, when it did; budget exhaustion
-          reports [Conflicts] (the deterministic budget class) *)
+      (** why the run stopped before its sweep, when it did *)
 }
 
-module Make (D : DOMAIN) : sig
-  val run :
-    ?limit:Rb_util.Limits.t ->
-    ?max_passes:int ->
-    init:(Rb_netlist.Netlist.net -> D.v) ->
-    Rb_netlist.Netlist.t ->
-    D.v outcome
-  (** Iterate to fixpoint. [init] seeds every net: analyses give
-      inputs and keys their boundary values and gate nets the domain's
-      bottom. [max_passes] defaults to [n_gates + 2]; it is a
-      deterministic budget, so an exhausted run stops at the same
-      sweep on every machine. A tripped budget or limit is counted via
-      {!Rb_util.Limits.note}. *)
-end
+val run :
+  ?limit:Rb_util.Limits.t ->
+  init:(Rb_netlist.Netlist.net -> 'v) ->
+  transfer:
+    (Rb_netlist.Netlist.gate -> read:(Rb_netlist.Netlist.net -> 'v) -> 'v) ->
+  Rb_netlist.Netlist.t ->
+  'v outcome
+(** One sweep. [init] seeds every net: analyses give inputs and keys
+    their boundary values; gate nets keep theirs only when the run is
+    stopped. [transfer g ~read] computes the value of [g]'s driven net,
+    where [read] returns the value of an operand net. A tripped limit
+    is counted via {!Rb_util.Limits.note}. *)
 
 val output_cone : Rb_netlist.Netlist.t -> bool array
 (** Per net: is the net an output or in the transitive structural
     fan-in of one? Shared by dead-logic reporting, key observability
-    and the removal attack's dead-code elimination. Safe on arbitrary
-    {!Rb_netlist.Netlist.unchecked} circuits: ill-formed operands are
-    skipped, and cycles terminate because visited nets are never
-    re-entered. *)
+    and the removal attack's dead-code elimination. *)

@@ -11,32 +11,20 @@ let rec union a b =
       else if kb < ka then (kb, db) :: union a tb
       else (ka, min da db) :: union ta tb
 
-module Domain = struct
-  type nonrec v = v
-
-  let name = "keydep"
-  let equal (a : v) b = a = b
-  let join = union
-  let bogus = []
-
-  let transfer ~driven:_ gate ~read =
-    let deps =
-      List.fold_left (fun acc n -> union acc (read n)) [] (N.gate_fanin gate)
-    in
-    List.map (fun (k, d) -> (k, d + 1)) deps
-end
-
-module E = Engine.Make (Domain)
+let transfer gate ~read =
+  let deps =
+    List.fold_left (fun acc n -> union acc (read n)) [] (N.gate_fanin gate)
+  in
+  List.map (fun (k, d) -> (k, d + 1)) deps
 
 let run ?limit c =
   let n_inputs = N.n_inputs c in
   let n_keys = N.n_keys c in
   let init net =
-    if net >= n_inputs && net < n_inputs + n_keys then
-      [ (net - n_inputs, 0) ]
+    if net >= n_inputs && net < n_inputs + n_keys then [ (net - n_inputs, 0) ]
     else []
   in
-  E.run ?limit ~init c
+  Engine.run ?limit ~init ~transfer c
 
 type summary = {
   key_bit : int;
@@ -47,32 +35,26 @@ type summary = {
 
 let summarize c =
   let values = (run c).Engine.values in
-  let base = N.n_inputs c + N.n_keys c in
-  let outputs = N.outputs c in
-  let n_nets = N.n_nets c in
-  List.init (N.n_keys c) (fun k ->
-      let outputs_reached = ref [] in
-      let min_depth = ref None in
-      Array.iteri
-        (fun pos net ->
-          if net >= 0 && net < n_nets then
-            match List.assoc_opt k values.(net) with
-            | Some d ->
-                outputs_reached := pos :: !outputs_reached;
-                min_depth :=
-                  Some
-                    (match !min_depth with
-                    | None -> d
-                    | Some d' -> min d d')
-            | None -> ())
-        outputs;
-      let cone_gates = ref 0 in
-      for net = base to n_nets - 1 do
-        if List.mem_assoc k values.(net) then incr cone_gates
-      done;
+  let n_keys = N.n_keys c in
+  let cone_gates = Array.make n_keys 0 in
+  for net = N.n_inputs c + n_keys to N.n_nets c - 1 do
+    List.iter (fun (k, _) -> cone_gates.(k) <- cone_gates.(k) + 1) values.(net)
+  done;
+  let reached = Array.make n_keys [] in
+  let min_depth = Array.make n_keys None in
+  Array.iteri
+    (fun pos net ->
+      List.iter
+        (fun (k, d) ->
+          reached.(k) <- pos :: reached.(k);
+          min_depth.(k) <-
+            Some (match min_depth.(k) with None -> d | Some d' -> min d d'))
+        values.(net))
+    (N.outputs c);
+  List.init n_keys (fun k ->
       {
         key_bit = k;
-        outputs_reached = List.rev !outputs_reached;
-        min_output_depth = !min_depth;
-        cone_gates = !cone_gates;
+        outputs_reached = List.rev reached.(k);
+        min_output_depth = min_depth.(k);
+        cone_gates = cone_gates.(k);
       })

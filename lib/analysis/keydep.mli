@@ -1,10 +1,10 @@
 (** Key-dependence cones: which key bits reach which nets, and through
     how many gates.
 
-    The domain element for a net is the set of key bits whose value can
+    The value of a net is the set of key bits whose value can
     structurally influence the net, each tagged with the {e minimum}
-    gate depth from the key input. Joins take set union with minimum
-    depth, so the fixpoint is exact reachability even through cycles.
+    gate depth from the key input: a gate takes the union of its
+    operands' sets, keeping the minimum depth, and adds one.
 
     Per-key-bit summaries answer the questions a locking report asks:
     is the key bit observable at any output at all (a mute bit is free
@@ -15,8 +15,6 @@
 type v = (int * int) list
 (** Sorted association list: key bit index to minimum depth in gates.
     The empty list means key-independent. *)
-
-module Domain : Engine.DOMAIN with type v = v
 
 val run :
   ?limit:Rb_util.Limits.t -> Rb_netlist.Netlist.t -> v Engine.outcome
@@ -31,4 +29,6 @@ type summary = {
 }
 
 val summarize : Rb_netlist.Netlist.t -> summary list
-(** One {!summary} per key bit, ascending. *)
+(** One {!summary} per key bit, ascending. One pass over the gate nets
+    and one over the outputs, so the cost is the total size of the
+    dependence sets, not that times the key width. *)

@@ -1,70 +1,39 @@
 module N = Rb_netlist.Netlist
 
-let eps = 1e-9
+let transfer gate ~read =
+  match gate with
+  | N.Const k -> if k then 1.0 else 0.0
+  | N.Buf a -> read a
+  | N.Not a -> 1.0 -. read a
+  | N.And (a, b) -> if a = b then read a else read a *. read b
+  | N.Nand (a, b) -> if a = b then 1.0 -. read a else 1.0 -. (read a *. read b)
+  | N.Or (a, b) ->
+      if a = b then read a
+      else
+        let pa = read a and pb = read b in
+        pa +. pb -. (pa *. pb)
+  | N.Nor (a, b) ->
+      if a = b then 1.0 -. read a
+      else
+        let pa = read a and pb = read b in
+        1.0 -. (pa +. pb -. (pa *. pb))
+  | N.Xor (a, b) ->
+      if a = b then 0.0
+      else
+        let pa = read a and pb = read b in
+        pa +. pb -. (2.0 *. pa *. pb)
+  | N.Xnor (a, b) ->
+      if a = b then 1.0
+      else
+        let pa = read a and pb = read b in
+        1.0 -. (pa +. pb -. (2.0 *. pa *. pb))
+  | N.Mux (s, a, b) ->
+      let ps = read s in
+      if a = b then read a else ((1.0 -. ps) *. read a) +. (ps *. read b)
 
-(* Damping for nets on combinational cycles: plain Gauss-Seidel on a
-   cycle of inverters flips between 0 and 1 forever; relaxing each
-   cyclic net only part-way towards its recomputed value turns the
-   oscillation into a contraction. *)
-let damp = 0.5
-
-let make_domain cyclic =
-  (module struct
-    type v = float
-
-    let name = "probability"
-    let equal a b = Float.abs (a -. b) < eps
-    let join _old fresh = fresh
-    let bogus = 0.5
-
-    let raw gate read =
-      match gate with
-      | N.Const k -> if k then 1.0 else 0.0
-      | N.Buf a -> read a
-      | N.Not a -> 1.0 -. read a
-      | N.And (a, b) -> if a = b then read a else read a *. read b
-      | N.Nand (a, b) ->
-          if a = b then 1.0 -. read a else 1.0 -. (read a *. read b)
-      | N.Or (a, b) ->
-          if a = b then read a
-          else
-            let pa = read a and pb = read b in
-            pa +. pb -. (pa *. pb)
-      | N.Nor (a, b) ->
-          if a = b then 1.0 -. read a
-          else
-            let pa = read a and pb = read b in
-            1.0 -. (pa +. pb -. (pa *. pb))
-      | N.Xor (a, b) ->
-          if a = b then 0.0
-          else
-            let pa = read a and pb = read b in
-            pa +. pb -. (2.0 *. pa *. pb)
-      | N.Xnor (a, b) ->
-          if a = b then 1.0
-          else
-            let pa = read a and pb = read b in
-            1.0 -. (pa +. pb -. (2.0 *. pa *. pb))
-      | N.Mux (s, a, b) ->
-          let ps = read s in
-          if a = b then read a
-          else ((1.0 -. ps) *. read a) +. (ps *. read b)
-
-    let transfer ~driven gate ~read =
-      let fresh = raw gate read in
-      if cyclic.(driven) then
-        let old = read driven in
-        old +. (damp *. (fresh -. old))
-      else fresh
-  end : Engine.DOMAIN
-    with type v = float)
-
-let run ?limit ?(max_passes = 64) ?(input_prob = 0.5) c =
-  let cyclic = (Cycles.find c).Cycles.cyclic in
-  let (module D) = make_domain cyclic in
-  let module E = Engine.Make (D) in
+let run ?limit ?(input_prob = 0.5) c =
   let base = N.n_inputs c + N.n_keys c in
-  E.run ?limit ~max_passes ~init:(fun net -> if net < base then input_prob else 0.5) c
+  Engine.run ?limit ~init:(fun net -> if net < base then input_prob else 0.5) ~transfer c
 
 let estimate ?input_prob c = (run ?input_prob c).Engine.values
 

@@ -10,11 +10,6 @@
     wrong are folded ([XOR (a, a)] has probability 0 even though
     independence would say [2p(1-p)]).
 
-    On cyclic [unchecked] netlists, nets on an SCC are updated with a
-    damping factor so the Gauss–Seidel sweep relaxes towards a stable
-    estimate instead of oscillating; {!Engine.outcome.converged}
-    reports honestly whether it got there within the pass budget.
-
     The locking-relevant consumer is {!skewed_key_gates}: a key gate
     whose output probability is far from 1/2 leaks its key bit to a
     probability-matching attacker, exactly the signal ProbLock
@@ -22,14 +17,11 @@
 
 val run :
   ?limit:Rb_util.Limits.t ->
-  ?max_passes:int ->
   ?input_prob:float ->
   Rb_netlist.Netlist.t ->
   float Engine.outcome
 (** Per-net probability estimate. [input_prob] (default [0.5]) seeds
-    every primary input and key input. [max_passes] defaults to 64 —
-    enough for damped relaxation to settle on realistic cyclic
-    circuits while staying a deterministic budget. *)
+    every primary input and key input. *)
 
 val estimate : ?input_prob:float -> Rb_netlist.Netlist.t -> float array
 (** [run] projected to its values. *)

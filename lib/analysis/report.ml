@@ -18,8 +18,6 @@ type t = {
   inferable : Attacks.inference list;
   skewed : (int * float) list;
   dead_gates : int;
-  cycles : int;
-  cyclic_nets : int;
   observability : key_observability list;
   gates_removed : int;
   static_resilience : float;
@@ -33,10 +31,6 @@ let analyze ?limit ~subject c =
   for i = 0 to N.n_gates c - 1 do
     if not cone.(base + i) then incr dead_gates
   done;
-  let cyc = Cycles.find c in
-  let cyclic_nets =
-    Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 cyc.Cycles.cyclic
-  in
   let skewed = Probability.skewed_key_gates c in
   let observability =
     List.map
@@ -69,8 +63,6 @@ let analyze ?limit ~subject c =
     inferable;
     skewed;
     dead_gates = !dead_gates;
-    cycles = Cycles.count cyc;
-    cyclic_nets;
     observability;
     gates_removed = removal.Attacks.gates_removed;
     static_resilience;
@@ -83,7 +75,7 @@ let analyze ?limit ~subject c =
 let to_json r =
   Json.Obj
     [
-      ("schema", Json.String "rb-analyze/1");
+      ("schema", Json.String "rb-analyze/2");
       ("subject", Json.String r.subject);
       ("n_inputs", Json.Int r.n_inputs);
       ("n_keys", Json.Int r.n_keys);
@@ -108,8 +100,6 @@ let to_json r =
                  [ ("gate", Json.Int gate); ("probability", Json.float_or_string p) ])
              r.skewed) );
       ("dead_gates", Json.Int r.dead_gates);
-      ("cycles", Json.Int r.cycles);
-      ("cyclic_nets", Json.Int r.cyclic_nets);
       ( "observability",
         Json.List
           (List.map
@@ -162,7 +152,6 @@ let pp fmt r =
   end;
   fprintf fmt "@,";
   fprintf fmt "  dead gates         : %d@," r.dead_gates;
-  fprintf fmt "  combinational SCCs : %d (%d nets)@," r.cycles r.cyclic_nets;
   fprintf fmt "  removable gates    : %d@," r.gates_removed;
   let mute =
     List.length (List.filter (fun o -> o.min_depth = None) r.observability)

@@ -2,10 +2,9 @@
     [bindlock analyze].
 
     One {!analyze} call runs the whole battery: constant propagation,
-    signal probabilities, key-dependence cones, cycle detection and
-    the registered oracle-less attacks, folded into a single record
-    that renders as text or {!Rb_util.Json} (schema
-    ["rb-analyze/1"]). *)
+    signal probabilities, key-dependence cones and the two oracle-less
+    attacks, folded into a single record that renders as text or
+    {!Rb_util.Json} (schema ["rb-analyze/2"]). *)
 
 type key_observability = {
   key_bit : int;
@@ -25,8 +24,6 @@ type t = {
   skewed : (int * float) list;
       (** key gates with output probability outside [0.05, 0.95] *)
   dead_gates : int;  (** gates outside every output cone *)
-  cycles : int;  (** non-trivial SCCs in the net graph *)
-  cyclic_nets : int;
   observability : key_observability list;
   gates_removed : int;  (** by the removal attack *)
   static_resilience : float;

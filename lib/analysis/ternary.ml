@@ -1,127 +1,81 @@
-module Netlist = Rb_netlist.Netlist
-module N = Netlist
+module N = Rb_netlist.Netlist
 
-type const = Rb_netlist.Analysis.const = Known of bool | Unknown
+type const = Known of bool | Unknown
 
-(* Internal lattice: Bot (never reached) < F, T < Top (free). Using a
-   genuine bottom keeps the transfer function monotone on cyclic
-   netlists, so the engine's join-based sweep converges to the least
-   fixpoint instead of oscillating. *)
-type v = Bot | F | T | Top
+let not_ = function Known v -> Known (not v) | Unknown -> Unknown
 
-let to_const = function F -> Known false | T -> Known true | Bot | Top -> Unknown
-let of_const = function Known false -> F | Known true -> T | Unknown -> Top
-let of_bool b = if b then T else F
+let and_ a b =
+  match (a, b) with
+  | Known false, _ | _, Known false -> Known false
+  | Known true, Known true -> Known true
+  | _ -> Unknown
 
-module Domain = struct
-  type nonrec v = v
+let or_ a b =
+  match (a, b) with
+  | Known true, _ | _, Known true -> Known true
+  | Known false, Known false -> Known false
+  | _ -> Unknown
 
-  let name = "ternary"
-  let equal (a : v) b = a = b
+let xor_ a b =
+  match (a, b) with Known x, Known y -> Known (x <> y) | _ -> Unknown
 
-  let join a b =
-    match (a, b) with
-    | Bot, x | x, Bot -> x
-    | x, y when x = y -> x
-    | _ -> Top
-
-  let bogus = Top
-
-  let not_ = function F -> T | T -> F | (Bot | Top) as x -> x
-
-  let and_ a b =
-    match (a, b) with
-    | F, _ | _, F -> F
-    | Bot, _ | _, Bot -> Bot
-    | T, T -> T
-    | _ -> Top
-
-  let or_ a b =
-    match (a, b) with
-    | T, _ | _, T -> T
-    | Bot, _ | _, Bot -> Bot
-    | F, F -> F
-    | _ -> Top
-
-  let xor_ a b =
-    match (a, b) with
-    | Bot, _ | _, Bot -> Bot
-    | Top, _ | _, Top -> Top
-    | x, y -> if x = y then F else T
-
-  let transfer ~driven:_ gate ~read =
-    match gate with
-    | N.Const k -> of_bool k
-    | N.Buf a -> read a
-    | N.Not a -> not_ (read a)
-    | N.And (a, b) -> and_ (read a) (read b)
-    | N.Nand (a, b) -> not_ (and_ (read a) (read b))
-    | N.Or (a, b) -> or_ (read a) (read b)
-    | N.Nor (a, b) -> not_ (or_ (read a) (read b))
-    | N.Xor (a, b) -> if a = b then F else xor_ (read a) (read b)
-    | N.Xnor (a, b) -> if a = b then T else not_ (xor_ (read a) (read b))
-    | N.Mux (s, a, b) -> (
-        match read s with
-        | F -> read a
-        | T -> read b
-        | Bot -> Bot
-        | Top -> (
-            match (read a, read b) with
-            | Bot, _ | _, Bot -> Bot
-            | x, y when x = y && (x = F || x = T) -> x
-            | _ -> Top))
-end
-
-module E = Engine.Make (Domain)
-
-let check_key c = function
-  | None -> ()
-  | Some key ->
-      if Array.length key <> N.n_keys c then
-        invalid_arg "Ternary.run: key assignment width mismatch"
+let transfer gate ~read =
+  match gate with
+  | N.Const k -> Known k
+  | N.Buf a -> read a
+  | N.Not a -> not_ (read a)
+  | N.And (a, b) -> and_ (read a) (read b)
+  | N.Nand (a, b) -> not_ (and_ (read a) (read b))
+  | N.Or (a, b) -> or_ (read a) (read b)
+  | N.Nor (a, b) -> not_ (or_ (read a) (read b))
+  | N.Xor (a, b) -> if a = b then Known false else xor_ (read a) (read b)
+  | N.Xnor (a, b) -> if a = b then Known true else not_ (xor_ (read a) (read b))
+  | N.Mux (s, a, b) -> (
+      match read s with
+      | Known false -> read a
+      | Known true -> read b
+      | Unknown -> (
+          match (read a, read b) with
+          | Known x, Known y when x = y -> Known x
+          | _ -> Unknown))
 
 let run ?limit ?key c =
-  check_key c key;
-  let base = N.n_inputs c + N.n_keys c in
-  let init net =
-    if net >= base then Bot
-    else if net < N.n_inputs c then Top
-    else
-      match key with
-      | None -> Top
-      | Some key -> of_const key.(net - N.n_inputs c)
+  let n_inputs = N.n_inputs c in
+  let init =
+    match key with
+    | None -> fun _ -> Unknown
+    | Some key ->
+        if Array.length key <> N.n_keys c then
+          invalid_arg "Ternary.run: key assignment width mismatch";
+        fun net ->
+          if net >= n_inputs && net < n_inputs + N.n_keys c then key.(net - n_inputs)
+          else Unknown
   in
-  E.run ?limit ~init c
+  Engine.run ?limit ~init ~transfer c
 
-let constants ?key c =
-  Array.map to_const (run ?key c).Engine.values
+let constants ?key c = (run ?key c).Engine.values
 
 let live_nets ?key c =
   let base = N.n_inputs c + N.n_keys c in
   let gates = N.gates c in
-  let total = N.n_nets c in
   let consts = constants ?key c in
-  let live = Array.make total false in
+  let live = Array.make (N.n_nets c) false in
   let rec visit n =
-    if n >= 0 && n < total && (not live.(n)) && consts.(n) = Unknown then begin
+    if (not live.(n)) && consts.(n) = Unknown then begin
       live.(n) <- true;
-      if n >= base then begin
-        let follow m = if m >= 0 && m < total then visit m in
+      if n >= base then
         match gates.(n - base) with
         | N.Mux (s, a, b) -> (
             (* A known select cuts the unselected branch out of the
                circuit; known data operands are refused by [visit]. *)
-            match
-              if s >= 0 && s < total then consts.(s) else Unknown
-            with
-            | Known false -> follow a
-            | Known true -> follow b
+            match consts.(s) with
+            | Known false -> visit a
+            | Known true -> visit b
             | Unknown ->
-                follow s;
-                follow a;
-                follow b)
-        | g -> List.iter follow (N.gate_fanin g)
-      end
+                visit s;
+                visit a;
+                visit b)
+        | g -> List.iter visit (N.gate_fanin g)
     end
   in
   Array.iter visit (N.outputs c);

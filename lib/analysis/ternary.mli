@@ -1,13 +1,8 @@
 (** Ternary constant propagation, parameterized by partial key
     assignments.
 
-    The domain refines the classic [Known]/[Unknown] split with an
-    internal bottom element so that fixpoint iteration over cyclic
-    [unchecked] netlists is monotone: a net that has never been reached
-    stays bottom, a net forced to a boolean is [Known], and a net that
-    may take either value is [Unknown] (top). Externally, only
-    {!const} is exposed — bottom collapses into [Unknown], preserving
-    the historic [Rb_netlist.Analysis.constants] contract.
+    Every net is either [Known] — forced to one boolean under every
+    input and every key consistent with the pins — or [Unknown].
 
     Propagation applies the standard identities: domination
     ([And] with a false operand, [Or] with a true one), same-net
@@ -19,29 +14,22 @@
     [k_i = 0] and [k_i = 1] and compare what the outputs can still
     do. *)
 
-type const = Rb_netlist.Analysis.const = Known of bool | Unknown
-
-type v
-(** The internal four-valued lattice element. *)
-
-val to_const : v -> const
-(** Bottom and top both map to [Unknown]. *)
-
-module Domain : Engine.DOMAIN with type v = v
+type const =
+  | Known of bool  (** statically constant under every input/key *)
+  | Unknown
 
 val run :
   ?limit:Rb_util.Limits.t ->
   ?key:const array ->
   Rb_netlist.Netlist.t ->
-  v Engine.outcome
+  const Engine.outcome
 (** Propagate constants. [key], when given, must have length [n_keys];
     [Known] entries pin the corresponding key net, [Unknown] entries
     leave it free. Primary inputs are always free. *)
 
 val constants : ?key:const array -> Rb_netlist.Netlist.t -> const array
-(** Per-net constant classification — [run] projected through
-    {!to_const}. Drop-in replacement for the retired
-    [Rb_netlist.Analysis.constants]. *)
+(** Per-net constant classification: the values of an unlimited
+    {!run}. *)
 
 val live_nets : ?key:const array -> Rb_netlist.Netlist.t -> bool array
 (** Per net: can the net influence an output value? Walks backwards

@@ -1,7 +1,7 @@
 (** The shared diagnostic record every lint rule emits.
 
     One diagnostic is one violation of one design rule at one location.
-    Rule identifiers are short stable strings ([NET-CYCLE],
+    Rule identifiers are short stable strings ([NET-DEAD],
     [HLS-OVERSUB], ...) declared next to the rule implementations
     ({!Netlist_rules}, {!Hls_rules}, {!Locking_rules}); reporters and
     tests match on them, so they are part of the public contract and
@@ -45,4 +45,4 @@ val compare : t -> t -> int
     then location, then message — the stable report order. *)
 
 val pp : Format.formatter -> t -> unit
-(** One line: [error[NET-CYCLE] gate 3: message]. *)
+(** One line: [error[NET-KEY-MUTE] key input 3: message]. *)

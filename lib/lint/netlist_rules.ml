@@ -1,10 +1,8 @@
 module Netlist = Rb_netlist.Netlist
-module Analysis = Rb_netlist.Analysis
 module Ternary = Rb_analysis.Ternary
 module Probability = Rb_analysis.Probability
 module D = Diagnostic
 
-let rule_cycle = "NET-CYCLE"
 let rule_dead = "NET-DEAD"
 let rule_key_mute = "NET-KEY-MUTE"
 let rule_key_strip = "NET-KEY-STRIP"
@@ -24,23 +22,6 @@ let check c =
   let base = n_inputs + n_keys in
   let diags = ref [] in
   let emit d = diags := d :: !diags in
-  (* structural well-formedness *)
-  List.iter
-    (fun (gate, net) ->
-      emit
-        (D.error ~rule:rule_cycle (D.Gate gate)
-           (Printf.sprintf
-              "operand references net %d, which gate %d (driving net %d) may not read"
-              net gate (base + gate))
-           ~hint:"gates may only read inputs, keys and earlier gates; a forward \
-                  reference is a combinational cycle"))
-    (Analysis.structural_errors c);
-  List.iter
-    (fun (pos, net) ->
-      emit
-        (D.error ~rule:rule_cycle (D.Output pos)
-           (Printf.sprintf "output declared on nonexistent net %d" net)))
-    (Analysis.invalid_outputs c);
   let cone = Rb_analysis.Engine.output_cone c in
   let live = Ternary.live_nets c in
   let consts = Ternary.constants c in
@@ -90,12 +71,12 @@ let check c =
           (D.error ~rule:rule_const_out (D.Output pos)
              (Printf.sprintf "output is key input %d itself — the key bit is observable"
                 (net - n_inputs)))
-      else if net >= 0 && net < Netlist.n_nets c then
+      else
         match consts.(net) with
-        | Analysis.Known v ->
+        | Ternary.Known v ->
           emit
             (D.warning ~rule:rule_const_out (D.Output pos)
                (Printf.sprintf "output is statically constant %b" v))
-        | Analysis.Unknown -> ())
+        | Ternary.Unknown -> ())
     (Netlist.outputs c);
   List.rev !diags

@@ -1,16 +1,11 @@
 (** Gate-level design rules.
 
     Every locking construction is only as strong as the netlist that
-    carries it: a key gate behind a combinational defect, outside every
-    output cone, or removable by constant folding contributes zero
-    corruption while still advertising key bits — exactly the malformed
-    lock constructions (InterLock/SRCLock-style collapses) that fall to
-    trivial attacks. Rules:
+    carries it: a key gate outside every output cone, or removable by
+    constant folding, contributes zero corruption while still
+    advertising key bits — exactly the malformed lock constructions
+    that fall to trivial attacks. Rules:
 
-    - {!rule_cycle} [NET-CYCLE] (error): a gate operand is negative,
-      out of range, or a forward reference — a combinational cycle in
-      graph terms. Also fired for output declarations naming
-      nonexistent nets.
     - {!rule_dead} [NET-DEAD] (warning): a gate outside every output
       cone — dead silicon that a synthesizer would strip.
     - {!rule_key_mute} [NET-KEY-MUTE] (error): a key input with no
@@ -28,13 +23,12 @@
       [0.05, 0.95] — near-constant key gates leak their bits to
       ProbLock-style probability-profiling attacks.
 
-    Structural well-formedness comes from {!Rb_netlist.Analysis}; the
-    semantic facts (cones, constants, liveness, probabilities) come
-    from the [Rb_analysis] dataflow engine, whose fixpoint iteration
-    terminates on arbitrary {!Rb_netlist.Netlist.unchecked} circuits,
-    cyclic ones included. *)
+    Structural well-formedness needs no rule:
+    {!Rb_netlist.Netlist.Builder} rejects undefined operands and
+    outputs, so every netlist is acyclic. The semantic facts (cones,
+    constants, liveness, probabilities) come from the [Rb_analysis]
+    dataflow sweep. *)
 
-val rule_cycle : string
 val rule_dead : string
 val rule_key_mute : string
 val rule_key_strip : string

@@ -72,8 +72,6 @@ let eval_lanes c values =
   let gates = c.gates in
   let n = Array.length gates in
   if Array.length values < base + n then invalid_arg "Netlist.eval_lanes: value array too short";
-  (* Forward references read 0, as they read [false] in [eval]. *)
-  Array.fill values base n 0;
   for i = 0 to n - 1 do
     values.(base + i) <-
       (match gates.(i) with
@@ -105,22 +103,6 @@ let eval_words c ~inputs ~keys =
   let out = ref 0 in
   Array.iteri (fun i o -> out := !out lor ((values.(o) land 1) lsl i)) c.outputs;
   !out
-
-let unchecked ~n_inputs ~n_keys ~gates ~outputs =
-  if n_inputs < 0 || n_keys < 0 then invalid_arg "Netlist.unchecked";
-  { n_inputs; n_keys; gates = Array.copy gates; outputs = Array.copy outputs }
-
-let fanin_cone_size c root =
-  let base = c.n_inputs + c.n_keys in
-  let seen = Hashtbl.create 64 in
-  let rec visit n =
-    if n >= base && not (Hashtbl.mem seen n) then begin
-      Hashtbl.add seen n ();
-      List.iter visit (gate_fanin c.gates.(n - base))
-    end
-  in
-  visit root;
-  Hashtbl.length seen
 
 let pp_stats fmt c =
   Format.fprintf fmt "%d inputs, %d keys, %d gates, %d outputs" c.n_inputs c.n_keys
@@ -155,13 +137,7 @@ module Builder = struct
     if n < 0 || n >= next_net b then invalid_arg "Netlist.Builder: undefined net"
 
   let gate b g =
-    List.iter (check_net b)
-      (match g with
-       | And (x, y) | Or (x, y) | Xor (x, y) | Nand (x, y) | Nor (x, y) | Xnor (x, y) ->
-         [ x; y ]
-       | Not x | Buf x -> [ x ]
-       | Mux (s, x, y) -> [ s; x; y ]
-       | Const _ -> []);
+    List.iter (check_net b) (gate_fanin g);
     let n = next_net b in
     b.rev_gates <- g :: b.rev_gates;
     b.n_gates <- b.n_gates + 1;

@@ -9,7 +9,12 @@
 
     Nets are identified by dense integers: nets [0 .. n_inputs-1] are
     primary inputs, [n_inputs .. n_inputs+n_keys-1] are key inputs, and
-    gate [i] drives net [n_inputs + n_keys + i]. *)
+    gate [i] drives net [n_inputs + n_keys + i].
+
+    A netlist can only be made by {!Builder}, which rejects any operand
+    or output that is not an existing net. Every gate therefore reads
+    only inputs, keys and earlier gates: netlists are acyclic, and the
+    gate array is a topological order. *)
 
 type net = int
 
@@ -60,9 +65,9 @@ val eval_lanes : t -> int array -> unit
     [lxor] / [lnot] of its operands, so bit [j] of every word is the
     net's value under pattern [j]. Output values are read back through
     {!outputs}. Nothing is allocated, so a sweep reuses one array for
-    every block of patterns. A forward reference reads 0, just as it
-    reads [false] in {!eval}; lane by lane the two agree. Raises
-    [Invalid_argument] when [values] is shorter than {!n_nets}. *)
+    every block of patterns. Lane by lane it agrees with {!eval}.
+    Raises [Invalid_argument] when [values] is shorter than
+    {!n_nets}. *)
 
 val eval_words : t -> inputs:int -> keys:int -> int
 (** Word-level convenience, a one-lane {!eval_lanes}: bit [i] of
@@ -70,17 +75,6 @@ val eval_words : t -> inputs:int -> keys:int -> int
     the outputs the same way. Raises [Invalid_argument] when the
     circuit has more than 62 inputs, keys or outputs (the packed words
     would not fit an OCaml [int]). *)
-
-val unchecked : n_inputs:int -> n_keys:int -> gates:gate array -> outputs:net array -> t
-(** Assemble a netlist without the {!Builder}'s structural checks —
-    the entry point for circuits produced outside this library, which
-    may contain forward references, out-of-range operands or dangling
-    outputs. Run such circuits through [Rb_lint] (or {!Analysis})
-    before trusting {!eval} on them. *)
-
-val fanin_cone_size : t -> net -> int
-(** Number of gates in the transitive fan-in of a net; a crude area
-    proxy used by overhead reports. *)
 
 val pp_stats : Format.formatter -> t -> unit
 (** One-line summary: inputs/keys/gates/outputs. *)
@@ -94,8 +88,8 @@ module Builder : sig
   val input : t -> int -> net
   val key : t -> int -> net
   val gate : t -> gate -> net
-  (** Append a gate; returns the net it drives. Operand nets must
-      already exist. *)
+  (** Append a gate; returns the net it drives. Raises
+      [Invalid_argument] when an operand is not an existing net. *)
 
   val not_ : t -> net -> net
   val and_ : t -> net -> net -> net
@@ -112,7 +106,8 @@ module Builder : sig
   (** Disjunction of a non-empty list of nets (balanced tree). *)
 
   val output : t -> net -> unit
-  (** Declare an output, in call order. *)
+  (** Declare an output, in call order. Raises [Invalid_argument] when
+      the net does not exist. *)
 
   val finish : t -> netlist
 end

@@ -22,10 +22,7 @@
       serving every other connection;
     - ["store/evict"], keyed by the store's access tick — fails one
       eviction pass; the store stays over cap until the next insert
-      instead of failing the lookup;
-    - ["analysis/fixpoint"], keyed by abstract-domain name — stops a
-      static-analysis fixpoint before its first pass, reported as the
-      [Conflicts] budget stop a spent pass budget gives.
+      instead of failing the lookup.
 
     Configuration can come from the environment (read once at module
     initialization), which is how a fault run enables the harness under

@@ -22,6 +22,39 @@ let random_dfg ?(n_ops = 20) ?(n_inputs = 4) seed =
   done;
   B.finish b
 
+let random_netlist rng ~n_inputs ~n_keys ~n_gates =
+  let module N = Rb_netlist.Netlist in
+  let b = N.Builder.create ~n_inputs ~n_keys in
+  let nets = ref [] in
+  for i = 0 to n_inputs - 1 do
+    nets := N.Builder.input b i :: !nets
+  done;
+  for k = 0 to n_keys - 1 do
+    nets := N.Builder.key b k :: !nets
+  done;
+  let pick () = List.nth !nets (Rng.int rng (List.length !nets)) in
+  for _ = 1 to n_gates do
+    let a = pick () and c = pick () and s = pick () in
+    let g =
+      match Rng.int rng 10 with
+      | 0 -> N.And (a, c)
+      | 1 -> N.Or (a, c)
+      | 2 -> N.Xor (a, c)
+      | 3 -> N.Nand (a, c)
+      | 4 -> N.Nor (a, c)
+      | 5 -> N.Xnor (a, c)
+      | 6 -> N.Not a
+      | 7 -> N.Buf a
+      | 8 -> N.Mux (s, a, c)
+      | _ -> N.Const (Rng.bool rng)
+    in
+    nets := N.Builder.gate b g :: !nets
+  done;
+  for _ = 1 to 1 + Rng.int rng 3 do
+    N.Builder.output b (pick ())
+  done;
+  N.Builder.finish b
+
 let random_trace ?(n = 32) seed dfg =
   let rng = Rng.create seed in
   Rb_sim.Trace.generate dfg ~n ~f:(fun _ _ -> Rng.int rng 256)

@@ -1,10 +1,17 @@
 (** Shared generators for the test suites: random DFGs, schedules,
-    traces and bindings with controlled shapes. *)
+    traces, bindings and gate-level netlists with controlled shapes. *)
 
 val random_dfg : ?n_ops:int -> ?n_inputs:int -> int -> Rb_dfg.Dfg.t
 (** [random_dfg seed] builds a random, valid DFG (mixed add/mul;
     operands drawn from earlier results, inputs, and constants).
     Deterministic in [seed]. *)
+
+val random_netlist :
+  Rb_util.Rng.t -> n_inputs:int -> n_keys:int -> n_gates:int -> Rb_netlist.Netlist.t
+(** A random circuit over the full gate alphabet, built gate by gate
+    with [Netlist.Builder.gate]: every operand is drawn from the inputs,
+    keys and earlier gates, and one to three outputs from all of them.
+    Requires [n_inputs + n_keys >= 1]. *)
 
 val random_trace : ?n:int -> int -> Rb_dfg.Dfg.t -> Rb_sim.Trace.t
 (** Uniform-random input trace (deterministic in the seed). *)

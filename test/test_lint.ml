@@ -29,22 +29,6 @@ let check_silent name rule diags =
 
 (* ------------------------------------------------- netlist rule fixtures *)
 
-let test_net_cycle () =
-  (* gate 0 drives net 1 but reads net 2 — a forward reference, i.e. a
-     combinational cycle; only constructible through Netlist.unchecked *)
-  let c =
-    Netlist.unchecked ~n_inputs:1 ~n_keys:0
-      ~gates:[| Netlist.And (0, 2); Netlist.Buf (1) |]
-      ~outputs:[| 2 |]
-  in
-  let diags = Netlist_rules.check c in
-  check_fires "forward ref" Netlist_rules.rule_cycle diags;
-  (* output naming a nonexistent net *)
-  let c =
-    Netlist.unchecked ~n_inputs:1 ~n_keys:0 ~gates:[| Netlist.Not 0 |] ~outputs:[| 9 |]
-  in
-  check_fires "dangling output" Netlist_rules.rule_cycle (Netlist_rules.check c)
-
 let test_net_dead () =
   let b = B.create ~n_inputs:1 ~n_keys:0 in
   let x = B.input b 0 in
@@ -255,7 +239,7 @@ let test_json_reporter () =
   let report =
     Report.make ~subject:{|quo"ted|}
       [
-        Diagnostic.error ~rule:"NET-CYCLE" (Diagnostic.Gate 3) ~hint:"fix\nit"
+        Diagnostic.error ~rule:"NET-DEAD" (Diagnostic.Gate 3) ~hint:"fix\nit"
           "bad \"net\"";
       ]
   in
@@ -269,7 +253,7 @@ let test_json_reporter () =
     [
       {|"subject":"quo\"ted"|};
       {|"errors":1|};
-      {|"rule":"NET-CYCLE"|};
+      {|"rule":"NET-DEAD"|};
       {|{"kind":"gate","index":3}|};
       {|"hint":"fix\nit"|};
       {|"message":"bad \"net\""|};
@@ -280,7 +264,7 @@ let test_json_reporter () =
 let test_assert_clean_raises () =
   let dirty =
     Report.make ~subject:"dirty"
-      [ Diagnostic.error ~rule:"NET-CYCLE" Diagnostic.Whole_design "boom" ]
+      [ Diagnostic.error ~rule:"NET-DEAD" Diagnostic.Whole_design "boom" ]
   in
   (match Lint.assert_clean dirty with
    | exception Lint.Lint_error r ->
@@ -353,7 +337,6 @@ let () =
     [
       ( "netlist rules",
         [
-          Alcotest.test_case "NET-CYCLE" `Quick test_net_cycle;
           Alcotest.test_case "NET-DEAD" `Quick test_net_dead;
           Alcotest.test_case "NET-KEY-MUTE" `Quick test_net_key_mute;
           Alcotest.test_case "NET-KEY-STRIP" `Quick test_net_key_strip;
