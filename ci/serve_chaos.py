@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Chaos client for the bindlock serve socket daemon.
 
-Hammers a daemon (expected to be running under deterministic fault
-injection on the serve/conn and store/evict sites, with a small
---store-cap and a --max-inflight cap) with concurrent sessions mixing
-valid, malformed and oversized NDJSON requests, plus one client that
-hangs up mid-request. The contract under test:
+Hammers a daemon (expected to be running with a small --store-cap and
+a --max-inflight cap) with concurrent sessions mixing valid, malformed
+and oversized NDJSON requests, plus one client that hangs up
+mid-request and one that hangs up before reading its answer. The
+contract under test:
 
-- every non-blank request line gets exactly one rb-result/1 line back,
-  in request order, whatever the request's quality;
-- a connection killed by the serve/conn fault dies alone: a fresh
-  connection must succeed;
+- every session is answered on its first connection: every non-blank
+  request line gets exactly one rb-result/1 line back, in request
+  order, whatever the request's quality;
+- a client that hangs up before reading its answer kills only its own
+  handler: a fresh connection is answered;
 - an oversized line answers one invalid-request error and does not
   poison the lines after it;
 - a client dying mid-request costs nobody else anything.
@@ -22,18 +23,13 @@ import json
 import socket
 import sys
 import threading
-import time
 
 PATH = sys.argv[1]
-MAX_ATTEMPTS = 40
 
 
 def session(lines):
-    """One connection: send all lines, half-close, read to EOF.
-
-    Returns the response lines, or None if the connection was killed
-    (fault injection at accept, or reset mid-stream).
-    """
+    """One connection: send all lines, half-close, read to EOF, and
+    check that every line was answered with one rb-result/1 line."""
     s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     try:
         s.connect(PATH)
@@ -45,27 +41,14 @@ def session(lines):
             if not chunk:
                 break
             data += chunk
-        return [l for l in data.decode().splitlines() if l]
-    except (ConnectionResetError, BrokenPipeError, ConnectionRefusedError):
-        return None
     finally:
         s.close()
-
-
-def robust_session(lines, expect):
-    """Retry until a connection survives fault injection end to end."""
-    for _ in range(MAX_ATTEMPTS):
-        got = session(lines)
-        if got is None or len(got) != expect:
-            # this connection's handler was killed: its death must be
-            # private, so a fresh connection gets a fresh chance
-            time.sleep(0.05)
-            continue
-        for line in got:
-            r = json.loads(line)
-            assert r.get("schema") == "rb-result/1", f"not an rb-result/1: {line}"
-        return got
-    raise SystemExit(f"no successful session after {MAX_ATTEMPTS} attempts")
+    got = [l for l in data.decode().splitlines() if l]
+    assert len(got) == len(lines), f"{len(got)} answers to {len(lines)} lines"
+    for line in got:
+        r = json.loads(line)
+        assert r.get("schema") == "rb-result/1", f"not an rb-result/1: {line}"
+    return got
 
 
 VALID = [
@@ -87,7 +70,7 @@ def mixed_client(i, failures):
     try:
         # rotate the mix per client so sessions are not identical
         lines = VALID[i % len(VALID) :] + MALFORMED + VALID[: i % len(VALID)]
-        got = robust_session(lines, len(lines))
+        got = session(lines)
         oks = sum(1 for l in got if '"ok"' in l)
         errs = sum(1 for l in got if '"error"' in l)
         assert oks + errs == len(lines), f"client {i}: {oks} ok + {errs} err"
@@ -117,7 +100,7 @@ def main():
         + "x" * (17 * 1024 * 1024)
         + '"}'
     )
-    got = robust_session([big, '{"schema":"rb-job/1","id":10,"op":"list"}'], 2)
+    got = session([big, '{"schema":"rb-job/1","id":10,"op":"list"}'])
     assert "request line exceeds" in got[0], f"oversized answer: {got[0]}"
     assert '"ok"' in got[1], f"line after oversized did not run: {got[1]}"
 
@@ -125,6 +108,15 @@ def main():
         t.join()
     if failures:
         raise SystemExit("\n".join(failures))
+
+    # A client sends a whole request and hangs up before reading the
+    # answer: its handler's write fails, and only that handler dies.
+    q = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    q.connect(PATH)
+    q.sendall(b'{"schema":"rb-job/1","id":11,"op":"bind","benchmark":"dct"}\n')
+    q.close()
+    got = session(['{"schema":"rb-job/1","id":12,"op":"list"}'])
+    assert '"ok"' in got[0], f"fresh connection after a hang-up: {got[0]}"
     print("serve chaos: all sessions answered line-for-line")
 
 

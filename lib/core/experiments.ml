@@ -11,14 +11,6 @@ module Rng = Rb_util.Rng
 module Stats = Rb_util.Stats
 module Pool = Rb_util.Pool
 
-(* Fan a map out over the pool when one is supplied; the inline
-   fallback keeps every driver usable without a pool (and is what a
-   nested map inside a pool task resolves to). *)
-let pool_map_list pool f l =
-  match pool with
-  | None -> List.map f l
-  | Some pool -> Pool.map_list pool ~f l
-
 (* Every binding/config this module produces is asserted lint-clean
    before it is measured, so a regression in a binder or the co-design
    search fails loudly instead of skewing a figure. *)
@@ -519,11 +511,11 @@ type sweep_key = { sk_benchmark : string; sk_kind : Dfg.op_kind }
 let both_kinds ctxs =
   List.concat_map (fun ctx -> [ (ctx, Dfg.Add); (ctx, Dfg.Mul) ]) ctxs
 
-let sweep_suite ?pool ?seed ?max_combos_per_config ?max_optimal_assignments
+let sweep_suite ~pool ?seed ?max_combos_per_config ?max_optimal_assignments
     ?fu_counts ?minterm_counts ctxs =
   (* One task per (benchmark, kind): the pool's only level. *)
-  pool_map_list pool
-    (fun (ctx, kind) ->
+  Pool.map_list pool
+    ~f:(fun (ctx, kind) ->
       ( { sk_benchmark = ctx.benchmark; sk_kind = kind },
         sweep ?seed ?max_combos_per_config ?max_optimal_assignments
           ?fu_counts ?minterm_counts ctx kind ))
@@ -608,18 +600,18 @@ let headline ?(full_candidates = 10) suite =
     hl_gap_worst = Stats.maximum !gaps;
   }
 
-let overhead_suite ?pool ?seed ?combos_per_config ctxs =
-  pool_map_list pool (fun ctx -> overhead ?seed ?combos_per_config ctx) ctxs
+let overhead_suite ~pool ?seed ?combos_per_config ctxs =
+  Pool.map_list pool ~f:(fun ctx -> overhead ?seed ?combos_per_config ctx) ctxs
 
-let quality_suite ?pool ?locked_fus ?minterms_per_fu ~trace_of ctxs =
-  pool_map_list pool
-    (fun (ctx, kind) ->
+let quality_suite ~pool ?locked_fus ?minterms_per_fu ~trace_of ctxs =
+  Pool.map_list pool
+    ~f:(fun (ctx, kind) ->
       quality ?locked_fus ?minterms_per_fu ~trace:(trace_of ctx) ctx kind)
     (both_kinds ctxs)
   |> List.filter_map Fun.id
 
-let post_binding_suite ?pool ?key_bits ?locked_fus ?minterms_per_fu ctxs =
-  pool_map_list pool
-    (fun (ctx, kind) -> post_binding ?key_bits ?locked_fus ?minterms_per_fu ctx kind)
+let post_binding_suite ~pool ?key_bits ?locked_fus ?minterms_per_fu ctxs =
+  Pool.map_list pool
+    ~f:(fun (ctx, kind) -> post_binding ?key_bits ?locked_fus ?minterms_per_fu ctx kind)
     (both_kinds ctxs)
   |> List.filter_map Fun.id

@@ -203,16 +203,16 @@ val post_binding :
 (** {2 Suites}
 
     Whole-evaluation drivers: pure compute over a list of benchmark
-    contexts, fanned out over an optional {!Rb_util.Pool}. All suites
-    hold the determinism contract — output is a pure function of the
-    inputs and seeds, independent of [?pool] and its worker count.
+    contexts, fanned out over a {!Rb_util.Pool}. All suites hold the
+    determinism contract — output is a pure function of the inputs
+    and seeds, independent of the pool's worker count.
     Rendering lives in {!Render}. *)
 
 (** Identifies one sweep within a suite. *)
 type sweep_key = { sk_benchmark : string; sk_kind : Dfg.op_kind }
 
 val sweep_suite :
-  ?pool:Rb_util.Pool.t ->
+  pool:Rb_util.Pool.t ->
   ?seed:int ->
   ?max_combos_per_config:int ->
   ?max_optimal_assignments:int ->
@@ -264,7 +264,7 @@ val headline :
   ?full_candidates:int -> (sweep_key * config_result list) list -> headline_summary
 
 val overhead_suite :
-  ?pool:Rb_util.Pool.t ->
+  pool:Rb_util.Pool.t ->
   ?seed:int ->
   ?combos_per_config:int ->
   context list ->
@@ -272,7 +272,7 @@ val overhead_suite :
 (** {!overhead} for every context, one pool task each. *)
 
 val quality_suite :
-  ?pool:Rb_util.Pool.t ->
+  pool:Rb_util.Pool.t ->
   ?locked_fus:int ->
   ?minterms_per_fu:int ->
   trace_of:(context -> Rb_sim.Trace.t) ->
@@ -282,7 +282,7 @@ val quality_suite :
     dropped. [trace_of] supplies each benchmark's replay trace. *)
 
 val post_binding_suite :
-  ?pool:Rb_util.Pool.t ->
+  pool:Rb_util.Pool.t ->
   ?key_bits:int ->
   ?locked_fus:int ->
   ?minterms_per_fu:int ->

@@ -26,10 +26,6 @@ let n_nets c = c.n_inputs + c.n_keys + Array.length c.gates
 let gates c = c.gates
 let outputs c = c.outputs
 
-let input_net c i =
-  if i < 0 || i >= c.n_inputs then invalid_arg "Netlist.input_net";
-  i
-
 let key_net c i =
   if i < 0 || i >= c.n_keys then invalid_arg "Netlist.key_net";
   c.n_inputs + i

@@ -40,9 +40,6 @@ val n_nets : t -> int
 val gates : t -> gate array
 val outputs : t -> net array
 
-val input_net : t -> int -> net
-(** [input_net c i] is the net of primary input [i]. *)
-
 val gate_fanin : gate -> net list
 (** Operand nets of a gate, in declaration order ([Mux] lists the
     select first). The one fan-in enumeration every traversal in the

@@ -157,7 +157,7 @@ let decisive = function Solver.Sat | Solver.Unsat -> true | Solver.Unknown _ -> 
    Unsat (the extracted key is canonical, so the choice is
    unobservable). *)
 let budget_stop = function
-  | Solver.Unknown (Limits.Conflicts | Limits.Propagations) -> true
+  | Solver.Unknown Limits.Conflicts -> true
   | _ -> false
 
 let solve_round m =

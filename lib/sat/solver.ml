@@ -1,5 +1,4 @@
 module Limits = Rb_util.Limits
-module Faults = Rb_util.Faults
 module Veci = Rb_util.Veci
 
 type result = Sat | Unsat | Unknown of Limits.reason
@@ -132,7 +131,6 @@ type t = {
   mutable s_learned : int;
   mutable s_reduces : int;
   mutable s_removed : int;
-  mutable s_solves : int;
 }
 
 (* Learnt-DB reduction cadence (Glucose-style): first pass after
@@ -179,7 +177,6 @@ let create ?(config = default_config) () =
     s_learned = 0;
     s_reduces = 0;
     s_removed = 0;
-    s_solves = 0;
   }
 
 let grow arr size default =
@@ -758,7 +755,6 @@ let flush_metrics s ~from result =
   Metrics.add m_removed (s.s_removed - rm0)
 
 let solve ?(assumptions = []) ?(limit = Limits.none) s =
-  s.s_solves <- s.s_solves + 1;
   let from =
     ( s.s_decisions, s.s_conflicts, s.s_propagations, s.s_restarts, s.s_learned,
       s.s_reduces, s.s_removed )
@@ -769,23 +765,11 @@ let solve ?(assumptions = []) ?(limit = Limits.none) s =
   in
   (* Budgets apply per solve call; the limit poll is skipped entirely
      on the (default) unlimited path so the search loop stays free of
-     clock and flag reads. The "sat/budget" fault site simulates
-     immediate exhaustion of a budgeted call — keyed by the solver's
-     own solve ordinal, so it is independent of scheduling. *)
+     clock and flag reads. *)
   let limited = not (Limits.is_none limit) in
-  let _, c0, p0, _, _, _, _ = from in
-  let injected =
-    limited
-    && match Faults.inject ~site:"sat/budget" ~key:(string_of_int s.s_solves) with
-       | () -> false
-       | exception Faults.Injected _ -> true
-  in
+  let _, c0, _, _, _, _, _ = from in
   Metrics.time t_solve @@ fun () ->
   if s.root_unsat then finish Unsat
-  else if injected then begin
-    Limits.note Limits.Conflicts;
-    finish (Unknown Limits.Conflicts)
-  end
   else begin
     List.iter
       (fun lit ->
@@ -802,10 +786,7 @@ let solve ?(assumptions = []) ?(limit = Limits.none) s =
     (try
        while !result = None do
          if limited then
-           (match
-              Limits.check limit ~conflicts:(s.s_conflicts - c0)
-                ~propagations:(s.s_propagations - p0)
-            with
+           (match Limits.check limit ~conflicts:(s.s_conflicts - c0) with
            | None -> ()
            | Some r ->
              Limits.note r;

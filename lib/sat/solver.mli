@@ -93,17 +93,14 @@ val solve : ?assumptions:int list -> ?limit:Rb_util.Limits.t -> t -> result
     under different assumptions.
 
     [?limit] (default {!Rb_util.Limits.none}) bounds the search:
-    budgets are polled once per search-loop iteration against this
-    call's own conflict/propagation deltas, and a tripped limit
-    returns [Unknown reason] with the trail fully backtracked — the
-    solver stays usable incrementally, and a later unlimited [solve]
-    can still decide the instance. Conflict/propagation budgets abort
-    at a deterministic point; deadline and cancel limits do not (see
+    limits are polled once per search-loop iteration against this
+    call's own conflict delta, and a tripped limit returns
+    [Unknown reason] with the trail fully backtracked — the solver
+    stays usable incrementally, and a later unlimited [solve] can
+    still decide the instance. A conflict budget aborts at a
+    deterministic point; deadline and cancel limits do not (see
     {!Rb_util.Limits}). An [Unknown] result counts under
-    ["sat/unknown_results"] and ["limits/budget_exhausted"]. When the
-    {!Rb_util.Faults} site ["sat/budget"] fires (keyed by this
-    solver's solve ordinal), a budgeted call reports
-    [Unknown Conflicts] immediately. *)
+    ["sat/unknown_results"] and ["limits/budget_exhausted"]. *)
 
 val value : t -> int -> bool
 (** Model value of a variable after a [Sat] answer. Unconstrained

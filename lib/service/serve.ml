@@ -1,7 +1,6 @@
 module Json = Rb_util.Json
 module Limits = Rb_util.Limits
 module Metrics = Rb_util.Metrics
-module Faults = Rb_util.Faults
 module Pool = Rb_util.Pool
 
 type stop = Eof | Cancelled | Drained
@@ -353,28 +352,23 @@ let run_socket ~executor ?(cancel = Limits.new_cancel ()) ?(drain = Atomic.make 
   Unix.bind sock (Unix.ADDR_UNIX path);
   Unix.listen sock 64;
   let active = Atomic.make 0 in
-  let ordinal = ref 0 in
   (* One handler thread per accepted connection. Everything a handler
-     can raise — a ["serve/conn"] injected fault, a client hanging up
-     mid-write, a bad descriptor — is caught inside the thread, so one
-     connection's death never reaches the accept loop or a sibling
-     connection. *)
-  let spawn conn ord =
+     can raise — a client hanging up mid-write, a bad descriptor — is
+     caught inside the thread, so one connection's death never reaches
+     the accept loop or a sibling connection. *)
+  let spawn conn =
     ignore (Atomic.fetch_and_add active 1);
     let handler () =
       Fun.protect
         ~finally:(fun () -> ignore (Atomic.fetch_and_add active (-1)))
         (fun () ->
+          let out = Unix.out_channel_of_descr conn in
           (try
-             Faults.inject ~site:"serve/conn" ~key:(string_of_int ord);
-             let out = Unix.out_channel_of_descr conn in
-             (try
-                ignore
-                  (run ~executor ~cancel ~drain ?batch_size ?max_line ?admission
-                     ~input:conn ~output:out ())
-              with Sys_error _ | Unix.Unix_error _ -> ());
-             try flush out with Sys_error _ -> ()
-           with Faults.Injected _ -> ());
+             ignore
+               (run ~executor ~cancel ~drain ?batch_size ?max_line ?admission
+                  ~input:conn ~output:out ())
+           with Sys_error _ | Unix.Unix_error _ -> ());
+          (try flush out with Sys_error _ -> ());
           try Unix.close conn with Unix.Unix_error _ -> ())
     in
     match Thread.create handler () with
@@ -399,8 +393,7 @@ let run_socket ~executor ?(cancel = Limits.new_cancel ()) ?(drain = Atomic.make 
       | _ -> (
         match Unix.accept ~cloexec:true sock with
         | conn, _ ->
-          incr ordinal;
-          spawn conn !ordinal;
+          spawn conn;
           accept_loop ()
         | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
           (* the client gave up between connect and accept *)

@@ -25,10 +25,9 @@
       [serve/rejected]) instead of queueing without bound. Slots are
       claimed at batch-assembly time, in arrival order.
     - {b Isolation.} Each socket connection is served by its own
-      thread; a client that hangs up mid-batch, an injected
-      ["serve/conn"] fault, or any handler exception kills only that
-      connection. The accept loop survives [EMFILE]/[ECONNABORTED]
-      and marks every descriptor close-on-exec.
+      thread; a client that hangs up mid-batch, or any handler
+      exception, kills only that connection. The accept loop survives
+      [EMFILE]/[ECONNABORTED] and marks every descriptor close-on-exec.
     - {b Drain.} The [drain] flag (SIGTERM) stops accepting input,
       finishes and flushes in-flight batches, and returns {!Drained};
       the [cancel] flag (SIGINT) additionally interrupts in-flight

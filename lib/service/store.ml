@@ -1,5 +1,4 @@
 module Metrics = Rb_util.Metrics
-module Faults = Rb_util.Faults
 
 type ready = { outcome : Outcome.t; cost : int; mutable last_use : int }
 
@@ -60,35 +59,31 @@ let touch t r =
 (* Evict least-recently-used Ready entries until the resident bytes
    fit the cap. Pending entries are never victims (a computation in
    flight owns its slot), and ties cannot happen — [last_use] ticks
-   are unique. Called with the mutex held. The ["store/evict"] fault
-   site models a failing eviction pass: the store degrades by staying
-   temporarily over cap (the next insert retries) instead of
-   propagating the failure into the caller's lookup. *)
+   are unique. [bytes] sums the costs of Ready entries only, so while
+   [bytes > cap >= 1] some Ready entry is left to evict. Called with
+   the mutex held. *)
 let enforce_cap t =
   match t.cap_bytes with
   | None -> ()
   | Some cap ->
-    (try
-       Faults.inject ~site:"store/evict" ~key:(string_of_int t.tick);
-       while t.bytes > cap do
-         let victim =
-           Hashtbl.fold
-             (fun key entry acc ->
-               match (entry, acc) with
-               | Pending _, _ -> acc
-               | Ready r, Some (_, best) when best.last_use <= r.last_use -> acc
-               | Ready r, _ -> Some (key, r))
-             t.table None
-         in
-         match victim with
-         | None -> raise Exit (* only pending entries left: nothing evictable *)
-         | Some (key, r) ->
-           Hashtbl.remove t.table key;
-           t.bytes <- t.bytes - r.cost;
-           t.evictions <- t.evictions + 1;
-           Metrics.incr cache_evictions
-       done
-     with Exit | Faults.Injected _ -> ());
+    while t.bytes > cap do
+      let victim =
+        Hashtbl.fold
+          (fun key entry acc ->
+            match (entry, acc) with
+            | Pending _, _ -> acc
+            | Ready r, Some (_, best) when best.last_use <= r.last_use -> acc
+            | Ready r, _ -> Some (key, r))
+          t.table None
+      in
+      match victim with
+      | None -> assert false (* bytes > 0 implies a Ready entry *)
+      | Some (key, r) ->
+        Hashtbl.remove t.table key;
+        t.bytes <- t.bytes - r.cost;
+        t.evictions <- t.evictions + 1;
+        Metrics.incr cache_evictions
+    done;
     Metrics.set_gauge store_bytes (float_of_int t.bytes)
 
 let rec find_or_compute t ~key f =

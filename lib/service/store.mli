@@ -55,9 +55,7 @@ val find_or_compute : t -> key:string -> (unit -> Outcome.t) -> Outcome.t
     concurrent waiters then recompute. Counts one [cache/hits] per
     ready lookup and one [cache/misses] per compute attempt, both on
     the process-wide {!Rb_util.Metrics} registry and on the store's
-    own {!stats}. The ["store/evict"] fault site makes an eviction
-    pass fail benignly: the store stays over cap until the next
-    insert instead of surfacing the fault. *)
+    own {!stats}. *)
 
 type stats = { hits : int; misses : int; evictions : int; bytes : int }
 

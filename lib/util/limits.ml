@@ -1,23 +1,19 @@
-type reason = Conflicts | Propagations | Deadline | Cancelled
+type reason = Conflicts | Deadline | Cancelled
 
 type t = {
   max_conflicts : int option;
-  max_propagations : int option;
   deadline_s : float option;
   cancels : bool Atomic.t list;
 }
 
-let none =
-  { max_conflicts = None; max_propagations = None; deadline_s = None; cancels = [] }
+let none = { max_conflicts = None; deadline_s = None; cancels = [] }
 
-let make ?max_conflicts ?max_propagations ?deadline_s ?cancel () =
-  { max_conflicts; max_propagations; deadline_s; cancels = Option.to_list cancel }
+let make ?max_conflicts ?deadline_s ?cancel () =
+  { max_conflicts; deadline_s; cancels = Option.to_list cancel }
 
 let conflicts n = make ~max_conflicts:n ()
 
-let is_none t =
-  t.max_conflicts = None && t.max_propagations = None && t.deadline_s = None
-  && t.cancels = []
+let is_none t = t.max_conflicts = None && t.deadline_s = None && t.cancels = []
 
 let new_cancel () = Atomic.make false
 let cancel flag = Atomic.set flag true
@@ -34,11 +30,7 @@ let with_deadline t deadline_s =
   in
   { t with deadline_s = Some deadline_s }
 
-let has_deadline t = t.deadline_s <> None
-let has_budget t = t.max_conflicts <> None || t.max_propagations <> None
-
-let exceeds budget used =
-  match budget with Some b -> used >= b | None -> false
+let has_budget t = t.max_conflicts <> None
 
 (* The nondeterministic half: cancel flags first (one atomic read
    each), then the wall clock (a syscall — only consulted when a
@@ -50,14 +42,13 @@ let interrupted t =
     | Some d when Metrics.now_s () >= d -> Some Deadline
     | _ -> None
 
-let check t ~conflicts ~propagations =
-  if exceeds t.max_conflicts conflicts then Some Conflicts
-  else if exceeds t.max_propagations propagations then Some Propagations
-  else interrupted t
+let check t ~conflicts =
+  match t.max_conflicts with
+  | Some b when conflicts >= b -> Some Conflicts
+  | _ -> interrupted t
 
 let reason_label = function
   | Conflicts -> "conflicts"
-  | Propagations -> "propagations"
   | Deadline -> "deadline"
   | Cancelled -> "cancelled"
 
@@ -66,6 +57,6 @@ let m_deadline = Metrics.counter ~scope:"limits" "deadline_exceeded"
 let m_cancelled = Metrics.counter ~scope:"limits" "cancelled"
 
 let note = function
-  | Conflicts | Propagations -> Metrics.incr m_budget
+  | Conflicts -> Metrics.incr m_budget
   | Deadline -> Metrics.incr m_deadline
   | Cancelled -> Metrics.incr m_cancelled

@@ -11,10 +11,10 @@
     The limits split into two classes, mirroring the determinism
     contract of {!Metrics}:
 
-    - {b Conflict and propagation budgets are deterministic.} They
-      count the solver's logical work, so a budgeted run aborts at the
-      same point on every machine and for every [--jobs] value.
-      Experiments and tests use only these.
+    - {b Conflict budgets are deterministic.} They count the solver's
+      logical work, so a budgeted run aborts at the same point on
+      every machine and for every [--jobs] value. Experiments and
+      tests use only these.
     - {b Wall deadlines and cancel flags are not.} They exist for the
       interactive CLIs (a user-facing [--timeout], a SIGINT handler
       flipping the flag); deterministic surfaces must never depend on
@@ -26,7 +26,6 @@
 
 type reason =
   | Conflicts  (** the solver's conflict budget ran out *)
-  | Propagations  (** the solver's propagation budget ran out *)
   | Deadline  (** the wall-clock deadline passed *)
   | Cancelled  (** the cooperative cancel flag was raised *)
 
@@ -38,7 +37,6 @@ val none : t
 
 val make :
   ?max_conflicts:int ->
-  ?max_propagations:int ->
   ?deadline_s:float ->
   ?cancel:bool Atomic.t ->
   unit ->
@@ -78,34 +76,29 @@ val with_deadline : t -> float -> t
     ever shrink, so a per-request deadline composed onto a daemon-wide
     budget cannot extend it. *)
 
-val has_deadline : t -> bool
-(** [true] iff a wall deadline is set. Lets a caller distinguish a
-    deadline-bearing limit (whose results must not be cached — they
-    depend on the clock) from a purely deterministic one. *)
-
 val has_budget : t -> bool
-(** [true] iff a deterministic work budget (conflicts or propagations)
-    is set. Budgeted runs must report the {e same} partial result at
+(** [true] iff a deterministic work budget (a conflict budget) is
+    set. Budgeted runs must report the {e same} partial result at
     every parallelism level, so racing layers (the SAT portfolio) use
     this to route budget stops through the deterministic member rather
     than whichever racer finishes first. *)
 
-val check : t -> conflicts:int -> propagations:int -> reason option
-(** Poll every limit against the caller's {e per-call} work deltas.
-    Checks in a fixed order — [Conflicts], [Propagations], [Cancelled],
-    [Deadline] — so the reported reason is deterministic whenever the
-    deterministic budgets are the ones that trip. *)
+val check : t -> conflicts:int -> reason option
+(** Poll every limit against the caller's {e per-call} conflict count.
+    Checks in a fixed order — [Conflicts], [Cancelled], [Deadline] —
+    so the reported reason is deterministic whenever the conflict
+    budget is the one that trips. *)
 
 val interrupted : t -> reason option
 (** {!check} for loops with no solver counters: polls only the cancel
     flag and the deadline. Cheap enough for per-iteration use. *)
 
 val reason_label : reason -> string
-(** ["conflicts"], ["propagations"], ["deadline"], ["cancelled"] —
+(** ["conflicts"], ["deadline"], ["cancelled"] —
     stable strings for tables and JSON. *)
 
 val note : reason -> unit
 (** Bump the ["limits"] counter for a stop that is about to be
-    reported ([budget_exhausted] for the two deterministic reasons,
+    reported ([budget_exhausted] for the deterministic reason,
     [deadline_exceeded], [cancelled]). Callers that surface a reason
     should note it exactly once. *)

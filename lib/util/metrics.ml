@@ -79,7 +79,6 @@ let incr c = add c 1
 let counter_value c = Atomic.get c.value
 
 let set_gauge g v = if Atomic.get enabled_flag then Atomic.set g.level v
-let gauge_value g = Atomic.get g.level
 
 let observe_always t dt =
   Mutex.lock t.lock;

@@ -62,7 +62,6 @@ val counter_value : counter -> int
 
 val gauge : scope:string -> string -> gauge
 val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val timer : scope:string -> string -> timer
 

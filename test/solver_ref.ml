@@ -1,5 +1,5 @@
-(* The seed solver, verbatim except for the removal of the Metrics,
-   Limits and Faults plumbing. Do not optimize this file: its value is
+(* The seed solver, verbatim except for the removal of the Metrics
+   and Limits plumbing. Do not optimize this file: its value is
    being the independently-written implementation the fast solver is
    differentially tested against. *)
 

@@ -7,7 +7,6 @@ module Circuits = Rb_netlist.Circuits
 module Lock = Rb_netlist.Lock
 module Rng = Rb_util.Rng
 module Limits = Rb_util.Limits
-module Faults = Rb_util.Faults
 
 (* ------------------------------------------------------------- solver *)
 
@@ -111,14 +110,7 @@ let test_solve_conflict_budget_unknown () =
   Alcotest.(check bool) "still decides without a limit" true
     (Solver.solve s = Solver.Unsat)
 
-let test_solve_propagation_budget_unknown () =
-  let s = pigeonhole 7 6 in
-  match Solver.solve ~limit:(Limits.make ~max_propagations:5 ()) s with
-  | Solver.Unknown Limits.Propagations -> ()
-  | _ -> Alcotest.fail "propagation budget should trip first"
-
 let test_solve_budget_is_per_call () =
-  Faults.with_config None @@ fun () ->
   (* Budgets meter each call's own work, not the solver's lifetime
      totals: a budget that covers one full solve covers a repeat too. *)
   let probe = pigeonhole 4 4 in
@@ -140,25 +132,9 @@ let test_solve_cancelled () =
   | _ -> Alcotest.fail "raised cancel flag should stop the solve"
 
 let test_solve_generous_budget_decides () =
-  Faults.with_config None @@ fun () ->
   let s = pigeonhole 5 4 in
   Alcotest.(check bool) "large budget changes nothing" true
     (Solver.solve ~limit:(Limits.conflicts 10_000_000) s = Solver.Unsat)
-
-let test_solve_budget_fault_site () =
-  Faults.with_config
-    (Some { Faults.seed = 1; rate_per_mille = 1000; sites = [ "sat/budget" ] })
-    (fun () ->
-      let s = Solver.create () in
-      let v = Solver.new_var s in
-      Solver.add_clause s [ v ];
-      (* The site only arms budgeted solves: unlimited calls are never
-         perturbed, so ordinary solves ignore a fault run. *)
-      Alcotest.(check bool) "unlimited solve untouched" true
-        (Solver.solve s = Solver.Sat);
-      match Solver.solve ~limit:(Limits.conflicts 1_000_000) s with
-      | Solver.Unknown Limits.Conflicts -> ()
-      | _ -> Alcotest.fail "injected budget exhaustion expected")
 
 let eval_clauses clauses value =
   List.for_all
@@ -565,9 +541,9 @@ let qcheck_unknown_leaves_instance_reusable =
       let s = Solver.create () in
       ignore (Solver.new_vars s n_vars);
       List.iter (Solver.add_clause s) clauses;
-      (* Zero propagation budget: trips on the first search loop, so
-         the first call is Unknown whenever the instance needs search. *)
-      (match Solver.solve ~limit:(Limits.make ~max_propagations:0 ()) s with
+      (* Zero conflict budget: trips on the first search loop, so the
+         first call is Unknown whenever the instance needs search. *)
+      (match Solver.solve ~limit:(Limits.conflicts 0) s with
       | Solver.Unknown _ | Solver.Sat | Solver.Unsat -> ());
       let flag = Limits.new_cancel () in
       Limits.cancel flag;
@@ -887,7 +863,6 @@ let test_approximate_estimate_matches_scalar () =
     [ 97; 5; 2021 ]
 
 let test_attack_solver_limit () =
-  Faults.with_config None @@ fun () ->
   let base = Circuits.adder ~width:3 in
   let locked = Lock.point_function ~minterms:[ 12; 19 ] base in
   (* A zero-conflict budget trips on the very first miter solve. *)
@@ -906,7 +881,6 @@ let test_attack_solver_limit () =
     Alcotest.fail "generous budget should not interfere"
 
 let test_approximate_attack_solver_limit () =
-  Faults.with_config None @@ fun () ->
   let base = Circuits.adder ~width:3 in
   let locked = Lock.point_function ~minterms:[ 12; 19 ] base in
   let outcome = Attack.approximate ~limit:(Limits.conflicts 0) locked in
@@ -977,7 +951,6 @@ let test_attack_portfolio_rejects_bad_size () =
       ignore (Attack.attack_locked ~portfolio:0 locked))
 
 let test_attack_budgeted_portfolio_degrades () =
-  Faults.with_config None @@ fun () ->
   let base = Circuits.adder ~width:3 in
   let locked = Lock.point_function ~minterms:[ 12; 19 ] base in
   Rb_util.Pool.with_pool ~jobs:3 (fun pool ->
@@ -1002,7 +975,6 @@ let test_attack_budgeted_portfolio_deterministic () =
      outcome (including which Solver_limit round trips and the DIP
      prefix completed) is byte-identical at every portfolio size, pool
      or no pool. *)
-  Faults.with_config None @@ fun () ->
   let base = Circuits.adder ~width:3 in
   let locked = Lock.point_function ~minterms:[ 12; 19 ] base in
   let limited = ref 0 and finished = ref 0 in
@@ -1080,16 +1052,12 @@ let () =
         [
           Alcotest.test_case "conflict budget yields Unknown" `Quick
             test_solve_conflict_budget_unknown;
-          Alcotest.test_case "propagation budget yields Unknown" `Quick
-            test_solve_propagation_budget_unknown;
           Alcotest.test_case "budget is per call" `Quick
             test_solve_budget_is_per_call;
           Alcotest.test_case "cancel flag stops the solve" `Quick
             test_solve_cancelled;
           Alcotest.test_case "generous budget decides" `Quick
             test_solve_generous_budget_decides;
-          Alcotest.test_case "sat/budget fault site" `Quick
-            test_solve_budget_fault_site;
         ] );
       ( "order-heap",
         [

@@ -276,32 +276,6 @@ let test_store_lru_eviction () =
   ignore (get "b" 'b');
   Alcotest.(check int) "b was the victim, recomputed" 4 (Atomic.get computed)
 
-(* A failing eviction pass (injected ["store/evict"] fault) must
-   degrade — store temporarily over cap — never surface to the
-   caller; the next unfaulted insert catches up. *)
-let test_store_evict_fault_degrades () =
-  let payload c = Outcome.Exported (String.make 1000 c) in
-  let cost = Store.cost_of (payload 'a') in
-  let store = Store.create ~cap_bytes:(2 * cost) () in
-  let get key c =
-    ignore (Store.find_or_compute store ~key (fun () -> payload c))
-  in
-  Rb_util.Faults.with_config
-    (Some { Rb_util.Faults.seed = 1; rate_per_mille = 1000; sites = [ "store/evict" ] })
-    (fun () ->
-      get "a" 'a';
-      get "b" 'b';
-      get "c" 'c';
-      get "d" 'd');
-  let over = Store.stats store in
-  Alcotest.(check int) "faulted eviction passes evict nothing" 0 over.Store.evictions;
-  Alcotest.(check int) "store is over cap but intact" 4 (Store.size store);
-  get "e" 'e';
-  let after = Store.stats store in
-  Alcotest.(check bool) "next insert catches up" true (after.Store.evictions >= 3);
-  Alcotest.(check bool) "resident bytes back within cap" true
-    (after.Store.bytes <= 2 * cost)
-
 (* Single-flight must hold under eviction churn: racing workers on a
    store whose cap holds only a fraction of the key space always get
    the outcome belonging to their key, never a stale or foreign
@@ -856,8 +830,6 @@ let recv_line fd =
           Buffer.add_char buf (Bytes.get b 0);
           go ()
         end
-    (* a handler killed with our request unread closes with an RST *)
-    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> Buffer.contents buf
   in
   go ()
 
@@ -913,34 +885,26 @@ let test_serve_socket_concurrent () =
   Alcotest.(check bool) "SIGTERM-style drain stops the daemon" true
     (stop = Some Serve.Drained)
 
-(* Every connection handler is killed at accept time by the
-   ["serve/conn"] fault — each client just sees its connection close,
-   and the daemon keeps accepting and drains cleanly. *)
-let test_serve_conn_fault_isolation () =
+(* A handler whose client hangs up before its answer is written dies
+   alone: its write fails (EPIPE) or lands in a dead socket's buffer,
+   and either way the daemon answers the next connection and drains
+   cleanly. With one worker the fresh request queues behind the
+   abandoned bind, so it is answered only after that answer's write. *)
+let test_serve_client_hangup_isolation () =
   let stop =
-    Rb_util.Faults.with_config
-      (Some { Rb_util.Faults.seed = 7; rate_per_mille = 1000; sites = [ "serve/conn" ] })
-      (fun () ->
-        with_socket_server ~jobs:1 (fun path ->
-            let try_once () =
-              let fd = connect path in
-              let answer =
-                match send fd ({|{"schema":"rb-job/1","id":0,"op":"list"}|} ^ "\n") with
-                | () -> recv_line fd
-                (* the faulted handler may close before the request is
-                   written: a closed connection, not a test failure *)
-                | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ""
-              in
-              Unix.close fd;
-              answer
-            in
-            Alcotest.(check string) "faulted handler closes without answering" ""
-              (try_once ());
-            Alcotest.(check string) "daemon still accepts the next connection" ""
-              (try_once ())))
+    with_socket_server ~jobs:1 (fun path ->
+        let quitter = connect path in
+        send quitter
+          ({|{"schema":"rb-job/1","id":1,"op":"bind","benchmark":"dct"}|} ^ "\n");
+        Unix.close quitter;
+        let fd = connect path in
+        send fd ({|{"schema":"rb-job/1","id":2,"op":"list"}|} ^ "\n");
+        let r = parse_response (recv_line fd) in
+        Unix.close fd;
+        Alcotest.(check bool) "fresh connection answered" true (field "id" r = Json.Int 2);
+        Alcotest.(check bool) "with an outcome" true (List.mem_assoc "ok" r))
   in
-  Alcotest.(check bool) "daemon drains despite per-connection faults" true
-    (stop = Some Serve.Drained)
+  Alcotest.(check bool) "daemon drains after the hang-up" true (stop = Some Serve.Drained)
 
 (* ------------------------------------------- Serve: hostile wire input *)
 
@@ -1196,7 +1160,6 @@ let () =
           Alcotest.test_case "concurrent single flight" `Quick
             test_store_concurrent_single_flight;
           Alcotest.test_case "lru eviction" `Quick test_store_lru_eviction;
-          Alcotest.test_case "evict fault degrades" `Quick test_store_evict_fault_degrades;
         ] );
       ( "executor",
         [
@@ -1224,7 +1187,7 @@ let () =
           Alcotest.test_case "concurrent socket clients" `Quick
             test_serve_socket_concurrent;
           Alcotest.test_case "connection fault isolation" `Quick
-            test_serve_conn_fault_isolation;
+            test_serve_client_hangup_isolation;
         ] );
       ("golden", golden_tests);
       ( "properties",

@@ -7,7 +7,6 @@ module Json = Rb_util.Json
 module Metrics = Rb_util.Metrics
 module Bench_diff = Rb_util.Bench_diff
 module Limits = Rb_util.Limits
-module Faults = Rb_util.Faults
 module Veci = Rb_util.Veci
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -568,7 +567,7 @@ let test_diff_missing_metric () =
 let test_diff_new_counter () =
   let base = bench_doc [ ("fig6", 1.0, [ ("sat/solves", 10) ]) ] in
   let cur =
-    bench_doc [ ("fig6", 1.0, [ ("sat/solves", 10); ("faults/injected", 0) ]) ]
+    bench_doc [ ("fig6", 1.0, [ ("sat/solves", 10); ("sat/unknown_results", 0) ]) ]
   in
   (* A counter absent from the baseline is a gate failure by default:
      either the baseline is stale or behaviour silently grew. *)
@@ -721,22 +720,20 @@ let test_limits_none () =
   Alcotest.(check bool) "conflicts is not none" false
     (Limits.is_none (Limits.conflicts 5));
   Alcotest.(check (option reason)) "none never trips" None
-    (Limits.check Limits.none ~conflicts:max_int ~propagations:max_int)
+    (Limits.check Limits.none ~conflicts:max_int)
 
 let test_limits_budgets () =
-  let l = Limits.make ~max_conflicts:10 ~max_propagations:100 () in
-  Alcotest.(check (option reason)) "under budget" None
-    (Limits.check l ~conflicts:9 ~propagations:99);
+  let l = Limits.make ~max_conflicts:10 () in
+  Alcotest.(check (option reason)) "under budget" None (Limits.check l ~conflicts:9);
   Alcotest.(check (option reason)) "conflict budget trips at the bound"
-    (Some Limits.Conflicts)
-    (Limits.check l ~conflicts:10 ~propagations:0);
-  Alcotest.(check (option reason)) "propagation budget trips"
-    (Some Limits.Propagations)
-    (Limits.check l ~conflicts:0 ~propagations:100);
-  (* Fixed reporting order: conflicts win when both trip. *)
+    (Some Limits.Conflicts) (Limits.check l ~conflicts:10);
+  (* Fixed reporting order: the deterministic budget wins over a
+     raised cancel flag. *)
+  let flag = Limits.new_cancel () in
+  Limits.cancel flag;
   Alcotest.(check (option reason)) "conflicts reported first"
     (Some Limits.Conflicts)
-    (Limits.check l ~conflicts:10 ~propagations:100)
+    (Limits.check (Limits.with_cancel l flag) ~conflicts:10)
 
 let test_limits_cancel () =
   let flag = Limits.new_cancel () in
@@ -747,7 +744,7 @@ let test_limits_cancel () =
   Alcotest.(check (option reason)) "interrupted sees it"
     (Some Limits.Cancelled) (Limits.interrupted l);
   Alcotest.(check (option reason)) "check sees it too"
-    (Some Limits.Cancelled) (Limits.check l ~conflicts:0 ~propagations:0)
+    (Some Limits.Cancelled) (Limits.check l ~conflicts:0)
 
 let test_limits_with_cancel () =
   (* with_cancel layers a second flag over an existing limit: either
@@ -759,7 +756,7 @@ let test_limits_with_cancel () =
   Alcotest.(check (option reason)) "no flag raised" None (Limits.interrupted layered);
   Alcotest.(check (option reason)) "budget survives layering"
     (Some Limits.Conflicts)
-    (Limits.check layered ~conflicts:10 ~propagations:0);
+    (Limits.check layered ~conflicts:10);
   Limits.cancel extra_flag;
   Alcotest.(check (option reason)) "added flag interrupts"
     (Some Limits.Cancelled) (Limits.interrupted layered);
@@ -776,14 +773,8 @@ let test_limits_deadline () =
   let future = Limits.make ~deadline_s:(Metrics.now_s () +. 3600.0) () in
   Alcotest.(check (option reason)) "future deadline does not" None
     (Limits.interrupted future);
-  (* has_deadline distinguishes volatile (clock-dependent) limits from
-     deterministic ones; with_deadline composes by min, so tightening
-     can only shrink an existing deadline, never extend it. *)
-  Alcotest.(check bool) "no deadline on none" false (Limits.has_deadline Limits.none);
-  Alcotest.(check bool) "budget alone is deadline-free" false
-    (Limits.has_deadline (Limits.conflicts 10));
-  Alcotest.(check bool) "with_deadline sets one" true
-    (Limits.has_deadline (Limits.with_deadline Limits.none 1.0));
+  (* with_deadline composes by min, so tightening can only shrink an
+     existing deadline, never extend it. *)
   let tightened = Limits.with_deadline future (Metrics.now_s () -. 1.0) in
   Alcotest.(check (option reason)) "tightening wins over a laxer deadline"
     (Some Limits.Deadline) (Limits.interrupted tightened);
@@ -799,12 +790,10 @@ let counter_at key snap =
 let test_limits_notes_counters () =
   with_metrics (fun () ->
       Limits.note Limits.Conflicts;
-      Limits.note Limits.Propagations;
       Limits.note Limits.Deadline;
       Limits.note Limits.Cancelled;
       let snap = Metrics.snapshot () in
-      Alcotest.(check int) "both deterministic reasons share one counter" 2
-        (counter_at "limits/budget_exhausted" snap);
+      Alcotest.(check int) "budget" 1 (counter_at "limits/budget_exhausted" snap);
       Alcotest.(check int) "deadline" 1 (counter_at "limits/deadline_exceeded" snap);
       Alcotest.(check int) "cancelled" 1 (counter_at "limits/cancelled" snap))
 
@@ -847,69 +836,6 @@ let test_share_buffer_concurrent_pushes () =
            (Array.init 100 Fun.id)));
   let drained = List.sort compare (Pool.Share_buffer.drain b) in
   Alcotest.(check (list int)) "all pushes land once" (List.init 100 Fun.id) drained
-
-(* --------------------------------------------------------------- Faults *)
-
-let fault_config ?(rate = 1000) ?(sites = []) seed =
-  Some { Faults.seed; rate_per_mille = rate; sites }
-
-let test_faults_disabled_by_default () =
-  Alcotest.(check bool) "off outside with_config" true
-    (Faults.config () = None || Sys.getenv_opt "RB_FAULT_SEED" <> None);
-  Faults.with_config None (fun () ->
-      Alcotest.(check bool) "never fires when off" false
-        (Faults.fire ~site:"pool/task" ~key:"0");
-      Faults.inject ~site:"pool/task" ~key:"0" (* must not raise *))
-
-let test_faults_deterministic () =
-  Faults.with_config (fault_config ~rate:500 11) (fun () ->
-      let decisions () =
-        List.init 64 (fun i -> Faults.fire ~site:"pool/task" ~key:(string_of_int i))
-      in
-      let first = decisions () in
-      Alcotest.(check (list bool)) "same config, same decisions" first
-        (decisions ());
-      Alcotest.(check bool) "rate 500 fires somewhere" true
-        (List.mem true first);
-      Alcotest.(check bool) "rate 500 spares somewhere" true
-        (List.mem false first));
-  let at seed =
-    Faults.with_config (fault_config ~rate:500 seed) (fun () ->
-        List.init 64 (fun i -> Faults.fire ~site:"pool/task" ~key:(string_of_int i)))
-  in
-  Alcotest.(check bool) "seed changes the decisions" true (at 11 <> at 12)
-
-let test_faults_rate_extremes () =
-  Faults.with_config (fault_config ~rate:0 7) (fun () ->
-      Alcotest.(check bool) "rate 0 never fires" false
-        (List.init 32 (fun i -> Faults.fire ~site:"s" ~key:(string_of_int i))
-        |> List.mem true));
-  Faults.with_config (fault_config ~rate:1000 7) (fun () ->
-      Alcotest.(check bool) "rate 1000 always fires" true
-        (List.init 32 (fun i -> Faults.fire ~site:"s" ~key:(string_of_int i))
-        |> List.for_all Fun.id))
-
-let test_faults_site_filter () =
-  Faults.with_config (fault_config ~rate:1000 ~sites:[ "pool/task" ] 3) (fun () ->
-      Alcotest.(check bool) "listed site fires" true
-        (Faults.fire ~site:"pool/task" ~key:"k");
-      Alcotest.(check bool) "other sites stay quiet" false
-        (Faults.fire ~site:"sat/budget" ~key:"k"))
-
-let test_faults_inject_payload () =
-  Faults.with_config (fault_config ~rate:1000 5) (fun () ->
-      Alcotest.check_raises "payload is site:key"
-        (Faults.Injected "pool/task:17") (fun () ->
-          Faults.inject ~site:"pool/task" ~key:"17"))
-
-let test_faults_with_config_restores () =
-  let outer = fault_config 1 in
-  Faults.with_config outer (fun () ->
-      (try Faults.with_config (fault_config 2) (fun () -> failwith "boom")
-       with Failure _ -> ());
-      Alcotest.(check bool) "restored after exception" true
-        (Faults.config () = outer));
-  ignore (Faults.with_config None (fun () -> ()))
 
 (* --------------------------------------------------------------- QCheck *)
 
@@ -1163,18 +1089,6 @@ let () =
             test_share_buffer_invalid_capacity;
           Alcotest.test_case "concurrent pushes" `Quick
             test_share_buffer_concurrent_pushes;
-        ] );
-      ( "faults",
-        [
-          Alcotest.test_case "disabled by default" `Quick
-            test_faults_disabled_by_default;
-          Alcotest.test_case "deterministic decisions" `Quick
-            test_faults_deterministic;
-          Alcotest.test_case "rate extremes" `Quick test_faults_rate_extremes;
-          Alcotest.test_case "site filter" `Quick test_faults_site_filter;
-          Alcotest.test_case "inject payload" `Quick test_faults_inject_payload;
-          Alcotest.test_case "with_config restores" `Quick
-            test_faults_with_config_restores;
         ] );
       ( "rng",
         [
