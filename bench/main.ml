@@ -600,13 +600,7 @@ let methodology () =
           [
             string_of_int goal.Methodology.target_error_events;
             Printf.sprintf "%.0e" goal.Methodology.min_lambda;
-            (match plan.Methodology.stopped with
-            | None -> string_of_int plan.Methodology.minterms_per_fu
-            | Some reason ->
-              (* The search was interrupted: the budget shown is the
-                 largest one evaluated, not the converged answer. *)
-              Printf.sprintf "%d (stopped: %s)" plan.Methodology.minterms_per_fu
-                (Limits.reason_label reason));
+            string_of_int plan.Methodology.minterms_per_fu;
             string_of_int plan.Methodology.achieved_errors;
             (if plan.Methodology.predicted_lambda = infinity then "inf"
              else Printf.sprintf "%.0f" plan.Methodology.predicted_lambda);

@@ -1,5 +1,4 @@
 module N = Rb_netlist.Netlist
-module Limits = Rb_util.Limits
 module Metrics = Rb_util.Metrics
 
 type inference = { bit : int; value : bool; via : string }
@@ -10,20 +9,9 @@ type outcome = {
   gates_removed : int;
   keys_stripped : int;
   simplified : N.t option;
-  stopped : Limits.reason option;
 }
 
 (* ---------- constant-propagation key inference ---------- *)
-
-let stopped_outcome name r =
-  {
-    attack = name;
-    inferred = [];
-    gates_removed = 0;
-    keys_stripped = 0;
-    simplified = None;
-    stopped = Some r;
-  }
 
 let key_assignment c inferences =
   let key = Array.make (N.n_keys c) Ternary.Unknown in
@@ -66,69 +54,54 @@ let pass_through_candidates c =
 
 let const_prop_name = "const-prop"
 
-let const_prop ?limit c =
-  let free = Ternary.run ?limit c in
-  match free.Engine.stopped with
-  | Some r -> stopped_outcome const_prop_name r
-  | None ->
-      let cone = Engine.output_cone c in
-      let live = Ternary.live_nets c in
-      let n_keys = N.n_keys c in
-      let inferences = ref [] in
-      let claimed = Array.make (max n_keys 1) false in
-      let claim bit value via =
-        claimed.(bit) <- true;
-        inferences := { bit; value; via } :: !inferences
+let const_prop c =
+  let free = Ternary.constants c in
+  let cone = Engine.output_cone c in
+  let live = Ternary.live_nets c in
+  let n_keys = N.n_keys c in
+  let inferences = ref [] in
+  let claimed = Array.make (max n_keys 1) false in
+  let claim bit value via =
+    claimed.(bit) <- true;
+    inferences := { bit; value; via } :: !inferences
+  in
+  for k = 0 to n_keys - 1 do
+    let k_net = N.key_net c k in
+    if not cone.(k_net) then claim k false "mute"
+    else if not live.(k_net) then claim k false "strip"
+  done;
+  let pass_through = pass_through_candidates c in
+  for k = 0 to n_keys - 1 do
+    if not claimed.(k) then
+      match pass_through.(k) with
+      | Some value -> claim k value "pass-through"
+      | None -> ()
+  done;
+  let inferences = List.rev !inferences in
+  (* Validation: re-propagate under the inferred assignment; if an
+     output turns constant that was free under the unconstrained key,
+     a pass-through guess collapsed real logic — drop the pass-through
+     class and keep only the sound rules. *)
+  let inferred =
+    if not (List.exists (fun i -> i.via = "pass-through") inferences) then
+      inferences
+    else
+      let pinned = Ternary.constants ~key:(key_assignment c inferences) c in
+      let became_const =
+        Array.exists
+          (fun net -> pinned.(net) <> Ternary.Unknown && free.(net) = Ternary.Unknown)
+          (N.outputs c)
       in
-      for k = 0 to n_keys - 1 do
-        let k_net = N.key_net c k in
-        if not cone.(k_net) then claim k false "mute"
-        else if not live.(k_net) then claim k false "strip"
-      done;
-      let pass_through = pass_through_candidates c in
-      for k = 0 to n_keys - 1 do
-        if not claimed.(k) then
-          match pass_through.(k) with
-          | Some value -> claim k value "pass-through"
-          | None -> ()
-      done;
-      let inferences = List.rev !inferences in
-      (* Validation: re-propagate under the inferred assignment; if an
-         output turns constant that was free under the unconstrained
-         key, a pass-through guess collapsed real logic — drop the
-         pass-through class and keep only the sound rules. *)
-      let pass_throughs =
-        List.filter (fun i -> i.via = "pass-through") inferences
-      in
-      let validated =
-        if pass_throughs = [] then Ok inferences
-        else
-          let pinned = Ternary.run ?limit ~key:(key_assignment c inferences) c in
-          match pinned.Engine.stopped with
-          | Some r -> Error r
-          | None ->
-              let became_const =
-                Array.exists
-                  (fun net ->
-                    pinned.Engine.values.(net) <> Ternary.Unknown
-                    && free.Engine.values.(net) = Ternary.Unknown)
-                  (N.outputs c)
-              in
-              if became_const then
-                Ok (List.filter (fun i -> i.via <> "pass-through") inferences)
-              else Ok inferences
-      in
-      (match validated with
-      | Error r -> stopped_outcome const_prop_name r
-      | Ok inferred ->
-          {
-            attack = const_prop_name;
-            inferred;
-            gates_removed = 0;
-            keys_stripped = List.length inferred;
-            simplified = None;
-            stopped = None;
-          })
+      if became_const then List.filter (fun i -> i.via <> "pass-through") inferences
+      else inferences
+  in
+  {
+    attack = const_prop_name;
+    inferred;
+    gates_removed = 0;
+    keys_stripped = List.length inferred;
+    simplified = None;
+  }
 
 (* ---------- structural removal ---------- *)
 
@@ -226,23 +199,17 @@ let strip c ~key =
 
 let removal_name = "removal"
 
-let removal ?limit c =
-  let inference = const_prop ?limit c in
-  match inference.stopped with
-  | Some r -> stopped_outcome removal_name r
-  | None ->
-      let key =
-        List.map (fun { bit; value; _ } -> (bit, value)) inference.inferred
-      in
-      let simplified, gates_removed = strip c ~key in
-      {
-        attack = removal_name;
-        inferred = inference.inferred;
-        gates_removed;
-        keys_stripped = List.length inference.inferred;
-        simplified = Some simplified;
-        stopped = None;
-      }
+let removal c =
+  let inference = const_prop c in
+  let key = List.map (fun { bit; value; _ } -> (bit, value)) inference.inferred in
+  let simplified, gates_removed = strip c ~key in
+  {
+    attack = removal_name;
+    inferred = inference.inferred;
+    gates_removed;
+    keys_stripped = List.length inference.inferred;
+    simplified = Some simplified;
+  }
 
 (* ---------- metered entry point ---------- *)
 
@@ -255,7 +222,6 @@ type meter = {
   runs : Metrics.counter;
   inferences : Metrics.counter;
   removed : Metrics.counter;
-  budget : Metrics.counter;
   wall : Metrics.timer;
 }
 
@@ -264,22 +230,20 @@ let meter name =
     runs = Metrics.counter ~scope:"attack" (name ^ "_runs");
     inferences = Metrics.counter ~scope:"attack" (name ^ "_inferred");
     removed = Metrics.counter ~scope:"attack" (name ^ "_gates_removed");
-    budget = Metrics.counter ~scope:"attack" (name ^ "_stopped");
     wall = Metrics.timer ~scope:"attack" (name ^ "_run");
   }
 
 let const_prop_meter = meter const_prop_name
 let removal_meter = meter removal_name
 
-let run ?limit kind c =
+let run kind c =
   let m, attack =
     match kind with
     | Const_prop -> (const_prop_meter, const_prop)
     | Removal -> (removal_meter, removal)
   in
   Metrics.incr m.runs;
-  let out = Metrics.time m.wall (fun () -> attack ?limit c) in
+  let out = Metrics.time m.wall (fun () -> attack c) in
   Metrics.add m.inferences (List.length out.inferred);
   Metrics.add m.removed out.gates_removed;
-  if out.stopped <> None then Metrics.incr m.budget;
   out

@@ -6,13 +6,7 @@
     values, keep the values the structure betrays, then strip the
     logic those values collapse. The two attacks form the closed set
     {!kind}; {!run} executes one and instruments it with
-    deterministic [Metrics] counters under the ["attack"] scope.
-
-    Every attack degrades gracefully: a tripped [limit] stops the
-    underlying propagation before it sweeps, and the outcome carries
-    the {!Rb_util.Limits.reason} with {e no} inferences claimed — a
-    stopped attack must never report unpropagated values as recovered
-    key bits. *)
+    deterministic [Metrics] counters under the ["attack"] scope. *)
 
 type inference = {
   bit : int;  (** key bit index *)
@@ -24,29 +18,27 @@ type inference = {
 
 type outcome = {
   attack : string;
-  inferred : inference list;  (** ascending key bit; empty if stopped *)
+  inferred : inference list;  (** ascending key bit *)
   gates_removed : int;  (** removal attack only; 0 otherwise *)
   keys_stripped : int;
   simplified : Rb_netlist.Netlist.t option;
       (** the rebuilt netlist, when the attack rewrites one *)
-  stopped : Rb_util.Limits.reason option;
 }
 
 type kind =
   | Const_prop  (** ["const-prop"]: {!const_prop} *)
   | Removal  (** ["removal"]: {!removal} *)
 
-val run : ?limit:Rb_util.Limits.t -> kind -> Rb_netlist.Netlist.t -> outcome
+val run : kind -> Rb_netlist.Netlist.t -> outcome
 (** Run one attack. Each call bumps the counters
     ["attack/<name>_runs"], ["attack/<name>_inferred"] (by the
-    inference count), ["attack/<name>_gates_removed"] and, when the
-    outcome is stopped, ["attack/<name>_stopped"]; wall-clock goes to
-    the timer ["attack/<name>_run"]. [<name>] is the outcome's
+    inference count) and ["attack/<name>_gates_removed"]; wall-clock
+    goes to the timer ["attack/<name>_run"]. [<name>] is the outcome's
     [attack] field. *)
 
 (** {1 The attacks, uninstrumented} *)
 
-val const_prop : ?limit:Rb_util.Limits.t -> Rb_netlist.Netlist.t -> outcome
+val const_prop : Rb_netlist.Netlist.t -> outcome
 (** Constant-propagation key inference. Three rules, in order:
     {ul
     {- {b mute}: a key bit outside every output cone cannot affect the
@@ -68,7 +60,7 @@ val const_prop : ?limit:Rb_util.Limits.t -> Rb_netlist.Netlist.t -> outcome
     becomes a constant that was not already constant under the free
     key — the structural signature of a wrong collapse. *)
 
-val removal : ?limit:Rb_util.Limits.t -> Rb_netlist.Netlist.t -> outcome
+val removal : Rb_netlist.Netlist.t -> outcome
 (** Structural removal: take {!const_prop}'s inferred assignment, fold
     constants under it, and rebuild the netlist with every collapsed
     gate eliminated (constants folded, pass-through gates bypassed,

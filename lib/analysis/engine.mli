@@ -7,37 +7,24 @@
     each driven net from its operands. Netlists come from
     {!Rb_netlist.Netlist.Builder}, so the gate array is a topological
     order and one sweep computes every net exactly; there is nothing to
-    iterate.
-
-    A run polls {!Rb_util.Limits.interrupted} once, before the sweep.
-    A run stopped there reports the tripped {!Rb_util.Limits.reason}
-    and leaves every gate net at its [init] value, so a consumer can
-    degrade to a partial result instead of trusting half-computed
-    values — the same contract as the budgeted SAT solver.
+    iterate, and every run completes.
 
     When {!Rb_util.Metrics} collection is enabled, runs count under the
     ["analysis"] scope ([fixpoint_runs], and [transfers], one per gate
     swept); the deterministic counters feed the bench section and the
     CI perf gate. *)
 
-type 'v outcome = {
-  values : 'v array;  (** per net, length {!Rb_netlist.Netlist.n_nets} *)
-  stopped : Rb_util.Limits.reason option;
-      (** why the run stopped before its sweep, when it did *)
-}
-
 val run :
-  ?limit:Rb_util.Limits.t ->
   init:(Rb_netlist.Netlist.net -> 'v) ->
   transfer:
     (Rb_netlist.Netlist.gate -> read:(Rb_netlist.Netlist.net -> 'v) -> 'v) ->
   Rb_netlist.Netlist.t ->
-  'v outcome
-(** One sweep. [init] seeds every net: analyses give inputs and keys
-    their boundary values; gate nets keep theirs only when the run is
-    stopped. [transfer g ~read] computes the value of [g]'s driven net,
-    where [read] returns the value of an operand net. A tripped limit
-    is counted via {!Rb_util.Limits.note}. *)
+  'v array
+(** One sweep: the value of every net, length
+    {!Rb_netlist.Netlist.n_nets}. [init] seeds every net; analyses give
+    inputs and keys their boundary values, and the sweep overwrites
+    every gate net. [transfer g ~read] computes the value of [g]'s
+    driven net, where [read] returns the value of an operand net. *)
 
 val output_cone : Rb_netlist.Netlist.t -> bool array
 (** Per net: is the net an output or in the transitive structural

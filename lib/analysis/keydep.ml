@@ -17,14 +17,14 @@ let transfer gate ~read =
   in
   List.map (fun (k, d) -> (k, d + 1)) deps
 
-let run ?limit c =
+let run c =
   let n_inputs = N.n_inputs c in
   let n_keys = N.n_keys c in
   let init net =
     if net >= n_inputs && net < n_inputs + n_keys then [ (net - n_inputs, 0) ]
     else []
   in
-  Engine.run ?limit ~init ~transfer c
+  Engine.run ~init ~transfer c
 
 type summary = {
   key_bit : int;
@@ -34,7 +34,7 @@ type summary = {
 }
 
 let summarize c =
-  let values = (run c).Engine.values in
+  let values = run c in
   let n_keys = N.n_keys c in
   let cone_gates = Array.make n_keys 0 in
   for net = N.n_inputs c + n_keys to N.n_nets c - 1 do

@@ -16,8 +16,8 @@ type v = (int * int) list
 (** Sorted association list: key bit index to minimum depth in gates.
     The empty list means key-independent. *)
 
-val run :
-  ?limit:Rb_util.Limits.t -> Rb_netlist.Netlist.t -> v Engine.outcome
+val run : Rb_netlist.Netlist.t -> v array
+(** Per-net key-dependence set. *)
 
 type summary = {
   key_bit : int;

@@ -31,18 +31,20 @@ let transfer gate ~read =
       let ps = read s in
       if a = b then read a else ((1.0 -. ps) *. read a) +. (ps *. read b)
 
-let run ?limit ?(input_prob = 0.5) c =
-  let base = N.n_inputs c + N.n_keys c in
-  Engine.run ?limit ~init:(fun net -> if net < base then input_prob else 0.5) ~transfer c
+let estimate c = Engine.run ~init:(fun _ -> 0.5) ~transfer c
 
-let estimate ?input_prob c = (run ?input_prob c).Engine.values
+(* Matching ProbLock's leak criterion: a key gate that is almost
+   always 0 (or 1) under random keys hands its key bit to a
+   probability-profiling attacker. *)
+let skew_lo = 0.05
+let skew_hi = 0.95
 
 let is_key_gate c gate =
   let n_inputs = N.n_inputs c in
   let key_net n = n >= n_inputs && n < n_inputs + N.n_keys c in
   List.exists key_net (N.gate_fanin gate)
 
-let skewed_key_gates ?(lo = 0.05) ?(hi = 0.95) c =
+let skewed_key_gates c =
   let probs = estimate c in
   let base = N.n_inputs c + N.n_keys c in
   let out = ref [] in
@@ -50,7 +52,7 @@ let skewed_key_gates ?(lo = 0.05) ?(hi = 0.95) c =
     (fun i g ->
       if is_key_gate c g then begin
         let p = probs.(base + i) in
-        if p < lo || p > hi then out := (i, p) :: !out
+        if p < skew_lo || p > skew_hi then out := (i, p) :: !out
       end)
     (N.gates c);
   List.rev !out

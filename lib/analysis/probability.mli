@@ -15,21 +15,17 @@
     probability-matching attacker, exactly the signal ProbLock
     minimizes when choosing where to lock. *)
 
-val run :
-  ?limit:Rb_util.Limits.t ->
-  ?input_prob:float ->
-  Rb_netlist.Netlist.t ->
-  float Engine.outcome
-(** Per-net probability estimate. [input_prob] (default [0.5]) seeds
-    every primary input and key input. *)
+val estimate : Rb_netlist.Netlist.t -> float array
+(** Per-net probability estimate, with every primary input and key
+    input seeded at [0.5]. *)
 
-val estimate : ?input_prob:float -> Rb_netlist.Netlist.t -> float array
-(** [run] projected to its values. *)
+val skew_lo : float
+val skew_hi : float
+(** The window [[skew_lo, skew_hi]] = [[0.05, 0.95]] outside which a key
+    gate's output probability counts as skewed. *)
 
-val skewed_key_gates :
-  ?lo:float -> ?hi:float -> Rb_netlist.Netlist.t ->
-  (int * float) list
-(** Key gates whose output-net probability falls outside [[lo, hi]]
-    (defaults [0.05] and [0.95]): [(gate_index, probability)] in
-    ascending gate order. A {e key gate} is a gate reading at least
-    one key net directly. *)
+val skewed_key_gates : Rb_netlist.Netlist.t -> (int * float) list
+(** Key gates whose output-net probability falls outside
+    [[skew_lo, skew_hi]]: [(gate_index, probability)] in ascending gate
+    order. A {e key gate} is a gate reading at least one key net
+    directly. *)

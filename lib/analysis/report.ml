@@ -1,5 +1,4 @@
 module N = Rb_netlist.Netlist
-module Limits = Rb_util.Limits
 module Json = Rb_util.Json
 
 type key_observability = {
@@ -21,10 +20,9 @@ type t = {
   observability : key_observability list;
   gates_removed : int;
   static_resilience : float;
-  stopped : Limits.reason option;
 }
 
-let analyze ?limit ~subject c =
+let analyze ~subject c =
   let cone = Engine.output_cone c in
   let base = N.n_inputs c + N.n_keys c in
   let dead_gates = ref 0 in
@@ -46,8 +44,8 @@ let analyze ?limit ~subject c =
   (* Both attacks run through [Attacks.run] so their instrumented
      counters land in every metrics snapshot; const-prop's
      inferences are authoritative (removal re-derives the same set). *)
-  let cp = Attacks.run ?limit Attacks.Const_prop c in
-  let removal = Attacks.run ?limit Attacks.Removal c in
+  let cp = Attacks.run Attacks.Const_prop c in
+  let removal = Attacks.run Attacks.Removal c in
   let inferable = cp.Attacks.inferred in
   let n_keys = N.n_keys c in
   let static_resilience =
@@ -66,16 +64,12 @@ let analyze ?limit ~subject c =
     observability;
     gates_removed = removal.Attacks.gates_removed;
     static_resilience;
-    stopped =
-      (match cp.Attacks.stopped with
-      | Some _ as s -> s
-      | None -> removal.Attacks.stopped);
   }
 
 let to_json r =
   Json.Obj
     [
-      ("schema", Json.String "rb-analyze/2");
+      ("schema", Json.String "rb-analyze/3");
       ("subject", Json.String r.subject);
       ("n_inputs", Json.Int r.n_inputs);
       ("n_keys", Json.Int r.n_keys);
@@ -117,10 +111,6 @@ let to_json r =
              r.observability) );
       ("gates_removed", Json.Int r.gates_removed);
       ("static_resilience", Json.float_or_string r.static_resilience);
-      ( "stopped",
-        match r.stopped with
-        | Some reason -> Json.String (Limits.reason_label reason)
-        | None -> Json.Null );
     ]
 
 let pp fmt r =
@@ -165,7 +155,4 @@ let pp fmt r =
         (List.fold_left max 0 depths)
         mute);
   fprintf fmt "  static resilience  : %.3f" r.static_resilience;
-  (match r.stopped with
-  | Some reason -> fprintf fmt "@,  (partial: stopped on %s)" (Limits.reason_label reason)
-  | None -> ());
   fprintf fmt "@]"

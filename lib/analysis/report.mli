@@ -4,7 +4,7 @@
     One {!analyze} call runs the whole battery: constant propagation,
     signal probabilities, key-dependence cones and the two oracle-less
     attacks, folded into a single record that renders as text or
-    {!Rb_util.Json} (schema ["rb-analyze/2"]). *)
+    {!Rb_util.Json} (schema ["rb-analyze/3"]). *)
 
 type key_observability = {
   key_bit : int;
@@ -28,11 +28,9 @@ type t = {
   gates_removed : int;  (** by the removal attack *)
   static_resilience : float;
       (** [1 - inferable/n_keys]; [1.0] for keyless designs *)
-  stopped : Rb_util.Limits.reason option;
-      (** analyses degraded by a limit; counts are partial *)
 }
 
-val analyze : ?limit:Rb_util.Limits.t -> subject:string -> Rb_netlist.Netlist.t -> t
+val analyze : subject:string -> Rb_netlist.Netlist.t -> t
 
 val to_json : t -> Rb_util.Json.t
 val pp : Format.formatter -> t -> unit

@@ -39,21 +39,19 @@ let transfer gate ~read =
           | Known x, Known y when x = y -> Known x
           | _ -> Unknown))
 
-let run ?limit ?key c =
+let constants ?key c =
   let n_inputs = N.n_inputs c in
   let init =
     match key with
     | None -> fun _ -> Unknown
     | Some key ->
         if Array.length key <> N.n_keys c then
-          invalid_arg "Ternary.run: key assignment width mismatch";
+          invalid_arg "Ternary.constants: key assignment width mismatch";
         fun net ->
           if net >= n_inputs && net < n_inputs + N.n_keys c then key.(net - n_inputs)
           else Unknown
   in
-  Engine.run ?limit ~init ~transfer c
-
-let constants ?key c = (run ?key c).Engine.values
+  Engine.run ~init ~transfer c
 
 let live_nets ?key c =
   let base = N.n_inputs c + N.n_keys c in

@@ -18,18 +18,10 @@ type const =
   | Known of bool  (** statically constant under every input/key *)
   | Unknown
 
-val run :
-  ?limit:Rb_util.Limits.t ->
-  ?key:const array ->
-  Rb_netlist.Netlist.t ->
-  const Engine.outcome
-(** Propagate constants. [key], when given, must have length [n_keys];
-    [Known] entries pin the corresponding key net, [Unknown] entries
-    leave it free. Primary inputs are always free. *)
-
 val constants : ?key:const array -> Rb_netlist.Netlist.t -> const array
-(** Per-net constant classification: the values of an unlimited
-    {!run}. *)
+(** Per-net constant classification. [key], when given, must have
+    length [n_keys]; [Known] entries pin the corresponding key net,
+    [Unknown] entries leave it free. Primary inputs are always free. *)
 
 val live_nets : ?key:const array -> Rb_netlist.Netlist.t -> bool array
 (** Per net: can the net influence an output value? Walks backwards

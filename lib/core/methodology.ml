@@ -1,5 +1,4 @@
 module Config = Rb_locking.Config
-module Limits = Rb_util.Limits
 
 type goal = { target_error_events : int; min_lambda : float }
 
@@ -11,7 +10,6 @@ type plan = {
   meets_error_target : bool;
   meets_resilience : bool;
   exponential_topup : bool;
-  stopped : Limits.reason option;
 }
 
 let predicted_lambda_of ?key_bits config =
@@ -29,7 +27,7 @@ let predicted_lambda_of ?key_bits config =
              ~input_bits ~minterms))
       infinity (Config.locked_fus config)
 
-let plan_of ?key_bits ?stopped goal minterms_per_fu (solution : Codesign.solution) =
+let plan_of ?key_bits goal minterms_per_fu (solution : Codesign.solution) =
   let predicted_lambda = predicted_lambda_of ?key_bits solution.config in
   let meets_error_target = solution.errors >= goal.target_error_events in
   let meets_resilience = predicted_lambda >= goal.min_lambda in
@@ -41,10 +39,9 @@ let plan_of ?key_bits ?stopped goal minterms_per_fu (solution : Codesign.solutio
     meets_error_target;
     meets_resilience;
     exponential_topup = not meets_resilience;
-    stopped;
   }
 
-let design ?max_minterms_per_fu ?key_bits ?(limits = Limits.none) k schedule
+let design ?max_minterms_per_fu ?key_bits k schedule
     allocation ~scheme ~locked_fus ~candidates goal =
   let limit =
     Option.value max_minterms_per_fu ~default:(Array.length candidates)
@@ -59,14 +56,6 @@ let design ?max_minterms_per_fu ?key_bits ?(limits = Limits.none) k schedule
   let rec grow m =
     let candidate_plan = plan_of ?key_bits goal m (solve m) in
     if candidate_plan.meets_error_target || m >= limit then candidate_plan
-    else
-      (* Poll between co-design runs: an interrupted search keeps the
-         best (largest) budget reached so far and says why it stopped
-         instead of silently presenting a partial answer as final. *)
-      match Limits.interrupted limits with
-      | Some reason ->
-        Limits.note reason;
-        { candidate_plan with stopped = Some reason }
-      | None -> grow (m + 1)
+    else grow (m + 1)
   in
   grow 1

@@ -26,16 +26,11 @@ type plan = {
   exponential_topup : bool;
       (** true when an exponential-runtime scheme must supplement the
           critical-minterm lock to reach [min_lambda] *)
-  stopped : Rb_util.Limits.reason option;
-      (** [Some reason] when the [?limits] passed to {!design} tripped
-          before the search finished: the plan reflects the largest
-          budget actually evaluated, not the converged answer *)
 }
 
 val design :
   ?max_minterms_per_fu:int ->
   ?key_bits:int ->
-  ?limits:Rb_util.Limits.t ->
   Rb_sim.Kmatrix.t ->
   Rb_sched.Schedule.t ->
   Rb_hls.Allocation.t ->
@@ -53,10 +48,4 @@ val design :
     [key_bits], when given, fixes the per-FU key length (a designer's
     area budget) instead of letting it grow with the locked-input count
     as the scheme's construction would; a fixed key is what makes the
-    resilience gap — and hence the exponential top-up — reachable.
-
-    [limits] (default {!Rb_util.Limits.none}) is polled between
-    co-design runs: on cancellation or a passed deadline the growth
-    stops early and the returned plan carries [stopped = Some reason].
-    Conflict/propagation budgets do not apply here — the loop runs no
-    SAT solver. *)
+    resilience gap — and hence the exponential top-up — reachable. *)

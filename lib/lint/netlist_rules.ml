@@ -9,13 +9,6 @@ let rule_key_strip = "NET-KEY-STRIP"
 let rule_const_out = "NET-CONST-OUT"
 let rule_key_skew = "NET-KEY-SKEW"
 
-(* Probability window outside which a key gate's output counts as
-   skewed: matching ProbLock's leak criterion, a gate that is almost
-   always 0 (or 1) under random keys hands its key bit to a
-   probability-profiling attacker. *)
-let skew_lo = 0.05
-let skew_hi = 0.95
-
 let check c =
   let n_inputs = Netlist.n_inputs c in
   let n_keys = Netlist.n_keys c in
@@ -58,11 +51,11 @@ let check c =
            (Printf.sprintf
               "key gate output has estimated signal probability %.3f under random \
                keys (outside [%.2f, %.2f])"
-              p skew_lo skew_hi)
+              p Probability.skew_lo Probability.skew_hi)
            ~hint:"a near-constant key gate leaks its key bit to \
                   probability-profiling attacks; balance the gate (XOR-style \
                   insertion keeps p at 1/2)"))
-    (Probability.skewed_key_gates ~lo:skew_lo ~hi:skew_hi c);
+    (Probability.skewed_key_gates c);
   (* outputs driven by keys or constants *)
   Array.iteri
     (fun pos net ->

@@ -11,7 +11,7 @@
     count Eqn. 2 maximizes. Critical-minterm schemes guarantee the
     minterm set is static for (almost all) wrong keys, which is what
     makes this deterministic model faithful; see
-    {!Rb_netlist.Lock.point_function} for the gate-level counterpart
+    [Rb_netlist.Lock.point_function] for the gate-level counterpart
     used in SAT experiments. *)
 
 module Minterm = Rb_dfg.Minterm

@@ -52,24 +52,3 @@ let max_minterms_for ~key_bits ~correct_keys ~input_bits ~min_lambda =
 
 let is_resilient ~key_bits ~input_bits ~minterms ~min_lambda =
   lambda_minterms ~key_bits ~correct_keys:1 ~input_bits ~minterms >= min_lambda
-
-type static = {
-  key_bits : int;
-  inferable : int;
-  skewed : int;
-  resilient_fraction : float;
-}
-
-let static c =
-  let outcome = Rb_analysis.Attacks.const_prop c in
-  let inferable = List.length outcome.Rb_analysis.Attacks.inferred in
-  let skewed = List.length (Rb_analysis.Probability.skewed_key_gates c) in
-  let key_bits = Rb_netlist.Netlist.n_keys c in
-  {
-    key_bits;
-    inferable;
-    skewed;
-    resilient_fraction =
-      (if key_bits = 0 then 1.0
-       else 1.0 -. (float_of_int inferable /. float_of_int key_bits));
-  }

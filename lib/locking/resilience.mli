@@ -35,23 +35,3 @@ val max_minterms_for : key_bits:int -> correct_keys:int -> input_bits:int -> min
 
 val is_resilient : key_bits:int -> input_bits:int -> minterms:int -> min_lambda:float -> bool
 (** Convenience: does a configuration (with [c = 1]) meet the bound? *)
-
-(** {1 Static resilience}
-
-    Eqn. 1 bounds the {e oracle-guided} attacker. A locked netlist can
-    meet the bound and still fall to an attacker who never touches an
-    oracle — constant propagation and probability profiling read key
-    bits straight out of the structure. {!static} quantifies that
-    exposure with the [Rb_analysis] oracle-less battery. *)
-
-type static = {
-  key_bits : int;
-  inferable : int;
-      (** key bits the constant-propagation attack recovers *)
-  skewed : int;  (** key gates with output probability outside [0.05, 0.95] *)
-  resilient_fraction : float;
-      (** [1 - inferable/key_bits]; [1.0] for keyless circuits *)
-}
-
-val static : Rb_netlist.Netlist.t -> static
-(** Run the oracle-less battery against a locked netlist. *)

@@ -28,7 +28,7 @@ val name : t -> string
 val key_bits : t -> minterms:int -> input_bits:int -> int
 (** Key length of the scheme when protecting [minterms] patterns on a
     unit with [input_bits] primary input bits; mirrors the gate-level
-    constructions in {!Rb_netlist.Lock}. *)
+    constructions in [Rb_netlist.Lock]. *)
 
 val static_locked_inputs : t -> bool
 (** Whether the corrupted minterm set is static across wrong keys —

@@ -140,7 +140,7 @@ let decisive = function Solver.Sat | Solver.Unsat -> true | Solver.Unknown _ -> 
    deterministic DIP sequence.
 
    Budgeted rounds ({!Limits.has_budget}) tighten the contract: a
-   conflict/propagation budget promises the {e same} partial result at
+   conflict budget promises the {e same} partial result at
    every [--portfolio], but a helper can prove Unsat in wall-time the
    budget denies member 0 — reporting that Unsat would make the
    attack's outcome depend on the racers. So under a work budget

@@ -217,7 +217,7 @@ let run_lint t ~benchmark ~seed ~locked_fus ~minterms_per_fu ~min_lambda =
   let gate_reports = if benchmark = None then lint_gates seed else [] in
   Outcome.Linted (gate_reports @ List.concat design_reports)
 
-let run_analyze t ~limit ~scheme ~width ~strength ~seed =
+let run_analyze t ~scheme ~width ~strength ~seed =
   let schemes =
     match scheme with
     | None -> [ Job.Rll; Job.Pf; Job.Antisat; Job.Permnet ]
@@ -227,7 +227,7 @@ let run_analyze t ~limit ~scheme ~width ~strength ~seed =
     Pool.map_list t.pool
       ~f:(fun s ->
         let l = build_locked s width strength seed in
-        Rb_analysis.Report.analyze ?limit ~subject:l.Rb_netlist.Lock.description
+        Rb_analysis.Report.analyze ~subject:l.Rb_netlist.Lock.description
           l.Rb_netlist.Lock.circuit)
       schemes
   in
@@ -342,7 +342,7 @@ let execute t ~limit (job : Job.t) =
   | Job.Lint { benchmark; seed; locked_fus; minterms_per_fu; min_lambda } ->
     run_lint t ~benchmark ~seed ~locked_fus ~minterms_per_fu ~min_lambda
   | Job.Analyze { scheme; width; strength; seed } ->
-    run_analyze t ~limit ~scheme ~width ~strength ~seed
+    run_analyze t ~scheme ~width ~strength ~seed
   | Job.Attack { scheme; width; strength; seed; max_iterations; portfolio } ->
     run_attack t ~limit ~scheme ~width ~strength ~seed ~max_iterations ~portfolio
   | Job.Custom { source; kind; locked_fus; minterms_per_fu; trace_length; seed } ->
@@ -393,10 +393,10 @@ let run ?deadline_s t job =
              work it can no longer finish in time. *)
           check_volatile limit ~when_:"before execution";
           let outcome = execute t ~limit job in
-          (* Pipelines that degrade in place (analysis marking itself
-             stopped) rather than reporting a reason: a volatile stop
-             during the run means the outcome may be truncated, so
-             refuse to cache or return it. *)
+          (* The serve deadline contract: a job that outlives its
+             deadline (or a cancel raised while it ran) answers the
+             structured limit error, whatever the pipeline produced,
+             and that error is never cached. *)
           check_volatile limit ~when_:"during execution";
           outcome)
     with

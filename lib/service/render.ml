@@ -99,7 +99,7 @@ let result_to_json (o : Outcome.t) =
   | Outcome.Analyzed reports ->
     Json.Obj
       [
-        ("schema", Json.String "rb-analyze/2");
+        ("schema", Json.String "rb-analyze/3");
         ("reports", Json.List (List.map Rb_analysis.Report.to_json reports));
       ]
   | Outcome.Attacked r -> json_of_attack r

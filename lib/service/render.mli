@@ -15,7 +15,7 @@
 val result_to_json : Outcome.t -> Rb_util.Json.t
 (** The machine form. Schemas match the historical surfaces:
     [list]'s [{"benchmarks": .., "binders": ..}], [bind]'s config
-    report, lint's report array, analyze's ["rb-analyze/2"]; attack
+    report, lint's report array, analyze's ["rb-analyze/3"]; attack
     gains a structured form (it had no JSON surface before); text
     payloads (show, custom, exports) wrap as [{"text": ..}]. *)
 

@@ -2,11 +2,11 @@
     work.
 
     A {!t} is an immutable bundle of optional limits threaded down
-    from a CLI or driver into the layers that loop: the SAT solver, the
-    methodology grow loop, the experiment sweeps. Each looping layer
-    polls {!check} (or the cheaper {!interrupted}) at its own safe
-    points and degrades to a partial result carrying the {!reason}
-    instead of running forever.
+    from a CLI or driver into the two layers that use them: the SAT
+    solver and attack, which poll {!check} at their own safe points
+    and stop with a {!reason} instead of running forever, and the
+    service executor, which polls {!interrupted} around each job and
+    answers a tripped deadline or cancel with a structured error.
 
     The limits split into two classes, mirroring the determinism
     contract of {!Metrics}:

@@ -2,7 +2,7 @@ module N = Rb_netlist.Netlist
 module Keydep = Rb_analysis.Keydep
 
 let summarize c =
-  let values = (Keydep.run c).Rb_analysis.Engine.values in
+  let values = Keydep.run c in
   let base = N.n_inputs c + N.n_keys c in
   let outputs = N.outputs c in
   let n_nets = N.n_nets c in

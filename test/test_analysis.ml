@@ -7,7 +7,6 @@ module Probability = Rb_analysis.Probability
 module Keydep = Rb_analysis.Keydep
 module Attacks = Rb_analysis.Attacks
 module Report = Rb_analysis.Report
-module Limits = Rb_util.Limits
 module Json = Rb_util.Json
 module Rng = Rb_util.Rng
 module Metrics = Rb_util.Metrics
@@ -57,28 +56,6 @@ let test_output_cone () =
   Alcotest.(check bool) "dead gate out of cone" false cone.(dead);
   Alcotest.(check bool) "inputs in cone" true (cone.(x) && cone.(y))
 
-let test_engine_budget_and_cancel () =
-  let c = Circuits.adder ~width:3 in
-  let base = Netlist.n_inputs c + Netlist.n_keys c in
-  let gate_nets values = Array.sub values base (Netlist.n_gates c) in
-  let free = Ternary.run ~limit:Limits.none c in
-  Alcotest.(check bool) "unlimited run completes" true (free.Engine.stopped = None);
-  (* a spent deadline stops before the sweep: gate nets keep [init] *)
-  let r =
-    Probability.run ~limit:(Limits.make ~deadline_s:(Metrics.now_s () -. 1.0) ()) c
-  in
-  Alcotest.(check bool) "deadline stop" true (r.Engine.stopped = Some Limits.Deadline);
-  Alcotest.(check bool) "deadline: no gate swept" true
-    (Array.for_all (fun p -> p = 0.5) (gate_nets r.Engine.values));
-  (* so does a raised cancel flag *)
-  let flag = Limits.new_cancel () in
-  Limits.cancel flag;
-  let r = Ternary.run ~limit:(Limits.make ~cancel:flag ()) c in
-  Alcotest.(check bool) "cancelled" true
-    (r.Engine.stopped = Some Limits.Cancelled);
-  Alcotest.(check bool) "cancelled: no gate swept" true
-    (Array.for_all (fun v -> v = Ternary.Unknown) (gate_nets r.Engine.values))
-
 (* Kleene three-valued gate semantics, written independently of
    [Ternary] ([None] is unknown), with the same same-net identities. *)
 let kleene_gate g ~read =
@@ -118,18 +95,17 @@ let qcheck_ternary_fixpoint =
         Testgen.random_netlist rng ~n_inputs:(1 + Rng.int rng 4)
           ~n_keys:(Rng.int rng 3) ~n_gates:(1 + Rng.int rng 30)
       in
-      let r = Ternary.run c in
+      let r = Ternary.constants c in
       let value n =
-        match r.Engine.values.(n) with Ternary.Known v -> Some v | Ternary.Unknown -> None
+        match r.(n) with Ternary.Known v -> Some v | Ternary.Unknown -> None
       in
       let base = Netlist.n_inputs c + Netlist.n_keys c in
-      r.Engine.stopped = None
-      && Array.for_all Fun.id
-           (Array.mapi
-              (fun i g -> kleene_gate g ~read:value = value (base + i))
-              (Netlist.gates c))
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun i g -> kleene_gate g ~read:value = value (base + i))
+           (Netlist.gates c))
       (* determinism: a second run lands on the same values *)
-      && (Ternary.run c).Engine.values = r.Engine.values)
+      && Ternary.constants c = r)
 
 let qcheck_analyses_cover_every_net =
   QCheck2.Test.make ~name:"analyses give one value per net" ~count:100
@@ -142,22 +118,20 @@ let qcheck_analyses_cover_every_net =
           ~n_gates:(1 + Rng.int rng 40)
       in
       let n = Netlist.n_nets c in
-      let t = Ternary.run c in
+      let t = Ternary.constants c in
       let k = Keydep.run c in
-      let p = Probability.run c in
+      let p = Probability.estimate c in
       let sorted_keys deps =
         let keys = List.map fst deps in
         List.sort_uniq compare keys = keys
         && List.for_all (fun b -> b >= 0 && b < n_keys) keys
       in
-      Array.length t.Engine.values = n
-      && Array.length k.Engine.values = n
-      && Array.length p.Engine.values = n
+      Array.length t = n
+      && Array.length k = n
+      && Array.length p = n
       && Array.length (Engine.output_cone c) = n
-      && List.for_all Option.is_none
-           [ t.Engine.stopped; k.Engine.stopped; p.Engine.stopped ]
-      && Array.for_all (fun x -> x >= 0.0 && x <= 1.0) p.Engine.values
-      && Array.for_all sorted_keys k.Engine.values)
+      && Array.for_all (fun x -> x >= 0.0 && x <= 1.0) p
+      && Array.for_all sorted_keys k)
 
 (* Soundness: every net the analysis calls Known agrees with exhaustive
    simulation under every key assignment consistent with the pins. *)
@@ -419,7 +393,6 @@ let test_const_prop_recovers_rll () =
   let rng = Rng.create 99 in
   let locked = Lock.xor_random ~rng ~key_bits:8 (Circuits.adder ~width:4) in
   let out = Attacks.const_prop locked.Lock.circuit in
-  Alcotest.(check bool) "not stopped" true (out.Attacks.stopped = None);
   (* acceptance floor: >= 25% of naive-XOR key bits recovered; the
      pass-through rule in fact gets all of them, with correct values *)
   Alcotest.(check bool) "at least 25% recovered" true
@@ -504,40 +477,6 @@ let test_removal_preserves_function () =
       (Netlist.eval simplified ~inputs ~keys:zeros)
   done
 
-(* ------------------------------------------------------------- limits *)
-
-let test_attack_degrades_under_cancel () =
-  let flag = Limits.new_cancel () in
-  Limits.cancel flag;
-  let limit = Limits.make ~cancel:flag () in
-  let rng = Rng.create 5 in
-  let locked = Lock.xor_random ~rng ~key_bits:4 (Circuits.adder ~width:3) in
-  let out = Attacks.run ~limit Attacks.Const_prop locked.Lock.circuit in
-  Alcotest.(check bool) "stopped with reason" true
-    (out.Attacks.stopped = Some Limits.Cancelled);
-  Alcotest.(check int) "no inferences claimed" 0
-    (List.length out.Attacks.inferred)
-
-(* A limit that trips before the first sweep degrades the whole battery:
-   the removal attack rebuilds nothing and the report claims nothing
-   but carries the stop. *)
-let test_degradation_partial_report () =
-  let flag = Limits.new_cancel () in
-  Limits.cancel flag;
-  let limit = Limits.make ~cancel:flag () in
-  let rng = Rng.create 5 in
-  let c = (Lock.xor_random ~rng ~key_bits:4 (Circuits.adder ~width:3)).Lock.circuit in
-  let out = Attacks.run ~limit Attacks.Removal c in
-  Alcotest.(check bool) "attack reports the stop" true
-    (out.Attacks.stopped = Some Limits.Cancelled);
-  Alcotest.(check int) "no inferences when stopped" 0
-    (List.length out.Attacks.inferred);
-  Alcotest.(check bool) "no rebuilt netlist" true (out.Attacks.simplified = None);
-  let report = Report.analyze ~limit ~subject:"cancelled" c in
-  Alcotest.(check bool) "report carries the stop" true
-    (report.Report.stopped = Some Limits.Cancelled);
-  Alcotest.(check int) "report claims nothing" 0 (List.length report.Report.inferable)
-
 (* ------------------------------------------------------------- report *)
 
 let test_report_rll_vs_sat_hard () =
@@ -562,7 +501,7 @@ let test_report_json_roundtrip () =
   let r = Report.analyze ~subject:"fixture" locked.Lock.circuit in
   let json = Report.to_json r in
   (match Json.member "schema" json with
-  | Some (Json.String s) -> Alcotest.(check string) "schema" "rb-analyze/2" s
+  | Some (Json.String s) -> Alcotest.(check string) "schema" "rb-analyze/3" s
   | _ -> Alcotest.fail "schema field missing");
   (match Json.member "inferable" json with
   | Some (Json.List l) ->
@@ -583,8 +522,6 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "output cone" `Quick test_output_cone;
-          Alcotest.test_case "budget and cancel" `Quick
-            test_engine_budget_and_cancel;
         ] );
       ( "ternary",
         [
@@ -612,12 +549,6 @@ let () =
             test_const_prop_mute_and_strip;
           Alcotest.test_case "removal preserves function" `Quick
             test_removal_preserves_function;
-        ] );
-      ( "degradation",
-        [
-          Alcotest.test_case "cancel" `Quick test_attack_degrades_under_cancel;
-          Alcotest.test_case "partial report" `Quick
-            test_degradation_partial_report;
         ] );
       ( "report",
         [

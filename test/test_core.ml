@@ -13,7 +13,6 @@ module Codesign = Rb_core.Codesign
 module Methodology = Rb_core.Methodology
 module Experiments = Rb_core.Experiments
 module Testgen = Rb_testsupport.Testgen
-module Limits = Rb_util.Limits
 module Combi = Rb_util.Combi
 
 (* The paper's Fig. 2 setting: 5 add operations over 2 cycles, 3 adder
@@ -485,38 +484,7 @@ let test_methodology_unreachable_target () =
   in
   Alcotest.(check bool) "reports failure" false plan.Methodology.meets_error_target;
   Alcotest.(check int) "exhausted budget" (Array.length candidates)
-    plan.Methodology.minterms_per_fu;
-  Alcotest.(check bool) "an exhausted search is not a tripped limit" true
-    (plan.Methodology.stopped = None)
-
-let test_methodology_stops_on_cancel () =
-  let schedule, allocation, k, candidates = codesign_setting 36 in
-  let flag = Limits.new_cancel () in
-  Limits.cancel flag;
-  let plan =
-    Methodology.design k schedule allocation
-      ~limits:(Limits.make ~cancel:flag ())
-      ~scheme:Scheme.Sfll_rem ~locked_fus:[ 0 ] ~candidates
-      { Methodology.target_error_events = max_int; min_lambda = 1.0 }
-  in
-  Alcotest.(check bool) "plan carries the stop reason" true
-    (plan.Methodology.stopped = Some Limits.Cancelled);
-  (* The partial plan is still well-formed: it reflects the smallest
-     budget, not garbage. *)
-  Alcotest.(check bool) "budget evaluated at least once" true
-    (plan.Methodology.minterms_per_fu >= 1);
-  Alcotest.(check bool) "unmet target reported honestly" false
-    plan.Methodology.meets_error_target
-
-let test_methodology_unlimited_never_stopped () =
-  let schedule, allocation, k, candidates = codesign_setting 30 in
-  let plan =
-    Methodology.design k schedule allocation ~scheme:Scheme.Sfll_rem
-      ~locked_fus:[ 0 ] ~candidates
-      { Methodology.target_error_events = 1; min_lambda = 1.0 }
-  in
-  Alcotest.(check bool) "default limits never trip" true
-    (plan.Methodology.stopped = None)
+    plan.Methodology.minterms_per_fu
 
 (* ------------------------------------------------------------ ablation *)
 
@@ -917,9 +885,6 @@ let () =
           Alcotest.test_case "minimal budget" `Quick test_methodology_minimal_budget;
           Alcotest.test_case "grows budget" `Quick test_methodology_grows_budget;
           Alcotest.test_case "unreachable target" `Quick test_methodology_unreachable_target;
-          Alcotest.test_case "stops on cancel" `Quick test_methodology_stops_on_cancel;
-          Alcotest.test_case "unlimited never stopped" `Quick
-            test_methodology_unlimited_never_stopped;
         ] );
       ( "ablation",
         [
