@@ -11,7 +11,7 @@
 
    Usage:
      main.exe [--jobs N] [--sections a,b,...] [--list-sections]
-              [--metrics FILE] [--solver-budget N] [SECTION...]
+              [--metrics FILE] [SECTION...]
 
      --jobs N        worker domains (default: available cores; 1 = no
                      worker domains, everything runs inline)
@@ -22,9 +22,6 @@
                      per section (name, wall-clock, deterministic
                      counter deltas) plus the full end-of-run metric
                      snapshot; bench/compare.exe diffs two such files
-     --solver-budget N  cap every SAT-attack miter solve at N CDCL
-                     conflicts; exhausted cells render as
-                     "limit:<reason>@<iterations>" instead of hanging
 
    Rb_util.Metrics collection is always on here: per-section
    wall-clock is reported once, in section order, on stderr after the
@@ -220,7 +217,7 @@ let eqn1 () =
 
 (* ------------------------------------------------------------ sat-attack *)
 
-let sat_attack ~limit () =
+let sat_attack () =
   section
     "SAT attack (Sec. II) - measured DIP iterations on locked adders, next to\n\
      the Eqn. 1 prediction; the corruption/resilience trade-off, empirically";
@@ -241,13 +238,12 @@ let sat_attack ~limit () =
     let key_bits = Netlist.n_keys locked.Lock.circuit in
     let c0 = Metrics.counter_value m_conflicts in
     let iterations =
-      match Attack.attack_locked ~max_iterations:20_000 ~limit locked with
+      match Attack.attack_locked ~max_iterations:20_000 locked with
       | Attack.Broken { key; iterations } ->
         assert (Attack.key_is_correct locked key);
         string_of_int iterations
       | Attack.Budget_exceeded { iterations } -> Printf.sprintf ">%d" iterations
-      (* Budget-exhausted cells are marked, not dropped: the row keeps
-         its place in the table and says why the number is partial. *)
+      (* Unreachable: no solver limit is set. *)
       | Attack.Solver_limit { iterations; reason } ->
         Printf.sprintf "limit:%s@%d" (Limits.reason_label reason) iterations
     in
@@ -307,7 +303,7 @@ let sat_attack ~limit () =
       ~columns:[ "exact convergence"; "residual error rate" ]
   in
   let approx_case label locked =
-    let outcome = Attack.approximate ~dip_budget:10 ~limit locked in
+    let outcome = Attack.approximate ~dip_budget:10 locked in
     Table.add_text_row approx ~label
       ~cells:
         [
@@ -342,7 +338,7 @@ let sat_attack ~limit () =
    via the on_dip hook) for equality.
    Member 0 owns the DIP sequence and the key is the canonical lex-min
    consistent one, so "identical" is a contract, not luck. *)
-let attack_portfolio ~pool ~limit () =
+let attack_portfolio ~pool () =
   section
     "Portfolio SAT attack - diversified solver configurations race each miter\n\
      round with clause sharing; the deterministic-result contract in action\n\
@@ -358,7 +354,7 @@ let attack_portfolio ~pool ~limit () =
     let dips = ref [] in
     let t0 = Metrics.now_s () in
     let outcome =
-      Attack.attack_locked ~max_iterations:20_000 ~limit ?pool ~portfolio
+      Attack.attack_locked ~max_iterations:20_000 ?pool ~portfolio
         ~on_dip:(fun d -> dips := d :: !dips)
         locked
     in
@@ -945,7 +941,7 @@ let section_order =
 let usage () =
   Printf.eprintf
     "usage: main.exe [--jobs N] [--sections a,b,...] [--list-sections]\n\
-    \       [--metrics FILE] [--solver-budget N] [SECTION...]\n\
+    \       [--metrics FILE] [SECTION...]\n\
      available sections: %s\n"
     (String.concat " " section_order)
 
@@ -1009,7 +1005,6 @@ let () =
   let requested = ref [] in
   let list_only = ref false in
   let metrics_out = ref None in
-  let solver_budget = ref None in
   let rec parse = function
     | [] -> ()
     | "--list-sections" :: rest ->
@@ -1033,12 +1028,6 @@ let () =
     | [ "--metrics" ] ->
       Printf.eprintf "--metrics expects a file name\n";
       exit 2
-    | "--solver-budget" :: n :: rest ->
-      solver_budget := Some (parse_pos_int "--solver-budget" n);
-      parse rest
-    | [ "--solver-budget" ] ->
-      Printf.eprintf "--solver-budget expects a value\n";
-      exit 2
     | ("--help" | "-h") :: _ ->
       usage ();
       exit 0
@@ -1050,11 +1039,6 @@ let () =
       parse rest
     | arg :: rest when String.length arg > 10 && String.sub arg 0 10 = "--metrics=" ->
       metrics_out := Some (String.sub arg 10 (String.length arg - 10));
-      parse rest
-    | arg :: rest
-      when String.length arg > 16 && String.sub arg 0 16 = "--solver-budget=" ->
-      solver_budget :=
-        Some (parse_pos_int "--solver-budget" (String.sub arg 16 (String.length arg - 16)));
       parse rest
     | arg :: _ when String.length arg >= 2 && String.sub arg 0 2 = "--" ->
       Printf.eprintf "unknown option %s\n" arg;
@@ -1070,18 +1054,13 @@ let () =
     exit 0
   end;
   Metrics.set_enabled true;
-  let attack_limit =
-    match !solver_budget with
-    | None -> Limits.none
-    | Some n -> Limits.conflicts n
-  in
   Pool.with_pool ~jobs:!jobs (fun pool ->
       let sections =
         experiment_sections pool
         @ [
             ("eqn1", eqn1);
-            ("sat-attack", sat_attack ~limit:attack_limit);
-            ("attack-portfolio", attack_portfolio ~pool ~limit:attack_limit);
+            ("sat-attack", sat_attack);
+            ("attack-portfolio", attack_portfolio ~pool);
             ("analysis", static_analysis);
             ("solver-bench", solver_bench);
             ("methodology", methodology);

@@ -15,19 +15,26 @@ let strategy_name = function
   | Random_sample -> "random sample"
   | Least_common -> "least common"
 
-let candidate_list ?(n = 10) ?(seed = 3) ~strategy k kind =
+(* Fixed ablation settings: the paper's |C| = 10 candidates, 2 locked
+   FUs x 2 minterms, and the seed of the random candidate sample. *)
+let n_candidates = 10
+let locked_fus = 2
+let minterms_per_fu = 2
+let seed = 3
+
+let candidate_list ~strategy k kind =
   let occurring = Kmatrix.all_minterms ~kind k in
   let chosen =
     match strategy with
-    | Most_common -> List.filteri (fun i _ -> i < n) occurring
+    | Most_common -> List.filteri (fun i _ -> i < n_candidates) occurring
     | Least_common ->
       let len = List.length occurring in
-      List.filteri (fun i _ -> i >= len - n) occurring
+      List.filteri (fun i _ -> i >= len - n_candidates) occurring
     | Random_sample ->
       let arr = Array.of_list occurring in
       let rng = Rng.create seed in
       Rng.shuffle rng arr;
-      Array.to_list (Array.sub arr 0 (min n (Array.length arr)))
+      Array.to_list (Array.sub arr 0 (min n_candidates (Array.length arr)))
   in
   Array.of_list (List.map fst chosen)
 
@@ -37,15 +44,14 @@ type strategy_row = {
   candidate_mass : int;
 }
 
-let candidate_strategies ?(seed = 3) ?(locked_fus = 2) ?(minterms_per_fu = 2)
-    (ctx : Experiments.context) kind =
+let candidate_strategies (ctx : Experiments.context) kind =
   let fus = Allocation.fu_ids ctx.Experiments.allocation kind in
   let locked = List.filteri (fun i _ -> i < locked_fus) fus in
   if locked = [] then []
   else
     List.filter_map
       (fun strategy ->
-        let candidates = candidate_list ~seed ~strategy ctx.Experiments.k kind in
+        let candidates = candidate_list ~strategy ctx.Experiments.k kind in
         if Array.length candidates < minterms_per_fu then None
         else begin
           let spec =
@@ -74,21 +80,21 @@ type generalization_row = {
   test_measured : int;
 }
 
-let generalization ?(seed = 3) schedule trace kind =
+let generalization schedule trace kind =
   let half = Trace.length trace / 2 in
   if half < 1 then invalid_arg "Ablation.generalization: trace too short";
   let train = Trace.sub trace ~pos:0 ~len:half in
   let test = Trace.sub trace ~pos:half ~len:(Trace.length trace - half) in
   let allocation = Allocation.for_schedule schedule in
   let k_train = Kmatrix.build train in
-  let candidates = candidate_list ~seed ~strategy:Most_common k_train kind in
+  let candidates = candidate_list ~strategy:Most_common k_train kind in
   if Array.length candidates = 0 then invalid_arg "Ablation.generalization: no candidates";
   let fus = Allocation.fu_ids allocation kind in
   let spec =
     {
       Codesign.scheme = Rb_locking.Scheme.Sfll_rem;
-      locked_fus = List.filteri (fun i _ -> i < 2) fus;
-      minterms_per_fu = min 2 (Array.length candidates);
+      locked_fus = List.filteri (fun i _ -> i < locked_fus) fus;
+      minterms_per_fu = min minterms_per_fu (Array.length candidates);
       candidates;
     }
   in
@@ -117,10 +123,10 @@ type sensitivity_row = {
    several FUs locking the *same* set, any binding covers a similar
    fraction of occurrences and the ratio collapses toward 1 (an effect
    the candidate-strategy ablation shows separately). *)
-let ratio_for ?(seed = 3) schedule trace kind =
+let ratio_for schedule trace kind =
   let allocation = Allocation.for_schedule schedule in
   let k = Kmatrix.build trace in
-  let candidates = candidate_list ~seed ~strategy:Most_common k kind in
+  let candidates = candidate_list ~strategy:Most_common k kind in
   let fus = Allocation.fu_ids allocation kind in
   if fus = [] || Array.length candidates < 2 then None
   else begin
@@ -146,7 +152,7 @@ let ratio_for ?(seed = 3) schedule trace kind =
     Some (Experiments.ratio_vs !e_obf !e_area)
   end
 
-let allocation_sensitivity ?(seed = 3) dfg make_trace =
+let allocation_sensitivity dfg make_trace =
   List.filter_map
     (fun fu_budget ->
       let limits = { Rb_sched.Scheduler.adders = fu_budget; multipliers = fu_budget } in
@@ -159,13 +165,12 @@ let allocation_sensitivity ?(seed = 3) dfg make_trace =
             obf_vs_area = r;
             n_cycles = Schedule.n_cycles schedule;
           })
-        (ratio_for ~seed schedule trace Dfg.Add))
+        (ratio_for schedule trace Dfg.Add))
     [ 1; 2; 3; 4 ]
 
 type budget_row = { prefix_len : int; expected : int; measured : int }
 
-let profiling_budget ?(n_candidates = 10) ?(locked_fus = 2) ?(minterms_per_fu = 2)
-    ?(prefix_lengths = [ 8; 16; 32; 64; 128; 256 ]) schedule full kind =
+let profiling_budget schedule full kind =
   let allocation = Allocation.for_schedule schedule in
   List.map
     (fun len ->
@@ -194,9 +199,9 @@ let profiling_budget ?(n_candidates = 10) ?(locked_fus = 2) ?(minterms_per_fu = 
         expected = solution.Codesign.errors;
         measured = report.Exec.error_events;
       })
-    prefix_lengths
+    [ 8; 16; 32; 64; 128; 256 ]
 
-let scheduler_sensitivity ?(seed = 3) dfg make_trace =
+let scheduler_sensitivity dfg make_trace =
   let schedules =
     [
       ("path-based", Rb_sched.Scheduler.path_based dfg);
@@ -212,5 +217,5 @@ let scheduler_sensitivity ?(seed = 3) dfg make_trace =
       Option.map
         (fun r ->
           { label; obf_vs_area = r; n_cycles = Schedule.n_cycles schedule })
-        (ratio_for ~seed schedule trace Dfg.Add))
+        (ratio_for schedule trace Dfg.Add))
     schedules

@@ -29,15 +29,10 @@ type candidate_strategy = Most_common | Random_sample | Least_common
 val strategy_name : candidate_strategy -> string
 
 val candidate_list :
-  ?n:int ->
-  ?seed:int ->
-  strategy:candidate_strategy ->
-  Rb_sim.Kmatrix.t ->
-  Dfg.op_kind ->
-  Minterm.t array
-(** Build a candidate list under a selection strategy ([n] defaults to
-    10; [Least_common] still requires at least one trace occurrence —
-    a never-occurring minterm can never inject an error). *)
+  strategy:candidate_strategy -> Rb_sim.Kmatrix.t -> Dfg.op_kind -> Minterm.t array
+(** Build a 10-minterm candidate list under a selection strategy
+    ([Least_common] still requires at least one trace occurrence — a
+    never-occurring minterm can never inject an error). *)
 
 type strategy_row = {
   strategy : candidate_strategy;
@@ -45,16 +40,10 @@ type strategy_row = {
   candidate_mass : int;  (** total trace occurrences of the chosen C *)
 }
 
-val candidate_strategies :
-  ?seed:int ->
-  ?locked_fus:int ->
-  ?minterms_per_fu:int ->
-  Experiments.context ->
-  Dfg.op_kind ->
-  strategy_row list
-(** Run co-design under each strategy on one benchmark context
-    (defaults: 2 locked FUs, 2 minterms each; fewer when the
-    allocation or candidate list is too small). *)
+val candidate_strategies : Experiments.context -> Dfg.op_kind -> strategy_row list
+(** Run co-design under each strategy on one benchmark context (2
+    locked FUs, 2 minterms each; fewer when the allocation or
+    candidate list is too small). *)
 
 type generalization_row = {
   train_expected : int;  (** Eqn. 2 on the training half's K *)
@@ -63,11 +52,7 @@ type generalization_row = {
 }
 
 val generalization :
-  ?seed:int ->
-  Rb_sched.Schedule.t ->
-  Rb_sim.Trace.t ->
-  Dfg.op_kind ->
-  generalization_row
+  Rb_sched.Schedule.t -> Rb_sim.Trace.t -> Dfg.op_kind -> generalization_row
 (** Split the trace in half, co-design on the first half, measure
     injected errors on both halves. *)
 
@@ -78,14 +63,14 @@ type sensitivity_row = {
 }
 
 val allocation_sensitivity :
-  ?seed:int -> Rb_dfg.Dfg.t -> (unit -> Rb_sim.Trace.t) -> sensitivity_row list
+  Rb_dfg.Dfg.t -> (unit -> Rb_sim.Trace.t) -> sensitivity_row list
 (** Re-schedule the kernel onto 1..4 FUs per kind and report the
     obfuscation-aware error increase for a fixed locking shape. The
     trace thunk is re-invoked per allocation (trace depends only on
     the DFG). *)
 
 val scheduler_sensitivity :
-  ?seed:int -> Rb_dfg.Dfg.t -> (unit -> Rb_sim.Trace.t) -> sensitivity_row list
+  Rb_dfg.Dfg.t -> (unit -> Rb_sim.Trace.t) -> sensitivity_row list
 (** Same report for the two scheduling front ends (path-based list
     scheduling vs force-directed). *)
 
@@ -99,13 +84,6 @@ type budget_row = {
 }
 
 val profiling_budget :
-  ?n_candidates:int ->
-  ?locked_fus:int ->
-  ?minterms_per_fu:int ->
-  ?prefix_lengths:int list ->
-  Rb_sched.Schedule.t ->
-  Rb_sim.Trace.t ->
-  Dfg.op_kind ->
-  budget_row list
+  Rb_sched.Schedule.t -> Rb_sim.Trace.t -> Dfg.op_kind -> budget_row list
 (** Re-run candidate selection and co-design on growing trace prefixes
-    (default lengths 8..256, 2 locked FUs x 2 minterms). *)
+    (lengths 8..256, 2 locked FUs x 2 minterms). *)

@@ -31,7 +31,10 @@ type context = {
   candidates_mul : Minterm.t array;
 }
 
-let context ?(n_candidates = 10) ~name schedule trace =
+(* |C|: the paper's 10 most common inputs per operation kind. *)
+let n_candidates = 10
+
+let context ~name schedule trace =
   let allocation = Allocation.for_schedule schedule in
   (* One golden pass: the profile is the operand columns, and the K
      matrix counts them. *)
@@ -546,12 +549,12 @@ type reduced_run = {
   rr_candidates_used : int;
 }
 
-let reduced_optimal_runs ?(full_candidates = 10) suite =
+let reduced_optimal_runs suite =
   List.concat_map
     (fun (key, results) ->
       List.filter_map
         (fun r ->
-          if r.optimal_candidates_used < full_candidates then
+          if r.optimal_candidates_used < n_candidates then
             Some
               {
                 rr_benchmark = key.sk_benchmark;
@@ -572,7 +575,7 @@ type headline_summary = {
   hl_gap_worst : float;
 }
 
-let headline ?(full_candidates = 10) suite =
+let headline suite =
   let obf = ref [] and cd = ref [] and gaps = ref [] in
   List.iter
     (fun (key, results) ->
@@ -585,7 +588,7 @@ let headline ?(full_candidates = 10) suite =
         (fun r ->
           (* heuristic vs optimal, only where optimal searched the full
              candidate list *)
-          if r.optimal_candidates_used = full_candidates then begin
+          if r.optimal_candidates_used = n_candidates then begin
             let opt = float_of_int r.e_codesign_optimal in
             let heur = float_of_int r.e_codesign_heuristic in
             if opt > 0.0 then gaps := ((opt -. heur) /. opt *. 100.0) :: !gaps

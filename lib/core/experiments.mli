@@ -38,10 +38,9 @@ type context = {
   candidates_mul : Minterm.t array;  (** top candidates among mul ops *)
 }
 
-val context :
-  ?n_candidates:int -> name:string -> Rb_sched.Schedule.t -> Rb_sim.Trace.t -> context
-(** Build the per-benchmark context ([n_candidates] defaults to the
-    paper's 10 most common inputs, per operation kind). *)
+val context : name:string -> Rb_sched.Schedule.t -> Rb_sim.Trace.t -> context
+(** Build the per-benchmark context. The candidate lists are always the
+    paper's 10 most common inputs per operation kind (|C| = 10). *)
 
 val candidates_for : context -> Dfg.op_kind -> Minterm.t array
 
@@ -246,10 +245,9 @@ type reduced_run = {
   rr_candidates_used : int;
 }
 
-val reduced_optimal_runs :
-  ?full_candidates:int -> (sweep_key * config_result list) list -> reduced_run list
-(** Configurations whose optimal run used fewer than [full_candidates]
-    (default 10) candidates. *)
+val reduced_optimal_runs : (sweep_key * config_result list) list -> reduced_run list
+(** Configurations whose optimal run used fewer than the full 10
+    candidates. *)
 
 (** The paper-abstract numbers, computed from a sweep suite. *)
 type headline_summary = {
@@ -260,8 +258,9 @@ type headline_summary = {
   hl_gap_worst : float;  (** worst gap, percent (paper: < 0.5%) *)
 }
 
-val headline :
-  ?full_candidates:int -> (sweep_key * config_result list) list -> headline_summary
+val headline : (sweep_key * config_result list) list -> headline_summary
+(** The heuristic-vs-optimal gap counts only configurations whose
+    optimal run searched the full 10 candidates. *)
 
 val overhead_suite :
   pool:Rb_util.Pool.t ->

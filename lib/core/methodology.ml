@@ -41,11 +41,8 @@ let plan_of ?key_bits goal minterms_per_fu (solution : Codesign.solution) =
     exponential_topup = not meets_resilience;
   }
 
-let design ?max_minterms_per_fu ?key_bits k schedule
-    allocation ~scheme ~locked_fus ~candidates goal =
-  let limit =
-    Option.value max_minterms_per_fu ~default:(Array.length candidates)
-  in
+let design ?key_bits k schedule allocation ~scheme ~locked_fus ~candidates goal =
+  let limit = Array.length candidates in
   if limit < 1 then invalid_arg "Methodology.design: empty budget range";
   let solve minterms_per_fu =
     let spec =

@@ -29,7 +29,6 @@ type plan = {
 }
 
 val design :
-  ?max_minterms_per_fu:int ->
   ?key_bits:int ->
   Rb_sim.Kmatrix.t ->
   Rb_sched.Schedule.t ->
@@ -39,11 +38,10 @@ val design :
   candidates:Rb_dfg.Minterm.t array ->
   goal ->
   plan
-(** Increase the per-FU budget from 1 to [max_minterms_per_fu]
-    (default: the candidate count), running the P-time co-design
-    heuristic at each step, and stop at the first budget meeting the
-    error target; if none does, the largest budget is kept and
-    [meets_error_target] is false.
+(** Increase the per-FU budget from 1 to the candidate count, running
+    the P-time co-design heuristic at each step, and stop at the first
+    budget meeting the error target; if none does, the largest budget
+    is kept and [meets_error_target] is false.
 
     [key_bits], when given, fixes the per-FU key length (a designer's
     area budget) instead of letting it grow with the locked-input count

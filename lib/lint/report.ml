@@ -70,5 +70,3 @@ let json t =
     ]
 
 let to_json t = Json.to_string (json t)
-
-let json_of_reports reports = Json.to_string (Json.List (List.map json reports))

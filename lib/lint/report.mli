@@ -37,6 +37,3 @@ val to_json : t -> string
     [{"rule", "severity", "location", "message", "hint"?}, ...]}].
     Locations are objects [{"kind": "gate", "index": 3}] ([index]
     omitted for the whole-design location). *)
-
-val json_of_reports : t list -> string
-(** The reports as one JSON array, in order. *)

@@ -34,16 +34,7 @@ let minterms_of t fu =
 
 let is_locked_input t ~fu m = Minterm.Set.mem m (minterms_of t fu)
 
-let total_locked_minterms t =
-  List.fold_left (fun acc (_, set) -> acc + Minterm.Set.cardinal set) 0 t.locks
-
 let corrupt output = output lxor 1
-
-let key_bits_per_fu t ~input_bits =
-  let max_minterms =
-    List.fold_left (fun acc (_, set) -> max acc (Minterm.Set.cardinal set)) 0 t.locks
-  in
-  Scheme.key_bits t.scheme ~minterms:max_minterms ~input_bits
 
 let lambda_per_fu t =
   let input_bits = 2 * Word.width in
@@ -54,8 +45,6 @@ let lambda_per_fu t =
       let l = Resilience.lambda_minterms ~key_bits ~correct_keys:1 ~input_bits ~minterms in
       min acc l)
     infinity t.locks
-
-let with_minterms t locks = make ~scheme:t.scheme ~locks
 
 let pp fmt t =
   Format.fprintf fmt "%s:" (Scheme.name t.scheme);

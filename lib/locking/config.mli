@@ -35,14 +35,9 @@ val minterms_of : t -> int -> Minterm.Set.t
 
 val is_locked_input : t -> fu:int -> Minterm.t -> bool
 
-val total_locked_minterms : t -> int
-
 val corrupt : int -> int
 (** Wrong-key output corruption applied by a locked FU on a locked
     minterm (bit-0 flip, the SFLL-style single-output-bit strip). *)
-
-val key_bits_per_fu : t -> input_bits:int -> int
-(** Key length each locked FU carries under the configured scheme. *)
 
 val lambda_per_fu : t -> float
 (** Worst-case (smallest) predicted SAT-attack iterations across the
@@ -50,9 +45,5 @@ val lambda_per_fu : t -> float
     key. The SAT-attack model assumes scan access, so resilience is
     per-module (Sec. II-A): the weakest FU is the design's
     resilience. *)
-
-val with_minterms : t -> (int * Minterm.t list) list -> t
-(** Replace the minterm assignment, keeping scheme and FU set; used by
-    the co-design search when it re-evaluates candidate assignments. *)
 
 val pp : Format.formatter -> t -> unit

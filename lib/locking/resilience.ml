@@ -49,6 +49,3 @@ let max_minterms_for ~key_bits ~correct_keys ~input_bits ~min_lambda =
       !lo
     end
   end
-
-let is_resilient ~key_bits ~input_bits ~minterms ~min_lambda =
-  lambda_minterms ~key_bits ~correct_keys:1 ~input_bits ~minterms >= min_lambda

@@ -32,6 +32,3 @@ val max_minterms_for : key_bits:int -> correct_keys:int -> input_bits:int -> min
 (** Largest locked-minterm count whose predicted [lambda] still meets
     [min_lambda]; 0 when even a single minterm is too corrupting. The
     resilience budget used by the Sec. V-C methodology. *)
-
-val is_resilient : key_bits:int -> input_bits:int -> minterms:int -> min_lambda:float -> bool
-(** Convenience: does a configuration (with [c = 1]) meet the bound? *)

@@ -28,12 +28,6 @@ type t = {
   register_of : int option array; (* op id -> register *)
 }
 
-let source_pp fmt = function
-  | From_input name -> Format.fprintf fmt "in:%s" name
-  | From_const c -> Format.fprintf fmt "#%d" c
-  | From_fu fu -> Format.fprintf fmt "FU%d" fu
-  | From_register r -> Format.fprintf fmt "r%d" r
-
 (* Left-edge register allocation inside one FU's bank: values sorted by
    birth take the first register whose previous tenant has died. *)
 let allocate_bank ~next_reg values =

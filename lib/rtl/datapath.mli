@@ -61,8 +61,6 @@ val mux_inputs : t -> int
     (distinct sources - 1) when a port has more than one source. An
     interconnect-cost companion to the register count. *)
 
-val source_pp : Format.formatter -> source -> unit
-
 val validate : t -> (unit, string) result
 (** Internal consistency: every issue's sources are defined at its
     cycle, no two writes hit one register in one cycle, every consumed

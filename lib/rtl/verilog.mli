@@ -11,5 +11,5 @@
     header, port list, one [case] arm per active cycle) and resource
     counts rather than simulating Verilog. *)
 
-val emit : ?module_name:string -> Datapath.t -> string
-(** Render the module ([module_name] defaults to the DFG name). *)
+val emit : Datapath.t -> string
+(** Render the module, named after the DFG. *)

@@ -317,8 +317,8 @@ type approximate_outcome = {
   estimated_error_rate : float;
 }
 
-let approximate ?(dip_budget = 30) ?(queries_per_round = 16) ?(estimate_samples = 2000)
-    ?(seed = 97) ?limit (locked : Lock.locked) =
+let approximate ?(dip_budget = 30) ?(seed = 97) (locked : Lock.locked) =
+  let queries_per_round = 16 and estimate_samples = 2000 in
   let oracle inputs =
     Netlist.eval locked.Lock.circuit ~inputs ~keys:locked.Lock.correct_key
   in
@@ -326,7 +326,7 @@ let approximate ?(dip_budget = 30) ?(queries_per_round = 16) ?(estimate_samples 
   let n_in = Netlist.n_inputs circuit in
   let rng = Rng.create seed in
   let random_inputs () = Array.init n_in (fun _ -> Rng.bool rng) in
-  let m = new_miter ?limit circuit in
+  let m = new_miter circuit in
   let mem = m.members.(0) in
   let queries = ref 0 in
   (* AppSAT-style: interleave DIP refinement with random oracle
@@ -338,10 +338,9 @@ let approximate ?(dip_budget = 30) ?(queries_per_round = 16) ?(estimate_samples 
   let rec loop iterations =
     if iterations >= dip_budget then (iterations, false)
     else
-      match Solver.solve ~assumptions:[ mem.act ] ~limit:m.limit mem.solver with
+      match Solver.solve ~assumptions:[ mem.act ] mem.solver with
       | Solver.Unsat -> (iterations, true)
-      (* A budgeted solve that gives up is just another way of not
-         converging; the extracted key is still the best candidate. *)
+      (* Unreachable: the solve has no limit. *)
       | Solver.Unknown _ -> (iterations, false)
       | Solver.Sat ->
         let dip = Array.init n_in (fun i -> Solver.value mem.solver mem.inputs.(i)) in

@@ -130,13 +130,7 @@ type approximate_outcome = {
 }
 
 val approximate :
-  ?dip_budget:int ->
-  ?queries_per_round:int ->
-  ?estimate_samples:int ->
-  ?seed:int ->
-  ?limit:Rb_util.Limits.t ->
-  Rb_netlist.Lock.locked ->
-  approximate_outcome
+  ?dip_budget:int -> ?seed:int -> Rb_netlist.Lock.locked -> approximate_outcome
 (** The approximate attack of Shamsi et al.'s impossibility result
     [12] (AppSAT-style): interleave exact DIP refinement with batches
     of random oracle queries and stop early, settling for an
@@ -146,7 +140,7 @@ val approximate :
     almost nothing — which is precisely why an attacker content with a
     low error rate wins quickly. This is the paper's motivation for
     needing {e application-level} corruption, not just SAT iterations.
-    Defaults: 30 DIPs, 16 random queries every 5 DIPs, 2000 estimation
-    samples. The estimation samples are drawn from the seeded
-    generator one after another, after the random queries, and are
-    simulated 32 at a time with {!Rb_netlist.Netlist.eval_lanes}. *)
+    Defaults: 30 DIPs, seed 97. Every 5 DIPs, 16 random queries are
+    injected; the error rate is estimated on 2000 samples drawn from
+    the seeded generator one after another, after the random queries,
+    and simulated 32 at a time with {!Rb_netlist.Netlist.eval_lanes}. *)

@@ -97,61 +97,3 @@ let to_string ?(comments = []) t =
       Buffer.add_string buf "0\n")
     t.clauses;
   Buffer.contents buf
-
-let parse text =
-  let lines = String.split_on_char '\n' text in
-  let header = ref None in
-  let clauses = ref [] in
-  let current = ref [] in
-  let rec go line_no = function
-    | [] -> Ok ()
-    | line :: rest ->
-      let line = String.trim line in
-      if line = "" || (String.length line > 0 && line.[0] = 'c') then go (line_no + 1) rest
-      else if String.length line > 0 && line.[0] = 'p' then begin
-        match String.split_on_char ' ' line |> List.filter (fun w -> w <> "") with
-        | [ "p"; "cnf"; vars; n_clauses ] ->
-          (match (int_of_string_opt vars, int_of_string_opt n_clauses) with
-           | Some v, Some c when !header = None ->
-             header := Some (v, c);
-             go (line_no + 1) rest
-           | Some _, Some _ -> Error (Printf.sprintf "line %d: duplicate header" line_no)
-           | _, _ -> Error (Printf.sprintf "line %d: bad header" line_no))
-        | _ -> Error (Printf.sprintf "line %d: bad header" line_no)
-      end
-      else begin
-        let words = String.split_on_char ' ' line |> List.filter (fun w -> w <> "") in
-        let rec take = function
-          | [] -> Ok ()
-          | w :: ws ->
-            (match int_of_string_opt w with
-             | None -> Error (Printf.sprintf "line %d: bad literal %S" line_no w)
-             | Some 0 ->
-               clauses := List.rev !current :: !clauses;
-               current := [];
-               take ws
-             | Some lit ->
-               current := lit :: !current;
-               take ws)
-        in
-        match take words with Ok () -> go (line_no + 1) rest | Error _ as e -> e
-      end
-  in
-  match go 1 lines with
-  | Error _ as e -> e
-  | Ok () ->
-    if !current <> [] then Error "unterminated final clause"
-    else begin
-      match !header with
-      | None -> Error "missing 'p cnf' header"
-      | Some (n_vars, n_clauses) ->
-        let parsed = List.rev !clauses in
-        if List.length parsed <> n_clauses then
-          Error
-            (Printf.sprintf "header declares %d clauses, found %d" n_clauses
-               (List.length parsed))
-        else if
-          List.exists (fun c -> List.exists (fun l -> l = 0 || abs l > n_vars) c) parsed
-        then Error "literal out of declared range"
-        else Ok (n_vars, parsed)
-    end

@@ -24,8 +24,3 @@ val miter : Rb_netlist.Netlist.t -> t
 
 val to_string : ?comments:string list -> t -> string
 (** Render in DIMACS format with a variable-layout comment header. *)
-
-val parse : string -> (int * int list list, string) result
-(** Parse DIMACS text into (variable count, clauses). Accepts comment
-    lines, a single [p cnf] header, and 0-terminated clauses possibly
-    spanning lines. The error names the offending line. *)

@@ -62,9 +62,11 @@ let binary_tag ci = -ci - 1
    offsets, so visiting a clause is one load in a single hot array
    instead of a chase through an array of arrays, and clauses pushed
    together (e.g. one Tseitin gate) share cache lines. Removed clauses
-   leave their words behind as tombstones (header zeroed); the waste
-   is bounded by the reduction budget and far cheaper than rewriting
-   every stored reference to compact. *)
+   leave their words behind as tombstones (header zeroed), and the
+   arena is never compacted: those words stay allocated until the
+   solver is dropped, so on long runs most of the arena can be dead
+   (24.6 M arena words against 1.44 M live learnt words at the end of
+   the attack on a 6-layer permutation network over a 5-bit adder). *)
 let hdr_len_bits = 21 (* max_vars < 2^21 bounds any clause length *)
 let hdr_len_mask = (1 lsl hdr_len_bits) - 1
 

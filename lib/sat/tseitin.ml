@@ -228,15 +228,3 @@ let constrain_observation solver circuit ~key_vars ~inputs ~outputs =
         else cl (List.rev_map Int.neg ls)
       | Or ls -> if want then cl ls else List.iter (fun l -> cl [ -l ]) ls)
     (Netlist.outputs circuit)
-
-let pin solver vars values name =
-  if Array.length vars <> Array.length values then invalid_arg name;
-  Array.iteri
-    (fun i v -> Solver.add_clause solver [ (if values.(i) then v else -v) ])
-    vars
-
-let constrain_inputs solver inst values =
-  pin solver inst.input_vars values "Tseitin.constrain_inputs"
-
-let constrain_outputs solver inst values =
-  pin solver inst.output_vars values "Tseitin.constrain_outputs"

@@ -45,10 +45,3 @@ val constrain_observation :
     members aligned. An observation a key cannot explain (possible
     only with an inconsistent oracle) makes the instance permanently
     unsatisfiable. *)
-
-val constrain_inputs : Solver.t -> instance -> bool array -> unit
-(** Pin the instance's primary inputs to concrete values (unit
-    clauses). Used to replay a distinguishing input pattern. *)
-
-val constrain_outputs : Solver.t -> instance -> bool array -> unit
-(** Pin the instance's outputs to oracle-observed values. *)

@@ -19,24 +19,6 @@ let asap dfg =
   done;
   cycle
 
-let alap dfg ~latency =
-  if latency < Dfg.critical_path_length dfg then
-    invalid_arg "Scheduler.alap: latency below critical path";
-  let n = Dfg.op_count dfg in
-  let cycle = Array.make n (latency - 1) in
-  for id = n - 1 downto 0 do
-    let deadline =
-      List.fold_left (fun acc s -> min acc (cycle.(s) - 1)) (latency - 1)
-        (Dfg.successors dfg id)
-    in
-    cycle.(id) <- deadline
-  done;
-  cycle
-
-let slack dfg ~latency =
-  let early = asap dfg and late = alap dfg ~latency in
-  Array.init (Array.length early) (fun i -> late.(i) - early.(i))
-
 (* Longest path (in operations) from each op to any sink; the priority
    function of the list scheduler. *)
 let path_to_sink dfg =

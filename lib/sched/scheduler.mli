@@ -1,8 +1,8 @@
 (** Scheduling algorithms.
 
     The paper schedules each benchmark "to be executed on up to 3 FUs
-    using a path-based scheduler [24]" (Sec. VI). We provide ASAP and
-    ALAP (for slack analysis and tests) and a resource-constrained
+    using a path-based scheduler [24]" (Sec. VI). We provide ASAP (the
+    unconstrained reference bound) and a resource-constrained
     path-based list scheduler that prioritizes operations on long
     dependency paths, the core idea of path-based scheduling. *)
 
@@ -14,13 +14,6 @@ val default_limits : limits
 
 val asap : Rb_dfg.Dfg.t -> int array
 (** Unconstrained as-soon-as-possible cycle per operation. *)
-
-val alap : Rb_dfg.Dfg.t -> latency:int -> int array
-(** As-late-as-possible within [latency] cycles. Raises
-    [Invalid_argument] if [latency] is below the critical path. *)
-
-val slack : Rb_dfg.Dfg.t -> latency:int -> int array
-(** [alap - asap] mobility per operation. *)
 
 val path_based : ?limits:limits -> Rb_dfg.Dfg.t -> Schedule.t
 (** Resource-constrained list schedule. Ready operations are ordered by

@@ -331,7 +331,14 @@ let of_json v =
 
 (* An attack's result is portfolio-invariant by contract (see
    {!Rb_sat.Attack}), so [portfolio] is normalised away: every
-   portfolio size shares the portfolio-1 address. *)
+   portfolio size shares the portfolio-1 address. The Anti-SAT block
+   has no strength parameter, so an antisat analysis shares the
+   strength-1 address the same way. *)
 let digest t =
-  let t = match t with Attack a -> Attack { a with portfolio = 1 } | t -> t in
+  let t =
+    match t with
+    | Attack a -> Attack { a with portfolio = 1 }
+    | Analyze ({ scheme = Some Antisat; _ } as a) -> Analyze { a with strength = 1 }
+    | t -> t
+  in
   Rb_util.Digest.json (to_json t)

@@ -105,7 +105,8 @@ val of_json : Rb_util.Json.t -> (t, Error.t) result
 
 val digest : t -> string
 (** Content address of the job: [Rb_util.Digest.json (to_json t)],
-    with an attack's [portfolio] read as 1. Two jobs digest equal iff
-    they mean the same work, regardless of spelling (field order,
-    defaulted vs. explicit fields) and of how many solvers race for an
-    attack's result, which does not depend on it. *)
+    with an attack's [portfolio] and an antisat analysis's [strength]
+    read as 1. Two jobs digest equal iff they mean the same work,
+    regardless of spelling (field order, defaulted vs. explicit
+    fields), of how many solvers race for an attack's result, and of a
+    strength the Anti-SAT construction does not read. *)

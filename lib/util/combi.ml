@@ -52,15 +52,6 @@ let k_subsets arr k =
   in
   List.rev subsets
 
-let cartesian_product lists =
-  let rec go = function
-    | [] -> [ [] ]
-    | choices :: rest ->
-      let tails = go rest in
-      List.concat_map (fun c -> List.map (fun tl -> c :: tl) tails) choices
-  in
-  go lists
-
 let product_size sizes =
   let mul a b =
     if a = 0 || b = 0 then 0

@@ -19,11 +19,6 @@ val fold_k_subsets : 'a array -> int -> init:'b -> f:('b -> 'a array -> 'b) -> '
     the subset array passed to [f] is reused between calls and must not
     be retained. *)
 
-val cartesian_product : 'a list list -> 'a list list
-(** [cartesian_product [l1; l2; ...]] is every way of picking one
-    element from each list, in order. The product of an empty list of
-    lists is [[[]]]. *)
-
 val product_size : int list -> int
 (** Product of the list, saturating at [max_int] instead of wrapping so
     enumeration-size guards stay sound. *)

@@ -193,9 +193,6 @@ let counter_deltas ~before ~after =
          let d = v - Option.value (Hashtbl.find_opt base k) ~default:0 in
          if d = 0 then None else Some (k, d))
 
-let span_total s path =
-  List.assoc_opt path s.spans |> Option.map (fun d -> d.total)
-
 (* ----------------------------------------------------------- rendering *)
 
 let counters_to_json counters =

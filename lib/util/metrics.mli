@@ -105,9 +105,6 @@ val counter_deltas : before:snapshot -> after:snapshot -> (string * int) list
 (** Per-key [after - before] for counters, dropping zero deltas;
     counters absent from [before] count from 0. Sorted by key. *)
 
-val span_total : snapshot -> string -> float option
-(** Total seconds recorded under a span path, if it was ever entered. *)
-
 val counters_to_json : (string * int) list -> Json.t
 (** An object mapping counter key to integer value. *)
 

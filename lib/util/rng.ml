@@ -26,24 +26,11 @@ let int t bound =
   let raw = Int64.to_int (Int64.logand (bits64 t) 0x3FFFFFFFFFFFFFFFL) in
   raw mod bound
 
-let int_in t lo hi =
-  assert (lo <= hi);
-  lo + int t (hi - lo + 1)
-
 let float t bound =
   let raw = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   bound *. (raw /. 9007199254740992.0)
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
-
-let gaussian t ~mean ~stdev =
-  let rec nonzero () =
-    let u = float t 1.0 in
-    if u > 0.0 then u else nonzero ()
-  in
-  let u1 = nonzero () and u2 = float t 1.0 in
-  let r = sqrt (-2.0 *. log u1) in
-  mean +. (stdev *. r *. cos (2.0 *. Float.pi *. u2))
 
 let pick t arr =
   assert (Array.length arr > 0);

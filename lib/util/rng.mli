@@ -27,18 +27,11 @@ val bits64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive. Requires
-    [lo <= hi]. *)
-
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
 val bool : t -> bool
 (** Fair coin flip. *)
-
-val gaussian : t -> mean:float -> stdev:float -> float
-(** Box-Muller normal deviate. *)
 
 val pick : t -> 'a array -> 'a
 (** Uniformly chosen element of a non-empty array. *)

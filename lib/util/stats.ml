@@ -2,18 +2,6 @@ let mean = function
   | [] -> 0.0
   | values -> List.fold_left ( +. ) 0.0 values /. float_of_int (List.length values)
 
-let geomean = function
-  | [] -> 0.0
-  | values ->
-    let log_sum =
-      List.fold_left
-        (fun acc v ->
-          if v <= 0.0 then invalid_arg "Stats.geomean: non-positive value"
-          else acc +. log v)
-        0.0 values
-    in
-    exp (log_sum /. float_of_int (List.length values))
-
 let stdev values =
   match values with
   | [] | [ _ ] -> 0.0

@@ -3,13 +3,6 @@
 val mean : float list -> float
 (** Arithmetic mean; 0.0 on the empty list. *)
 
-val geomean : float list -> float
-(** Geometric mean of strictly positive values; 0.0 on the empty list.
-    Raises [Invalid_argument] if any value is not positive. The paper's
-    "increase in application errors" plots are log-scale ratios, so the
-    geometric mean is the faithful aggregate; we also report arithmetic
-    means, which is what the headline 26x/99x figures use. *)
-
 val stdev : float list -> float
 (** Sample standard deviation; 0.0 for fewer than two values. *)
 

@@ -13,9 +13,6 @@ let add_text_row t ~label ~cells =
     invalid_arg "Table.add_text_row: cell count mismatch";
   t.rows <- { label; cells } :: t.rows
 
-let add_row t ~label ~values =
-  add_text_row t ~label ~cells:(List.map (Printf.sprintf "%.2f") values)
-
 let render t =
   let rows = List.rev t.rows in
   let header = "" :: t.columns in
@@ -51,7 +48,8 @@ let render t =
   List.iter emit_row all_rows;
   Buffer.contents buf
 
-let log_bar ?(width = 30) v =
+let log_bar v =
+  let width = 30 in
   let v = max v 1.0 in
   let frac = log10 v /. 3.0 in
   let n = int_of_float (Float.round (frac *. float_of_int width)) in

@@ -36,11 +36,6 @@ let truncate t n =
 
 let clear t = t.len <- 0
 
-let swap_remove t i =
-  if i < 0 || i >= t.len then invalid_arg "Veci.swap_remove";
-  t.len <- t.len - 1;
-  Array.unsafe_set t.data i (Array.unsafe_get t.data t.len)
-
 let to_list t =
   let rec build i acc = if i < 0 then acc else build (i - 1) (t.data.(i) :: acc) in
   build (t.len - 1) []

@@ -38,10 +38,6 @@ val truncate : t -> int -> unit
 val clear : t -> unit
 (** [truncate] to 0. *)
 
-val swap_remove : t -> int -> unit
-(** Remove index [i] by moving the last element into it — O(1), does
-    not preserve order. *)
-
 val to_list : t -> int list
 val of_list : int list -> t
 val to_array : t -> int array

@@ -139,8 +139,8 @@ let test_verilog_register_declarations () =
 
 let test_verilog_custom_module_name () =
   let _, dp = fig2_datapath () in
-  Alcotest.(check bool) "renamed" true
-    (contains ~affix:"module my_core (" (Verilog.emit ~module_name:"my_core" dp))
+  Alcotest.(check bool) "named after the DFG" true
+    (contains ~affix:"module fig2 (" (Verilog.emit dp))
 
 let test_verilog_emits_for_all_benchmarks () =
   List.iter

@@ -21,30 +21,6 @@ let test_asap_critical_path () =
   let span = 1 + Array.fold_left max 0 asap in
   Alcotest.(check int) "span = critical path" (Dfg.critical_path_length dfg) span
 
-let test_alap_bounds () =
-  let dfg = Testgen.random_dfg 3 in
-  let latency = Dfg.critical_path_length dfg + 2 in
-  let early = Scheduler.asap dfg and late = Scheduler.alap dfg ~latency in
-  Array.iteri
-    (fun id l ->
-      Alcotest.(check bool) "alap >= asap" true (l >= early.(id));
-      Alcotest.(check bool) "alap within latency" true (l < latency))
-    late
-
-let test_alap_rejects_tight_latency () =
-  let dfg = Testgen.random_dfg 4 in
-  let latency = Dfg.critical_path_length dfg - 1 in
-  match Scheduler.alap dfg ~latency with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument"
-
-let test_slack_nonnegative () =
-  let dfg = Testgen.random_dfg 5 in
-  let latency = Dfg.critical_path_length dfg + 3 in
-  Array.iter
-    (fun s -> Alcotest.(check bool) "slack >= 0" true (s >= 0))
-    (Scheduler.slack dfg ~latency)
-
 let test_path_based_valid () =
   let dfg = Testgen.random_dfg 6 ~n_ops:40 in
   let schedule = Scheduler.path_based dfg in
@@ -202,9 +178,6 @@ let () =
         [
           Alcotest.test_case "asap respects deps" `Quick test_asap_respects_deps;
           Alcotest.test_case "asap = critical path" `Quick test_asap_critical_path;
-          Alcotest.test_case "alap bounds" `Quick test_alap_bounds;
-          Alcotest.test_case "alap tight latency" `Quick test_alap_rejects_tight_latency;
-          Alcotest.test_case "slack non-negative" `Quick test_slack_nonnegative;
         ] );
       ( "path-based",
         [

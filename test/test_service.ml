@@ -350,6 +350,17 @@ let test_executor_one_entry_per_job () =
       Alcotest.(check int) "one miss" 1 misses;
       Alcotest.(check int) "no hits" 0 hits)
 
+let test_antisat_analyze_digest_ignores_strength () =
+  (* The Anti-SAT block reads no strength, so every strength of an
+     antisat analysis is one job; schemes that read it stay apart. *)
+  let analyze scheme strength =
+    Job.Analyze { scheme = Some scheme; width = 8; strength; seed = 7 }
+  in
+  Alcotest.(check string) "antisat strengths 4 and 64 share a digest"
+    (Job.digest (analyze Job.Antisat 4)) (Job.digest (analyze Job.Antisat 64));
+  Alcotest.(check bool) "pf strengths 4 and 64 digest differently" true
+    (Job.digest (analyze Job.Pf 4) <> Job.digest (analyze Job.Pf 64))
+
 let test_attack_digest_ignores_portfolio () =
   (* An attack's result does not depend on how many solvers race for
      it, so every portfolio size shares the portfolio-1 address; the
@@ -1149,6 +1160,8 @@ let () =
           Alcotest.test_case "content address" `Quick test_job_digest;
           Alcotest.test_case "attack digest ignores portfolio" `Quick
             test_attack_digest_ignores_portfolio;
+          Alcotest.test_case "antisat analyze digest ignores strength" `Quick
+            test_antisat_analyze_digest_ignores_strength;
         ] );
       ( "store",
         [

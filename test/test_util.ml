@@ -48,15 +48,6 @@ let test_veci_truncate_clear () =
   Veci.clear v;
   Alcotest.(check int) "cleared" 0 (Veci.length v)
 
-let test_veci_swap_remove () =
-  let v = Veci.of_list [ 10; 20; 30; 40 ] in
-  Veci.swap_remove v 1;
-  (* last element fills the hole; order is not preserved *)
-  Alcotest.(check (list int)) "hole filled by last" [ 10; 40; 30 ] (Veci.to_list v);
-  Veci.swap_remove v 2;
-  Alcotest.(check (list int)) "removing last is a plain pop" [ 10; 40 ]
-    (Veci.to_list v)
-
 let test_veci_conversions_iter_exists () =
   let v = Veci.of_list [ 3; 1; 4; 1; 5 ] in
   Alcotest.(check (array int)) "to_array" [| 3; 1; 4; 1; 5 |] (Veci.to_array v);
@@ -78,7 +69,6 @@ let test_veci_bounds_checked () =
   raises "Veci.get" (fun () -> ignore (Veci.get v (-1)));
   raises "Veci.set" (fun () -> Veci.set v 2 0);
   raises "Veci.truncate" (fun () -> Veci.truncate v 3);
-  raises "Veci.swap_remove" (fun () -> Veci.swap_remove v 2);
   Veci.clear v;
   raises "Veci.pop" (fun () -> ignore (Veci.pop v));
   raises "Veci.create" (fun () -> ignore (Veci.create ~cap:(-1) ()))
@@ -106,16 +96,6 @@ let test_rng_int_range () =
     Alcotest.(check bool) "in range" true (v >= 0 && v < 13)
   done
 
-let test_rng_int_in () =
-  let rng = Rng.create 3 in
-  let seen = Array.make 5 false in
-  for _ = 1 to 1000 do
-    let v = Rng.int_in rng 10 14 in
-    Alcotest.(check bool) "bounds" true (v >= 10 && v <= 14);
-    seen.(v - 10) <- true
-  done;
-  Alcotest.(check bool) "all values reached" true (Array.for_all Fun.id seen)
-
 let test_rng_copy_independent () =
   let a = Rng.create 5 in
   ignore (Rng.bits64 a);
@@ -137,15 +117,6 @@ let test_rng_float_range () =
     let v = Rng.float rng 2.5 in
     Alcotest.(check bool) "in [0, 2.5)" true (v >= 0.0 && v < 2.5)
   done
-
-let test_rng_gaussian_moments () =
-  let rng = Rng.create 13 in
-  let n = 20_000 in
-  let values = List.init n (fun _ -> Rng.gaussian rng ~mean:10.0 ~stdev:2.0) in
-  let mean = Stats.mean values in
-  let stdev = Stats.stdev values in
-  Alcotest.(check bool) "mean near 10" true (abs_float (mean -. 10.0) < 0.1);
-  Alcotest.(check bool) "stdev near 2" true (abs_float (stdev -. 2.0) < 0.1)
 
 let test_rng_shuffle_permutes () =
   let rng = Rng.create 17 in
@@ -188,13 +159,6 @@ let test_fold_k_subsets_matches_list () =
       (Printf.sprintf "k=%d" k) (Combi.k_subsets arr k) from_fold
   done
 
-let test_cartesian_product () =
-  Alcotest.(check (list (list int)))
-    "2x2" [ [ 1; 3 ]; [ 1; 4 ]; [ 2; 3 ]; [ 2; 4 ] ]
-    (Combi.cartesian_product [ [ 1; 2 ]; [ 3; 4 ] ]);
-  Alcotest.(check (list (list int))) "empty product" [ [] ] (Combi.cartesian_product []);
-  Alcotest.(check (list (list int))) "empty factor" [] (Combi.cartesian_product [ [ 1 ]; [] ])
-
 let test_fold_cartesian_matches_list () =
   let choices = [| [| 1; 2 |]; [| 3 |]; [| 4; 5; 6 |] |] in
   let tuples =
@@ -202,8 +166,8 @@ let test_fold_cartesian_matches_list () =
     |> List.rev
   in
   Alcotest.(check (list (list int)))
-    "same as list product"
-    (Combi.cartesian_product (Array.to_list (Array.map Array.to_list choices)))
+    "every tuple, first factor slowest"
+    [ [ 1; 3; 4 ]; [ 1; 3; 5 ]; [ 1; 3; 6 ]; [ 2; 3; 4 ]; [ 2; 3; 5 ]; [ 2; 3; 6 ] ]
     tuples
 
 let test_product_size_saturates () =
@@ -217,7 +181,6 @@ let test_product_size_saturates () =
 let test_stats_basics () =
   check_float "mean" 2.0 (Stats.mean [ 1.0; 2.0; 3.0 ]);
   check_float "mean empty" 0.0 (Stats.mean []);
-  check_float "geomean" 2.0 (Stats.geomean [ 1.0; 2.0; 4.0 ]);
   check_float "median odd" 2.0 (Stats.median [ 3.0; 1.0; 2.0 ]);
   check_float "median even" 2.5 (Stats.median [ 1.0; 2.0; 3.0; 4.0 ]);
   check_float "stdev" 1.0 (Stats.stdev [ 1.0; 2.0; 3.0 ]);
@@ -229,10 +192,6 @@ let test_stats_ratio () =
   check_float "0/0" 1.0 (Stats.ratio ~num:0.0 ~den:0.0);
   Alcotest.(check bool) "x/0 infinite" true (Stats.ratio ~num:3.0 ~den:0.0 = infinity)
 
-let test_geomean_rejects_nonpositive () =
-  Alcotest.check_raises "zero" (Invalid_argument "Stats.geomean: non-positive value")
-    (fun () -> ignore (Stats.geomean [ 1.0; 0.0 ]))
-
 (* ---------------------------------------------------------------- Table *)
 
 let contains ~affix s =
@@ -242,7 +201,7 @@ let contains ~affix s =
 
 let test_table_render () =
   let t = Table.create ~title:"demo" ~columns:[ "a"; "b" ] in
-  Table.add_row t ~label:"row1" ~values:[ 1.5; 2.25 ];
+  Table.add_text_row t ~label:"row1" ~cells:[ "1.50"; "2.25" ];
   Table.add_text_row t ~label:"row2" ~cells:[ "x"; "y" ];
   let s = Table.render t in
   List.iter
@@ -254,13 +213,13 @@ let test_table_render () =
 let test_table_mismatched_row () =
   let t = Table.create ~title:"t" ~columns:[ "a"; "b" ] in
   Alcotest.check_raises "mismatch" (Invalid_argument "Table.add_text_row: cell count mismatch")
-    (fun () -> Table.add_row t ~label:"r" ~values:[ 1.0 ])
+    (fun () -> Table.add_text_row t ~label:"r" ~cells:[ "1.00" ])
 
 let test_log_bar () =
-  Alcotest.(check string) "1x is empty" "" (Table.log_bar ~width:30 1.0);
-  Alcotest.(check int) "1000x fills" 30 (String.length (Table.log_bar ~width:30 1000.0));
-  Alcotest.(check int) "10x is a third" 10 (String.length (Table.log_bar ~width:30 10.0));
-  Alcotest.(check string) "sub-1 clamps" "" (Table.log_bar ~width:30 0.5)
+  Alcotest.(check string) "1x is empty" "" (Table.log_bar 1.0);
+  Alcotest.(check int) "1000x fills" 30 (String.length (Table.log_bar 1000.0));
+  Alcotest.(check int) "10x is a third" 10 (String.length (Table.log_bar 10.0));
+  Alcotest.(check string) "sub-1 clamps" "" (Table.log_bar 0.5)
 
 (* ----------------------------------------------------------------- Pool *)
 
@@ -421,7 +380,7 @@ let test_metrics_disabled_sink_free () =
   let dist = List.assoc "tm4/wall" snap.Metrics.timers in
   Alcotest.(check int) "timer empty" 0 dist.Metrics.count;
   Alcotest.(check bool) "span never recorded" true
-    (Metrics.span_total snap "tm4span" = None)
+    (not (List.mem_assoc "tm4span" snap.Metrics.spans))
 
 let test_metrics_timer_dist () =
   with_metrics (fun () ->
@@ -441,7 +400,7 @@ let test_metrics_span_nesting () =
           Metrics.with_span "inner" (fun () -> ()));
       let snap = Metrics.snapshot () in
       Alcotest.(check bool) "outer recorded" true
-        (Metrics.span_total snap "outer" <> None);
+        (List.mem_assoc "outer" snap.Metrics.spans);
       let inner = List.assoc "outer/inner" snap.Metrics.spans in
       Alcotest.(check int) "inner nests under outer, twice" 2 inner.Metrics.count;
       Alcotest.(check bool) "no top-level inner" true
@@ -1015,7 +974,6 @@ let () =
           Alcotest.test_case "push/get/pop" `Quick test_veci_push_get_pop;
           Alcotest.test_case "growth" `Quick test_veci_growth_past_capacity;
           Alcotest.test_case "truncate/clear" `Quick test_veci_truncate_clear;
-          Alcotest.test_case "swap_remove" `Quick test_veci_swap_remove;
           Alcotest.test_case "conversions" `Quick test_veci_conversions_iter_exists;
           Alcotest.test_case "bounds checks" `Quick test_veci_bounds_checked;
         ] );
@@ -1095,11 +1053,9 @@ let () =
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
           Alcotest.test_case "int range" `Quick test_rng_int_range;
-          Alcotest.test_case "int_in" `Quick test_rng_int_in;
           Alcotest.test_case "copy" `Quick test_rng_copy_independent;
           Alcotest.test_case "split" `Quick test_rng_split;
           Alcotest.test_case "float range" `Quick test_rng_float_range;
-          Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
         ] );
       ( "combi",
@@ -1108,7 +1064,6 @@ let () =
           Alcotest.test_case "k_subsets enumeration" `Quick test_k_subsets_enumeration;
           Alcotest.test_case "k_subsets edges" `Quick test_k_subsets_edge_cases;
           Alcotest.test_case "fold matches list" `Quick test_fold_k_subsets_matches_list;
-          Alcotest.test_case "cartesian product" `Quick test_cartesian_product;
           Alcotest.test_case "fold_cartesian matches" `Quick test_fold_cartesian_matches_list;
           Alcotest.test_case "product_size saturates" `Quick test_product_size_saturates;
         ] );
@@ -1116,7 +1071,6 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_stats_basics;
           Alcotest.test_case "ratio" `Quick test_stats_ratio;
-          Alcotest.test_case "geomean domain" `Quick test_geomean_rejects_nonpositive;
         ] );
       ( "table",
         [
