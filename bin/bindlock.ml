@@ -170,10 +170,10 @@ let attack_cmd =
                  race the hard solves.")
   in
   let run scheme width strength seed format jobs portfolio =
-    let t0 = Sys.time () in
+    let t0 = Rb_util.Metrics.now_s () in
     Result.map
       (fun outcome ->
-        Render.print ~attack_wall_s:(Sys.time () -. t0) format outcome)
+        Render.print ~attack_wall_s:(Rb_util.Metrics.now_s () -. t0) format outcome)
       (Result.map_error to_msg
          (run_job ~jobs
             (Job.Attack
@@ -195,7 +195,9 @@ let analyze_cmd =
   in
   let scheme_arg =
     Arg.(value & opt scheme_kind None & info [ "scheme" ] ~docv:"SCHEME"
-           ~doc:"Scheme to analyze: rll, pf, antisat, permnet, or all.")
+           ~doc:"Scheme to analyze: rll, pf, antisat, permnet, or all. With all \
+                 (the default), schemes that cannot be built at the given width and \
+                 strength are left out; the job fails only when none can be built.")
   in
   let strength_arg =
     Arg.(value & opt int 4 & info [ "strength" ] ~docv:"S"

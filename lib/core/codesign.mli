@@ -17,7 +17,7 @@
 module Minterm = Rb_dfg.Minterm
 
 type spec = {
-  scheme : Rb_locking.Scheme.t;  (** must be a critical-minterm scheme *)
+  scheme : Rb_locking.Scheme.t;  (** critical-minterm, as every scheme is *)
   locked_fus : int list;  (** FU ids to lock; all of one kind *)
   minterms_per_fu : int;  (** the SAT-resilience budget |M_l| *)
   candidates : Minterm.t array;  (** the designer's list C *)

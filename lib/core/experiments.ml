@@ -304,7 +304,8 @@ type overhead_result = {
   cd_switching : float;
 }
 
-let overhead ?(seed = 11) ?(combos_per_config = 10) ctx =
+let overhead ?(combos_per_config = 10) ctx =
+  let seed = 11 in
   let obf_regs = ref [] and obf_sw = ref [] in
   let cd_regs = ref [] and cd_sw = ref [] in
   let note_binding regs sw ~subject config binding =
@@ -389,7 +390,8 @@ type quality_result = {
   samples : int;
 }
 
-let quality ?(locked_fus = 2) ?(minterms_per_fu = 2) ~trace ctx kind =
+let quality ~trace ctx kind =
+  let locked_fus = 2 and minterms_per_fu = 2 in
   let candidates = candidates_for ctx kind in
   let fus = Allocation.fu_ids ctx.allocation kind in
   if fus = [] || Array.length candidates = 0 then None
@@ -437,7 +439,8 @@ type post_binding_result = {
   post_lambda : float;
 }
 
-let post_binding ?(key_bits = 32) ?(locked_fus = 2) ?(minterms_per_fu = 2) ctx kind =
+let post_binding ctx kind =
+  let key_bits = 32 and locked_fus = 2 and minterms_per_fu = 2 in
   let candidates = candidates_for ctx kind in
   let fus = Allocation.fu_ids ctx.allocation kind in
   if fus = [] || Array.length candidates < minterms_per_fu then None
@@ -514,14 +517,12 @@ type sweep_key = { sk_benchmark : string; sk_kind : Dfg.op_kind }
 let both_kinds ctxs =
   List.concat_map (fun ctx -> [ (ctx, Dfg.Add); (ctx, Dfg.Mul) ]) ctxs
 
-let sweep_suite ~pool ?seed ?max_combos_per_config ?max_optimal_assignments
-    ?fu_counts ?minterm_counts ctxs =
+let sweep_suite ~pool ?max_combos_per_config ?max_optimal_assignments ctxs =
   (* One task per (benchmark, kind): the pool's only level. *)
   Pool.map_list pool
     ~f:(fun (ctx, kind) ->
       ( { sk_benchmark = ctx.benchmark; sk_kind = kind },
-        sweep ?seed ?max_combos_per_config ?max_optimal_assignments
-          ?fu_counts ?minterm_counts ctx kind ))
+        sweep ?max_combos_per_config ?max_optimal_assignments ctx kind ))
     (both_kinds ctxs)
 
 let fig4_rows suite =
@@ -603,18 +604,15 @@ let headline suite =
     hl_gap_worst = Stats.maximum !gaps;
   }
 
-let overhead_suite ~pool ?seed ?combos_per_config ctxs =
-  Pool.map_list pool ~f:(fun ctx -> overhead ?seed ?combos_per_config ctx) ctxs
+let overhead_suite ~pool ?combos_per_config ctxs =
+  Pool.map_list pool ~f:(fun ctx -> overhead ?combos_per_config ctx) ctxs
 
-let quality_suite ~pool ?locked_fus ?minterms_per_fu ~trace_of ctxs =
-  Pool.map_list pool
-    ~f:(fun (ctx, kind) ->
-      quality ?locked_fus ?minterms_per_fu ~trace:(trace_of ctx) ctx kind)
+let quality_suite ~pool ~trace_of ctxs =
+  Pool.map_list pool ~f:(fun (ctx, kind) -> quality ~trace:(trace_of ctx) ctx kind)
     (both_kinds ctxs)
   |> List.filter_map Fun.id
 
-let post_binding_suite ~pool ?key_bits ?locked_fus ?minterms_per_fu ctxs =
-  Pool.map_list pool
-    ~f:(fun (ctx, kind) -> post_binding ?key_bits ?locked_fus ?minterms_per_fu ctx kind)
+let post_binding_suite ~pool ctxs =
+  Pool.map_list pool ~f:(fun (ctx, kind) -> post_binding ctx kind)
     (both_kinds ctxs)
   |> List.filter_map Fun.id

@@ -131,12 +131,12 @@ type overhead_result = {
   cd_switching : float;
 }
 
-val overhead :
-  ?seed:int -> ?combos_per_config:int -> context -> overhead_result
+val overhead : ?combos_per_config:int -> context -> overhead_result
 (** Average register count and switching rate of the security-aware
     binders over the configuration sweep (a small per-configuration
     combination subsample, default 10, since overhead varies little
-    across combinations), against the baselines' values. *)
+    across combinations; the subsample is drawn from seed 11), against
+    the baselines' values. *)
 
 (** Error quality (Sec. III): measured wrong-key corruption of one
     co-designed locking configuration replayed through the trace
@@ -154,14 +154,8 @@ type quality_result = {
   samples : int;
 }
 
-val quality :
-  ?locked_fus:int ->
-  ?minterms_per_fu:int ->
-  trace:Rb_sim.Trace.t ->
-  context ->
-  Dfg.op_kind ->
-  quality_result option
-(** Co-design a configuration (defaults 2 FUs x 2 minterms, shrunk to
+val quality : trace:Rb_sim.Trace.t -> context -> Dfg.op_kind -> quality_result option
+(** Co-design a configuration (2 FUs x 2 minterms, shrunk to
     what the allocation and candidate list allow) and measure both
     bindings on the full trace. [None] when the kind has no FUs or no
     candidates. *)
@@ -186,15 +180,9 @@ type post_binding_result = {
   post_lambda : float;  (** Eqn. 1 resilience it was left with *)
 }
 
-val post_binding :
-  ?key_bits:int ->
-  ?locked_fus:int ->
-  ?minterms_per_fu:int ->
-  context ->
-  Dfg.op_kind ->
-  post_binding_result option
-(** Defaults: 32-bit key budget per FU, 2 locked FUs, 2 minterms per
-    FU for co-design. Post-binding locking gets the best greedy choice
+val post_binding : context -> Dfg.op_kind -> post_binding_result option
+(** A 32-bit key budget per FU, 2 locked FUs, 2 minterms per FU for
+    co-design. Post-binding locking gets the best greedy choice
     from the same candidate list: for each locked FU of the area-aware
     binding, add the candidate with the most occurrences over that
     FU's operations, until the co-design error level is met. *)
@@ -212,16 +200,13 @@ type sweep_key = { sk_benchmark : string; sk_kind : Dfg.op_kind }
 
 val sweep_suite :
   pool:Rb_util.Pool.t ->
-  ?seed:int ->
   ?max_combos_per_config:int ->
   ?max_optimal_assignments:int ->
-  ?fu_counts:int list ->
-  ?minterm_counts:int list ->
   context list ->
   (sweep_key * config_result list) list
 (** {!sweep} over every (benchmark, kind) pair, in benchmark order
     with Add before Mul. One pool task per pair, each a sequential
-    {!sweep}. *)
+    {!sweep} at its default seed, FU counts and minterm counts. *)
 
 val fig4_rows : (sweep_key * config_result list) list -> fig4_row list
 (** The {!fig4_row} of every sweep that has at least one feasible
@@ -264,7 +249,6 @@ val headline : (sweep_key * config_result list) list -> headline_summary
 
 val overhead_suite :
   pool:Rb_util.Pool.t ->
-  ?seed:int ->
   ?combos_per_config:int ->
   context list ->
   overhead_result list
@@ -272,19 +256,11 @@ val overhead_suite :
 
 val quality_suite :
   pool:Rb_util.Pool.t ->
-  ?locked_fus:int ->
-  ?minterms_per_fu:int ->
   trace_of:(context -> Rb_sim.Trace.t) ->
   context list ->
   quality_result list
 (** {!quality} over every (benchmark, kind) pair; infeasible pairs are
     dropped. [trace_of] supplies each benchmark's replay trace. *)
 
-val post_binding_suite :
-  pool:Rb_util.Pool.t ->
-  ?key_bits:int ->
-  ?locked_fus:int ->
-  ?minterms_per_fu:int ->
-  context list ->
-  post_binding_result list
+val post_binding_suite : pool:Rb_util.Pool.t -> context list -> post_binding_result list
 (** {!post_binding} over every (benchmark, kind) pair. *)

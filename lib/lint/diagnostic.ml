@@ -1,11 +1,9 @@
-type severity = Error | Warning | Info
+type severity = Error | Warning
 
 type location =
-  | Net of int
   | Gate of int
   | Key_input of int
   | Output of int
-  | Op of int
   | Fu of int
   | Whole_design
 
@@ -20,29 +18,24 @@ type t = {
 let make severity ?hint ~rule location message = { rule; severity; location; message; hint }
 let error ?hint ~rule location message = make Error ?hint ~rule location message
 let warning ?hint ~rule location message = make Warning ?hint ~rule location message
-let info ?hint ~rule location message = make Info ?hint ~rule location message
 
-let severity_label = function Error -> "error" | Warning -> "warning" | Info -> "info"
+let severity_label = function Error -> "error" | Warning -> "warning"
 
 let location_label = function
-  | Net n -> Printf.sprintf "net %d" n
   | Gate g -> Printf.sprintf "gate %d" g
   | Key_input k -> Printf.sprintf "key input %d" k
   | Output o -> Printf.sprintf "output %d" o
-  | Op o -> Printf.sprintf "op %d" o
   | Fu f -> Printf.sprintf "FU %d" f
   | Whole_design -> "design"
 
-let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
+let severity_rank = function Error -> 0 | Warning -> 1
 
 let location_rank = function
   | Whole_design -> (0, 0)
-  | Net n -> (1, n)
-  | Gate g -> (2, g)
-  | Key_input k -> (3, k)
-  | Output o -> (4, o)
-  | Op o -> (5, o)
-  | Fu f -> (6, f)
+  | Gate g -> (1, g)
+  | Key_input k -> (2, k)
+  | Output o -> (3, o)
+  | Fu f -> (4, f)
 
 let compare a b =
   match Int.compare (severity_rank a.severity) (severity_rank b.severity) with

@@ -8,10 +8,16 @@ let locked ?subject (l : Rb_netlist.Lock.locked) =
   in
   Report.make ~subject (Netlist_rules.check l.Rb_netlist.Lock.circuit)
 
-let design ?min_lambda ?key_bits ?candidates ?config ?registers ?transfers ~subject
-    schedule allocation ~fu_of_op =
-  let sched_diags = Hls_rules.check_schedule schedule in
-  let bind_diags = Hls_rules.check_binding schedule allocation ~fu_of_op in
+let rule_binding = "HLS-BIND"
+
+let design ?min_lambda ?key_bits ?candidates ?config ~subject schedule allocation
+    ~fu_of_op =
+  let bind_diags =
+    match Rb_hls.Binding.make schedule allocation ~fu_of_op with
+    | (_ : Rb_hls.Binding.t) -> []
+    | exception Invalid_argument message ->
+      [ Diagnostic.error ~rule:rule_binding Diagnostic.Whole_design message ]
+  in
   let lock_diags =
     match config with
     | None -> []
@@ -19,14 +25,7 @@ let design ?min_lambda ?key_bits ?candidates ?config ?registers ?transfers ~subj
       let input_bits = 2 * Rb_dfg.Word.width in
       Locking_rules.check_config ?min_lambda ?key_bits ?candidates ~input_bits config
   in
-  let cost_diags =
-    if sched_diags = [] && bind_diags = [] && (registers <> None || transfers <> None)
-    then
-      Hls_rules.check_costs ?registers ?transfers
-        (Rb_hls.Binding.make schedule allocation ~fu_of_op)
-    else []
-  in
-  Report.make ~subject (sched_diags @ bind_diags @ lock_diags @ cost_diags)
+  Report.make ~subject (bind_diags @ lock_diags)
 
 let assert_clean report = if not (Report.is_clean report) then raise (Lint_error report)
 

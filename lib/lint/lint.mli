@@ -6,12 +6,15 @@
     trivially wins, bindings must never double-book an FU in a cycle
     (paper Thm. 1), and locking configs must respect the Eqn. 1
     resilience bound. This library checks those invariants statically
-    — before simulation or SAT attack — over three layers:
-    {!Netlist_rules} (gate level), {!Hls_rules} (schedule/binding),
-    {!Locking_rules} (configuration). Each rule set returns
-    {!Diagnostic.t} lists; this module bundles them into {!Report.t}s
-    for whole artifacts and provides the assertion hook the experiment
-    drivers run on every generated design.
+    — before simulation or SAT attack — with two rule sets,
+    {!Netlist_rules} (gate level) and {!Locking_rules}
+    (configuration). HLS artifacts carry their own validity:
+    {!Rb_sched.Schedule.make} rejects an acausal schedule and
+    {!Rb_hls.Binding.make} an invalid binding, so {!design} reuses the
+    latter rather than keeping a second copy of its checks. Each rule
+    set returns {!Diagnostic.t} lists; this module bundles them into
+    {!Report.t}s for whole artifacts and provides the assertion hook
+    the experiment drivers run on every generated design.
 
     The [bindlock lint] subcommand is the command-line front end; text
     and JSON rendering live in {!Report}. *)
@@ -26,25 +29,27 @@ val locked : ?subject:string -> Rb_netlist.Lock.locked -> Report.t
 (** {!netlist} on a locked circuit; the subject defaults to the
     construction's description string. *)
 
+val rule_binding : string
+(** [HLS-BIND] (error): the raw operation-to-FU array given to
+    {!design} is not a valid binding — wrong length, an FU out of
+    range or of the wrong kind, or an FU double-booked in one cycle
+    (paper Thm. 1). The message is {!Rb_hls.Binding.make}'s. *)
+
 val design :
   ?min_lambda:float ->
   ?key_bits:int ->
   ?candidates:Rb_dfg.Minterm.t array ->
   ?config:Rb_locking.Config.t ->
-  ?registers:int ->
-  ?transfers:int ->
   subject:string ->
   Rb_sched.Schedule.t ->
   Rb_hls.Allocation.t ->
   fu_of_op:int array ->
   Report.t
-(** Check one bound (and optionally locked) design: schedule
-    precedence, binding validity, the locking rules when [config] is
-    given (over the word-level FU input space,
-    [input_bits = 2 * Word.width]), and declared-cost consistency when
-    [registers]/[transfers] are given. Cost cross-checks are skipped
-    when the binding itself is invalid (there is no meaningful cost to
-    recompute). *)
+(** Check one bound (and optionally locked) design: binding validity
+    ({!rule_binding}), and the locking rules when [config] is given
+    (over the word-level FU input space,
+    [input_bits = 2 * Word.width]). Raw input is diagnosed, never
+    raised. *)
 
 val assert_clean : Report.t -> unit
 (** Raise {!Lint_error} if the report has errors; the experiment

@@ -40,11 +40,9 @@ let json_of_location loc =
     Json.Obj [ ("kind", Json.String kind); ("index", Json.Int index) ]
   in
   match loc with
-  | Diagnostic.Net n -> obj "net" n
   | Diagnostic.Gate g -> obj "gate" g
   | Diagnostic.Key_input k -> obj "key_input" k
   | Diagnostic.Output o -> obj "output" o
-  | Diagnostic.Op o -> obj "op" o
   | Diagnostic.Fu f -> obj "fu" f
   | Diagnostic.Whole_design -> Json.Obj [ ("kind", Json.String "design") ]
 

@@ -3,7 +3,7 @@
     Reports are what rule sets return to callers and what the two
     reporters (text for terminals, JSON for tooling) render. A report
     is {e clean} when it carries no [Error]-severity diagnostic;
-    warnings and infos never fail a build. *)
+    warnings never fail a build. *)
 
 type t
 

@@ -7,8 +7,6 @@ type t = {
 }
 
 let make ~scheme ~locks =
-  if not (Scheme.static_locked_inputs scheme) then
-    invalid_arg "Config.make: scheme lacks static locked inputs";
   let fus = List.map fst locks in
   let sorted = List.sort_uniq Int.compare fus in
   if List.length sorted <> List.length fus then invalid_arg "Config.make: duplicate FU";

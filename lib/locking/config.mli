@@ -21,9 +21,9 @@ type t
 val make : scheme:Scheme.t -> locks:(int * Minterm.t list) list -> t
 (** [make ~scheme ~locks] builds a configuration from per-FU locked
     minterm lists. Raises [Invalid_argument] on duplicate FU ids,
-    negative FU ids, an empty minterm list for a locked FU, or a
-    scheme without static locked inputs (Sec. IV requires
-    critical-minterm locking). *)
+    negative FU ids, or an empty minterm list for a locked FU. Sec. IV
+    requires critical-minterm locking; {!Scheme.t} holds no other
+    kind, so every [scheme] qualifies. *)
 
 val scheme : t -> Scheme.t
 

@@ -1,33 +1,7 @@
-type family = Critical_minterm | Exponential_iteration_runtime
+type t = Sfll_rem
 
-type t = Sfll_rem | Strong_anti_sat | Full_lock | Random_xor
+let name = function Sfll_rem -> "SFLL-rem"
 
-let family = function
-  | Sfll_rem | Strong_anti_sat -> Critical_minterm
-  | Full_lock -> Exponential_iteration_runtime
-  | Random_xor -> Critical_minterm
-
-let name = function
-  | Sfll_rem -> "SFLL-rem"
-  | Strong_anti_sat -> "StrongAntiSAT"
-  | Full_lock -> "Full-Lock"
-  | Random_xor -> "RLL"
-
-let key_bits t ~minterms ~input_bits =
-  match t with
-  | Sfll_rem -> minterms * input_bits
-  | Strong_anti_sat ->
-    (* one Anti-SAT block: two key-XORed copies of the input vector *)
-    max (2 * input_bits) (minterms * input_bits)
-  | Full_lock ->
-    (* One control bit per swap pair per layer; layers chosen as
-       2*log2(width) in Rb_netlist.Lock.permutation_network users. *)
-    let layers = max 2 (2 * int_of_float (Float.round (Float.log2 (float_of_int input_bits)))) in
-    layers * (input_bits / 2)
-  | Random_xor -> max minterms input_bits
-
-let static_locked_inputs = function
-  | Sfll_rem | Strong_anti_sat -> true
-  | Full_lock | Random_xor -> false
+let key_bits t ~minterms ~input_bits = match t with Sfll_rem -> minterms * input_bits
 
 let pp fmt t = Format.pp_print_string fmt (name t)

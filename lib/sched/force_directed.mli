@@ -16,5 +16,5 @@
 val schedule : ?latency:int -> Rb_dfg.Dfg.t -> Schedule.t
 (** Schedule with the given latency bound (default: the critical path
     length, the tightest feasible). Raises [Invalid_argument] if
-    [latency] is below the critical path. The result always satisfies
-    {!Schedule.validate}. *)
+    [latency] is below the critical path. The result is causal, as
+    every {!Schedule.t} is. *)

@@ -15,6 +15,15 @@ let make dfg ~cycle_of =
   if Array.length cycle_of <> n then
     invalid_arg "Schedule.make: cycle array length mismatch";
   Array.iter (fun c -> if c < 0 then invalid_arg "Schedule.make: negative cycle") cycle_of;
+  for id = 0 to n - 1 do
+    List.iter
+      (fun p ->
+        if cycle_of.(p) >= cycle_of.(id) then
+          invalid_arg
+            (Printf.sprintf "Schedule.make: op %d (cycle %d) depends on op %d (cycle %d)" id
+               cycle_of.(id) p cycle_of.(p)))
+      (Dfg.predecessors dfg id)
+  done;
   let n_cycles = 1 + Array.fold_left max 0 cycle_of in
   let buckets = Array.init 2 (fun _ -> Array.make n_cycles []) in
   (* Consing in descending id order leaves every bucket ascending. *)
@@ -35,23 +44,6 @@ let ops_in_cycle t kind cycle =
   if cycle < 0 || cycle >= t.n_cycles then [] else t.buckets.(kind_index kind).(cycle)
 
 let max_concurrency t kind = t.peak.(kind_index kind)
-
-let validate t =
-  let n = Dfg.op_count t.dfg in
-  let rec check id =
-    if id >= n then Ok ()
-    else
-      let late_pred =
-        List.find_opt (fun p -> t.cycle_of.(p) >= t.cycle_of.(id)) (Dfg.predecessors t.dfg id)
-      in
-      match late_pred with
-      | Some p ->
-        Error
-          (Printf.sprintf "op %d (cycle %d) depends on op %d (cycle %d)" id t.cycle_of.(id)
-             p t.cycle_of.(p))
-      | None -> check (id + 1)
-  in
-  check 0
 
 let pp fmt t =
   Format.fprintf fmt "%s scheduled in %d cycles (peak: %d add, %d mul)"

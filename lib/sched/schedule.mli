@@ -9,8 +9,10 @@ type t
 
 val make : Rb_dfg.Dfg.t -> cycle_of:int array -> t
 (** Wrap a cycle assignment and index its operations by (kind, cycle),
-    in O(operations + cycles). Raises [Invalid_argument] if the array
-    length differs from the operation count or a cycle is negative. *)
+    in O(operations + edges + cycles). Raises [Invalid_argument] if the
+    array length differs from the operation count, a cycle is negative,
+    or an operation is not scheduled strictly after every one of its
+    operand producers: every [t] is causal by construction. *)
 
 val dfg : t -> Rb_dfg.Dfg.t
 
@@ -30,10 +32,6 @@ val ops_in_cycle : t -> Rb_dfg.Dfg.op_kind -> int -> Rb_dfg.Dfg.op_id list
 val max_concurrency : t -> Rb_dfg.Dfg.op_kind -> int
 (** Largest per-cycle operation count of a kind — the minimum FU
     allocation able to execute the schedule. O(1), read off the index. *)
-
-val validate : t -> (unit, string) result
-(** Checks dependency causality: every operation is scheduled strictly
-    after all of its operand-producing predecessors. *)
 
 val pp : Format.formatter -> t -> unit
 (** Summary line: cycles and peak concurrency per kind. *)

@@ -19,5 +19,5 @@ val path_based : ?limits:limits -> Rb_dfg.Dfg.t -> Schedule.t
 (** Resource-constrained list schedule. Ready operations are ordered by
     (longest path to a sink, descending; id ascending) and packed into
     the earliest cycle with a free unit of the right kind. The result
-    always satisfies [Schedule.validate] and respects [limits]
-    per-cycle. *)
+    respects [limits] per-cycle (and is causal, as every
+    {!Schedule.t} is). *)

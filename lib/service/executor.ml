@@ -175,14 +175,12 @@ let lint_design ctx locked_fu_count minterms_per_fu min_lambda =
             candidates }
         in
         let sol = Rb_core.Codesign.heuristic k schedule allocation spec in
-        let binding = sol.Rb_core.Codesign.binding in
         Some
           (Rb_lint.Lint.design ?min_lambda ~candidates
              ~config:sol.Rb_core.Codesign.config
-             ~registers:(Rb_hls.Registers.count binding)
-             ~transfers:(Rb_lint.Hls_rules.transfer_count binding)
              ~subject:(Printf.sprintf "%s/%s" b.Benchmark.name (Dfg.kind_label kind))
-             schedule allocation ~fu_of_op:(Binding.fu_array binding))
+             schedule allocation
+             ~fu_of_op:(Binding.fu_array sol.Rb_core.Codesign.binding))
       end)
     [ Dfg.Add; Dfg.Mul ]
 
@@ -218,18 +216,28 @@ let run_lint t ~benchmark ~seed ~locked_fus ~minterms_per_fu ~min_lambda =
   Outcome.Linted (gate_reports @ List.concat design_reports)
 
 let run_analyze t ~scheme ~width ~strength ~seed =
-  let schemes =
+  let locks =
     match scheme with
-    | None -> [ Job.Rll; Job.Pf; Job.Antisat; Job.Permnet ]
-    | Some s -> [ s ]
+    | Some s -> [ build_locked s width strength seed ]
+    | None -> (
+      (* Every scheme that can be built at this width and strength;
+         infeasible only when none can. *)
+      let feasible s =
+        match build_locked s width strength seed with
+        | l -> Some l
+        | exception Fail { Error.code = Error.Infeasible; _ } -> None
+      in
+      match List.filter_map feasible [ Job.Rll; Job.Pf; Job.Antisat; Job.Permnet ] with
+      | [] ->
+        fail Error.Infeasible "no lock scheme can be built at strength %d on the %d-bit adder"
+          strength width
+      | locks -> locks)
   in
   let reports =
     Pool.map_list t.pool
-      ~f:(fun s ->
-        let l = build_locked s width strength seed in
-        Rb_analysis.Report.analyze ~subject:l.Rb_netlist.Lock.description
-          l.Rb_netlist.Lock.circuit)
-      schemes
+      ~f:(fun (l : Rb_netlist.Lock.locked) ->
+        Rb_analysis.Report.analyze ~subject:l.description l.circuit)
+      locks
   in
   Outcome.Analyzed reports
 

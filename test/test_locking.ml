@@ -5,24 +5,9 @@ module Minterm = Rb_dfg.Minterm
 
 (* ------------------------------------------------------------- scheme *)
 
-let test_scheme_families () =
-  Alcotest.(check bool) "SFLL is critical-minterm" true
-    (Scheme.family Scheme.Sfll_rem = Scheme.Critical_minterm);
-  Alcotest.(check bool) "StrongAntiSAT is critical-minterm" true
-    (Scheme.family Scheme.Strong_anti_sat = Scheme.Critical_minterm);
-  Alcotest.(check bool) "Full-Lock is exponential-runtime" true
-    (Scheme.family Scheme.Full_lock = Scheme.Exponential_iteration_runtime)
-
-let test_scheme_static_inputs () =
-  Alcotest.(check bool) "SFLL static" true (Scheme.static_locked_inputs Scheme.Sfll_rem);
-  Alcotest.(check bool) "Full-Lock not static" false
-    (Scheme.static_locked_inputs Scheme.Full_lock)
-
 let test_scheme_key_bits () =
   Alcotest.(check int) "SFLL: h * n" 48
-    (Scheme.key_bits Scheme.Sfll_rem ~minterms:3 ~input_bits:16);
-  Alcotest.(check bool) "Full-Lock keys scale with width" true
-    (Scheme.key_bits Scheme.Full_lock ~minterms:1 ~input_bits:16 > 16)
+    (Scheme.key_bits Scheme.Sfll_rem ~minterms:3 ~input_bits:16)
 
 (* --------------------------------------------------------- resilience *)
 
@@ -104,7 +89,6 @@ let test_config_validation () =
     | exception Invalid_argument _ -> ()
     | (_ : Config.t) -> Alcotest.fail "expected Invalid_argument"
   in
-  invalid (fun () -> Config.make ~scheme:Scheme.Full_lock ~locks:[ (0, [ m1 ]) ]);
   invalid (fun () -> Config.make ~scheme:Scheme.Sfll_rem ~locks:[ (0, [ m1 ]); (0, [ m2 ]) ]);
   invalid (fun () -> Config.make ~scheme:Scheme.Sfll_rem ~locks:[ (0, []) ]);
   invalid (fun () -> Config.make ~scheme:Scheme.Sfll_rem ~locks:[ (-1, [ m1 ]) ])
@@ -189,8 +173,6 @@ let () =
     [
       ( "scheme",
         [
-          Alcotest.test_case "families" `Quick test_scheme_families;
-          Alcotest.test_case "static inputs" `Quick test_scheme_static_inputs;
           Alcotest.test_case "key bits" `Quick test_scheme_key_bits;
         ] );
       ( "resilience",

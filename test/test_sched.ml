@@ -23,8 +23,8 @@ let test_asap_critical_path () =
 
 let test_path_based_valid () =
   let dfg = Testgen.random_dfg 6 ~n_ops:40 in
-  let schedule = Scheduler.path_based dfg in
-  Alcotest.(check bool) "causal" true (Result.is_ok (Schedule.validate schedule))
+  (* causal by construction: Schedule.make raises on a violation *)
+  ignore (Scheduler.path_based dfg : Schedule.t)
 
 let test_path_based_respects_limits () =
   let dfg = Testgen.random_dfg 7 ~n_ops:40 in
@@ -44,7 +44,6 @@ let test_path_based_single_fu_serializes () =
 let test_force_directed_valid () =
   let dfg = Testgen.random_dfg 40 ~n_ops:25 in
   let schedule = Rb_sched.Force_directed.schedule dfg in
-  Alcotest.(check bool) "causal" true (Result.is_ok (Schedule.validate schedule));
   Alcotest.(check int) "meets latency" (Dfg.critical_path_length dfg)
     (Schedule.n_cycles schedule)
 
@@ -52,7 +51,6 @@ let test_force_directed_latency_slack () =
   let dfg = Testgen.random_dfg 41 ~n_ops:25 in
   let latency = Dfg.critical_path_length dfg + 3 in
   let schedule = Rb_sched.Force_directed.schedule ~latency dfg in
-  Alcotest.(check bool) "causal" true (Result.is_ok (Schedule.validate schedule));
   Alcotest.(check bool) "within latency" true (Schedule.n_cycles schedule <= latency)
 
 let test_force_directed_balances_usage () =
@@ -91,11 +89,18 @@ let test_schedule_make_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative cycle accepted"
 
-let test_schedule_validate_catches_violation () =
+let test_schedule_make_rejects_acausal () =
+  let rejects name dfg cycle_of =
+    match Schedule.make dfg ~cycle_of with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: acausal schedule accepted" name
+  in
   let dfg = Testgen.fig2_dfg () in
-  (* OPC (id 2) depends on OPA (id 0); schedule both in cycle 0. *)
-  let bad = Schedule.make dfg ~cycle_of:[| 0; 0; 0; 1; 1 |] in
-  Alcotest.(check bool) "violation detected" true (Result.is_error (Schedule.validate bad))
+  (* OPC (id 2) depends on OPA (id 0): same cycle, and OPC first *)
+  rejects "same cycle" dfg [| 0; 0; 0; 1; 1 |];
+  rejects "consumer first" dfg [| 1; 0; 0; 1; 1 |];
+  Alcotest.(check int) "causal schedule builds" 2
+    (Schedule.n_cycles (Schedule.make dfg ~cycle_of:[| 0; 0; 1; 1; 1 |]))
 
 let test_ops_in_cycle_partition () =
   let dfg = Testgen.random_dfg 9 ~n_ops:30 in
@@ -125,8 +130,7 @@ let qcheck_path_based_always_valid =
     (fun (seed, adders, multipliers) ->
       let dfg = Testgen.random_dfg seed ~n_ops:(10 + (seed mod 25)) in
       let schedule = Scheduler.path_based ~limits:(limits adders multipliers) dfg in
-      Result.is_ok (Schedule.validate schedule)
-      && Schedule.max_concurrency schedule Dfg.Add <= adders
+      Schedule.max_concurrency schedule Dfg.Add <= adders
       && Schedule.max_concurrency schedule Dfg.Mul <= multipliers)
 
 let qcheck_asap_is_lower_bound =
@@ -196,7 +200,7 @@ let () =
       ( "schedule",
         [
           Alcotest.test_case "make validation" `Quick test_schedule_make_validation;
-          Alcotest.test_case "catches violations" `Quick test_schedule_validate_catches_violation;
+          Alcotest.test_case "catches violations" `Quick test_schedule_make_rejects_acausal;
           Alcotest.test_case "ops partition" `Quick test_ops_in_cycle_partition;
           Alcotest.test_case "fig2 shape" `Quick test_fig2_schedule_shape;
         ] );

@@ -547,8 +547,6 @@ let test_executor_rll_over_strength () =
         | Ok _ -> Alcotest.failf "%s: over-strength rll accepted" name
       in
       expect_infeasible "analyze" 16 (analyze 16);
-      expect_infeasible "analyze, every scheme" 16
-        (Job.Analyze { scheme = None; width = 2; strength = 16; seed = 1789 });
       expect_infeasible "attack" 16
         (Job.Attack
            { scheme = Job.Rll; width = 2; strength = 16; seed = 1789; max_iterations = 20_000;
@@ -566,6 +564,28 @@ let test_executor_rll_over_strength () =
       let code, msg = error_member fields in
       Alcotest.(check string) "serve code" "infeasible" code;
       Alcotest.(check string) "serve message" (message 16) msg)
+
+(* The every-scheme analyze leaves out a scheme it cannot build: at
+   strength 64 on a 4-bit adder RLL is infeasible, yet pf, anti-SAT and
+   permnet build, so the job answers exactly their three reports. *)
+let test_analyze_all_skips_infeasible () =
+  let job scheme = Job.Analyze { scheme; width = 4; strength = 64; seed = 1789 } in
+  with_executor (fun ex ->
+      let reports scheme =
+        match Executor.run ex (job scheme) with
+        | Ok (Outcome.Analyzed reports) -> reports
+        | Ok _ -> Alcotest.fail "analyze answered a non-analyze outcome"
+        | Error e -> Alcotest.failf "analyze fails: %s" e.Error.message
+      in
+      let json reports = Json.to_string (Render.result_to_json (Outcome.Analyzed reports)) in
+      Alcotest.(check string) "pf, anti-SAT and permnet reports"
+        (json (List.concat_map (fun s -> reports (Some s)) [ Job.Pf; Job.Antisat; Job.Permnet ]))
+        (json (reports None));
+      match Executor.run ex (job (Some Job.Rll)) with
+      | Error e ->
+        Alcotest.(check string) "rll alone stays infeasible" "infeasible"
+          (Error.code_label e.Error.code)
+      | Ok _ -> Alcotest.fail "rll at strength 64 accepted")
 
 let test_serve_run_pipe () =
   let requests =
@@ -1179,6 +1199,8 @@ let () =
           Alcotest.test_case "structured errors" `Quick test_executor_errors;
           Alcotest.test_case "rll over strength is infeasible" `Quick
             test_executor_rll_over_strength;
+          Alcotest.test_case "analyze all skips infeasible schemes" `Quick
+            test_analyze_all_skips_infeasible;
           Alcotest.test_case "jobs invariance" `Quick test_executor_jobs_invariant;
           Alcotest.test_case "cache hit rate" `Quick test_executor_batch_cache_rate;
           Alcotest.test_case "deadline" `Quick test_executor_deadline;

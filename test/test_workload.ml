@@ -60,9 +60,8 @@ let test_ecb_has_no_multipliers () =
 let test_schedules_fit_resource_budget () =
   List.iter
     (fun b ->
+      (* causal by construction: Schedule.make raises on a violation *)
       let s = Benchmark.schedule b in
-      Alcotest.(check bool) (b.Benchmark.name ^ " causal") true
-        (Result.is_ok (Schedule.validate s));
       Alcotest.(check bool) (b.Benchmark.name ^ " <=3 adders") true
         (Schedule.max_concurrency s Dfg.Add <= 3);
       Alcotest.(check bool) (b.Benchmark.name ^ " <=3 mults") true
@@ -194,7 +193,6 @@ let test_parametric_schedulable () =
   let s =
     Benchmark.schedule ~limits:{ Rb_sched.Scheduler.adders = 8; multipliers = 8 } b
   in
-  Alcotest.(check bool) "fft256 causal" true (Result.is_ok (Schedule.validate s));
   Alcotest.(check bool) "fft256 <=8 adders" true (Schedule.max_concurrency s Dfg.Add <= 8);
   Alcotest.(check bool) "fft256 <=8 mults" true (Schedule.max_concurrency s Dfg.Mul <= 8)
 
