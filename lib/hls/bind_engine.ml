@@ -24,8 +24,6 @@ let bind ?(on_bound = fun ~op:_ ~fu:_ -> ()) ~objective ~weight schedule
           (fun op -> Array.map (fun fu -> weight ~kind ~cycle ~op ~fu) fus)
           ops
       in
-      (* Canonical (lex-min) optimum: ties never depend on solver
-         internals. *)
       let assignment =
         match objective with
         | `Maximize -> Matcher.max_weight matrix

@@ -30,9 +30,9 @@ val bind :
   Rb_sched.Schedule.t ->
   Allocation.t ->
   Binding.t
-(** Run the scaffold. Each cycle's assignment is solved by
-    {!Rb_matching.Matcher}, which returns the lexicographically
-    smallest optimum, so tied cycles bind deterministically.
+(** Run the scaffold. Each cycle's assignment is an optimum from
+    {!Rb_matching.Matcher}; which of several tied optima it is depends
+    only on the weight matrix, so tied cycles bind deterministically.
     [on_bound] fires once per operation, immediately after its cycle's
     matching is fixed and before the next cycle is weighed. Raises
     [Invalid_argument] if the allocation cannot cover some cycle's

@@ -24,13 +24,11 @@ let validate cost =
   end
 
 (* Requires a validated matrix with [1 <= rows <= cols]. Returns
-   [(assign, u, v, scans)] where [u], [v] are 0-indexed optimal dual
-   potentials satisfying, at termination:
-   - feasibility: [cost.(i).(j) >= u.(i) +. v.(j)] for every cell;
-   - complementary slackness: equality on every matched cell;
-   - [v.(j) <= 0.], with [v.(j) = 0.] on every unmatched column.
-   {!Canonical.lex_min} depends on these conventions. *)
-let solve_with_duals cost =
+   [(assign, scans)]. Among tied optima, the one returned is fixed by
+   the scan order below: rows are added in index order, and each
+   relaxation scan moves to the lowest-index column of least reduced
+   cost. *)
+let solve cost =
   let n = Array.length cost and m = Array.length cost.(0) in
   let scans = ref 0 in
   let u = Array.make (n + 1) 0.0 in
@@ -84,6 +82,4 @@ let solve_with_duals cost =
   for j = 1 to m do
     if p.(j) > 0 then assign.(p.(j) - 1) <- j - 1
   done;
-  let u0 = Array.init n (fun i -> u.(i + 1)) in
-  let v0 = Array.init m (fun j -> v.(j + 1)) in
-  (assign, u0, v0, !scans)
+  (assign, !scans)

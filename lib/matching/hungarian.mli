@@ -13,7 +13,7 @@
     that kind's FUs).
 
     This is the uninstrumented core; binders go through {!Matcher},
-    which records metrics and canonicalizes tied optima.
+    which records metrics.
 
     Matrices are rectangular with [rows <= cols]; every row is
     assigned, columns may be left unassigned. *)
@@ -25,12 +25,11 @@ val validate : float array array -> int * int
     matrix, or when any weight is NaN or infinite (NaN would silently
     corrupt the potentials). *)
 
-val solve_with_duals :
-  float array array -> int array * float array * float array * int
-(** [solve_with_duals cost] minimizes the total cost of a matrix that
-    {!validate} accepted with [rows >= 1]. It returns
-    [(assign, u, v, scans)]: [assign.(r)] is the column matched to row
-    [r]; [u]/[v] are optimal dual potentials with
-    [cost.(i).(j) >= u.(i) +. v.(j)] everywhere, equality on matched
-    cells, and [v.(j) <= 0.] with equality on unmatched columns; and
-    [scans] counts inner relaxation scans. Records no metrics. *)
+val solve : float array array -> int array * int
+(** [solve cost] minimizes the total cost of a matrix that {!validate}
+    accepted with [rows >= 1]. It returns [(assign, scans)]:
+    [assign.(r)] is the column matched to row [r], and [scans] counts
+    inner relaxation scans. Among tied optima it returns the one its
+    scan order reaches first (rows in index order, and in each scan the
+    lowest-index column of least reduced cost), so the result depends
+    only on the matrix. Records no metrics. *)

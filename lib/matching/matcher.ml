@@ -8,7 +8,6 @@ let m_assignments = Metrics.counter ~scope:"matching" "assignments"
 let m_phases = Metrics.counter ~scope:"matching" "augmenting_phases"
 let m_scans = Metrics.counter ~scope:"matching" "relaxation_scans"
 let t_assignment = Metrics.timer ~scope:"matching" "assignment"
-let t_canonical = Metrics.timer ~scope:"matching" "canonicalize"
 
 (* One augmenting phase per row. *)
 let min_cost cost =
@@ -16,17 +15,12 @@ let min_cost cost =
   if rows = 0 then [||]
   else begin
     Metrics.incr m_assignments;
-    let assignment, row_duals, col_duals, scans =
-      Metrics.time t_assignment (fun () -> Hungarian.solve_with_duals cost)
-    in
+    let assignment, scans = Metrics.time t_assignment (fun () -> Hungarian.solve cost) in
     Metrics.add m_phases rows;
     Metrics.add m_scans scans;
-    Metrics.time t_canonical (fun () ->
-        Canonical.lex_min cost ~assignment ~row_duals ~col_duals)
+    assignment
   end
 
 let negate = Array.map (Array.map (fun w -> -.w))
 
-(* The canonical representative is computed on the negated instance,
-   whose optimal face is the max-weight one. *)
 let max_weight weight = min_cost (negate weight)

@@ -11,14 +11,14 @@
     and raise [Invalid_argument] as {!Hungarian.validate} does. Each
     non-empty solve records the ["matching/assignments"],
     ["matching/augmenting_phases"] and ["matching/relaxation_scans"]
-    counters and the ["matching/assignment"] timer; canonicalization
-    records the ["matching/canonicalize"] timer. *)
+    counters and the ["matching/assignment"] timer. *)
 
 val min_cost : float array array -> int array
-(** [min_cost cost] is the lexicographically smallest assignment
-    minimizing the total cost: [assign.(r)] is the column matched to
-    row [r]. Canonical, so the result depends only on the matrix. *)
+(** [min_cost cost] is an assignment minimizing the total cost:
+    [assign.(r)] is the column matched to row [r]. Tied optima are
+    broken by {!Hungarian.solve}'s scan order, so the result depends
+    only on the matrix. *)
 
 val max_weight : float array array -> int array
-(** [max_weight w] is the lexicographically smallest assignment
-    maximizing the total weight ({!min_cost} on the negated matrix). *)
+(** [max_weight w] is an assignment maximizing the total weight
+    ({!min_cost} on the negated matrix). *)

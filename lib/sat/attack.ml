@@ -230,7 +230,7 @@ let solve_round m =
    witness already sets false needs no solve, and each Sat yields a
    fresh witness for the remaining bits; phase saving initialized to
    false biases models toward lex-min, keeping the solve count low. *)
-let lex_min mem ~prefix0 ~vars =
+let lex_least mem ~prefix0 ~vars =
   let n = Array.length vars in
   let wit = Array.init n (fun i -> Solver.value mem.solver vars.(i)) in
   let bits = Array.make n false in
@@ -267,7 +267,7 @@ let extract_key mem =
   (match Solver.solve ~assumptions:[ -mem.act ] mem.solver with
   | Solver.Sat -> ()
   | Solver.Unsat | Solver.Unknown _ -> assert false);
-  lex_min mem ~prefix0:[ -mem.act ] ~vars:mem.keys_a
+  lex_least mem ~prefix0:[ -mem.act ] ~vars:mem.keys_a
 
 let run ?(max_iterations = 100_000) ?limit ?pool ?(portfolio = 1) ?on_dip ~oracle
     ~locked () =

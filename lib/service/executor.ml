@@ -72,7 +72,17 @@ let build_locked scheme width strength seed =
     Rb_netlist.Lock.xor_random ~rng ~key_bits:strength base
   | Job.Pf ->
     let space = 1 lsl (2 * width) in
-    let minterms = List.init strength (fun _ -> Rb_util.Rng.int rng space) in
+    if strength > space then
+      fail Error.Infeasible "pf strength %d exceeds the %d input minterms of the %d-bit adder"
+        strength space width;
+    (* Redraw a duplicate, so the lock protects exactly [strength]
+       minterms; a draw without one keeps its RNG sequence. *)
+    let drawn = Hashtbl.create strength in
+    let rec draw () =
+      let m = Rb_util.Rng.int rng space in
+      if Hashtbl.mem drawn m then draw () else (Hashtbl.add drawn m (); m)
+    in
+    let minterms = List.init strength (fun _ -> draw ()) in
     Rb_netlist.Lock.point_function ~minterms base
   | Job.Antisat -> Rb_netlist.Lock.anti_sat ~rng base
   | Job.Permnet -> Rb_netlist.Lock.permutation_network ~rng ~layers:strength base

@@ -93,9 +93,10 @@ val validate : t -> (unit, Error.t) result
     widths (2..8, or 2..10 for export-cnf), strength 1..256,
     locked-fus and minterms 1..64, trace-length 1..1_000_000,
     max-iterations 1..10_000_000, and scheme compatibility. Name
-    resolution (benchmarks, binders) and the [rll] bound (at most one
-    key bit per live adder gate, an [Infeasible] error) happen at
-    execution time. *)
+    resolution (benchmarks, binders) and the lock bounds (an
+    [Infeasible] error: [rll] has at most one key bit per live adder
+    gate, [pf] at most the adder's 2{^ 2 width} input minterms) happen
+    at execution time. *)
 
 val of_json : Rb_util.Json.t -> (t, Error.t) result
 (** Decode and {!validate}. Unknown fields are ignored (the serve

@@ -11,9 +11,9 @@ val string : string -> string
 (** MD5 of the raw bytes, as lowercase hex. *)
 
 val canonical : Json.t -> Json.t
-(** Canonical form: object fields sorted by name at every level
-    (stable sort, so duplicate names keep document order), lists kept
-    in order. Scalars are untouched — note that [Int 1] and [Float 1.]
+(** [canonical v] sorts object fields by name at every level
+    (stable sort, so duplicate names keep document order) and keeps
+    lists in order. Scalars are untouched — note that [Int 1] and [Float 1.]
     render differently and therefore digest differently. *)
 
 val json : Json.t -> string

@@ -565,6 +565,30 @@ let test_executor_rll_over_strength () =
       Alcotest.(check string) "serve code" "infeasible" code;
       Alcotest.(check string) "serve message" (message 16) msg)
 
+(* A pf lock protects exactly [strength] distinct minterms: a drawn
+   duplicate is redrawn, so even a strength that collides in the
+   2^(2 width) input space builds a lock with [strength] comparators,
+   and only a strength above that space is infeasible. *)
+let test_executor_pf_distinct_minterms () =
+  let analyze width strength = Job.Analyze { scheme = Some Job.Pf; width; strength; seed = 1789 } in
+  with_executor (fun ex ->
+      let subjects job =
+        match Executor.run ex job with
+        | Ok (Outcome.Analyzed reports) ->
+          List.map (fun (r : Rb_analysis.Report.t) -> r.subject) reports
+        | Ok _ -> Alcotest.fail "analyze answered a non-analyze outcome"
+        | Error e -> Alcotest.failf "pf analyze fails: %s" e.Error.message
+      in
+      Alcotest.(check (list string)) "64 of 256" [ "point-function h=64" ] (subjects (analyze 4 64));
+      Alcotest.(check (list string)) "the whole space" [ "point-function h=16" ]
+        (subjects (analyze 2 16));
+      match Executor.run ex (analyze 2 17) with
+      | Error e ->
+        Alcotest.(check string) "code" "infeasible" (Error.code_label e.Error.code);
+        Alcotest.(check string) "message"
+          "pf strength 17 exceeds the 16 input minterms of the 2-bit adder" e.Error.message
+      | Ok _ -> Alcotest.fail "pf above its input space accepted")
+
 (* The every-scheme analyze leaves out a scheme it cannot build: at
    strength 64 on a 4-bit adder RLL is infeasible, yet pf, anti-SAT and
    permnet build, so the job answers exactly their three reports. *)
@@ -1199,6 +1223,8 @@ let () =
           Alcotest.test_case "structured errors" `Quick test_executor_errors;
           Alcotest.test_case "rll over strength is infeasible" `Quick
             test_executor_rll_over_strength;
+          Alcotest.test_case "pf locks exactly strength minterms" `Quick
+            test_executor_pf_distinct_minterms;
           Alcotest.test_case "analyze all skips infeasible schemes" `Quick
             test_analyze_all_skips_infeasible;
           Alcotest.test_case "jobs invariance" `Quick test_executor_jobs_invariant;
