@@ -73,8 +73,7 @@ let experiment_sections pool =
   in
   let suite =
     lazy
-      (Experiments.sweep_suite ~pool ~max_combos_per_config:2000
-         ~max_optimal_assignments:200_000 (Lazy.force contexts))
+      (Experiments.sweep_suite ~pool ~max_combos_per_config:2000 (Lazy.force contexts))
   in
   let fig4 () =
     section

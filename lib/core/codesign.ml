@@ -36,8 +36,9 @@ let validate_spec allocation spec =
   Allocation.kind_of_fu allocation (List.hd spec.locked_fus)
 
 let search_space spec =
-  let per_fu = Combi.choose (Array.length spec.candidates) spec.minterms_per_fu in
-  Combi.product_size (List.map (fun _ -> per_fu) spec.locked_fus)
+  Combi.multisets
+    (Combi.choose (Array.length spec.candidates) spec.minterms_per_fu)
+    (List.length spec.locked_fus)
 
 (* All size-m subsets of candidate indices, as arrays. *)
 let index_subsets spec =

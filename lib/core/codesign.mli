@@ -7,8 +7,10 @@
     optimal obfuscation-aware binding (Sec. IV), so every score is the
     true maximum of Eqn. 2 for that assignment:
 
-    - {!optimal} enumerates all [C(|C|, |M|)^|L|] assignments —
-      exponential, exact (Sec. V-B.3).
+    - {!optimal} is exact and exponential (Sec. V-B.3). The paper's
+      space is all [C(|C|, |M|)^|L|] assignments; locked FUs of one
+      kind are interchangeable, so it scores one ordering of each:
+      the [C(C(|C|, |M|) + |L| - 1, |L|)] multisets of subsets.
     - {!heuristic} fixes one FU at a time, choosing the subset whose
       obfuscation-aware binding yields the most errors with all
       previously-fixed FUs still locked — P-time,
@@ -36,7 +38,10 @@ val validate_spec : Rb_hls.Allocation.t -> spec -> Rb_dfg.Dfg.op_kind
     [Invalid_argument] otherwise. *)
 
 val search_space : spec -> int
-(** [C(|C|, |M|)^|L|], saturating at [max_int]. *)
+(** The number of assignments {!optimal} scores: multisets of [|L|]
+    subsets drawn from the [C(|C|, |M|)] size-[|M|] candidate subsets,
+    [C(C(|C|, |M|) + |L| - 1, |L|)], saturating at [max_int]. A
+    solution's [assignments_searched] equals it. *)
 
 val optimal :
   ?max_assignments:int ->
@@ -45,9 +50,14 @@ val optimal :
   Rb_hls.Allocation.t ->
   spec ->
   [ `Solution of solution | `Too_large of int ]
-(** Exhaustive search. Refuses (returning [`Too_large] with the space
-    size) when the space exceeds [max_assignments] (default 500_000)
-    rather than silently truncating. *)
+(** Exhaustive search over {!search_space} assignments, each FU list
+    position taking a subset no earlier in lexicographic order than the
+    one before it (see {!Obf_binding.Fast.fold_product}). Returns the
+    lexicographically first assignment of maximum errors, which is the
+    one a search of all [C(|C|, |M|)^|L|] orderings would return.
+    Refuses (returning [`Too_large] with the space size) when the space
+    exceeds [max_assignments] (default 500_000) rather than silently
+    truncating. *)
 
 val heuristic :
   Rb_sim.Kmatrix.t ->

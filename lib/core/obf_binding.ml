@@ -152,7 +152,7 @@ module Fast = struct
     let rec place l acc =
       let prev = states.(l) in
       let acc = ref acc in
-      for s = 0 to n_subsets - 1 do
+      for s = (if l = 0 then 0 else tuple.(l - 1)) to n_subsets - 1 do
         tuple.(l) <- s;
         let w = weights.(s) in
         if l = n_locks - 1 then begin

@@ -62,12 +62,26 @@ module Fast : sig
     f:('a -> int array -> int -> 'a) ->
     'a
   (** [fold_product t ~fus ~subsets ~init ~f] folds [f acc tuple
-      errors] over every way of locking each FU [fus.(i)] with one
-      subset [subsets.(tuple.(i))], in lexicographic order of [tuple]
+      errors] over every non-decreasing [tuple] (tuple.(i) <=
+      tuple.(i+1)), locking each FU [fus.(i)] with subset
+      [subsets.(tuple.(i))], in lexicographic order of [tuple]
       ([fus.(0)] most significant); [errors] is {!best_errors} of those
-      locks. Tuples sharing a prefix share its DP states, so the
-      exhaustive co-design search pays about one step per cycle row per
-      tuple. [tuple] is reused between calls and must not be retained.
-      Counts one ["codesign/combinations"] per tuple. Raises
+      locks. That is one tuple per multiset of subsets,
+      [C(|subsets| + |fus| - 1, |fus|)] in all, not the
+      [|subsets|^|fus|] of the full product.
+
+      Nothing is lost by the restriction. Unlocked FUs weigh 0 and the
+      per-cycle DP ranges over every partial matching into the locked
+      FUs, so [errors] is symmetric in them: permuting a tuple's
+      subsets across [fus] leaves it unchanged. Hence the
+      lexicographically first tuple of maximum [errors] over the full
+      product is non-decreasing (its sorted copy scores the same and
+      is never lex-greater), and a caller keeping the first strictly
+      best tuple of this fold gets that same tuple.
+
+      Tuples sharing a prefix share its DP states, so the exhaustive
+      co-design search pays about one step per cycle row per tuple.
+      [tuple] is reused between calls and must not be retained. Counts
+      one ["codesign/combinations"] per tuple. Raises
       [Invalid_argument] on a repeated FU or one of another kind. *)
 end

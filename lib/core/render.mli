@@ -18,7 +18,8 @@ val fig4 :
 
 val fig5 :
   cells:Experiments.fig5_cell list -> reduced:Experiments.reduced_run list -> string
-(** The Fig. 5 table plus the reduced-candidate-list disclosure. *)
+(** The Fig. 5 table, plus the list of optimal co-design runs that
+    searched a shortened candidate list when [reduced] is not empty. *)
 
 val fig6 : Experiments.overhead_result list -> string
 (** Register and switching overhead tables plus the paper-reference

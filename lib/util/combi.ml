@@ -1,13 +1,29 @@
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+(* After step [i], [acc] is C(n, i). Dividing out the gcd first keeps
+   every step exact without an intermediate product, and C(n, i) grows
+   with [i] up to min k (n - k), so the first step past [max_int]
+   saturates the result. *)
 let choose n k =
   if k < 0 || k > n then 0
   else begin
     let k = min k (n - k) in
-    let acc = ref 1 in
-    for i = 0 to k - 1 do
-      acc := !acc * (n - i) / (i + 1)
-    done;
-    !acc
+    let rec go acc i =
+      if i = k then acc
+      else begin
+        let g = gcd acc (i + 1) in
+        let a = acc / g and f = (n - i) / ((i + 1) / g) in
+        if a > max_int / f then max_int else go (a * f) (i + 1)
+      end
+    in
+    go 1 0
   end
+
+let multisets n k =
+  if k < 0 then 0
+  else if k = 0 then 1
+  else if n > max_int - (k - 1) then max_int
+  else choose (n + k - 1) k
 
 (* Enumerate index vectors 0 <= c.(0) < c.(1) < ... < c.(k-1) < n in
    lexicographic order; [advance] finds the rightmost index that can

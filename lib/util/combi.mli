@@ -2,12 +2,17 @@
 
     The optimal binding-obfuscation co-design of Sec. V enumerates all
     size-[k] subsets of the candidate locked-input list for each locked
-    FU, and then the cartesian product of those choices across FUs. *)
+    FU, and then every multiset of those choices across its
+    interchangeable locked FUs. *)
 
 val choose : int -> int -> int
-(** [choose n k] is the binomial coefficient C(n, k). Returns 0 when
-    [k < 0] or [k > n]. Uses a multiplicative scheme that stays exact
-    for every value used in this library (n <= 62). *)
+(** [choose n k] is the binomial coefficient C(n, k), saturating at
+    [max_int] instead of wrapping. Returns 0 when [k < 0] or [k > n]. *)
+
+val multisets : int -> int -> int
+(** [multisets n k] is the number of size-[k] multisets drawn from [n]
+    kinds, C(n + k - 1, k), saturating at [max_int] (also when
+    [n + k - 1] itself would overflow). *)
 
 val k_subsets : 'a array -> int -> 'a array list
 (** [k_subsets arr k] lists every size-[k] subset of [arr], each in the

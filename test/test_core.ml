@@ -284,7 +284,7 @@ let kernel_instance seed =
     Array.of_list (Kmatrix.top_minterms ~kind k ~n:(1 + Rb_util.Rng.int rng 4) @ [ unused ])
   in
   let table = Cost.cand_table k candidates in
-  (rng, schedule, allocation, kind, table, Array.length candidates)
+  (rng, schedule, allocation, kind, table, Array.length candidates, k)
 
 let random_subset rng n_cands =
   Array.init (1 + Rb_util.Rng.int rng 3) (fun _ -> Rb_util.Rng.int rng n_cands)
@@ -293,7 +293,7 @@ let qcheck_fast_matches_hungarian =
   QCheck2.Test.make ~name:"Fast.best_errors = per-cycle Hungarian" ~count:400
     QCheck2.Gen.(int_range 0 100_000)
     (fun seed ->
-      let rng, schedule, allocation, kind, table, n_cands = kernel_instance seed in
+      let rng, schedule, allocation, kind, table, n_cands, _ = kernel_instance seed in
       let fast = Obf_binding.Fast.prepare table schedule allocation ~kind in
       let fus = Array.of_list (Allocation.fu_ids allocation kind) in
       Rb_util.Rng.shuffle rng fus;
@@ -307,30 +307,89 @@ let qcheck_fast_matches_hungarian =
       Obf_binding.Fast.best_errors fast ~locks
       = hungarian_best_errors table schedule allocation ~kind ~locks)
 
+let non_decreasing tuple =
+  let rec go i = i >= Array.length tuple || (tuple.(i - 1) <= tuple.(i) && go (i + 1)) in
+  go 1
+
+(* Up to three of the instance's FUs of its kind, in random order. *)
+let random_locked_fus rng allocation kind =
+  let fus = Array.of_list (Allocation.fu_ids allocation kind) in
+  Rb_util.Rng.shuffle rng fus;
+  Array.sub fus 0 (1 + Rb_util.Rng.int rng (min 3 (Array.length fus)))
+
+(* fold_product visits the non-decreasing subsequence of the full
+   product, in the product's order. *)
 let qcheck_fold_product_matches_hungarian =
   QCheck2.Test.make ~name:"Fast.fold_product = per-cycle Hungarian, in order" ~count:150
     QCheck2.Gen.(int_range 0 100_000)
     (fun seed ->
-      let rng, schedule, allocation, kind, table, n_cands = kernel_instance seed in
+      let rng, schedule, allocation, kind, table, n_cands, _ = kernel_instance seed in
       let fast = Obf_binding.Fast.prepare table schedule allocation ~kind in
-      let fus = Array.of_list (Allocation.fu_ids allocation kind) in
-      Rb_util.Rng.shuffle rng fus;
-      let fus = Array.sub fus 0 (1 + Rb_util.Rng.int rng (min 3 (Array.length fus))) in
+      let fus = random_locked_fus rng allocation kind in
       let subsets = Array.init (1 + Rb_util.Rng.int rng 4) (fun _ -> random_subset rng n_cands) in
       let expected =
         Combi_ref.fold_cartesian
           (Array.map (fun _ -> Array.init (Array.length subsets) Fun.id) fus)
           ~init:[]
           ~f:(fun acc tuple ->
-            let locks = Array.to_list (Array.mapi (fun i s -> (fus.(i), subsets.(s))) tuple) in
-            (Array.copy tuple, hungarian_best_errors table schedule allocation ~kind ~locks)
-            :: acc)
+            if not (non_decreasing tuple) then acc
+            else begin
+              let locks = Array.to_list (Array.mapi (fun i s -> (fus.(i), subsets.(s))) tuple) in
+              (Array.copy tuple, hungarian_best_errors table schedule allocation ~kind ~locks)
+              :: acc
+            end)
       in
       let got =
         Obf_binding.Fast.fold_product fast ~fus ~subsets ~init:[] ~f:(fun acc tuple errors ->
             (Array.copy tuple, errors) :: acc)
       in
       got = expected)
+
+let same_config a b =
+  Config.locked_fus a = Config.locked_fus b
+  && List.for_all
+       (fun fu -> Minterm.Set.equal (Config.minterms_of a fu) (Config.minterms_of b fu))
+       (Config.locked_fus a)
+
+(* Codesign.optimal scores one ordering of each multiset of subsets;
+   the reference scores every ordering, C(|C|,|M|)^|L| of them, by
+   per-cycle Hungarian and keeps the first strictly best. *)
+let qcheck_optimal_matches_ordered_search =
+  QCheck2.Test.make ~name:"Codesign.optimal = search of every ordering" ~count:100
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng, schedule, allocation, kind, table, n_cands, k = kernel_instance seed in
+      let fus = random_locked_fus rng allocation kind in
+      let minterms_per_fu = 1 + Rb_util.Rng.int rng (min 2 n_cands) in
+      let subsets =
+        Array.of_list (Combi.k_subsets (Array.init n_cands Fun.id) minterms_per_fu)
+      in
+      let best = ref None in
+      Combi_ref.fold_cartesian
+        (Array.map (fun _ -> Array.init (Array.length subsets) Fun.id) fus)
+        ~init:()
+        ~f:(fun () tuple ->
+          let locks = Array.to_list (Array.mapi (fun i s -> (fus.(i), subsets.(s))) tuple) in
+          let errors = hungarian_best_errors table schedule allocation ~kind ~locks in
+          match !best with
+          | Some (best_errors, _) when best_errors >= errors -> ()
+          | Some _ | None -> best := Some (errors, locks));
+      let spec =
+        {
+          Codesign.scheme = Scheme.Sfll_rem;
+          locked_fus = Array.to_list fus;
+          minterms_per_fu;
+          candidates = Cost.candidates table;
+        }
+      in
+      match (!best, Codesign.optimal k schedule allocation spec) with
+      | Some (errors, locks), `Solution opt ->
+        let config =
+          Config.make ~scheme:Scheme.Sfll_rem
+            ~locks:(List.map (fun (fu, s) -> (fu, Cost.subset_minterms table s)) locks)
+        in
+        opt.Codesign.errors = errors && same_config opt.Codesign.config config
+      | None, _ | _, `Too_large _ -> false)
 
 (* ------------------------------------------------------------ codesign *)
 
@@ -345,19 +404,28 @@ let codesign_setting seed =
 
 let test_codesign_optimal_vs_heuristic () =
   let schedule, allocation, k, candidates = codesign_setting 20 in
-  let spec =
-    { Codesign.scheme = Scheme.Sfll_rem; locked_fus = [ 0 ]; minterms_per_fu = 2; candidates }
-  in
-  match Codesign.optimal k schedule allocation spec with
-  | `Too_large _ -> Alcotest.fail "tiny space reported too large"
-  | `Solution opt ->
-    let heur = Codesign.heuristic k schedule allocation spec in
-    Alcotest.(check bool) "optimal >= heuristic" true
-      (opt.Codesign.errors >= heur.Codesign.errors);
-    (* single locked FU: the heuristic IS the optimal algorithm *)
-    Alcotest.(check int) "single FU: equal" opt.Codesign.errors heur.Codesign.errors;
-    Alcotest.(check int) "searched all" (Codesign.search_space spec)
-      opt.Codesign.assignments_searched
+  (* At least three adders, so that three can be locked. *)
+  let allocation = { allocation with Allocation.adders = max 3 allocation.Allocation.adders } in
+  List.iter
+    (fun (locked_fus, space) ->
+      let spec =
+        { Codesign.scheme = Scheme.Sfll_rem; locked_fus; minterms_per_fu = 2; candidates }
+      in
+      let label = Printf.sprintf "L=%d" (List.length locked_fus) in
+      match Codesign.optimal k schedule allocation spec with
+      | `Too_large _ -> Alcotest.failf "%s: tiny space reported too large" label
+      | `Solution opt ->
+        let heur = Codesign.heuristic k schedule allocation spec in
+        Alcotest.(check bool) (label ^ ": optimal >= heuristic") true
+          (opt.Codesign.errors >= heur.Codesign.errors);
+        (* single locked FU: the heuristic IS the optimal algorithm *)
+        if List.length locked_fus = 1 then
+          Alcotest.(check int) "single FU: equal" opt.Codesign.errors heur.Codesign.errors;
+        (* C(6,2) = 15 subsets: 15, C(16,2) and C(17,3) multisets. *)
+        Alcotest.(check int) (label ^ ": space") space (Codesign.search_space spec);
+        Alcotest.(check int) (label ^ ": searched all") space
+          opt.Codesign.assignments_searched)
+    [ ([ 0 ], 15); ([ 0; 1 ], 120); ([ 0; 1; 2 ], 680) ]
 
 let test_codesign_beats_fixed_assignment () =
   (* Co-design chooses minterms, so it must do at least as well as the
@@ -403,6 +471,24 @@ let test_codesign_too_large_guard () =
       Alcotest.(check int) "space size" (Codesign.search_space spec) space
     | `Solution _ -> Alcotest.fail "cap ignored"
   end
+
+let test_codesign_space_saturates () =
+  (* C(60,30)^3 and its multiset count C(C(60,30) + 2, 3) both exceed
+     max_int: the space must saturate, never wrap to a small count. *)
+  let schedule, allocation, k, _ = codesign_setting 26 in
+  let allocation = { allocation with Allocation.adders = max 3 allocation.Allocation.adders } in
+  let spec =
+    {
+      Codesign.scheme = Scheme.Sfll_rem;
+      locked_fus = [ 0; 1; 2 ];
+      minterms_per_fu = 30;
+      candidates = Array.init 60 Minterm.of_int;
+    }
+  in
+  Alcotest.(check int) "search_space" max_int (Codesign.search_space spec);
+  match Codesign.optimal k schedule allocation spec with
+  | `Too_large space -> Alcotest.(check int) "reported space" max_int space
+  | `Solution _ -> Alcotest.fail "oversized space searched"
 
 let test_codesign_spec_validation () =
   let schedule, allocation, k, candidates = codesign_setting 28 in
@@ -878,6 +964,7 @@ let () =
           Alcotest.test_case "beats fixed assignment" `Quick test_codesign_beats_fixed_assignment;
           Alcotest.test_case "solution consistency" `Quick test_codesign_config_is_consistent;
           Alcotest.test_case "too-large guard" `Quick test_codesign_too_large_guard;
+          Alcotest.test_case "oversized space saturates" `Quick test_codesign_space_saturates;
           Alcotest.test_case "spec validation" `Quick test_codesign_spec_validation;
         ] );
       ( "methodology",
@@ -924,5 +1011,6 @@ let () =
             qcheck_optimal_dominates_heuristic;
             qcheck_fast_matches_hungarian;
             qcheck_fold_product_matches_hungarian;
+            qcheck_optimal_matches_ordered_search;
           ] );
     ]

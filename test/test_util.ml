@@ -170,6 +170,32 @@ let test_fold_cartesian_matches_list () =
     [ [ 1; 3; 4 ]; [ 1; 3; 5 ]; [ 1; 3; 6 ]; [ 2; 3; 4 ]; [ 2; 3; 5 ]; [ 2; 3; 6 ] ]
     tuples
 
+let test_choose_saturates () =
+  (* Exact where an intermediate product would pass max_int, saturating
+     where the value itself does. *)
+  Alcotest.(check int) "C(64,32)" 1832624140942590534 (Combi.choose 64 32);
+  Alcotest.(check int) "C(66,33)" max_int (Combi.choose 66 33);
+  Alcotest.(check int) "C(max_int,2)" max_int (Combi.choose max_int 2);
+  Alcotest.(check int) "C(max_int,1)" max_int (Combi.choose max_int 1)
+
+let test_multisets_values () =
+  (* Count the non-decreasing tuples of the full product directly. *)
+  for n = 1 to 5 do
+    for k = 1 to 4 do
+      let expected =
+        Combi_ref.fold_cartesian (Array.make k (Array.init n Fun.id)) ~init:0 ~f:(fun acc t ->
+            let sorted = Array.copy t in
+            Array.sort Int.compare sorted;
+            if sorted = t then acc + 1 else acc)
+      in
+      Alcotest.(check int) (Printf.sprintf "multisets %d %d" n k) expected (Combi.multisets n k)
+    done
+  done;
+  Alcotest.(check int) "k=0" 1 (Combi.multisets 7 0);
+  Alcotest.(check int) "C(10,3) subsets, 3 FUs" 295240 (Combi.multisets 120 3);
+  Alcotest.(check int) "n + k - 1 overflows" max_int (Combi.multisets max_int 2);
+  Alcotest.(check int) "saturation" max_int (Combi.multisets (Combi.choose 60 30) 3)
+
 let test_product_size_saturates () =
   Alcotest.(check int) "normal" 24 (Combi.product_size [ 2; 3; 4 ]);
   Alcotest.(check int) "zero" 0 (Combi.product_size [ 5; 0 ]);
@@ -1065,6 +1091,8 @@ let () =
           Alcotest.test_case "k_subsets edges" `Quick test_k_subsets_edge_cases;
           Alcotest.test_case "fold matches list" `Quick test_fold_k_subsets_matches_list;
           Alcotest.test_case "fold_cartesian matches" `Quick test_fold_cartesian_matches_list;
+          Alcotest.test_case "choose saturates" `Quick test_choose_saturates;
+          Alcotest.test_case "multisets values" `Quick test_multisets_values;
           Alcotest.test_case "product_size saturates" `Quick test_product_size_saturates;
         ] );
       ( "stats",
