@@ -40,7 +40,6 @@ module Render = Rb_core.Render
 module Codesign = Rb_core.Codesign
 module Methodology = Rb_core.Methodology
 module Resilience = Rb_locking.Resilience
-module Scheme = Rb_locking.Scheme
 module Lock = Rb_netlist.Lock
 module Circuits = Rb_netlist.Circuits
 module Netlist = Rb_netlist.Netlist
@@ -583,13 +582,13 @@ let methodology () =
   let trace = Workload.trace bench in
   let allocation = Allocation.for_schedule schedule in
   let k = Kmatrix.build trace in
-  let candidates = Array.of_list (Kmatrix.top_minterms ~kind:Dfg.Add k ~n:10) in
+  let spec =
+    Codesign.make_spec allocation Dfg.Add ~locked_fus:1 ~minterms_per_fu:Codesign.n_candidates
+      (Codesign.top_candidates k Dfg.Add)
+  in
   List.iter
     (fun (label, goal) ->
-      let plan =
-        Methodology.design ~key_bits:18 k schedule allocation ~scheme:Scheme.Sfll_rem
-          ~locked_fus:[ 0 ] ~candidates goal
-      in
+      let plan = Methodology.design ~key_bits:18 k schedule allocation spec goal in
       Table.add_text_row table ~label
         ~cells:
           [
@@ -619,12 +618,13 @@ let runtime () =
   let allocation = Allocation.for_schedule schedule in
   let k = Kmatrix.build trace in
   let profile = Rb_sim.Operands.build trace in
-  let candidates = Array.of_list (Kmatrix.top_minterms ~kind:Dfg.Add k ~n:10) in
+  let candidates = Codesign.top_candidates k Dfg.Add in
+  let spec = Codesign.make_spec allocation Dfg.Add ~locked_fus:1 ~minterms_per_fu:2 candidates in
   let config =
-    Rb_locking.Config.make ~scheme:Scheme.Sfll_rem
+    Rb_locking.Config.make ~scheme:spec.Codesign.scheme
       ~locks:[ (0, [ candidates.(0); candidates.(1) ]) ]
   in
-  let input = { Binders.schedule; allocation; profile; k; config; candidates } in
+  let input = { Binders.schedule; allocation; profile; k; config; spec } in
   let fft512 = Workload.parametric "fft" ~n:512 in
   (* 256 samples of the 9,216-op fft-512 kernel: the K-matrix and
      profile builds every context derives from one golden pass. *)
@@ -636,10 +636,8 @@ let runtime () =
     let k = Kmatrix.build trace_fft512 in
     let allocation = Allocation.for_schedule schedule in
     let spec =
-      { Codesign.scheme = Scheme.Sfll_rem;
-        locked_fus = List.filteri (fun i _ -> i < 2) (Allocation.fu_ids allocation Dfg.Add);
-        minterms_per_fu = 2;
-        candidates = Array.of_list (Kmatrix.top_minterms ~kind:Dfg.Add k ~n:10) }
+      Codesign.make_spec allocation Dfg.Add ~locked_fus:2 ~minterms_per_fu:2
+        (Codesign.top_candidates k Dfg.Add)
     in
     fun () -> ignore (Codesign.heuristic k schedule allocation spec)
   in

@@ -33,15 +33,9 @@ let () =
 
   (* Co-design the binding (2 locked adder FUs when available). *)
   let kind = Dfg.Add in
-  let candidates = Array.of_list (Kmatrix.top_minterms ~kind k ~n:10) in
-  let fus = Allocation.fu_ids allocation kind in
   let spec =
-    {
-      Rb_core.Codesign.scheme = Rb_locking.Scheme.Sfll_rem;
-      locked_fus = List.filteri (fun i _ -> i < 2) fus;
-      minterms_per_fu = min 2 (Array.length candidates);
-      candidates;
-    }
+    Rb_core.Codesign.make_spec allocation kind ~locked_fus:2 ~minterms_per_fu:2
+      (Rb_core.Codesign.top_candidates k kind)
   in
   let solution = Rb_core.Codesign.heuristic k schedule allocation spec in
   let binding = solution.Rb_core.Codesign.binding in

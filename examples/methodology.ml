@@ -17,7 +17,7 @@ module Benchmark = Rb_workload.Benchmark
 module Kmatrix = Rb_sim.Kmatrix
 module Allocation = Rb_hls.Allocation
 module Config = Rb_locking.Config
-module Scheme = Rb_locking.Scheme
+module Codesign = Rb_core.Codesign
 module Methodology = Rb_core.Methodology
 module Lock = Rb_netlist.Lock
 module Circuits = Rb_netlist.Circuits
@@ -29,11 +29,8 @@ module Table = Rb_util.Table
    budget grows — the Sec. V-C dilemma. *)
 let key_budget = 18
 
-let run_goal k schedule allocation candidates table ~label goal =
-  let plan =
-    Methodology.design ~key_bits:key_budget k schedule allocation
-      ~scheme:Scheme.Sfll_rem ~locked_fus:[ 0 ] ~candidates goal
-  in
+let run_goal k schedule allocation spec table ~label goal =
+  let plan = Methodology.design ~key_bits:key_budget k schedule allocation spec goal in
   Table.add_text_row table ~label
     ~cells:
       [
@@ -53,7 +50,11 @@ let () =
   let trace = Benchmark.trace bench in
   let allocation = Allocation.for_schedule schedule in
   let k = Kmatrix.build trace in
-  let candidates = Array.of_list (Kmatrix.top_minterms ~kind:Dfg.Add k ~n:10) in
+  (* One locked adder; the budget may grow to the whole candidate list. *)
+  let spec =
+    Codesign.make_spec allocation Dfg.Add ~locked_fus:1 ~minterms_per_fu:Codesign.n_candidates
+      (Codesign.top_candidates k Dfg.Add)
+  in
   Format.printf "%a over a %d-sample typical workload@.@." Dfg.pp bench.Benchmark.dfg
     (Rb_sim.Trace.length trace);
 
@@ -71,7 +72,7 @@ let () =
   in
   let plans =
     List.map
-      (fun (label, goal) -> run_goal k schedule allocation candidates table ~label goal)
+      (fun (label, goal) -> run_goal k schedule allocation spec table ~label goal)
       goals
   in
   Table.print table;

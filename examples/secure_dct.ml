@@ -20,7 +20,6 @@ module Binding = Rb_hls.Binding
 module Registers = Rb_hls.Registers
 module Switching = Rb_hls.Switching
 module Config = Rb_locking.Config
-module Scheme = Rb_locking.Scheme
 module Cost = Rb_core.Cost
 module Table = Rb_util.Table
 
@@ -36,7 +35,7 @@ let () =
      columns are both the power profile and the K matrix's input. *)
   let profile = Rb_sim.Operands.build trace in
   let k = Kmatrix.of_operands profile in
-  let candidates = Array.of_list (Kmatrix.top_minterms ~kind:Dfg.Mul k ~n:10) in
+  let candidates = Rb_core.Codesign.top_candidates k Dfg.Mul in
   Format.printf "Top multiplier input minterms in the trace:@.";
   Array.iteri
     (fun i m ->
@@ -47,10 +46,8 @@ let () =
 
   (* Lock the first two multiplier FUs with two minterms each, chosen
      by the co-design heuristic. *)
-  let mul_fus = Allocation.fu_ids allocation Dfg.Mul in
-  let locked_fus = List.filteri (fun i _ -> i < 2) mul_fus in
   let spec =
-    { Rb_core.Codesign.scheme = Scheme.Sfll_rem; locked_fus; minterms_per_fu = 2; candidates }
+    Rb_core.Codesign.make_spec allocation Dfg.Mul ~locked_fus:2 ~minterms_per_fu:2 candidates
   in
   let codesigned = Rb_core.Codesign.heuristic k schedule allocation spec in
   let config = codesigned.Rb_core.Codesign.config in

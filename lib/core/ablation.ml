@@ -15,28 +15,25 @@ let strategy_name = function
   | Random_sample -> "random sample"
   | Least_common -> "least common"
 
-(* Fixed ablation settings: the paper's |C| = 10 candidates, 2 locked
-   FUs x 2 minterms, and the seed of the random candidate sample. *)
-let n_candidates = 10
+(* Fixed ablation settings: 2 locked FUs x 2 minterms, and the seed of
+   the random candidate sample. *)
 let locked_fus = 2
 let minterms_per_fu = 2
 let seed = 3
 
 let candidate_list ~strategy k kind =
-  let occurring = Kmatrix.all_minterms ~kind k in
-  let chosen =
-    match strategy with
-    | Most_common -> List.filteri (fun i _ -> i < n_candidates) occurring
-    | Least_common ->
-      let len = List.length occurring in
-      List.filteri (fun i _ -> i >= len - n_candidates) occurring
-    | Random_sample ->
-      let arr = Array.of_list occurring in
-      let rng = Rng.create seed in
-      Rng.shuffle rng arr;
-      Array.to_list (Array.sub arr 0 (min n_candidates (Array.length arr)))
-  in
-  Array.of_list (List.map fst chosen)
+  let occurring () = Array.of_list (List.map fst (Kmatrix.all_minterms ~kind k)) in
+  let n = Codesign.n_candidates in
+  match strategy with
+  | Most_common -> Codesign.top_candidates k kind
+  | Least_common ->
+    let all = occurring () in
+    let len = Array.length all in
+    Array.sub all (max 0 (len - n)) (min n len)
+  | Random_sample ->
+    let all = occurring () in
+    Rng.shuffle (Rng.create seed) all;
+    Array.sub all 0 (min n (Array.length all))
 
 type strategy_row = {
   strategy : candidate_strategy;
@@ -45,9 +42,7 @@ type strategy_row = {
 }
 
 let candidate_strategies (ctx : Experiments.context) kind =
-  let fus = Allocation.fu_ids ctx.Experiments.allocation kind in
-  let locked = List.filteri (fun i _ -> i < locked_fus) fus in
-  if locked = [] then []
+  if Allocation.fu_ids ctx.Experiments.allocation kind = [] then []
   else
     List.filter_map
       (fun strategy ->
@@ -55,12 +50,8 @@ let candidate_strategies (ctx : Experiments.context) kind =
         if Array.length candidates < minterms_per_fu then None
         else begin
           let spec =
-            {
-              Codesign.scheme = Rb_locking.Scheme.Sfll_rem;
-              locked_fus = locked;
-              minterms_per_fu = min minterms_per_fu (Array.length candidates);
-              candidates;
-            }
+            Codesign.make_spec ctx.Experiments.allocation kind ~locked_fus ~minterms_per_fu
+              candidates
           in
           let solution = Codesign.heuristic ctx.Experiments.k ctx.Experiments.schedule
               ctx.Experiments.allocation spec
@@ -89,15 +80,7 @@ let generalization schedule trace kind =
   let k_train = Kmatrix.build train in
   let candidates = candidate_list ~strategy:Most_common k_train kind in
   if Array.length candidates = 0 then invalid_arg "Ablation.generalization: no candidates";
-  let fus = Allocation.fu_ids allocation kind in
-  let spec =
-    {
-      Codesign.scheme = Rb_locking.Scheme.Sfll_rem;
-      locked_fus = List.filteri (fun i _ -> i < locked_fus) fus;
-      minterms_per_fu = min minterms_per_fu (Array.length candidates);
-      candidates;
-    }
-  in
+  let spec = Codesign.make_spec allocation kind ~locked_fus ~minterms_per_fu candidates in
   let solution = Codesign.heuristic k_train schedule allocation spec in
   let measure t =
     (Exec.application_errors schedule t
@@ -127,10 +110,8 @@ let ratio_for schedule trace kind =
   let allocation = Allocation.for_schedule schedule in
   let k = Kmatrix.build trace in
   let candidates = candidate_list ~strategy:Most_common k kind in
-  let fus = Allocation.fu_ids allocation kind in
-  if fus = [] || Array.length candidates < 2 then None
-  else begin
-    let locked_fu = List.hd fus in
+  match Codesign.make_spec allocation kind ~locked_fus:1 ~minterms_per_fu:2 candidates with
+  | { Codesign.locked_fus = [ locked_fu ]; minterms_per_fu = 2; _ } ->
     let area = Rb_hls.Area_binding.bind schedule allocation in
     (* average over all pairs of the first 5 candidates *)
     let pairs =
@@ -150,7 +131,7 @@ let ratio_for schedule trace kind =
         e_area := !e_area + Cost.expected_errors k area config)
       pairs;
     Some (Experiments.ratio_vs !e_obf !e_area)
-  end
+  | _ -> None
 
 let allocation_sensitivity dfg make_trace =
   List.filter_map
@@ -176,17 +157,9 @@ let profiling_budget schedule full kind =
     (fun len ->
       let prefix = Trace.sub full ~pos:0 ~len in
       let k = Kmatrix.build prefix in
-      let candidates =
-        Array.of_list (Kmatrix.top_minterms ~kind k ~n:n_candidates)
-      in
-      let fus = Allocation.fu_ids allocation kind in
       let spec =
-        {
-          Codesign.scheme = Rb_locking.Scheme.Sfll_rem;
-          locked_fus = List.filteri (fun i _ -> i < locked_fus) fus;
-          minterms_per_fu = min minterms_per_fu (Array.length candidates);
-          candidates;
-        }
+        Codesign.make_spec allocation kind ~locked_fus ~minterms_per_fu
+          (Codesign.top_candidates k kind)
       in
       let solution = Codesign.heuristic k schedule allocation spec in
       let report =

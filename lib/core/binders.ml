@@ -1,5 +1,4 @@
 module Config = Rb_locking.Config
-module Minterm = Rb_dfg.Minterm
 module Metrics = Rb_util.Metrics
 
 type input = {
@@ -8,7 +7,7 @@ type input = {
   profile : Rb_hls.Profile.t;
   k : Rb_sim.Kmatrix.t;
   config : Config.t;
-  candidates : Minterm.t array;
+  spec : Codesign.spec;
 }
 
 type output = { binding : Rb_hls.Binding.t; config : Config.t }
@@ -31,30 +30,14 @@ let description = function
   | Obf -> "obfuscation-aware binding for a fixed lock (Sec. IV)"
   | Power -> "power-aware baseline: minimize input switching [19]"
 
-let codesign (input : input) =
-  let locked_fus = Config.locked_fus input.config in
-  if locked_fus = [] then
-    invalid_arg "codesign binder: input.config locks no FU";
-  let minterms_per_fu =
-    List.fold_left
-      (fun acc fu -> max acc (Minterm.Set.cardinal (Config.minterms_of input.config fu)))
-      1 locked_fus
-  in
-  let spec =
-    { Codesign.scheme = Config.scheme input.config;
-      locked_fus;
-      minterms_per_fu = min minterms_per_fu (Array.length input.candidates);
-      candidates = input.candidates }
-  in
-  let solution = Codesign.heuristic input.k input.schedule input.allocation spec in
-  { binding = solution.Codesign.binding; config = solution.Codesign.config }
-
 let run b (input : input) =
   match b with
   | Area ->
     { binding = Rb_hls.Area_binding.bind input.schedule input.allocation;
       config = input.config }
-  | Codesign -> codesign input
+  | Codesign ->
+    let solution = Codesign.heuristic input.k input.schedule input.allocation input.spec in
+    { binding = solution.Codesign.binding; config = solution.Codesign.config }
   | Obf ->
     { binding = Obf_binding.bind input.k input.config input.schedule input.allocation;
       config = input.config }

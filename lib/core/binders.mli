@@ -6,10 +6,9 @@
       switching under [input.profile]);
     - [Obf]: obfuscation-aware binding (Sec. IV) for the fixed
       locking configuration in [input.config];
-    - [Codesign]: the P-time co-design heuristic (Sec. V). It
-      re-derives the search spec (locked FUs, per-FU budget) from the
-      shape of [input.config], searches [input.candidates], and
-      returns both the chosen configuration and its binding.
+    - [Codesign]: the P-time co-design heuristic (Sec. V) on
+      [input.spec]. It ignores [input.config] and returns both the
+      configuration it chose and its binding.
 
     The CLI, the bench harness and the service executor select a
     binder by {!name}; {!bind} is the one entry point that runs it. *)
@@ -21,9 +20,9 @@ type input = {
   allocation : Rb_hls.Allocation.t;
   profile : Rb_hls.Profile.t;  (** workload profile (power-aware binding) *)
   k : Rb_sim.Kmatrix.t;  (** K matrix (security-aware binding) *)
-  config : Rb_locking.Config.t;  (** locking configuration to bind under *)
-  candidates : Rb_dfg.Minterm.t array;
-      (** candidate locked-input list C (co-design) *)
+  config : Rb_locking.Config.t;
+      (** locking configuration the fixed-lock binders bind under *)
+  spec : Codesign.spec;  (** the co-design search: locked FUs, budget, C *)
 }
 
 (** A binding plus the locking configuration it was built for. Binders
@@ -48,7 +47,7 @@ val bind : t -> input -> output
 (** Run the binder. Each call bumps the deterministic counter
     ["binder/<name>_binds"] and records wall-clock in the timer
     ["binder/<name>_bind"] ({!Rb_util.Metrics}). [Codesign] raises
-    [Invalid_argument] when [input.config] locks no FU. *)
+    [Invalid_argument] on a spec {!Codesign.validate_spec} refuses. *)
 
 val ensure_registered : unit -> unit
 (** A no-op: the binder set is closed and nothing registers. It

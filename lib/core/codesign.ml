@@ -18,6 +18,18 @@ type solution = {
   assignments_searched : int;
 }
 
+let n_candidates = 10
+
+let top_candidates k kind = Array.of_list (Rb_sim.Kmatrix.top_minterms ~kind k ~n:n_candidates)
+
+let make_spec allocation kind ~locked_fus ~minterms_per_fu candidates =
+  {
+    scheme = Rb_locking.Scheme.Sfll_rem;
+    locked_fus = List.filteri (fun i _ -> i < locked_fus) (Allocation.fu_ids allocation kind);
+    minterms_per_fu = min minterms_per_fu (Array.length candidates);
+    candidates;
+  }
+
 let validate_spec allocation spec =
   (match spec.locked_fus with
    | [] -> invalid_arg "Codesign: no locked FUs"

@@ -32,6 +32,35 @@ type solution = {
   assignments_searched : int;  (** candidate assignments scored *)
 }
 
+(** {1 The locking shape}
+
+    The experiment drivers, the service jobs, the bench and the
+    examples all lock one shape, built by these two functions: the
+    candidate list C is the kind's
+    {!n_candidates} most common inputs, the locked FUs are the first
+    [L] FU ids of the kind, and the budget is clamped to the list. *)
+
+val n_candidates : int
+(** [|C|] = 10, "the 10 most common inputs for each DFG" (Sec. VI). *)
+
+val top_candidates : Rb_sim.Kmatrix.t -> Rb_dfg.Dfg.op_kind -> Minterm.t array
+(** The candidate list C for one operation kind: the {!n_candidates}
+    most frequent minterms among the kind's operations
+    ({!Rb_sim.Kmatrix.top_minterms}), fewer when fewer occur. *)
+
+val make_spec :
+  Rb_hls.Allocation.t ->
+  Rb_dfg.Dfg.op_kind ->
+  locked_fus:int ->
+  minterms_per_fu:int ->
+  Minterm.t array ->
+  spec
+(** [make_spec allocation kind ~locked_fus:l ~minterms_per_fu:m c]
+    locks the first [min l n] of the kind's [n] FU ids, ascending, with
+    a budget of [min m |c|] minterms each, under SFLL-rem. Clamping
+    never raises: a spec it leaves empty (no FU of the kind, [l < 1],
+    an empty [c]) is refused by {!validate_spec}. *)
+
 val validate_spec : Rb_hls.Allocation.t -> spec -> Rb_dfg.Dfg.op_kind
 (** Check the spec (non-empty same-kind FU set, budget within the
     candidate count) and return the locked kind. Raises

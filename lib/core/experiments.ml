@@ -31,9 +31,6 @@ type context = {
   candidates_mul : Minterm.t array;
 }
 
-(* |C|: the paper's 10 most common inputs per operation kind. *)
-let n_candidates = 10
-
 let context ~name schedule trace =
   let allocation = Allocation.for_schedule schedule in
   (* One golden pass: the profile is the operand columns, and the K
@@ -44,7 +41,6 @@ let context ~name schedule trace =
   let power_binding = Rb_hls.Power_binding.bind schedule allocation ~profile in
   assert_lint ~subject:(name ^ "/area-binding") schedule allocation area_binding;
   assert_lint ~subject:(name ^ "/power-binding") schedule allocation power_binding;
-  let top kind = Array.of_list (Kmatrix.top_minterms ~kind k ~n:n_candidates) in
   {
     benchmark = name;
     schedule;
@@ -53,8 +49,8 @@ let context ~name schedule trace =
     profile;
     area_binding;
     power_binding;
-    candidates_add = top Dfg.Add;
-    candidates_mul = top Dfg.Mul;
+    candidates_add = Codesign.top_candidates k Dfg.Add;
+    candidates_mul = Codesign.top_candidates k Dfg.Mul;
   }
 
 let candidates_for ctx = function
@@ -137,7 +133,11 @@ let sweep ?(seed = 7) ?(max_combos_per_config = 2000)
     let table = Cost.cand_table ctx.k candidates in
     let fast = Obf_binding.Fast.prepare table ctx.schedule ctx.allocation ~kind in
     let run_config locked_fu_count minterms_per_fu =
-      let locked_fus = List.filteri (fun i _ -> i < locked_fu_count) fus in
+      let spec =
+        Codesign.make_spec ctx.allocation kind ~locked_fus:locked_fu_count ~minterms_per_fu
+          candidates
+      in
+      let locked_fus = spec.Codesign.locked_fus in
       let n_locked = List.length locked_fus in
       let area_w = fixed_binding_weights table ctx.area_binding locked_fus in
       let power_w = fixed_binding_weights table ctx.power_binding locked_fus in
@@ -179,14 +179,6 @@ let sweep ?(seed = 7) ?(max_combos_per_config = 2000)
         end
       in
       let combos = Array.init n_combos (fun t -> eval (assignment_at t)) in
-      let spec =
-        {
-          Codesign.scheme = Rb_locking.Scheme.Sfll_rem;
-          locked_fus;
-          minterms_per_fu;
-          candidates;
-        }
-      in
       let e_opt, opt_cands =
         run_codesign_optimal ~max_optimal_assignments ctx.k ctx.schedule ctx.allocation spec
       in
@@ -324,7 +316,11 @@ let overhead ?(combos_per_config = 10) ctx =
             List.iter
               (fun minterms_per_fu ->
                 if minterms_per_fu <= n_cands then begin
-                  let locked_fus = List.filteri (fun i _ -> i < locked_fu_count) fus in
+                  let spec =
+                    Codesign.make_spec ctx.allocation kind ~locked_fus:locked_fu_count
+                      ~minterms_per_fu candidates
+                  in
+                  let locked_fus = spec.Codesign.locked_fus in
                   let rng =
                     Rng.create
                       (seed + (100 * locked_fu_count) + minterms_per_fu
@@ -350,14 +346,6 @@ let overhead ?(combos_per_config = 10) ctx =
                       ~subject:(ctx.benchmark ^ "/overhead/obf-aware") config binding
                   done;
                   (* Co-design heuristic binding, one per configuration. *)
-                  let spec =
-                    {
-                      Codesign.scheme = Rb_locking.Scheme.Sfll_rem;
-                      locked_fus;
-                      minterms_per_fu;
-                      candidates;
-                    }
-                  in
                   let heur = Codesign.heuristic ctx.k ctx.schedule ctx.allocation spec in
                   note_binding cd_regs cd_sw
                     ~subject:(ctx.benchmark ^ "/overhead/codesign") heur.Codesign.config
@@ -391,18 +379,12 @@ type quality_result = {
 }
 
 let quality ~trace ctx kind =
-  let locked_fus = 2 and minterms_per_fu = 2 in
   let candidates = candidates_for ctx kind in
   let fus = Allocation.fu_ids ctx.allocation kind in
   if fus = [] || Array.length candidates = 0 then None
   else begin
     let spec =
-      {
-        Codesign.scheme = Rb_locking.Scheme.Sfll_rem;
-        locked_fus = List.filteri (fun i _ -> i < locked_fus) fus;
-        minterms_per_fu = min minterms_per_fu (Array.length candidates);
-        candidates;
-      }
+      Codesign.make_spec ctx.allocation kind ~locked_fus:2 ~minterms_per_fu:2 candidates
     in
     let solution = Codesign.heuristic ctx.k ctx.schedule ctx.allocation spec in
     let config = solution.Codesign.config in
@@ -440,15 +422,13 @@ type post_binding_result = {
 }
 
 let post_binding ctx kind =
-  let key_bits = 32 and locked_fus = 2 and minterms_per_fu = 2 in
+  let key_bits = 32 and minterms_per_fu = 2 in
   let candidates = candidates_for ctx kind in
   let fus = Allocation.fu_ids ctx.allocation kind in
   if fus = [] || Array.length candidates < minterms_per_fu then None
   else begin
-    let locked = List.filteri (fun i _ -> i < locked_fus) fus in
     let spec =
-      { Codesign.scheme = Rb_locking.Scheme.Sfll_rem; locked_fus = locked;
-        minterms_per_fu; candidates }
+      Codesign.make_spec ctx.allocation kind ~locked_fus:2 ~minterms_per_fu candidates
     in
     let solution = Codesign.heuristic ctx.k ctx.schedule ctx.allocation spec in
     assert_lint ~config:solution.Codesign.config ~candidates
@@ -476,7 +456,7 @@ let post_binding ctx kind =
           |> List.map (fun m -> (m, count_on_fu m))
           |> List.sort (fun (m1, c1) (m2, c2) ->
                  match Int.compare c2 c1 with 0 -> Minterm.compare m1 m2 | c -> c))
-        locked
+        spec.Codesign.locked_fus
     in
     (* lock the top-h minterms of each FU's own pool; grow h until the
        co-design error level is met or the pools run dry *)
@@ -555,7 +535,7 @@ let reduced_optimal_runs suite =
     (fun (key, results) ->
       List.filter_map
         (fun r ->
-          if r.optimal_candidates_used < n_candidates then
+          if r.optimal_candidates_used < Codesign.n_candidates then
             Some
               {
                 rr_benchmark = key.sk_benchmark;
@@ -589,7 +569,7 @@ let headline suite =
         (fun r ->
           (* heuristic vs optimal, only where optimal searched the full
              candidate list *)
-          if r.optimal_candidates_used = n_candidates then begin
+          if r.optimal_candidates_used = Codesign.n_candidates then begin
             let opt = float_of_int r.e_codesign_optimal in
             let heur = float_of_int r.e_codesign_heuristic in
             if opt > 0.0 then gaps := ((opt -. heur) /. opt *. 100.0) :: !gaps

@@ -41,14 +41,11 @@ let plan_of ?key_bits goal minterms_per_fu (solution : Codesign.solution) =
     exponential_topup = not meets_resilience;
   }
 
-let design ?key_bits k schedule allocation ~scheme ~locked_fus ~candidates goal =
-  let limit = Array.length candidates in
+let design ?key_bits k schedule allocation (spec : Codesign.spec) goal =
+  let limit = spec.minterms_per_fu in
   if limit < 1 then invalid_arg "Methodology.design: empty budget range";
   let solve minterms_per_fu =
-    let spec =
-      { Codesign.scheme; locked_fus; minterms_per_fu; candidates }
-    in
-    Codesign.heuristic k schedule allocation spec
+    Codesign.heuristic k schedule allocation { spec with minterms_per_fu }
   in
   let rec grow m =
     let candidate_plan = plan_of ?key_bits goal m (solve m) in

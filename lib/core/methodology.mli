@@ -33,15 +33,17 @@ val design :
   Rb_sim.Kmatrix.t ->
   Rb_sched.Schedule.t ->
   Rb_hls.Allocation.t ->
-  scheme:Rb_locking.Scheme.t ->
-  locked_fus:int list ->
-  candidates:Rb_dfg.Minterm.t array ->
+  Codesign.spec ->
   goal ->
   plan
-(** Increase the per-FU budget from 1 to the candidate count, running
-    the P-time co-design heuristic at each step, and stop at the first
-    budget meeting the error target; if none does, the largest budget
-    is kept and [meets_error_target] is false.
+(** Increase the per-FU budget from 1 to [spec.minterms_per_fu], running
+    the P-time co-design heuristic on [spec]'s locked FUs and candidate
+    list at each step, and stop at the first budget meeting the error
+    target; if none does, the largest budget is kept and
+    [meets_error_target] is false. A spec from {!Codesign.make_spec}
+    with [~minterms_per_fu:Codesign.n_candidates] tries every budget up
+    to the candidate count. Raises [Invalid_argument] when
+    [spec.minterms_per_fu < 1].
 
     [key_bits], when given, fixes the per-FU key length (a designer's
     area budget) instead of letting it grow with the locked-input count

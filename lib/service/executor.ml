@@ -6,8 +6,8 @@ module Exec = Rb_sim.Exec
 module Allocation = Rb_hls.Allocation
 module Binding = Rb_hls.Binding
 module Config = Rb_locking.Config
-module Scheme = Rb_locking.Scheme
 module Binders = Rb_core.Binders
+module Codesign = Rb_core.Codesign
 module Cost = Rb_core.Cost
 module Pool = Rb_util.Pool
 module Metrics = Rb_util.Metrics
@@ -138,21 +138,22 @@ let run_bind ~benchmark ~seed ~binder ~kind ~locked_fus:locked_fu_count
   if List.length fus < locked_fu_count then
     fail Error.Infeasible "only %d %s FUs allocated" (List.length fus)
       (Dfg.kind_label kind);
-  let candidates = Array.of_list (Kmatrix.top_minterms ~kind k ~n:10) in
+  let candidates = Codesign.top_candidates k kind in
   if Array.length candidates < minterms_per_fu then
     fail Error.Infeasible "workload too uniform: not enough candidate minterms";
-  let locked_fus = List.filteri (fun i _ -> i < locked_fu_count) fus in
   let spec =
-    { Rb_core.Codesign.scheme = Scheme.Sfll_rem; locked_fus; minterms_per_fu; candidates }
+    Codesign.make_spec allocation kind ~locked_fus:locked_fu_count ~minterms_per_fu candidates
   in
-  (* The co-designed configuration seeds input.config; binders with a
-     fixed a-priori lock bind under it, the codesign binder re-derives
-     its search spec from its shape. *)
-  let codesigned = Rb_core.Codesign.heuristic k schedule allocation spec in
-  let input =
-    { Binders.schedule; allocation; profile; k;
-      config = codesigned.Rb_core.Codesign.config; candidates }
+  (* The fixed-lock binders bind under the co-designed configuration.
+     The codesign binder runs that search itself and binds under no
+     a-priori lock, so each job runs the search once. *)
+  let config =
+    match algo with
+    | Binders.Codesign -> Config.make ~scheme:spec.Codesign.scheme ~locks:[]
+    | Binders.Area | Binders.Obf | Binders.Power ->
+      (Codesign.heuristic k schedule allocation spec).Codesign.config
   in
+  let input = { Binders.schedule; allocation; profile; k; config; spec } in
   let { Binders.binding; config } = Binders.bind algo input in
   let report =
     Exec.application_errors schedule trace ~fu_of_op:(Binding.fu_array binding) ~config
@@ -173,24 +174,19 @@ let lint_design ctx locked_fu_count minterms_per_fu min_lambda =
   let { benchmark = b; schedule; allocation; k; _ } = ctx in
   List.filter_map
     (fun kind ->
-      let fus = Allocation.fu_ids allocation kind in
-      let candidates = Array.of_list (Kmatrix.top_minterms ~kind k ~n:10) in
-      if fus = [] || Array.length candidates = 0 then None
+      let candidates = Codesign.top_candidates k kind in
+      if Allocation.fu_ids allocation kind = [] || Array.length candidates = 0 then None
       else begin
-        let n_locked = min locked_fu_count (List.length fus) in
         let spec =
-          { Rb_core.Codesign.scheme = Scheme.Sfll_rem;
-            locked_fus = List.filteri (fun i _ -> i < n_locked) fus;
-            minterms_per_fu = min minterms_per_fu (Array.length candidates);
-            candidates }
+          Codesign.make_spec allocation kind ~locked_fus:locked_fu_count ~minterms_per_fu
+            candidates
         in
-        let sol = Rb_core.Codesign.heuristic k schedule allocation spec in
+        let sol = Codesign.heuristic k schedule allocation spec in
         Some
-          (Rb_lint.Lint.design ?min_lambda ~candidates
-             ~config:sol.Rb_core.Codesign.config
+          (Rb_lint.Lint.design ?min_lambda ~candidates ~config:sol.Codesign.config
              ~subject:(Printf.sprintf "%s/%s" b.Benchmark.name (Dfg.kind_label kind))
              schedule allocation
-             ~fu_of_op:(Binding.fu_array sol.Rb_core.Codesign.binding))
+             ~fu_of_op:(Binding.fu_array sol.Codesign.binding))
       end)
     [ Dfg.Add; Dfg.Mul ]
 
@@ -310,29 +306,28 @@ let run_custom ~source ~kind ~locked_fus:locked_fu_count ~minterms_per_fu
   in
   let k = Kmatrix.build trace in
   let fus = Allocation.fu_ids allocation kind in
-  let candidates = Array.of_list (Kmatrix.top_minterms ~kind k ~n:10) in
+  let candidates = Codesign.top_candidates k kind in
   if List.length fus < locked_fu_count then
     fail Error.Infeasible "only %d %s FUs allocated" (List.length fus)
       (Dfg.kind_label kind);
   if Array.length candidates < minterms_per_fu then
     fail Error.Infeasible "not enough candidate minterms in the synthesized workload";
-  let spec =
-    { Rb_core.Codesign.scheme = Scheme.Sfll_rem;
-      locked_fus = List.filteri (fun i _ -> i < locked_fu_count) fus;
-      minterms_per_fu; candidates }
+  let solution =
+    Codesign.heuristic k schedule allocation
+      (Codesign.make_spec allocation kind ~locked_fus:locked_fu_count ~minterms_per_fu
+         candidates)
   in
-  let solution = Rb_core.Codesign.heuristic k schedule allocation spec in
   let buf = Buffer.create 1024 in
   let f = Format.formatter_of_buffer buf in
   Format.fprintf f "%a@.%a, allocated %a@." Dfg.pp dfg Schedule.pp schedule
     Allocation.pp allocation;
   Format.fprintf f "co-designed locking: %a@." Config.pp
-    solution.Rb_core.Codesign.config;
+    solution.Codesign.config;
   Format.fprintf f "expected application errors (Eqn. 2): %d over %d samples@."
-    solution.Rb_core.Codesign.errors trace_length;
+    solution.Codesign.errors trace_length;
   let baseline = Rb_hls.Area_binding.bind schedule allocation in
   Format.fprintf f "same lock under area-aware binding:   %d@."
-    (Cost.expected_errors k baseline solution.Rb_core.Codesign.config);
+    (Cost.expected_errors k baseline solution.Codesign.config);
   Format.pp_print_flush f ();
   Outcome.Custom_report (Buffer.contents buf)
 

@@ -526,14 +526,70 @@ let qcheck_optimal_dominates_heuristic =
           opt.Codesign.errors >= heur.Codesign.errors
       end)
 
+(* The locking shape: first-L FU ids of the kind, budget clamped to
+   the candidate list, SFLL-rem. Expected ids are computed from the
+   allocation's numbering (adders first), not from [fu_ids]. *)
+let test_make_spec_shape () =
+  let allocation = { Allocation.adders = 3; multipliers = 2 } in
+  let c = Array.init 4 Minterm.of_int in
+  let spec = Codesign.make_spec allocation Dfg.Mul ~locked_fus:2 ~minterms_per_fu:3 c in
+  Alcotest.(check (list int)) "first two multipliers" [ 3; 4 ] spec.Codesign.locked_fus;
+  Alcotest.(check int) "budget" 3 spec.Codesign.minterms_per_fu;
+  Alcotest.(check bool) "SFLL-rem" true (spec.Codesign.scheme = Scheme.Sfll_rem);
+  Alcotest.(check bool) "candidates kept" true (spec.Codesign.candidates == c);
+  let clamped = Codesign.make_spec allocation Dfg.Add ~locked_fus:5 ~minterms_per_fu:9 c in
+  Alcotest.(check (list int)) "FU count clamped" [ 0; 1; 2 ] clamped.Codesign.locked_fus;
+  Alcotest.(check int) "budget clamped" 4 clamped.Codesign.minterms_per_fu;
+  let none = Codesign.make_spec { allocation with Allocation.multipliers = 0 } Dfg.Mul
+      ~locked_fus:2 ~minterms_per_fu:2 c
+  in
+  Alcotest.(check (list int)) "no FU of the kind" [] none.Codesign.locked_fus;
+  match Codesign.validate_spec allocation none with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "empty shape validated"
+
+let qcheck_make_spec_contract =
+  QCheck2.Test.make ~name:"make_spec: first min L n FU ids, budget min m |C|" ~count:300
+    QCheck2.Gen.(
+      tup6 (int_range 0 5) (int_range 0 5) bool (int_range (-1) 7) (int_range (-1) 12)
+        (int_range 0 12))
+    (fun (adders, multipliers, add, l, m, n_cands) ->
+      let allocation = { Allocation.adders; multipliers } in
+      let kind = if add then Dfg.Add else Dfg.Mul in
+      let n, base = if add then (adders, 0) else (multipliers, adders) in
+      let c = Array.init n_cands Minterm.of_int in
+      let spec = Codesign.make_spec allocation kind ~locked_fus:l ~minterms_per_fu:m c in
+      spec.Codesign.locked_fus = List.init (max 0 (min l n)) (fun i -> base + i)
+      && spec.Codesign.minterms_per_fu = min m n_cands
+      && spec.Codesign.scheme = Scheme.Sfll_rem
+      && spec.Codesign.candidates == c)
+
+let qcheck_top_candidates_prefix =
+  QCheck2.Test.make ~name:"top_candidates = length-<=10 prefix of all_minterms" ~count:60
+    QCheck2.Gen.(pair (int_range 0 5_000) (int_range 1 40))
+    (fun (seed, n_ops) ->
+      let dfg = Testgen.random_dfg seed ~n_ops in
+      let k = Kmatrix.build (Testgen.random_trace (seed + 1) dfg ~n:16) in
+      List.for_all
+        (fun kind ->
+          let all = List.map fst (Kmatrix.all_minterms ~kind k) in
+          let top = Array.to_list (Codesign.top_candidates k kind) in
+          List.length top = min Codesign.n_candidates (List.length all)
+          && top = List.filteri (fun i _ -> i < Codesign.n_candidates) all)
+        [ Dfg.Add; Dfg.Mul ])
+
 (* --------------------------------------------------------- methodology *)
+
+(* One locked adder; the budget may grow to the whole candidate list. *)
+let methodology_spec allocation candidates =
+  Codesign.make_spec allocation Dfg.Add ~locked_fus:1
+    ~minterms_per_fu:(Array.length candidates) candidates
 
 let test_methodology_minimal_budget () =
   let schedule, allocation, k, candidates = codesign_setting 30 in
   let small_goal = { Methodology.target_error_events = 1; min_lambda = 10.0 } in
   let plan =
-    Methodology.design k schedule allocation ~scheme:Scheme.Sfll_rem ~locked_fus:[ 0 ]
-      ~candidates small_goal
+    Methodology.design k schedule allocation (methodology_spec allocation candidates) small_goal
   in
   Alcotest.(check int) "one minterm suffices" 1 plan.Methodology.minterms_per_fu;
   Alcotest.(check bool) "meets error target" true plan.Methodology.meets_error_target;
@@ -542,9 +598,9 @@ let test_methodology_minimal_budget () =
 
 let test_methodology_grows_budget () =
   let schedule, allocation, k, candidates = codesign_setting 32 in
+  let spec = methodology_spec allocation candidates in
   let base_plan =
-    Methodology.design k schedule allocation ~scheme:Scheme.Sfll_rem ~locked_fus:[ 0 ]
-      ~candidates
+    Methodology.design k schedule allocation spec
       { Methodology.target_error_events = 1; min_lambda = 1.0 }
   in
   let hungry =
@@ -553,10 +609,7 @@ let test_methodology_grows_budget () =
       min_lambda = 1.0;
     }
   in
-  let plan =
-    Methodology.design k schedule allocation ~scheme:Scheme.Sfll_rem ~locked_fus:[ 0 ]
-      ~candidates hungry
-  in
+  let plan = Methodology.design k schedule allocation spec hungry in
   Alcotest.(check bool) "budget grew" true
     (plan.Methodology.minterms_per_fu > base_plan.Methodology.minterms_per_fu
      || not plan.Methodology.meets_error_target)
@@ -564,8 +617,7 @@ let test_methodology_grows_budget () =
 let test_methodology_unreachable_target () =
   let schedule, allocation, k, candidates = codesign_setting 34 in
   let plan =
-    Methodology.design k schedule allocation ~scheme:Scheme.Sfll_rem ~locked_fus:[ 0 ]
-      ~candidates
+    Methodology.design k schedule allocation (methodology_spec allocation candidates)
       { Methodology.target_error_events = max_int; min_lambda = 1.0 }
   in
   Alcotest.(check bool) "reports failure" false plan.Methodology.meets_error_target;
@@ -863,7 +915,9 @@ let binder_input () =
       profile = ctx.Experiments.profile;
       k = ctx.Experiments.k;
       config;
-      candidates;
+      spec =
+        Codesign.make_spec ctx.Experiments.allocation Dfg.Add ~locked_fus:1 ~minterms_per_fu:2
+          candidates;
     } )
 
 let test_obf_binder_matches_direct () =
@@ -879,18 +933,22 @@ let test_obf_binder_matches_direct () =
 let test_codesign_binder_chooses_config () =
   let _, input = binder_input () in
   let out = Binders.bind Binders.Codesign input in
-  (* same locked-FU set, minterms drawn from the candidate list *)
+  (* the spec's locked-FU set, minterms drawn from its candidate list *)
   Alcotest.(check (list int)) "locked FUs preserved"
-    (Config.locked_fus input.Binders.config)
+    input.Binders.spec.Codesign.locked_fus
     (Config.locked_fus out.Binders.config);
-  let cands = Array.to_list input.Binders.candidates in
+  let cands = Array.to_list input.Binders.spec.Codesign.candidates in
   List.iter
     (fun fu ->
       Minterm.Set.iter
         (fun m ->
           Alcotest.(check bool) "minterm from candidate list" true (List.mem m cands))
         (Config.minterms_of out.Binders.config fu))
-    (Config.locked_fus out.Binders.config)
+    (Config.locked_fus out.Binders.config);
+  let empty = { input.Binders.spec with Codesign.locked_fus = [] } in
+  match Binders.bind Binders.Codesign { input with Binders.spec = empty } with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "codesign binder accepted a spec locking no FU"
 
 (* ------------------------------------------------- parallel determinism *)
 
@@ -966,6 +1024,7 @@ let () =
           Alcotest.test_case "too-large guard" `Quick test_codesign_too_large_guard;
           Alcotest.test_case "oversized space saturates" `Quick test_codesign_space_saturates;
           Alcotest.test_case "spec validation" `Quick test_codesign_spec_validation;
+          Alcotest.test_case "make_spec shape" `Quick test_make_spec_shape;
         ] );
       ( "methodology",
         [
@@ -1012,5 +1071,7 @@ let () =
             qcheck_fast_matches_hungarian;
             qcheck_fold_product_matches_hungarian;
             qcheck_optimal_matches_ordered_search;
+            qcheck_make_spec_contract;
+            qcheck_top_candidates_prefix;
           ] );
     ]

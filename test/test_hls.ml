@@ -253,7 +253,10 @@ let binder_input seed =
   let k = Kmatrix.build trace in
   let candidates = Array.of_list (Kmatrix.top_minterms ~kind:Dfg.Add k ~n:4) in
   let config = Config.make ~scheme:Scheme.Sfll_rem ~locks:[ (0, [ candidates.(0) ]) ] in
-  { Binders.schedule; allocation; profile; k; config; candidates }
+  let spec =
+    Rb_core.Codesign.make_spec allocation Dfg.Add ~locked_fus:1 ~minterms_per_fu:1 candidates
+  in
+  { Binders.schedule; allocation; profile; k; config; spec }
 
 (* The closed set is listed in name order and every name resolves
    back to its binder. *)

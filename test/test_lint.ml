@@ -269,16 +269,11 @@ let test_benchmarks_lint_clean () =
       let k = Rb_sim.Kmatrix.build trace in
       List.iter
         (fun kind ->
-          let fus = Allocation.fu_ids allocation kind in
-          let candidates = Array.of_list (Rb_sim.Kmatrix.top_minterms ~kind k ~n:10) in
-          if fus <> [] && Array.length candidates > 0 then begin
+          let candidates = Rb_core.Codesign.top_candidates k kind in
+          if Allocation.fu_ids allocation kind <> [] && Array.length candidates > 0 then begin
             let spec =
-              {
-                Rb_core.Codesign.scheme = Scheme.Sfll_rem;
-                locked_fus = List.filteri (fun i _ -> i < min 2 (List.length fus)) fus;
-                minterms_per_fu = min 2 (Array.length candidates);
-                candidates;
-              }
+              Rb_core.Codesign.make_spec allocation kind ~locked_fus:2 ~minterms_per_fu:2
+                candidates
             in
             let sol = Rb_core.Codesign.heuristic k schedule allocation spec in
             let binding = sol.Rb_core.Codesign.binding in

@@ -1121,6 +1121,45 @@ let bind_fir_area =
       minterms_per_fu = 2;
     }
 
+(* The fixed-lock binders bind under the co-designed configuration;
+   these two pin what they return for it. *)
+let bind_fft_obf =
+  Job.Bind
+    {
+      benchmark = "fft";
+      seed = 1789;
+      binder = "obf";
+      kind = Rb_dfg.Dfg.Add;
+      locked_fus = 2;
+      minterms_per_fu = 2;
+    }
+
+let bind_jdmerge4_power =
+  Job.Bind
+    {
+      benchmark = "jdmerge4";
+      seed = 1789;
+      binder = "power";
+      kind = Rb_dfg.Dfg.Mul;
+      locked_fus = 3;
+      minterms_per_fu = 3;
+    }
+
+(* A user kernel: the fir benchmark submitted as DFG text, the file
+   [bindlock export-dfg -b fir] prints and [bindlock custom -f] reads. *)
+let custom_fir =
+  Job.Custom
+    {
+      source =
+        Job.Dfg_source
+          (Rb_dfg.Dfg_text.to_string (Rb_workload.Benchmark.find "fir").Rb_workload.Benchmark.dfg);
+      kind = Rb_dfg.Dfg.Add;
+      locked_fus = 1;
+      minterms_per_fu = 2;
+      trace_length = 256;
+      seed = 1789;
+    }
+
 let lint_dct =
   Job.Lint
     { benchmark = Some "dct"; seed = 1789; locked_fus = 2; minterms_per_fu = 2; min_lambda = None }
@@ -1172,6 +1211,10 @@ let golden_tests =
     Alcotest.test_case "bind_dct.txt" `Quick (golden_text "bind_dct.txt" bind_dct);
     Alcotest.test_case "bind_dct.json" `Quick (golden_json "bind_dct.json" bind_dct);
     Alcotest.test_case "bind_fir_area.json" `Quick (golden_json "bind_fir_area.json" bind_fir_area);
+    Alcotest.test_case "bind_fft_obf.json" `Quick (golden_json "bind_fft_obf.json" bind_fft_obf);
+    Alcotest.test_case "bind_jdmerge4_power.json" `Quick
+      (golden_json "bind_jdmerge4_power.json" bind_jdmerge4_power);
+    Alcotest.test_case "custom_fir.txt" `Quick (golden_text "custom_fir.txt" custom_fir);
     Alcotest.test_case "lint_dct.txt" `Quick (golden_text "lint_dct.txt" lint_dct);
     Alcotest.test_case "lint_dct.json" `Quick (golden_json "lint_dct.json" lint_dct);
     Alcotest.test_case "lint_suite.json" `Quick (golden_json "lint_suite.json" lint_suite);
