@@ -1,13 +1,12 @@
 (* Perf-regression gate over two BENCH.json files (as written by
    main.exe --metrics). Thin CLI over Rb_util.Bench_diff: counters are
-   compared exactly by default (they are deterministic work counts —
-   any drift means behaviour changed), wall-clock one-sided with a
-   relative tolerance. A per-section wall-ratio table (current /
+   compared exactly (they are deterministic work counts — any drift
+   means behaviour changed), wall-clock one-sided with a relative
+   tolerance. A per-section wall-ratio table (current /
    baseline) is printed before the verdict; it is informational.
 
    Usage:
-     compare.exe [--wall-tol FRAC] [--counter-tol FRAC] [--allow-new]
-                 BASELINE CURRENT
+     compare.exe [--wall-tol FRAC] BASELINE CURRENT
 
    Exit status: 0 = within tolerances, 1 = regression(s), 2 = bad
    usage or malformed input. *)
@@ -16,13 +15,9 @@ module Bench_diff = Rb_util.Bench_diff
 
 let usage () =
   Printf.eprintf
-    "usage: compare.exe [--wall-tol FRAC] [--counter-tol FRAC] [--allow-new] \
-     BASELINE CURRENT\n\
+    "usage: compare.exe [--wall-tol FRAC] BASELINE CURRENT\n\
      FRAC is a relative fraction: --wall-tol 0.5 allows +50%% wall-clock.\n\
-     Counters are exact (tolerance 0) unless --counter-tol is given.\n\
-     --allow-new tolerates counters absent from the baseline (noted on \
-     stderr);\n\
-     by default they fail the gate.\n"
+     Counters are exact; a counter absent from the baseline fails the gate.\n"
 
 let parse_frac flag s =
   match float_of_string_opt s with
@@ -33,22 +28,14 @@ let parse_frac flag s =
 
 let () =
   let wall_tol = ref 0.5 in
-  let counter_tol = ref 0.0 in
-  let allow_new = ref false in
   let files = ref [] in
   let rec parse = function
     | [] -> ()
     | "--wall-tol" :: v :: rest ->
       wall_tol := parse_frac "--wall-tol" v;
       parse rest
-    | "--counter-tol" :: v :: rest ->
-      counter_tol := parse_frac "--counter-tol" v;
-      parse rest
-    | "--allow-new" :: rest ->
-      allow_new := true;
-      parse rest
-    | [ ("--wall-tol" | "--counter-tol") as flag ] ->
-      Printf.eprintf "%s expects a value\n" flag;
+    | [ "--wall-tol" ] ->
+      Printf.eprintf "--wall-tol expects a value\n";
       exit 2
     | ("--help" | "-h") :: _ ->
       usage ();
@@ -70,8 +57,7 @@ let () =
       exit 2
   in
   match
-    Bench_diff.compare_files ~wall_tol:!wall_tol ~counter_tol:!counter_tol
-      ~allow_new:!allow_new ~baseline ~current ()
+    Bench_diff.compare_files ~wall_tol:!wall_tol ~baseline ~current ()
   with
   | Error msg ->
     Printf.eprintf "compare: %s\n" msg;
@@ -95,9 +81,9 @@ let () =
       report.Bench_diff.additions;
     if report.Bench_diff.violations = [] then begin
       Printf.printf
-        "perf gate OK: %d sections, %d counters checked (wall tol +%.0f%%, counter tol %.0f%%)\n"
+        "perf gate OK: %d sections, %d counters checked (wall tol +%.0f%%, counters exact)\n"
         report.Bench_diff.sections_checked report.Bench_diff.counters_checked
-        (100.0 *. !wall_tol) (100.0 *. !counter_tol);
+        (100.0 *. !wall_tol);
       exit 0
     end
     else begin

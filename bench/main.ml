@@ -101,8 +101,7 @@ let experiment_sections pool =
        register-minimizing binder; switching rate vs the switching-minimizing\n\
        binder), averaged over the locking-configuration sweep";
     print_string
-      (Render.fig6 (Experiments.overhead_suite ~pool ~combos_per_config:8
-                      (Lazy.force contexts)))
+      (Render.fig6 (Experiments.overhead_suite ~pool (Lazy.force contexts)))
   in
   let headline () =
     section "Headline numbers (paper abstract: 26x and 99x; heuristic within 0.5%)";

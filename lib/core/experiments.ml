@@ -11,14 +11,6 @@ module Rng = Rb_util.Rng
 module Stats = Rb_util.Stats
 module Pool = Rb_util.Pool
 
-(* Every binding/config this module produces is asserted lint-clean
-   before it is measured, so a regression in a binder or the co-design
-   search fails loudly instead of skewing a figure. *)
-let assert_lint ?config ?candidates ~subject schedule allocation binding =
-  Rb_lint.Lint.assert_clean
-    (Rb_lint.Lint.design ?config ?candidates ~subject schedule allocation
-       ~fu_of_op:(Binding.fu_array binding))
-
 type context = {
   benchmark : string;
   schedule : Schedule.t;
@@ -39,8 +31,6 @@ let context ~name schedule trace =
   let k = Kmatrix.of_operands profile in
   let area_binding = Rb_hls.Area_binding.bind schedule allocation in
   let power_binding = Rb_hls.Power_binding.bind schedule allocation ~profile in
-  assert_lint ~subject:(name ^ "/area-binding") schedule allocation area_binding;
-  assert_lint ~subject:(name ^ "/power-binding") schedule allocation power_binding;
   {
     benchmark = name;
     schedule;
@@ -69,7 +59,6 @@ type config_result = {
   e_codesign_optimal : int;
   optimal_candidates_used : int;
   e_codesign_heuristic : int;
-  heuristic_searched : int;
 }
 
 (* Locked-input occurrences per (FU, candidate) for a fixed binding:
@@ -121,24 +110,36 @@ let run_codesign_optimal ~max_optimal_assignments k schedule allocation spec =
     in
     shrink (Array.length spec.Codesign.candidates - 1)
 
-let sweep ?(seed = 7) ?(max_combos_per_config = 2000)
-    ?(max_optimal_assignments = 300_000) ?(fu_counts = [ 1; 2; 3 ])
-    ?(minterm_counts = [ 1; 2; 3 ]) ctx kind =
+(* The Sec. VI grid, {1,2,3} locked FUs x {1,2,3} locked inputs per
+   FU (FU count outer), kept to the shapes the kind's allocation and
+   candidate list can hold; [make_spec]'s clamping never fires on
+   them. *)
+let grid ctx kind =
   let candidates = candidates_for ctx kind in
-  let n_cands = Array.length candidates in
-  let fus = Allocation.fu_ids ctx.allocation kind in
-  let available = List.length fus in
-  if n_cands = 0 || available = 0 then []
-  else begin
+  let n_fus = List.length (Allocation.fu_ids ctx.allocation kind) in
+  List.concat_map
+    (fun locked_fus ->
+      List.filter_map
+        (fun minterms_per_fu ->
+          if locked_fus > n_fus || minterms_per_fu > Array.length candidates then None
+          else
+            Some (Codesign.make_spec ctx.allocation kind ~locked_fus ~minterms_per_fu candidates))
+        [ 1; 2; 3 ])
+    [ 1; 2; 3 ]
+
+let sweep ?(seed = 7) ?(max_combos_per_config = 2000)
+    ?(max_optimal_assignments = 300_000) ctx kind =
+  match grid ctx kind with
+  | [] -> []
+  | specs ->
+    let candidates = candidates_for ctx kind in
+    let n_cands = Array.length candidates in
     let table = Cost.cand_table ctx.k candidates in
     let fast = Obf_binding.Fast.prepare table ctx.schedule ctx.allocation ~kind in
-    let run_config locked_fu_count minterms_per_fu =
-      let spec =
-        Codesign.make_spec ctx.allocation kind ~locked_fus:locked_fu_count ~minterms_per_fu
-          candidates
-      in
+    let run_config spec =
       let locked_fus = spec.Codesign.locked_fus in
-      let n_locked = List.length locked_fus in
+      let minterms_per_fu = spec.Codesign.minterms_per_fu in
+      let locked_fu_count = List.length locked_fus in
       let area_w = fixed_binding_weights table ctx.area_binding locked_fus in
       let power_w = fixed_binding_weights table ctx.power_binding locked_fus in
       let per_fu = Combi.choose n_cands minterms_per_fu in
@@ -166,7 +167,7 @@ let sweep ?(seed = 7) ?(max_combos_per_config = 2000)
             let rec go j t acc =
               if j < 0 then acc else go (j - 1) (t / base) (subsets.(t mod base) :: acc)
             in
-            go (n_locked - 1) t []
+            go (locked_fu_count - 1) t []
           in
           (combos_total, false, assignment_at)
         end
@@ -183,12 +184,6 @@ let sweep ?(seed = 7) ?(max_combos_per_config = 2000)
         run_codesign_optimal ~max_optimal_assignments ctx.k ctx.schedule ctx.allocation spec
       in
       let heur = Codesign.heuristic ctx.k ctx.schedule ctx.allocation spec in
-      assert_lint ~config:heur.Codesign.config ~candidates
-        ~subject:
-          (ctx.benchmark ^ "/" ^ Dfg.kind_label kind ^ "/"
-           ^ string_of_int locked_fu_count ^ "FU x "
-           ^ string_of_int minterms_per_fu ^ "m/codesign")
-        ctx.schedule ctx.allocation heur.Codesign.binding;
       {
         kind;
         locked_fu_count;
@@ -199,20 +194,9 @@ let sweep ?(seed = 7) ?(max_combos_per_config = 2000)
         e_codesign_optimal = e_opt;
         optimal_candidates_used = opt_cands;
         e_codesign_heuristic = heur.Codesign.errors;
-        heuristic_searched = heur.Codesign.assignments_searched;
       }
     in
-    List.concat_map
-      (fun locked_fu_count ->
-        if locked_fu_count > available then []
-        else
-          List.filter_map
-            (fun minterms_per_fu ->
-              if minterms_per_fu > n_cands then None
-              else Some (run_config locked_fu_count minterms_per_fu))
-            minterm_counts)
-      fu_counts
-  end
+    List.map run_config specs
 
 let ratio_vs security baseline =
   float_of_int security /. float_of_int (max baseline 1)
@@ -296,63 +280,44 @@ type overhead_result = {
   cd_switching : float;
 }
 
-let overhead ?(combos_per_config = 10) ctx =
-  let seed = 11 in
+let overhead ctx =
+  let seed = 11 and combos_per_config = 8 in
   let obf_regs = ref [] and obf_sw = ref [] in
   let cd_regs = ref [] and cd_sw = ref [] in
-  let note_binding regs sw ~subject config binding =
-    assert_lint ~config ~subject ctx.schedule ctx.allocation binding;
+  let note_binding regs sw binding =
     regs := float_of_int (Rb_hls.Registers.count binding) :: !regs;
     sw := Rb_hls.Switching.rate binding ctx.profile :: !sw
   in
   let run_kind kind =
     let candidates = candidates_for ctx kind in
     let n_cands = Array.length candidates in
-    let fus = Allocation.fu_ids ctx.allocation kind in
-    if n_cands > 0 && fus <> [] then
-      List.iter
-        (fun locked_fu_count ->
-          if locked_fu_count <= List.length fus then
-            List.iter
-              (fun minterms_per_fu ->
-                if minterms_per_fu <= n_cands then begin
-                  let spec =
-                    Codesign.make_spec ctx.allocation kind ~locked_fus:locked_fu_count
-                      ~minterms_per_fu candidates
-                  in
-                  let locked_fus = spec.Codesign.locked_fus in
-                  let rng =
-                    Rng.create
-                      (seed + (100 * locked_fu_count) + minterms_per_fu
-                       + Hashtbl.hash ctx.benchmark)
-                  in
-                  (* Obfuscation-aware binding over a small combination
-                     subsample. *)
-                  for _ = 1 to combos_per_config do
-                    let locks =
-                      List.map
-                        (fun fu ->
-                          let subset = random_subset rng n_cands minterms_per_fu in
-                          (fu, Array.to_list (Array.map (fun c -> candidates.(c)) subset)))
-                        locked_fus
-                    in
-                    let config =
-                      Config.make ~scheme:Rb_locking.Scheme.Sfll_rem ~locks
-                    in
-                    let binding =
-                      Obf_binding.bind ctx.k config ctx.schedule ctx.allocation
-                    in
-                    note_binding obf_regs obf_sw
-                      ~subject:(ctx.benchmark ^ "/overhead/obf-aware") config binding
-                  done;
-                  (* Co-design heuristic binding, one per configuration. *)
-                  let heur = Codesign.heuristic ctx.k ctx.schedule ctx.allocation spec in
-                  note_binding cd_regs cd_sw
-                    ~subject:(ctx.benchmark ^ "/overhead/codesign") heur.Codesign.config
-                    heur.Codesign.binding
-                end)
-              [ 1; 2; 3 ])
-        [ 1; 2; 3 ]
+    List.iter
+      (fun spec ->
+        let locked_fus = spec.Codesign.locked_fus in
+        let minterms_per_fu = spec.Codesign.minterms_per_fu in
+        let rng =
+          Rng.create
+            (seed + (100 * List.length locked_fus) + minterms_per_fu
+             + Hashtbl.hash ctx.benchmark)
+        in
+        (* Obfuscation-aware binding over a small combination
+           subsample. *)
+        for _ = 1 to combos_per_config do
+          let locks =
+            List.map
+              (fun fu ->
+                let subset = random_subset rng n_cands minterms_per_fu in
+                (fu, Array.to_list (Array.map (fun c -> candidates.(c)) subset)))
+              locked_fus
+          in
+          let config = Config.make ~scheme:Rb_locking.Scheme.Sfll_rem ~locks in
+          note_binding obf_regs obf_sw
+            (Obf_binding.bind ctx.k config ctx.schedule ctx.allocation)
+        done;
+        (* Co-design heuristic binding, one per configuration. *)
+        let heur = Codesign.heuristic ctx.k ctx.schedule ctx.allocation spec in
+        note_binding cd_regs cd_sw heur.Codesign.binding)
+      (grid ctx kind)
   in
   run_kind Dfg.Add;
   run_kind Dfg.Mul;
@@ -388,8 +353,6 @@ let quality ~trace ctx kind =
     in
     let solution = Codesign.heuristic ctx.k ctx.schedule ctx.allocation spec in
     let config = solution.Codesign.config in
-    assert_lint ~config ~candidates ~subject:(ctx.benchmark ^ "/quality/codesign")
-      ctx.schedule ctx.allocation solution.Codesign.binding;
     let measure binding =
       Rb_sim.Exec.application_errors ctx.schedule trace
         ~fu_of_op:(Binding.fu_array binding) ~config
@@ -431,9 +394,6 @@ let post_binding ctx kind =
       Codesign.make_spec ctx.allocation kind ~locked_fus:2 ~minterms_per_fu candidates
     in
     let solution = Codesign.heuristic ctx.k ctx.schedule ctx.allocation spec in
-    assert_lint ~config:solution.Codesign.config ~candidates
-      ~subject:(ctx.benchmark ^ "/post-binding/codesign") ctx.schedule ctx.allocation
-      solution.Codesign.binding;
     let input_bits = 2 * Rb_dfg.Word.width in
     let lambda_at minterms =
       Rb_locking.Resilience.lambda_minterms ~key_bits ~correct_keys:1 ~input_bits
@@ -443,20 +403,12 @@ let post_binding ctx kind =
        greedily add the candidate minterm with the most occurrences
        over that FU's bound operations — the best a post-binding
        designer can do from the same candidate list C that co-design
-       drew from. *)
+       drew from. A pool is one FU's candidate counts, largest
+       first. *)
     let per_fu_pool =
-      List.map
-        (fun fu ->
-          let count_on_fu m =
-            List.fold_left
-              (fun acc op -> acc + Kmatrix.count ctx.k m op)
-              0 (Binding.ops_on_fu ctx.area_binding fu)
-          in
-          Array.to_list candidates
-          |> List.map (fun m -> (m, count_on_fu m))
-          |> List.sort (fun (m1, c1) (m2, c2) ->
-                 match Int.compare c2 c1 with 0 -> Minterm.compare m1 m2 | c -> c))
+      fixed_binding_weights (Cost.cand_table ctx.k candidates) ctx.area_binding
         spec.Codesign.locked_fus
+      |> List.map (fun (_, row) -> List.sort (fun a b -> Int.compare b a) (Array.to_list row))
     in
     (* lock the top-h minterms of each FU's own pool; grow h until the
        co-design error level is met or the pools run dry *)
@@ -465,7 +417,7 @@ let post_binding ctx kind =
         (fun acc pool ->
           pool
           |> List.filteri (fun i _ -> i < h)
-          |> List.fold_left (fun acc (_, c) -> acc + c) acc)
+          |> List.fold_left ( + ) acc)
         0 per_fu_pool
     in
     let rec grow h =
@@ -584,8 +536,7 @@ let headline suite =
     hl_gap_worst = Stats.maximum !gaps;
   }
 
-let overhead_suite ~pool ?combos_per_config ctxs =
-  Pool.map_list pool ~f:(fun ctx -> overhead ?combos_per_config ctx) ctxs
+let overhead_suite ~pool ctxs = Pool.map_list pool ~f:overhead ctxs
 
 let quality_suite ~pool ~trace_of ctxs =
   Pool.map_list pool ~f:(fun (ctx, kind) -> quality ~trace:(trace_of ctx) ctx kind)

@@ -15,12 +15,7 @@
     [max_combos_per_config] are sampled (deterministically); optimal
     co-design spaces larger than [max_optimal_assignments] are re-run
     on a shortened candidate list; ratios floor a zero-error baseline
-    at one error event.
-
-    Every binding and locking configuration these drivers generate is
-    run through [Rb_lint] before being measured; a rule violation
-    raises [Rb_lint.Lint.Lint_error] instead of silently skewing a
-    figure. *)
+    at one error event. *)
 
 module Dfg = Rb_dfg.Dfg
 module Minterm = Rb_dfg.Minterm
@@ -60,24 +55,22 @@ type config_result = {
       (** candidate-list length the optimal run actually searched;
           smaller than the full list when the space was reduced *)
   e_codesign_heuristic : int;
-  heuristic_searched : int;  (** assignments scored by the heuristic *)
 }
 
 val sweep :
   ?seed:int ->
   ?max_combos_per_config:int ->
   ?max_optimal_assignments:int ->
-  ?fu_counts:int list ->
-  ?minterm_counts:int list ->
   context ->
   Dfg.op_kind ->
   config_result list
-(** Run the full configuration sweep for one operation kind. Defaults:
-    seed 7, 2000 combinations per configuration, 300_000 optimal
-    assignments, FU counts and minterm counts [\[1;2;3\]]. Returns one
-    result per feasible configuration (infeasible ones — more locked
-    FUs than allocated, fewer candidates than the budget — are
-    skipped).
+(** Run the full configuration sweep for one operation kind over the
+    Sec. VI grid: 1, 2 or 3 locked FUs x 1, 2 or 3 locked inputs per
+    FU. Defaults: seed 7, 2000 combinations per configuration, 300_000
+    optimal assignments. Returns one result per feasible
+    configuration, FU count outer and minterm count inner (infeasible
+    ones — more locked FUs than allocated, fewer candidates than the
+    budget — are skipped).
 
     A configuration whose assignment space fits the budget is
     evaluated exhaustively: [combos.(t)] is the [t]-th assignment in
@@ -131,12 +124,11 @@ type overhead_result = {
   cd_switching : float;
 }
 
-val overhead : ?combos_per_config:int -> context -> overhead_result
+val overhead : context -> overhead_result
 (** Average register count and switching rate of the security-aware
-    binders over the configuration sweep (a small per-configuration
-    combination subsample, default 10, since overhead varies little
-    across combinations; the subsample is drawn from seed 11), against
-    the baselines' values. *)
+    binders over the {!sweep} grid (8 combinations per configuration,
+    since overhead varies little across combinations; the subsample is
+    drawn from seed 11), against the baselines' values. *)
 
 (** Error quality (Sec. III): measured wrong-key corruption of one
     co-designed locking configuration replayed through the trace
@@ -206,7 +198,7 @@ val sweep_suite :
   (sweep_key * config_result list) list
 (** {!sweep} over every (benchmark, kind) pair, in benchmark order
     with Add before Mul. One pool task per pair, each a sequential
-    {!sweep} at its default seed, FU counts and minterm counts. *)
+    {!sweep} at its default seed. *)
 
 val fig4_rows : (sweep_key * config_result list) list -> fig4_row list
 (** The {!fig4_row} of every sweep that has at least one feasible
@@ -247,11 +239,7 @@ val headline : (sweep_key * config_result list) list -> headline_summary
 (** The heuristic-vs-optimal gap counts only configurations whose
     optimal run searched the full 10 candidates. *)
 
-val overhead_suite :
-  pool:Rb_util.Pool.t ->
-  ?combos_per_config:int ->
-  context list ->
-  overhead_result list
+val overhead_suite : pool:Rb_util.Pool.t -> context list -> overhead_result list
 (** {!overhead} for every context, one pool task each. *)
 
 val quality_suite :

@@ -1,5 +1,3 @@
-exception Lint_error of Report.t
-
 let netlist ?(subject = "netlist") c = Report.make ~subject (Netlist_rules.check c)
 
 let locked ?subject (l : Rb_netlist.Lock.locked) =
@@ -26,10 +24,3 @@ let design ?min_lambda ?key_bits ?candidates ?config ~subject schedule allocatio
       Locking_rules.check_config ?min_lambda ?key_bits ?candidates ~input_bits config
   in
   Report.make ~subject (bind_diags @ lock_diags)
-
-let assert_clean report = if not (Report.is_clean report) then raise (Lint_error report)
-
-let () =
-  Printexc.register_printer (function
-    | Lint_error report -> Some (Format.asprintf "Lint_error:@.%a" Report.pp report)
-    | _ -> None)

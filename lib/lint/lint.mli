@@ -13,14 +13,10 @@
     {!Rb_hls.Binding.make} an invalid binding, so {!design} reuses the
     latter rather than keeping a second copy of its checks. Each rule
     set returns {!Diagnostic.t} lists; this module bundles them into
-    {!Report.t}s for whole artifacts and provides the assertion hook
-    the experiment drivers run on every generated design.
+    {!Report.t}s for whole artifacts.
 
     The [bindlock lint] subcommand is the command-line front end; text
     and JSON rendering live in {!Report}. *)
-
-exception Lint_error of Report.t
-(** Raised by {!assert_clean}; carries the offending report. *)
 
 val netlist : ?subject:string -> Rb_netlist.Netlist.t -> Report.t
 (** Run the gate-level rules. [subject] defaults to ["netlist"]. *)
@@ -50,7 +46,3 @@ val design :
     (over the word-level FU input space,
     [input_bits = 2 * Word.width]). Raw input is diagnosed, never
     raised. *)
-
-val assert_clean : Report.t -> unit
-(** Raise {!Lint_error} if the report has errors; the experiment
-    drivers wrap every generated design in this. *)

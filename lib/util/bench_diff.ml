@@ -29,8 +29,7 @@ let describe v =
       v.section v.metric v.baseline
   | New_counter ->
     Printf.sprintf
-      "%s: counter %s not in baseline (current %.0f) — refresh the baseline or \
-       pass --allow-new"
+      "%s: counter %s not in baseline (current %.0f) — refresh the baseline"
       v.section v.metric v.current
   | Counter_drift ->
     Printf.sprintf "%s: counter %s drifted %.0f -> %.0f" v.section v.metric
@@ -88,16 +87,8 @@ let decode_doc ~label j =
 
 (* ------------------------------------------------------------- compare *)
 
-let within_rel ~tol ~baseline ~current =
-  if baseline = current then true
-  else begin
-    let scale = Float.max (Float.abs baseline) 1e-9 in
-    Float.abs (current -. baseline) <= (tol *. scale) +. 1e-12
-  end
-
-let compare_docs ?(wall_tol = 0.5) ?(counter_tol = 0.0) ?(allow_new = false)
-    ~baseline ~current () =
-  if wall_tol < 0.0 || counter_tol < 0.0 then
+let compare_docs ?(wall_tol = 0.5) ~baseline ~current () =
+  if wall_tol < 0.0 then
     invalid_arg "Bench_diff.compare_docs: negative tolerance";
   match
     let base = decode_doc ~label:"baseline" baseline in
@@ -127,18 +118,14 @@ let compare_docs ?(wall_tol = 0.5) ?(counter_tol = 0.0) ?(allow_new = false)
               match List.assoc_opt key c.counters with
               | None -> flag b.name key Missing_counter bv 0.0
               | Some cv ->
-                if not (within_rel ~tol:counter_tol ~baseline:bv ~current:cv) then
-                  flag b.name key Counter_drift bv cv)
+                if cv <> bv then flag b.name key Counter_drift bv cv)
             b.counters;
-          (* Counters only in the current run: strict mode treats them
-             as a gate failure (instrumentation changed without a
-             baseline refresh); [allow_new] demotes them to notes. *)
+          (* A counter only in the current run fails the gate:
+             instrumentation changed without a baseline refresh. *)
           List.iter
             (fun (key, cv) ->
               if not (List.mem_assoc key b.counters) then
-                if allow_new then
-                  additions := Printf.sprintf "%s/%s" c.name key :: !additions
-                else flag b.name key New_counter 0.0 cv)
+                flag b.name key New_counter 0.0 cv)
             c.counters)
       base;
     List.iter
@@ -160,7 +147,7 @@ let read_file path =
   | contents -> Ok contents
   | exception Sys_error msg -> Error msg
 
-let compare_files ?wall_tol ?counter_tol ?allow_new ~baseline ~current () =
+let compare_files ?wall_tol ~baseline ~current () =
   let ( let* ) = Result.bind in
   let load label path =
     let* contents =
@@ -170,4 +157,4 @@ let compare_files ?wall_tol ?counter_tol ?allow_new ~baseline ~current () =
   in
   let* baseline = load "baseline" baseline in
   let* current = load "current" current in
-  compare_docs ?wall_tol ?counter_tol ?allow_new ~baseline ~current ()
+  compare_docs ?wall_tol ~baseline ~current ()

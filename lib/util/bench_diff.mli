@@ -5,9 +5,8 @@
 
     The deterministic/timing split of {!Metrics} drives the policy:
 
-    - {b counters are exact by default} ([counter_tol = 0.0]) — they
-      count logical work, so any drift means behaviour changed, in
-      either direction;
+    - {b counters are exact} — they count logical work, so any drift
+      means behaviour changed, in either direction;
     - {b wall-clock is tolerance-banded and one-sided} — only
       [current > baseline * (1 + wall_tol)] is a regression; getting
       faster never fails the gate.
@@ -15,21 +14,16 @@
     Divergence in either direction is surfaced: anything in
     [baseline] but missing from [current] is a failure (silent
     coverage shrink is exactly what the gate exists to catch), and a
-    counter only in [current] is a failure too by default — behaviour
-    grew without a baseline refresh. Pass [allow_new] to demote new
-    counters to informational additions (the intended mode for a PR
-    that adds instrumentation and defers the baseline refresh).
-    Sections only in [current] are always informational — the gate
-    runs a pinned section list, so an extra section cannot slip in
-    silently. *)
+    counter only in [current] is a failure too — behaviour grew
+    without a baseline refresh. Sections only in [current] are
+    informational — the gate runs a pinned section list, so an extra
+    section cannot slip in silently. *)
 
 type kind =
   | Missing_section  (** baseline section absent from current *)
   | Missing_counter  (** baseline counter absent from the section *)
-  | New_counter
-      (** counter absent from the baseline section (strict mode only —
-          [allow_new] reports these as additions instead) *)
-  | Counter_drift  (** counter outside [counter_tol], either direction *)
+  | New_counter  (** counter absent from the baseline section *)
+  | Counter_drift  (** counter changed, either direction *)
   | Wall_regression  (** wall-clock above [baseline * (1 + wall_tol)] *)
 
 type violation = {
@@ -45,7 +39,7 @@ type report = {
   sections_checked : int;
   counters_checked : int;
   additions : string list;
-      (** sections/counters only in [current]; informational *)
+      (** sections only in [current]; informational *)
   walls : (string * float * float) list;
       (** [(section, baseline wall_s, current wall_s)] for every
           section in both documents, in baseline order; informational
@@ -54,31 +48,16 @@ type report = {
 
 val describe : violation -> string
 (** One human-readable line, e.g.
-    ["fig6: counter matching/phases drifted 120 -> 140 (tolerance 0%)"]. *)
+    ["fig6: counter matching/phases drifted 120 -> 140"]. *)
 
 val compare_docs :
-  ?wall_tol:float ->
-  ?counter_tol:float ->
-  ?allow_new:bool ->
-  baseline:Json.t ->
-  current:Json.t ->
-  unit ->
-  (report, string) result
-(** [wall_tol] and [counter_tol] are relative fractions (e.g. [0.5] =
-    +50%); defaults [wall_tol = 0.5], [counter_tol = 0.0].
-    [allow_new] (default [false]) tolerates counters present only in
-    [current] as additions instead of {!New_counter} violations.
-    [Error] means one of the documents does not have the [rb-bench/1]
+  ?wall_tol:float -> baseline:Json.t -> current:Json.t -> unit -> (report, string) result
+(** [wall_tol] is a relative fraction (e.g. [0.5] = +50%, the
+    default). [Error] means one of the documents does not have the [rb-bench/1]
     shape (that is a malformed input, not a regression — callers
     should exit with a distinct status). *)
 
 val compare_files :
-  ?wall_tol:float ->
-  ?counter_tol:float ->
-  ?allow_new:bool ->
-  baseline:string ->
-  current:string ->
-  unit ->
-  (report, string) result
+  ?wall_tol:float -> baseline:string -> current:string -> unit -> (report, string) result
 (** {!compare_docs} over two files; file read and JSON parse errors
     surface as [Error]. *)

@@ -391,6 +391,37 @@ let qcheck_optimal_matches_ordered_search =
         opt.Codesign.errors = errors && same_config opt.Codesign.config config
       | None, _ | _, `Too_large _ -> false)
 
+(* Both co-design searches lock exactly the spec's FUs, each with
+   [minterms_per_fu] distinct minterms drawn from its candidate list. *)
+let qcheck_codesign_locks_spec =
+  QCheck2.Test.make ~name:"Codesign locks the spec's FUs with |M| candidates each" ~count:100
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng, schedule, allocation, kind, table, n_cands, k = kernel_instance seed in
+      let spec =
+        {
+          Codesign.scheme = Scheme.Sfll_rem;
+          locked_fus = Array.to_list (random_locked_fus rng allocation kind);
+          minterms_per_fu = 1 + Rb_util.Rng.int rng (min 3 n_cands);
+          candidates = Cost.candidates table;
+        }
+      in
+      let candidates = Minterm.Set.of_list (Array.to_list spec.candidates) in
+      let locks_spec (solution : Codesign.solution) =
+        Config.locked_fus solution.config = List.sort Int.compare spec.locked_fus
+        && List.for_all
+             (fun fu ->
+               let minterms = Config.minterms_of solution.config fu in
+               Minterm.Set.cardinal minterms = spec.minterms_per_fu
+               && Minterm.Set.subset minterms candidates)
+             spec.locked_fus
+      in
+      locks_spec (Codesign.heuristic k schedule allocation spec)
+      &&
+      match Codesign.optimal k schedule allocation spec with
+      | `Solution solution -> locks_spec solution
+      | `Too_large _ -> false)
+
 (* ------------------------------------------------------------ codesign *)
 
 let codesign_setting seed =
@@ -819,7 +850,7 @@ let test_experiments_post_binding () =
 
 let test_experiments_overhead_fields () =
   let ctx = small_context () in
-  let ov = Experiments.overhead ~combos_per_config:2 ctx in
+  let ov = Experiments.overhead ctx in
   Alcotest.(check bool) "registers positive" true (ov.Experiments.area_registers > 0);
   Alcotest.(check bool) "switching rates in range" true
     (ov.Experiments.power_switching >= 0.0 && ov.Experiments.power_switching <= 1.0
@@ -847,8 +878,9 @@ let test_sweep_exhaustive_lex_order () =
       ctx.Experiments.schedule ctx.Experiments.allocation ~kind
   in
   let results =
-    Experiments.sweep ~max_combos_per_config:10_000 ~fu_counts:[ 1; 2 ]
-      ~minterm_counts:[ 1; 2 ] ctx kind
+    Experiments.sweep ~max_combos_per_config:10_000 ctx kind
+    |> List.filter (fun (r : Experiments.config_result) ->
+           r.locked_fu_count <= 2 && r.minterms_per_fu <= 2)
   in
   Alcotest.(check int) "four configurations" 4 (List.length results);
   List.iter
@@ -1071,6 +1103,7 @@ let () =
             qcheck_fast_matches_hungarian;
             qcheck_fold_product_matches_hungarian;
             qcheck_optimal_matches_ordered_search;
+            qcheck_codesign_locks_spec;
             qcheck_make_spec_contract;
             qcheck_top_candidates_prefix;
           ] );

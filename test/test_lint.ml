@@ -246,17 +246,6 @@ let test_json_reporter () =
       {|"message":"bad \"net\""|};
     ]
 
-let test_assert_clean_raises () =
-  let dirty =
-    Report.make ~subject:"dirty"
-      [ Diagnostic.error ~rule:"NET-DEAD" Diagnostic.Whole_design "boom" ]
-  in
-  (match Lint.assert_clean dirty with
-   | exception Lint.Lint_error r ->
-     Alcotest.(check string) "carries the report" "dirty" (Report.subject r)
-   | () -> Alcotest.fail "expected Lint_error");
-  Lint.assert_clean (Report.make ~subject:"ok" [])
-
 (* -------------------------------------------- end-to-end cleanliness *)
 
 (* Every benchmark, co-designed and bound, must pass every rule. *)
@@ -339,7 +328,6 @@ let () =
         [
           Alcotest.test_case "order and counts" `Quick test_report_order_and_counts;
           Alcotest.test_case "json" `Quick test_json_reporter;
-          Alcotest.test_case "assert_clean" `Quick test_assert_clean_raises;
         ] );
       ( "end to end",
         Alcotest.test_case "benchmarks lint-clean" `Slow test_benchmarks_lint_clean

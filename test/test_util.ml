@@ -503,11 +503,8 @@ let bench_doc sections =
              sections) );
     ]
 
-let diff ?wall_tol ?counter_tol ?allow_new a b =
-  match
-    Bench_diff.compare_docs ?wall_tol ?counter_tol ?allow_new ~baseline:a
-      ~current:b ()
-  with
+let diff ?wall_tol a b =
+  match Bench_diff.compare_docs ?wall_tol ~baseline:a ~current:b () with
   | Ok r -> r
   | Error msg -> Alcotest.fail msg
 
@@ -533,10 +530,8 @@ let test_diff_wall_regression () =
 let test_diff_counter_regression () =
   let base = bench_doc [ ("fig6", 1.0, [ ("sim/op_evals", 1000) ]) ] in
   let cur = bench_doc [ ("fig6", 1.0, [ ("sim/op_evals", 1001) ]) ] in
-  Alcotest.(check bool) "exact by default" true
+  Alcotest.(check bool) "counters are exact" true
     (kinds (diff base cur) = [ Bench_diff.Counter_drift ]);
-  Alcotest.(check int) "within explicit tolerance passes" 0
-    (List.length (diff ~counter_tol:0.01 base cur).Bench_diff.violations);
   (* Drift downward is a behaviour change too. *)
   Alcotest.(check bool) "downward drift also fails" true
     (kinds (diff cur base) = [ Bench_diff.Counter_drift ])
@@ -554,15 +549,10 @@ let test_diff_new_counter () =
   let cur =
     bench_doc [ ("fig6", 1.0, [ ("sat/solves", 10); ("sat/unknown_results", 0) ]) ]
   in
-  (* A counter absent from the baseline is a gate failure by default:
-     either the baseline is stale or behaviour silently grew. *)
-  Alcotest.(check bool) "new counter fails strict" true
-    (kinds (diff base cur) = [ Bench_diff.New_counter ]);
-  let r = diff ~allow_new:true base cur in
-  Alcotest.(check int) "--allow-new demotes to a note" 0
-    (List.length r.Bench_diff.violations);
-  Alcotest.(check bool) "still reported as an addition" true
-    (r.Bench_diff.additions <> [])
+  (* A counter absent from the baseline is a gate failure: either the
+     baseline is stale or behaviour silently grew. *)
+  Alcotest.(check bool) "new counter fails" true
+    (kinds (diff base cur) = [ Bench_diff.New_counter ])
 
 let test_diff_new_section_informational () =
   let base = bench_doc [ ("fig6", 1.0, []) ] in
@@ -1048,7 +1038,7 @@ let () =
             test_diff_missing_section;
           Alcotest.test_case "malformed doc is an error" `Quick
             test_diff_malformed;
-          Alcotest.test_case "new counter strict vs --allow-new" `Quick
+          Alcotest.test_case "new counter fails" `Quick
             test_diff_new_counter;
           Alcotest.test_case "new section is informational" `Quick
             test_diff_new_section_informational;
