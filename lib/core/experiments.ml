@@ -90,25 +90,34 @@ let random_subset rng n_cands m =
   Array.sort Int.compare subset;
   subset
 
-let run_codesign_optimal ~max_optimal_assignments k schedule allocation spec =
-  match Codesign.optimal ~max_assignments:max_optimal_assignments k schedule allocation spec with
-  | `Solution s -> (s.Codesign.errors, Array.length spec.Codesign.candidates)
-  | `Too_large _ ->
-    (* Re-run on a shortened candidate list (most frequent first) so an
-       exact answer is still reported, with the reduction recorded. *)
-    let rec shrink n =
-      let reduced =
-        { spec with Codesign.candidates = Array.sub spec.Codesign.candidates 0 n }
-      in
-      if Codesign.search_space reduced <= max_optimal_assignments then
-        match Codesign.optimal ~max_assignments:max_optimal_assignments k schedule
-                allocation reduced
-        with
-        | `Solution s -> (s.Codesign.errors, n)
-        | `Too_large _ -> assert false
-      else shrink (n - 1)
-    in
-    shrink (Array.length spec.Codesign.candidates - 1)
+(* The exhaustive co-design fold of one configuration: the Eqn. 2
+   optimum of every multiset of candidate subsets, in the visit order
+   of [Fast.fold_product], over the longest prefix of the candidate
+   list (most frequent first) whose multiset count fits
+   [max_optimal_assignments], so an exact answer is still reported
+   with the reduction recorded. [fast] is prepared on the full list;
+   a prefix subset scores the same there. Returns the prefix length,
+   its subsets and the values; the values' maximum is what
+   [Codesign.optimal] reports on that prefix. *)
+let optimal_fold ~max_optimal_assignments fast spec =
+  let fits n =
+    Codesign.search_space { spec with Codesign.candidates = Array.sub spec.Codesign.candidates 0 n }
+    <= max_optimal_assignments
+  in
+  let rec longest n = if fits n then n else longest (n - 1) in
+  let n = longest (Array.length spec.Codesign.candidates) in
+  if n < spec.Codesign.minterms_per_fu then
+    invalid_arg "Experiments.sweep: max_optimal_assignments";
+  let subsets =
+    Array.of_list (Combi.k_subsets (Array.init n Fun.id) spec.Codesign.minterms_per_fu)
+  in
+  let fus = Array.of_list spec.Codesign.locked_fus in
+  let values = Array.make (Combi.multisets (Array.length subsets) (Array.length fus)) 0 in
+  ignore
+    (Obf_binding.Fast.fold_product fast ~fus ~subsets ~init:0 ~f:(fun i _ errors ->
+         values.(i) <- errors;
+         i + 1));
+  (n, subsets, values)
 
 (* The Sec. VI grid, {1,2,3} locked FUs x {1,2,3} locked inputs per
    FU (FU count outer), kept to the shapes the kind's allocation and
@@ -148,12 +157,30 @@ let sweep ?(seed = 7) ?(max_combos_per_config = 2000)
         seed + (1000 * locked_fu_count) + minterms_per_fu
         + Hashtbl.hash (ctx.benchmark, Dfg.kind_label kind)
       in
+      let n_used, subsets, optima = optimal_fold ~max_optimal_assignments fast spec in
+      (* A combination's e_obf is symmetric in its locked FUs, so once
+         the fold covers the full list it is the fold's value at the
+         rank of the sorted subset indices, each found by its
+         candidate bitmask. *)
+      let e_obf =
+        if n_used < n_cands then fun assignment ->
+          Obf_binding.Fast.best_errors fast ~locks:(List.combine locked_fus assignment)
+        else begin
+          let mask subset = Array.fold_left (fun acc c -> acc lor (1 lsl c)) 0 subset in
+          let index_of_mask = Array.make (1 lsl n_cands) 0 in
+          Array.iteri (fun i subset -> index_of_mask.(mask subset) <- i) subsets;
+          let rank = Combi.multiset_rank (Array.length subsets) locked_fu_count in
+          fun assignment ->
+            let tuple = Array.of_list (List.map (fun s -> index_of_mask.(mask s)) assignment) in
+            Array.sort Int.compare tuple;
+            optima.(rank tuple)
+        end
+      in
       let eval assignment =
-        let locks = List.combine locked_fus assignment in
         {
           e_area = combo_error area_w assignment;
           e_power = combo_error power_w assignment;
-          e_obf = Obf_binding.Fast.best_errors fast ~locks;
+          e_obf = e_obf assignment;
         }
       in
       let n_combos, sampled, assignment_at =
@@ -180,9 +207,6 @@ let sweep ?(seed = 7) ?(max_combos_per_config = 2000)
         end
       in
       let combos = Array.init n_combos (fun t -> eval (assignment_at t)) in
-      let e_opt, opt_cands =
-        run_codesign_optimal ~max_optimal_assignments ctx.k ctx.schedule ctx.allocation spec
-      in
       let heur = Codesign.heuristic ctx.k ctx.schedule ctx.allocation spec in
       {
         kind;
@@ -191,8 +215,8 @@ let sweep ?(seed = 7) ?(max_combos_per_config = 2000)
         combos_total;
         combos;
         sampled;
-        e_codesign_optimal = e_opt;
-        optimal_candidates_used = opt_cands;
+        e_codesign_optimal = Array.fold_left max 0 optima;
+        optimal_candidates_used = n_used;
         e_codesign_heuristic = heur.Codesign.errors;
       }
     in

@@ -13,9 +13,9 @@
     Deviations from the paper, all reported in the result records
     rather than silently applied: combination spaces larger than
     [max_combos_per_config] are sampled (deterministically); optimal
-    co-design spaces larger than [max_optimal_assignments] are re-run
-    on a shortened candidate list; ratios floor a zero-error baseline
-    at one error event. *)
+    co-design spaces larger than [max_optimal_assignments] are
+    searched on a shortened candidate list; ratios floor a zero-error
+    baseline at one error event. *)
 
 module Dfg = Rb_dfg.Dfg
 module Minterm = Rb_dfg.Minterm
@@ -77,7 +77,18 @@ val sweep :
     lexicographic order (one candidate subset per locked FU, first FU
     most significant). A larger space is sampled, and sample [t] draws
     its RNG from the seed, configuration and [t] alone. Evaluation is
-    sequential; {!sweep_suite} is the parallel level. *)
+    sequential; {!sweep_suite} is the parallel level.
+
+    Each configuration runs one exhaustive co-design fold
+    ({!Obf_binding.Fast.fold_product}) over the longest prefix of the
+    candidate list whose multiset count fits [max_optimal_assignments];
+    [optimal_candidates_used] is that prefix's length and
+    [e_codesign_optimal] the fold's maximum, which is
+    {!Codesign.optimal}'s [errors] on that prefix. When the fold
+    covers the full list, each combination's [e_obf] is read from it
+    (errors are symmetric in the locked FUs, so the sorted subset
+    tuple's value); otherwise {!Obf_binding.Fast.best_errors} scores
+    it. Both give the same number. *)
 
 val ratio_vs : int -> int -> float
 (** [ratio_vs security baseline] with the zero-baseline floor. *)

@@ -131,7 +131,10 @@ module Fast = struct
   (* Subset DP over bitmasks of a cycle's rows, one locked FU at a
      time: [state.(rm)] is the best partial matching of rows in [rm]
      into the FUs placed so far. Tuples sharing a prefix share its
-     states, so a leaf costs one step per row. *)
+     states, so a leaf costs one step per row. The leaf level runs
+     group-outer: each group's states are read once for every subset
+     of the last FU, and the leaves' totals are summed in [totals]
+     before [f] sees them in order. *)
   let fold_product t ~fus ~subsets ~init ~f =
     Array.iteri
       (fun i fu ->
@@ -142,57 +145,74 @@ module Fast = struct
         done)
       fus;
     let n_locks = Array.length fus and n_subsets = Array.length subsets in
+    let n_groups = Array.length t.group_rows in
     let weights = Array.map (class_weights t) subsets in
     let states =
       Array.init n_locks (fun _ ->
           Array.map (fun rows -> Array.make (1 lsl Array.length rows) 0) t.group_rows)
     in
+    let max_rows = Array.fold_left (fun acc rows -> max acc (Array.length rows)) 0 t.group_rows in
+    (* [row_states.(r)]: a group's state with row [r] still free. *)
+    let row_states = Array.make max_rows 0 in
+    let totals = Array.make n_subsets 0 in
     let tuple = Array.make n_locks 0 in
     let leaves = ref 0 in
-    let rec place l acc =
-      let prev = states.(l) in
+    let leaf prev lo acc =
+      Array.fill totals lo (n_subsets - lo) 0;
+      for g = 0 to n_groups - 1 do
+        let st = prev.(g) and rows = t.group_rows.(g) and mult = t.group_mult.(g) in
+        let n_rows = Array.length rows in
+        let full = Array.length st - 1 in
+        let all_placed = st.(full) in
+        for r = 0 to n_rows - 1 do
+          row_states.(r) <- st.(full lxor (1 lsl r))
+        done;
+        for s = lo to n_subsets - 1 do
+          let w = weights.(s) in
+          let b = ref all_placed in
+          for r = 0 to n_rows - 1 do
+            let v = row_states.(r) + w.(rows.(r)) in
+            if v > !b then b := v
+          done;
+          totals.(s) <- totals.(s) + (mult * !b)
+        done
+      done;
       let acc = ref acc in
-      for s = (if l = 0 then 0 else tuple.(l - 1)) to n_subsets - 1 do
-        tuple.(l) <- s;
-        let w = weights.(s) in
-        if l = n_locks - 1 then begin
-          let total = ref 0 in
-          Array.iteri
-            (fun g rows ->
-              let st = prev.(g) in
-              let full = Array.length st - 1 in
-              let b = ref st.(full) in
-              Array.iteri
-                (fun r cls ->
-                  let v = st.(full lxor (1 lsl r)) + w.(cls) in
-                  if v > !b then b := v)
-                rows;
-              total := !total + (t.group_mult.(g) * !b))
-            t.group_rows;
-          incr leaves;
-          acc := f !acc tuple !total
-        end
-        else begin
-          let next = states.(l + 1) in
-          Array.iteri
-            (fun g rows ->
-              let st = prev.(g) and nx = next.(g) in
-              for rm = 0 to Array.length st - 1 do
-                let b = ref st.(rm) in
-                Array.iteri
-                  (fun r cls ->
-                    if rm land (1 lsl r) <> 0 then begin
-                      let v = st.(rm lxor (1 lsl r)) + w.(cls) in
-                      if v > !b then b := v
-                    end)
-                  rows;
-                nx.(rm) <- !b
-              done)
-            t.group_rows;
-          acc := place (l + 1) !acc
-        end
+      for s = lo to n_subsets - 1 do
+        tuple.(n_locks - 1) <- s;
+        incr leaves;
+        acc := f !acc tuple totals.(s)
       done;
       !acc
+    in
+    let rec place l acc =
+      let prev = states.(l) in
+      let lo = if l = 0 then 0 else tuple.(l - 1) in
+      if l = n_locks - 1 then leaf prev lo acc
+      else begin
+        let next = states.(l + 1) in
+        let acc = ref acc in
+        for s = lo to n_subsets - 1 do
+          tuple.(l) <- s;
+          let w = weights.(s) in
+          for g = 0 to n_groups - 1 do
+            let st = prev.(g) and nx = next.(g) and rows = t.group_rows.(g) in
+            let n_rows = Array.length rows in
+            for rm = 0 to Array.length st - 1 do
+              let b = ref st.(rm) in
+              for r = 0 to n_rows - 1 do
+                if rm land (1 lsl r) <> 0 then begin
+                  let v = st.(rm lxor (1 lsl r)) + w.(rows.(r)) in
+                  if v > !b then b := v
+                end
+              done;
+              nx.(rm) <- !b
+            done
+          done;
+          acc := place (l + 1) !acc
+        done;
+        !acc
+      end
     in
     let acc = if n_locks = 0 then f init tuple 0 else place 0 init in
     Metrics.add m_combinations (if n_locks = 0 then 1 else !leaves);

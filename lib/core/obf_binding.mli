@@ -51,7 +51,10 @@ module Fast : sig
   (** Maximum Eqn. 2 value over bindings of this kind's operations,
       where [locks] gives (FU id, candidate-index subset) pairs; a
       repeated FU takes its last subset. Does not materialize the
-      binding. Counts one ["codesign/combinations"]. Raises
+      binding. The heuristic's score; the sweep's per-combination
+      score only where its configuration's {!fold_product} was capped
+      to a shorter candidate list (elsewhere the sweep looks the value
+      up in that fold). Counts one ["codesign/combinations"]. Raises
       [Invalid_argument] on a locked FU of another kind. *)
 
   val fold_product :
@@ -81,6 +84,8 @@ module Fast : sig
 
       Tuples sharing a prefix share its DP states, so the exhaustive
       co-design search pays about one step per cycle row per tuple.
+      [f] sees the tuple of rank [i] ({!Rb_util.Combi.multiset_rank}
+      [|subsets| |fus|]) as its [i]-th call.
       [tuple] is reused between calls and must not be retained. Counts
       one ["codesign/combinations"] per tuple. Raises
       [Invalid_argument] on a repeated FU or one of another kind. *)

@@ -62,8 +62,8 @@ let check_config ?min_lambda ?key_bits ?candidates ~input_bits config =
                     (if n = 1 then "" else "s")
                     fu)
                  ~hint:
-                   "distinct locked sets per FU maximize Eqn. 2 error for the same \
-                    key budget"))
+                   "sharing is legal and can be optimal: a minterm frequent on both FUs' \
+                    operations adds Eqn. 2 error on each"))
         rest;
       pairs rest
   in

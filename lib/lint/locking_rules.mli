@@ -2,16 +2,18 @@
 
     A locking configuration can be structurally valid yet useless: lock
     too many minterms and the Eqn. 1 SAT-iteration bound collapses;
-    lock the same minterm on two FUs and half the key budget buys
-    nothing; lock minterms the workload never exercises and Eqn. 2
-    counts zero. Rules:
+    lock minterms the workload never exercises and Eqn. 2 counts zero.
+    Rules:
 
     - {!rule_resilience} [LOCK-RESIL] (error): a locked FU's predicted
       SAT-attack iterations (Eqn. 1, {!Rb_locking.Resilience}) fall
       below the designer's target.
     - {!rule_overlap} [LOCK-OVERLAP] (warning): two locked FUs share a
-      locked minterm — wasted key budget, since each FU corrupts
-      independently.
+      locked minterm. Worth a look, not a defect: each FU corrupts
+      independently, so a minterm frequent on both FUs' operations
+      adds Eqn. 2 error on each, and the exact co-design
+      ([Rb_core.Codesign.optimal]) often shares minterms and then
+      beats every disjoint choice.
     - {!rule_candidates} [LOCK-CAND] (error): a locked minterm is
       outside the supplied candidate list [C] — the co-design pipeline
       only reasons about candidates, so an off-list minterm means the

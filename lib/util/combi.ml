@@ -25,6 +25,29 @@ let multisets n k =
   else if n > max_int - (k - 1) then max_int
   else choose (n + k - 1) k
 
+(* Symbol [r] at position [i] leaves [multisets (n - r) (k - i - 1)]
+   non-decreasing tails, and [offsets.(i).(s)] sums them over [r < s].
+   A tuple's rank adds, per position, the tails it skips between the
+   previous position's symbol and its own. *)
+let multiset_rank n k =
+  let offsets =
+    Array.init k (fun i ->
+        let row = Array.make (n + 1) 0 in
+        for s = 1 to n do
+          row.(s) <- row.(s - 1) + multisets (n - s + 1) (k - i - 1)
+        done;
+        row)
+  in
+  fun tuple ->
+    if Array.length tuple <> k then invalid_arg "Combi.multiset_rank: tuple length";
+    let rank = ref 0 and prev = ref 0 in
+    for i = 0 to k - 1 do
+      let row = offsets.(i) in
+      rank := !rank + row.(tuple.(i)) - row.(!prev);
+      prev := tuple.(i)
+    done;
+    !rank
+
 (* Enumerate index vectors 0 <= c.(0) < c.(1) < ... < c.(k-1) < n in
    lexicographic order; [advance] finds the rightmost index that can
    still move and resets everything after it. *)

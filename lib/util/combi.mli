@@ -14,6 +14,17 @@ val multisets : int -> int -> int
     kinds, C(n + k - 1, k), saturating at [max_int] (also when
     [n + k - 1] itself would overflow). *)
 
+val multiset_rank : int -> int -> int array -> int
+(** [multiset_rank n k tuple] is the index of the non-decreasing
+    [tuple] (length [k], symbols in [\[0, n)]) among all such tuples in
+    lexicographic order, from [0] to [multisets n k - 1]. Partial
+    application [multiset_rank n k] builds an [O(k n)] prefix-count
+    table once; each ranking then costs [O(k)]. The rank is
+    meaningless for a tuple that is not non-decreasing or has a
+    symbol out of range, and exact only while [multisets n k] does not
+    saturate. Raises [Invalid_argument] when [tuple] is not of length
+    [k]. *)
+
 val k_subsets : 'a array -> int -> 'a array list
 (** [k_subsets arr k] lists every size-[k] subset of [arr], each in the
     original element order, in lexicographic index order. C(n, k)

@@ -924,6 +924,69 @@ let test_sweep_exhaustive_lex_order () =
         r.e_codesign_optimal)
     results
 
+(* Once its configuration's fold covers the full candidate list, a
+   combination's e_obf is looked up in the fold's values; a cap of one
+   assignment shrinks every fold to a single subset, so every
+   combination is scored by its own DP instead. *)
+let test_sweep_lookup_matches_dp () =
+  let ctx = small_context () in
+  List.iter
+    (fun kind ->
+      let run cap =
+        Experiments.sweep ~max_combos_per_config:50 ~max_optimal_assignments:cap ctx kind
+      in
+      let looked_up = run max_int and scored = run 1 in
+      Alcotest.(check int) "same configurations" (List.length looked_up) (List.length scored);
+      List.iter2
+        (fun (a : Experiments.config_result) (b : Experiments.config_result) ->
+          Alcotest.(check int) "looked up" Codesign.n_candidates a.optimal_candidates_used;
+          Alcotest.(check int) "one subset" b.minterms_per_fu b.optimal_candidates_used;
+          Alcotest.(check bool) "combos equal" true (a.combos = b.combos))
+        looked_up scored)
+    [ Dfg.Add; Dfg.Mul ]
+
+(* Overlapping locked sets can beat every disjoint choice: on
+   motion2's multipliers with 2 locked FUs x 2 minterms, the optimal
+   co-design shares a minterm between the FUs, and no tuple of
+   disjoint subsets reaches its Eqn. 2 value. *)
+let test_optimal_overlap_beats_disjoint () =
+  let bench = Rb_workload.Benchmark.find "motion2" in
+  let schedule = Rb_workload.Benchmark.schedule bench in
+  let ctx = Experiments.context ~name:"motion2" schedule (Rb_workload.Benchmark.trace bench) in
+  let kind = Dfg.Mul in
+  let candidates = Experiments.candidates_for ctx kind in
+  let allocation = ctx.Experiments.allocation in
+  let spec = Codesign.make_spec allocation kind ~locked_fus:2 ~minterms_per_fu:2 candidates in
+  let optimum =
+    match Codesign.optimal ctx.Experiments.k schedule allocation spec with
+    | `Solution s -> s
+    | `Too_large _ -> Alcotest.fail "search space within the default cap"
+  in
+  let fast =
+    Obf_binding.Fast.prepare (Cost.cand_table ctx.Experiments.k candidates) schedule allocation
+      ~kind
+  in
+  let subsets =
+    Array.of_list (Combi.k_subsets (Array.init (Array.length candidates) Fun.id) 2)
+  in
+  let disjoint a b = Array.for_all (fun c -> not (Array.mem c b)) a in
+  let best_disjoint =
+    Obf_binding.Fast.fold_product fast
+      ~fus:(Array.of_list spec.Codesign.locked_fus)
+      ~subsets ~init:0
+      ~f:(fun acc tuple errors ->
+        if disjoint subsets.(tuple.(0)) subsets.(tuple.(1)) then max acc errors else acc)
+  in
+  let config = optimum.Codesign.config in
+  (match Config.locked_fus config with
+   | [ a; b ] ->
+     Alcotest.(check bool) "optimum shares a minterm" false
+       (Minterm.Set.is_empty
+          (Minterm.Set.inter (Config.minterms_of config a) (Config.minterms_of config b)))
+   | _ -> Alcotest.fail "two locked FUs");
+  Alcotest.(check (pair int int)) "optimum vs best disjoint" (1048, 900)
+    (optimum.Codesign.errors, best_disjoint)
+
 (* ------------------------------------------------ security-aware binders *)
 
 module Binders = Rb_core.Binders
@@ -1084,6 +1147,10 @@ let () =
           Alcotest.test_case "overhead fields" `Quick test_experiments_overhead_fields;
           Alcotest.test_case "sweep exhaustive lex order" `Quick
             test_sweep_exhaustive_lex_order;
+          Alcotest.test_case "sweep lookup = per-combination DP" `Quick
+            test_sweep_lookup_matches_dp;
+          Alcotest.test_case "optimal overlap beats disjoint" `Quick
+            test_optimal_overlap_beats_disjoint;
         ] );
       ( "binders",
         [

@@ -843,6 +843,36 @@ let qcheck_shuffle_multiset =
       Rng.shuffle rng arr;
       List.sort compare (Array.to_list arr) = List.sort compare l)
 
+(* The tuples do not depend on the instance's values, so one small
+   fold state serves every case: fir's multipliers under its top
+   candidates. *)
+let fir_mul_fold =
+  lazy
+    (let bench = Rb_workload.Benchmark.find "fir" in
+     let schedule = Rb_workload.Benchmark.schedule bench in
+     let k = Rb_sim.Kmatrix.build (Rb_workload.Benchmark.trace ~length:32 bench) in
+     let allocation = Rb_hls.Allocation.for_schedule schedule in
+     let kind = Rb_dfg.Dfg.Mul in
+     let table = Rb_core.Cost.cand_table k (Rb_core.Codesign.top_candidates k kind) in
+     ( Rb_core.Obf_binding.Fast.prepare table schedule allocation ~kind,
+       Array.of_list (Rb_hls.Allocation.fu_ids allocation kind),
+       Array.length (Rb_core.Cost.candidates table) ))
+
+let qcheck_multiset_rank_visit_order =
+  QCheck2.Test.make ~name:"multiset_rank of fold_product's i-th tuple is i" ~count:100
+    QCheck2.Gen.(triple (int_range 1 3) (int_range 1 12) int)
+    (fun (n_locks, n_subsets, seed) ->
+      let fast, fus, n_cands = Lazy.force fir_mul_fold in
+      let rng = Rng.create seed in
+      let fus = Array.sub fus 0 (min n_locks (Array.length fus)) in
+      let subsets = Array.init n_subsets (fun _ -> [| Rng.int rng n_cands |]) in
+      let rank = Combi.multiset_rank n_subsets (Array.length fus) in
+      let visited =
+        Rb_core.Obf_binding.Fast.fold_product fast ~fus ~subsets ~init:0
+          ~f:(fun i tuple _ -> if rank tuple = i then i + 1 else -1)
+      in
+      visited = Combi.multisets n_subsets (Array.length fus))
+
 let qcheck_pool_exactly_once =
   QCheck2.Test.make ~name:"Pool.map runs each task exactly once, in order" ~count:30
     QCheck2.Gen.(pair (int_range 1 4) (int_range 0 200))
@@ -1099,7 +1129,7 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ qcheck_choose_symmetry; qcheck_k_subsets_count; qcheck_rng_int_bounds;
-            qcheck_shuffle_multiset; qcheck_pool_exactly_once;
+            qcheck_shuffle_multiset; qcheck_multiset_rank_visit_order; qcheck_pool_exactly_once;
             qcheck_pool_matches_list_map; qcheck_pool_exception_cleanup;
             qcheck_json_roundtrip; qcheck_json_pretty_roundtrip;
             qcheck_digest_canonical; qcheck_metrics_jobs_invariant ] );
