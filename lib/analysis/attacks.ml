@@ -56,7 +56,7 @@ let const_prop_name = "const-prop"
 
 let const_prop c =
   let free = Ternary.constants c in
-  let cone = Engine.output_cone c in
+  let cone = N.output_cone c in
   let live = Ternary.live_nets c in
   let n_keys = N.n_keys c in
   let inferences = ref [] in

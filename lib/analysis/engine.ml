@@ -16,16 +16,3 @@ let run ~init ~transfer netlist =
   done;
   Metrics.add m_transfers n_gates;
   values
-
-let output_cone netlist =
-  let gates = Netlist.gates netlist in
-  let base = Netlist.n_nets netlist - Array.length gates in
-  let in_cone = Array.make (Netlist.n_nets netlist) false in
-  let rec visit net =
-    if not in_cone.(net) then begin
-      in_cone.(net) <- true;
-      if net >= base then List.iter visit (Netlist.gate_fanin gates.(net - base))
-    end
-  in
-  Array.iter visit (Netlist.outputs netlist);
-  in_cone

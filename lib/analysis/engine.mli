@@ -25,8 +25,3 @@ val run :
     inputs and keys their boundary values, and the sweep overwrites
     every gate net. [transfer g ~read] computes the value of [g]'s
     driven net, where [read] returns the value of an operand net. *)
-
-val output_cone : Rb_netlist.Netlist.t -> bool array
-(** Per net: is the net an output or in the transitive structural
-    fan-in of one? Shared by dead-logic reporting, key observability
-    and the removal attack's dead-code elimination. *)

@@ -23,7 +23,7 @@ type t = {
 }
 
 let analyze ~subject c =
-  let cone = Engine.output_cone c in
+  let cone = N.output_cone c in
   let base = N.n_inputs c + N.n_keys c in
   let dead_gates = ref 0 in
   for i = 0 to N.n_gates c - 1 do

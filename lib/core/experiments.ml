@@ -418,7 +418,7 @@ let post_binding ctx kind =
       Codesign.make_spec ctx.allocation kind ~locked_fus:2 ~minterms_per_fu candidates
     in
     let solution = Codesign.heuristic ctx.k ctx.schedule ctx.allocation spec in
-    let input_bits = 2 * Rb_dfg.Word.width in
+    let input_bits = Rb_dfg.Minterm.bits in
     let lambda_at minterms =
       Rb_locking.Resilience.lambda_minterms ~key_bits ~correct_keys:1 ~input_bits
         ~minterms

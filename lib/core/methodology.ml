@@ -16,7 +16,7 @@ let predicted_lambda_of ?key_bits config =
   match key_bits with
   | None -> Config.lambda_per_fu config
   | Some kb ->
-    let input_bits = 2 * Rb_dfg.Word.width in
+    let input_bits = Rb_dfg.Minterm.bits in
     List.fold_left
       (fun acc fu ->
         let minterms =

@@ -2,7 +2,8 @@ type t = int
 
 let pack a b = (Word.clamp a lsl Word.width) lor Word.clamp b
 let unpack m = (m lsr Word.width, m land Word.mask)
-let space_size = 1 lsl (2 * Word.width)
+let bits = 2 * Word.width
+let space_size = 1 lsl bits
 let of_int i = i land (space_size - 1)
 let to_int m = m
 let compare = Int.compare

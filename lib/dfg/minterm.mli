@@ -22,8 +22,13 @@ val of_int : int -> t
 
 val to_int : t -> int
 
+val bits : int
+(** Width of a minterm in bits, [2 * Word.width]: the input width of a
+    two-operand FU, which Eqn. 1 and the key-length formulas take as
+    their input width. *)
+
 val space_size : int
-(** Number of distinct minterms for one FU, [2^(2*Word.width)]. *)
+(** Number of distinct minterms for one FU, [2^bits]. *)
 
 val compare : t -> t -> int
 val equal : t -> t -> bool

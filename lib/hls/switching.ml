@@ -1,4 +1,3 @@
-module Word = Rb_dfg.Word
 
 let fold_transitions binding f init =
   let allocation = Binding.allocation binding in
@@ -22,4 +21,4 @@ let rate binding profile =
   if transitions = 0 then 0.0
   else
     total_toggles binding profile
-    /. float_of_int (transitions * 2 * Word.width)
+    /. float_of_int (transitions * Rb_dfg.Minterm.bits)

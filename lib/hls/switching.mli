@@ -9,7 +9,7 @@
 val rate : Binding.t -> Profile.t -> float
 (** Normalized input-port toggle rate of a bound data path: total
     expected Hamming distance across all consecutive same-FU
-    execution pairs, divided by the bits presented ([2 * Word.width]
+    execution pairs, divided by the bits presented ([Minterm.bits]
     per transition). 0.0 when no FU executes twice. *)
 
 val total_toggles : Binding.t -> Profile.t -> float

@@ -20,7 +20,7 @@ let design ?min_lambda ?key_bits ?candidates ?config ~subject schedule allocatio
     match config with
     | None -> []
     | Some config ->
-      let input_bits = 2 * Rb_dfg.Word.width in
+      let input_bits = Rb_dfg.Minterm.bits in
       Locking_rules.check_config ?min_lambda ?key_bits ?candidates ~input_bits config
   in
   Report.make ~subject (bind_diags @ lock_diags)

@@ -44,5 +44,5 @@ val design :
 (** Check one bound (and optionally locked) design: binding validity
     ({!rule_binding}), and the locking rules when [config] is given
     (over the word-level FU input space,
-    [input_bits = 2 * Word.width]). Raw input is diagnosed, never
+    [input_bits = Minterm.bits]). Raw input is diagnosed, never
     raised. *)

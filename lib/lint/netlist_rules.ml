@@ -15,7 +15,7 @@ let check c =
   let base = n_inputs + n_keys in
   let diags = ref [] in
   let emit d = diags := d :: !diags in
-  let cone = Rb_analysis.Engine.output_cone c in
+  let cone = Netlist.output_cone c in
   let live = Ternary.live_nets c in
   let consts = Ternary.constants c in
   (* dead gates *)

@@ -1,5 +1,4 @@
 module Minterm = Rb_dfg.Minterm
-module Word = Rb_dfg.Word
 
 type t = {
   scheme : Scheme.t;
@@ -35,7 +34,7 @@ let is_locked_input t ~fu m = Minterm.Set.mem m (minterms_of t fu)
 let corrupt output = output lxor 1
 
 let lambda_per_fu t =
-  let input_bits = 2 * Word.width in
+  let input_bits = Minterm.bits in
   List.fold_left
     (fun acc (_, set) ->
       let minterms = Minterm.Set.cardinal set in

@@ -10,16 +10,14 @@ type locked = {
 let require_unlocked c name =
   if Netlist.n_keys c <> 0 then invalid_arg (name ^ ": circuit already has key inputs")
 
-(* Rebuild [c] inside a fresh builder with [n_keys] key inputs,
-   applying [rewrite] after each original gate: [rewrite i new_net]
-   returns the net that consumers of original gate [i] should read. *)
-let rebuild c ~n_keys ~rewrite =
-  let b = B.create ~n_inputs:(Netlist.n_inputs c) ~n_keys in
+(* Copy the gates of the unlocked circuit [c] into [b], in order, with
+   [c]'s primary input [i] read from net [inputs.(i)]. [rewrite i net]
+   returns the net that consumers of gate [i]'s copy [net] should read.
+   Returns the nets of [c]'s outputs. *)
+let copy_gates ?(rewrite = fun _ net -> net) b c ~inputs =
   let base = Netlist.n_inputs c + Netlist.n_keys c in
   let map = Array.make (Netlist.n_nets c) (-1) in
-  for i = 0 to Netlist.n_inputs c - 1 do
-    map.(i) <- B.input b i
-  done;
+  Array.blit inputs 0 map 0 (Netlist.n_inputs c);
   let tr n =
     let m = map.(n) in
     assert (m >= 0);
@@ -40,40 +38,39 @@ let rebuild c ~n_keys ~rewrite =
         | Mux (s, x, y) -> Netlist.Mux (tr s, tr x, tr y)
         | Const v -> Netlist.Const v
       in
-      let net = B.gate b g' in
-      map.(base + i) <- rewrite b i net)
+      map.(base + i) <- rewrite i (B.gate b g'))
     (Netlist.gates c);
-  (b, fun n -> tr n)
+  Array.map tr (Netlist.outputs c)
 
-(* Gate indices in the transitive fan-in of some output: key gates on
-   dead logic would never corrupt anything (and would defeat the SAT
-   attack's termination guarantee vacuously). *)
-let live_gates c =
-  let base = Netlist.n_inputs c + Netlist.n_keys c in
-  let gates = Netlist.gates c in
-  let live = Array.make (Array.length gates) false in
-  let rec visit net =
-    if net >= base && not live.(net - base) then begin
-      live.(net - base) <- true;
-      List.iter visit (Netlist.gate_fanin gates.(net - base))
-    end
-  in
-  Array.iter visit (Netlist.outputs c);
-  live
+let primary_inputs b c = Array.init (Netlist.n_inputs c) (B.input b)
 
+(* [c] over [n_keys] key inputs with output 0 XORed with a flip net,
+   which [flip b x] builds over the primary input nets [x]: the shape
+   of both point-function and Anti-SAT locking. *)
+let flip_output0 c ~n_keys ~flip =
+  let b = B.create ~n_inputs:(Netlist.n_inputs c) ~n_keys in
+  let x = primary_inputs b c in
+  let outs = copy_gates b c ~inputs:x in
+  let f = flip b x in
+  Array.iteri (fun idx net -> B.output b (if idx = 0 then B.xor_ b net f else net)) outs;
+  B.finish b
+
+(* Gate indices in the transitive fan-in of some output, ascending: key
+   gates on dead logic would never corrupt anything (and would defeat
+   the SAT attack's termination guarantee vacuously). *)
 let live_positions c =
-  let live = live_gates c in
-  Array.of_list (List.filter (fun i -> live.(i)) (List.init (Netlist.n_gates c) Fun.id))
+  let cone = Netlist.output_cone c in
+  let base = Netlist.n_inputs c + Netlist.n_keys c in
+  Array.of_list (List.filter (fun i -> cone.(base + i)) (List.init (Netlist.n_gates c) Fun.id))
 
 let max_xor_key_bits c = Array.length (live_positions c)
 
 let xor_random ~rng ~key_bits c =
   require_unlocked c "Lock.xor_random";
-  let live_positions = live_positions c in
-  if key_bits <= 0 || key_bits > Array.length live_positions then
+  let positions = live_positions c in
+  if key_bits <= 0 || key_bits > Array.length positions then
     invalid_arg "Lock.xor_random: key_bits out of range";
   (* Choose distinct live gate positions and a polarity per key bit. *)
-  let positions = live_positions in
   Rng.shuffle rng positions;
   let chosen = Hashtbl.create key_bits in
   let correct_key = Array.make key_bits false in
@@ -83,15 +80,15 @@ let xor_random ~rng ~key_bits c =
     (* XOR gate passes through when key = 0; XNOR when key = 1. *)
     correct_key.(k) <- invert
   done;
-  let rewrite b i net =
+  let b = B.create ~n_inputs:(Netlist.n_inputs c) ~n_keys:key_bits in
+  let rewrite i net =
     match Hashtbl.find_opt chosen i with
     | None -> net
     | Some (k, invert) ->
       let key_net = B.key b k in
       if invert then B.xnor_ b net key_net else B.xor_ b net key_net
   in
-  let b, tr = rebuild c ~n_keys:key_bits ~rewrite in
-  Array.iter (fun o -> B.output b (tr o)) (Netlist.outputs c);
+  Array.iter (B.output b) (copy_gates ~rewrite b c ~inputs:(primary_inputs b c));
   { circuit = B.finish b; correct_key; description = Printf.sprintf "RLL-%d" key_bits }
 
 let point_function ~minterms c =
@@ -105,26 +102,18 @@ let point_function ~minterms c =
       if m < 0 || m >= 1 lsl n_in then invalid_arg "Lock.point_function: minterm range")
     minterms;
   let n_keys = h * n_in in
-  let rewrite _ _ net = net in
-  let b, tr = rebuild c ~n_keys ~rewrite in
-  let x = Array.init n_in (fun i -> B.input b i) in
-  (* Strip unit: fixed comparators for the protected minterms. *)
-  let strip_hits = List.map (fun m -> Circuits.equals_const b x m) minterms in
-  let strip = B.or_reduce b strip_hits in
-  (* Restore unit: one programmable comparator per key block. *)
-  let restore_hits =
-    List.init h (fun j ->
-        let kbits = Array.init n_in (fun i -> B.key b ((j * n_in) + i)) in
-        Circuits.equals_bits b x kbits)
+  let flip b x =
+    (* Strip unit: fixed comparators for the protected minterms. *)
+    let strip = B.or_reduce b (List.map (fun m -> Circuits.equals_const b x m) minterms) in
+    (* Restore unit: one programmable comparator per key block. *)
+    let restore_hits =
+      List.init h (fun j ->
+          let kbits = Array.init n_in (fun i -> B.key b ((j * n_in) + i)) in
+          Circuits.equals_bits b x kbits)
+    in
+    B.xor_ b strip (B.or_reduce b restore_hits)
   in
-  let restore = B.or_reduce b restore_hits in
-  let flip = B.xor_ b strip restore in
-  let outs = Netlist.outputs c in
-  Array.iteri
-    (fun idx o ->
-      let net = tr o in
-      if idx = 0 then B.output b (B.xor_ b net flip) else B.output b net)
-    outs;
+  let circuit = flip_output0 c ~n_keys ~flip in
   let correct_key = Array.make n_keys false in
   List.iteri
     (fun j m ->
@@ -132,33 +121,23 @@ let point_function ~minterms c =
         correct_key.((j * n_in) + i) <- (m lsr i) land 1 = 1
       done)
     minterms;
-  {
-    circuit = B.finish b;
-    correct_key;
-    description = Printf.sprintf "point-function h=%d" h;
-  }
+  { circuit; correct_key; description = Printf.sprintf "point-function h=%d" h }
 
 let anti_sat ~rng c =
   require_unlocked c "Lock.anti_sat";
   let n_in = Netlist.n_inputs c in
   if n_in < 1 then invalid_arg "Lock.anti_sat: no inputs";
-  let n_keys = 2 * n_in in
-  let rewrite _ _ net = net in
-  let b, tr = rebuild c ~n_keys ~rewrite in
-  let x = Array.init n_in (fun i -> B.input b i) in
-  (* g(X xor K1): AND-tree; its complement side uses K2. *)
-  let xored offset = Array.mapi (fun i xi -> B.xor_ b xi (B.key b (offset + i))) x in
-  let g1 = B.and_reduce b (Array.to_list (xored 0)) in
-  let g2 = B.and_reduce b (Array.to_list (xored n_in)) in
-  let y = B.and_ b g1 (B.not_ b g2) in
-  Array.iteri
-    (fun idx o ->
-      let net = tr o in
-      if idx = 0 then B.output b (B.xor_ b net y) else B.output b net)
-    (Netlist.outputs c);
+  let flip b x =
+    (* g(X xor K1): AND-tree; its complement side uses K2. *)
+    let xored offset = Array.mapi (fun i xi -> B.xor_ b xi (B.key b (offset + i))) x in
+    let g1 = B.and_reduce b (Array.to_list (xored 0)) in
+    let g2 = B.and_reduce b (Array.to_list (xored n_in)) in
+    B.and_ b g1 (B.not_ b g2)
+  in
+  let circuit = flip_output0 c ~n_keys:(2 * n_in) ~flip in
   let shared = Array.init n_in (fun _ -> Rng.bool rng) in
   let correct_key = Array.append shared shared in
-  { circuit = B.finish b; correct_key; description = "anti-SAT" }
+  { circuit; correct_key; description = "anti-SAT" }
 
 (* Swap layer routing: layer [l] pairs wire [2i + (l mod 2)] with its
    neighbour, so consecutive layers interleave (an omega-network
@@ -206,7 +185,7 @@ let permutation_network ~rng ~layers c =
     Array.map (fun i -> perm.(i)) wires
   in
   let b = B.create ~n_inputs:n_in ~n_keys in
-  let raw = Array.init n_in (fun i -> B.input b i) in
+  let raw = primary_inputs b c in
   (* The scrambled wire order that the chip sees. *)
   let scrambled = apply_fixed raw in
   (* Keyed network: layers applied in reverse order undo the scramble
@@ -230,33 +209,8 @@ let permutation_network ~rng ~layers c =
       (layer_pairs src_layer);
     wires := next
   done;
-  (* Rebuild the payload circuit on top of the descrambled wires. *)
-  let base = n_in in
-  let map = Array.make (Netlist.n_nets c) (-1) in
-  Array.iteri (fun i w -> map.(i) <- w) !wires;
-  let tr n =
-    let m = map.(n) in
-    assert (m >= 0);
-    m
-  in
-  Array.iteri
-    (fun i g ->
-      let g' =
-        match (g : Netlist.gate) with
-        | And (x, y) -> Netlist.And (tr x, tr y)
-        | Or (x, y) -> Netlist.Or (tr x, tr y)
-        | Xor (x, y) -> Netlist.Xor (tr x, tr y)
-        | Nand (x, y) -> Netlist.Nand (tr x, tr y)
-        | Nor (x, y) -> Netlist.Nor (tr x, tr y)
-        | Xnor (x, y) -> Netlist.Xnor (tr x, tr y)
-        | Not x -> Netlist.Not (tr x)
-        | Buf x -> Netlist.Buf (tr x)
-        | Mux (s, x, y) -> Netlist.Mux (tr s, tr x, tr y)
-        | Const v -> Netlist.Const v
-      in
-      map.(base + i) <- B.gate b g')
-    (Netlist.gates c);
-  Array.iter (fun o -> B.output b (tr o)) (Netlist.outputs c);
+  (* The payload circuit on top of the descrambled wires. *)
+  Array.iter (B.output b) (copy_gates b c ~inputs:!wires);
   {
     circuit = B.finish b;
     correct_key;

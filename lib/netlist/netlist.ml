@@ -37,31 +37,17 @@ let gate_fanin = function
   | Mux (s, a, b) -> [ s; a; b ]
   | Const _ -> []
 
-let eval c ~inputs ~keys =
-  if Array.length inputs <> c.n_inputs then invalid_arg "Netlist.eval: input width";
-  if Array.length keys <> c.n_keys then invalid_arg "Netlist.eval: key width";
-  let values = Array.make (n_nets c) false in
-  Array.blit inputs 0 values 0 c.n_inputs;
-  Array.blit keys 0 values c.n_inputs c.n_keys;
+let output_cone c =
   let base = c.n_inputs + c.n_keys in
-  Array.iteri
-    (fun i g ->
-      let v =
-        match g with
-        | And (a, b) -> values.(a) && values.(b)
-        | Or (a, b) -> values.(a) || values.(b)
-        | Xor (a, b) -> values.(a) <> values.(b)
-        | Nand (a, b) -> not (values.(a) && values.(b))
-        | Nor (a, b) -> not (values.(a) || values.(b))
-        | Xnor (a, b) -> values.(a) = values.(b)
-        | Not a -> not values.(a)
-        | Buf a -> values.(a)
-        | Mux (s, a, b) -> if values.(s) then values.(b) else values.(a)
-        | Const v -> v
-      in
-      values.(base + i) <- v)
-    c.gates;
-  Array.map (fun o -> values.(o)) c.outputs
+  let in_cone = Array.make (n_nets c) false in
+  let rec visit net =
+    if not in_cone.(net) then begin
+      in_cone.(net) <- true;
+      if net >= base then List.iter visit (gate_fanin c.gates.(net - base))
+    end
+  in
+  Array.iter visit c.outputs;
+  in_cone
 
 let eval_lanes c values =
   let base = c.n_inputs + c.n_keys in
@@ -84,6 +70,15 @@ let eval_lanes c values =
          (values.(a) land lnot s) lor (values.(b) land s)
        | Const v -> if v then -1 else 0)
   done
+
+let eval c ~inputs ~keys =
+  if Array.length inputs <> c.n_inputs then invalid_arg "Netlist.eval: input width";
+  if Array.length keys <> c.n_keys then invalid_arg "Netlist.eval: key width";
+  let values = Array.make (n_nets c) 0 in
+  Array.iteri (fun i v -> if v then values.(i) <- 1) inputs;
+  Array.iteri (fun i v -> if v then values.(c.n_inputs + i) <- 1) keys;
+  eval_lanes c values;
+  Array.map (fun o -> values.(o) land 1 = 1) c.outputs
 
 let eval_words c ~inputs ~keys =
   if c.n_inputs > 62 || c.n_keys > 62 || Array.length c.outputs > 62 then

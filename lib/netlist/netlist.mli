@@ -48,9 +48,11 @@ val gate_fanin : gate -> net list
 val key_net : t -> int -> net
 (** [key_net c i] is the net of key input [i]. *)
 
-val eval : t -> inputs:bool array -> keys:bool array -> bool array
-(** Simulate the circuit; returns output values in declaration order.
-    Raises [Invalid_argument] on width mismatches. *)
+val output_cone : t -> bool array
+(** Per net: is the net an output or in the transitive structural
+    fan-in of one? The one liveness walk of the repo: RLL key
+    placement, dead-logic reporting, key observability and the removal
+    attack's dead-code elimination all read it. *)
 
 val eval_lanes : t -> int array -> unit
 (** Bit-parallel simulation: [eval_lanes c values] evaluates up to 63
@@ -62,9 +64,15 @@ val eval_lanes : t -> int array -> unit
     [lxor] / [lnot] of its operands, so bit [j] of every word is the
     net's value under pattern [j]. Output values are read back through
     {!outputs}. Nothing is allocated, so a sweep reuses one array for
-    every block of patterns. Lane by lane it agrees with {!eval}.
+    every block of patterns. The one gate-semantics table of the
+    library: {!eval} and {!eval_words} are one-lane calls of it.
     Raises [Invalid_argument] when [values] is shorter than
     {!n_nets}. *)
+
+val eval : t -> inputs:bool array -> keys:bool array -> bool array
+(** Simulate one input pattern, a one-lane {!eval_lanes}; returns
+    output values in declaration order. Raises [Invalid_argument] on
+    width mismatches. *)
 
 val eval_words : t -> inputs:int -> keys:int -> int
 (** Word-level convenience, a one-lane {!eval_lanes}: bit [i] of

@@ -56,33 +56,20 @@ type miter = {
   limit : Limits.t;
 }
 
-(* Force at least one pair of corresponding outputs to differ — but
-   only when [act] is assumed: for each output pair (x, y) introduce d
-   with d -> (x xor y), and require [act -> some d]. Guarding the
-   disjunction with an activation literal is what lets the final
-   key-recovery solve reuse this instance (under [-act]) instead of
-   re-encoding the whole observation history from scratch. *)
+(* The miter's difference clause is guarded by [act]: it forces some
+   output pair to differ only when [act] is assumed. That is what lets
+   the final key-recovery solve reuse this instance (under [-act])
+   instead of re-encoding the whole observation history from
+   scratch. *)
 let new_member locked i =
   let solver = Solver.create ~config:(Solver.diverse_config i) () in
-  let a = Tseitin.encode solver locked in
-  let b = Tseitin.encode solver locked ~input_vars:a.Tseitin.input_vars in
-  let act = Solver.new_var solver in
-  let n = Array.length a.Tseitin.output_vars in
-  let diffs =
-    Array.init n (fun j ->
-        let d = Solver.new_var solver in
-        let x = a.Tseitin.output_vars.(j) and y = b.Tseitin.output_vars.(j) in
-        Solver.add_clause solver [ -d; x; y ];
-        Solver.add_clause solver [ -d; -x; -y ];
-        d)
-  in
-  Solver.add_clause solver (-act :: Array.to_list diffs);
+  let m = Tseitin.miter ~activation:true (Tseitin.solver_sink solver) locked in
   {
     solver;
-    inputs = a.Tseitin.input_vars;
-    keys_a = a.Tseitin.key_vars;
-    keys_b = b.Tseitin.key_vars;
-    act;
+    inputs = m.copy_a.input_vars;
+    keys_a = m.copy_a.key_vars;
+    keys_b = m.copy_b.key_vars;
+    act = Option.get m.act;
   }
 
 (* Members race only on pool workers, so a portfolio larger than the

@@ -18,8 +18,9 @@
     {2 Incremental engine}
 
     The attack is fully incremental: one persistent {!Solver.t} (per
-    portfolio member) holds the miter for the whole run. The miter
-    difference clause is guarded by an activation literal, so DIP
+    portfolio member) holds the miter ({!Tseitin.miter}) for the whole
+    run. The miter difference clause is guarded by an activation
+    literal, so DIP
     rounds solve under the assumption [act], each oracle observation
     lands as constant-specialized clauses
     ({!Tseitin.constrain_observation} — learnt clauses survive across

@@ -1,5 +1,3 @@
-module Netlist = Rb_netlist.Netlist
-
 type t = {
   n_vars : int;
   clauses : int list list;
@@ -8,70 +6,38 @@ type t = {
   output_vars : int array;
 }
 
-(* Standalone Tseitin encoding: variables 1..n_in are inputs, the next
-   n_key are keys, then one per gate, allocated in gate order (plus any
-   extra the caller appends). *)
-let encode_copy ~next_var ~clauses ?input_vars circuit =
-  let n_in = Netlist.n_inputs circuit in
-  let n_key = Netlist.n_keys circuit in
-  let fresh () =
-    let v = !next_var in
-    incr next_var;
-    v
+(* Run [encode] on a sink that numbers variables from 1 and collects
+   the clauses in order. *)
+let collect encode =
+  let n_vars = ref 0 and rev_clauses = ref [] in
+  let result =
+    encode
+      {
+        Tseitin.new_var =
+          (fun () ->
+            incr n_vars;
+            !n_vars);
+        add_clause = (fun c -> rev_clauses := c :: !rev_clauses);
+      }
   in
-  let input_vars =
-    match input_vars with
-    | Some v -> v
-    | None -> Array.init n_in (fun _ -> fresh ())
-  in
-  let key_vars = Array.init n_key (fun _ -> fresh ()) in
-  let var_of_net = Array.make (Netlist.n_nets circuit) 0 in
-  Array.blit input_vars 0 var_of_net 0 n_in;
-  Array.blit key_vars 0 var_of_net n_in n_key;
-  let base = n_in + n_key in
-  Array.iteri
-    (fun i g ->
-      let z = fresh () in
-      var_of_net.(base + i) <- z;
-      let v n = var_of_net.(n) in
-      clauses := List.rev_append (Tseitin.gate_clauses ~z ~v g) !clauses)
-    (Netlist.gates circuit);
-  let output_vars = Array.map (fun o -> var_of_net.(o)) (Netlist.outputs circuit) in
-  (input_vars, key_vars, output_vars)
+  (!n_vars, List.rev !rev_clauses, result)
 
 let of_netlist circuit =
-  let next_var = ref 1 in
-  let clauses = ref [] in
-  let input_vars, key_vars, output_vars = encode_copy ~next_var ~clauses circuit in
-  {
-    n_vars = !next_var - 1;
-    clauses = List.rev !clauses;
-    input_vars;
-    key_vars;
-    output_vars;
-  }
+  let n_vars, clauses, (c : Tseitin.instance) =
+    collect (fun sink -> Tseitin.encode sink circuit)
+  in
+  { n_vars; clauses; input_vars = c.input_vars; key_vars = c.key_vars; output_vars = c.output_vars }
 
 let miter circuit =
-  let next_var = ref 1 in
-  let clauses = ref [] in
-  let input_vars, key_a, out_a = encode_copy ~next_var ~clauses circuit in
-  let _, _key_b, out_b = encode_copy ~next_var ~clauses ~input_vars circuit in
-  (* difference indicators: d_i -> (out_a.i xor out_b.i); assert some d *)
-  let diffs =
-    Array.init (Array.length out_a) (fun i ->
-        let d = !next_var in
-        incr next_var;
-        clauses := [ -d; out_a.(i); out_b.(i) ] :: !clauses;
-        clauses := [ -d; -out_a.(i); -out_b.(i) ] :: !clauses;
-        d)
+  let n_vars, clauses, (m : Tseitin.miter) =
+    collect (fun sink -> Tseitin.miter ~activation:false sink circuit)
   in
-  clauses := Array.to_list diffs :: !clauses;
   {
-    n_vars = !next_var - 1;
-    clauses = List.rev !clauses;
-    input_vars;
-    key_vars = key_a;
-    output_vars = diffs;
+    n_vars;
+    clauses;
+    input_vars = m.copy_a.input_vars;
+    key_vars = m.copy_a.key_vars;
+    output_vars = m.diffs;
   }
 
 let to_string ?(comments = []) t =

@@ -14,13 +14,14 @@ type t = {
 }
 
 val of_netlist : Rb_netlist.Netlist.t -> t
-(** Tseitin-encode one copy of the circuit, standalone. *)
+(** {!Tseitin.encode} of one copy of the circuit, standalone, with
+    variables numbered from 1. *)
 
 val miter : Rb_netlist.Netlist.t -> t
-(** The SAT-attack miter (two copies sharing primary inputs, separate
-    keys, at least one output differing) as one CNF; [key_vars] holds
-    the first copy's keys and [output_vars] the difference
-    indicators. *)
+(** {!Tseitin.miter} without an activation variable (two copies sharing
+    primary inputs, separate keys, at least one output differing) as
+    one CNF; [key_vars] holds the first copy's keys and [output_vars]
+    the difference indicators. *)
 
 val to_string : ?comments:string list -> t -> string
 (** Render in DIMACS format with a variable-layout comment header. *)

@@ -6,10 +6,13 @@ type instance = {
   output_vars : int array;
 }
 
-let fresh_vars solver n = Array.init n (fun _ -> Solver.new_var solver)
+type sink = { new_var : unit -> int; add_clause : int list -> unit }
+
+let solver_sink solver =
+  { new_var = (fun () -> Solver.new_var solver); add_clause = Solver.add_clause solver }
 
 (* CNF clauses asserting z <-> gate(inputs), with [v] resolving net
-   variables. Shared by the solver encoding and the DIMACS export. *)
+   variables. *)
 let gate_clauses ~z ~v (g : Rb_netlist.Netlist.gate) =
   match g with
   | And (a, b) -> [ [ -z; v a ]; [ -z; v b ]; [ z; -(v a); -(v b) ] ]
@@ -28,23 +31,18 @@ let gate_clauses ~z ~v (g : Rb_netlist.Netlist.gate) =
   | Const true -> [ [ z ] ]
   | Const false -> [ [ -z ] ]
 
-let encode ?input_vars ?key_vars solver circuit =
+let encode ?input_vars sink circuit =
   let n_in = Netlist.n_inputs circuit in
   let n_key = Netlist.n_keys circuit in
+  let fresh n = Array.init n (fun _ -> sink.new_var ()) in
   let input_vars =
     match input_vars with
-    | None -> fresh_vars solver n_in
+    | None -> fresh n_in
     | Some v ->
       if Array.length v <> n_in then invalid_arg "Tseitin.encode: input width";
       v
   in
-  let key_vars =
-    match key_vars with
-    | None -> fresh_vars solver n_key
-    | Some v ->
-      if Array.length v <> n_key then invalid_arg "Tseitin.encode: key width";
-      v
-  in
+  let key_vars = fresh n_key in
   let n_nets = Netlist.n_nets circuit in
   let var_of_net = Array.make n_nets 0 in
   Array.blit input_vars 0 var_of_net 0 n_in;
@@ -52,13 +50,32 @@ let encode ?input_vars ?key_vars solver circuit =
   let base = n_in + n_key in
   Array.iteri
     (fun i g ->
-      let z = Solver.new_var solver in
+      let z = sink.new_var () in
       var_of_net.(base + i) <- z;
       let v n = var_of_net.(n) in
-      List.iter (Solver.add_clause solver) (gate_clauses ~z ~v g))
+      List.iter sink.add_clause (gate_clauses ~z ~v g))
     (Netlist.gates circuit);
   let output_vars = Array.map (fun o -> var_of_net.(o)) (Netlist.outputs circuit) in
   { input_vars; key_vars; output_vars }
+
+type miter = { copy_a : instance; copy_b : instance; act : int option; diffs : int array }
+
+let miter ~activation sink circuit =
+  let a = encode sink circuit in
+  let b = encode sink circuit ~input_vars:a.input_vars in
+  let act = if activation then Some (sink.new_var ()) else None in
+  let diffs =
+    Array.mapi
+      (fun j x ->
+        let d = sink.new_var () and y = b.output_vars.(j) in
+        sink.add_clause [ -d; x; y ];
+        sink.add_clause [ -d; -x; -y ];
+        d)
+      a.output_vars
+  in
+  let some_diff = Array.to_list diffs in
+  sink.add_clause (match act with Some act -> -act :: some_diff | None -> some_diff);
+  { copy_a = a; copy_b = b; act; diffs }
 
 (* Partially evaluated net values while encoding under fixed inputs: a
    net is a known constant, a literal over already-allocated variables
@@ -149,7 +166,7 @@ let constrain_observation solver circuit ~key_vars ~inputs ~outputs =
         L z
       end
   in
-  (* z = s ? b : a, mirroring the Mux convention of {!gate_clauses}. *)
+  (* z = s ? b : a, mirroring the Mux convention of [gate_clauses]. *)
   let mk_mux s a b =
     match s with
     | T -> b

@@ -1,31 +1,52 @@
 (** Tseitin encoding of netlists into CNF.
 
-    Instantiates a copy of a {!Rb_netlist.Netlist.t} inside a
-    {!Solver}: every net receives a solver variable (or reuses a
-    caller-supplied one, which is how the SAT attack shares primary
-    inputs between the two halves of a miter and key variables across
-    I/O-constraint copies). *)
+    {!encode} is the library's one encoder of a full circuit copy: it
+    writes a {!Rb_netlist.Netlist.t} through a {!sink}, which is a
+    {!Solver} in the SAT attack and a clause list in {!Dimacs}. Every
+    net receives a variable; the primary inputs may reuse
+    caller-supplied ones, which is how the two halves of {!miter} share
+    them. {!constrain_observation} is the attack's other encoding: one
+    copy specialized under fixed inputs. *)
 
 type instance = {
-  input_vars : int array;  (** solver variable per primary input *)
-  key_vars : int array;  (** solver variable per key input *)
-  output_vars : int array;  (** solver variable per output, in order *)
+  input_vars : int array;  (** variable per primary input *)
+  key_vars : int array;  (** variable per key input *)
+  output_vars : int array;  (** variable per output, in order *)
 }
 
-val gate_clauses : z:int -> v:(int -> int) -> Rb_netlist.Netlist.gate -> int list list
-(** The CNF clauses asserting [z <-> gate(...)], with [v] mapping nets
-    to variables — the per-gate encoding shared with {!Dimacs}. *)
+type sink = {
+  new_var : unit -> int;  (** allocate the next variable *)
+  add_clause : int list -> unit;  (** assert one clause *)
+}
+(** Where an encoding goes: variables are allocated and clauses added
+    in call order, so two sinks fed the same encoding number their
+    variables alike. *)
 
-val encode :
-  ?input_vars:int array ->
-  ?key_vars:int array ->
-  Solver.t ->
-  Rb_netlist.Netlist.t ->
-  instance
-(** Add one copy of the circuit to the solver. Omitted variable arrays
-    are freshly allocated; supplied arrays must match the circuit's
-    widths. Gate semantics are encoded with the standard 2-3 clause
-    Tseitin forms. *)
+val solver_sink : Solver.t -> sink
+(** {!Solver.new_var} and {!Solver.add_clause} of one solver. *)
+
+val encode : ?input_vars:int array -> sink -> Rb_netlist.Netlist.t -> instance
+(** Add one copy of the circuit. Variables are allocated for the
+    primary inputs (unless [input_vars] is given, which must match the
+    input width), then the keys, then one per gate in gate order. Each
+    gate is encoded with its standard Tseitin clauses (one to
+    four). *)
+
+type miter = {
+  copy_a : instance;
+  copy_b : instance;  (** shares [copy_a]'s [input_vars] *)
+  act : int option;  (** the activation variable, when requested *)
+  diffs : int array;  (** difference indicator per output *)
+}
+
+val miter : activation:bool -> sink -> Rb_netlist.Netlist.t -> miter
+(** The SAT-attack miter: two {!encode} copies sharing primary inputs
+    with separate keys, then per output [j] an indicator [d_j] with
+    [d_j -> (a_j xor b_j)], and one clause asserting that some [d_j]
+    holds. With [~activation:true] a variable [act] is allocated after
+    both copies and before the indicators, and that clause becomes
+    [act -> some d_j]: solving under [act] asks for a differing pair,
+    solving under [-act] leaves only the two copies. *)
 
 val constrain_observation :
   Solver.t ->

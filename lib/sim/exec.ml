@@ -120,14 +120,13 @@ end
 (* Per-op locked-minterm lookup tables. [Config.is_locked_input] is a
    [List.assoc] over the locked FUs followed by a [Minterm.Set.mem] —
    fine once, ruinous once per op per sample. A minterm is
-   [2 * Word.width] bits, so each locked FU's set flattens into a 64 KB
+   [Minterm.bits] bits, so each locked FU's set flattens into a 64 KB
    byte table and the per-op query becomes one byte load. Ops on
    unlocked FUs share a single all-zero table, which keeps the hot
    loop free of any "is this FU locked" branch. *)
-let table_size = 1 lsl (2 * Word.width)
 
 let locked_tables config ~fu_of_op n =
-  let zero = Bytes.make table_size '\000' in
+  let zero = Bytes.make Minterm.space_size '\000' in
   let by_fu = Hashtbl.create 8 in
   let table_of fu =
     match Hashtbl.find_opt by_fu fu with
@@ -137,7 +136,7 @@ let locked_tables config ~fu_of_op n =
       let t =
         if Minterm.Set.is_empty set then zero
         else begin
-          let t = Bytes.make table_size '\000' in
+          let t = Bytes.make Minterm.space_size '\000' in
           Minterm.Set.iter (fun m -> Bytes.set t (Minterm.to_int m) '\001') set;
           t
         end

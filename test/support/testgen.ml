@@ -55,6 +55,36 @@ let random_netlist rng ~n_inputs ~n_keys ~n_gates =
   done;
   N.Builder.finish b
 
+let eval_nets c ~inputs ~keys =
+  let module N = Rb_netlist.Netlist in
+  let n_inputs = N.n_inputs c and n_keys = N.n_keys c in
+  let vals = Array.make (N.n_nets c) false in
+  Array.blit inputs 0 vals 0 n_inputs;
+  Array.blit keys 0 vals n_inputs n_keys;
+  Array.iteri
+    (fun i g ->
+      let v = Array.get vals in
+      let r =
+        match g with
+        | N.And (a, b) -> v a && v b
+        | N.Or (a, b) -> v a || v b
+        | N.Xor (a, b) -> v a <> v b
+        | N.Nand (a, b) -> not (v a && v b)
+        | N.Nor (a, b) -> not (v a || v b)
+        | N.Xnor (a, b) -> v a = v b
+        | N.Not a -> not (v a)
+        | N.Buf a -> v a
+        | N.Mux (s, a, b) -> if v s then v b else v a
+        | N.Const k -> k
+      in
+      vals.(n_inputs + n_keys + i) <- r)
+    (N.gates c);
+  vals
+
+let eval_outputs c ~inputs ~keys =
+  let vals = eval_nets c ~inputs ~keys in
+  Array.map (Array.get vals) (Rb_netlist.Netlist.outputs c)
+
 let random_trace ?(n = 32) seed dfg =
   let rng = Rng.create seed in
   Rb_sim.Trace.generate dfg ~n ~f:(fun _ _ -> Rng.int rng 256)

@@ -13,6 +13,17 @@ val random_netlist :
     keys and earlier gates, and one to three outputs from all of them.
     Requires [n_inputs + n_keys >= 1]. *)
 
+val eval_nets : Rb_netlist.Netlist.t -> inputs:bool array -> keys:bool array -> bool array
+(** The value of every net under one input pattern: a scalar reference
+    evaluator with its own gate-semantics table, independent of
+    {!Rb_netlist.Netlist.eval_lanes} (and so of
+    {!Rb_netlist.Netlist.eval}, a one-lane call of it). The differential
+    oracle for the lane evaluator and for the per-net claims of the
+    analyses. *)
+
+val eval_outputs : Rb_netlist.Netlist.t -> inputs:bool array -> keys:bool array -> bool array
+(** The outputs of {!eval_nets}, in declaration order. *)
+
 val random_trace : ?n:int -> int -> Rb_dfg.Dfg.t -> Rb_sim.Trace.t
 (** Uniform-random input trace (deterministic in the seed). *)
 

@@ -1,10 +1,12 @@
 module Netlist = Rb_netlist.Netlist
 module Lock = Rb_netlist.Lock
 module Rng = Rb_util.Rng
+module Testgen = Rb_testsupport.Testgen
 
 (* One scalar evaluation of minterm [x] (input [i] is bit [i] of [x]). *)
 let eval_minterm c x ~keys =
-  Netlist.eval c ~inputs:(Array.init (Netlist.n_inputs c) (fun i -> (x lsr i) land 1 = 1)) ~keys
+  let inputs = Array.init (Netlist.n_inputs c) (fun i -> (x lsr i) land 1 = 1) in
+  Testgen.eval_outputs c ~inputs ~keys
 
 let input_space (locked : Lock.locked) =
   let n_in = Netlist.n_inputs locked.circuit in
@@ -42,7 +44,9 @@ let estimated_error_rate (locked : Lock.locked) ~key ~seed ~skip ~samples =
   let errors = ref 0 in
   for _ = 1 to samples do
     let inputs = random_inputs () in
-    if Netlist.eval c ~inputs ~keys:key <> Netlist.eval c ~inputs ~keys:locked.correct_key then
+    if Testgen.eval_outputs c ~inputs ~keys:key
+       <> Testgen.eval_outputs c ~inputs ~keys:locked.correct_key
+    then
       incr errors
   done;
   float_of_int !errors /. float_of_int samples

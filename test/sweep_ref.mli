@@ -3,12 +3,12 @@
     for {!Rb_netlist.Lock.wrong_key_locked_minterms} (and through it
     {!Rb_netlist.Lock.error_rate}), {!Rb_sat.Attack.key_is_correct} and
     the residual-error estimate of {!Rb_sat.Attack.approximate}. Every
-    input pattern costs two scalar {!Rb_netlist.Netlist.eval} calls,
-    one per key, and each call allocates. The library's sweep had the
-    same shape over {!Rb_netlist.Netlist.eval_words}, which is now
-    itself a one-lane {!Rb_netlist.Netlist.eval_lanes}; the oracle
-    uses [eval] so that it stays independent of the lane evaluator.
-    Slow; tests only. *)
+    input pattern costs two scalar {!Rb_testsupport.Testgen.eval_outputs}
+    calls, one per key, and each call allocates. The library's scalar
+    {!Rb_netlist.Netlist.eval} and {!Rb_netlist.Netlist.eval_words} are
+    one-lane {!Rb_netlist.Netlist.eval_lanes} calls; the oracle uses the
+    reference evaluator of the test support library so that it stays
+    independent of the lane evaluator. Slow; tests only. *)
 
 module Lock = Rb_netlist.Lock
 
@@ -26,5 +26,5 @@ val estimated_error_rate :
     computes it: an {!Rb_util.Rng} seeded with [seed] first draws the
     [skip] random oracle queries of the attack loop (one bool per
     primary input each), then [samples] random input patterns, and each
-    pattern is evaluated with {!Rb_netlist.Netlist.eval} under [key] and
-    under the correct key. *)
+    pattern is evaluated with {!Rb_testsupport.Testgen.eval_outputs}
+    under [key] and under the correct key. *)

@@ -13,48 +13,9 @@ module Metrics = Rb_util.Metrics
 module B = Netlist.Builder
 module Testgen = Rb_testsupport.Testgen
 
-(* Reference per-net evaluator: Netlist.eval only exposes outputs, but
-   the analyses make claims about every net. *)
-let eval_nets c ~inputs ~keys =
-  let n_inputs = Netlist.n_inputs c and n_keys = Netlist.n_keys c in
-  let vals = Array.make (Netlist.n_nets c) false in
-  Array.blit inputs 0 vals 0 n_inputs;
-  Array.blit keys 0 vals n_inputs n_keys;
-  Array.iteri
-    (fun i g ->
-      let v = Array.get vals in
-      let r =
-        match g with
-        | Netlist.And (a, b) -> v a && v b
-        | Netlist.Or (a, b) -> v a || v b
-        | Netlist.Xor (a, b) -> v a <> v b
-        | Netlist.Nand (a, b) -> not (v a && v b)
-        | Netlist.Nor (a, b) -> not (v a || v b)
-        | Netlist.Xnor (a, b) -> v a = v b
-        | Netlist.Not a -> not (v a)
-        | Netlist.Buf a -> v a
-        | Netlist.Mux (s, a, b) -> if v s then v b else v a
-        | Netlist.Const k -> k
-      in
-      vals.(n_inputs + n_keys + i) <- r)
-    (Netlist.gates c);
-  vals
-
 let bits_of n width = Array.init width (fun i -> (n lsr i) land 1 = 1)
 
 (* ------------------------------------------------------------- engine *)
-
-let test_output_cone () =
-  let b = B.create ~n_inputs:2 ~n_keys:0 in
-  let x = B.input b 0 and y = B.input b 1 in
-  let live = B.and_ b x y in
-  let dead = B.or_ b x y in
-  B.output b live;
-  let c = B.finish b in
-  let cone = Engine.output_cone c in
-  Alcotest.(check bool) "live gate in cone" true cone.(live);
-  Alcotest.(check bool) "dead gate out of cone" false cone.(dead);
-  Alcotest.(check bool) "inputs in cone" true (cone.(x) && cone.(y))
 
 (* Kleene three-valued gate semantics, written independently of
    [Ternary] ([None] is unknown), with the same same-net identities. *)
@@ -129,7 +90,7 @@ let qcheck_analyses_cover_every_net =
       Array.length t = n
       && Array.length k = n
       && Array.length p = n
-      && Array.length (Engine.output_cone c) = n
+      && Array.length (Netlist.output_cone c) = n
       && Array.for_all (fun x -> x >= 0.0 && x <= 1.0) p
       && Array.for_all sorted_keys k)
 
@@ -165,7 +126,7 @@ let qcheck_ternary_agrees_with_simulation =
               | Ternary.Unknown -> ())
             key;
           if !consistent then begin
-            let vals = eval_nets c ~inputs:(bits_of i n_inputs) ~keys in
+            let vals = Testgen.eval_nets c ~inputs:(bits_of i n_inputs) ~keys in
             Array.iteri
               (fun net v ->
                 match consts.(net) with
@@ -289,7 +250,7 @@ let qcheck_probability_exact_on_trees =
       let est = (Probability.estimate c).(root) in
       let count = ref 0 in
       for i = 0 to (1 lsl n_inputs) - 1 do
-        let vals = eval_nets c ~inputs:(bits_of i n_inputs) ~keys:[||] in
+        let vals = Testgen.eval_nets c ~inputs:(bits_of i n_inputs) ~keys:[||] in
         if vals.(root) then incr count
       done;
       let exact = float_of_int !count /. float_of_int (1 lsl n_inputs) in
@@ -519,10 +480,6 @@ let test_report_json_roundtrip () =
 let () =
   Alcotest.run "rb_analysis"
     [
-      ( "engine",
-        [
-          Alcotest.test_case "output cone" `Quick test_output_cone;
-        ] );
       ( "ternary",
         [
           Alcotest.test_case "identities" `Quick test_ternary_identities;

@@ -4,6 +4,7 @@ module Lock = Rb_netlist.Lock
 module Word = Rb_dfg.Word
 module Rng = Rb_util.Rng
 module B = Netlist.Builder
+module Testgen = Rb_testsupport.Testgen
 
 let pack_bools bits =
   Array.to_list bits
@@ -90,6 +91,18 @@ let test_builder_rejects_undefined_net () =
   match B.output b 9 with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "dangling output accepted"
+
+let test_output_cone () =
+  let b = B.create ~n_inputs:2 ~n_keys:0 in
+  let x = B.input b 0 and y = B.input b 1 in
+  let live = B.and_ b x y in
+  let dead = B.or_ b x y in
+  B.output b live;
+  let c = B.finish b in
+  let cone = Netlist.output_cone c in
+  Alcotest.(check bool) "live gate in cone" true cone.(live);
+  Alcotest.(check bool) "dead gate out of cone" false cone.(dead);
+  Alcotest.(check bool) "inputs in cone" true (cone.(x) && cone.(y))
 
 let test_eval_width_mismatch () =
   let c = Circuits.adder ~width:4 in
@@ -275,7 +288,7 @@ let test_permutation_network_all_keys_drive_swaps () =
       let rng = Rng.create 21 in
       let base = Circuits.adder ~width in
       let locked = Lock.permutation_network ~rng ~layers base in
-      let cone = Rb_analysis.Engine.output_cone locked.Lock.circuit in
+      let cone = Netlist.output_cone locked.Lock.circuit in
       let c = locked.Lock.circuit in
       for k = 0 to Netlist.n_keys c - 1 do
         Alcotest.(check bool)
@@ -287,8 +300,9 @@ let test_permutation_network_all_keys_drive_swaps () =
 
 (* Every gate constructor at least once, in a random order, over
    operands drawn from every earlier net. Every gate is an output, and
-   each of the 63 lanes is checked against [Netlist.eval] on its own
-   bits. *)
+   each of the 63 lanes is checked against the reference evaluator
+   [Testgen.eval_nets], which has its own gate table, and against
+   [Netlist.eval] (a one-lane [eval_lanes]) on its own bits. *)
 let qcheck_eval_lanes_matches_eval =
   QCheck2.Test.make ~name:"eval_lanes = eval lane by lane" ~count:200
     QCheck2.Gen.(triple (int_range 1 7) (int_range 0 2) int)
@@ -326,7 +340,8 @@ let qcheck_eval_lanes_matches_eval =
         (fun j ->
           let inputs = Array.init n_in (fun i -> bit inputs_words.(i) j) in
           let keys = Array.init n_keys (fun k -> bit inputs_words.(n_in + k) j) in
-          Netlist.eval c ~inputs ~keys = Array.map (fun o -> bit values.(o) j) outputs)
+          let lane = Array.map (fun o -> bit values.(o) j) outputs in
+          Testgen.eval_outputs c ~inputs ~keys = lane && Netlist.eval c ~inputs ~keys = lane)
         (List.init 63 Fun.id))
 
 let qcheck_adder_random_widths =
@@ -372,6 +387,7 @@ let () =
             test_eval_words_rejects_wide_circuits;
           Alcotest.test_case "undefined net" `Quick test_builder_rejects_undefined_net;
           Alcotest.test_case "width mismatch" `Quick test_eval_width_mismatch;
+          Alcotest.test_case "output cone" `Quick test_output_cone;
         ] );
       ( "arithmetic",
         [

@@ -569,7 +569,7 @@ let test_tseitin_matches_simulation () =
   for _ = 1 to 50 do
     let inputs = Array.init 6 (fun _ -> Rng.bool rng) in
     let s = Solver.create () in
-    let inst = Tseitin.encode s circuit in
+    let inst = Tseitin.encode (Tseitin.solver_sink s) circuit in
     pin s inst.Tseitin.input_vars inputs;
     Alcotest.(check bool) "sat" true (Solver.solve s = Solver.Sat);
     let expected = Netlist.eval circuit ~inputs ~keys:[||] in
@@ -582,7 +582,7 @@ let test_tseitin_output_constraint_inverts () =
      inputs actually produce it. *)
   let circuit = Circuits.adder ~width:3 in
   let s = Solver.create () in
-  let inst = Tseitin.encode s circuit in
+  let inst = Tseitin.encode (Tseitin.solver_sink s) circuit in
   let target = [| true; false; true |] in
   pin s inst.Tseitin.output_vars target;
   Alcotest.(check bool) "sat" true (Solver.solve s = Solver.Sat);
@@ -591,18 +591,19 @@ let test_tseitin_output_constraint_inverts () =
     (Netlist.eval circuit ~inputs ~keys:[||])
 
 let test_tseitin_shared_variables () =
-  (* Two copies sharing inputs must agree on outputs. *)
+  (* Two copies sharing inputs must agree on outputs: the miter of an
+     unkeyed circuit is unsatisfiable under its activation variable,
+     and satisfiable with the difference switched off. *)
   let circuit = Circuits.multiplier ~width:2 in
   let s = Solver.create () in
-  let a = Tseitin.encode s circuit in
-  let b = Tseitin.encode s circuit ~input_vars:a.Tseitin.input_vars in
-  (* force a difference: unsatisfiable *)
-  let d = Solver.new_var s in
-  let x = a.Tseitin.output_vars.(0) and y = b.Tseitin.output_vars.(0) in
-  Solver.add_clause s [ -d; x; y ];
-  Solver.add_clause s [ -d; -x; -y ];
-  Solver.add_clause s [ d ];
-  Alcotest.(check bool) "identical copies cannot differ" true (Solver.solve s = Solver.Unsat)
+  let m = Tseitin.miter ~activation:true (Tseitin.solver_sink s) circuit in
+  let act = Option.get m.Tseitin.act in
+  Alcotest.(check bool) "inputs shared" true
+    (m.Tseitin.copy_a.Tseitin.input_vars == m.Tseitin.copy_b.Tseitin.input_vars);
+  Alcotest.(check bool) "identical copies cannot differ" true
+    (Solver.solve ~assumptions:[ act ] s = Solver.Unsat);
+  Alcotest.(check bool) "copies alone are satisfiable" true
+    (Solver.solve ~assumptions:[ -act ] s = Solver.Sat)
 
 (* ------------------------------------------------------------- dimacs *)
 

@@ -1173,6 +1173,11 @@ let analyze_all = Job.Analyze { scheme = None; width = 4; strength = 4; seed = 1
 let export_cnf_pf =
   Job.Export_cnf { scheme = Job.Pf; width = 4; strength = 2; miter = true; seed = 1789 }
 
+(* A single standalone copy: pins the bytes of [Dimacs.of_netlist], which
+   the miter golden above does not reach. *)
+let export_cnf_permnet =
+  Job.Export_cnf { scheme = Job.Permnet; width = 4; strength = 2; miter = false; seed = 1789 }
+
 (* The attack goldens freeze the deterministic-result contract into
    bytes: the portfolio-4 variant must render the same report as the
    portfolio-1 job the files were generated from (text wall-clock is
@@ -1222,6 +1227,8 @@ let golden_tests =
     Alcotest.test_case "analyze_pf.json" `Quick (golden_json "analyze_pf.json" analyze_pf);
     Alcotest.test_case "analyze_all.json" `Quick (golden_json "analyze_all.json" analyze_all);
     Alcotest.test_case "export_cnf_pf.txt" `Quick (golden_text "export_cnf_pf.txt" export_cnf_pf);
+    Alcotest.test_case "export_cnf_permnet.txt" `Quick
+      (golden_text "export_cnf_permnet.txt" export_cnf_permnet);
     Alcotest.test_case "attack_pf.txt" `Quick (golden_text "attack_pf.txt" attack_pf);
     Alcotest.test_case "attack_pf.json" `Quick (golden_json "attack_pf.json" attack_pf);
     Alcotest.test_case "attack_pf.json at portfolio 4" `Quick
