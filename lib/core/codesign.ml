@@ -80,7 +80,7 @@ let optimal ?(max_assignments = 500_000) k schedule allocation spec =
     let consider () tuple errors =
       incr searched;
       match !best with
-      | Some (best_errors, _) when best_errors >= errors -> ()
+      | Some (top, _) when top >= errors -> ()
       | Some _ | None ->
         (* Copy: the tuple array is reused by the enumerator. *)
         best := Some (errors, Array.copy tuple)
@@ -98,20 +98,13 @@ let heuristic k schedule allocation spec =
   let table = Cost.cand_table k spec.candidates in
   let fast = Obf_binding.Fast.prepare table schedule allocation ~kind in
   let subsets = index_subsets spec in
-  let searched = ref 0 in
+  (* Each step keeps the first subset of maximum errors. *)
   let fix_next fixed fu =
-    let best = ref None in
-    Array.iter
-      (fun subset ->
-        incr searched;
-        let errors = Obf_binding.Fast.best_errors fast ~locks:((fu, subset) :: fixed) in
-        match !best with
-        | Some (best_errors, _) when best_errors >= errors -> ()
-        | Some _ | None -> best := Some (errors, subset))
-      subsets;
-    match !best with
-    | None -> assert false
-    | Some (_, subset) -> (fu, subset) :: fixed
+    let scores = Obf_binding.Fast.extend fast ~fixed ~fu ~subsets in
+    let best = ref 0 in
+    Array.iteri (fun i errors -> if errors > scores.(!best) then best := i) scores;
+    (fu, subsets.(!best)) :: fixed
   in
   let locks = List.fold_left fix_next [] spec.locked_fus in
-  finalize k schedule allocation spec table (List.rev locks) !searched
+  let searched = List.length spec.locked_fus * Array.length subsets in
+  finalize k schedule allocation spec table (List.rev locks) searched

@@ -94,4 +94,8 @@ val heuristic :
   Rb_hls.Allocation.t ->
   spec ->
   solution
-(** The P-time sequential heuristic of Sec. V-A. *)
+(** The P-time sequential heuristic of Sec. V-A: for each locked FU in
+    list order, one {!Obf_binding.Fast.extend} call scores every
+    candidate subset with the FUs before it fixed, and the first
+    subset of maximum errors is fixed. [assignments_searched] is
+    [|L| C(|C|, |M|)]. *)

@@ -164,7 +164,10 @@ let sweep ?(seed = 7) ?(max_combos_per_config = 2000)
          candidate bitmask. *)
       let e_obf =
         if n_used < n_cands then fun assignment ->
-          Obf_binding.Fast.best_errors fast ~locks:(List.combine locked_fus assignment)
+          match List.rev (List.combine locked_fus assignment) with
+          | (fu, subset) :: fixed ->
+            (Obf_binding.Fast.extend fast ~fixed ~fu ~subsets:[| subset |]).(0)
+          | [] -> assert false
         else begin
           let mask subset = Array.fold_left (fun acc c -> acc lor (1 lsl c)) 0 subset in
           let index_of_mask = Array.make (1 lsl n_cands) 0 in

@@ -87,8 +87,8 @@ val sweep :
     {!Codesign.optimal}'s [errors] on that prefix. When the fold
     covers the full list, each combination's [e_obf] is read from it
     (errors are symmetric in the locked FUs, so the sorted subset
-    tuple's value); otherwise {!Obf_binding.Fast.best_errors} scores
-    it. Both give the same number. *)
+    tuple's value); otherwise {!Obf_binding.Fast.extend} scores its
+    last locked FU with the others fixed. Both give the same number. *)
 
 val ratio_vs : int -> int -> float
 (** [ratio_vs security baseline] with the zero-baseline floor. *)

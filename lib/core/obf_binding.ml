@@ -82,60 +82,16 @@ module Fast = struct
       subset;
     w
 
-  (* Both kernels below are exact without a matching solver: unlocked
-     FUs weigh 0, weights are non-negative, and rows <= FUs, so any
-     partial matching of a cycle's rows into the locked FUs extends to
-     a full binding of the same weight. A cycle's optimum is therefore
-     its best partial matching into the locked FUs. *)
+  (* Both entry points below are exact without a matching solver:
+     unlocked FUs weigh 0, weights are non-negative, and rows <= FUs,
+     so any partial matching of a cycle's rows into the locked FUs
+     extends to a full binding of the same weight. A cycle's optimum is
+     therefore its best partial matching into the locked FUs, found by
+     a subset DP over bitmasks of the cycle's rows, one locked FU at a
+     time: a group's state [st.(rm)] is the best partial matching of
+     the rows in [rm] into the FUs placed so far. *)
 
-  (* Subset DP over bitmasks of the locked FUs, one row at a time:
-     [best.(mask)] is the best partial matching into the FUs of
-     [mask]. *)
-  let best_errors t ~locks =
-    Metrics.incr m_combinations;
-    let subset_at = Array.make (Array.length t.fus) None in
-    List.iter
-      (fun (fu, subset) ->
-        match Array.find_index (( = ) fu) t.fus with
-        | None -> invalid_arg "Obf_binding.Fast: locked FU of the wrong kind"
-        | Some j -> subset_at.(j) <- Some subset)
-      locks;
-    let weights =
-      Array.of_list
-        (List.filter_map (Option.map (class_weights t)) (Array.to_list subset_at))
-    in
-    let n_locks = Array.length weights in
-    let full = (1 lsl n_locks) - 1 in
-    let best = Array.make (full + 1) 0 in
-    let total = ref 0 in
-    Array.iteri
-      (fun g rows ->
-        Array.fill best 0 (full + 1) 0;
-        Array.iter
-          (fun cls ->
-            for mask = full downto 1 do
-              let b = ref best.(mask) in
-              for l = 0 to n_locks - 1 do
-                if mask land (1 lsl l) <> 0 then begin
-                  let v = best.(mask lxor (1 lsl l)) + weights.(l).(cls) in
-                  if v > !b then b := v
-                end
-              done;
-              best.(mask) <- !b
-            done)
-          rows;
-        total := !total + (t.group_mult.(g) * best.(full)))
-      t.group_rows;
-    !total
-
-  (* Subset DP over bitmasks of a cycle's rows, one locked FU at a
-     time: [state.(rm)] is the best partial matching of rows in [rm]
-     into the FUs placed so far. Tuples sharing a prefix share its
-     states, so a leaf costs one step per row. The leaf level runs
-     group-outer: each group's states are read once for every subset
-     of the last FU, and the leaves' totals are summed in [totals]
-     before [f] sees them in order. *)
-  let fold_product t ~fus ~subsets ~init ~f =
+  let check_fus t fus =
     Array.iteri
       (fun i fu ->
         if not (Array.mem fu t.fus) then
@@ -143,78 +99,103 @@ module Fast = struct
         for j = 0 to i - 1 do
           if fus.(j) = fu then invalid_arg "Obf_binding.Fast: duplicate locked FU"
         done)
-      fus;
-    let n_locks = Array.length fus and n_subsets = Array.length subsets in
-    let n_groups = Array.length t.group_rows in
-    let weights = Array.map (class_weights t) subsets in
+      fus
+
+  (* Every group's state with no FU placed. *)
+  let empty_states t =
+    Array.map (fun rows -> Array.make (1 lsl Array.length rows) 0) t.group_rows
+
+  (* [next] := [prev] with one more locked FU, of class weights [w],
+     placed. *)
+  let place t w prev next =
+    for g = 0 to Array.length t.group_rows - 1 do
+      let st = prev.(g) and nx = next.(g) and rows = t.group_rows.(g) in
+      let n_rows = Array.length rows in
+      for rm = 0 to Array.length st - 1 do
+        let b = ref st.(rm) in
+        for r = 0 to n_rows - 1 do
+          if rm land (1 lsl r) <> 0 then begin
+            let v = st.(rm lxor (1 lsl r)) + w.(rows.(r)) in
+            if v > !b then b := v
+          end
+        done;
+        nx.(rm) <- !b
+      done
+    done
+
+  (* [totals.(s)], for each [s >= lo]: the total over all cycles with
+     one more locked FU, of class weights [weights.(s)], placed on
+     [prev]. The last FU takes at most one row [r], the placed FUs the
+     rest, so a group's optimum reads only its full state and the
+     states with one row free. Group-outer: those are read once per
+     group for every [s]. *)
+  let leaf t weights prev ~lo totals =
+    let n_subsets = Array.length weights in
+    Array.fill totals lo (n_subsets - lo) 0;
+    for g = 0 to Array.length t.group_rows - 1 do
+      let st = prev.(g) and rows = t.group_rows.(g) and mult = t.group_mult.(g) in
+      let n_rows = Array.length rows in
+      let full = Array.length st - 1 in
+      let all_placed = st.(full) in
+      let row_states = Array.init n_rows (fun r -> st.(full lxor (1 lsl r))) in
+      for s = lo to n_subsets - 1 do
+        let w = weights.(s) in
+        let b = ref all_placed in
+        for r = 0 to n_rows - 1 do
+          let v = row_states.(r) + w.(rows.(r)) in
+          if v > !b then b := v
+        done;
+        totals.(s) <- totals.(s) + (mult * !b)
+      done
+    done
+
+  let extend t ~fixed ~fu ~subsets =
+    check_fus t (Array.of_list (fu :: List.map fst fixed));
     let states =
-      Array.init n_locks (fun _ ->
-          Array.map (fun rows -> Array.make (1 lsl Array.length rows) 0) t.group_rows)
+      List.fold_left
+        (fun prev (_, subset) ->
+          let next = empty_states t in
+          place t (class_weights t subset) prev next;
+          next)
+        (empty_states t) fixed
     in
-    let max_rows = Array.fold_left (fun acc rows -> max acc (Array.length rows)) 0 t.group_rows in
-    (* [row_states.(r)]: a group's state with row [r] still free. *)
-    let row_states = Array.make max_rows 0 in
+    let totals = Array.make (Array.length subsets) 0 in
+    leaf t (Array.map (class_weights t) subsets) states ~lo:0 totals;
+    Metrics.add m_combinations (Array.length subsets);
+    totals
+
+  (* Tuples sharing a prefix share its states, so a leaf costs one
+     step per row. *)
+  let fold_product t ~fus ~subsets ~init ~f =
+    check_fus t fus;
+    let n_locks = Array.length fus and n_subsets = Array.length subsets in
+    let weights = Array.map (class_weights t) subsets in
+    let states = Array.init n_locks (fun _ -> empty_states t) in
     let totals = Array.make n_subsets 0 in
     let tuple = Array.make n_locks 0 in
     let leaves = ref 0 in
-    let leaf prev lo acc =
-      Array.fill totals lo (n_subsets - lo) 0;
-      for g = 0 to n_groups - 1 do
-        let st = prev.(g) and rows = t.group_rows.(g) and mult = t.group_mult.(g) in
-        let n_rows = Array.length rows in
-        let full = Array.length st - 1 in
-        let all_placed = st.(full) in
-        for r = 0 to n_rows - 1 do
-          row_states.(r) <- st.(full lxor (1 lsl r))
-        done;
-        for s = lo to n_subsets - 1 do
-          let w = weights.(s) in
-          let b = ref all_placed in
-          for r = 0 to n_rows - 1 do
-            let v = row_states.(r) + w.(rows.(r)) in
-            if v > !b then b := v
-          done;
-          totals.(s) <- totals.(s) + (mult * !b)
-        done
-      done;
-      let acc = ref acc in
-      for s = lo to n_subsets - 1 do
-        tuple.(n_locks - 1) <- s;
-        incr leaves;
-        acc := f !acc tuple totals.(s)
-      done;
-      !acc
-    in
-    let rec place l acc =
+    let rec go l acc =
       let prev = states.(l) in
       let lo = if l = 0 then 0 else tuple.(l - 1) in
-      if l = n_locks - 1 then leaf prev lo acc
-      else begin
-        let next = states.(l + 1) in
-        let acc = ref acc in
+      let acc = ref acc in
+      if l = n_locks - 1 then begin
+        leaf t weights prev ~lo totals;
         for s = lo to n_subsets - 1 do
           tuple.(l) <- s;
-          let w = weights.(s) in
-          for g = 0 to n_groups - 1 do
-            let st = prev.(g) and nx = next.(g) and rows = t.group_rows.(g) in
-            let n_rows = Array.length rows in
-            for rm = 0 to Array.length st - 1 do
-              let b = ref st.(rm) in
-              for r = 0 to n_rows - 1 do
-                if rm land (1 lsl r) <> 0 then begin
-                  let v = st.(rm lxor (1 lsl r)) + w.(rows.(r)) in
-                  if v > !b then b := v
-                end
-              done;
-              nx.(rm) <- !b
-            done
-          done;
-          acc := place (l + 1) !acc
-        done;
-        !acc
+          incr leaves;
+          acc := f !acc tuple totals.(s)
+        done
       end
+      else begin
+        for s = lo to n_subsets - 1 do
+          tuple.(l) <- s;
+          place t weights.(s) prev states.(l + 1);
+          acc := go (l + 1) !acc
+        done
+      end;
+      !acc
     in
-    let acc = if n_locks = 0 then f init tuple 0 else place 0 init in
+    let acc = if n_locks = 0 then f init tuple 0 else go 0 init in
     Metrics.add m_combinations (if n_locks = 0 then 1 else !leaves);
     acc
 end

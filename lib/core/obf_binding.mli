@@ -26,10 +26,11 @@ val bind :
     many operations as FUs, so any partial matching of a cycle's
     operations into the locked FUs extends to a full binding of equal
     weight. Each cycle's optimum is thus the best partial matching into
-    the locked FUs, found by an integer subset DP over bitmasks of them
-    (2{^|L|} states for |L| locked FUs). Operations whose candidate
-    counts are all zero are dropped, and cycles with the same multiset
-    of count vectors are solved once. *)
+    the locked FUs, found by one integer subset DP over bitmasks of the
+    cycle's rows that places one locked FU at a time (2{^rows} states
+    per cycle, rows at most the kind's FU count). Operations whose
+    candidate counts are all zero are dropped, and cycles with the same
+    multiset of count vectors are solved once. *)
 module Fast : sig
   type t
   (** Preprocessed (schedule, allocation, table) state reused across
@@ -47,15 +48,18 @@ module Fast : sig
       Raises [Invalid_argument] if a cycle has more operations of
       [kind] than the allocation has FUs of it. *)
 
-  val best_errors : t -> locks:(int * int array) list -> int
-  (** Maximum Eqn. 2 value over bindings of this kind's operations,
-      where [locks] gives (FU id, candidate-index subset) pairs; a
-      repeated FU takes its last subset. Does not materialize the
-      binding. The heuristic's score; the sweep's per-combination
-      score only where its configuration's {!fold_product} was capped
-      to a shorter candidate list (elsewhere the sweep looks the value
-      up in that fold). Counts one ["codesign/combinations"]. Raises
-      [Invalid_argument] on a locked FU of another kind. *)
+  val extend :
+    t -> fixed:(int * int array) list -> fu:int -> subsets:int array array -> int array
+  (** [extend t ~fixed ~fu ~subsets] is, for each [i], the maximum
+      Eqn. 2 value over bindings of this kind's operations with [fu]
+      locking [subsets.(i)] and each (FU id, candidate-index subset)
+      pair of [fixed] locked as well; the order of [fixed] does not
+      matter. Does not materialize the binding. The heuristic's score,
+      and the sweep's per-combination score where its configuration's
+      {!fold_product} was capped to a shorter candidate list
+      (elsewhere the sweep looks the value up in that fold). Counts
+      one ["codesign/combinations"] per subset. Raises
+      [Invalid_argument] on a repeated FU or one of another kind. *)
 
   val fold_product :
     t ->
@@ -68,10 +72,10 @@ module Fast : sig
       errors] over every non-decreasing [tuple] (tuple.(i) <=
       tuple.(i+1)), locking each FU [fus.(i)] with subset
       [subsets.(tuple.(i))], in lexicographic order of [tuple]
-      ([fus.(0)] most significant); [errors] is {!best_errors} of those
-      locks. That is one tuple per multiset of subsets,
-      [C(|subsets| + |fus| - 1, |fus|)] in all, not the
-      [|subsets|^|fus|] of the full product.
+      ([fus.(0)] most significant); [errors] is the maximum Eqn. 2
+      value under those locks, as {!extend} scores it. That is one
+      tuple per multiset of subsets, [C(|subsets| + |fus| - 1, |fus|)]
+      in all, not the [|subsets|^|fus|] of the full product.
 
       Nothing is lost by the restriction. Unlocked FUs weigh 0 and the
       per-cycle DP ranges over every partial matching into the locked

@@ -148,13 +148,15 @@ let locked_tables config ~fu_of_op n =
 
 (* Faulty pass: same shape as {!Fast.eval_into}, plus corruption of
    locked minterms (on the possibly-already-corrupted operand stream,
-   so errors propagate through the dataflow). Returns the injection
-   count. *)
-let eval_locked_into (f : Fast.t) ~row ~tables ~a ~b ~r =
+   so errors propagate through the dataflow). Each injection bumps
+   [injections] and marks its cycle in [cycle_hit]; each locked
+   minterm on the golden operands [ga], [gb] bumps [clean_hits] (Eqn.
+   2 realized on the golden value stream). *)
+let eval_locked_into (f : Fast.t) ~row ~tables ~ga ~gb ~cycle_of ~cycle_hit ~injections
+    ~clean_hits ~a ~b ~r =
   let kind = f.Fast.kind in
   let a_src = f.Fast.a_src and a_ix = f.Fast.a_ix in
   let b_src = f.Fast.b_src and b_ix = f.Fast.b_ix in
-  let injections = ref 0 in
   for id = 0 to f.Fast.n - 1 do
     let av =
       Fast.operand row r (Array.unsafe_get a_src id) (Array.unsafe_get a_ix id)
@@ -167,17 +169,20 @@ let eval_locked_into (f : Fast.t) ~row ~tables ~a ~b ~r =
     let clean =
       if Array.unsafe_get kind id = 0 then Word.add av bv else Word.mul av bv
     in
+    let tbl = Array.unsafe_get tables id in
+    let gm = (Array.unsafe_get ga id lsl Word.width) lor Array.unsafe_get gb id in
+    if Bytes.unsafe_get tbl gm <> '\000' then incr clean_hits;
     let m = (av lsl Word.width) lor bv in
     let result =
-      if Bytes.unsafe_get (Array.unsafe_get tables id) m <> '\000' then begin
+      if Bytes.unsafe_get tbl m <> '\000' then begin
         incr injections;
+        Array.unsafe_set cycle_hit (Array.unsafe_get cycle_of id) true;
         Config.corrupt clean
       end
       else clean
     in
     Array.unsafe_set r id result
-  done;
-  !injections
+  done
 
 type error_report = {
   samples : int;
@@ -216,27 +221,9 @@ let application_errors schedule trace ~fu_of_op ~config =
     let row = Trace.sample trace s in
     let ga = f.Fast.a and gb = f.Fast.b and gr = f.Fast.r in
     Fast.eval_into f ~row ~a:ga ~b:gb ~r:gr;
-    let injections = eval_locked_into f ~row ~tables ~a:fa ~b:fb ~r:fr in
-    error_events := !error_events + injections;
-    (* One fused stats pass per sample. The old code re-derived the
-       injection sites with two more [is_locked_input] sweeps (one
-       over the golden stream for clean hits, one over the faulty
-       stream for the cycle map); here each op costs exactly two byte
-       loads — one per stream. *)
     Array.fill cycle_hit 0 n_cycles false;
-    for id = 0 to n - 1 do
-      let tbl = Array.unsafe_get tables id in
-      let gm =
-        (Array.unsafe_get ga id lsl Word.width) lor Array.unsafe_get gb id
-      in
-      (* Clean hits: Eqn. 2 realized on the golden value stream. *)
-      if Bytes.unsafe_get tbl gm <> '\000' then incr clean_hits;
-      let fm =
-        (Array.unsafe_get fa id lsl Word.width) lor Array.unsafe_get fb id
-      in
-      if Bytes.unsafe_get tbl fm <> '\000' then
-        Array.unsafe_set cycle_hit (Array.unsafe_get cycle_of id) true
-    done;
+    eval_locked_into f ~row ~tables ~ga ~gb ~cycle_of ~cycle_hit ~injections:error_events
+      ~clean_hits ~a:fa ~b:fb ~r:fr;
     (* Output corruption. *)
     let wrong_words = ref 0 in
     Array.iter (fun out -> if gr.(out) <> fr.(out) then incr wrong_words) out_ids;

@@ -144,3 +144,17 @@ let fig2_kmatrix dfg =
       (3, [ (minterm_x, 0); (minterm_y, 0) ]);
       (4, [ (minterm_x, 10); (minterm_y, 8) ]);
     ]
+
+(* dune runtest runs with cwd = _build/default/test (where the golden/
+   dep glob lands); dune exec from the root does not, so fall back to
+   the copy next to the executable. *)
+let golden_dir =
+  if Sys.file_exists "golden" then "golden"
+  else Filename.concat (Filename.dirname Sys.executable_name) "golden"
+
+let read_golden name =
+  let path = Filename.concat golden_dir name in
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))

@@ -1,5 +1,6 @@
 (** Shared generators for the test suites: random DFGs, schedules,
-    traces, bindings and gate-level netlists with controlled shapes. *)
+    traces, bindings and gate-level netlists with controlled shapes;
+    and the reader of the golden files under [test/golden/]. *)
 
 val random_dfg : ?n_ops:int -> ?n_inputs:int -> int -> Rb_dfg.Dfg.t
 (** [random_dfg seed] builds a random, valid DFG (mixed add/mul;
@@ -49,3 +50,7 @@ val fig2_kmatrix : Rb_dfg.Dfg.t -> Rb_sim.Kmatrix.t
 
 val minterm_x : Rb_dfg.Minterm.t
 val minterm_y : Rb_dfg.Minterm.t
+
+val read_golden : string -> string
+(** The bytes of [test/golden/<name>], found from the test's working
+    directory under [dune runtest] or next to its executable. *)

@@ -175,45 +175,9 @@ let qcheck_thm2_exhaustive =
         = exhaustive_max_errors k config schedule allocation
       | [] -> true)
 
-let test_fast_path_agrees_with_public_bind () =
-  let dfg = Testgen.random_dfg 8 ~n_ops:16 in
-  let trace = Testgen.skewed_trace 9 dfg in
-  let schedule = Scheduler.path_based dfg in
-  let allocation = Allocation.for_schedule schedule in
-  let k = Kmatrix.build trace in
-  let candidates = Array.of_list (Kmatrix.top_minterms ~kind:Dfg.Add k ~n:5) in
-  if Array.length candidates >= 2 && allocation.Allocation.adders >= 1 then begin
-    let table = Cost.cand_table k candidates in
-    let fast = Obf_binding.Fast.prepare table schedule allocation ~kind:Dfg.Add in
-    let subset = [| 0; 1 |] in
-    let fast_errors = Obf_binding.Fast.best_errors fast ~locks:[ (0, subset) ] in
-    let config =
-      Config.make ~scheme:Scheme.Sfll_rem
-        ~locks:[ (0, Cost.subset_minterms table subset) ]
-    in
-    let public = Obf_binding.bind k config schedule allocation in
-    Alcotest.(check int) "fast = public" (Cost.expected_errors k public config) fast_errors
-  end
-
-let test_fast_rejects_wrong_kind_fu () =
-  let dfg = Testgen.random_dfg 10 ~n_ops:16 in
-  let trace = Testgen.skewed_trace 11 dfg in
-  let schedule = Scheduler.path_based dfg in
-  let allocation = Allocation.for_schedule schedule in
-  let k = Kmatrix.build trace in
-  let candidates = Array.of_list (Kmatrix.top_minterms k ~n:3) in
-  let table = Cost.cand_table k candidates in
-  let fast = Obf_binding.Fast.prepare table schedule allocation ~kind:Dfg.Add in
-  let mul_fu = allocation.Allocation.adders in
-  if allocation.Allocation.multipliers > 0 then
-    match Obf_binding.Fast.best_errors fast ~locks:[ (mul_fu, [| 0 |]) ] with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.fail "wrong-kind FU accepted"
-
 (* The per-cycle Hungarian path the integer kernel replaced, kept as a
    differential oracle: one dense max-weight matching per cycle over
-   every FU of [kind], unlocked FUs weighing 0, the last lock of a
-   repeated FU winning. *)
+   every FU of [kind], unlocked FUs weighing 0. *)
 let hungarian_best_errors table schedule allocation ~kind ~locks =
   let fus = Array.of_list (Allocation.fu_ids allocation kind) in
   let subset_of = Hashtbl.create 8 in
@@ -235,13 +199,62 @@ let hungarian_best_errors table schedule allocation ~kind ~locks =
   done;
   !total
 
+let test_fast_path_agrees_with_public_bind () =
+  let dfg = Testgen.random_dfg 8 ~n_ops:16 in
+  let trace = Testgen.skewed_trace 9 dfg in
+  let schedule = Scheduler.path_based dfg in
+  let allocation = Allocation.for_schedule schedule in
+  let k = Kmatrix.build trace in
+  let candidates = Array.of_list (Kmatrix.top_minterms ~kind:Dfg.Add k ~n:5) in
+  if Array.length candidates >= 2 && allocation.Allocation.adders >= 1 then begin
+    let table = Cost.cand_table k candidates in
+    let fast = Obf_binding.Fast.prepare table schedule allocation ~kind:Dfg.Add in
+    let subset = [| 0; 1 |] in
+    let fast_errors = Obf_binding.Fast.extend fast ~fixed:[] ~fu:0 ~subsets:[| subset |] in
+    let config =
+      Config.make ~scheme:Scheme.Sfll_rem
+        ~locks:[ (0, Cost.subset_minterms table subset) ]
+    in
+    let public = Obf_binding.bind k config schedule allocation in
+    let public_errors = Cost.expected_errors k public config in
+    Alcotest.(check int) "Hungarian = public"
+      (hungarian_best_errors table schedule allocation ~kind:Dfg.Add ~locks:[ (0, subset) ])
+      public_errors;
+    Alcotest.(check (array int)) "fast = public" [| public_errors |] fast_errors
+  end
+
+(* An adder-only kernel state over a random DFG, with its FU ids. *)
+let fast_adders seed =
+  let dfg = Testgen.random_dfg seed ~n_ops:16 in
+  let trace = Testgen.skewed_trace (seed + 1) dfg in
+  let schedule = Scheduler.path_based dfg in
+  let allocation = Allocation.for_schedule schedule in
+  let k = Kmatrix.build trace in
+  let candidates = Array.of_list (Kmatrix.top_minterms k ~n:3) in
+  let table = Cost.cand_table k candidates in
+  (Obf_binding.Fast.prepare table schedule allocation ~kind:Dfg.Add, allocation)
+
+let test_fast_rejects_wrong_kind_fu () =
+  let fast, allocation = fast_adders 10 in
+  let mul_fu = allocation.Allocation.adders in
+  if allocation.Allocation.multipliers > 0 then
+    match Obf_binding.Fast.extend fast ~fixed:[] ~fu:mul_fu ~subsets:[| [| 0 |] |] with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail "wrong-kind FU accepted"
+
+let test_fast_rejects_repeated_fu () =
+  let fast, _ = fast_adders 10 in
+  match Obf_binding.Fast.extend fast ~fixed:[ (0, [| 0 |]) ] ~fu:0 ~subsets:[| [| 1 |] |] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "repeated FU accepted"
+
 (* A random kernel instance for the differential properties. Half the
    seeds take a random DFG under its path-based schedule; the other half
    take flat DFGs whose operations read one of a few input pairs,
    scattered over a few cycles, so identical operations and identical
    cycles repeat. FUs may exceed the schedule's need, and the candidate
    list mixes the most frequent minterms with ones that never occur. *)
-let kernel_instance seed =
+let rec kernel_instance seed =
   let rng = Rb_util.Rng.create seed in
   let dfg, schedule =
     if Rb_util.Rng.bool rng then begin
@@ -262,6 +275,11 @@ let kernel_instance seed =
       (dfg, Schedule.make dfg ~cycle_of:(Array.init n_ops (fun _ -> Rb_util.Rng.int rng n_cycles)))
     end
   in
+  instance_over rng seed dfg schedule
+
+(* The trace, kind, allocation and candidate list of an instance over
+   [schedule], drawn from [rng]. *)
+and instance_over rng seed dfg schedule =
   let trace = Testgen.skewed_trace (seed + 1) dfg ~n:32 in
   let k = Kmatrix.build trace in
   let kind = if Rb_util.Rng.bool rng then Dfg.Add else Dfg.Mul in
@@ -286,26 +304,48 @@ let kernel_instance seed =
   let table = Cost.cand_table k candidates in
   (rng, schedule, allocation, kind, table, Array.length candidates, k)
 
+(* Flat schedules up to 8 wide, the regime of the kernel-scale
+   benchmarks: each of one to three cycles runs 1-8 additions and 1-8
+   multiplications, every one reading a pair of three inputs. *)
+let wide_instance seed =
+  let rng = Rb_util.Rng.create seed in
+  let b = Dfg.Builder.create "wide" in
+  let inputs = Array.init 3 (fun i -> Dfg.Builder.input b (Printf.sprintf "in%d" i)) in
+  let cycle_of = ref [] in
+  for c = 0 to Rb_util.Rng.int rng 3 do
+    List.iter
+      (fun op ->
+        for _ = 0 to Rb_util.Rng.int rng 8 do
+          ignore (op b (Rb_util.Rng.pick rng inputs) (Rb_util.Rng.pick rng inputs));
+          cycle_of := c :: !cycle_of
+        done)
+      [ Dfg.Builder.add; Dfg.Builder.mul ]
+  done;
+  let dfg = Dfg.Builder.finish b in
+  instance_over rng seed dfg (Schedule.make dfg ~cycle_of:(Array.of_list (List.rev !cycle_of)))
+
 let random_subset rng n_cands =
   Array.init (1 + Rb_util.Rng.int rng 3) (fun _ -> Rb_util.Rng.int rng n_cands)
 
-let qcheck_fast_matches_hungarian =
-  QCheck2.Test.make ~name:"Fast.best_errors = per-cycle Hungarian" ~count:400
+(* A random prefix of FUs is fixed, in shuffled order, and the next FU
+   is scored under every subset of a random list. *)
+let qcheck_extend_matches_hungarian =
+  QCheck2.Test.make ~name:"Fast.extend = per-cycle Hungarian" ~count:400
     QCheck2.Gen.(int_range 0 100_000)
     (fun seed ->
       let rng, schedule, allocation, kind, table, n_cands, _ = kernel_instance seed in
       let fast = Obf_binding.Fast.prepare table schedule allocation ~kind in
       let fus = Array.of_list (Allocation.fu_ids allocation kind) in
       Rb_util.Rng.shuffle rng fus;
-      (* 1..|FUs| locked, sometimes with one FU locked twice. *)
-      let n_locked = 1 + Rb_util.Rng.int rng (Array.length fus) in
-      let locks = List.init n_locked (fun i -> (fus.(i), random_subset rng n_cands)) in
-      let locks =
-        if Rb_util.Rng.int rng 4 = 0 then locks @ [ (fus.(0), random_subset rng n_cands) ]
-        else locks
-      in
-      Obf_binding.Fast.best_errors fast ~locks
-      = hungarian_best_errors table schedule allocation ~kind ~locks)
+      let n_fixed = Rb_util.Rng.int rng (Array.length fus) in
+      let fixed = List.init n_fixed (fun i -> (fus.(i), random_subset rng n_cands)) in
+      let fu = fus.(n_fixed) in
+      let subsets = Array.init (1 + Rb_util.Rng.int rng 4) (fun _ -> random_subset rng n_cands) in
+      Obf_binding.Fast.extend fast ~fixed ~fu ~subsets
+      = Array.map
+          (fun subset ->
+            hungarian_best_errors table schedule allocation ~kind ~locks:((fu, subset) :: fixed))
+          subsets)
 
 let non_decreasing tuple =
   let rec go i = i >= Array.length tuple || (tuple.(i - 1) <= tuple.(i) && go (i + 1)) in
@@ -390,6 +430,52 @@ let qcheck_optimal_matches_ordered_search =
         in
         opt.Codesign.errors = errors && same_config opt.Codesign.config config
       | None, _ | _, `Too_large _ -> false)
+
+(* The heuristic fixes the spec's FUs in order, each with the first
+   candidate subset of maximum errors given the FUs fixed before it;
+   the reference scores every step by per-cycle Hungarian. Half the
+   instances are up to 8 wide. *)
+let qcheck_heuristic_matches_greedy =
+  QCheck2.Test.make ~name:"Codesign.heuristic = greedy by Hungarian" ~count:200
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng, schedule, allocation, kind, table, n_cands, k =
+        if seed mod 2 = 0 then kernel_instance seed else wide_instance seed
+      in
+      let fus = Array.to_list (random_locked_fus rng allocation kind) in
+      let minterms_per_fu = 1 + Rb_util.Rng.int rng (min 2 n_cands) in
+      let subsets =
+        Array.of_list (Combi.k_subsets (Array.init n_cands Fun.id) minterms_per_fu)
+      in
+      let fix_next fixed fu =
+        let best = ref None in
+        Array.iter
+          (fun subset ->
+            let locks = (fu, subset) :: fixed in
+            let errors = hungarian_best_errors table schedule allocation ~kind ~locks in
+            match !best with
+            | Some (best_errors, _) when best_errors >= errors -> ()
+            | Some _ | None -> best := Some (errors, locks))
+          subsets;
+        snd (Option.get !best)
+      in
+      let locks = List.fold_left fix_next [] fus in
+      let spec =
+        {
+          Codesign.scheme = Scheme.Sfll_rem;
+          locked_fus = fus;
+          minterms_per_fu;
+          candidates = Cost.candidates table;
+        }
+      in
+      let heur = Codesign.heuristic k schedule allocation spec in
+      let config =
+        Config.make ~scheme:Scheme.Sfll_rem
+          ~locks:(List.map (fun (fu, s) -> (fu, Cost.subset_minterms table s)) locks)
+      in
+      same_config heur.Codesign.config config
+      && heur.Codesign.errors = hungarian_best_errors table schedule allocation ~kind ~locks
+      && heur.Codesign.assignments_searched = List.length fus * Array.length subsets)
 
 (* Both co-design searches lock exactly the spec's FUs, each with
    [minterms_per_fu] distinct minterms drawn from its candidate list. *)
@@ -872,11 +958,7 @@ let test_sweep_exhaustive_lex_order () =
   let candidates = Experiments.candidates_for ctx kind in
   let n_cands = Array.length candidates in
   let fus = Allocation.fu_ids ctx.Experiments.allocation kind in
-  let fast =
-    Obf_binding.Fast.prepare
-      (Cost.cand_table ctx.Experiments.k candidates)
-      ctx.Experiments.schedule ctx.Experiments.allocation ~kind
-  in
+  let table = Cost.cand_table ctx.Experiments.k candidates in
   let results =
     Experiments.sweep ~max_combos_per_config:10_000 ctx kind
     |> List.filter (fun (r : Experiments.config_result) ->
@@ -910,7 +992,8 @@ let test_sweep_exhaustive_lex_order () =
              (fun locks ->
                ( errors_under ctx.Experiments.area_binding locks,
                  errors_under ctx.Experiments.power_binding locks,
-                 Obf_binding.Fast.best_errors fast ~locks ))
+                 hungarian_best_errors table ctx.Experiments.schedule
+                   ctx.Experiments.allocation ~kind ~locks ))
              (lex locked_fus))
       in
       Alcotest.(check int) "combos_total" (Array.length expected) r.combos_total;
@@ -927,7 +1010,9 @@ let test_sweep_exhaustive_lex_order () =
 (* Once its configuration's fold covers the full candidate list, a
    combination's e_obf is looked up in the fold's values; a cap of one
    assignment shrinks every fold to a single subset, so every
-   combination is scored by its own DP instead. *)
+   combination is scored by its own DP instead. Single-FU
+   configurations are enumerated in subset order, so there each score
+   is also checked against per-cycle Hungarian. *)
 let test_sweep_lookup_matches_dp () =
   let ctx = small_context () in
   List.iter
@@ -936,12 +1021,23 @@ let test_sweep_lookup_matches_dp () =
         Experiments.sweep ~max_combos_per_config:50 ~max_optimal_assignments:cap ctx kind
       in
       let looked_up = run max_int and scored = run 1 in
+      let candidates = Experiments.candidates_for ctx kind in
+      let table = Cost.cand_table ctx.Experiments.k candidates in
+      let fu = List.hd (Allocation.fu_ids ctx.Experiments.allocation kind) in
       Alcotest.(check int) "same configurations" (List.length looked_up) (List.length scored);
       List.iter2
         (fun (a : Experiments.config_result) (b : Experiments.config_result) ->
           Alcotest.(check int) "looked up" Codesign.n_candidates a.optimal_candidates_used;
           Alcotest.(check int) "one subset" b.minterms_per_fu b.optimal_candidates_used;
-          Alcotest.(check bool) "combos equal" true (a.combos = b.combos))
+          Alcotest.(check bool) "combos equal" true (a.combos = b.combos);
+          if b.locked_fu_count = 1 && not b.sampled then
+            List.iteri
+              (fun t subset ->
+                Alcotest.(check int) "scored = Hungarian"
+                  (hungarian_best_errors table ctx.Experiments.schedule
+                     ctx.Experiments.allocation ~kind ~locks:[ (fu, subset) ])
+                  b.combos.(t).e_obf)
+              (Combi.k_subsets (Array.init (Array.length candidates) Fun.id) b.minterms_per_fu))
         looked_up scored)
     [ Dfg.Add; Dfg.Mul ]
 
@@ -986,6 +1082,39 @@ let test_optimal_overlap_beats_disjoint () =
    | _ -> Alcotest.fail "two locked FUs");
   Alcotest.(check (pair int int)) "optimum vs best disjoint" (1048, 900)
     (optimum.Codesign.errors, best_disjoint)
+
+(* The kernel-scale regime: fft128 scheduled 8 wide on 8 adders and 8
+   multipliers, co-designed at 2 FUs x 2 minterms, both kinds, by both
+   searches. *)
+let test_codesign_fft128_golden () =
+  let bench = Rb_workload.Benchmark.parametric "fft" ~n:128 in
+  let schedule =
+    Rb_workload.Benchmark.schedule ~limits:{ Scheduler.adders = 8; multipliers = 8 } bench
+  in
+  let k = Kmatrix.build (Rb_workload.Benchmark.trace bench) in
+  let allocation = Allocation.for_schedule schedule in
+  let buf = Buffer.create 512 in
+  List.iter
+    (fun kind ->
+      Alcotest.(check int) "8 wide" 8 (Schedule.max_concurrency schedule kind);
+      let spec =
+        Codesign.make_spec allocation kind ~locked_fus:2 ~minterms_per_fu:2
+          (Codesign.top_candidates k kind)
+      in
+      let line name (s : Codesign.solution) =
+        Printf.bprintf buf "%s %s: %s\n  errors %d, assignments searched %d\n"
+          (Dfg.kind_label kind) name
+          (Format.asprintf "%a" Config.pp s.Codesign.config)
+          s.Codesign.errors s.Codesign.assignments_searched
+      in
+      line "heuristic" (Codesign.heuristic k schedule allocation spec);
+      match Codesign.optimal k schedule allocation spec with
+      | `Solution s -> line "optimal" s
+      | `Too_large _ -> Alcotest.fail "search space within the default cap")
+    [ Dfg.Add; Dfg.Mul ];
+  Alcotest.(check string) "codesign_fft128.txt"
+    (Testgen.read_golden "codesign_fft128.txt")
+    (Buffer.contents buf)
 
 (* ------------------------------------------------ security-aware binders *)
 
@@ -1110,6 +1239,7 @@ let () =
           Alcotest.test_case "fig2 exhaustive optimum" `Quick test_obf_binding_beats_all_bindings_fig2;
           Alcotest.test_case "fast = public" `Quick test_fast_path_agrees_with_public_bind;
           Alcotest.test_case "fast kind check" `Quick test_fast_rejects_wrong_kind_fu;
+          Alcotest.test_case "fast repeated FU check" `Quick test_fast_rejects_repeated_fu;
         ] );
       ( "codesign",
         [
@@ -1120,6 +1250,7 @@ let () =
           Alcotest.test_case "oversized space saturates" `Quick test_codesign_space_saturates;
           Alcotest.test_case "spec validation" `Quick test_codesign_spec_validation;
           Alcotest.test_case "make_spec shape" `Quick test_make_spec_shape;
+          Alcotest.test_case "fft128 golden" `Quick test_codesign_fft128_golden;
         ] );
       ( "methodology",
         [
@@ -1167,7 +1298,8 @@ let () =
             qcheck_obf_binding_optimal;
             qcheck_thm2_exhaustive;
             qcheck_optimal_dominates_heuristic;
-            qcheck_fast_matches_hungarian;
+            qcheck_extend_matches_hungarian;
+            qcheck_heuristic_matches_greedy;
             qcheck_fold_product_matches_hungarian;
             qcheck_optimal_matches_ordered_search;
             qcheck_codesign_locks_spec;

@@ -1070,19 +1070,7 @@ let qcheck_wire_fuzz =
 
 (* ---------------------------------------------------------------- Golden *)
 
-(* dune runtest runs with cwd = _build/default/test (where the golden/
-   dep glob lands); dune exec from the root does not, so fall back to
-   the copy next to the executable. *)
-let golden_dir =
-  if Sys.file_exists "golden" then "golden"
-  else Filename.concat (Filename.dirname Sys.executable_name) "golden"
-
-let read_golden name =
-  let path = Filename.concat golden_dir name in
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_golden = Rb_testsupport.Testgen.read_golden
 
 let golden_text name job () =
   with_executor (fun ex ->
