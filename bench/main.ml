@@ -193,7 +193,7 @@ let eqn1 () =
         List.map
           (fun minterms ->
             let l =
-              Resilience.lambda_minterms ~key_bits ~correct_keys:1 ~input_bits:16
+              Resilience.lambda_minterms ~key_bits ~input_bits:16
                 ~minterms
             in
             if l = infinity then "inf" else Printf.sprintf "%.0f" l)
@@ -204,7 +204,7 @@ let eqn1 () =
   Table.print table;
   print_newline ();
   let budget =
-    Resilience.max_minterms_for ~key_bits:20 ~correct_keys:1 ~input_bits:16
+    Resilience.max_minterms_for ~key_bits:20 ~input_bits:16
       ~min_lambda:10_000.0
   in
   Printf.printf
@@ -250,7 +250,7 @@ let sat_attack () =
       | None -> "-"
       | Some m ->
         let l =
-          Resilience.lambda_minterms ~key_bits ~correct_keys:1 ~input_bits:n_in
+          Resilience.lambda_minterms ~key_bits ~input_bits:n_in
             ~minterms:m
         in
         if l = infinity then "inf" else Printf.sprintf "%.0f" l

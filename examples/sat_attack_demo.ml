@@ -80,7 +80,7 @@ let () =
         List.map
           (fun minterms ->
             let lambda =
-              Resilience.lambda_minterms ~key_bits ~correct_keys:1 ~input_bits:16 ~minterms
+              Resilience.lambda_minterms ~key_bits ~input_bits:16 ~minterms
             in
             if lambda = infinity then "inf" else Printf.sprintf "%.0f" lambda)
           [ 1; 2; 3; 8; 64; 1024 ]

@@ -4,7 +4,7 @@ module Metrics = Rb_util.Metrics
 type input = {
   schedule : Rb_sched.Schedule.t;
   allocation : Rb_hls.Allocation.t;
-  profile : Rb_hls.Profile.t;
+  profile : Rb_sim.Operands.t;
   k : Rb_sim.Kmatrix.t;
   config : Config.t;
   spec : Codesign.spec;

@@ -18,7 +18,7 @@
 type input = {
   schedule : Rb_sched.Schedule.t;
   allocation : Rb_hls.Allocation.t;
-  profile : Rb_hls.Profile.t;  (** workload profile (power-aware binding) *)
+  profile : Rb_sim.Operands.t;  (** workload profile (power-aware binding) *)
   k : Rb_sim.Kmatrix.t;  (** K matrix (security-aware binding) *)
   config : Rb_locking.Config.t;
       (** locking configuration the fixed-lock binders bind under *)

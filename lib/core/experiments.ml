@@ -4,7 +4,6 @@ module Schedule = Rb_sched.Schedule
 module Kmatrix = Rb_sim.Kmatrix
 module Allocation = Rb_hls.Allocation
 module Binding = Rb_hls.Binding
-module Profile = Rb_hls.Profile
 module Config = Rb_locking.Config
 module Combi = Rb_util.Combi
 module Rng = Rb_util.Rng
@@ -16,7 +15,7 @@ type context = {
   schedule : Schedule.t;
   allocation : Allocation.t;
   k : Kmatrix.t;
-  profile : Profile.t;
+  profile : Rb_sim.Operands.t;
   area_binding : Binding.t;
   power_binding : Binding.t;
   candidates_add : Minterm.t array;
@@ -423,8 +422,7 @@ let post_binding ctx kind =
     let solution = Codesign.heuristic ctx.k ctx.schedule ctx.allocation spec in
     let input_bits = Rb_dfg.Minterm.bits in
     let lambda_at minterms =
-      Rb_locking.Resilience.lambda_minterms ~key_bits ~correct_keys:1 ~input_bits
-        ~minterms
+      Rb_locking.Resilience.lambda_minterms ~key_bits ~input_bits ~minterms
     in
     (* Post-binding locking on the area-aware design: per locked FU,
        greedily add the candidate minterm with the most occurrences

@@ -26,7 +26,7 @@ type context = {
   schedule : Rb_sched.Schedule.t;
   allocation : Rb_hls.Allocation.t;
   k : Rb_sim.Kmatrix.t;
-  profile : Rb_hls.Profile.t;
+  profile : Rb_sim.Operands.t;
   area_binding : Rb_hls.Binding.t;
   power_binding : Rb_hls.Binding.t;
   candidates_add : Minterm.t array;  (** top candidates among add ops *)

@@ -12,23 +12,8 @@ type plan = {
   exponential_topup : bool;
 }
 
-let predicted_lambda_of ?key_bits config =
-  match key_bits with
-  | None -> Config.lambda_per_fu config
-  | Some kb ->
-    let input_bits = Rb_dfg.Minterm.bits in
-    List.fold_left
-      (fun acc fu ->
-        let minterms =
-          Rb_dfg.Minterm.Set.cardinal (Config.minterms_of config fu)
-        in
-        min acc
-          (Rb_locking.Resilience.lambda_minterms ~key_bits:kb ~correct_keys:1
-             ~input_bits ~minterms))
-      infinity (Config.locked_fus config)
-
 let plan_of ?key_bits goal minterms_per_fu (solution : Codesign.solution) =
-  let predicted_lambda = predicted_lambda_of ?key_bits solution.config in
+  let predicted_lambda = Config.lambda_per_fu ?key_bits solution.config in
   let meets_error_target = solution.errors >= goal.target_error_events in
   let meets_resilience = predicted_lambda >= goal.min_lambda in
   {

@@ -3,7 +3,7 @@ let bind schedule allocation ~profile =
   let weight ~kind:_ ~cycle:_ ~op ~fu =
     match Hashtbl.find_opt last_on_fu fu with
     | None -> 0.0
-    | Some prev -> Profile.expected_input_hamming profile prev op
+    | Some prev -> Switching.expected_input_hamming profile prev op
   in
   let on_bound ~op ~fu = Hashtbl.replace last_on_fu fu op in
   Bind_engine.bind ~on_bound ~objective:`Minimize ~weight schedule allocation

@@ -8,7 +8,7 @@ let locked ?subject (l : Rb_netlist.Lock.locked) =
 
 let rule_binding = "HLS-BIND"
 
-let design ?min_lambda ?key_bits ?candidates ?config ~subject schedule allocation
+let design ?min_lambda ?candidates ?config ~subject schedule allocation
     ~fu_of_op =
   let bind_diags =
     match Rb_hls.Binding.make schedule allocation ~fu_of_op with
@@ -19,8 +19,6 @@ let design ?min_lambda ?key_bits ?candidates ?config ~subject schedule allocatio
   let lock_diags =
     match config with
     | None -> []
-    | Some config ->
-      let input_bits = Rb_dfg.Minterm.bits in
-      Locking_rules.check_config ?min_lambda ?key_bits ?candidates ~input_bits config
+    | Some config -> Locking_rules.check_config ?min_lambda ?candidates config
   in
   Report.make ~subject (bind_diags @ lock_diags)

@@ -33,7 +33,6 @@ val rule_binding : string
 
 val design :
   ?min_lambda:float ->
-  ?key_bits:int ->
   ?candidates:Rb_dfg.Minterm.t array ->
   ?config:Rb_locking.Config.t ->
   subject:string ->

@@ -1,6 +1,5 @@
 module Minterm = Rb_dfg.Minterm
 module Config = Rb_locking.Config
-module Scheme = Rb_locking.Scheme
 module Resilience = Rb_locking.Resilience
 module D = Diagnostic
 
@@ -8,7 +7,7 @@ let rule_resilience = "LOCK-RESIL"
 let rule_overlap = "LOCK-OVERLAP"
 let rule_candidates = "LOCK-CAND"
 
-let check_config ?min_lambda ?key_bits ?candidates ~input_bits config =
+let check_config ?min_lambda ?candidates config =
   let diags = ref [] in
   let emit d = diags := d :: !diags in
   let locked = Config.locked_fus config in
@@ -18,18 +17,11 @@ let check_config ?min_lambda ?key_bits ?candidates ~input_bits config =
    | Some target ->
      List.iter
        (fun fu ->
-         let minterms = Minterm.Set.cardinal (Config.minterms_of config fu) in
-         let kb =
-           match key_bits with
-           | Some k -> k
-           | None -> Scheme.key_bits (Config.scheme config) ~minterms ~input_bits
-         in
-         let lambda =
-           Resilience.lambda_minterms ~key_bits:kb ~correct_keys:1 ~input_bits ~minterms
-         in
+         let kb, lambda = Config.resilience config fu in
          if lambda < target then begin
+           let minterms = Minterm.Set.cardinal (Config.minterms_of config fu) in
            let budget =
-             Resilience.max_minterms_for ~key_bits:kb ~correct_keys:1 ~input_bits
+             Resilience.max_minterms_for ~key_bits:kb ~input_bits:Minterm.bits
                ~min_lambda:target
            in
            emit

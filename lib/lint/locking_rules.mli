@@ -26,13 +26,9 @@ val rule_overlap : string
 val rule_candidates : string
 
 val check_config :
-  ?min_lambda:float ->
-  ?key_bits:int ->
-  ?candidates:Minterm.t array ->
-  input_bits:int ->
-  Rb_locking.Config.t ->
-  Diagnostic.t list
-(** [min_lambda] enables the Eqn. 1 bound check; [key_bits] overrides
-    the scheme-derived per-FU key length (the methodology's fixed key
-    budget); [candidates] enables the candidate-list check. Checks
-    with an absent parameter are skipped. *)
+  ?min_lambda:float -> ?candidates:Minterm.t array -> Rb_locking.Config.t -> Diagnostic.t list
+(** [min_lambda] enables the Eqn. 1 bound check, which reads each
+    locked FU's key length and lambda from
+    {!Rb_locking.Config.resilience}; [candidates] enables the
+    candidate-list check. Checks with an absent parameter are
+    skipped. *)

@@ -33,14 +33,19 @@ let is_locked_input t ~fu m = Minterm.Set.mem m (minterms_of t fu)
 
 let corrupt output = output lxor 1
 
-let lambda_per_fu t =
+let resilience ?key_bits t fu =
   let input_bits = Minterm.bits in
+  let minterms = Minterm.Set.cardinal (minterms_of t fu) in
+  let key_bits =
+    match key_bits with
+    | Some k -> k
+    | None -> Scheme.key_bits t.scheme ~minterms ~input_bits
+  in
+  (key_bits, Resilience.lambda_minterms ~key_bits ~input_bits ~minterms)
+
+let lambda_per_fu ?key_bits t =
   List.fold_left
-    (fun acc (_, set) ->
-      let minterms = Minterm.Set.cardinal set in
-      let key_bits = Scheme.key_bits t.scheme ~minterms ~input_bits in
-      let l = Resilience.lambda_minterms ~key_bits ~correct_keys:1 ~input_bits ~minterms in
-      min acc l)
+    (fun acc (fu, _) -> min acc (snd (resilience ?key_bits t fu)))
     infinity t.locks
 
 let pp fmt t =

@@ -39,11 +39,18 @@ val corrupt : int -> int
 (** Wrong-key output corruption applied by a locked FU on a locked
     minterm (bit-0 flip, the SFLL-style single-output-bit strip). *)
 
-val lambda_per_fu : t -> float
-(** Worst-case (smallest) predicted SAT-attack iterations across the
-    locked FUs, from {!Resilience.lambda_minterms} with one correct
-    key. The SAT-attack model assumes scan access, so resilience is
-    per-module (Sec. II-A): the weakest FU is the design's
-    resilience. *)
+val resilience : ?key_bits:int -> t -> int -> int * float
+(** [(k, lambda)] of FU [fu]: its key length [k] and its predicted
+    SAT-attack iterations, {!Resilience.lambda_minterms} over the
+    [Minterm.bits]-bit FU input space. [k] is the scheme's key length
+    for the FU's locked-minterm count, or [key_bits] when a designer
+    fixes the key budget. Raises [Invalid_argument] when [fu] is not
+    locked. *)
+
+val lambda_per_fu : ?key_bits:int -> t -> float
+(** Worst-case (smallest) {!resilience} across the locked FUs;
+    [infinity] when none is locked. The SAT-attack model assumes scan
+    access, so resilience is per-module (Sec. II-A): the weakest FU is
+    the design's resilience. *)
 
 val pp : Format.formatter -> t -> unit

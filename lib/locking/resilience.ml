@@ -1,10 +1,8 @@
-let lambda ~key_bits ~correct_keys ~epsilon =
+let lambda ~key_bits ~epsilon =
   if epsilon <= 0.0 || epsilon >= 1.0 then invalid_arg "Resilience.lambda: epsilon";
-  if correct_keys < 1 then invalid_arg "Resilience.lambda: correct_keys";
   if key_bits < 1 || key_bits > 1024 then invalid_arg "Resilience.lambda: key_bits";
-  let key_space = Float.pow 2.0 (float_of_int key_bits) in
-  let n = key_space -. float_of_int correct_keys in
-  if n < 1.0 then invalid_arg "Resilience.lambda: no wrong keys";
+  (* one correct key: N = 2^k - 1 wrong keys *)
+  let n = Float.pow 2.0 (float_of_int key_bits) -. 1.0 in
   if n <= 1.0 then 1.0
   else begin
     (* N - eN = N(1 - e): expected wrong keys *surviving* one iteration. *)
@@ -21,21 +19,21 @@ let lambda ~key_bits ~correct_keys ~epsilon =
     else Float.of_int (int_of_float (ceil (numerator /. denominator)))
   end
 
-let lambda_minterms ~key_bits ~correct_keys ~input_bits ~minterms =
+let lambda_minterms ~key_bits ~input_bits ~minterms =
   if input_bits < 1 || input_bits > 1024 then
     invalid_arg "Resilience.lambda_minterms: input_bits";
   if minterms < 1 then invalid_arg "Resilience.lambda_minterms: minterms";
   let space = Float.pow 2.0 (float_of_int input_bits) in
   let epsilon = float_of_int minterms /. space in
   if epsilon >= 1.0 then 1.0
-  else lambda ~key_bits ~correct_keys ~epsilon
+  else lambda ~key_bits ~epsilon
 
-let max_minterms_for ~key_bits ~correct_keys ~input_bits ~min_lambda =
+let max_minterms_for ~key_bits ~input_bits ~min_lambda =
   if input_bits > 30 then invalid_arg "Resilience.max_minterms_for: input_bits";
   let space = 1 lsl input_bits in
   (* lambda is monotone decreasing in minterms: binary search. *)
   let meets m =
-    m >= 1 && lambda_minterms ~key_bits ~correct_keys ~input_bits ~minterms:m >= min_lambda
+    m >= 1 && lambda_minterms ~key_bits ~input_bits ~minterms:m >= min_lambda
   in
   if not (meets 1) then 0
   else begin

@@ -2,7 +2,6 @@ module Dfg = Rb_dfg.Dfg
 module Schedule = Rb_sched.Schedule
 module Binding = Rb_hls.Binding
 module Registers = Rb_hls.Registers
-module Allocation = Rb_hls.Allocation
 
 type source =
   | From_input of string
@@ -28,64 +27,13 @@ type t = {
   register_of : int option array; (* op id -> register *)
 }
 
-(* Left-edge register allocation inside one FU's bank: values sorted by
-   birth take the first register whose previous tenant has died. *)
-let allocate_bank ~next_reg values =
-  let sorted =
-    List.sort
-      (fun (p1, b1, _) (p2, b2, _) ->
-        match Int.compare b1 b2 with 0 -> Int.compare p1 p2 | c -> c)
-      values
-  in
-  let registers : (int * int) list ref = ref [] (* (reg, last death) *) in
-  let assignments = ref [] in
-  let place (p, birth, death) =
-    let rec find = function
-      | [] -> None
-      | (reg, last_death) :: rest ->
-        if last_death <= birth then Some reg else find rest
-    in
-    let reg =
-      match find !registers with
-      | Some reg ->
-        registers :=
-          List.map (fun (r, d) -> if r = reg then (r, death) else (r, d)) !registers;
-        reg
-      | None ->
-        let reg = !next_reg in
-        incr next_reg;
-        registers := !registers @ [ (reg, death) ];
-        reg
-    in
-    assignments := (p, reg) :: !assignments
-  in
-  List.iter place sorted;
-  !assignments
-
 let build binding =
   let schedule = Binding.schedule binding in
   let dfg = Schedule.dfg schedule in
-  let allocation = Binding.allocation binding in
   let n_ops = Dfg.op_count dfg in
-  let lifetimes = Registers.value_lifetimes binding in
-  let bypassed = Registers.latch_resident_values binding in
   let is_bypassed = Array.make n_ops false in
-  List.iter (fun p -> is_bypassed.(p) <- true) bypassed;
-  (* Values needing a register: not bypassed, and actually read later
-     (death > birth). *)
-  let register_of = Array.make n_ops None in
-  let next_reg = ref 0 in
-  for fu = 0 to Allocation.total allocation - 1 do
-    let bank_values =
-      List.filter
-        (fun (p, birth, death) ->
-          Binding.fu_of_op binding p = fu && (not is_bypassed.(p)) && death > birth)
-        lifetimes
-    in
-    List.iter
-      (fun (p, reg) -> register_of.(p) <- Some reg)
-      (allocate_bank ~next_reg bank_values)
-  done;
+  List.iter (fun p -> is_bypassed.(p) <- true) (Registers.latch_resident_values binding);
+  let n_registers, register_of = Registers.allocate binding in
   let operand_source op_id operand =
     match (operand : Dfg.operand) with
     | Dfg.Input name -> From_input name
@@ -118,18 +66,19 @@ let build binding =
   in
   let writes =
     List.filter_map
-      (fun (p, birth, _) ->
+      (fun p ->
         match register_of.(p) with
         | Some register ->
-          Some { register; cycle = birth; fu = Binding.fu_of_op binding p; op = p }
+          let cycle = Schedule.cycle_of schedule p in
+          Some { register; cycle; fu = Binding.fu_of_op binding p; op = p }
         | None -> None)
-      lifetimes
+      (List.init n_ops Fun.id)
     |> List.sort (fun (a : write) (b : write) ->
            match Int.compare a.cycle b.cycle with
            | 0 -> Int.compare a.register b.register
            | c -> c)
   in
-  { binding; n_registers = !next_reg; issues; writes; register_of }
+  { binding; n_registers; issues; writes; register_of }
 
 let binding t = t.binding
 let n_registers t = t.n_registers

@@ -2,9 +2,9 @@
     control schedule.
 
     A binding fixes which FU executes each operation; this module
-    finishes the RT-level design: it allocates physical registers (by
-    the left-edge algorithm over each FU's output-value lifetimes,
-    matching the {!Rb_hls.Registers} cost model exactly), wires every
+    finishes the RT-level design: it takes its physical registers from
+    {!Rb_hls.Registers.allocate} (left-edge over each FU bank, the
+    allocation the Fig. 6 register count counts), wires every
     FU operand port to its sources through multiplexers, and lays out
     the per-cycle control word. The result can be simulated
     cycle-accurately ({!Rtl_sim}) and emitted as Verilog
@@ -37,14 +37,13 @@ type t
 
 val build : Rb_hls.Binding.t -> t
 (** Elaborate a bound schedule into a datapath. Every operation gets an
-    issue slot; every non-latch-bypassed value gets a register in its
-    producer FU's bank. *)
+    issue slot; every value {!Rb_hls.Registers.allocate} places gets
+    its register in the producer FU's bank. *)
 
 val binding : t -> Rb_hls.Binding.t
 val n_registers : t -> int
 (** Physical registers allocated; equals {!Rb_hls.Registers.count} of
-    the binding (the cost model and the constructor share the
-    lifetime analysis). *)
+    the binding (both read one allocation). *)
 
 val issues : t -> issue list
 (** All issues, ordered by (cycle, fu). *)

@@ -41,7 +41,7 @@ type context = {
   trace : Rb_sim.Trace.t;
   allocation : Allocation.t;
   k : Kmatrix.t;
-  profile : Rb_hls.Profile.t;
+  profile : Rb_sim.Operands.t;
 }
 
 let context name seed =

@@ -2,7 +2,7 @@
 
     One golden simulation of the typical trace (Sec. IV-A) feeds both
     trace statistics the flow needs: the K matrix ({!Kmatrix.of_operands})
-    and the power-binding activity profile ([Rb_hls.Profile]). Each
+    and the operand-toggle model of power binding ([Rb_hls.Switching]). Each
     (operation, sample) operand pair is stored as its 16-bit minterm
     [(a lsl Word.width) lor b] — two bytes per pair — and each
     operation's samples are contiguous (op-major columns), so a

@@ -215,26 +215,3 @@ let to_json s =
       ("timers", Json.Obj (List.map (fun (k, d) -> (k, dist_to_json d)) s.timers));
       ("spans", Json.Obj (List.map (fun (k, d) -> (k, dist_to_json d)) s.spans));
     ]
-
-let render s =
-  let buf = Buffer.create 512 in
-  let section title render_one = function
-    | [] -> ()
-    | entries ->
-      Buffer.add_string buf title;
-      Buffer.add_char buf '\n';
-      List.iter
-        (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %-40s %s\n" k (render_one v)))
-        entries
-  in
-  let dist d =
-    if d.count = 0 then "count 0"
-    else
-      Printf.sprintf "count %-6d total %10.4fs  min %.6fs  max %.6fs" d.count
-        d.total d.min d.max
-  in
-  section "counters:" string_of_int s.counters;
-  section "gauges:" (Printf.sprintf "%g") s.gauges;
-  section "timers:" dist s.timers;
-  section "spans:" dist s.spans;
-  Buffer.contents buf

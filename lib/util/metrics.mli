@@ -1,6 +1,6 @@
 (** Lightweight observability: named counters, gauges and wall-clock
     timers grouped into scopes, plus nested span tracing, behind one
-    process-wide registry that renders to text and {!Json}.
+    process-wide registry that renders to {!Json}.
 
     The design splits metrics into two classes with different
     guarantees:
@@ -112,6 +112,3 @@ val to_json : snapshot -> Json.t
 (** [{"counters": {..}, "gauges": {..}, "timers": {..}, "spans": {..}}]
     with each timer/span as
     [{"count": n, "total_s": t, "min_s": a, "max_s": b}]. *)
-
-val render : snapshot -> string
-(** Human-readable multi-line text form of a snapshot. *)

@@ -1,8 +1,9 @@
 (** The original operand profile, retained as a differential oracle
-    for {!Rb_hls.Profile}: two [int array array] tables (op -> sample
-    -> operand word) filled by one single-sample {!Exec_ref.eval_clean}
-    call per sample, and a Hamming distance that sums the popcounts of
-    the two ports separately. The library stores one 16-bit minterm
+    for the operand columns {!Rb_sim.Operands} and
+    {!Rb_hls.Switching.expected_input_hamming}: two [int array array]
+    tables (op -> sample -> operand word) filled by one single-sample
+    {!Exec_ref.eval_clean} call per sample, and a Hamming distance that
+    sums the popcounts of the two ports separately. The library stores one 16-bit minterm
     per (op, sample) and popcounts their xor once. *)
 
 type t

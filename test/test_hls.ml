@@ -4,7 +4,8 @@ module Scheduler = Rb_sched.Scheduler
 module Allocation = Rb_hls.Allocation
 module Binding = Rb_hls.Binding
 module Bind_engine = Rb_hls.Bind_engine
-module Profile = Rb_hls.Profile
+module Operands = Rb_sim.Operands
+module Minterm = Rb_dfg.Minterm
 module Registers = Rb_hls.Registers
 module Switching = Rb_hls.Switching
 module Testgen = Rb_testsupport.Testgen
@@ -125,12 +126,12 @@ let test_engine_rejects_small_allocation () =
 let test_profile_matches_exec () =
   let dfg = Testgen.random_dfg 5 ~n_ops:10 in
   let trace = Testgen.random_trace 6 dfg in
-  let profile = Rb_sim.Operands.build trace in
-  Alcotest.(check int) "samples" (Rb_sim.Trace.length trace) (Rb_sim.Operands.n_samples profile);
-  for s = 0 to Rb_sim.Operands.n_samples profile - 1 do
+  let profile = Operands.build trace in
+  Alcotest.(check int) "samples" (Rb_sim.Trace.length trace) (Operands.n_samples profile);
+  for s = 0 to Operands.n_samples profile - 1 do
     let evals = Exec_ref.eval_clean trace ~sample:s in
     for op = 0 to Dfg.op_count dfg - 1 do
-      let a, b = Profile.operands profile op ~sample:s in
+      let a, b = Minterm.unpack (Operands.minterm profile op ~sample:s) in
       Alcotest.(check (pair int int)) "operands agree"
         (evals.(op).Exec_ref.a, evals.(op).Exec_ref.b)
         (a, b)
@@ -140,13 +141,13 @@ let test_profile_matches_exec () =
 let test_expected_hamming_properties () =
   let dfg = Testgen.random_dfg 7 ~n_ops:8 in
   let trace = Testgen.random_trace 8 dfg in
-  let profile = Rb_sim.Operands.build trace in
-  Alcotest.(check (float 1e-9)) "self distance" 0.0 (Profile.expected_input_hamming profile 3 3);
+  let profile = Operands.build trace in
+  Alcotest.(check (float 1e-9)) "self distance" 0.0 (Switching.expected_input_hamming profile 3 3);
   Alcotest.(check (float 1e-9)) "symmetry"
-    (Profile.expected_input_hamming profile 1 4)
-    (Profile.expected_input_hamming profile 4 1);
+    (Switching.expected_input_hamming profile 1 4)
+    (Switching.expected_input_hamming profile 4 1);
   Alcotest.(check bool) "bounded by 2w" true
-    (Profile.expected_input_hamming profile 0 5 <= 16.0)
+    (Switching.expected_input_hamming profile 0 5 <= 16.0)
 
 (* --------------------------------------------------- baseline binders *)
 
@@ -179,7 +180,7 @@ let test_power_binding_beats_random_on_switching () =
       let schedule = Scheduler.path_based dfg in
       let allocation = Allocation.for_schedule schedule in
       let trace = Testgen.skewed_trace (seed + 50) dfg in
-      let profile = Rb_sim.Operands.build trace in
+      let profile = Operands.build trace in
       let power = Rb_hls.Power_binding.bind schedule allocation ~profile in
       let power_sw = Switching.rate power profile in
       List.iter
@@ -217,7 +218,7 @@ let test_switching_rate_bounds () =
   let schedule = Scheduler.path_based dfg in
   let allocation = Allocation.for_schedule schedule in
   let trace = Testgen.random_trace 33 dfg in
-  let profile = Rb_sim.Operands.build trace in
+  let profile = Operands.build trace in
   let binding = Testgen.random_valid_binding 34 schedule allocation in
   let rate = Switching.rate binding profile in
   Alcotest.(check bool) "in [0,1]" true (rate >= 0.0 && rate <= 1.0)
@@ -233,7 +234,7 @@ let test_switching_zero_when_no_transitions () =
   let allocation = { Allocation.adders = 2; multipliers = 0 } in
   let binding = Binding.make schedule allocation ~fu_of_op:[| 0; 1 |] in
   let trace = Testgen.random_trace 35 dfg in
-  let profile = Rb_sim.Operands.build trace in
+  let profile = Operands.build trace in
   Alcotest.(check (float 1e-9)) "no transitions" 0.0 (Switching.rate binding profile)
 
 (* ------------------------------------------------------------ binders *)
@@ -249,7 +250,7 @@ let binder_input seed =
   let schedule = Scheduler.path_based dfg in
   let allocation = Allocation.for_schedule schedule in
   let trace = Testgen.skewed_trace (seed + 1) dfg in
-  let profile = Rb_sim.Operands.build trace in
+  let profile = Operands.build trace in
   let k = Kmatrix.build trace in
   let candidates = Array.of_list (Kmatrix.top_minterms ~kind:Dfg.Add k ~n:4) in
   let config = Config.make ~scheme:Scheme.Sfll_rem ~locks:[ (0, [ candidates.(0) ]) ] in
@@ -305,21 +306,63 @@ let test_binder_registry_matches_direct () =
   in
   Alcotest.(check bool) "power binding identical" true (power.Binders.binding = direct)
 
+(* A random and an area-aware binding of a random DFG, with [spare]
+   extra FUs of each kind. *)
+let register_test_bindings (seed, spare) =
+  let dfg = Testgen.random_dfg seed ~n_ops:(4 + (seed mod 40)) in
+  let schedule = Scheduler.path_based ~limits:{ Scheduler.adders = 2; multipliers = 2 } dfg in
+  let min = Allocation.for_schedule schedule in
+  let allocation =
+    { Allocation.adders = min.Allocation.adders + spare;
+      multipliers = min.Allocation.multipliers + spare }
+  in
+  [ Testgen.random_valid_binding (seed + 1) schedule allocation;
+    Rb_hls.Area_binding.bind schedule allocation ]
+
 let qcheck_register_count_matches_oracle =
   QCheck2.Test.make ~name:"register count = per-boundary recount" ~count:100
     QCheck2.Gen.(pair (int_range 0 10_000) (int_range 0 2))
-    (fun (seed, spare) ->
-      let dfg = Testgen.random_dfg seed ~n_ops:(4 + (seed mod 40)) in
-      let schedule = Scheduler.path_based ~limits:{ Scheduler.adders = 2; multipliers = 2 } dfg in
-      let min = Allocation.for_schedule schedule in
-      let allocation =
-        { Allocation.adders = min.Allocation.adders + spare;
-          multipliers = min.Allocation.multipliers + spare }
-      in
+    (fun input ->
       List.for_all
         (fun binding -> Registers.count binding = Registers_ref.count binding)
-        [ Testgen.random_valid_binding (seed + 1) schedule allocation;
-          Rb_hls.Area_binding.bind schedule allocation ])
+        (register_test_bindings input))
+
+(* The one allocator behind the Fig. 6 count and the RTL registers:
+   exactly the values that outlive their birth cycle off the output
+   latch get a register, registers 0..n-1 are all used, each holds
+   values of one FU bank only, and its tenants' [birth, death)
+   intervals are pairwise disjoint; n is the per-boundary recount. *)
+let qcheck_register_allocation_disjoint =
+  QCheck2.Test.make ~name:"register allocation = disjoint bank tenancy" ~count:100
+    QCheck2.Gen.(pair (int_range 0 10_000) (int_range 0 2))
+    (fun input ->
+      List.for_all
+        (fun binding ->
+          let n, register_of = Registers.allocate binding in
+          let latched = Registers.latch_resident_values binding in
+          let tenants = Array.make n [] in
+          let placed =
+            List.for_all
+              (fun (p, birth, death) ->
+                match register_of.(p) with
+                | None -> death = birth || List.mem p latched
+                | Some r ->
+                  tenants.(r) <- (Binding.fu_of_op binding p, birth, death) :: tenants.(r);
+                  0 <= r && r < n && death > birth && not (List.mem p latched))
+              (Registers.value_lifetimes binding)
+          in
+          let rec disjoint = function
+            | [] -> true
+            | (fu, birth, death) :: rest ->
+              List.for_all
+                (fun (fu', birth', death') -> fu = fu' && (death <= birth' || death' <= birth))
+                rest
+              && disjoint rest
+          in
+          placed
+          && Array.for_all (fun t -> t <> [] && disjoint t) tenants
+          && n = Registers_ref.count binding)
+        (register_test_bindings input))
 
 let qcheck_baseline_binders_always_valid =
   QCheck2.Test.make ~name:"area/power binders always produce valid bindings" ~count:40
@@ -329,7 +372,7 @@ let qcheck_baseline_binders_always_valid =
       let schedule = Scheduler.path_based dfg in
       let allocation = Allocation.for_schedule schedule in
       let trace = Testgen.skewed_trace (seed + 1) dfg in
-      let profile = Rb_sim.Operands.build trace in
+      let profile = Operands.build trace in
       (* Binding.make raises on invalid results; reaching here means both passed. *)
       let (_ : Binding.t) = Rb_hls.Area_binding.bind schedule allocation in
       let (_ : Binding.t) = Rb_hls.Power_binding.bind schedule allocation ~profile in
@@ -347,20 +390,21 @@ let qcheck_profile_matches_reference =
         if seed mod 2 = 0 then Testgen.random_trace ~n (seed + 1) dfg
         else Testgen.skewed_trace ~n (seed + 1) dfg
       in
-      let profile = Rb_sim.Operands.build trace and reference = Profile_ref.build trace in
+      let profile = Operands.build trace and reference = Profile_ref.build trace in
       let ops = List.init (Dfg.op_count dfg) Fun.id in
       let schedule = Scheduler.path_based dfg in
       let allocation = Allocation.for_schedule schedule in
-      Rb_sim.Operands.n_samples profile = Profile_ref.n_samples reference
+      Operands.n_samples profile = Profile_ref.n_samples reference
       && List.for_all
            (fun op ->
              List.for_all
                (fun sample ->
-                 Profile.operands profile op ~sample = Profile_ref.operands reference op ~sample)
+                 Minterm.unpack (Operands.minterm profile op ~sample)
+                 = Profile_ref.operands reference op ~sample)
                (List.init n Fun.id)
              && List.for_all
                   (fun op2 ->
-                    Profile.expected_input_hamming profile op op2
+                    Switching.expected_input_hamming profile op op2
                     = Profile_ref.expected_input_hamming reference op op2)
                   ops)
            ops
@@ -414,5 +458,9 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_baseline_binders_always_valid; qcheck_register_count_matches_oracle ] );
+          [
+            qcheck_baseline_binders_always_valid;
+            qcheck_register_count_matches_oracle;
+            qcheck_register_allocation_disjoint;
+          ] );
     ]

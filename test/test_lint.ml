@@ -168,18 +168,14 @@ let test_hls_binding () =
 let minterms n = List.init n Minterm.of_int
 
 let test_lock_resilience () =
-  (* 600 locked minterms under a 16-bit key: Eqn. 1 predicts ~700
-     iterations, far under a 10^3 target *)
-  let config = Config.make ~scheme:Scheme.Sfll_rem ~locks:[ (0, minterms 600) ] in
-  let diags =
-    Locking_rules.check_config ~min_lambda:1000.0 ~key_bits:16 ~input_bits:16 config
-  in
-  check_fires "over-corrupting config" Locking_rules.rule_resilience diags;
-  (* two minterms under the scheme's own key length is comfortably
-     resilient *)
+  (* two locked minterms under the scheme's own 32-bit key: Eqn. 1
+     predicts 386,120 iterations, under a 10^6 target *)
   let config = Config.make ~scheme:Scheme.Sfll_rem ~locks:[ (0, minterms 2) ] in
+  check_fires "under-resilient config" Locking_rules.rule_resilience
+    (Locking_rules.check_config ~min_lambda:1e6 config);
+  (* and comfortably resilient against a 10^3 target *)
   Alcotest.(check (list string)) "resilient config is silent" []
-    (rules_of (Locking_rules.check_config ~min_lambda:1000.0 ~input_bits:16 config))
+    (rules_of (Locking_rules.check_config ~min_lambda:1000.0 config))
 
 let test_lock_overlap () =
   let shared = Minterm.pack 3 7 in
@@ -187,7 +183,7 @@ let test_lock_overlap () =
     Config.make ~scheme:Scheme.Sfll_rem
       ~locks:[ (0, [ shared; Minterm.pack 1 1 ]); (2, [ shared; Minterm.pack 2 2 ]) ]
   in
-  let diags = Locking_rules.check_config ~input_bits:16 config in
+  let diags = Locking_rules.check_config config in
   check_fires "shared minterm" Locking_rules.rule_overlap diags;
   Alcotest.(check bool) "overlap is only a warning" true
     (List.for_all (fun d -> d.Diagnostic.severity = Diagnostic.Warning) diags)
@@ -197,11 +193,11 @@ let test_lock_candidates () =
   let config =
     Config.make ~scheme:Scheme.Sfll_rem ~locks:[ (0, [ Minterm.pack 9 9 ]) ]
   in
-  let diags = Locking_rules.check_config ~candidates ~input_bits:16 config in
+  let diags = Locking_rules.check_config ~candidates config in
   check_fires "off-list minterm" Locking_rules.rule_candidates diags;
   let config = Config.make ~scheme:Scheme.Sfll_rem ~locks:[ (0, [ candidates.(0) ]) ] in
   Alcotest.(check (list string)) "on-list minterm is silent" []
-    (rules_of (Locking_rules.check_config ~candidates ~input_bits:16 config))
+    (rules_of (Locking_rules.check_config ~candidates config))
 
 (* ---------------------------------------------------- report + reporters *)
 

@@ -12,7 +12,7 @@ let test_scheme_key_bits () =
 (* --------------------------------------------------------- resilience *)
 
 let lam minterms =
-  Resilience.lambda_minterms ~key_bits:16 ~correct_keys:1 ~input_bits:16 ~minterms
+  Resilience.lambda_minterms ~key_bits:16 ~input_bits:16 ~minterms
 
 let test_lambda_monotone_in_minterms () =
   let l1 = lam 1 and l4 = lam 4 and l64 = lam 64 in
@@ -22,20 +22,20 @@ let test_lambda_monotone_in_minterms () =
 let test_lambda_monotone_in_keybits () =
   (* In the convergent regime (epsilon * wrong-keys > 1), more key bits
      mean more expected iterations. *)
-  let l k = Resilience.lambda_minterms ~key_bits:k ~correct_keys:1 ~input_bits:16 ~minterms:4 in
+  let l k = Resilience.lambda_minterms ~key_bits:k ~input_bits:16 ~minterms:4 in
   Alcotest.(check bool) "finite at 17 bits" true (l 17 < infinity);
   Alcotest.(check bool) "more key bits, more iterations" true (l 25 >= l 17)
 
 let test_lambda_divergent_regime () =
   (* When a DIP eliminates less than one wrong key in expectation
      (epsilon * N < 1), Eqn. 1 predicts the attack never converges. *)
-  let l = Resilience.lambda_minterms ~key_bits:12 ~correct_keys:1 ~input_bits:16 ~minterms:4 in
+  let l = Resilience.lambda_minterms ~key_bits:12 ~input_bits:16 ~minterms:4 in
   Alcotest.(check bool) "divergent" true (l = infinity)
 
 let test_lambda_high_epsilon_trivial () =
   (* epsilon = 0.9 kills 90% of wrong keys per DIP: 255 wrong keys fall
      within a handful of iterations. *)
-  let l = Resilience.lambda ~key_bits:8 ~correct_keys:1 ~epsilon:0.9 in
+  let l = Resilience.lambda ~key_bits:8 ~epsilon:0.9 in
   Alcotest.(check bool) "near-total corruption falls immediately" true (l <= 5.0)
 
 let test_lambda_invalid_args () =
@@ -43,16 +43,15 @@ let test_lambda_invalid_args () =
     | exception Invalid_argument _ -> ()
     | (_ : float) -> Alcotest.fail "expected Invalid_argument"
   in
-  invalid (fun () -> Resilience.lambda ~key_bits:8 ~correct_keys:1 ~epsilon:0.0);
-  invalid (fun () -> Resilience.lambda ~key_bits:8 ~correct_keys:1 ~epsilon:1.0);
-  invalid (fun () -> Resilience.lambda ~key_bits:0 ~correct_keys:1 ~epsilon:0.5);
-  invalid (fun () -> Resilience.lambda ~key_bits:8 ~correct_keys:0 ~epsilon:0.5);
+  invalid (fun () -> Resilience.lambda ~key_bits:8 ~epsilon:0.0);
+  invalid (fun () -> Resilience.lambda ~key_bits:8 ~epsilon:1.0);
+  invalid (fun () -> Resilience.lambda ~key_bits:0 ~epsilon:0.5);
   invalid (fun () ->
-      Resilience.lambda_minterms ~key_bits:8 ~correct_keys:1 ~input_bits:8 ~minterms:0)
+      Resilience.lambda_minterms ~key_bits:8 ~input_bits:8 ~minterms:0)
 
 let test_max_minterms_for () =
   let budget =
-    Resilience.max_minterms_for ~key_bits:16 ~correct_keys:1 ~input_bits:16
+    Resilience.max_minterms_for ~key_bits:16 ~input_bits:16
       ~min_lambda:1000.0
   in
   Alcotest.(check bool) "positive budget" true (budget >= 1);
@@ -66,7 +65,7 @@ let test_max_minterms_unreachable () =
      corrupts enough (epsilon*N = 16) for the attack to converge far
      below the absurd target, so no budget exists. *)
   let budget =
-    Resilience.max_minterms_for ~key_bits:20 ~correct_keys:1 ~input_bits:16
+    Resilience.max_minterms_for ~key_bits:20 ~input_bits:16
       ~min_lambda:1e12
   in
   Alcotest.(check int) "no budget" 0 budget
@@ -105,7 +104,19 @@ let test_config_lambda_per_fu_uses_weakest () =
       ~locks:[ (0, [ m1 ]); (1, List.init 40 (fun i -> Minterm.of_int i)) ]
   in
   Alcotest.(check bool) "more corrupting FU lowers design resilience" true
-    (Config.lambda_per_fu many < Config.lambda_per_fu one)
+    (Config.lambda_per_fu many < Config.lambda_per_fu one);
+  (* one FU's key length and Eqn. 1 bound: the scheme's key for its
+     minterm count, or a fixed budget *)
+  let lam40 key_bits = Resilience.lambda_minterms ~key_bits ~input_bits:16 ~minterms:40 in
+  Alcotest.(check (pair int (float 0.))) "scheme key and lambda" (640, lam40 640)
+    (Config.resilience many 1);
+  Alcotest.(check (pair int (float 0.))) "fixed key and lambda" (20, lam40 20)
+    (Config.resilience ~key_bits:20 many 1);
+  Alcotest.(check (float 0.)) "fixed key, weakest FU" (lam40 20)
+    (Config.lambda_per_fu ~key_bits:20 many);
+  match Config.resilience many 2 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "unlocked FU accepted"
 
 (* Cross-level consistency: the behavioural wrong-key model
    (Config.corrupt = bit-0 flip on locked minterms) is exactly what the
@@ -152,8 +163,8 @@ let qcheck_lambda_decreasing =
   QCheck2.Test.make ~name:"lambda non-increasing in epsilon" ~count:200
     QCheck2.Gen.(triple (int_range 4 20) (float_range 0.0001 0.4) (float_range 1.01 2.0))
     (fun (key_bits, eps, factor) ->
-      let l1 = Resilience.lambda ~key_bits ~correct_keys:1 ~epsilon:eps in
-      let l2 = Resilience.lambda ~key_bits ~correct_keys:1 ~epsilon:(min 0.9 (eps *. factor)) in
+      let l1 = Resilience.lambda ~key_bits ~epsilon:eps in
+      let l2 = Resilience.lambda ~key_bits ~epsilon:(min 0.9 (eps *. factor)) in
       l1 >= l2)
 
 let qcheck_max_minterms_consistent =
@@ -161,10 +172,10 @@ let qcheck_max_minterms_consistent =
     QCheck2.Gen.(pair (int_range 6 20) (float_range 1.0 100000.0))
     (fun (key_bits, min_lambda) ->
       let budget =
-        Resilience.max_minterms_for ~key_bits ~correct_keys:1 ~input_bits:16 ~min_lambda
+        Resilience.max_minterms_for ~key_bits ~input_bits:16 ~min_lambda
       in
       budget = 0
-      || Resilience.lambda_minterms ~key_bits ~correct_keys:1 ~input_bits:16
+      || Resilience.lambda_minterms ~key_bits ~input_bits:16
            ~minterms:budget
          >= min_lambda)
 
