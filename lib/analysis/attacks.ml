@@ -3,20 +3,19 @@ module Metrics = Rb_util.Metrics
 
 type inference = { bit : int; value : bool; via : string }
 
-type outcome = {
-  attack : string;
-  inferred : inference list;
-  gates_removed : int;
-  keys_stripped : int;
-  simplified : N.t option;
-}
-
 (* ---------- constant-propagation key inference ---------- *)
 
 let key_assignment c inferences =
   let key = Array.make (N.n_keys c) Ternary.Unknown in
   List.iter (fun { bit; value; _ } -> key.(bit) <- Ternary.Known value) inferences;
   key
+
+type key_class = Mute | Strip | Live
+
+let classify_keys c ~cone ~live =
+  Array.init (N.n_keys c) (fun k ->
+      let net = N.key_net c k in
+      if not cone.(net) then Mute else if not live.(net) then Strip else Live)
 
 (* The pass-through rule: a key bit consumed exclusively by XOR/XNOR
    gates pairing it with an internal gate net is an inline repair gate
@@ -52,69 +51,67 @@ let pass_through_candidates c =
     (N.gates c);
   Array.mapi (fun k f -> if agree.(k) then Option.join f else None) first
 
-let const_prop_name = "const-prop"
+(* Each attack reports under the "attack" scope: deterministic
+   run/inference counters plus a segregated wall-clock timer. *)
+let m_const_prop_runs = Metrics.counter ~scope:"attack" "const-prop_runs"
+let m_const_prop_inferred = Metrics.counter ~scope:"attack" "const-prop_inferred"
+let m_const_prop_wall = Metrics.timer ~scope:"attack" "const-prop_run"
 
-let const_prop c =
+let infer c =
   let free = Ternary.constants c in
-  let cone = N.output_cone c in
-  let live = Ternary.live_nets c in
-  let n_keys = N.n_keys c in
-  let inferences = ref [] in
-  let claimed = Array.make (max n_keys 1) false in
-  let claim bit value via =
-    claimed.(bit) <- true;
-    inferences := { bit; value; via } :: !inferences
+  let classes =
+    classify_keys c ~cone:(N.output_cone c) ~live:(Ternary.live_nets c free)
   in
-  for k = 0 to n_keys - 1 do
-    let k_net = N.key_net c k in
-    if not cone.(k_net) then claim k false "mute"
-    else if not live.(k_net) then claim k false "strip"
-  done;
   let pass_through = pass_through_candidates c in
-  for k = 0 to n_keys - 1 do
-    if not claimed.(k) then
-      match pass_through.(k) with
-      | Some value -> claim k value "pass-through"
-      | None -> ()
-  done;
-  let inferences = List.rev !inferences in
+  let bits = List.init (N.n_keys c) Fun.id in
+  let sound =
+    List.filter_map
+      (fun bit ->
+        match classes.(bit) with
+        | Mute -> Some { bit; value = false; via = "mute" }
+        | Strip -> Some { bit; value = false; via = "strip" }
+        | Live -> None)
+      bits
+  in
+  let guessed =
+    List.filter_map
+      (fun bit ->
+        match (classes.(bit), pass_through.(bit)) with
+        | Live, Some value -> Some { bit; value; via = "pass-through" }
+        | _ -> None)
+      bits
+  in
   (* Validation: re-propagate under the inferred assignment; if an
      output turns constant that was free under the unconstrained key,
      a pass-through guess collapsed real logic — drop the pass-through
      class and keep only the sound rules. *)
-  let inferred =
-    if not (List.exists (fun i -> i.via = "pass-through") inferences) then
-      inferences
-    else
-      let pinned = Ternary.constants ~key:(key_assignment c inferences) c in
-      let became_const =
-        Array.exists
-          (fun net -> pinned.(net) <> Ternary.Unknown && free.(net) = Ternary.Unknown)
-          (N.outputs c)
-      in
-      if became_const then List.filter (fun i -> i.via <> "pass-through") inferences
-      else inferences
-  in
-  {
-    attack = const_prop_name;
-    inferred;
-    gates_removed = 0;
-    keys_stripped = List.length inferred;
-    simplified = None;
-  }
+  if guessed = [] then sound
+  else
+    let pinned = Ternary.constants ~key:(key_assignment c (sound @ guessed)) c in
+    let became_const =
+      Array.exists
+        (fun net -> pinned.(net) <> Ternary.Unknown && free.(net) = Ternary.Unknown)
+        (N.outputs c)
+    in
+    if became_const then sound else sound @ guessed
+
+let const_prop c =
+  Metrics.incr m_const_prop_runs;
+  let inferred = Metrics.time m_const_prop_wall (fun () -> infer c) in
+  Metrics.add m_const_prop_inferred (List.length inferred);
+  inferred
 
 (* ---------- structural removal ---------- *)
 
-let strip c ~key =
-  let n_keys = N.n_keys c in
-  let assignment = Array.make n_keys Ternary.Unknown in
-  List.iter
-    (fun (bit, value) ->
-      if bit >= 0 && bit < n_keys then
-        assignment.(bit) <- Ternary.Known value)
-    key;
-  let consts = Ternary.constants ~key:assignment c in
+let m_removal_runs = Metrics.counter ~scope:"attack" "removal_runs"
+let m_removal_inferred = Metrics.counter ~scope:"attack" "removal_inferred"
+let m_removal_gates_removed = Metrics.counter ~scope:"attack" "removal_gates_removed"
+let m_removal_wall = Metrics.timer ~scope:"attack" "removal_run"
+
+let rebuild c inferences =
+  let consts = Ternary.constants ~key:(key_assignment c inferences) c in
   let n_inputs = N.n_inputs c in
+  let n_keys = N.n_keys c in
   let base = n_inputs + n_keys in
   let gates = N.gates c in
   let b = N.Builder.create ~n_inputs ~n_keys in
@@ -197,53 +194,11 @@ let strip c ~key =
   let rebuilt = N.Builder.finish b in
   (rebuilt, N.n_gates c - N.n_gates rebuilt)
 
-let removal_name = "removal"
-
-let removal c =
-  let inference = const_prop c in
-  let key = List.map (fun { bit; value; _ } -> (bit, value)) inference.inferred in
-  let simplified, gates_removed = strip c ~key in
-  {
-    attack = removal_name;
-    inferred = inference.inferred;
-    gates_removed;
-    keys_stripped = List.length inference.inferred;
-    simplified = Some simplified;
-  }
-
-(* ---------- metered entry point ---------- *)
-
-type kind = Const_prop | Removal
-
-(* Every attack run through [run] reports under the "attack" scope:
-   deterministic run/inference counters plus a segregated wall-clock
-   timer per attack. *)
-type meter = {
-  runs : Metrics.counter;
-  inferences : Metrics.counter;
-  removed : Metrics.counter;
-  wall : Metrics.timer;
-}
-
-let meter name =
-  {
-    runs = Metrics.counter ~scope:"attack" (name ^ "_runs");
-    inferences = Metrics.counter ~scope:"attack" (name ^ "_inferred");
-    removed = Metrics.counter ~scope:"attack" (name ^ "_gates_removed");
-    wall = Metrics.timer ~scope:"attack" (name ^ "_run");
-  }
-
-let const_prop_meter = meter const_prop_name
-let removal_meter = meter removal_name
-
-let run kind c =
-  let m, attack =
-    match kind with
-    | Const_prop -> (const_prop_meter, const_prop)
-    | Removal -> (removal_meter, removal)
+let removal c inferences =
+  Metrics.incr m_removal_runs;
+  Metrics.add m_removal_inferred (List.length inferences);
+  let ((_, gates_removed) as result) =
+    Metrics.time m_removal_wall (fun () -> rebuild c inferences)
   in
-  Metrics.incr m.runs;
-  let out = Metrics.time m.wall (fun () -> attack c) in
-  Metrics.add m.inferences (List.length out.inferred);
-  Metrics.add m.removed out.gates_removed;
-  out
+  Metrics.add m_removal_gates_removed gates_removed;
+  result

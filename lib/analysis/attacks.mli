@@ -4,8 +4,7 @@
     {e only} the locked netlist — no working chip to query. They model
     the SCOPE/SWEEP family: propagate constants under trial key-bit
     values, keep the values the structure betrays, then strip the
-    logic those values collapse. The two attacks form the closed set
-    {!kind}; {!run} executes one and instruments it with
+    logic those values collapse. Each attack instruments itself with
     deterministic [Metrics] counters under the ["attack"] scope. *)
 
 type inference = {
@@ -16,39 +15,29 @@ type inference = {
           ["pass-through"] *)
 }
 
-type outcome = {
-  attack : string;
-  inferred : inference list;  (** ascending key bit *)
-  gates_removed : int;  (** removal attack only; 0 otherwise *)
-  keys_stripped : int;
-  simplified : Rb_netlist.Netlist.t option;
-      (** the rebuilt netlist, when the attack rewrites one *)
-}
+type key_class =
+  | Mute  (** outside every output cone: cannot affect the function *)
+  | Strip
+      (** inside an output cone but not live after constant folding:
+          cancelled by the circuit ([k XOR k]-style defects) *)
+  | Live
 
-type kind =
-  | Const_prop  (** ["const-prop"]: {!const_prop} *)
-  | Removal  (** ["removal"]: {!removal} *)
+val classify_keys :
+  Rb_netlist.Netlist.t -> cone:bool array -> live:bool array -> key_class array
+(** [classify_keys c ~cone ~live]: one class per key bit, from [c]'s
+    {!Rb_netlist.Netlist.output_cone} and its
+    {!Ternary.live_nets} under the free key. The one owner of the
+    mute/strip rule: {!const_prop} and the [NET-KEY-MUTE] /
+    [NET-KEY-STRIP] lint rules both read it. *)
 
-val run : kind -> Rb_netlist.Netlist.t -> outcome
-(** Run one attack. Each call bumps the counters
-    ["attack/<name>_runs"], ["attack/<name>_inferred"] (by the
-    inference count) and ["attack/<name>_gates_removed"]; wall-clock
-    goes to the timer ["attack/<name>_run"]. [<name>] is the outcome's
-    [attack] field. *)
-
-(** {1 The attacks, uninstrumented} *)
-
-val const_prop : Rb_netlist.Netlist.t -> outcome
-(** Constant-propagation key inference. Three rules, in order:
+val const_prop : Rb_netlist.Netlist.t -> inference list
+(** Constant-propagation key inference. Three rules:
     {ul
-    {- {b mute}: a key bit outside every output cone cannot affect the
-       function; infer [false] (any value works — the canonical guess
-       is deterministic).}
-    {- {b strip}: a key bit inside an output cone but not live after
-       constant folding is cancelled by the circuit ([k XOR k]-style
-       defects); infer [false].}
-    {- {b pass-through}: a key bit consumed only by XOR/XNOR gates
-       whose other operand is an internal gate net is a textbook
+    {- {b mute}: a {!Mute} key bit; infer [false] (any value works —
+       the canonical guess is deterministic).}
+    {- {b strip}: a {!Strip} key bit; infer [false].}
+    {- {b pass-through}: a {!Live} key bit consumed only by XOR/XNOR
+       gates whose other operand is an internal gate net is a textbook
        random-XOR lock: the key value making each gate transparent
        ([false] for XOR, [true] for XNOR) is the correct one, provided
        all consumers agree. Keyed XORs of {e primary inputs} (the
@@ -58,20 +47,27 @@ val const_prop : Rb_netlist.Netlist.t -> outcome
     A final validation pass re-propagates under the full inferred
     assignment and drops the pass-through inferences if any output
     becomes a constant that was not already constant under the free
-    key — the structural signature of a wrong collapse. *)
+    key — the structural signature of a wrong collapse. The result
+    lists the mute and strip inferences, then the pass-through ones,
+    each by ascending key bit.
 
-val removal : Rb_netlist.Netlist.t -> outcome
-(** Structural removal: take {!const_prop}'s inferred assignment, fold
-    constants under it, and rebuild the netlist with every collapsed
-    gate eliminated (constants folded, pass-through gates bypassed,
-    dead logic dropped). The rebuilt circuit keeps the original
-    input/key widths — stripped key inputs simply drive nothing — so
-    it remains comparable under [Netlist.eval]. *)
+    Each call bumps ["attack/const-prop_runs"] and
+    ["attack/const-prop_inferred"] (by the inference count); wall-clock
+    goes to the timer ["attack/const-prop_run"]. *)
 
-val strip :
-  Rb_netlist.Netlist.t ->
-  key:(int * bool) list ->
-  Rb_netlist.Netlist.t * int
-(** The rewriting core of {!removal}, usable with any partial key
-    assignment [(bit, value)]: returns the rebuilt netlist and the
-    number of gates removed. *)
+val removal :
+  Rb_netlist.Netlist.t -> inference list -> Rb_netlist.Netlist.t * int
+(** [removal c inferences]: structural removal. Fold constants under
+    the inferred assignment (normally {!const_prop}'s) and rebuild the
+    netlist with every collapsed gate eliminated (constants folded,
+    pass-through gates bypassed, dead logic dropped). Returns the
+    rebuilt netlist and the number of gates removed. The rebuilt
+    circuit keeps the original input/key widths — stripped key inputs
+    simply drive nothing — so it remains comparable under
+    [Netlist.eval]. Raises [Invalid_argument] on a key bit outside
+    [c]'s key width.
+
+    Each call bumps ["attack/removal_runs"],
+    ["attack/removal_inferred"] (by the length of [inferences]) and
+    ["attack/removal_gates_removed"]; wall-clock goes to the timer
+    ["attack/removal_run"]. *)

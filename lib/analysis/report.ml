@@ -1,13 +1,6 @@
 module N = Rb_netlist.Netlist
 module Json = Rb_util.Json
 
-type key_observability = {
-  key_bit : int;
-  outputs_reached : int;
-  min_depth : int option;
-  cone_gates : int;
-}
-
 type t = {
   subject : string;
   n_inputs : int;
@@ -17,7 +10,7 @@ type t = {
   inferable : Attacks.inference list;
   skewed : (int * float) list;
   dead_gates : int;
-  observability : key_observability list;
+  observability : Keydep.summary list;
   gates_removed : int;
   static_resilience : float;
 }
@@ -30,23 +23,8 @@ let analyze ~subject c =
     if not cone.(base + i) then incr dead_gates
   done;
   let skewed = Probability.skewed_key_gates c in
-  let observability =
-    List.map
-      (fun (s : Keydep.summary) ->
-        {
-          key_bit = s.Keydep.key_bit;
-          outputs_reached = List.length s.Keydep.outputs_reached;
-          min_depth = s.Keydep.min_output_depth;
-          cone_gates = s.Keydep.cone_gates;
-        })
-      (Keydep.summarize c)
-  in
-  (* Both attacks run through [Attacks.run] so their instrumented
-     counters land in every metrics snapshot; const-prop's
-     inferences are authoritative (removal re-derives the same set). *)
-  let cp = Attacks.run Attacks.Const_prop c in
-  let removal = Attacks.run Attacks.Removal c in
-  let inferable = cp.Attacks.inferred in
+  let inferable = Attacks.const_prop c in
+  let _, gates_removed = Attacks.removal c inferable in
   let n_keys = N.n_keys c in
   let static_resilience =
     if n_keys = 0 then 1.0
@@ -61,8 +39,8 @@ let analyze ~subject c =
     inferable;
     skewed;
     dead_gates = !dead_gates;
-    observability;
-    gates_removed = removal.Attacks.gates_removed;
+    observability = Keydep.summarize c;
+    gates_removed;
     static_resilience;
   }
 
@@ -97,13 +75,13 @@ let to_json r =
       ( "observability",
         Json.List
           (List.map
-             (fun o ->
+             (fun (o : Keydep.summary) ->
                Json.Obj
                  [
                    ("key_bit", Json.Int o.key_bit);
-                   ("outputs_reached", Json.Int o.outputs_reached);
+                   ("outputs_reached", Json.Int (List.length o.outputs_reached));
                    ( "min_depth",
-                     match o.min_depth with
+                     match o.min_output_depth with
                      | Some d -> Json.Int d
                      | None -> Json.Null );
                    ("cone_gates", Json.Int o.cone_gates);
@@ -144,9 +122,9 @@ let pp fmt r =
   fprintf fmt "  dead gates         : %d@," r.dead_gates;
   fprintf fmt "  removable gates    : %d@," r.gates_removed;
   let mute =
-    List.length (List.filter (fun o -> o.min_depth = None) r.observability)
+    List.length (List.filter (fun o -> o.Keydep.min_output_depth = None) r.observability)
   in
-  let depths = List.filter_map (fun o -> o.min_depth) r.observability in
+  let depths = List.filter_map (fun o -> o.Keydep.min_output_depth) r.observability in
   (match depths with
   | [] -> fprintf fmt "  key observability  : %d mute bits@," mute
   | _ ->

@@ -6,13 +6,6 @@
     attacks, folded into a single record that renders as text or
     {!Rb_util.Json} (schema ["rb-analyze/3"]). *)
 
-type key_observability = {
-  key_bit : int;
-  outputs_reached : int;
-  min_depth : int option;  (** [None] for a mute key bit *)
-  cone_gates : int;
-}
-
 type t = {
   subject : string;
   n_inputs : int;
@@ -24,7 +17,7 @@ type t = {
   skewed : (int * float) list;
       (** key gates with output probability outside [0.05, 0.95] *)
   dead_gates : int;  (** gates outside every output cone *)
-  observability : key_observability list;
+  observability : Keydep.summary list;  (** one per key bit *)
   gates_removed : int;  (** by the removal attack *)
   static_resilience : float;
       (** [1 - inferable/n_keys]; [1.0] for keyless designs *)

@@ -53,10 +53,9 @@ let constants ?key c =
   in
   Engine.run ~init ~transfer c
 
-let live_nets ?key c =
+let live_nets c consts =
   let base = N.n_inputs c + N.n_keys c in
   let gates = N.gates c in
-  let consts = constants ?key c in
   let live = Array.make (N.n_nets c) false in
   let rec visit n =
     if (not live.(n)) && consts.(n) = Unknown then begin

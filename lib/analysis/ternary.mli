@@ -23,9 +23,10 @@ val constants : ?key:const array -> Rb_netlist.Netlist.t -> const array
     length [n_keys]; [Known] entries pin the corresponding key net,
     [Unknown] entries leave it free. Primary inputs are always free. *)
 
-val live_nets : ?key:const array -> Rb_netlist.Netlist.t -> bool array
-(** Per net: can the net influence an output value? Walks backwards
-    from the outputs, refusing to enter nets that {!constants} proved
-    constant, and following only the selected branch of a [Mux] whose
-    select is known. A constant output is itself live (it drives a
-    value) but nothing feeding it is. *)
+val live_nets : Rb_netlist.Netlist.t -> const array -> bool array
+(** [live_nets c consts]: per net, can the net influence an output
+    value? [consts] is {!constants} of [c], under whatever key pins the
+    caller chose. Walks backwards from the outputs, refusing to enter
+    nets that [consts] proves constant, and following only the selected
+    branch of a [Mux] whose select is known. A constant output is
+    itself live (it drives a value) but nothing feeding it is. *)

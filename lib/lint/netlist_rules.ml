@@ -1,6 +1,7 @@
 module Netlist = Rb_netlist.Netlist
 module Ternary = Rb_analysis.Ternary
 module Probability = Rb_analysis.Probability
+module Attacks = Rb_analysis.Attacks
 module D = Diagnostic
 
 let rule_dead = "NET-DEAD"
@@ -16,8 +17,8 @@ let check c =
   let diags = ref [] in
   let emit d = diags := d :: !diags in
   let cone = Netlist.output_cone c in
-  let live = Ternary.live_nets c in
   let consts = Ternary.constants c in
+  let live = Ternary.live_nets c consts in
   (* dead gates *)
   Array.iteri
     (fun i _ ->
@@ -28,20 +29,22 @@ let check c =
              ~hint:"remove the gate or route it into an output cone"))
     (Netlist.gates c);
   (* key influence *)
+  let classes = Attacks.classify_keys c ~cone ~live in
   for k = 0 to n_keys - 1 do
-    let net = n_inputs + k in
-    if not cone.(net) then
+    match classes.(k) with
+    | Attacks.Mute ->
       emit
         (D.error ~rule:rule_key_mute (D.Key_input k)
            "key input has no structural path to any output"
            ~hint:"an unconnected key bit adds no security; wire the key gate into \
                   live logic or drop the bit")
-    else if not live.(net) then
+    | Attacks.Strip ->
       emit
         (D.error ~rule:rule_key_strip (D.Key_input k)
            "every path from this key input to an output is cut by constant folding"
            ~hint:"the lock is removable by constant propagation (e.g. k XOR k); \
                   re-insert the key gate on non-redundant logic")
+    | Attacks.Live -> ()
   done;
   (* key gates with heavily skewed output probability *)
   List.iter

@@ -186,7 +186,7 @@ let test_live_nets_mux_select () =
   let m = B.mux b ~sel ~a:x ~b:y in
   B.output b m;
   let c = B.finish b in
-  let live = Ternary.live_nets c in
+  let live = Ternary.live_nets c (Ternary.constants c) in
   Alcotest.(check bool) "selected branch live" true live.(y);
   Alcotest.(check bool) "unselected branch dead" false live.(x)
 
@@ -325,40 +325,51 @@ let qcheck_keydep_summary_matches_rescan =
 
 (* ------------------------------------------------------------ attacks *)
 
-(* [Attacks.run] gives the direct call's outcome and counts one run
-   under the attack's own name. *)
-let test_run_matches_direct () =
+(* Each attack meters itself: a call counts one run under its own
+   name and none under the other's, its inference and removal counters
+   follow its result, and the result does not depend on metering. *)
+let test_attack_metering () =
   let rng = Rng.create 9 in
   let c = (Lock.xor_random ~rng ~key_bits:6 (Circuits.adder ~width:4)).Lock.circuit in
-  let runs () =
-    List.map
-      (fun name -> Metrics.counter_value (Metrics.counter ~scope:"attack" (name ^ "_runs")))
-      [ "const-prop"; "removal" ]
-  in
-  List.iter
-    (fun (kind, name, delta, direct) ->
-      Metrics.set_enabled true;
-      Fun.protect ~finally:(fun () -> Metrics.set_enabled false) (fun () ->
-          let before = runs () in
-          let out = Attacks.run kind c in
-          Alcotest.(check (list int)) (name ^ " counted once")
-            (List.map2 ( + ) before delta) (runs ());
-          Alcotest.(check string) "outcome names the attack" name out.Attacks.attack;
-          Alcotest.(check bool) (name ^ " equals the direct call") true (out = direct c)))
-    [
-      (Attacks.Const_prop, "const-prop", [ 1; 0 ], fun c -> Attacks.const_prop c);
-      (Attacks.Removal, "removal", [ 0; 1 ], fun c -> Attacks.removal c);
-    ]
+  let value name = Metrics.counter_value (Metrics.counter ~scope:"attack" name) in
+  let runs () = List.map (fun name -> value (name ^ "_runs")) [ "const-prop"; "removal" ] in
+  let unmetered = Attacks.const_prop c in
+  let unmetered_removal = Attacks.removal c unmetered in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) (fun () ->
+      let before = runs () and inferred_before = value "const-prop_inferred" in
+      let inferred = Attacks.const_prop c in
+      Alcotest.(check (list int)) "const-prop counted once"
+        (List.map2 ( + ) before [ 1; 0 ]) (runs ());
+      Alcotest.(check int) "const-prop inferences counted"
+        (inferred_before + List.length inferred)
+        (value "const-prop_inferred");
+      Alcotest.(check bool) "const-prop equals the unmetered call" true
+        (inferred = unmetered);
+      let before = runs ()
+      and inferred_before = value "removal_inferred"
+      and removed_before = value "removal_gates_removed" in
+      let ((_, gates_removed) as out) = Attacks.removal c inferred in
+      Alcotest.(check (list int)) "removal counted once"
+        (List.map2 ( + ) before [ 0; 1 ]) (runs ());
+      Alcotest.(check int) "removal inferences counted"
+        (inferred_before + List.length inferred)
+        (value "removal_inferred");
+      Alcotest.(check int) "removed gates counted"
+        (removed_before + gates_removed)
+        (value "removal_gates_removed");
+      Alcotest.(check bool) "removal equals the unmetered call" true
+        (out = unmetered_removal))
 
 let test_const_prop_recovers_rll () =
   let rng = Rng.create 99 in
   let locked = Lock.xor_random ~rng ~key_bits:8 (Circuits.adder ~width:4) in
-  let out = Attacks.const_prop locked.Lock.circuit in
+  let inferred = Attacks.const_prop locked.Lock.circuit in
   (* acceptance floor: >= 25% of naive-XOR key bits recovered; the
      pass-through rule in fact gets all of them, with correct values *)
   Alcotest.(check bool) "at least 25% recovered" true
-    (4 * List.length out.Attacks.inferred >= 8);
-  Alcotest.(check int) "all 8 recovered" 8 (List.length out.Attacks.inferred);
+    (4 * List.length inferred >= 8);
+  Alcotest.(check int) "all 8 recovered" 8 (List.length inferred);
   List.iter
     (fun (i : Attacks.inference) ->
       Alcotest.(check bool)
@@ -366,7 +377,7 @@ let test_const_prop_recovers_rll () =
         true
         (locked.Lock.correct_key.(i.Attacks.bit) = i.Attacks.value);
       Alcotest.(check string) "via pass-through" "pass-through" i.Attacks.via)
-    out.Attacks.inferred
+    inferred
 
 let test_const_prop_abstains_on_sat_hard_schemes () =
   let base = Circuits.adder ~width:4 in
@@ -381,11 +392,10 @@ let test_const_prop_abstains_on_sat_hard_schemes () =
   in
   List.iter
     (fun (label, c) ->
-      let out = Attacks.const_prop c in
       Alcotest.(check int)
         (label ^ ": nothing inferred")
         0
-        (List.length out.Attacks.inferred))
+        (List.length (Attacks.const_prop c)))
     cases
 
 let test_const_prop_mute_and_strip () =
@@ -396,28 +406,35 @@ let test_const_prop_mute_and_strip () =
   let kk = B.xor_ b k1 k1 in
   B.output b (B.or_ b x kk);
   let c = B.finish b in
-  let out = Attacks.const_prop c in
+  let inferred = Attacks.const_prop c in
   let via bit =
     List.find_map
       (fun (i : Attacks.inference) ->
         if i.Attacks.bit = bit then Some i.Attacks.via else None)
-      out.Attacks.inferred
+      inferred
   in
   Alcotest.(check (option string)) "mute key" (Some "mute") (via 0);
-  Alcotest.(check (option string)) "stripped key" (Some "strip") (via 1)
+  Alcotest.(check (option string)) "stripped key" (Some "strip") (via 1);
+  let classes =
+    Attacks.classify_keys c ~cone:(Netlist.output_cone c)
+      ~live:(Ternary.live_nets c (Ternary.constants c))
+  in
+  Alcotest.(check bool) "classified mute, strip" true
+    (classes = [| Attacks.Mute; Attacks.Strip |])
 
 let test_removal_preserves_function () =
   let rng = Rng.create 2024 in
   let locked = Lock.xor_random ~rng ~key_bits:6 (Circuits.adder ~width:3) in
   let c = locked.Lock.circuit in
-  let out = Attacks.removal c in
-  let simplified =
-    match out.Attacks.simplified with
-    | Some s -> s
-    | None -> Alcotest.fail "removal must rebuild a netlist"
-  in
-  Alcotest.(check bool) "gates removed" true (out.Attacks.gates_removed >= 6);
-  Alcotest.(check int) "keys stripped" 6 out.Attacks.keys_stripped;
+  let inferred = Attacks.const_prop c in
+  let simplified, gates_removed = Attacks.removal c inferred in
+  Alcotest.(check bool) "gates removed" true (gates_removed >= 6);
+  Alcotest.(check int) "keys stripped" 6 (List.length inferred);
+  (match
+     Attacks.removal c [ { Attacks.bit = Netlist.n_keys c; value = true; via = "mute" } ]
+   with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a key bit outside the key width must be rejected");
   Alcotest.(check int) "input width preserved" (Netlist.n_inputs c)
     (Netlist.n_inputs simplified);
   Alcotest.(check int) "key width preserved" (Netlist.n_keys c)
@@ -454,7 +471,30 @@ let test_report_rll_vs_sat_hard () =
   Alcotest.(check (float 1e-9)) "pf resilience 1" 1.0 r.Report.static_resilience;
   Alcotest.(check int) "every pf key observable" 0
     (List.length
-       (List.filter (fun o -> o.Report.min_depth = None) r.Report.observability))
+       (List.filter
+          (fun (o : Keydep.summary) -> o.Keydep.min_output_depth = None)
+          r.Report.observability))
+
+(* One sweep per fact: probability, key dependence and free-key
+   constants once each, plus the pinned-key re-propagations of the
+   pass-through validation (RLL only) and of removal. *)
+let test_sweeps_per_analysis () =
+  let runs = Metrics.counter ~scope:"analysis" "fixpoint_runs" in
+  let sweeps f =
+    Metrics.set_enabled true;
+    Fun.protect ~finally:(fun () -> Metrics.set_enabled false) (fun () ->
+        let before = Metrics.counter_value runs in
+        ignore (f ());
+        Metrics.counter_value runs - before)
+  in
+  let base = Circuits.adder ~width:4 in
+  let rll = (Lock.xor_random ~rng:(Rng.create 17) ~key_bits:4 base).Lock.circuit in
+  let pf = (Lock.point_function ~minterms:[ 0x21 ] base).Lock.circuit in
+  Alcotest.(check int) "analyze RLL" 5
+    (sweeps (fun () -> Report.analyze ~subject:"rll" rll));
+  Alcotest.(check int) "analyze pf" 4 (sweeps (fun () -> Report.analyze ~subject:"pf" pf));
+  Alcotest.(check int) "lint netlist rules" 2
+    (sweeps (fun () -> Rb_lint.Netlist_rules.check rll))
 
 let test_report_json_roundtrip () =
   let rng = Rng.create 17 in
@@ -470,6 +510,19 @@ let test_report_json_roundtrip () =
         (List.length r.Report.inferable)
         (List.length l)
   | _ -> Alcotest.fail "inferable field missing");
+  (match Json.member "observability" json with
+  | Some (Json.List l) ->
+      Alcotest.(check (list (option int))) "outputs_reached counts"
+        (List.map
+           (fun (o : Keydep.summary) -> Some (List.length o.Keydep.outputs_reached))
+           r.Report.observability)
+        (List.map
+           (fun o ->
+             match Json.member "outputs_reached" o with
+             | Some (Json.Int n) -> Some n
+             | _ -> None)
+           l)
+  | _ -> Alcotest.fail "observability field missing");
   (* the rendered document parses back *)
   match Json.of_string (Json.to_string json) with
   | Ok parsed ->
@@ -497,7 +550,7 @@ let () =
         ] );
       ( "attacks",
         [
-          Alcotest.test_case "run matches direct" `Quick test_run_matches_direct;
+          Alcotest.test_case "each attack meters itself" `Quick test_attack_metering;
           Alcotest.test_case "const-prop recovers RLL" `Quick
             test_const_prop_recovers_rll;
           Alcotest.test_case "const-prop abstains" `Quick
@@ -510,6 +563,7 @@ let () =
       ( "report",
         [
           Alcotest.test_case "rll vs sat-hard" `Quick test_report_rll_vs_sat_hard;
+          Alcotest.test_case "sweeps per analysis" `Quick test_sweeps_per_analysis;
           Alcotest.test_case "json round-trip" `Quick test_report_json_roundtrip;
         ] );
       ( "properties",
