@@ -2,8 +2,9 @@
    main.exe --metrics). Thin CLI over Rb_util.Bench_diff: counters are
    compared exactly (they are deterministic work counts — any drift
    means behaviour changed), wall-clock one-sided with a relative
-   tolerance. A per-section wall-ratio table (current /
-   baseline) is printed before the verdict; it is informational.
+   tolerance on the summed wall of the sections both files share. A
+   per-section wall-ratio table (current / baseline) is printed before
+   the verdict; only its total row is judged.
 
    Usage:
      compare.exe [--wall-tol FRAC] BASELINE CURRENT
@@ -16,7 +17,7 @@ module Bench_diff = Rb_util.Bench_diff
 let usage () =
   Printf.eprintf
     "usage: compare.exe [--wall-tol FRAC] BASELINE CURRENT\n\
-     FRAC is a relative fraction: --wall-tol 0.5 allows +50%% wall-clock.\n\
+     FRAC is a relative fraction: --wall-tol 0.5 allows +50%% summed wall-clock.\n\
      Counters are exact; a counter absent from the baseline fails the gate.\n"
 
 let parse_frac flag s =
@@ -64,13 +65,14 @@ let () =
     exit 2
   | Ok report ->
     (* Per-section wall clock, so a timing change is visible even
-       under a wide --wall-tol; it never decides the verdict. *)
+       under a wide --wall-tol; only the total decides the verdict. *)
     Printf.printf "%-20s %12s %12s %8s\n" "section" "baseline_s" "current_s" "ratio";
     List.iter
       (fun (section, base, cur) ->
         let ratio = if base > 0.0 then Printf.sprintf "%.2fx" (cur /. base) else "-" in
         Printf.printf "%-20s %12.4f %12.4f %8s\n" section base cur ratio)
-      report.Bench_diff.walls;
+      (report.Bench_diff.walls
+       @ [ ("total", fst report.Bench_diff.total_wall, snd report.Bench_diff.total_wall) ]);
     List.iter
       (fun v -> Printf.printf "FAIL %s\n" (Bench_diff.describe v))
       report.Bench_diff.violations;
@@ -81,7 +83,7 @@ let () =
       report.Bench_diff.additions;
     if report.Bench_diff.violations = [] then begin
       Printf.printf
-        "perf gate OK: %d sections, %d counters checked (wall tol +%.0f%%, counters exact)\n"
+        "perf gate OK: %d sections, %d counters checked (summed wall tol +%.0f%%, counters exact)\n"
         report.Bench_diff.sections_checked report.Bench_diff.counters_checked
         (100.0 *. !wall_tol);
       exit 0

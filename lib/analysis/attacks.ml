@@ -12,10 +12,27 @@ let key_assignment c inferences =
 
 type key_class = Mute | Strip | Live
 
-let classify_keys c ~cone ~live =
-  Array.init (N.n_keys c) (fun k ->
-      let net = N.key_net c k in
-      if not cone.(net) then Mute else if not live.(net) then Strip else Live)
+type facts = {
+  distance : int array;
+  free : Ternary.const array;
+  classes : key_class array;
+  dead : int list;
+}
+
+let facts c =
+  let distance = N.output_cone c in
+  let free = Ternary.constants c in
+  let live = Ternary.live_nets c free in
+  let base = N.n_inputs c + N.n_keys c in
+  {
+    distance;
+    free;
+    classes =
+      Array.init (N.n_keys c) (fun k ->
+          let net = N.key_net c k in
+          if distance.(net) < 0 then Mute else if not live.(net) then Strip else Live);
+    dead = List.filter (fun i -> distance.(base + i) < 0) (List.init (N.n_gates c) Fun.id);
+  }
 
 (* The pass-through rule: a key bit consumed exclusively by XOR/XNOR
    gates pairing it with an internal gate net is an inline repair gate
@@ -57,29 +74,19 @@ let m_const_prop_runs = Metrics.counter ~scope:"attack" "const-prop_runs"
 let m_const_prop_inferred = Metrics.counter ~scope:"attack" "const-prop_inferred"
 let m_const_prop_wall = Metrics.timer ~scope:"attack" "const-prop_run"
 
-let infer c =
-  let free = Ternary.constants c in
-  let classes =
-    classify_keys c ~cone:(N.output_cone c) ~live:(Ternary.live_nets c free)
-  in
+let infer c { free; classes; _ } =
   let pass_through = pass_through_candidates c in
-  let bits = List.init (N.n_keys c) Fun.id in
-  let sound =
-    List.filter_map
-      (fun bit ->
-        match classes.(bit) with
-        | Mute -> Some { bit; value = false; via = "mute" }
-        | Strip -> Some { bit; value = false; via = "strip" }
-        | Live -> None)
-      bits
+  let rule bit =
+    match (classes.(bit), pass_through.(bit)) with
+    | Mute, _ -> Some { bit; value = false; via = "mute" }
+    | Strip, _ -> Some { bit; value = false; via = "strip" }
+    | Live, Some value -> Some { bit; value; via = "pass-through" }
+    | Live, None -> None
   in
-  let guessed =
-    List.filter_map
-      (fun bit ->
-        match (classes.(bit), pass_through.(bit)) with
-        | Live, Some value -> Some { bit; value; via = "pass-through" }
-        | _ -> None)
-      bits
+  let guessed, sound =
+    List.partition
+      (fun i -> i.via = "pass-through")
+      (List.filter_map rule (List.init (N.n_keys c) Fun.id))
   in
   (* Validation: re-propagate under the inferred assignment; if an
      output turns constant that was free under the unconstrained key,
@@ -95,9 +102,9 @@ let infer c =
     in
     if became_const then sound else sound @ guessed
 
-let const_prop c =
+let const_prop c facts =
   Metrics.incr m_const_prop_runs;
-  let inferred = Metrics.time m_const_prop_wall (fun () -> infer c) in
+  let inferred = Metrics.time m_const_prop_wall (fun () -> infer c facts) in
   Metrics.add m_const_prop_inferred (List.length inferred);
   inferred
 

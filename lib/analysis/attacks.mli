@@ -22,16 +22,21 @@ type key_class =
           cancelled by the circuit ([k XOR k]-style defects) *)
   | Live
 
-val classify_keys :
-  Rb_netlist.Netlist.t -> cone:bool array -> live:bool array -> key_class array
-(** [classify_keys c ~cone ~live]: one class per key bit, from [c]'s
-    {!Rb_netlist.Netlist.output_cone} and its
-    {!Ternary.live_nets} under the free key. The one owner of the
-    mute/strip rule: {!const_prop} and the [NET-KEY-MUTE] /
-    [NET-KEY-STRIP] lint rules both read it. *)
+type facts = {
+  distance : int array;  (** {!Rb_netlist.Netlist.output_cone} *)
+  free : Ternary.const array;  (** {!Ternary.constants} under the free key *)
+  classes : key_class array;  (** one per key bit *)
+  dead : int list;  (** gates outside every output cone, ascending *)
+}
 
-val const_prop : Rb_netlist.Netlist.t -> inference list
-(** Constant-propagation key inference. Three rules:
+val facts : Rb_netlist.Netlist.t -> facts
+(** One cone walk, one free-key sweep and one {!Ternary.live_nets}
+    walk: the one owner of these facts and of the mute/strip rule.
+    {!const_prop}, [Report.analyze] and the [NET-*] lint rules read
+    it. *)
+
+val const_prop : Rb_netlist.Netlist.t -> facts -> inference list
+(** [const_prop c (facts c)]: constant-propagation key inference. Three rules:
     {ul
     {- {b mute}: a {!Mute} key bit; infer [false] (any value works —
        the canonical guess is deterministic).}

@@ -1,9 +1,8 @@
 (** The forward-dataflow sweep over gate-level netlists.
 
-    Every structural analysis in this library — ternary constant
-    propagation, signal-probability estimation, key-dependence cones —
-    is one instantiation of the same loop: give every input and key net
-    a boundary value, then visit the gates in index order and compute
+    Ternary constant propagation and signal-probability estimation
+    are instantiations of one loop: give every input and key net a
+    boundary value, then visit the gates in index order and compute
     each driven net from its operands. Netlists come from
     {!Rb_netlist.Netlist.Builder}, so the gate array is a topological
     order and one sweep computes every net exactly; there is nothing to

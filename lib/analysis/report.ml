@@ -16,14 +16,9 @@ type t = {
 }
 
 let analyze ~subject c =
-  let cone = N.output_cone c in
-  let base = N.n_inputs c + N.n_keys c in
-  let dead_gates = ref 0 in
-  for i = 0 to N.n_gates c - 1 do
-    if not cone.(base + i) then incr dead_gates
-  done;
+  let facts = Attacks.facts c in
   let skewed = Probability.skewed_key_gates c in
-  let inferable = Attacks.const_prop c in
+  let inferable = Attacks.const_prop c facts in
   let _, gates_removed = Attacks.removal c inferable in
   let n_keys = N.n_keys c in
   let static_resilience =
@@ -38,8 +33,8 @@ let analyze ~subject c =
     n_outputs = Array.length (N.outputs c);
     inferable;
     skewed;
-    dead_gates = !dead_gates;
-    observability = Keydep.summarize c;
+    dead_gates = List.length facts.Attacks.dead;
+    observability = Keydep.summarize ~distance:facts.Attacks.distance c;
     gates_removed;
     static_resilience;
   }
@@ -79,7 +74,7 @@ let to_json r =
                Json.Obj
                  [
                    ("key_bit", Json.Int o.key_bit);
-                   ("outputs_reached", Json.Int (List.length o.outputs_reached));
+                   ("outputs_reached", Json.Int o.outputs_reached);
                    ( "min_depth",
                      match o.min_output_depth with
                      | Some d -> Json.Int d

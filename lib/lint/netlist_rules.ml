@@ -16,22 +16,18 @@ let check c =
   let base = n_inputs + n_keys in
   let diags = ref [] in
   let emit d = diags := d :: !diags in
-  let cone = Netlist.output_cone c in
-  let consts = Ternary.constants c in
-  let live = Ternary.live_nets c consts in
+  let facts = Attacks.facts c in
   (* dead gates *)
-  Array.iteri
-    (fun i _ ->
-      if not cone.(base + i) then
-        emit
-          (D.warning ~rule:rule_dead (D.Gate i)
-             (Printf.sprintf "gate drives net %d but feeds no output" (base + i))
-             ~hint:"remove the gate or route it into an output cone"))
-    (Netlist.gates c);
+  List.iter
+    (fun i ->
+      emit
+        (D.warning ~rule:rule_dead (D.Gate i)
+           (Printf.sprintf "gate drives net %d but feeds no output" (base + i))
+           ~hint:"remove the gate or route it into an output cone"))
+    facts.Attacks.dead;
   (* key influence *)
-  let classes = Attacks.classify_keys c ~cone ~live in
   for k = 0 to n_keys - 1 do
-    match classes.(k) with
+    match facts.Attacks.classes.(k) with
     | Attacks.Mute ->
       emit
         (D.error ~rule:rule_key_mute (D.Key_input k)
@@ -68,7 +64,7 @@ let check c =
              (Printf.sprintf "output is key input %d itself — the key bit is observable"
                 (net - n_inputs)))
       else
-        match consts.(net) with
+        match facts.Attacks.free.(net) with
         | Ternary.Known v ->
           emit
             (D.warning ~rule:rule_const_out (D.Output pos)

@@ -61,7 +61,7 @@ let flip_output0 c ~n_keys ~flip =
 let live_positions c =
   let cone = Netlist.output_cone c in
   let base = Netlist.n_inputs c + Netlist.n_keys c in
-  Array.of_list (List.filter (fun i -> cone.(base + i)) (List.init (Netlist.n_gates c) Fun.id))
+  Array.of_list (List.filter (fun i -> cone.(base + i) >= 0) (List.init (Netlist.n_gates c) Fun.id))
 
 let max_xor_key_bits c = Array.length (live_positions c)
 

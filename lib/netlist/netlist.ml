@@ -39,15 +39,18 @@ let gate_fanin = function
 
 let output_cone c =
   let base = c.n_inputs + c.n_keys in
-  let in_cone = Array.make (n_nets c) false in
-  let rec visit net =
-    if not in_cone.(net) then begin
-      in_cone.(net) <- true;
-      if net >= base then List.iter visit (gate_fanin c.gates.(net - base))
-    end
-  in
-  Array.iter visit c.outputs;
-  in_cone
+  let dist = Array.make (n_nets c) (-1) in
+  Array.iter (fun net -> dist.(net) <- 0) c.outputs;
+  (* Every fan-out of a net has a higher index, so a reverse sweep
+     visits a net only after all its fan-outs have set its distance. *)
+  for i = Array.length c.gates - 1 downto 0 do
+    let d = dist.(base + i) in
+    if d >= 0 then
+      List.iter
+        (fun f -> if dist.(f) < 0 || d + 1 < dist.(f) then dist.(f) <- d + 1)
+        (gate_fanin c.gates.(i))
+  done;
+  dist
 
 let eval_lanes c values =
   let base = c.n_inputs + c.n_keys in

@@ -48,11 +48,11 @@ val gate_fanin : gate -> net list
 val key_net : t -> int -> net
 (** [key_net c i] is the net of key input [i]. *)
 
-val output_cone : t -> bool array
-(** Per net: is the net an output or in the transitive structural
-    fan-in of one? The one liveness walk of the repo: RLL key
-    placement, dead-logic reporting, key observability and the removal
-    attack's dead-code elimination all read it. *)
+val output_cone : t -> int array
+(** Per net: the gates on its shortest path to an output ([0] for an
+    output), or [-1] outside every output's structural fan-in. One
+    backward sweep over the gate array; the one cone walk of the repo,
+    read by RLL key placement and the oracle-less analysis. *)
 
 val eval_lanes : t -> int array -> unit
 (** Bit-parallel simulation: [eval_lanes c values] evaluates up to 63

@@ -1,7 +1,6 @@
 module Netlist = Rb_netlist.Netlist
 module Circuits = Rb_netlist.Circuits
 module Lock = Rb_netlist.Lock
-module Engine = Rb_analysis.Engine
 module Ternary = Rb_analysis.Ternary
 module Probability = Rb_analysis.Probability
 module Keydep = Rb_analysis.Keydep
@@ -80,19 +79,16 @@ let qcheck_analyses_cover_every_net =
       in
       let n = Netlist.n_nets c in
       let t = Ternary.constants c in
-      let k = Keydep.run c in
       let p = Probability.estimate c in
-      let sorted_keys deps =
-        let keys = List.map fst deps in
-        List.sort_uniq compare keys = keys
-        && List.for_all (fun b -> b >= 0 && b < n_keys) keys
-      in
+      let distance = Netlist.output_cone c in
+      let k = Keydep.summarize ~distance c in
       Array.length t = n
-      && Array.length k = n
       && Array.length p = n
-      && Array.length (Netlist.output_cone c) = n
+      && Array.length distance = n
       && Array.for_all (fun x -> x >= 0.0 && x <= 1.0) p
-      && Array.for_all sorted_keys k)
+      && Array.for_all (fun d -> d >= -1) distance
+      && List.map (fun (s : Keydep.summary) -> s.Keydep.key_bit) k
+         = List.init n_keys Fun.id)
 
 (* Soundness: every net the analysis calls Known agrees with exhaustive
    simulation under every key assignment consistent with the pins. *)
@@ -261,7 +257,8 @@ let qcheck_probability_exact_on_trees =
 let test_keydep_rll () =
   let rng = Rng.create 7 in
   let locked = Lock.xor_random ~rng ~key_bits:4 (Circuits.adder ~width:4) in
-  let summaries = Keydep.summarize locked.Lock.circuit in
+  let c = locked.Lock.circuit in
+  let summaries = Keydep.summarize ~distance:(Netlist.output_cone c) c in
   Alcotest.(check int) "one summary per key" 4 (List.length summaries);
   List.iteri
     (fun i (s : Keydep.summary) ->
@@ -269,7 +266,7 @@ let test_keydep_rll () =
       Alcotest.(check bool)
         (Printf.sprintf "key %d observable" i)
         true
-        (s.Keydep.outputs_reached <> [] && s.Keydep.min_output_depth <> None);
+        (s.Keydep.outputs_reached > 0 && s.Keydep.min_output_depth <> None);
       Alcotest.(check bool)
         (Printf.sprintf "key %d depth positive" i)
         true
@@ -283,17 +280,18 @@ let test_keydep_mute_key () =
   let b = B.create ~n_inputs:1 ~n_keys:1 in
   B.output b (B.not_ b (B.input b 0));
   let c = B.finish b in
-  match Keydep.summarize c with
+  match Keydep.summarize ~distance:(Netlist.output_cone c) c with
   | [ s ] ->
       Alcotest.(check bool) "mute: no outputs" true
-        (s.Keydep.outputs_reached = []);
+        (s.Keydep.outputs_reached = 0);
       Alcotest.(check bool) "mute: no depth" true
         (s.Keydep.min_output_depth = None);
       Alcotest.(check int) "mute: empty cone" 0 s.Keydep.cone_gates
   | l -> Alcotest.failf "expected 1 summary, got %d" (List.length l)
 
-(* The one-pass summary against the per-key rescan it replaced, on every
-   lock scheme over random base circuits and on random netlists. *)
+(* The bitset summary against the list-lattice rescan, on every lock
+   scheme over random base circuits and on random netlists, at key
+   widths on both sides of one and of two 63-bit bitset words. *)
 let qcheck_keydep_summary_matches_rescan =
   QCheck2.Test.make ~name:"keydep summary = per-key rescan" ~count:100
     QCheck2.Gen.(int_range 0 100_000)
@@ -304,8 +302,9 @@ let qcheck_keydep_summary_matches_rescan =
         if Rng.bool rng then Circuits.adder ~width else Circuits.multiplier ~width
       in
       let space = 1 lsl (2 * width) in
+      let wide = (if Rng.bool rng then 62 else 126) + Rng.int rng 3 in
       let c =
-        match Rng.int rng 5 with
+        match Rng.int rng 8 with
         | 0 ->
             let key_bits = 1 + Rng.int rng (min 8 (Lock.max_xor_key_bits base)) in
             (Lock.xor_random ~rng ~key_bits base).Lock.circuit
@@ -317,13 +316,26 @@ let qcheck_keydep_summary_matches_rescan =
         | 2 -> (Lock.anti_sat ~rng base).Lock.circuit
         | 3 ->
             (Lock.permutation_network ~rng ~layers:(1 + Rng.int rng 4) base).Lock.circuit
-        | _ ->
+        | 4 ->
             Testgen.random_netlist rng ~n_inputs:(1 + Rng.int rng 4)
               ~n_keys:(Rng.int rng 6) ~n_gates:(1 + Rng.int rng 40)
+        | 5 ->
+            (Lock.xor_random ~rng ~key_bits:wide (Circuits.multiplier ~width:6))
+              .Lock.circuit
+        | 6 ->
+            (* 3.5 key bits per layer on a 4-bit adder: 63, 67, 126 or 130 *)
+            (Lock.permutation_network ~rng ~layers:(((2 * wide) + 6) / 7)
+               (Circuits.adder ~width:4))
+              .Lock.circuit
+        | _ ->
+            Testgen.random_netlist rng ~n_inputs:(1 + Rng.int rng 4) ~n_keys:wide
+              ~n_gates:(1 + Rng.int rng 200)
       in
-      Keydep.summarize c = Keydep_ref.summarize c)
+      Keydep.summarize ~distance:(Netlist.output_cone c) c = Keydep_ref.summarize c)
 
 (* ------------------------------------------------------------ attacks *)
+
+let const_prop c = Attacks.const_prop c (Attacks.facts c)
 
 (* Each attack meters itself: a call counts one run under its own
    name and none under the other's, its inference and removal counters
@@ -333,12 +345,12 @@ let test_attack_metering () =
   let c = (Lock.xor_random ~rng ~key_bits:6 (Circuits.adder ~width:4)).Lock.circuit in
   let value name = Metrics.counter_value (Metrics.counter ~scope:"attack" name) in
   let runs () = List.map (fun name -> value (name ^ "_runs")) [ "const-prop"; "removal" ] in
-  let unmetered = Attacks.const_prop c in
+  let unmetered = const_prop c in
   let unmetered_removal = Attacks.removal c unmetered in
   Metrics.set_enabled true;
   Fun.protect ~finally:(fun () -> Metrics.set_enabled false) (fun () ->
       let before = runs () and inferred_before = value "const-prop_inferred" in
-      let inferred = Attacks.const_prop c in
+      let inferred = const_prop c in
       Alcotest.(check (list int)) "const-prop counted once"
         (List.map2 ( + ) before [ 1; 0 ]) (runs ());
       Alcotest.(check int) "const-prop inferences counted"
@@ -364,7 +376,7 @@ let test_attack_metering () =
 let test_const_prop_recovers_rll () =
   let rng = Rng.create 99 in
   let locked = Lock.xor_random ~rng ~key_bits:8 (Circuits.adder ~width:4) in
-  let inferred = Attacks.const_prop locked.Lock.circuit in
+  let inferred = const_prop locked.Lock.circuit in
   (* acceptance floor: >= 25% of naive-XOR key bits recovered; the
      pass-through rule in fact gets all of them, with correct values *)
   Alcotest.(check bool) "at least 25% recovered" true
@@ -395,7 +407,7 @@ let test_const_prop_abstains_on_sat_hard_schemes () =
       Alcotest.(check int)
         (label ^ ": nothing inferred")
         0
-        (List.length (Attacks.const_prop c)))
+        (List.length (const_prop c)))
     cases
 
 let test_const_prop_mute_and_strip () =
@@ -406,7 +418,7 @@ let test_const_prop_mute_and_strip () =
   let kk = B.xor_ b k1 k1 in
   B.output b (B.or_ b x kk);
   let c = B.finish b in
-  let inferred = Attacks.const_prop c in
+  let inferred = const_prop c in
   let via bit =
     List.find_map
       (fun (i : Attacks.inference) ->
@@ -415,18 +427,14 @@ let test_const_prop_mute_and_strip () =
   in
   Alcotest.(check (option string)) "mute key" (Some "mute") (via 0);
   Alcotest.(check (option string)) "stripped key" (Some "strip") (via 1);
-  let classes =
-    Attacks.classify_keys c ~cone:(Netlist.output_cone c)
-      ~live:(Ternary.live_nets c (Ternary.constants c))
-  in
   Alcotest.(check bool) "classified mute, strip" true
-    (classes = [| Attacks.Mute; Attacks.Strip |])
+    ((Attacks.facts c).Attacks.classes = [| Attacks.Mute; Attacks.Strip |])
 
 let test_removal_preserves_function () =
   let rng = Rng.create 2024 in
   let locked = Lock.xor_random ~rng ~key_bits:6 (Circuits.adder ~width:3) in
   let c = locked.Lock.circuit in
-  let inferred = Attacks.const_prop c in
+  let inferred = const_prop c in
   let simplified, gates_removed = Attacks.removal c inferred in
   Alcotest.(check bool) "gates removed" true (gates_removed >= 6);
   Alcotest.(check int) "keys stripped" 6 (List.length inferred);
@@ -475,9 +483,10 @@ let test_report_rll_vs_sat_hard () =
           (fun (o : Keydep.summary) -> o.Keydep.min_output_depth = None)
           r.Report.observability))
 
-(* One sweep per fact: probability, key dependence and free-key
-   constants once each, plus the pinned-key re-propagations of the
-   pass-through validation (RLL only) and of removal. *)
+(* One sweep per fact: probability and free-key constants once each,
+   plus the pinned-key re-propagations of the pass-through validation
+   (RLL only) and of removal. Key dependence is its own bitset sweep
+   and does not count. *)
 let test_sweeps_per_analysis () =
   let runs = Metrics.counter ~scope:"analysis" "fixpoint_runs" in
   let sweeps f =
@@ -490,9 +499,9 @@ let test_sweeps_per_analysis () =
   let base = Circuits.adder ~width:4 in
   let rll = (Lock.xor_random ~rng:(Rng.create 17) ~key_bits:4 base).Lock.circuit in
   let pf = (Lock.point_function ~minterms:[ 0x21 ] base).Lock.circuit in
-  Alcotest.(check int) "analyze RLL" 5
+  Alcotest.(check int) "analyze RLL" 4
     (sweeps (fun () -> Report.analyze ~subject:"rll" rll));
-  Alcotest.(check int) "analyze pf" 4 (sweeps (fun () -> Report.analyze ~subject:"pf" pf));
+  Alcotest.(check int) "analyze pf" 3 (sweeps (fun () -> Report.analyze ~subject:"pf" pf));
   Alcotest.(check int) "lint netlist rules" 2
     (sweeps (fun () -> Rb_lint.Netlist_rules.check rll))
 
@@ -514,7 +523,7 @@ let test_report_json_roundtrip () =
   | Some (Json.List l) ->
       Alcotest.(check (list (option int))) "outputs_reached counts"
         (List.map
-           (fun (o : Keydep.summary) -> Some (List.length o.Keydep.outputs_reached))
+           (fun (o : Keydep.summary) -> Some o.Keydep.outputs_reached)
            r.Report.observability)
         (List.map
            (fun o ->

@@ -100,9 +100,22 @@ let test_output_cone () =
   B.output b live;
   let c = B.finish b in
   let cone = Netlist.output_cone c in
-  Alcotest.(check bool) "live gate in cone" true cone.(live);
-  Alcotest.(check bool) "dead gate out of cone" false cone.(dead);
-  Alcotest.(check bool) "inputs in cone" true (cone.(x) && cone.(y))
+  Alcotest.(check bool) "live gate in cone" true (cone.(live) >= 0);
+  Alcotest.(check bool) "dead gate out of cone" true (cone.(dead) = -1);
+  Alcotest.(check bool) "inputs in cone" true (cone.(x) >= 0 && cone.(y) >= 0);
+  (* depth in gates: x reaches an output through a (1 gate) and through
+     p, q (2 gates); the later gates must not overwrite the shorter path *)
+  let b = B.create ~n_inputs:2 ~n_keys:0 in
+  let x = B.input b 0 and y = B.input b 1 in
+  let a = B.and_ b x y in
+  let p = B.not_ b x in
+  let q = B.not_ b p in
+  let dead = B.or_ b y q in
+  B.output b a;
+  B.output b q;
+  let c = B.finish b in
+  Alcotest.(check (array int)) "distances" [| 1; 1; 0; 1; 0; -1 |]
+    (Array.map (fun net -> (Netlist.output_cone c).(net)) [| x; y; a; p; q; dead |])
 
 let test_eval_width_mismatch () =
   let c = Circuits.adder ~width:4 in
@@ -294,9 +307,45 @@ let test_permutation_network_all_keys_drive_swaps () =
         Alcotest.(check bool)
           (Printf.sprintf "w%d l%d key %d live" width layers k)
           true
-          cone.(Netlist.n_inputs c + k)
+          (cone.(Netlist.n_inputs c + k) >= 0)
       done)
     [ (2, 2); (3, 3); (4, 2); (4, 5) ]
+
+(* Distances against a brute-force shortest path: relax every gate's
+   operands to one gate more than the gate's own distance, sweeping in
+   gate order (the opposite of the reverse sweep's) until nothing
+   changes. *)
+let qcheck_output_cone_shortest_path =
+  QCheck2.Test.make ~name:"output_cone = brute-force shortest path" ~count:200
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let c =
+        Testgen.random_netlist rng ~n_inputs:(1 + Rng.int rng 4)
+          ~n_keys:(Rng.int rng 3) ~n_gates:(1 + Rng.int rng 40)
+      in
+      let base = Netlist.n_inputs c + Netlist.n_keys c in
+      let dist = Array.make (Netlist.n_nets c) None in
+      Array.iter (fun o -> dist.(o) <- Some 0) (Netlist.outputs c);
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        Array.iteri
+          (fun i g ->
+            match dist.(base + i) with
+            | None -> ()
+            | Some d ->
+              List.iter
+                (fun f ->
+                  match dist.(f) with
+                  | Some e when e <= d + 1 -> ()
+                  | _ ->
+                    dist.(f) <- Some (d + 1);
+                    changed := true)
+                (Netlist.gate_fanin g))
+          (Netlist.gates c)
+      done;
+      Netlist.output_cone c = Array.map (Option.value ~default:(-1)) dist)
 
 (* Every gate constructor at least once, in a random order, over
    operands drawn from every earlier net. Every gate is an output, and
@@ -419,5 +468,6 @@ let () =
             qcheck_multiplier_random_widths;
             qcheck_xor_lock_flipping_one_bit;
             qcheck_eval_lanes_matches_eval;
+            qcheck_output_cone_shortest_path;
           ] );
     ]

@@ -525,7 +525,22 @@ let test_diff_wall_regression () =
   Alcotest.(check bool) "above band fails" true
     (kinds (diff ~wall_tol:0.5 base cur) = [ Bench_diff.Wall_regression ]);
   Alcotest.(check int) "faster never fails" 0
-    (List.length (diff ~wall_tol:0.0 cur base).Bench_diff.violations)
+    (List.length (diff ~wall_tol:0.0 cur base).Bench_diff.violations);
+  (* Wall is judged on the sum of the shared sections: a millisecond
+     section at 11x passes, the same factor on the total fails. *)
+  let base = bench_doc [ ("fig6", 1.0, []); ("postlock", 0.001, []) ] in
+  let spike = bench_doc [ ("fig6", 1.0, []); ("postlock", 0.011, []) ] in
+  let slow = bench_doc [ ("fig6", 11.0, []); ("postlock", 0.011, []) ] in
+  let r = diff ~wall_tol:9.0 base spike in
+  Alcotest.(check int) "one section at 11x passes" 0
+    (List.length r.Bench_diff.violations);
+  Alcotest.(check bool) "total reported" true
+    (r.Bench_diff.total_wall = (1.001, 1.011));
+  Alcotest.(check bool) "total at 11x fails" true
+    (List.map
+       (fun v -> (v.Bench_diff.section, v.Bench_diff.kind))
+       (diff ~wall_tol:9.0 base slow).Bench_diff.violations
+    = [ ("total", Bench_diff.Wall_regression) ])
 
 let test_diff_counter_regression () =
   let base = bench_doc [ ("fig6", 1.0, [ ("sim/op_evals", 1000) ]) ] in
