@@ -71,8 +71,7 @@ let experiment_sections pool =
          (Workload.all ()))
   in
   let suite =
-    lazy
-      (Experiments.sweep_suite ~pool ~max_combos_per_config:2000 (Lazy.force contexts))
+    lazy (Experiments.sweep_suite ~pool (Lazy.force contexts))
   in
   let fig4 () =
     section
@@ -89,11 +88,9 @@ let experiment_sections pool =
     section
       "Fig. 5 - error increase vs locking configuration (pooled over all\n\
        benchmarks and kinds; co-design = P-time heuristic, as in the paper)";
-    let s = Lazy.force suite in
     print_string
       (Render.fig5
-         ~cells:(Experiments.fig5_cells (Experiments.pooled_results s))
-         ~reduced:(Experiments.reduced_optimal_runs s))
+         ~cells:(Experiments.fig5_cells (Experiments.pooled_results (Lazy.force suite))))
   in
   let fig6 () =
     section

@@ -28,5 +28,6 @@ val live_nets : Rb_netlist.Netlist.t -> const array -> bool array
     value? [consts] is {!constants} of [c], under whatever key pins the
     caller chose. Walks backwards from the outputs, refusing to enter
     nets that [consts] proves constant, and following only the selected
-    branch of a [Mux] whose select is known. A constant output is
-    itself live (it drives a value) but nothing feeding it is. *)
+    branch of a [Mux] whose select is known. A constant net is never
+    live, an output included, so nothing feeding a constant output is
+    either. *)

@@ -474,12 +474,11 @@ type sweep_key = { sk_benchmark : string; sk_kind : Dfg.op_kind }
 let both_kinds ctxs =
   List.concat_map (fun ctx -> [ (ctx, Dfg.Add); (ctx, Dfg.Mul) ]) ctxs
 
-let sweep_suite ~pool ?max_combos_per_config ?max_optimal_assignments ctxs =
+let sweep_suite ~pool ctxs =
   (* One task per (benchmark, kind): the pool's only level. *)
   Pool.map_list pool
     ~f:(fun (ctx, kind) ->
-      ( { sk_benchmark = ctx.benchmark; sk_kind = kind },
-        sweep ?max_combos_per_config ?max_optimal_assignments ctx kind ))
+      ({ sk_benchmark = ctx.benchmark; sk_kind = kind }, sweep ctx kind))
     (both_kinds ctxs)
 
 let fig4_rows suite =
@@ -498,32 +497,6 @@ let concentrations ctxs =
           |> List.map (fun m -> Kmatrix.op_concentration ctx.k m))
         [ Dfg.Add; Dfg.Mul ])
     ctxs
-
-type reduced_run = {
-  rr_benchmark : string;
-  rr_kind : Dfg.op_kind;
-  rr_locked_fu_count : int;
-  rr_minterms_per_fu : int;
-  rr_candidates_used : int;
-}
-
-let reduced_optimal_runs suite =
-  List.concat_map
-    (fun (key, results) ->
-      List.filter_map
-        (fun r ->
-          if r.optimal_candidates_used < Codesign.n_candidates then
-            Some
-              {
-                rr_benchmark = key.sk_benchmark;
-                rr_kind = key.sk_kind;
-                rr_locked_fu_count = r.locked_fu_count;
-                rr_minterms_per_fu = r.minterms_per_fu;
-                rr_candidates_used = r.optimal_candidates_used;
-              }
-          else None)
-        results)
-    suite
 
 type headline_summary = {
   hl_obf_mean : float;

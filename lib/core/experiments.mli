@@ -202,14 +202,13 @@ val post_binding : context -> Dfg.op_kind -> post_binding_result option
 type sweep_key = { sk_benchmark : string; sk_kind : Dfg.op_kind }
 
 val sweep_suite :
-  pool:Rb_util.Pool.t ->
-  ?max_combos_per_config:int ->
-  ?max_optimal_assignments:int ->
-  context list ->
-  (sweep_key * config_result list) list
+  pool:Rb_util.Pool.t -> context list -> (sweep_key * config_result list) list
 (** {!sweep} over every (benchmark, kind) pair, in benchmark order
     with Add before Mul. One pool task per pair, each a sequential
-    {!sweep} at its default seed. *)
+    {!sweep} at its defaults. The default optimal cap holds every
+    Sec. VI configuration at |C| = 10 (the largest space, 3 FUs x 3
+    minterms, is C(122, 3) = 295,240 multisets), so every suite
+    result searched the full candidate list. *)
 
 val fig4_rows : (sweep_key * config_result list) list -> fig4_row list
 (** The {!fig4_row} of every sweep that has at least one feasible
@@ -222,20 +221,6 @@ val pooled_results : (sweep_key * config_result list) list -> config_result list
 val concentrations : context list -> float list
 (** Candidate op-concentration of every candidate minterm across the
     suite (the workload statistic quoted next to Fig. 4). *)
-
-(** One optimal co-design run that searched a shortened candidate
-    list (disclosed alongside Fig. 5). *)
-type reduced_run = {
-  rr_benchmark : string;
-  rr_kind : Dfg.op_kind;
-  rr_locked_fu_count : int;
-  rr_minterms_per_fu : int;
-  rr_candidates_used : int;
-}
-
-val reduced_optimal_runs : (sweep_key * config_result list) list -> reduced_run list
-(** Configurations whose optimal run used fewer than the full 10
-    candidates. *)
 
 (** The paper-abstract numbers, computed from a sweep suite. *)
 type headline_summary = {

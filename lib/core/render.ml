@@ -75,9 +75,7 @@ let fig4 ~rows ~concentrations =
   Buffer.add_string buf
     "\nPaper reference: obf-aware 22x (area) / 29x (power); co-design 82x / 115x.\n\
      No multipliers in ecb_enc4 (as in the paper). Combination spaces above\n\
-     the sweep's per-configuration limit are deterministically sampled;\n\
-     optimal co-design above its assignment cap re-runs on a shortened\n\
-     candidate list (listed in the fig5 section when any run was).\n";
+     the sweep's per-configuration limit are deterministically sampled.\n";
   Buffer.add_string buf
     (Printf.sprintf
        "Candidate op-concentration across the suite: mean %.2f, median %.2f\n\
@@ -86,7 +84,7 @@ let fig4 ~rows ~concentrations =
        (Stats.mean concentrations) (Stats.median concentrations));
   Buffer.contents buf
 
-let fig5 ~cells ~reduced =
+let fig5 ~cells =
   let table =
     Table.create ~title:"mean error-increase ratio"
       ~columns:
@@ -109,19 +107,6 @@ let fig5 ~cells ~reduced =
   Buffer.add_string buf (Table.render table);
   Buffer.add_string buf "\n";
   Buffer.add_string buf "\nPaper reference: consistently 10-150x across configurations.\n";
-  if reduced <> [] then
-    Buffer.add_string buf
-      (Printf.sprintf
-         "Optimal co-design used a shortened candidate list on %d configuration\n\
-          runs (exact search above the assignment cap):\n"
-         (List.length reduced));
-  List.iter
-    (fun (rr : E.reduced_run) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %s/%s L=%d m=%d: |C|=%d\n" rr.E.rr_benchmark
-           (Dfg.kind_label rr.E.rr_kind) rr.E.rr_locked_fu_count
-           rr.E.rr_minterms_per_fu rr.E.rr_candidates_used))
-    reduced;
   Buffer.contents buf
 
 let fig6 overheads =

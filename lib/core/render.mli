@@ -16,10 +16,8 @@ val fig4 :
 (** The two Fig. 4 tables (with the running average rows) plus the
     paper-reference and op-concentration notes. *)
 
-val fig5 :
-  cells:Experiments.fig5_cell list -> reduced:Experiments.reduced_run list -> string
-(** The Fig. 5 table, plus the list of optimal co-design runs that
-    searched a shortened candidate list when [reduced] is not empty. *)
+val fig5 : cells:Experiments.fig5_cell list -> string
+(** The Fig. 5 table plus the paper-reference note. *)
 
 val fig6 : Experiments.overhead_result list -> string
 (** Register and switching overhead tables plus the paper-reference

@@ -72,13 +72,23 @@ let new_member locked i =
     act = Option.get m.act;
   }
 
-(* Members race only on pool workers, so a portfolio larger than the
-   pool (or any portfolio without one) is clamped: a member with no
-   worker to run on could only solve after member 0, which is what the
-   smaller portfolio already does. *)
+(* Helpers are built only where they can race: on the workers of a
+   pool that maps in parallel from this domain, with no conflict budget.
+   Inside a pool task the map runs inline, so a helper would start only
+   after member 0 had decided and stop at its first poll. Under a
+   conflict budget a helper could prove Unsat in wall time the budget
+   denies member 0, and the outcome would hang on the race. A portfolio
+   larger than the pool is clamped to it: a member with no worker could
+   only solve after member 0, which is what the smaller portfolio
+   already does. *)
 let new_miter ?pool ?(portfolio = 1) ?(limit = Limits.none) locked =
   if portfolio < 1 then invalid_arg "Attack.new_miter: portfolio must be >= 1";
-  let racing = match pool with None -> 1 | Some p -> min portfolio (Pool.jobs p) in
+  let racing =
+    match pool with
+    | Some p when Pool.parallel p && not (Limits.has_budget limit) ->
+      min portfolio (Pool.jobs p)
+    | _ -> 1
+  in
   {
     locked;
     members = Array.init racing (new_member locked);
@@ -99,22 +109,20 @@ let add_io_pair m dip response =
         ~inputs:dip ~outputs:response)
     m.members
 
-let decisive = function Solver.Sat | Solver.Unsat -> true | Solver.Unknown _ -> false
-
 (* One miter round.
 
    A single member solves directly. A portfolio (more than one member
-   implies a pool, see [new_miter]) races all members over the pool
-   under two round-local cancel flags with asymmetric roles,
-   which is what makes the race deterministic in its reported result
-   (see the contract note above [run]):
+   implies a parallel pool, see [new_miter]) races all members over the
+   pool under two round-local cancel flags with asymmetric roles, which
+   is what makes the race deterministic in its reported result (see the
+   contract note in attack.mli):
 
    - member 0 is the {e sequence owner}: it is only ever interrupted
      by a proven Unsat (a fact about the constraint set, not about
      timing), so on Sat rounds its solve — and hence its model, the
      round's DIP — evolves exactly as at [portfolio = 1];
-   - members 1..n-1 are {e helpers}: they stop as soon as member 0 is
-     decisive (their own Sat models are never consumed), and their
+   - members 1..n-1 are {e helpers}: they stop as soon as member 0
+     returns (their own Sat models are never consumed), and their
      real contribution is racing the expensive Unsat proofs — any
      member proving Unsat ends the round for everyone, soundly, since
      all members hold logically equivalent instances.
@@ -126,42 +134,20 @@ let decisive = function Solver.Sat | Solver.Unsat -> true | Solver.Unknown _ -> 
    timing-dependent points and would perturb its search, breaking the
    deterministic DIP sequence.
 
-   Budgeted rounds ({!Limits.has_budget}) tighten the contract: a
-   conflict budget promises the {e same} partial result at
-   every [--portfolio], but a helper can prove Unsat in wall-time the
-   budget denies member 0 — reporting that Unsat would make the
-   attack's outcome depend on the racers. So under a work budget
-   member 0 runs with {e no} cancel flag at all (its stop point is a
-   pure function of the constraint set, exactly as at
-   [portfolio = 1]), a member-0 budget stop also stops the helpers,
-   and the join discards helper Unsats whenever member 0 was
-   budget-stopped. Helpers still race real Unsat proofs for member-0
-   rounds that decide within budget, and clause sharing is unaffected
-   (member 0 never imports).
-
    Returns the round result plus the index of the member whose
    model/proof to use: member 0 for Sat, the lowest Unsat prover for
    Unsat (the extracted key is canonical, so the choice is
    unobservable). *)
-let budget_stop = function
-  | Solver.Unknown Limits.Conflicts -> true
-  | _ -> false
-
 let solve_round m =
   let members = m.members in
   let n = Array.length members in
   match m.pool with
   | Some pool when n > 1 ->
-    let budgeted = Limits.has_budget m.limit in
     let unsat_found = Limits.new_cancel () in
     let helpers_stop = Limits.new_cancel () in
     let solve_member i =
       let mem = members.(i) in
-      let limit =
-        if i > 0 then Limits.with_cancel m.limit helpers_stop
-        else if budgeted then m.limit
-        else Limits.with_cancel m.limit unsat_found
-      in
+      let limit = Limits.with_cancel m.limit (if i = 0 then unsat_found else helpers_stop) in
       Solver.set_learnt_hook mem.solver
         (Some
            (fun ~lbd clause ->
@@ -170,11 +156,8 @@ let solve_round m =
       Fun.protect ~finally:(fun () -> Solver.set_learnt_hook mem.solver None)
       @@ fun () ->
       let r = Solver.solve ~assumptions:[ mem.act ] ~limit mem.solver in
-      (match r with
-      | Solver.Unsat ->
-        Limits.cancel unsat_found;
-        Limits.cancel helpers_stop
-      | _ -> if i = 0 && (decisive r || budget_stop r) then Limits.cancel helpers_stop);
+      if r = Solver.Unsat then Limits.cancel unsat_found;
+      if i = 0 || r = Solver.Unsat then Limits.cancel helpers_stop;
       r
     in
     let results = Pool.map_array pool ~f:solve_member (Array.init n (fun i -> i)) in
@@ -189,18 +172,9 @@ let solve_round m =
             end)
           members)
       (Pool.Share_buffer.drain m.share);
-    if budgeted && budget_stop results.(0) then
-      (* The deterministic member ran out of budget: report exactly
-         what [portfolio = 1] would, even if a helper won an Unsat
-         race in the meantime. *)
-      (results.(0), 0)
-    else begin
-      let unsat = ref (-1) in
-      Array.iteri
-        (fun i r -> if !unsat < 0 && r = Solver.Unsat then unsat := i)
-        results;
-      if !unsat >= 0 then (Solver.Unsat, !unsat) else (results.(0), 0)
-    end
+    let unsat = ref (-1) in
+    Array.iteri (fun i r -> if !unsat < 0 && r = Solver.Unsat then unsat := i) results;
+    if !unsat >= 0 then (Solver.Unsat, !unsat) else (results.(0), 0)
   | _ -> (Solver.solve ~assumptions:[ members.(0).act ] ~limit:m.limit members.(0).solver, 0)
 
 (* Lex-min canonicalization: the lexicographically smallest assignment
@@ -256,10 +230,11 @@ let extract_key mem =
   | Solver.Unsat | Solver.Unknown _ -> assert false);
   lex_least mem ~prefix0:[ -mem.act ] ~vars:mem.keys_a
 
-let run ?(max_iterations = 100_000) ?limit ?pool ?(portfolio = 1) ?on_dip ~oracle
-    ~locked () =
+let attack_locked ?(max_iterations = 100_000) ?limit ?pool ?(portfolio = 1) ?on_dip
+    (locked : Lock.locked) =
   Metrics.incr m_runs;
-  let m = new_miter ?pool ~portfolio ?limit locked in
+  let oracle inputs = Netlist.eval locked.circuit ~inputs ~keys:locked.correct_key in
+  let m = new_miter ?pool ~portfolio ?limit locked.circuit in
   let rec attack_loop iterations =
     if iterations >= max_iterations then Budget_exceeded { iterations }
     else begin
@@ -286,13 +261,6 @@ let run ?(max_iterations = 100_000) ?limit ?pool ?(portfolio = 1) ?on_dip ~oracl
   in
   attack_loop 0
 
-let attack_locked ?max_iterations ?limit ?pool ?portfolio ?on_dip
-    (locked : Lock.locked) =
-  let oracle inputs =
-    Netlist.eval locked.circuit ~inputs ~keys:locked.correct_key
-  in
-  run ?max_iterations ?limit ?pool ?portfolio ?on_dip ~oracle ~locked:locked.circuit ()
-
 let key_is_correct locked candidate =
   Option.is_none (Lock.first_wrong_minterm locked ~key:candidate)
 
@@ -304,14 +272,14 @@ type approximate_outcome = {
   estimated_error_rate : float;
 }
 
-let approximate ?(dip_budget = 30) ?(seed = 97) (locked : Lock.locked) =
+let approximate ?(dip_budget = 30) (locked : Lock.locked) =
   let queries_per_round = 16 and estimate_samples = 2000 in
   let oracle inputs =
     Netlist.eval locked.Lock.circuit ~inputs ~keys:locked.Lock.correct_key
   in
   let circuit = locked.Lock.circuit in
   let n_in = Netlist.n_inputs circuit in
-  let rng = Rng.create seed in
+  let rng = Rng.create 97 in
   let random_inputs () = Array.init n_in (fun _ -> Rng.bool rng) in
   let m = new_miter circuit in
   let mem = m.members.(0) in

@@ -31,12 +31,15 @@
 
     With [portfolio = n > 1] and a pool of [j] workers, [min n j]
     identically-encoded members with diversified search heuristics
-    ({!Solver.diverse_config}) race each round over the worker pool
-    (a member beyond the pool size has no worker to race on, and
-    without a pool the attack runs one member), exchanging short
-    low-LBD learnt clauses at round boundaries (sound because members'
-    variable spaces are aligned and learnt clauses are implied by the
-    shared clause database alone). The {e reported} DIP sequence and key are
+    ({!Solver.diverse_config}) race each round over the worker pool,
+    exchanging short low-LBD learnt clauses at round boundaries (sound
+    because members' variable spaces are aligned and learnt clauses are
+    implied by the shared clause database alone). Helpers are built
+    only where they can race: an attack with no pool, on a 1-job pool,
+    run inside a pool task (where the pool maps inline, see
+    {!Rb_util.Pool.parallel}) or under a conflict budget
+    ({!Rb_util.Limits.has_budget}) runs one member, exactly the
+    [portfolio = 1] attack. The {e reported} DIP sequence and key are
     identical at every [jobs]/[portfolio] combination, by
     construction:
 
@@ -57,12 +60,7 @@
 
     Wall-clock and solver-side metrics (["sat/*"],
     ["attack/clauses_imported"]) remain timing-dependent when racing;
-    deterministic surfaces run at [portfolio = 1]. One corner is
-    weaker under a budget ([?limit]): when member 0 returns [Unknown],
-    whether a helper completed an Unsat proof before the round ended
-    is a race, so a budgeted portfolio run may report [Solver_limit]
-    where another reports [Broken] (unbudgeted runs are fully
-    deterministic). *)
+    deterministic surfaces run at [portfolio = 1]. *)
 
 type outcome =
   | Broken of { key : bool array; iterations : int }
@@ -75,30 +73,6 @@ type outcome =
           degrades to a partial estimate — [iterations] DIPs is a
           lower bound on the scheme's resilience *)
 
-val run :
-  ?max_iterations:int ->
-  ?limit:Rb_util.Limits.t ->
-  ?pool:Rb_util.Pool.t ->
-  ?portfolio:int ->
-  ?on_dip:(bool array -> unit) ->
-  oracle:(bool array -> bool array) ->
-  locked:Rb_netlist.Netlist.t ->
-  unit ->
-  outcome
-(** [run ~oracle ~locked ()] attacks a locked netlist. [oracle] maps a
-    primary-input assignment to the activated chip's outputs.
-    [max_iterations] defaults to 100_000. [?limit] bounds every miter
-    and DIP-canonicalization solve (see {!Solver.solve}); a tripped
-    limit yields [Solver_limit] instead of hanging on a pathologically
-    hard miter. Key extraction after an [Unsat] miter is never
-    budgeted. [?portfolio] (default 1, [Invalid_argument] below 1) is
-    the number of racing solver members, clamped to [Pool.jobs] of
-    [?pool], the workers they race on, and to 1 without a pool.
-    [?on_dip] observes each canonical DIP as it is queried, in order —
-    the test hook for the deterministic-sequence contract. The returned key is the smallest
-    consistent with all recorded DIPs; callers typically verify it
-    exhaustively against the oracle in tests. *)
-
 val attack_locked :
   ?max_iterations:int ->
   ?limit:Rb_util.Limits.t ->
@@ -107,9 +81,20 @@ val attack_locked :
   ?on_dip:(bool array -> unit) ->
   Rb_netlist.Lock.locked ->
   outcome
-(** Convenience: attack a {!Rb_netlist.Lock.locked} construction using
-    its own correct key to answer oracle queries (the usual
-    experimental setup, where the attacker's chip is simulated). *)
+(** Attack a {!Rb_netlist.Lock.locked} construction, answering oracle
+    queries with its own correct key (the usual experimental setup,
+    where the attacker's chip is simulated). [max_iterations] defaults
+    to 100_000. [?limit] bounds every miter and DIP-canonicalization
+    solve (see {!Solver.solve}); a tripped limit yields [Solver_limit]
+    instead of hanging on a pathologically hard miter. Key extraction
+    after an [Unsat] miter is never budgeted. [?portfolio] (default 1,
+    [Invalid_argument] below 1) is the number of racing solver members,
+    clamped to [Pool.jobs] of [?pool], the workers they race on, and to
+    1 wherever no race can run (see above). [?on_dip] observes each
+    canonical DIP as it is queried, in order — the test hook for the
+    deterministic-sequence contract. The returned key is the smallest
+    consistent with all recorded DIPs; callers typically verify it
+    exhaustively against the oracle in tests. *)
 
 val key_is_correct : Rb_netlist.Lock.locked -> bool array -> bool
 (** Exhaustively check functional equivalence of a candidate key
@@ -130,8 +115,7 @@ type approximate_outcome = {
       (** sampled wrong-output rate of [key] vs the oracle *)
 }
 
-val approximate :
-  ?dip_budget:int -> ?seed:int -> Rb_netlist.Lock.locked -> approximate_outcome
+val approximate : ?dip_budget:int -> Rb_netlist.Lock.locked -> approximate_outcome
 (** The approximate attack of Shamsi et al.'s impossibility result
     [12] (AppSAT-style): interleave exact DIP refinement with batches
     of random oracle queries and stop early, settling for an
@@ -141,7 +125,7 @@ val approximate :
     almost nothing — which is precisely why an attacker content with a
     low error rate wins quickly. This is the paper's motivation for
     needing {e application-level} corruption, not just SAT iterations.
-    Defaults: 30 DIPs, seed 97. Every 5 DIPs, 16 random queries are
-    injected; the error rate is estimated on 2000 samples drawn from
-    the seeded generator one after another, after the random queries,
+    Defaults to 30 DIPs. Every 5 DIPs, 16 random queries are injected;
+    the error rate is estimated on 2000 samples drawn one after another,
+    after the random queries, from the same generator (seed 97),
     and simulated 32 at a time with {!Rb_netlist.Netlist.eval_lanes}. *)

@@ -60,6 +60,17 @@ let context name seed =
     profile;
   }
 
+(* [n] distinct minterms of [space], in draw order: a duplicate is
+   redrawn, so the lock protects exactly [n] minterms, and a draw
+   without one keeps its RNG sequence. *)
+let distinct_minterms rng ~space n =
+  let drawn = Hashtbl.create n in
+  let rec draw () =
+    let m = Rb_util.Rng.int rng space in
+    if Hashtbl.mem drawn m then draw () else (Hashtbl.add drawn m (); m)
+  in
+  List.init n (fun _ -> draw ())
+
 let build_locked scheme width strength seed =
   let base = Rb_netlist.Circuits.adder ~width in
   let rng = Rb_util.Rng.create seed in
@@ -75,15 +86,7 @@ let build_locked scheme width strength seed =
     if strength > space then
       fail Error.Infeasible "pf strength %d exceeds the %d input minterms of the %d-bit adder"
         strength space width;
-    (* Redraw a duplicate, so the lock protects exactly [strength]
-       minterms; a draw without one keeps its RNG sequence. *)
-    let drawn = Hashtbl.create strength in
-    let rec draw () =
-      let m = Rb_util.Rng.int rng space in
-      if Hashtbl.mem drawn m then draw () else (Hashtbl.add drawn m (); m)
-    in
-    let minterms = List.init strength (fun _ -> draw ()) in
-    Rb_netlist.Lock.point_function ~minterms base
+    Rb_netlist.Lock.point_function ~minterms:(distinct_minterms rng ~space strength) base
   | Job.Antisat -> Rb_netlist.Lock.anti_sat ~rng base
   | Job.Permnet -> Rb_netlist.Lock.permutation_network ~rng ~layers:strength base
 
@@ -199,9 +202,7 @@ let lint_gates seed =
     Rb_lint.Lint.netlist ~subject:"multiplier(4)" (Rb_netlist.Circuits.multiplier ~width:4);
     Rb_lint.Lint.locked (Rb_netlist.Lock.xor_random ~rng ~key_bits:4 base);
     Rb_lint.Lint.locked
-      (Rb_netlist.Lock.point_function
-         ~minterms:[ Rb_util.Rng.int rng space; Rb_util.Rng.int rng space ]
-         base);
+      (Rb_netlist.Lock.point_function ~minterms:(distinct_minterms rng ~space 2) base);
     Rb_lint.Lint.locked (Rb_netlist.Lock.anti_sat ~rng base);
     Rb_lint.Lint.locked (Rb_netlist.Lock.permutation_network ~rng ~layers:2 base);
   ]

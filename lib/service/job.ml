@@ -71,9 +71,9 @@ let op = function
 
 (* ------------------------------------------------------------- encoding *)
 
-(* Every field is always emitted (None as Null), so a job's encoding —
-   and therefore its digest — does not depend on which fields the
-   sender spelled out. *)
+(* Every field is always emitted (None as Null), in one fixed order,
+   so a job's encoding — and therefore its digest — depends neither on
+   which fields the sender spelled out nor on their order. *)
 let to_json t =
   let obj fields = Json.Obj (("op", Json.String (op t)) :: fields) in
   match t with
@@ -341,4 +341,4 @@ let digest t =
     | Analyze ({ scheme = Some Antisat; _ } as a) -> Analyze { a with strength = 1 }
     | t -> t
   in
-  Rb_util.Digest.json (to_json t)
+  Rb_util.Digest.string (Json.to_string (to_json t))

@@ -105,9 +105,11 @@ val of_json : Rb_util.Json.t -> (t, Error.t) result
     out-of-bounds values are [Invalid_request] errors. *)
 
 val digest : t -> string
-(** Content address of the job: [Rb_util.Digest.json (to_json t)],
-    with an attack's [portfolio] and an antisat analysis's [strength]
-    read as 1. Two jobs digest equal iff they mean the same work,
-    regardless of spelling (field order, defaulted vs. explicit
-    fields), of how many solvers race for an attack's result, and of a
-    strength the Anti-SAT construction does not read. *)
+(** Content address of the job: the MD5 of
+    [Rb_util.Json.to_string (to_json t)], with an attack's [portfolio]
+    and an antisat analysis's [strength] read as 1. {!to_json} emits
+    every field in one fixed order, so two jobs digest equal iff they
+    mean the same work, regardless of spelling (field order, defaulted
+    vs. explicit fields), of how many solvers race for an attack's
+    result, and of a strength the Anti-SAT construction does not
+    read. *)

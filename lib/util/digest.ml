@@ -1,13 +1,1 @@
 let string s = Stdlib.Digest.to_hex (Stdlib.Digest.string s)
-
-let rec canonical (v : Json.t) : Json.t =
-  match v with
-  | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.String _ -> v
-  | Json.List items -> Json.List (List.map canonical items)
-  | Json.Obj fields ->
-    Json.Obj
-      (List.stable_sort
-         (fun (a, _) (b, _) -> String.compare a b)
-         (List.map (fun (name, value) -> (name, canonical value)) fields))
-
-let json v = string (Json.to_string (canonical v))

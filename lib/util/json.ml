@@ -39,82 +39,54 @@ let add_float buf f =
       Buffer.add_string buf ".0"
   end
 
-let to_string t =
+(* The one walker behind both layouts. The pretty one puts every
+   element of a non-empty list or object on its own line, indented two
+   spaces per level, and a space after each field colon; the compact
+   one adds no whitespace at all. *)
+let render ~pretty t =
   let buf = Buffer.create 256 in
-  let rec go = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f -> add_float buf f
-    | String s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
-      Buffer.add_char buf '"'
-    | List items ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_char buf ',';
-          go item)
-        items;
-      Buffer.add_char buf ']'
-    | Obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (name, value) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape name);
-          Buffer.add_string buf "\":";
-          go value)
-        fields;
-      Buffer.add_char buf '}'
+  let quoted s =
+    Buffer.add_char buf '"';
+    Buffer.add_string buf (escape s);
+    Buffer.add_char buf '"'
   in
-  go t;
-  Buffer.contents buf
-
-let to_string_pretty t =
-  let buf = Buffer.create 256 in
-  let pad depth = Buffer.add_string buf (String.make (2 * depth) ' ') in
+  let newline depth =
+    if pretty then begin
+      Buffer.add_char buf '\n';
+      Buffer.add_string buf (String.make (2 * depth) ' ')
+    end
+  in
   let rec go depth = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Int i -> Buffer.add_string buf (string_of_int i)
     | Float f -> add_float buf f
-    | String s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
-      Buffer.add_char buf '"'
-    | List [] -> Buffer.add_string buf "[]"
-    | List items ->
-      Buffer.add_string buf "[\n";
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          pad (depth + 1);
-          go (depth + 1) item)
-        items;
-      Buffer.add_char buf '\n';
-      pad depth;
-      Buffer.add_char buf ']'
-    | Obj [] -> Buffer.add_string buf "{}"
+    | String s -> quoted s
+    | List items -> seq depth '[' ']' (go (depth + 1)) items
     | Obj fields ->
-      Buffer.add_string buf "{\n";
-      List.iteri
-        (fun i (name, value) ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          pad (depth + 1);
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape name);
-          Buffer.add_string buf "\": ";
+      seq depth '{' '}'
+        (fun (name, value) ->
+          quoted name;
+          Buffer.add_string buf (if pretty then ": " else ":");
           go (depth + 1) value)
-        fields;
-      Buffer.add_char buf '\n';
-      pad depth;
-      Buffer.add_char buf '}'
+        fields
+  and seq : 'a. int -> char -> char -> ('a -> unit) -> 'a list -> unit =
+   fun depth opening closing item elements ->
+    Buffer.add_char buf opening;
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char buf ',';
+        newline (depth + 1);
+        item x)
+      elements;
+    (match elements with [] -> () | _ -> newline depth);
+    Buffer.add_char buf closing
   in
   go 0 t;
   Buffer.contents buf
+
+let to_string t = render ~pretty:false t
+let to_string_pretty t = render ~pretty:true t
 
 (* ------------------------------------------------------------- parsing *)
 

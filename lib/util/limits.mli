@@ -79,9 +79,8 @@ val with_deadline : t -> float -> t
 val has_budget : t -> bool
 (** [true] iff a deterministic work budget (a conflict budget) is
     set. Budgeted runs must report the {e same} partial result at
-    every parallelism level, so racing layers (the SAT portfolio) use
-    this to route budget stops through the deterministic member rather
-    than whichever racer finishes first. *)
+    every parallelism level, so the SAT portfolio races no helpers
+    under a budget: a budgeted attack is the one-member attack. *)
 
 val check : t -> conflicts:int -> reason option
 (** Poll every limit against the caller's {e per-call} conflict count.

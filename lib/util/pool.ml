@@ -62,6 +62,8 @@ let create ?jobs () =
 
 let jobs t = t.jobs
 
+let parallel t = t.jobs > 1 && not (Domain.DLS.get inside_worker)
+
 let submit t task =
   Mutex.lock t.mutex;
   if t.closed then begin
@@ -86,7 +88,7 @@ let map_array t ~f arr =
   check_open t;
   Metrics.incr m_maps;
   Metrics.add m_tasks n;
-  if t.jobs <= 1 || Domain.DLS.get inside_worker || n <= 1 then Array.map f arr
+  if (not (parallel t)) || n <= 1 then Array.map f arr
   else begin
     let timed = Metrics.enabled () in
     let results = Array.make n None in

@@ -33,6 +33,11 @@ val create : ?jobs:int -> unit -> t
 
 val jobs : t -> int
 
+val parallel : t -> bool
+(** Does a map issued from the calling domain run on the workers?
+    [false] on a 1-job pool and inside a pool task, where
+    {!map_array} runs every element inline, one after another. *)
+
 val map_array : t -> f:('a -> 'b) -> 'a array -> 'b array
 (** Apply [f] to every element on the pool's workers and return the
     results in input order. Every element is evaluated exactly once.

@@ -184,7 +184,16 @@ let test_live_nets_mux_select () =
   let c = B.finish b in
   let live = Ternary.live_nets c (Ternary.constants c) in
   Alcotest.(check bool) "selected branch live" true live.(y);
-  Alcotest.(check bool) "unselected branch dead" false live.(x)
+  Alcotest.(check bool) "unselected branch dead" false live.(x);
+  (* A constant output is not live, and neither is its fanin. *)
+  let b = B.create ~n_inputs:1 ~n_keys:0 in
+  let x = B.input b 0 in
+  let out = B.and_ b x (B.const b false) in
+  B.output b out;
+  let c = B.finish b in
+  let live = Ternary.live_nets c (Ternary.constants c) in
+  Alcotest.(check bool) "constant output not live" false live.(out);
+  Alcotest.(check bool) "its input not live" false live.(x)
 
 (* -------------------------------------------------------- probability *)
 

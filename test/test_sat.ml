@@ -764,11 +764,11 @@ let test_approximate_attack_reports_non_convergence () =
     (Array.length outcome.Attack.key)
 
 let test_approximate_repeats_per_seed () =
-  (* The outcome is a function of the locked circuit and the seed alone;
-     leaving the seed out means the documented default, 97. *)
+  (* The outcome is a function of the locked circuit alone: the random
+     queries and samples come from a generator at the fixed seed 97. *)
   let base = Circuits.adder ~width:3 in
   let locked = Lock.point_function ~minterms:[ 12; 19 ] base in
-  let run ?seed () = Attack.approximate ~dip_budget:4 ?seed locked in
+  let run () = Attack.approximate ~dip_budget:4 locked in
   let same what a b =
     Alcotest.(check (array bool)) (what ^ ": key") a.Attack.key b.Attack.key;
     Alcotest.(check int) (what ^ ": DIPs") a.Attack.dip_iterations b.Attack.dip_iterations;
@@ -778,8 +778,7 @@ let test_approximate_repeats_per_seed () =
     Alcotest.(check (float 0.0)) (what ^ ": estimate") a.Attack.estimated_error_rate
       b.Attack.estimated_error_rate
   in
-  same "same seed" (run ~seed:5 ()) (run ~seed:5 ());
-  same "default seed" (run ()) (run ~seed:97 ())
+  same "run over run" (run ()) (run ())
 
 (* ------------------------------------------------------ key checks *)
 
@@ -838,18 +837,19 @@ let test_key_checks_wide_keys () =
 
 let test_approximate_estimate_matches_scalar () =
   (* The estimate evaluates 32 samples per word but draws them in the
-     scalar order; a partial last batch (2000 = 62 * 32 + 16) must
-     count only its own lanes. *)
+     scalar order from the attack's generator (seed 97); a partial last
+     batch (2000 = 62 * 32 + 16) must count only its own lanes. Each
+     seed below draws a different set of locks. *)
   List.iter
     (fun seed ->
       let rng = Rng.create seed in
       let base = Circuits.adder ~width:4 in
       List.iter
         (fun locked ->
-          let outcome = Attack.approximate ~dip_budget:3 ~seed locked in
+          let outcome = Attack.approximate ~dip_budget:3 locked in
           Alcotest.(check (float 0.0))
             (Printf.sprintf "seed %d, %s" seed locked.Lock.description)
-            (Sweep_ref.estimated_error_rate locked ~key:outcome.Attack.key ~seed
+            (Sweep_ref.estimated_error_rate locked ~key:outcome.Attack.key ~seed:97
                ~skip:outcome.Attack.random_queries ~samples:2000)
             outcome.Attack.estimated_error_rate)
         [
@@ -992,6 +992,43 @@ let test_attack_budgeted_portfolio_deterministic () =
   Alcotest.(check bool) "some budget trips mid-attack" true (!limited > 0);
   Alcotest.(check bool) "some budget completes" true (!finished > 0)
 
+(* Helpers are built only where they can race. Inside a pool task the
+   pool maps inline, so a portfolio-4 attack there runs one member: it
+   imports no clause and reports portfolio 1's outcome and DIP
+   sequence, with or without a conflict budget. From the calling domain
+   the unbudgeted portfolio still races and shares clauses. *)
+let test_attack_portfolio_races_only_where_it_can () =
+  let module Metrics = Rb_util.Metrics in
+  let imported () =
+    Metrics.counter_value (Metrics.counter ~scope:"attack" "clauses_imported")
+  in
+  let locked =
+    Lock.permutation_network ~rng:(Rng.create 17) ~layers:4 (Circuits.adder ~width:4)
+  in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) @@ fun () ->
+  Rb_util.Pool.with_pool ~jobs:2 (fun pool ->
+      List.iter
+        (fun (what, limit) ->
+          let reference = observe_attack ?limit locked in
+          let before = imported () in
+          let nested =
+            Rb_util.Pool.map_array pool [| 4; 4 |] ~f:(fun portfolio ->
+                observe_attack ~pool ~portfolio ?limit locked)
+          in
+          Alcotest.(check int) (what ^ ": no clause imported in a pool task") before (imported ());
+          Array.iter
+            (fun observed ->
+              Alcotest.(check bool) (what ^ ": nested portfolio 4 = portfolio 1") true
+                (observed = reference))
+            nested)
+        [ ("unbudgeted", None); ("budgeted", Some (Limits.conflicts 1_000_000)) ];
+      let before = imported () in
+      let racing = observe_attack ~pool ~portfolio:4 locked in
+      Alcotest.(check bool) "top-level race imports clauses" true (imported () > before);
+      Alcotest.(check bool) "top-level race = portfolio 1" true
+        (racing = observe_attack locked))
+
 let test_constrain_observation_semantics () =
   (* constrain_observation must mean exactly circuit(dip, key) = outputs:
      for every full key assignment, the constrained instance is
@@ -1117,6 +1154,8 @@ let () =
             test_attack_budgeted_portfolio_degrades;
           Alcotest.test_case "budgeted portfolio deterministic" `Quick
             test_attack_budgeted_portfolio_deterministic;
+          Alcotest.test_case "races only where it can" `Quick
+            test_attack_portfolio_races_only_where_it_can;
           Alcotest.test_case "observation constraint semantics" `Quick
             test_constrain_observation_semantics;
         ] );

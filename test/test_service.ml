@@ -372,7 +372,7 @@ let test_attack_digest_ignores_portfolio () =
   Alcotest.(check string) "portfolio 1 and 4 share a digest"
     (Job.digest (attack 1)) (Job.digest (attack 4));
   Alcotest.(check string) "portfolio-1 address unchanged"
-    (Rb_util.Digest.json (Job.to_json (attack 1)))
+    (Rb_util.Digest.string (Json.to_string (Job.to_json (attack 1))))
     (Job.digest (attack 1));
   Alcotest.check job_testable "round-trip keeps portfolio" (attack 4)
     (decode_ok (Job.to_json (attack 4)));
@@ -527,6 +527,20 @@ let test_serve_respond () =
       Alcotest.(check string) "validation error code" "invalid-request" code;
       Alcotest.(check string) "validation error message" "width must be in 2..8" message)
 
+(* The cache address is the digest of the job's own encoding, which
+   emits every field in one fixed order: two request lines that differ
+   only in field order cost one store miss and one hit. *)
+let test_serve_field_order_shares_address () =
+  with_executor (fun ex ->
+      let respond s = parse_response (Serve.respond ex s) in
+      let first = respond {|{"schema":"rb-job/1","id":1,"op":"show","benchmark":"dct","seed":5}|} in
+      let second = respond {|{"seed":5,"benchmark":"dct","op":"show","id":1,"schema":"rb-job/1"}|} in
+      Alcotest.(check bool) "same ok payload" true
+        (List.mem_assoc "ok" first && field "ok" first = field "ok" second);
+      let { Store.hits; misses; _ } = Store.stats (Executor.store ex) in
+      Alcotest.(check int) "one miss" 1 misses;
+      Alcotest.(check int) "one hit" 1 hits)
+
 (* An RLL lock needs one live adder gate per key bit. A strength above
    that bound is a well-formed request the design cannot satisfy: it
    answers infeasible, naming the bound, on every op that builds the
@@ -568,7 +582,9 @@ let test_executor_rll_over_strength () =
 (* A pf lock protects exactly [strength] distinct minterms: a drawn
    duplicate is redrawn, so even a strength that collides in the
    2^(2 width) input space builds a lock with [strength] comparators,
-   and only a strength above that space is infeasible. *)
+   and only a strength above that space is infeasible. The suite
+   lint's two-minterm gadget draws the same way: seed 47 draws one
+   minterm twice. *)
 let test_executor_pf_distinct_minterms () =
   let analyze width strength = Job.Analyze { scheme = Some Job.Pf; width; strength; seed = 1789 } in
   with_executor (fun ex ->
@@ -582,6 +598,16 @@ let test_executor_pf_distinct_minterms () =
       Alcotest.(check (list string)) "64 of 256" [ "point-function h=64" ] (subjects (analyze 4 64));
       Alcotest.(check (list string)) "the whole space" [ "point-function h=16" ]
         (subjects (analyze 2 16));
+      (match
+         Executor.run ex
+           (Job.Lint
+              { benchmark = None; seed = 47; locked_fus = 2; minterms_per_fu = 2; min_lambda = None })
+       with
+      | Ok (Outcome.Linted reports) ->
+        Alcotest.(check bool) "lint seed 47 gadget has h=2" true
+          (List.mem "point-function h=2" (List.map Rb_lint.Report.subject reports))
+      | Ok _ -> Alcotest.fail "lint answered a non-lint outcome"
+      | Error e -> Alcotest.failf "lint fails: %s" e.Error.message);
       match Executor.run ex (analyze 2 17) with
       | Error e ->
         Alcotest.(check string) "code" "infeasible" (Error.code_label e.Error.code);
@@ -1274,6 +1300,8 @@ let () =
       ( "serve",
         [
           Alcotest.test_case "respond" `Quick test_serve_respond;
+          Alcotest.test_case "field order shares an address" `Quick
+            test_serve_field_order_shares_address;
           Alcotest.test_case "pipe session" `Quick test_serve_run_pipe;
           Alcotest.test_case "deadline envelope" `Quick test_serve_deadline_envelope;
           Alcotest.test_case "admission gate" `Quick test_admission_gate;
