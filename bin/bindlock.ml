@@ -46,21 +46,24 @@ let jobs_arg =
          ~doc:"Worker domains for parallel work (default: available cores; 1 runs \
                everything inline).")
 
-(* One job, one executor. Commands with their own --jobs flag pass it
-   through; everything else runs a 1-job pool (inline, no domains). *)
-let run_job ?(jobs = 1) job =
-  Pool.with_pool ~jobs (fun pool ->
-      let executor = Executor.create ~pool () in
-      Executor.run executor job)
-
-let to_msg (e : Error.t) = `Msg e.Error.message
+(* Every subcommand's body: one job, one executor, the outcome printed
+   in [format], then [verdict] decides the exit status of a printed
+   outcome (lint errors, --fail-on-inferable). Commands with their own
+   --jobs flag pass it through; everything else runs a 1-job pool
+   (inline, no domains). An attack line's wall time spans the whole
+   run. *)
+let run_job ?(jobs = 1) ?(verdict = fun _ -> Ok ()) format job =
+  let t0 = Rb_util.Metrics.now_s () in
+  match Pool.with_pool ~jobs (fun pool -> Executor.run (Executor.create ~pool ()) job) with
+  | Error e -> Error (`Msg e.Error.message)
+  | Ok outcome ->
+    Render.print ~attack_wall_s:(Rb_util.Metrics.now_s () -. t0) format outcome;
+    verdict outcome
 
 (* ---------------------------------------------------------------- list *)
 
 let list_cmd =
-  let run format =
-    Result.map (Render.print format) (Result.map_error to_msg (run_job Job.List_benchmarks))
-  in
+  let run format = run_job format Job.List_benchmarks in
   Cmd.v
     (Cmd.info "list" ~doc:"List the benchmark suite and the registered binders.")
     Term.(term_result (const run $ format_arg))
@@ -68,10 +71,7 @@ let list_cmd =
 (* ---------------------------------------------------------------- show *)
 
 let show_cmd =
-  let run name seed =
-    Result.map (Render.print `Text)
-      (Result.map_error to_msg (run_job (Job.Show { benchmark = name; seed })))
-  in
+  let run name seed = run_job `Text (Job.Show { benchmark = name; seed }) in
   Cmd.v
     (Cmd.info "show" ~doc:"Schedule and workload statistics of one benchmark.")
     Term.(term_result (const run $ benchmark_arg $ seed_arg))
@@ -85,7 +85,7 @@ let binder_arg =
          ~doc:("Binding algorithm: " ^ String.concat ", " names ^ "."))
 
 let kind_arg =
-  let op_kind = Arg.enum [ ("add", Dfg.Add); ("mul", Dfg.Mul) ] in
+  let op_kind = Arg.enum (List.map (fun k -> (Dfg.kind_label k, k)) [ Dfg.Add; Dfg.Mul ]) in
   Arg.(value & opt op_kind Dfg.Mul & info [ "kind" ] ~docv:"KIND"
          ~doc:"Operation kind whose FUs are locked (add or mul).")
 
@@ -97,10 +97,8 @@ let minterms_arg =
 
 let bind_cmd =
   let run name seed binder kind locked_fus minterms_per_fu format =
-    Result.map (Render.print format)
-      (Result.map_error to_msg
-         (run_job
-            (Job.Bind { benchmark = name; seed; binder; kind; locked_fus; minterms_per_fu })))
+    run_job format
+      (Job.Bind { benchmark = name; seed; binder; kind; locked_fus; minterms_per_fu })
   in
   Cmd.v
     (Cmd.info "bind" ~doc:"Bind and lock one benchmark; report error and overhead.")
@@ -121,23 +119,19 @@ let lint_cmd =
            ~doc:"SAT-resilience target: error when a locked FU's predicted Eqn. 1 \
                  iterations fall below $(docv).")
   in
+  let verdict outcome =
+    let reports = match outcome with Outcome.Linted reports -> reports | _ -> [] in
+    match Rb_lint.Report.total_errors reports with
+    | 0 -> Ok ()
+    | n ->
+      Error (`Msg (Printf.sprintf "lint: %d error%s in %d subject%s" n
+                     (if n = 1 then "" else "s")
+                     (List.length reports)
+                     (if List.length reports = 1 then "" else "s")))
+  in
   let run bench seed locked_fus minterms_per_fu min_lambda format jobs =
-    Result.bind
-      (Result.map_error to_msg
-         (run_job ~jobs
-            (Job.Lint { benchmark = bench; seed; locked_fus; minterms_per_fu; min_lambda })))
-      (fun outcome ->
-        Render.print format outcome;
-        let reports =
-          match outcome with Outcome.Linted reports -> reports | _ -> []
-        in
-        match Rb_lint.Report.total_errors reports with
-        | 0 -> Ok ()
-        | n ->
-          Error (`Msg (Printf.sprintf "lint: %d error%s in %d subject%s" n
-                         (if n = 1 then "" else "s")
-                         (List.length reports)
-                         (if List.length reports = 1 then "" else "s"))))
+    run_job ~jobs ~verdict format
+      (Job.Lint { benchmark = bench; seed; locked_fus; minterms_per_fu; min_lambda })
   in
   Cmd.v
     (Cmd.info "lint"
@@ -150,7 +144,9 @@ let lint_cmd =
 (* -------------------------------------------------------------- attack *)
 
 let attack_scheme_arg =
-  let scheme_kind = Arg.enum [ ("rll", Job.Rll); ("pf", Job.Pf); ("permnet", Job.Permnet) ] in
+  let scheme_kind =
+    Arg.enum (List.map (fun s -> (Job.scheme_label s, s)) [ Job.Rll; Job.Pf; Job.Permnet ])
+  in
   Arg.(value & opt scheme_kind Job.Pf & info [ "scheme" ] ~docv:"SCHEME"
          ~doc:"Locking scheme: rll, pf (point function), or permnet.")
 
@@ -170,14 +166,8 @@ let attack_cmd =
                  race the hard solves.")
   in
   let run scheme width strength seed format jobs portfolio =
-    let t0 = Rb_util.Metrics.now_s () in
-    Result.map
-      (fun outcome ->
-        Render.print ~attack_wall_s:(Rb_util.Metrics.now_s () -. t0) format outcome)
-      (Result.map_error to_msg
-         (run_job ~jobs
-            (Job.Attack
-               { scheme; width; strength; seed; max_iterations = 20_000; portfolio })))
+    run_job ~jobs format
+      (Job.Attack { scheme; width; strength; seed; max_iterations = 20_000; portfolio })
   in
   Cmd.v
     (Cmd.info "attack" ~doc:"Run the oracle-guided SAT attack on a locked adder.")
@@ -190,8 +180,9 @@ let attack_cmd =
 let analyze_cmd =
   let scheme_kind =
     Arg.enum
-      [ ("all", None); ("rll", Some Job.Rll); ("pf", Some Job.Pf);
-        ("antisat", Some Job.Antisat); ("permnet", Some Job.Permnet) ]
+      (("all", None)
+      :: List.map (fun s -> (Job.scheme_label s, Some s))
+           [ Job.Rll; Job.Pf; Job.Antisat; Job.Permnet ])
   in
   let scheme_arg =
     Arg.(value & opt scheme_kind None & info [ "scheme" ] ~docv:"SCHEME"
@@ -208,24 +199,19 @@ let analyze_cmd =
            ~doc:"Exit non-zero when any analyzed design has statically inferable \
                  key bits (CI guard for SAT-hard schemes).")
   in
+  let verdict fail_on_inferable outcome =
+    let reports = match outcome with Outcome.Analyzed reports -> reports | _ -> [] in
+    let inferable =
+      List.fold_left (fun acc r -> acc + List.length r.Rb_analysis.Report.inferable) 0 reports
+    in
+    if fail_on_inferable && inferable > 0 then
+      Error (`Msg (Printf.sprintf "analyze: %d key bit%s statically inferable"
+                     inferable (if inferable = 1 then "" else "s")))
+    else Ok ()
+  in
   let run scheme width strength seed format jobs fail_on_inferable =
-    Result.bind
-      (Result.map_error to_msg
-         (run_job ~jobs (Job.Analyze { scheme; width; strength; seed })))
-      (fun outcome ->
-        Render.print format outcome;
-        let reports =
-          match outcome with Outcome.Analyzed reports -> reports | _ -> []
-        in
-        let inferable =
-          List.fold_left
-            (fun acc r -> acc + List.length r.Rb_analysis.Report.inferable)
-            0 reports
-        in
-        if fail_on_inferable && inferable > 0 then
-          Error (`Msg (Printf.sprintf "analyze: %d key bit%s statically inferable"
-                         inferable (if inferable = 1 then "" else "s")))
-        else Ok ())
+    run_job ~jobs ~verdict:(verdict fail_on_inferable) format
+      (Job.Analyze { scheme; width; strength; seed })
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -259,10 +245,7 @@ let custom_cmd =
       if Filename.check_suffix file ".expr" then Job.Expr_source contents
       else Job.Dfg_source contents
     in
-    Result.map (Render.print `Text)
-      (Result.map_error to_msg
-         (run_job
-            (Job.Custom { source; kind; locked_fus; minterms_per_fu; trace_length; seed })))
+    run_job `Text (Job.Custom { source; kind; locked_fus; minterms_per_fu; trace_length; seed })
   in
   Cmd.v
     (Cmd.info "custom" ~doc:"Co-design binding/locking for a user kernel in DFG text format.")
@@ -273,10 +256,7 @@ let custom_cmd =
 (* ---------------------------------------------------------- export-dfg *)
 
 let export_dfg_cmd =
-  let run name =
-    Result.map (Render.print `Text)
-      (Result.map_error to_msg (run_job (Job.Export_dfg { benchmark = name })))
-  in
+  let run name = run_job `Text (Job.Export_dfg { benchmark = name }) in
   Cmd.v
     (Cmd.info "export-dfg"
        ~doc:"Print a benchmark in the DFG text format (a template for 'custom').")
@@ -294,9 +274,7 @@ let export_cnf_cmd =
            ~doc:"Emit the two-copy SAT-attack miter instead of a single copy.")
   in
   let run scheme width strength miter seed =
-    Result.map (Render.print `Text)
-      (Result.map_error to_msg
-         (run_job (Job.Export_cnf { scheme; width; strength; miter; seed })))
+    run_job `Text (Job.Export_cnf { scheme; width; strength; miter; seed })
   in
   Cmd.v
     (Cmd.info "export-cnf" ~doc:"Emit a locked adder (or its attack miter) as DIMACS CNF.")
@@ -307,10 +285,7 @@ let export_cnf_cmd =
 (* ----------------------------------------------------------------- dot *)
 
 let dot_cmd =
-  let run name =
-    Result.map (Render.print `Text)
-      (Result.map_error to_msg (run_job (Job.Dot { benchmark = name })))
-  in
+  let run name = run_job `Text (Job.Dot { benchmark = name }) in
   Cmd.v
     (Cmd.info "dot" ~doc:"Print the benchmark's DFG in Graphviz format.")
     Term.(term_result (const run $ benchmark_arg))

@@ -20,21 +20,6 @@ let code_label = function
   | Overloaded -> "overloaded"
   | Internal -> "internal"
 
-let code_of_label = function
-  | "invalid-request" -> Some Invalid_request
-  | "unknown-target" -> Some Unknown_target
-  | "infeasible" -> Some Infeasible
-  | "limit" -> Some Limit
-  | "overloaded" -> Some Overloaded
-  | "internal" -> Some Internal
-  | _ -> None
-
 let to_json t =
   Json.Obj
     [ ("code", Json.String (code_label t.code)); ("message", Json.String t.message) ]
-
-let of_json v =
-  match (Json.member "code" v, Json.member "message" v) with
-  | Some (Json.String code), Some (Json.String message) ->
-    Option.map (fun code -> { code; message }) (code_of_label code)
-  | _ -> None

@@ -24,9 +24,5 @@ val code_label : code -> string
 (** Stable wire strings: ["invalid-request"], ["unknown-target"],
     ["infeasible"], ["limit"], ["overloaded"], ["internal"]. *)
 
-val code_of_label : string -> code option
-
 val to_json : t -> Rb_util.Json.t
 (** [{"code": <label>, "message": <message>}]. *)
-
-val of_json : Rb_util.Json.t -> t option

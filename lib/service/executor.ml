@@ -90,6 +90,19 @@ let build_locked scheme width strength seed =
   | Job.Antisat -> Rb_netlist.Lock.anti_sat ~rng base
   | Job.Permnet -> Rb_netlist.Lock.permutation_network ~rng ~layers:strength base
 
+(* The lock the co-design search works under: [locked_fus] FUs of
+   [kind], each locking [minterms_per_fu] of the workload's top
+   candidate minterms. Infeasible when the allocation or the candidate
+   list cannot hold that shape. *)
+let lock_spec allocation k kind ~locked_fus ~minterms_per_fu =
+  let fus = Allocation.fu_ids allocation kind in
+  if List.length fus < locked_fus then
+    fail Error.Infeasible "only %d %s FUs allocated" (List.length fus) (Dfg.kind_label kind);
+  let candidates = Codesign.top_candidates k kind in
+  if Array.length candidates < minterms_per_fu then
+    fail Error.Infeasible "workload too uniform: not enough candidate minterms";
+  Codesign.make_spec allocation kind ~locked_fus ~minterms_per_fu candidates
+
 (* ----------------------------------------------------------- pipelines *)
 
 let run_list () =
@@ -127,26 +140,16 @@ let run_show ~benchmark ~seed =
         (Kmatrix.top_minterms ~kind k ~n:5))
     [ Dfg.Add; Dfg.Mul ];
   Format.pp_print_flush f ();
-  Outcome.Shown (Buffer.contents buf)
+  Outcome.Text (Buffer.contents buf)
 
-let run_bind ~benchmark ~seed ~binder ~kind ~locked_fus:locked_fu_count
-    ~minterms_per_fu =
+let run_bind ~benchmark ~seed ~binder ~kind ~locked_fus ~minterms_per_fu =
   let algo =
     match Binders.of_name binder with
     | Some b -> b
     | None -> fail Error.Unknown_target "unknown binder %S" binder
   in
   let { benchmark = b; schedule; trace; allocation; k; profile } = context benchmark seed in
-  let fus = Allocation.fu_ids allocation kind in
-  if List.length fus < locked_fu_count then
-    fail Error.Infeasible "only %d %s FUs allocated" (List.length fus)
-      (Dfg.kind_label kind);
-  let candidates = Codesign.top_candidates k kind in
-  if Array.length candidates < minterms_per_fu then
-    fail Error.Infeasible "workload too uniform: not enough candidate minterms";
-  let spec =
-    Codesign.make_spec allocation kind ~locked_fus:locked_fu_count ~minterms_per_fu candidates
-  in
+  let spec = lock_spec allocation k kind ~locked_fus ~minterms_per_fu in
   (* The fixed-lock binders bind under the co-designed configuration.
      The codesign binder runs that search itself and binds under no
      a-priori lock, so each job runs the search once. *)
@@ -269,22 +272,15 @@ let run_attack t ~limit ~scheme ~width ~strength ~seed ~max_iterations ~portfoli
         }
     | Rb_sat.Attack.Budget_exceeded { iterations } ->
       Outcome.Budget_exceeded { iterations }
-    | Rb_sat.Attack.Solver_limit { iterations; reason = Limits.Deadline } ->
-      (* A wall-clock stop depends on when the job ran, not on what it
-         was; surface the structured limit error (never cached)
-         instead of an outcome the store would replay to later
-         requests with laxer deadlines. *)
-      fail Error.Limit "attack stopped by deadline after %d DIP iterations" iterations
-    | Rb_sat.Attack.Solver_limit { iterations; reason = Limits.Cancelled } ->
-      fail Error.Limit "attack cancelled after %d DIP iterations" iterations
     | Rb_sat.Attack.Solver_limit { iterations; reason } ->
+      (* a deadline or cancel stop never reaches a caller: [run]'s
+         during-execution check answers the limit error instead *)
       Outcome.Solver_limit { iterations; reason }
   in
   Outcome.Attacked
     { Outcome.description = l.Rb_netlist.Lock.description; stats; outcome }
 
-let run_custom ~source ~kind ~locked_fus:locked_fu_count ~minterms_per_fu
-    ~trace_length ~seed =
+let run_custom ~source ~kind ~locked_fus ~minterms_per_fu ~trace_length ~seed =
   let parsed =
     match (source : Job.custom_source) with
     | Job.Expr_source s -> Rb_dfg.Expr.compile s
@@ -306,17 +302,9 @@ let run_custom ~source ~kind ~locked_fus:locked_fu_count ~minterms_per_fu
         else Rb_util.Rng.int rng 256)
   in
   let k = Kmatrix.build trace in
-  let fus = Allocation.fu_ids allocation kind in
-  let candidates = Codesign.top_candidates k kind in
-  if List.length fus < locked_fu_count then
-    fail Error.Infeasible "only %d %s FUs allocated" (List.length fus)
-      (Dfg.kind_label kind);
-  if Array.length candidates < minterms_per_fu then
-    fail Error.Infeasible "not enough candidate minterms in the synthesized workload";
   let solution =
     Codesign.heuristic k schedule allocation
-      (Codesign.make_spec allocation kind ~locked_fus:locked_fu_count ~minterms_per_fu
-         candidates)
+      (lock_spec allocation k kind ~locked_fus ~minterms_per_fu)
   in
   let buf = Buffer.create 1024 in
   let f = Format.formatter_of_buffer buf in
@@ -330,7 +318,7 @@ let run_custom ~source ~kind ~locked_fus:locked_fu_count ~minterms_per_fu
   Format.fprintf f "same lock under area-aware binding:   %d@."
     (Cost.expected_errors k baseline solution.Codesign.config);
   Format.pp_print_flush f ();
-  Outcome.Custom_report (Buffer.contents buf)
+  Outcome.Text (Buffer.contents buf)
 
 let run_export_cnf ~scheme ~width ~strength ~miter ~seed =
   let l = build_locked scheme width strength seed in
@@ -338,7 +326,7 @@ let run_export_cnf ~scheme ~width ~strength ~miter ~seed =
     if miter then Rb_sat.Dimacs.miter l.Rb_netlist.Lock.circuit
     else Rb_sat.Dimacs.of_netlist l.Rb_netlist.Lock.circuit
   in
-  Outcome.Exported
+  Outcome.Text
     (Rb_sat.Dimacs.to_string
        ~comments:
          [
@@ -365,29 +353,21 @@ let execute t ~limit (job : Job.t) =
     run_export_cnf ~scheme ~width ~strength ~miter ~seed
   | Job.Export_dfg { benchmark } ->
     let b = find_benchmark benchmark in
-    Outcome.Exported (Rb_dfg.Dfg_text.to_string b.Benchmark.dfg)
+    Outcome.Text (Rb_dfg.Dfg_text.to_string b.Benchmark.dfg)
   | Job.Dot { benchmark } ->
     let b = find_benchmark benchmark in
-    Outcome.Exported (Dfg.to_dot b.Benchmark.dfg)
+    Outcome.Text (Dfg.to_dot b.Benchmark.dfg)
 
-(* The wall-clock half of the limit checks. Deadline and cancel stops
-   depend on the clock and on who pulled the flag, not on the job, so
-   they become structured limit errors — which the store never caches —
-   rather than truncated outcomes a later identical request would be
-   served from cache. *)
-let volatile_stop limit =
-  match limit with
-  | None -> None
-  | Some l -> (
-    match Limits.interrupted l with
-    | Some Limits.Deadline -> Some "deadline exceeded"
-    | Some Limits.Cancelled -> Some "cancelled"
-    | Some _ | None -> None)
-
+(* The one volatile-stop rule, for every job. Deadline and cancel
+   stops depend on the clock and on who pulled the flag, not on the
+   job, so they become structured limit errors — which the store never
+   caches — rather than truncated outcomes a later identical request
+   would be served from cache. *)
 let check_volatile limit ~when_ =
-  match volatile_stop limit with
-  | Some what -> fail Error.Limit "%s %s" what when_
-  | None -> ()
+  match Option.bind limit Limits.interrupted with
+  | Some Limits.Deadline -> fail Error.Limit "deadline exceeded %s" when_
+  | Some Limits.Cancelled -> fail Error.Limit "cancelled %s" when_
+  | Some Limits.Conflicts | None -> ()
 
 let run ?deadline_s t job =
   Metrics.incr jobs_counter;

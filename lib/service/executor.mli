@@ -22,12 +22,22 @@
     Failures are values: [run] never raises and never exits. Job
     errors (unknown benchmark, infeasible lock, tripped budget) come
     back as {!Error.t}; unexpected exceptions are folded into
-    [Internal]. Successful outcomes are cached by job digest; failures
-    are never cached, so a transient limit does not poison the
-    store. Wall-clock stops (a passed deadline, a raised cancel flag)
-    always surface as [Limit] {e errors}, never as truncated outcomes:
-    an outcome shaped by when the job happened to run must not be
-    cached under a digest that only describes what the job was. *)
+    [Internal]. A [bind] or [custom] locking shape the design cannot
+    hold is [Infeasible], from one check both pipelines share: more
+    locked FUs than the kind has allocated (["only 0 mul FUs
+    allocated"]), or more minterms per FU than the co-design candidate
+    list holds (["workload too uniform: not enough candidate
+    minterms"]). Successful outcomes are cached by job digest;
+    failures are never cached, so a transient limit does not poison
+    the store. Wall-clock stops (a passed deadline, a raised cancel
+    flag) always surface as [Limit] {e errors}, never as truncated
+    outcomes: an outcome shaped by when the job happened to run must
+    not be cached under a digest that only describes what the job
+    was. One check decides this for every job, before it starts and
+    again after it ran, with the messages ["deadline exceeded"] or
+    ["cancelled"] followed by ["before execution"] or ["during
+    execution"]; an attack the solver stopped on a deadline or cancel
+    answers the during-execution error like any other job. *)
 
 type t
 

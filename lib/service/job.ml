@@ -189,138 +189,107 @@ let validate = function
 
 (* ------------------------------------------------------------- decoding *)
 
-let int_field v name ~default =
-  match Json.member name v with
-  | None | Some Json.Null -> Ok default
-  | Some (Json.Int i) -> Ok i
-  | Some _ -> invalid "field %S must be an integer" name
+(* One reader for every job field: an absent or null field takes
+   [absent] ([None] = required), anything else must have the shape
+   [conv] accepts. *)
+let field v name ~absent conv =
+  match (Json.member name v, absent) with
+  | (None | Some Json.Null), Some default -> Ok default
+  | (None | Some Json.Null), None -> invalid "missing required field %S" name
+  | Some x, _ -> conv name x
 
-let bool_field v name ~default =
-  match Json.member name v with
-  | None | Some Json.Null -> Ok default
-  | Some (Json.Bool b) -> Ok b
-  | Some _ -> invalid "field %S must be a boolean" name
+let must name what = invalid "field %S must be %s" name what
 
-let string_field v name ~default =
-  match Json.member name v with
-  | None | Some Json.Null -> Ok default
-  | Some (Json.String s) -> Ok s
-  | Some _ -> invalid "field %S must be a string" name
+let int name = function Json.Int i -> Ok i | _ -> must name "an integer"
+let bool name = function Json.Bool b -> Ok b | _ -> must name "a boolean"
+let string name = function Json.String s -> Ok s | _ -> must name "a string"
 
-let required_string v name =
-  match Json.member name v with
-  | None | Some Json.Null -> invalid "missing required field %S" name
-  | Some (Json.String s) -> Ok s
-  | Some _ -> invalid "field %S must be a string" name
+let number name = function
+  | Json.Float f -> Ok f
+  | Json.Int i -> Ok (float_of_int i)
+  | _ -> must name "a number"
 
-let opt_string v name =
-  match Json.member name v with
-  | None | Some Json.Null -> Ok None
-  | Some (Json.String s) -> Ok (Some s)
-  | Some _ -> invalid "field %S must be a string" name
+let kind name = function
+  | Json.String "add" -> Ok Dfg.Add
+  | Json.String "mul" -> Ok Dfg.Mul
+  | _ -> must name "\"add\" or \"mul\""
 
-let opt_number v name =
-  match Json.member name v with
-  | None | Some Json.Null -> Ok None
-  | Some (Json.Float f) -> Ok (Some f)
-  | Some (Json.Int i) -> Ok (Some (float_of_int i))
-  | Some _ -> invalid "field %S must be a number" name
+let scheme name = function
+  | Json.String s -> (
+    match scheme_of_label s with Some s -> Ok s | None -> invalid "unknown scheme %S" s)
+  | _ -> must name "a string"
 
-let kind_field v ~default =
-  match Json.member "kind" v with
-  | None | Some Json.Null -> Ok default
-  | Some (Json.String "add") -> Ok Dfg.Add
-  | Some (Json.String "mul") -> Ok Dfg.Mul
-  | Some _ -> invalid "field \"kind\" must be \"add\" or \"mul\""
-
-let scheme_field v ~default =
-  match Json.member "scheme" v with
-  | None | Some Json.Null -> Ok default
-  | Some (Json.String s) -> (
-    match scheme_of_label s with
-    | Some s -> Ok s
-    | None -> invalid "unknown scheme %S" s)
-  | Some _ -> invalid "field \"scheme\" must be a string"
+let some conv name x = Result.map Option.some (conv name x)
 
 (* analyze's scheme admits "all" (= every scheme, the CLI default) *)
-let scheme_all_field v =
-  match Json.member "scheme" v with
-  | None | Some Json.Null | Some (Json.String "all") -> Ok None
-  | Some (Json.String s) -> (
-    match scheme_of_label s with
-    | Some s -> Ok (Some s)
-    | None -> invalid "unknown scheme %S" s)
-  | Some _ -> invalid "field \"scheme\" must be a string"
+let scheme_or_all name = function
+  | Json.String "all" -> Ok None
+  | x -> some scheme name x
 
 let decode v =
-  let* op =
-    match Json.member "op" v with
-    | None | Some Json.Null -> invalid "missing required field \"op\""
-    | Some (Json.String s) -> Ok s
-    | Some _ -> invalid "field \"op\" must be a string"
-  in
+  let* op = field v "op" ~absent:None string in
   match op with
   | "list" -> Ok List_benchmarks
   | "show" ->
-    let* benchmark = required_string v "benchmark" in
-    let* seed = int_field v "seed" ~default:1789 in
+    let* benchmark = field v "benchmark" ~absent:None string in
+    let* seed = field v "seed" ~absent:(Some 1789) int in
     Ok (Show { benchmark; seed })
   | "bind" ->
-    let* benchmark = required_string v "benchmark" in
-    let* seed = int_field v "seed" ~default:1789 in
-    let* binder = string_field v "binder" ~default:"codesign" in
-    let* kind = kind_field v ~default:Dfg.Mul in
-    let* locked_fus = int_field v "locked_fus" ~default:2 in
-    let* minterms_per_fu = int_field v "minterms_per_fu" ~default:2 in
+    let* benchmark = field v "benchmark" ~absent:None string in
+    let* seed = field v "seed" ~absent:(Some 1789) int in
+    let* binder = field v "binder" ~absent:(Some "codesign") string in
+    let* kind = field v "kind" ~absent:(Some Dfg.Mul) kind in
+    let* locked_fus = field v "locked_fus" ~absent:(Some 2) int in
+    let* minterms_per_fu = field v "minterms_per_fu" ~absent:(Some 2) int in
     Ok (Bind { benchmark; seed; binder; kind; locked_fus; minterms_per_fu })
   | "lint" ->
-    let* benchmark = opt_string v "benchmark" in
-    let* seed = int_field v "seed" ~default:1789 in
-    let* locked_fus = int_field v "locked_fus" ~default:2 in
-    let* minterms_per_fu = int_field v "minterms_per_fu" ~default:2 in
-    let* min_lambda = opt_number v "min_lambda" in
+    let* benchmark = field v "benchmark" ~absent:(Some None) (some string) in
+    let* seed = field v "seed" ~absent:(Some 1789) int in
+    let* locked_fus = field v "locked_fus" ~absent:(Some 2) int in
+    let* minterms_per_fu = field v "minterms_per_fu" ~absent:(Some 2) int in
+    let* min_lambda = field v "min_lambda" ~absent:(Some None) (some number) in
     Ok (Lint { benchmark; seed; locked_fus; minterms_per_fu; min_lambda })
   | "analyze" ->
-    let* scheme = scheme_all_field v in
-    let* width = int_field v "width" ~default:4 in
-    let* strength = int_field v "strength" ~default:4 in
-    let* seed = int_field v "seed" ~default:1789 in
+    let* scheme = field v "scheme" ~absent:(Some None) scheme_or_all in
+    let* width = field v "width" ~absent:(Some 4) int in
+    let* strength = field v "strength" ~absent:(Some 4) int in
+    let* seed = field v "seed" ~absent:(Some 1789) int in
     Ok (Analyze { scheme; width; strength; seed })
   | "attack" ->
-    let* scheme = scheme_field v ~default:Pf in
-    let* width = int_field v "width" ~default:4 in
-    let* strength = int_field v "strength" ~default:2 in
-    let* seed = int_field v "seed" ~default:1789 in
-    let* max_iterations = int_field v "max_iterations" ~default:20_000 in
-    let* portfolio = int_field v "portfolio" ~default:1 in
+    let* scheme = field v "scheme" ~absent:(Some Pf) scheme in
+    let* width = field v "width" ~absent:(Some 4) int in
+    let* strength = field v "strength" ~absent:(Some 2) int in
+    let* seed = field v "seed" ~absent:(Some 1789) int in
+    let* max_iterations = field v "max_iterations" ~absent:(Some 20_000) int in
+    let* portfolio = field v "portfolio" ~absent:(Some 1) int in
     Ok (Attack { scheme; width; strength; seed; max_iterations; portfolio })
   | "custom" ->
-    let* text = required_string v "text" in
-    let* format = string_field v "format" ~default:"dfg-text" in
+    let* text = field v "text" ~absent:None string in
+    let* format = field v "format" ~absent:(Some "dfg-text") string in
     let* source =
       match format with
       | "dfg-text" -> Ok (Dfg_source text)
       | "expr" -> Ok (Expr_source text)
       | f -> invalid "field \"format\" must be \"dfg-text\" or \"expr\" (got %S)" f
     in
-    let* kind = kind_field v ~default:Dfg.Mul in
-    let* locked_fus = int_field v "locked_fus" ~default:2 in
-    let* minterms_per_fu = int_field v "minterms_per_fu" ~default:2 in
-    let* trace_length = int_field v "trace_length" ~default:256 in
-    let* seed = int_field v "seed" ~default:1789 in
+    let* kind = field v "kind" ~absent:(Some Dfg.Mul) kind in
+    let* locked_fus = field v "locked_fus" ~absent:(Some 2) int in
+    let* minterms_per_fu = field v "minterms_per_fu" ~absent:(Some 2) int in
+    let* trace_length = field v "trace_length" ~absent:(Some 256) int in
+    let* seed = field v "seed" ~absent:(Some 1789) int in
     Ok (Custom { source; kind; locked_fus; minterms_per_fu; trace_length; seed })
   | "export-cnf" ->
-    let* scheme = scheme_field v ~default:Pf in
-    let* width = int_field v "width" ~default:4 in
-    let* strength = int_field v "strength" ~default:2 in
-    let* miter = bool_field v "miter" ~default:false in
-    let* seed = int_field v "seed" ~default:1789 in
+    let* scheme = field v "scheme" ~absent:(Some Pf) scheme in
+    let* width = field v "width" ~absent:(Some 4) int in
+    let* strength = field v "strength" ~absent:(Some 2) int in
+    let* miter = field v "miter" ~absent:(Some false) bool in
+    let* seed = field v "seed" ~absent:(Some 1789) int in
     Ok (Export_cnf { scheme; width; strength; miter; seed })
   | "export-dfg" ->
-    let* benchmark = required_string v "benchmark" in
+    let* benchmark = field v "benchmark" ~absent:None string in
     Ok (Export_dfg { benchmark })
   | "dot" ->
-    let* benchmark = required_string v "benchmark" in
+    let* benchmark = field v "benchmark" ~absent:None string in
     Ok (Dot { benchmark })
   | other -> invalid "unknown op %S" other
 

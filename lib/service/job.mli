@@ -101,8 +101,17 @@ val validate : t -> (unit, Error.t) result
 val of_json : Rb_util.Json.t -> (t, Error.t) result
 (** Decode and {!validate}. Unknown fields are ignored (the serve
     envelope carries [schema] and [id] alongside the job fields);
-    omitted fields take the CLI defaults; wrong field types and
-    out-of-bounds values are [Invalid_request] errors. *)
+    omitted or [null] fields take the CLI defaults; wrong field types
+    and out-of-bounds values are [Invalid_request] errors. One field
+    reader decodes every field, so each failure has one message, e.g.
+    ["missing required field \"op\""] for a required field and
+    ["field \"seed\" must be an integer"] for a wrong type (likewise
+    ["a boolean"], ["a string"], ["a number"], and
+    ["\"add\" or \"mul\""] for [kind]), besides
+    ["unknown scheme \"xor\""], ["unknown op \"x\""] and the [custom]
+    format's ["field \"format\" must be \"dfg-text\" or \"expr\" (got \"v\")"].
+    Fields are read in the order of the job's record, so the first bad
+    one is reported. *)
 
 val digest : t -> string
 (** Content address of the job: the MD5 of

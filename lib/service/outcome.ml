@@ -30,10 +30,8 @@ type attack_report = {
 
 type t =
   | Benchmarks of { rows : benchmark_row list; binders : (string * string) list }
-  | Shown of string
+  | Text of string
   | Bound of bind_report
   | Linted of Rb_lint.Report.t list
   | Analyzed of Rb_analysis.Report.t list
   | Attacked of attack_report
-  | Custom_report of string
-  | Exported of string

@@ -40,6 +40,9 @@ type attack_outcome =
     }
   | Budget_exceeded of { iterations : int }
   | Solver_limit of { iterations : int; reason : Rb_util.Limits.reason }
+      (** a conflict budget ran out; a deadline or cancel stop never
+          reaches a caller as an outcome ({!Executor.run} answers a
+          [Limit] error instead) *)
 
 type attack_report = {
   description : string;  (** the locked construction's description *)
@@ -52,10 +55,11 @@ type t =
       rows : benchmark_row list;
       binders : (string * string) list;  (** (name, description) *)
     }
-  | Shown of string  (** pre-rendered schedule/workload text *)
+  | Text of string
+      (** a payload that is its own text form: show's schedule and
+          workload report, custom's co-design report, and the export
+          payloads (DFG text, DIMACS, dot) *)
   | Bound of bind_report
   | Linted of Rb_lint.Report.t list
   | Analyzed of Rb_analysis.Report.t list
   | Attacked of attack_report
-  | Custom_report of string  (** pre-rendered co-design report text *)
-  | Exported of string  (** raw export payload (DFG text, DIMACS, dot) *)

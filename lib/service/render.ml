@@ -103,8 +103,7 @@ let result_to_json (o : Outcome.t) =
         ("reports", Json.List (List.map Rb_analysis.Report.to_json reports));
       ]
   | Outcome.Attacked r -> json_of_attack r
-  | Outcome.Shown text | Outcome.Custom_report text | Outcome.Exported text ->
-    Json.Obj [ ("text", Json.String text) ]
+  | Outcome.Text text -> Json.Obj [ ("text", Json.String text) ]
 
 (* ----------------------------------------------------------------- text *)
 
@@ -168,7 +167,7 @@ let attacked_text ~wall_s (r : Outcome.attack_report) =
 let to_text ?(attack_wall_s = 0.) (o : Outcome.t) =
   match o with
   | Outcome.Benchmarks { rows; binders } -> benchmarks_text rows binders
-  | Outcome.Shown text | Outcome.Custom_report text | Outcome.Exported text -> text
+  | Outcome.Text text -> text
   | Outcome.Bound r -> bound_text r
   | Outcome.Linted reports ->
     with_buffer (fun f ->

@@ -90,6 +90,45 @@ let test_job_validation () =
   check_msg "field type"
     (obj [ ("op", Json.String "bind"); ("benchmark", Json.String "dct"); ("seed", Json.String "x") ])
     "field \"seed\" must be an integer";
+  check_msg "non-string op" (obj [ ("op", Json.Int 1) ]) "field \"op\" must be a string";
+  check_msg "integer field"
+    (obj [ ("op", Json.String "attack"); ("width", Json.Float 4.5) ])
+    "field \"width\" must be an integer";
+  check_msg "boolean field"
+    (obj [ ("op", Json.String "export-cnf"); ("miter", Json.String "yes") ])
+    "field \"miter\" must be a boolean";
+  check_msg "string field"
+    (obj [ ("op", Json.String "bind"); ("benchmark", Json.String "dct"); ("binder", Json.Int 3) ])
+    "field \"binder\" must be a string";
+  check_msg "required string field"
+    (obj [ ("op", Json.String "dot"); ("benchmark", Json.Bool true) ])
+    "field \"benchmark\" must be a string";
+  check_msg "optional string field"
+    (obj [ ("op", Json.String "lint"); ("benchmark", Json.Int 1) ])
+    "field \"benchmark\" must be a string";
+  check_msg "number field"
+    (obj [ ("op", Json.String "lint"); ("min_lambda", Json.String "high") ])
+    "field \"min_lambda\" must be a number";
+  check_msg "kind field"
+    (obj [ ("op", Json.String "bind"); ("benchmark", Json.String "dct"); ("kind", Json.String "div") ])
+    "field \"kind\" must be \"add\" or \"mul\"";
+  check_msg "non-string scheme"
+    (obj [ ("op", Json.String "attack"); ("scheme", Json.Int 2) ])
+    "field \"scheme\" must be a string";
+  check_msg "non-string analyze scheme"
+    (obj [ ("op", Json.String "analyze"); ("scheme", Json.List []) ])
+    "field \"scheme\" must be a string";
+  check_msg "unknown scheme"
+    (obj [ ("op", Json.String "export-cnf"); ("scheme", Json.String "xor") ])
+    "unknown scheme \"xor\"";
+  check_msg "unknown analyze scheme"
+    (obj [ ("op", Json.String "analyze"); ("scheme", Json.String "every") ])
+    "unknown scheme \"every\"";
+  check_msg "unknown format"
+    (obj [ ("op", Json.String "custom"); ("text", Json.String "x"); ("format", Json.String "verilog") ])
+    "field \"format\" must be \"dfg-text\" or \"expr\" (got \"verilog\")";
+  check_msg "missing text" (obj [ ("op", Json.String "custom"); ("format", Json.String "expr") ])
+    "missing required field \"text\"";
   check_msg "not an object" (Json.List []) "missing required field \"op\""
 
 let test_job_digest () =
@@ -189,12 +228,12 @@ let test_store_single_flight () =
   let computed = Atomic.make 0 in
   let compute () =
     Atomic.incr computed;
-    Outcome.Exported "payload"
+    Outcome.Text "payload"
   in
   let first = Store.find_or_compute store ~key:"k" compute in
   let second = Store.find_or_compute store ~key:"k" compute in
   (match (first, second) with
-  | Outcome.Exported a, Outcome.Exported b ->
+  | Outcome.Text a, Outcome.Text b ->
       Alcotest.(check string) "same outcome" a b
   | _ -> Alcotest.fail "unexpected outcome shape");
   Alcotest.(check int) "computed once" 1 (Atomic.get computed);
@@ -209,14 +248,14 @@ let test_store_failure_not_cached () =
   let flaky () =
     Atomic.incr attempts;
     if Atomic.get attempts = 1 then failwith "transient";
-    Outcome.Exported "recovered"
+    Outcome.Text "recovered"
   in
   (match Store.find_or_compute store ~key:"k" flaky with
   | exception Failure m -> Alcotest.(check string) "error propagates" "transient" m
   | _ -> Alcotest.fail "first attempt should raise");
   Alcotest.(check int) "failure leaves no entry" 0 (Store.size store);
   (match Store.find_or_compute store ~key:"k" flaky with
-  | Outcome.Exported s -> Alcotest.(check string) "retry recomputes" "recovered" s
+  | Outcome.Text s -> Alcotest.(check string) "retry recomputes" "recovered" s
   | _ -> Alcotest.fail "unexpected outcome shape");
   let { Store.hits; misses; _ } = Store.stats store in
   Alcotest.(check int) "every attempt is a miss" 2 misses;
@@ -228,14 +267,14 @@ let test_store_concurrent_single_flight () =
   let compute () =
     Atomic.incr computed;
     Domain.cpu_relax ();
-    Outcome.Exported "shared"
+    Outcome.Text "shared"
   in
   Pool.with_pool ~jobs:4 (fun pool ->
       let results =
         Pool.map_array pool
           ~f:(fun _ ->
             match Store.find_or_compute store ~key:"hot" compute with
-            | Outcome.Exported s -> s
+            | Outcome.Text s -> s
             | _ -> "?")
           (Array.init 16 Fun.id)
       in
@@ -248,7 +287,7 @@ let test_store_concurrent_single_flight () =
 (* Three same-cost outcomes against a cap that holds two: the insert
    of the third must evict exactly the least-recently-used entry. *)
 let test_store_lru_eviction () =
-  let payload c = Outcome.Exported (String.make 1000 c) in
+  let payload c = Outcome.Text (String.make 1000 c) in
   let cost = Store.cost_of (payload 'a') in
   let store = Store.create ~cap_bytes:(2 * cost) () in
   let computed = Atomic.make 0 in
@@ -258,7 +297,7 @@ let test_store_lru_eviction () =
           Atomic.incr computed;
           payload c)
     with
-    | Outcome.Exported s -> s
+    | Outcome.Text s -> s
     | _ -> Alcotest.fail "unexpected outcome shape"
   in
   ignore (get "a" 'a');
@@ -286,7 +325,7 @@ let qcheck_store_eviction_single_flight =
   QCheck2.Test.make ~name:"bounded store serves the right artifact under churn"
     ~count:25 gen (fun keys ->
       let payload i = String.make (50 * (i + 1)) (Char.chr (Char.code 'a' + i)) in
-      let cost = Store.cost_of (Outcome.Exported (payload 7)) in
+      let cost = Store.cost_of (Outcome.Text (payload 7)) in
       let store = Store.create ~cap_bytes:(2 * cost) () in
       let ok =
         Pool.with_pool ~jobs:4 (fun pool ->
@@ -294,9 +333,9 @@ let qcheck_store_eviction_single_flight =
               ~f:(fun i ->
                 match
                   Store.find_or_compute store ~key:(string_of_int i) (fun () ->
-                      Outcome.Exported (payload i))
+                      Outcome.Text (payload i))
                 with
-                | Outcome.Exported s -> s = payload i
+                | Outcome.Text s -> s = payload i
                 | _ -> false)
               (Array.of_list keys))
       in
@@ -579,6 +618,55 @@ let test_executor_rll_over_strength () =
       Alcotest.(check string) "serve code" "infeasible" code;
       Alcotest.(check string) "serve message" (message 16) msg)
 
+(* A locking shape the design cannot hold is infeasible, through the
+   executor and through serve alike: more locked FUs than the kind has
+   allocated (ecb_enc4 has no multiplier), or more locked minterms per
+   FU than the co-design candidate list (at most ten) offers, for a
+   benchmark bind and a custom kernel. Both pipelines share one check,
+   so both answer the same candidate-count message. *)
+let test_infeasible_locking_shapes () =
+  let adder_kernel = "input a, b\ny = a + b\noutput y" in
+  let custom kind minterms_per_fu =
+    Job.Custom
+      { source = Job.Expr_source adder_kernel; kind; locked_fus = 1; minterms_per_fu;
+        trace_length = 256; seed = 1789 }
+  in
+  let bind benchmark kind minterms_per_fu =
+    Job.Bind
+      { benchmark; seed = 1789; binder = "codesign"; kind; locked_fus = 1; minterms_per_fu }
+  in
+  let few_candidates = "workload too uniform: not enough candidate minterms" in
+  let cases =
+    [
+      ( "bind without multipliers",
+        bind "ecb_enc4" Rb_dfg.Dfg.Mul 1,
+        "only 0 mul FUs allocated" );
+      ("bind over the candidate list", bind "dct" Rb_dfg.Dfg.Mul 11, few_candidates);
+      ("custom without multipliers", custom Rb_dfg.Dfg.Mul 1, "only 0 mul FUs allocated");
+      ("custom over the candidate list", custom Rb_dfg.Dfg.Add 11, few_candidates);
+    ]
+  in
+  with_executor (fun ex ->
+      List.iter
+        (fun (name, job, message) ->
+          (match Executor.run ex job with
+          | Error e ->
+            Alcotest.(check string) (name ^ " code") "infeasible" (Error.code_label e.Error.code);
+            Alcotest.(check string) (name ^ " message") message e.Error.message
+          | Ok _ -> Alcotest.failf "%s: infeasible shape accepted" name);
+          let request =
+            match Job.to_json job with
+            | Json.Obj fields ->
+              Json.to_string
+                (Json.Obj (("schema", Json.String "rb-job/1") :: ("id", Json.Int 1) :: fields))
+            | _ -> Alcotest.fail "job encoding is not an object"
+          in
+          let code, msg = error_member (parse_response (Serve.respond ex request)) in
+          Alcotest.(check string) (name ^ " serve code") "infeasible" code;
+          Alcotest.(check string) (name ^ " serve message") message msg)
+        cases;
+      Alcotest.(check int) "nothing cached" 0 (Store.size (Executor.store ex)))
+
 (* A pf lock protects exactly [strength] distinct minterms: a drawn
    duplicate is redrawn, so even a strength that collides in the
    2^(2 width) input space builds a lock with [strength] comparators,
@@ -722,6 +810,42 @@ let test_executor_deadline () =
       match Executor.run ex job with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "same job without deadline fails: %s" e.Error.message)
+
+(* A deadline that passes, or a cancel raised, while an attack's
+   solver runs stops it mid-run: the job answers the structured limit
+   error of every volatile stop, the store keeps nothing, and the same
+   job without a deadline then answers. A permnet-5 lock on a 5-bit
+   adder takes some tenths of a second to break, well past the 50 ms
+   stops. *)
+let test_attack_stopped_mid_run () =
+  let job =
+    Job.Attack
+      { scheme = Job.Permnet; width = 5; strength = 5; seed = 1789; max_iterations = 20_000;
+        portfolio = 1 }
+  in
+  let expect_limit ?deadline_s ex name message =
+    (match Executor.run ?deadline_s ex job with
+    | Error e ->
+      Alcotest.(check string) (name ^ " code") "limit" (Error.code_label e.Error.code);
+      Alcotest.(check string) (name ^ " message") message e.Error.message
+    | Ok _ -> Alcotest.failf "%s: attack finished before its stop" name);
+    Alcotest.(check int) (name ^ ": nothing cached") 0 (Store.size (Executor.store ex))
+  in
+  let cancel = Limits.new_cancel () in
+  with_executor ~limit:(Limits.make ~cancel ()) (fun ex ->
+      let canceller =
+        Thread.create (fun () -> Thread.delay 0.05; Limits.cancel cancel) ()
+      in
+      expect_limit ex "cancel" "cancelled during execution";
+      Thread.join canceller);
+  with_executor (fun ex ->
+      expect_limit ex ~deadline_s:(Metrics.now_s () +. 0.05) "deadline"
+        "deadline exceeded during execution";
+      match Executor.run ex job with
+      | Ok (Outcome.Attacked { Outcome.outcome = Outcome.Broken { key_correct; _ }; _ }) ->
+        Alcotest.(check bool) "deadline-free attack recovers a correct key" true key_correct
+      | Ok _ -> Alcotest.fail "deadline-free attack did not break the lock"
+      | Error e -> Alcotest.failf "same attack without deadline fails: %s" e.Error.message)
 
 (* A deadline that trips while an analysis runs must surface as a
    limit error and keep whatever the run produced out of the outcome
@@ -1287,6 +1411,7 @@ let () =
           Alcotest.test_case "structured errors" `Quick test_executor_errors;
           Alcotest.test_case "rll over strength is infeasible" `Quick
             test_executor_rll_over_strength;
+          Alcotest.test_case "infeasible locking shapes" `Quick test_infeasible_locking_shapes;
           Alcotest.test_case "pf locks exactly strength minterms" `Quick
             test_executor_pf_distinct_minterms;
           Alcotest.test_case "analyze all skips infeasible schemes" `Quick
@@ -1294,6 +1419,7 @@ let () =
           Alcotest.test_case "jobs invariance" `Quick test_executor_jobs_invariant;
           Alcotest.test_case "cache hit rate" `Quick test_executor_batch_cache_rate;
           Alcotest.test_case "deadline" `Quick test_executor_deadline;
+          Alcotest.test_case "attack stopped mid-run" `Quick test_attack_stopped_mid_run;
           Alcotest.test_case "analyze truncation not cached" `Quick
             test_analyze_truncation_not_cached;
         ] );
