@@ -90,7 +90,7 @@ let experiment_sections pool =
        benchmarks and kinds; co-design = P-time heuristic, as in the paper)";
     print_string
       (Render.fig5
-         ~cells:(Experiments.fig5_cells (Experiments.pooled_results (Lazy.force suite))))
+         ~cells:(Experiments.fig5_cells (Lazy.force suite)))
   in
   let fig6 () =
     section
@@ -155,12 +155,7 @@ let experiment_sections pool =
       @ Ablation.scheduler_sensitivity dct.Workload.dfg make_trace
     in
     print_string
-      (Render.ablation ~strategies ~generalization
-         ~budget_title:
-           "profiling-budget sensitivity (dct multipliers, replayed on 256 samples)"
-         ~budget
-         ~sensitivity_title:"sensitivity of the obf-aware error increase (dct, adders)"
-         ~sensitivity)
+      (Render.ablation ~strategies ~generalization ~budget ~sensitivity)
   in
   [
     ("fig4", fig4);
@@ -189,11 +184,7 @@ let eqn1 () =
       let cells =
         List.map
           (fun minterms ->
-            let l =
-              Resilience.lambda_minterms ~key_bits ~input_bits:16
-                ~minterms
-            in
-            if l = infinity then "inf" else Printf.sprintf "%.0f" l)
+            Render.fmt_lambda (Resilience.lambda_minterms ~key_bits ~input_bits:16 ~minterms))
           minterm_counts
       in
       Table.add_text_row table ~label:(Printf.sprintf "%d-bit key" key_bits) ~cells)
@@ -210,6 +201,15 @@ let eqn1 () =
     budget
 
 (* ------------------------------------------------------------ sat-attack *)
+
+(* The iterations cell of an attack outcome: the DIP count that broke
+   the lock, or how far the attack got before its budget or a solver
+   limit stopped it. *)
+let iterations_cell = function
+  | Attack.Broken { iterations; _ } -> string_of_int iterations
+  | Attack.Budget_exceeded { iterations } -> Printf.sprintf ">%d" iterations
+  | Attack.Solver_limit { iterations; reason } ->
+    Printf.sprintf "limit:%s@%d" (Limits.reason_label reason) iterations
 
 let sat_attack () =
   section
@@ -231,26 +231,18 @@ let sat_attack () =
     let n_in = Netlist.n_inputs base in
     let key_bits = Netlist.n_keys locked.Lock.circuit in
     let c0 = Metrics.counter_value m_conflicts in
-    let iterations =
-      match Attack.attack_locked ~max_iterations:20_000 locked with
-      | Attack.Broken { key; iterations } ->
-        assert (Attack.key_is_correct locked key);
-        string_of_int iterations
-      | Attack.Budget_exceeded { iterations } -> Printf.sprintf ">%d" iterations
-      (* Unreachable: no solver limit is set. *)
-      | Attack.Solver_limit { iterations; reason } ->
-        Printf.sprintf "limit:%s@%d" (Limits.reason_label reason) iterations
-    in
+    (* No solver limit is set, so only Broken and Budget_exceeded
+       occur. *)
+    let outcome = Attack.attack_locked ~max_iterations:20_000 locked in
+    (match outcome with
+     | Attack.Broken { key; _ } -> assert (Attack.key_is_correct locked key)
+     | Attack.Budget_exceeded _ | Attack.Solver_limit _ -> ());
     let conflicts = Metrics.counter_value m_conflicts - c0 in
     let lambda =
       match epsilon_minterms with
       | None -> "-"
       | Some m ->
-        let l =
-          Resilience.lambda_minterms ~key_bits ~input_bits:n_in
-            ~minterms:m
-        in
-        if l = infinity then "inf" else Printf.sprintf "%.0f" l
+        Render.fmt_lambda (Resilience.lambda_minterms ~key_bits ~input_bits:n_in ~minterms:m)
     in
     Table.add_text_row table ~label
       ~cells:
@@ -258,7 +250,7 @@ let sat_attack () =
           string_of_int n_in;
           string_of_int key_bits;
           (match epsilon_minterms with None -> "~half space" | Some m -> string_of_int m);
-          iterations;
+          iterations_cell outcome;
           lambda;
           string_of_int conflicts;
           string_of_int (Netlist.n_gates locked.Lock.circuit);
@@ -367,20 +359,17 @@ let attack_portfolio ~pool () =
         ~finally:(fun () -> Metrics.set_enabled true)
         (fun () -> run ~pool ~portfolio:4 ~wall:p4_wall locked)
     in
-    let iterations, key =
+    let key =
       match fst reference with
-      | Attack.Broken { iterations; key } ->
-        ( string_of_int iterations,
-          String.init (Array.length key) (fun i -> if key.(i) then '1' else '0') )
-      | Attack.Budget_exceeded { iterations } -> (Printf.sprintf ">%d" iterations, "-")
-      | Attack.Solver_limit { iterations; reason } ->
-        (Printf.sprintf "limit:%s@%d" (Limits.reason_label reason) iterations, "-")
+      | Attack.Broken { key; _ } ->
+        String.init (Array.length key) (fun i -> if key.(i) then '1' else '0')
+      | Attack.Budget_exceeded _ | Attack.Solver_limit _ -> "-"
     in
     Table.add_text_row table ~label
       ~cells:
         [
           string_of_int key_bits;
-          iterations;
+          iterations_cell (fst reference);
           key;
           (if reference = racing then "identical" else "DIVERGED");
         ]
@@ -592,8 +581,7 @@ let methodology () =
             Printf.sprintf "%.0e" goal.Methodology.min_lambda;
             string_of_int plan.Methodology.minterms_per_fu;
             string_of_int plan.Methodology.achieved_errors;
-            (if plan.Methodology.predicted_lambda = infinity then "inf"
-             else Printf.sprintf "%.0f" plan.Methodology.predicted_lambda);
+            Render.fmt_lambda plan.Methodology.predicted_lambda;
             (if plan.Methodology.exponential_topup then "permnet" else "none");
           ])
     [

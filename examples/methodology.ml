@@ -38,8 +38,7 @@ let run_goal k schedule allocation spec table ~label goal =
         Printf.sprintf "%.0f" goal.Methodology.min_lambda;
         string_of_int plan.Methodology.minterms_per_fu;
         string_of_int plan.Methodology.achieved_errors;
-        (if plan.Methodology.predicted_lambda = infinity then "inf"
-         else Printf.sprintf "%.0f" plan.Methodology.predicted_lambda);
+        Rb_core.Render.fmt_lambda plan.Methodology.predicted_lambda;
         (if plan.Methodology.exponential_topup then "yes" else "no");
       ];
   plan

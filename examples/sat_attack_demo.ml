@@ -79,10 +79,8 @@ let () =
       let cells =
         List.map
           (fun minterms ->
-            let lambda =
-              Resilience.lambda_minterms ~key_bits ~input_bits:16 ~minterms
-            in
-            if lambda = infinity then "inf" else Printf.sprintf "%.0f" lambda)
+            Rb_core.Render.fmt_lambda
+              (Resilience.lambda_minterms ~key_bits ~input_bits:16 ~minterms))
           [ 1; 2; 3; 8; 64; 1024 ]
       in
       Table.add_text_row table ~label:(Printf.sprintf "%d-bit key" key_bits) ~cells)

@@ -15,10 +15,7 @@ let strategy_name = function
   | Random_sample -> "random sample"
   | Least_common -> "least common"
 
-(* Fixed ablation settings: 2 locked FUs x 2 minterms, and the seed of
-   the random candidate sample. *)
-let locked_fus = 2
-let minterms_per_fu = 2
+(* The seed of the random candidate sample. *)
 let seed = 3
 
 let candidate_list ~strategy k kind =
@@ -42,28 +39,28 @@ type strategy_row = {
 }
 
 let candidate_strategies (ctx : Experiments.context) kind =
-  if Allocation.fu_ids ctx.Experiments.allocation kind = [] then []
-  else
-    List.filter_map
-      (fun strategy ->
-        let candidates = candidate_list ~strategy ctx.Experiments.k kind in
-        if Array.length candidates < minterms_per_fu then None
-        else begin
-          let spec =
-            Codesign.make_spec ctx.Experiments.allocation kind ~locked_fus ~minterms_per_fu
-              candidates
-          in
-          let solution = Codesign.heuristic ctx.Experiments.k ctx.Experiments.schedule
-              ctx.Experiments.allocation spec
-          in
+  let k = ctx.Experiments.k in
+  List.filter_map
+    (fun strategy ->
+      let candidates = candidate_list ~strategy k kind in
+      Option.map
+        (fun solution ->
           let candidate_mass =
-            Array.fold_left
-              (fun acc m -> acc + Kmatrix.total_occurrences ctx.Experiments.k m)
-              0 candidates
+            Array.fold_left (fun acc m -> acc + Kmatrix.total_occurrences k m) 0 candidates
           in
-          Some { strategy; codesign_errors = solution.Codesign.errors; candidate_mass }
-        end)
-      [ Most_common; Random_sample; Least_common ]
+          { strategy; codesign_errors = solution.Codesign.errors; candidate_mass })
+        (Experiments.probe k ctx.Experiments.schedule ctx.Experiments.allocation kind
+           candidates))
+    [ Most_common; Random_sample; Least_common ]
+
+(* The probe on the top candidates of [k], for the drivers with no
+   [None] to return. *)
+let probe_exn ~caller k schedule allocation kind =
+  match
+    Experiments.probe k schedule allocation kind (candidate_list ~strategy:Most_common k kind)
+  with
+  | Some solution -> solution
+  | None -> invalid_arg (caller ^ ": no FU of the kind or fewer than 2 candidates")
 
 type generalization_row = {
   train_expected : int;
@@ -77,11 +74,9 @@ let generalization schedule trace kind =
   let train = Trace.sub trace ~pos:0 ~len:half in
   let test = Trace.sub trace ~pos:half ~len:(Trace.length trace - half) in
   let allocation = Allocation.for_schedule schedule in
-  let k_train = Kmatrix.build train in
-  let candidates = candidate_list ~strategy:Most_common k_train kind in
-  if Array.length candidates = 0 then invalid_arg "Ablation.generalization: no candidates";
-  let spec = Codesign.make_spec allocation kind ~locked_fus ~minterms_per_fu candidates in
-  let solution = Codesign.heuristic k_train schedule allocation spec in
+  let solution =
+    probe_exn ~caller:"Ablation.generalization" (Kmatrix.build train) schedule allocation kind
+  in
   let measure t =
     (Exec.application_errors schedule t
        ~fu_of_op:(Binding.fu_array solution.Codesign.binding)
@@ -156,12 +151,10 @@ let profiling_budget schedule full kind =
   List.map
     (fun len ->
       let prefix = Trace.sub full ~pos:0 ~len in
-      let k = Kmatrix.build prefix in
-      let spec =
-        Codesign.make_spec allocation kind ~locked_fus ~minterms_per_fu
-          (Codesign.top_candidates k kind)
+      let solution =
+        probe_exn ~caller:"Ablation.profiling_budget" (Kmatrix.build prefix) schedule
+          allocation kind
       in
-      let solution = Codesign.heuristic k schedule allocation spec in
       let report =
         Exec.application_errors schedule full
           ~fu_of_op:(Binding.fu_array solution.Codesign.binding)

@@ -41,9 +41,9 @@ type strategy_row = {
 }
 
 val candidate_strategies : Experiments.context -> Dfg.op_kind -> strategy_row list
-(** Run co-design under each strategy on one benchmark context (2
-    locked FUs, 2 minterms each; fewer when the allocation or
-    candidate list is too small). *)
+(** Run the {!Experiments.probe} co-design under each strategy on one
+    benchmark context, in strategy order; a strategy whose probe is
+    [None] (no FU of the kind, fewer than 2 candidates) has no row. *)
 
 type generalization_row = {
   train_expected : int;  (** Eqn. 2 on the training half's K *)
@@ -53,8 +53,10 @@ type generalization_row = {
 
 val generalization :
   Rb_sched.Schedule.t -> Rb_sim.Trace.t -> Dfg.op_kind -> generalization_row
-(** Split the trace in half, co-design on the first half, measure
-    injected errors on both halves. *)
+(** Split the trace in half, co-design the {!Experiments.probe} on the
+    first half's top candidates, measure injected errors on both
+    halves. Raises [Invalid_argument] when the trace is too short to
+    split or the probe is [None]. *)
 
 type sensitivity_row = {
   label : string;
@@ -85,5 +87,6 @@ type budget_row = {
 
 val profiling_budget :
   Rb_sched.Schedule.t -> Rb_sim.Trace.t -> Dfg.op_kind -> budget_row list
-(** Re-run candidate selection and co-design on growing trace prefixes
-    (lengths 8..256, 2 locked FUs x 2 minterms). *)
+(** Re-run candidate selection and the {!Experiments.probe} co-design
+    on growing trace prefixes (lengths 8..256). Raises
+    [Invalid_argument] where the probe is [None]. *)

@@ -54,7 +54,6 @@ type config_result = {
   minterms_per_fu : int;
   combos_total : int;
   combos : combo_errors array;
-  sampled : bool;
   e_codesign_optimal : int;
   optimal_candidates_used : int;
   e_codesign_heuristic : int;
@@ -185,7 +184,7 @@ let sweep ?(seed = 7) ?(max_combos_per_config = 2000)
           e_obf = e_obf assignment;
         }
       in
-      let n_combos, sampled, assignment_at =
+      let n_combos, assignment_at =
         if combos_total <= max_combos_per_config then begin
           let indices = Array.init n_cands Fun.id in
           let subsets = Array.of_list (Combi.k_subsets indices minterms_per_fu) in
@@ -198,14 +197,14 @@ let sweep ?(seed = 7) ?(max_combos_per_config = 2000)
             in
             go (locked_fu_count - 1) t []
           in
-          (combos_total, false, assignment_at)
+          (combos_total, assignment_at)
         end
         else begin
           let assignment_at t =
             let rng = Rng.create (Hashtbl.hash (config_seed, t)) in
             List.map (fun _ -> random_subset rng n_cands minterms_per_fu) locked_fus
           in
-          (max_combos_per_config, true, assignment_at)
+          (max_combos_per_config, assignment_at)
         end
       in
       let combos = Array.init n_combos (fun t -> eval (assignment_at t)) in
@@ -216,7 +215,6 @@ let sweep ?(seed = 7) ?(max_combos_per_config = 2000)
         minterms_per_fu;
         combos_total;
         combos;
-        sampled;
         e_codesign_optimal = Array.fold_left max 0 optima;
         optimal_candidates_used = n_used;
         e_codesign_heuristic = heur.Codesign.errors;
@@ -227,9 +225,7 @@ let sweep ?(seed = 7) ?(max_combos_per_config = 2000)
 let ratio_vs security baseline =
   float_of_int security /. float_of_int (max baseline 1)
 
-type fig4_row = {
-  row_benchmark : string;
-  row_kind : Dfg.op_kind;
+type ratios = {
   obf_vs_area : float;
   obf_vs_power : float;
   cd_opt_vs_area : float;
@@ -238,63 +234,39 @@ type fig4_row = {
   cd_heur_vs_power : float;
 }
 
-let collect_ratios results pick_security pick_baseline =
-  List.concat_map
+(* One pass sums all six per-combination ratios, results in order and
+   combinations in order within each, and divides once at the end:
+   the same additions, in the same order, as [Stats.mean] over each
+   ratio's list. *)
+let ratios results =
+  let n = ref 0 and sums = Array.make 6 0.0 in
+  let add i security baseline = sums.(i) <- sums.(i) +. ratio_vs security baseline in
+  List.iter
     (fun r ->
-      Array.to_list r.combos
-      |> List.map (fun combo -> ratio_vs (pick_security r combo) (pick_baseline combo)))
-    results
+      Array.iter
+        (fun c ->
+          incr n;
+          add 0 c.e_obf c.e_area;
+          add 1 c.e_obf c.e_power;
+          add 2 r.e_codesign_optimal c.e_area;
+          add 3 r.e_codesign_optimal c.e_power;
+          add 4 r.e_codesign_heuristic c.e_area;
+          add 5 r.e_codesign_heuristic c.e_power)
+        r.combos)
+    results;
+  let mean i = if !n = 0 then 0.0 else sums.(i) /. float_of_int !n in
+  {
+    obf_vs_area = mean 0;
+    obf_vs_power = mean 1;
+    cd_opt_vs_area = mean 2;
+    cd_opt_vs_power = mean 3;
+    cd_heur_vs_area = mean 4;
+    cd_heur_vs_power = mean 5;
+  }
 
-let fig4_row ~benchmark kind results =
-  match results with
-  | [] -> None
-  | _ ->
-    let mean_of pick_security pick_baseline =
-      Stats.mean (collect_ratios results pick_security pick_baseline)
-    in
-    Some
-      {
-        row_benchmark = benchmark;
-        row_kind = kind;
-        obf_vs_area = mean_of (fun _ c -> c.e_obf) (fun c -> c.e_area);
-        obf_vs_power = mean_of (fun _ c -> c.e_obf) (fun c -> c.e_power);
-        cd_opt_vs_area = mean_of (fun r _ -> r.e_codesign_optimal) (fun c -> c.e_area);
-        cd_opt_vs_power = mean_of (fun r _ -> r.e_codesign_optimal) (fun c -> c.e_power);
-        cd_heur_vs_area = mean_of (fun r _ -> r.e_codesign_heuristic) (fun c -> c.e_area);
-        cd_heur_vs_power = mean_of (fun r _ -> r.e_codesign_heuristic) (fun c -> c.e_power);
-      }
+type fig4_row = { row_benchmark : string; row_kind : Dfg.op_kind; row_ratios : ratios }
 
-type fig5_cell = {
-  cell_label : string;
-  f5_obf_vs_area : float;
-  f5_obf_vs_power : float;
-  f5_cd_vs_area : float;
-  f5_cd_vs_power : float;
-}
-
-let fig5_cells pooled =
-  let cell label keep =
-    let results = List.filter keep pooled in
-    let mean_of pick_security pick_baseline =
-      Stats.mean (collect_ratios results pick_security pick_baseline)
-    in
-    {
-      cell_label = label;
-      f5_obf_vs_area = mean_of (fun _ c -> c.e_obf) (fun c -> c.e_area);
-      f5_obf_vs_power = mean_of (fun _ c -> c.e_obf) (fun c -> c.e_power);
-      f5_cd_vs_area = mean_of (fun r _ -> r.e_codesign_heuristic) (fun c -> c.e_area);
-      f5_cd_vs_power = mean_of (fun r _ -> r.e_codesign_heuristic) (fun c -> c.e_power);
-    }
-  in
-  [
-    cell "1 FU" (fun r -> r.locked_fu_count = 1);
-    cell "2 FUs" (fun r -> r.locked_fu_count = 2);
-    cell "3 FUs" (fun r -> r.locked_fu_count = 3);
-    cell "1 Lock Inp." (fun r -> r.minterms_per_fu = 1);
-    cell "2 Lock Inp." (fun r -> r.minterms_per_fu = 2);
-    cell "3 Lock Inp." (fun r -> r.minterms_per_fu = 3);
-    cell "Avg." (fun _ -> true);
-  ]
+type fig5_cell = { cell_label : string; cell_ratios : ratios }
 
 type overhead_result = {
   ov_benchmark : string;
@@ -369,23 +341,26 @@ type quality_result = {
   samples : int;
 }
 
-let quality ~trace ctx kind =
-  let candidates = candidates_for ctx kind in
-  let fus = Allocation.fu_ids ctx.allocation kind in
-  if fus = [] || Array.length candidates = 0 then None
-  else begin
-    let spec =
-      Codesign.make_spec ctx.allocation kind ~locked_fus:2 ~minterms_per_fu:2 candidates
-    in
-    let solution = Codesign.heuristic ctx.k ctx.schedule ctx.allocation spec in
-    let config = solution.Codesign.config in
-    let measure binding =
-      Rb_sim.Exec.application_errors ctx.schedule trace
-        ~fu_of_op:(Binding.fu_array binding) ~config
-    in
-    let base = measure ctx.area_binding in
-    let secure = measure solution.Codesign.binding in
+let probe_minterms = 2
+
+let probe k schedule allocation kind candidates =
+  if Allocation.fu_ids allocation kind = [] || Array.length candidates < probe_minterms then None
+  else
     Some
+      (Codesign.heuristic k schedule allocation
+         (Codesign.make_spec allocation kind ~locked_fus:2 ~minterms_per_fu:probe_minterms
+            candidates))
+
+let quality ~trace ctx kind =
+  Option.map
+    (fun solution ->
+      let config = solution.Codesign.config in
+      let measure binding =
+        Rb_sim.Exec.application_errors ctx.schedule trace
+          ~fu_of_op:(Binding.fu_array binding) ~config
+      in
+      let base = measure ctx.area_binding in
+      let secure = measure solution.Codesign.binding in
       {
         q_benchmark = ctx.benchmark;
         q_kind = kind;
@@ -396,8 +371,8 @@ let quality ~trace ctx kind =
         secure_corrupted_samples = secure.Rb_sim.Exec.corrupted_samples;
         secure_max_burst = secure.Rb_sim.Exec.max_consecutive_cycles;
         samples = base.Rb_sim.Exec.samples;
-      }
-  end
+      })
+    (probe ctx.k ctx.schedule ctx.allocation kind (candidates_for ctx kind))
 
 type post_binding_result = {
   pb_benchmark : string;
@@ -411,61 +386,55 @@ type post_binding_result = {
 }
 
 let post_binding ctx kind =
-  let key_bits = 32 and minterms_per_fu = 2 in
+  let key_bits = 32 in
   let candidates = candidates_for ctx kind in
-  let fus = Allocation.fu_ids ctx.allocation kind in
-  if fus = [] || Array.length candidates < minterms_per_fu then None
-  else begin
-    let spec =
-      Codesign.make_spec ctx.allocation kind ~locked_fus:2 ~minterms_per_fu candidates
-    in
-    let solution = Codesign.heuristic ctx.k ctx.schedule ctx.allocation spec in
-    let input_bits = Rb_dfg.Minterm.bits in
-    let lambda_at minterms =
-      Rb_locking.Resilience.lambda_minterms ~key_bits ~input_bits ~minterms
-    in
-    (* Post-binding locking on the area-aware design: per locked FU,
-       greedily add the candidate minterm with the most occurrences
-       over that FU's bound operations — the best a post-binding
-       designer can do from the same candidate list C that co-design
-       drew from. A pool is one FU's candidate counts, largest
-       first. *)
-    let per_fu_pool =
-      fixed_binding_weights (Cost.cand_table ctx.k candidates) ctx.area_binding
-        spec.Codesign.locked_fus
-      |> List.map (fun (_, row) -> List.sort (fun a b -> Int.compare b a) (Array.to_list row))
-    in
-    (* lock the top-h minterms of each FU's own pool; grow h until the
-       co-design error level is met or the pools run dry *)
-    let errors_at h =
-      List.fold_left
-        (fun acc pool ->
-          pool
-          |> List.filteri (fun i _ -> i < h)
-          |> List.fold_left ( + ) acc)
-        0 per_fu_pool
-    in
-    let rec grow h =
-      let errors = errors_at h in
-      let exhausted = List.for_all (fun pool -> h >= List.length pool) per_fu_pool in
-      if errors >= solution.Codesign.errors then (Some h, errors)
-      else if exhausted then (None, errors)
-      else grow (h + 1)
-    in
-    let post_minterms, post_errors = grow 1 in
-    Some
+  Option.map
+    (fun solution ->
+      let input_bits = Rb_dfg.Minterm.bits in
+      let lambda_at minterms =
+        Rb_locking.Resilience.lambda_minterms ~key_bits ~input_bits ~minterms
+      in
+      (* Post-binding locking on the area-aware design: per locked FU,
+         greedily add the candidate minterm with the most occurrences
+         over that FU's bound operations — the best a post-binding
+         designer can do from the same candidate list C that co-design
+         drew from. A pool is one FU's candidate counts, largest
+         first. *)
+      let per_fu_pool =
+        fixed_binding_weights (Cost.cand_table ctx.k candidates) ctx.area_binding
+          (Config.locked_fus solution.Codesign.config)
+        |> List.map (fun (_, row) -> List.sort (fun a b -> Int.compare b a) (Array.to_list row))
+      in
+      (* lock the top-h minterms of each FU's own pool; grow h until the
+         co-design error level is met or the pools run dry *)
+      let errors_at h =
+        List.fold_left
+          (fun acc pool ->
+            pool
+            |> List.filteri (fun i _ -> i < h)
+            |> List.fold_left ( + ) acc)
+          0 per_fu_pool
+      in
+      let rec grow h =
+        let errors = errors_at h in
+        let exhausted = List.for_all (fun pool -> h >= List.length pool) per_fu_pool in
+        if errors >= solution.Codesign.errors then (Some h, errors)
+        else if exhausted then (None, errors)
+        else grow (h + 1)
+      in
+      let post_minterms, post_errors = grow 1 in
       {
         pb_benchmark = ctx.benchmark;
         pb_kind = kind;
         codesign_errors = solution.Codesign.errors;
-        codesign_minterms = minterms_per_fu;
-        codesign_lambda = lambda_at minterms_per_fu;
+        codesign_minterms = probe_minterms;
+        codesign_lambda = lambda_at probe_minterms;
         post_minterms;
         post_errors;
         post_lambda = lambda_at (match post_minterms with Some h -> h | None ->
           List.fold_left (fun acc pool -> max acc (List.length pool)) 1 per_fu_pool);
-      }
-  end
+      })
+    (probe ctx.k ctx.schedule ctx.allocation kind candidates)
 
 (* ------------------------------------------------------------- suites *)
 
@@ -483,10 +452,26 @@ let sweep_suite ~pool ctxs =
 
 let fig4_rows suite =
   List.filter_map
-    (fun (key, results) -> fig4_row ~benchmark:key.sk_benchmark key.sk_kind results)
+    (fun (key, results) ->
+      match results with
+      | [] -> None
+      | _ ->
+        Some
+          { row_benchmark = key.sk_benchmark; row_kind = key.sk_kind; row_ratios = ratios results })
     suite
 
-let pooled_results suite = List.concat_map snd suite
+let fig5_cells suite =
+  let pooled = List.concat_map snd suite in
+  let cell label keep = { cell_label = label; cell_ratios = ratios (List.filter keep pooled) } in
+  [
+    cell "1 FU" (fun r -> r.locked_fu_count = 1);
+    cell "2 FUs" (fun r -> r.locked_fu_count = 2);
+    cell "3 FUs" (fun r -> r.locked_fu_count = 3);
+    cell "1 Lock Inp." (fun r -> r.minterms_per_fu = 1);
+    cell "2 Lock Inp." (fun r -> r.minterms_per_fu = 2);
+    cell "3 Lock Inp." (fun r -> r.minterms_per_fu = 3);
+    cell "Avg." (fun _ -> true);
+  ]
 
 let concentrations ctxs =
   List.concat_map
@@ -506,32 +491,34 @@ type headline_summary = {
   hl_gap_worst : float;
 }
 
+(* The obf and co-design lists hold each row's (area, power) pair, last
+   row first, and the gaps run last configuration first: the order
+   their means have always summed in. *)
 let headline suite =
-  let obf = ref [] and cd = ref [] and gaps = ref [] in
-  List.iter
-    (fun (key, results) ->
-      (match fig4_row ~benchmark:key.sk_benchmark key.sk_kind results with
-       | None -> ()
-       | Some row ->
-         obf := row.obf_vs_area :: row.obf_vs_power :: !obf;
-         cd := row.cd_heur_vs_area :: row.cd_heur_vs_power :: !cd);
-      List.iter
-        (fun r ->
-          (* heuristic vs optimal, only where optimal searched the full
-             candidate list *)
-          if r.optimal_candidates_used = Codesign.n_candidates then begin
-            let opt = float_of_int r.e_codesign_optimal in
-            let heur = float_of_int r.e_codesign_heuristic in
-            if opt > 0.0 then gaps := ((opt -. heur) /. opt *. 100.0) :: !gaps
-          end)
-        results)
-    suite;
+  let obf, cd =
+    List.fold_left
+      (fun (obf, cd) { row_ratios = r; _ } ->
+        (r.obf_vs_area :: r.obf_vs_power :: obf, r.cd_heur_vs_area :: r.cd_heur_vs_power :: cd))
+      ([], []) (fig4_rows suite)
+  in
+  let gaps =
+    List.fold_left
+      (fun gaps r ->
+        (* heuristic vs optimal, only where optimal searched the full
+           candidate list *)
+        let opt = float_of_int r.e_codesign_optimal in
+        let heur = float_of_int r.e_codesign_heuristic in
+        if r.optimal_candidates_used = Codesign.n_candidates && opt > 0.0 then
+          ((opt -. heur) /. opt *. 100.0) :: gaps
+        else gaps)
+      [] (List.concat_map snd suite)
+  in
   {
-    hl_obf_mean = Stats.mean !obf;
-    hl_cd_mean = Stats.mean !cd;
-    hl_gap_configs = List.length !gaps;
-    hl_gap_mean = Stats.mean !gaps;
-    hl_gap_worst = Stats.maximum !gaps;
+    hl_obf_mean = Stats.mean obf;
+    hl_cd_mean = Stats.mean cd;
+    hl_gap_configs = List.length gaps;
+    hl_gap_mean = Stats.mean gaps;
+    hl_gap_worst = Stats.maximum gaps;
   }
 
 let overhead_suite ~pool ctxs = Pool.map_list pool ~f:overhead ctxs

@@ -10,12 +10,17 @@
     baseline with the identical locking configuration. Adders and
     multipliers are treated separately.
 
-    Deviations from the paper, all reported in the result records
+    Deviations from the paper, all visible in the result records
     rather than silently applied: combination spaces larger than
-    [max_combos_per_config] are sampled (deterministically); optimal
-    co-design spaces larger than [max_optimal_assignments] are
-    searched on a shortened candidate list; ratios floor a zero-error
-    baseline at one error event. *)
+    [max_combos_per_config] are sampled (deterministically; [combos]
+    is then shorter than [combos_total]); optimal co-design spaces
+    larger than [max_optimal_assignments] are searched on a shortened
+    candidate list ([optimal_candidates_used]); ratios floor a
+    zero-error baseline at one error event.
+
+    Figs. 4 and 5 and the headline average one set of six
+    per-combination ratios ({!ratios}), and the quality, post-binding
+    and ablation drivers co-design one shape ({!probe}). *)
 
 module Dfg = Rb_dfg.Dfg
 module Minterm = Rb_dfg.Minterm
@@ -48,8 +53,9 @@ type config_result = {
   locked_fu_count : int;
   minterms_per_fu : int;
   combos_total : int;  (** full assignment-space size *)
-  combos : combo_errors array;  (** evaluated assignments (all, or a sample) *)
-  sampled : bool;  (** true when [combos] is a random sample *)
+  combos : combo_errors array;
+      (** evaluated assignments: all of them, or a random sample when
+          shorter than [combos_total] *)
   e_codesign_optimal : int;  (** Eqn. 2 errors of optimal co-design *)
   optimal_candidates_used : int;
       (** candidate-list length the optimal run actually searched;
@@ -93,36 +99,30 @@ val sweep :
 val ratio_vs : int -> int -> float
 (** [ratio_vs security baseline] with the zero-baseline floor. *)
 
-(** Per-benchmark Fig. 4 aggregate: mean error-increase ratios. *)
-type fig4_row = {
-  row_benchmark : string;
-  row_kind : Dfg.op_kind;
+(** Mean error-increase ratios of the security-aware binders over one
+    set of configuration results: every combination's {!ratio_vs} of
+    the security approach's errors against each baseline's. *)
+type ratios = {
   obf_vs_area : float;
   obf_vs_power : float;
-  cd_opt_vs_area : float;
+  cd_opt_vs_area : float;  (** co-design optimal *)
   cd_opt_vs_power : float;
-  cd_heur_vs_area : float;
+  cd_heur_vs_area : float;  (** co-design P-time heuristic *)
   cd_heur_vs_power : float;
 }
 
-val fig4_row : benchmark:string -> Dfg.op_kind -> config_result list -> fig4_row option
-(** None when the kind has no feasible configuration (e.g. multipliers
-    in ecb_enc4). *)
+val ratios : config_result list -> ratios
+(** One fold over the combinations, results in order and combinations
+    in order within each; each mean is bit-equal to
+    {!Rb_util.Stats.mean} over that ratio's list (0.0 when there is
+    no combination). *)
 
-(** Fig. 5 cell: ratios aggregated with one locking parameter fixed. *)
-type fig5_cell = {
-  cell_label : string;
-  f5_obf_vs_area : float;
-  f5_obf_vs_power : float;
-  f5_cd_vs_area : float;
-  f5_cd_vs_power : float;
-}
+(** Per-benchmark Fig. 4 aggregate. *)
+type fig4_row = { row_benchmark : string; row_kind : Dfg.op_kind; row_ratios : ratios }
 
-val fig5_cells : config_result list -> fig5_cell list
-(** Aggregate a pooled result list (all benchmarks and kinds) into the
-    paper's seven x-axis groups: 1/2/3 FUs, 1/2/3 locked inputs, and
-    the overall average. Co-design ratios use the P-time heuristic, as
-    in the paper's Fig. 5. *)
+(** Fig. 5 cell: ratios aggregated with one locking parameter fixed.
+    The paper's Fig. 5 plots the heuristic's co-design ratios. *)
+type fig5_cell = { cell_label : string; cell_ratios : ratios }
 
 (** Fig. 6: overhead of security-aware binding. *)
 type overhead_result = {
@@ -157,11 +157,23 @@ type quality_result = {
   samples : int;
 }
 
+val probe :
+  Rb_sim.Kmatrix.t ->
+  Rb_sched.Schedule.t ->
+  Rb_hls.Allocation.t ->
+  Dfg.op_kind ->
+  Minterm.t array ->
+  Codesign.solution option
+(** The one co-design shape the single-configuration probes lock:
+    {!Codesign.heuristic} on 2 locked FUs x 2 minterms per FU
+    ({!Codesign.make_spec}, so a kind with one FU locks that one).
+    [None] when the kind has no FU or the candidate list holds fewer
+    than 2 minterms. Used by {!quality}, {!post_binding} and the
+    {!Ablation} drivers. *)
+
 val quality : trace:Rb_sim.Trace.t -> context -> Dfg.op_kind -> quality_result option
-(** Co-design a configuration (2 FUs x 2 minterms, shrunk to
-    what the allocation and candidate list allow) and measure both
-    bindings on the full trace. [None] when the kind has no FUs or no
-    candidates. *)
+(** The {!probe} configuration, measured under both bindings on the
+    full trace; [None] where the probe is. *)
 
 (** The abstract's closing claim, quantified: "locking applied
     post-binding could not achieve a high application error rate and
@@ -184,11 +196,12 @@ type post_binding_result = {
 }
 
 val post_binding : context -> Dfg.op_kind -> post_binding_result option
-(** A 32-bit key budget per FU, 2 locked FUs, 2 minterms per FU for
-    co-design. Post-binding locking gets the best greedy choice
-    from the same candidate list: for each locked FU of the area-aware
-    binding, add the candidate with the most occurrences over that
-    FU's operations, until the co-design error level is met. *)
+(** A 32-bit key budget per FU; co-design is the {!probe} (2 locked
+    FUs, 2 minterms per FU), and [None] where the probe is.
+    Post-binding locking gets the best greedy choice from the same
+    candidate list: for each locked FU of the area-aware binding, add
+    the candidate with the most occurrences over that FU's operations,
+    until the co-design error level is met. *)
 
 (** {2 Suites}
 
@@ -211,12 +224,14 @@ val sweep_suite :
     result searched the full candidate list. *)
 
 val fig4_rows : (sweep_key * config_result list) list -> fig4_row list
-(** The {!fig4_row} of every sweep that has at least one feasible
-    configuration, in suite order. *)
+(** The {!ratios} of every sweep that has at least one feasible
+    configuration, in suite order (none for, e.g., multipliers in
+    ecb_enc4). *)
 
-val pooled_results : (sweep_key * config_result list) list -> config_result list
-(** All configuration results of a suite flattened, e.g. for
-    {!fig5_cells}. *)
+val fig5_cells : (sweep_key * config_result list) list -> fig5_cell list
+(** The {!ratios} of the suite's results pooled over all benchmarks
+    and kinds, in the paper's seven x-axis groups: 1/2/3 FUs, 1/2/3
+    locked inputs, and the overall average. *)
 
 val concentrations : context list -> float list
 (** Candidate op-concentration of every candidate minterm across the
@@ -232,8 +247,10 @@ type headline_summary = {
 }
 
 val headline : (sweep_key * config_result list) list -> headline_summary
-(** The heuristic-vs-optimal gap counts only configurations whose
-    optimal run searched the full 10 candidates. *)
+(** [hl_obf_mean] and [hl_cd_mean] average the {!fig4_rows}' obf-aware
+    and heuristic co-design ratios, vs area and vs power alike. The
+    heuristic-vs-optimal gap counts only configurations whose optimal
+    run searched the full 10 candidates. *)
 
 val overhead_suite : pool:Rb_util.Pool.t -> context list -> overhead_result list
 (** {!overhead} for every context, one pool task each. *)

@@ -12,6 +12,11 @@ module A = Ablation
 
 let fmt_ratio r = Printf.sprintf "%.1fx" r
 
+let fmt_lambda l = if l = infinity then "inf" else Printf.sprintf "%.0f" l
+
+(* One benchmark's adders or multipliers. *)
+let series name kind = Printf.sprintf "%s/%s" name (Dfg.kind_label kind)
+
 let fig4 ~rows ~concentrations =
   let top =
     Table.create ~title:"Fig. 4 (top): obfuscation-aware binding"
@@ -24,49 +29,31 @@ let fig4 ~rows ~concentrations =
         [ "opt vs area"; "opt vs power"; "heur vs area"; "heur vs power";
           "log bar (heur vs area)" ]
   in
-  let all_obf_area = ref [] and all_obf_power = ref [] in
-  let all_cd_area = ref [] and all_cd_power = ref [] in
   List.iter
-    (fun (row : E.fig4_row) ->
-      let label =
-        Printf.sprintf "%s/%s" row.E.row_benchmark (Dfg.kind_label row.E.row_kind)
-      in
-      all_obf_area := row.E.obf_vs_area :: !all_obf_area;
-      all_obf_power := row.E.obf_vs_power :: !all_obf_power;
-      all_cd_area := row.E.cd_heur_vs_area :: !all_cd_area;
-      all_cd_power := row.E.cd_heur_vs_power :: !all_cd_power;
+    (fun { E.row_benchmark; row_kind; row_ratios = r } ->
+      let label = series row_benchmark row_kind in
       Table.add_text_row top ~label
         ~cells:
-          [
-            fmt_ratio row.E.obf_vs_area;
-            fmt_ratio row.E.obf_vs_power;
-            Table.log_bar row.E.obf_vs_area;
-          ];
+          [ fmt_ratio r.E.obf_vs_area; fmt_ratio r.E.obf_vs_power; Table.log_bar r.E.obf_vs_area ];
       Table.add_text_row bottom ~label
         ~cells:
           [
-            fmt_ratio row.E.cd_opt_vs_area;
-            fmt_ratio row.E.cd_opt_vs_power;
-            fmt_ratio row.E.cd_heur_vs_area;
-            fmt_ratio row.E.cd_heur_vs_power;
-            Table.log_bar row.E.cd_heur_vs_area;
+            fmt_ratio r.E.cd_opt_vs_area;
+            fmt_ratio r.E.cd_opt_vs_power;
+            fmt_ratio r.E.cd_heur_vs_area;
+            fmt_ratio r.E.cd_heur_vs_power;
+            Table.log_bar r.E.cd_heur_vs_area;
           ])
     rows;
+  (* The rows' means averaged, last row first. *)
+  let avg pick = Stats.mean (List.rev_map (fun row -> pick row.E.row_ratios) rows) in
+  let obf_area = avg (fun r -> r.E.obf_vs_area) and cd_area = avg (fun r -> r.E.cd_heur_vs_area) in
   Table.add_text_row top ~label:"Avg."
-    ~cells:
-      [
-        fmt_ratio (Stats.mean !all_obf_area);
-        fmt_ratio (Stats.mean !all_obf_power);
-        Table.log_bar (Stats.mean !all_obf_area);
-      ];
+    ~cells:[ fmt_ratio obf_area; fmt_ratio (avg (fun r -> r.E.obf_vs_power)); Table.log_bar obf_area ];
   Table.add_text_row bottom ~label:"Avg."
     ~cells:
-      [
-        "-"; "-";
-        fmt_ratio (Stats.mean !all_cd_area);
-        fmt_ratio (Stats.mean !all_cd_power);
-        Table.log_bar (Stats.mean !all_cd_area);
-      ];
+      [ "-"; "-"; fmt_ratio cd_area; fmt_ratio (avg (fun r -> r.E.cd_heur_vs_power));
+        Table.log_bar cd_area ];
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (Table.render top);
   Buffer.add_string buf "\n\n";
@@ -92,15 +79,15 @@ let fig5 ~cells =
           "log bar (co-d/area)" ]
   in
   List.iter
-    (fun (cell : E.fig5_cell) ->
-      Table.add_text_row table ~label:cell.E.cell_label
+    (fun { E.cell_label; cell_ratios = r } ->
+      Table.add_text_row table ~label:cell_label
         ~cells:
           [
-            fmt_ratio cell.E.f5_obf_vs_area;
-            fmt_ratio cell.E.f5_obf_vs_power;
-            fmt_ratio cell.E.f5_cd_vs_area;
-            fmt_ratio cell.E.f5_cd_vs_power;
-            Table.log_bar cell.E.f5_cd_vs_area;
+            fmt_ratio r.E.obf_vs_area;
+            fmt_ratio r.E.obf_vs_power;
+            fmt_ratio r.E.cd_heur_vs_area;
+            fmt_ratio r.E.cd_heur_vs_power;
+            Table.log_bar r.E.cd_heur_vs_area;
           ])
     cells;
   let buf = Buffer.create 2048 in
@@ -189,7 +176,7 @@ let quality results =
       incr rows;
       if q.E.secure_max_burst >= q.E.base_max_burst then incr burst_wins;
       Table.add_text_row table
-        ~label:(Printf.sprintf "%s/%s" q.E.q_benchmark (Dfg.kind_label q.E.q_kind))
+        ~label:(series q.E.q_benchmark q.E.q_kind)
         ~cells:
           [
             string_of_int q.E.base_events;
@@ -207,8 +194,6 @@ let quality results =
        that consecutive injections are likelier to derail the application.\n"
       !burst_wins !rows
 
-let lambda_str l = if l = infinity then "inf" else Printf.sprintf "%.0f" l
-
 let post_binding results =
   let table =
     Table.create ~title:"error level set by co-design (2 locked FUs x 2 minterms)"
@@ -222,16 +207,16 @@ let post_binding results =
       incr rows;
       if r.E.post_lambda < r.E.codesign_lambda then incr collapses;
       Table.add_text_row table
-        ~label:(Printf.sprintf "%s/%s" r.E.pb_benchmark (Dfg.kind_label r.E.pb_kind))
+        ~label:(series r.E.pb_benchmark r.E.pb_kind)
         ~cells:
           [
             string_of_int r.E.codesign_errors;
             string_of_int r.E.codesign_minterms;
-            lambda_str r.E.codesign_lambda;
+            fmt_lambda r.E.codesign_lambda;
             (match r.E.post_minterms with
              | Some h -> string_of_int h
              | None -> Printf.sprintf "unreachable (%d)" r.E.post_errors);
-            lambda_str r.E.post_lambda;
+            fmt_lambda r.E.post_lambda;
           ])
     results;
   Table.render table ^ "\n"
@@ -245,8 +230,7 @@ let post_binding results =
        concentrate; binding freedom then multiplies whatever was chosen.\n"
       !collapses !rows
 
-let ablation ~strategies ~generalization ~budget_title ~budget ~sensitivity_title
-    ~sensitivity =
+let ablation ~strategies ~generalization ~budget ~sensitivity =
   let buf = Buffer.create 4096 in
   let table =
     Table.create
@@ -261,7 +245,7 @@ let ablation ~strategies ~generalization ~budget_title ~budget ~sensitivity_titl
             ~label:(A.strategy_name row.A.strategy)
             ~cells:
               [
-                Printf.sprintf "%s/%s" name (Dfg.kind_label kind);
+                series name kind;
                 string_of_int row.A.codesign_errors;
                 string_of_int row.A.candidate_mass;
               ])
@@ -280,7 +264,7 @@ let ablation ~strategies ~generalization ~budget_title ~budget ~sensitivity_titl
   List.iter
     (fun (name, kind, (row : A.generalization_row)) ->
       Table.add_text_row table
-        ~label:(Printf.sprintf "%s/%s" name (Dfg.kind_label kind))
+        ~label:(series name kind)
         ~cells:
           [
             string_of_int row.A.train_expected;
@@ -295,7 +279,8 @@ let ablation ~strategies ~generalization ~budget_title ~budget ~sensitivity_titl
      the 'typical trace' assumption (Sec. IV-A) carries the design's error\n\
      rate to deployment.\n\n";
   let table =
-    Table.create ~title:budget_title
+    Table.create
+      ~title:"profiling-budget sensitivity (dct multipliers, replayed on 256 samples)"
       ~columns:[ "Eqn.2 on prefix"; "measured on full trace" ]
   in
   List.iter
@@ -310,7 +295,8 @@ let ablation ~strategies ~generalization ~budget_title ~budget ~sensitivity_titl
     "Short profiles already find the workload's head minterms; the measured\n\
      full-trace corruption stabilizes within a few dozen samples.\n\n";
   let table =
-    Table.create ~title:sensitivity_title ~columns:[ "cycles"; "obf vs area" ]
+    Table.create ~title:"sensitivity of the obf-aware error increase (dct, adders)"
+      ~columns:[ "cycles"; "obf vs area" ]
   in
   List.iter
     (fun (row : A.sensitivity_row) ->

@@ -11,13 +11,18 @@
 val fmt_ratio : float -> string
 (** ["12.3x"]. *)
 
+val fmt_lambda : float -> string
+(** An Eqn. 1 iteration count: ["inf"] when the attack is not expected
+    to converge, else the count with no decimals (["1024"]). *)
+
 val fig4 :
   rows:Experiments.fig4_row list -> concentrations:float list -> string
 (** The two Fig. 4 tables (with the running average rows) plus the
     paper-reference and op-concentration notes. *)
 
 val fig5 : cells:Experiments.fig5_cell list -> string
-(** The Fig. 5 table plus the paper-reference note. *)
+(** The Fig. 5 table (obf-aware and heuristic co-design ratios) plus
+    the paper-reference note. *)
 
 val fig6 : Experiments.overhead_result list -> string
 (** Register and switching overhead tables plus the paper-reference
@@ -32,9 +37,10 @@ val post_binding : Experiments.post_binding_result list -> string
 val ablation :
   strategies:(string * Rb_dfg.Dfg.op_kind * Ablation.strategy_row list) list ->
   generalization:(string * Rb_dfg.Dfg.op_kind * Ablation.generalization_row) list ->
-  budget_title:string ->
   budget:Ablation.budget_row list ->
-  sensitivity_title:string ->
   sensitivity:Ablation.sensitivity_row list ->
   string
-(** All four ablation tables with their interleaved commentary. *)
+(** All four ablation tables with their interleaved commentary. The
+    budget and sensitivity titles name the series the bench harness
+    feeds them: dct multipliers replayed on 256 samples, and dct
+    adders. *)

@@ -165,10 +165,10 @@ let validate = function
   | List_benchmarks | Show _ | Export_dfg _ | Dot _ -> Ok ()
   | Bind { locked_fus; minterms_per_fu; _ } ->
     let* () = range "locked-fus" 1 64 locked_fus in
-    range "minterms" 1 64 minterms_per_fu
+    range "minterms" 1 Rb_core.Codesign.n_candidates minterms_per_fu
   | Lint { locked_fus; minterms_per_fu; _ } ->
     let* () = range "locked-fus" 1 64 locked_fus in
-    range "minterms" 1 64 minterms_per_fu
+    range "minterms" 1 Rb_core.Codesign.n_candidates minterms_per_fu
   | Analyze { width; strength; _ } ->
     let* () = range "width" 2 8 width in
     range "strength" 1 256 strength
@@ -180,7 +180,7 @@ let validate = function
     range "portfolio" 1 64 portfolio
   | Custom { locked_fus; minterms_per_fu; trace_length; _ } ->
     let* () = range "locked-fus" 1 64 locked_fus in
-    let* () = range "minterms" 1 64 minterms_per_fu in
+    let* () = range "minterms" 1 Rb_core.Codesign.n_candidates minterms_per_fu in
     range "trace-length" 1 1_000_000 trace_length
   | Export_cnf { scheme; width; strength; _ } ->
     let* () = netlist_scheme scheme in

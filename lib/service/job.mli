@@ -91,7 +91,8 @@ val to_json : t -> Rb_util.Json.t
 val validate : t -> (unit, Error.t) result
 (** Parameter-bound checks that need no name lookup or file system:
     widths (2..8, or 2..10 for export-cnf), strength 1..256,
-    locked-fus and minterms 1..64, trace-length 1..1_000_000,
+    locked-fus 1..64, minterms 1..{!Rb_core.Codesign.n_candidates}
+    (no candidate list is longer), trace-length 1..1_000_000,
     max-iterations 1..10_000_000, and scheme compatibility. Name
     resolution (benchmarks, binders) and the lock bounds (an
     [Infeasible] error: [rll] has at most one key bit per live adder

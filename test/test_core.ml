@@ -12,8 +12,10 @@ module Obf_binding = Rb_core.Obf_binding
 module Codesign = Rb_core.Codesign
 module Methodology = Rb_core.Methodology
 module Experiments = Rb_core.Experiments
+module Render = Rb_core.Render
 module Testgen = Rb_testsupport.Testgen
 module Combi = Rb_util.Combi
+module Stats = Rb_util.Stats
 
 (* The paper's Fig. 2 setting: 5 add operations over 2 cycles, 3 adder
    FUs, FU0 locks 'x' = (1,1), FU1 locks 'y' = (2,2). *)
@@ -839,8 +841,9 @@ let test_experiments_sweep_shapes () =
   List.iter
     (fun r ->
       Alcotest.(check bool) "combos present" true (Array.length r.Experiments.combos > 0);
-      Alcotest.(check bool) "sampling flagged correctly" true
-        (r.Experiments.sampled = (r.Experiments.combos_total > 50));
+      Alcotest.(check bool) "sampled exactly above the cap" true
+        (Array.length r.Experiments.combos < r.Experiments.combos_total
+         = (r.Experiments.combos_total > 50));
       Array.iter
         (fun c ->
           Alcotest.(check bool) "obf >= baselines (Thm. 2)" true
@@ -856,12 +859,13 @@ let test_experiments_fig4_row () =
   let results =
     Experiments.sweep ~max_combos_per_config:50 ~max_optimal_assignments:5_000 ctx Dfg.Mul
   in
-  match Experiments.fig4_row ~benchmark:"fir" Dfg.Mul results with
-  | None -> Alcotest.fail "expected a row"
-  | Some row ->
-    Alcotest.(check bool) "obf ratio >= 1" true (row.Experiments.obf_vs_area >= 1.0);
+  let key = { Experiments.sk_benchmark = "fir"; sk_kind = Dfg.Mul } in
+  match Experiments.fig4_rows [ (key, results) ] with
+  | [ { Experiments.row_ratios = r; _ } ] ->
+    Alcotest.(check bool) "obf ratio >= 1" true (r.Experiments.obf_vs_area >= 1.0);
     Alcotest.(check bool) "codesign >= obf (vs area)" true
-      (row.Experiments.cd_heur_vs_area >= row.Experiments.obf_vs_area)
+      (r.Experiments.cd_heur_vs_area >= r.Experiments.obf_vs_area)
+  | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
 
 let test_experiments_fig4_empty_kind () =
   let bench = Rb_workload.Benchmark.find "ecb_enc4" in
@@ -871,18 +875,118 @@ let test_experiments_fig4_empty_kind () =
   let results = Experiments.sweep ~max_combos_per_config:20 ctx Dfg.Mul in
   Alcotest.(check bool) "no mult configs" true (results = []);
   Alcotest.(check bool) "no row" true
-    (Experiments.fig4_row ~benchmark:"ecb_enc4" Dfg.Mul results = None)
+    (Experiments.fig4_rows
+       [ ({ Experiments.sk_benchmark = "ecb_enc4"; sk_kind = Dfg.Mul }, results) ]
+     = [])
 
 let test_experiments_fig5_cells () =
   let ctx = small_context () in
   let results =
     Experiments.sweep ~max_combos_per_config:30 ~max_optimal_assignments:2_000 ctx Dfg.Mul
   in
-  let cells = Experiments.fig5_cells results in
+  let cells =
+    Experiments.fig5_cells [ ({ Experiments.sk_benchmark = "fir"; sk_kind = Dfg.Mul }, results) ]
+  in
   Alcotest.(check int) "seven groups" 7 (List.length cells);
   let avg = List.nth cells 6 in
   Alcotest.(check string) "last is Avg." "Avg." avg.Experiments.cell_label;
-  Alcotest.(check bool) "avg ratios >= 1" true (avg.Experiments.f5_obf_vs_area >= 1.0)
+  Alcotest.(check bool) "avg ratios >= 1" true
+    (avg.Experiments.cell_ratios.Experiments.obf_vs_area >= 1.0)
+
+(* The one ratio fold against a reference built the long way: every
+   Fig. 4 row, Fig. 5 cell and headline mean equals [Stats.mean] over
+   its own list of per-combination [ratio_vs] values, in result order
+   then combination order, with exact float equality. The small
+   combination cap samples some configurations. *)
+let test_ratio_fold_reference () =
+  let ctx = small_context () in
+  let suite =
+    List.map
+      (fun kind ->
+        ( { Experiments.sk_benchmark = "fir"; sk_kind = kind },
+          Experiments.sweep ~max_combos_per_config:50 ctx kind ))
+      [ Dfg.Add; Dfg.Mul ]
+  in
+  let pooled = List.concat_map snd suite in
+  Alcotest.(check bool) "a sampled configuration" true
+    (List.exists
+       (fun (r : Experiments.config_result) -> Array.length r.combos < r.combos_total)
+       pooled);
+  let mean results security baseline =
+    Stats.mean
+      (List.concat_map
+         (fun (r : Experiments.config_result) ->
+           Array.to_list
+             (Array.map (fun c -> Experiments.ratio_vs (security r c) (baseline c)) r.combos))
+         results)
+  in
+  let obf _ (c : Experiments.combo_errors) = c.e_obf in
+  let opt (r : Experiments.config_result) _ = r.e_codesign_optimal in
+  let heur (r : Experiments.config_result) _ = r.e_codesign_heuristic in
+  let area (c : Experiments.combo_errors) = c.e_area in
+  let power (c : Experiments.combo_errors) = c.e_power in
+  let exact name expected actual = Alcotest.(check (float 0.0)) name expected actual in
+  let check_ratios name results (r : Experiments.ratios) =
+    exact (name ^ " obf/area") (mean results obf area) r.obf_vs_area;
+    exact (name ^ " obf/power") (mean results obf power) r.obf_vs_power;
+    exact (name ^ " opt/area") (mean results opt area) r.cd_opt_vs_area;
+    exact (name ^ " opt/power") (mean results opt power) r.cd_opt_vs_power;
+    exact (name ^ " heur/area") (mean results heur area) r.cd_heur_vs_area;
+    exact (name ^ " heur/power") (mean results heur power) r.cd_heur_vs_power
+  in
+  let rows = Experiments.fig4_rows suite in
+  Alcotest.(check int) "a row per kind" 2 (List.length rows);
+  List.iter2
+    (fun (key, results) (row : Experiments.fig4_row) ->
+      Alcotest.(check bool) "row kind" true (row.row_kind = key.Experiments.sk_kind);
+      check_ratios ("fig4 " ^ Dfg.kind_label row.row_kind) results row.row_ratios)
+    suite rows;
+  let groups =
+    [
+      (fun (r : Experiments.config_result) -> r.locked_fu_count = 1);
+      (fun r -> r.locked_fu_count = 2);
+      (fun r -> r.locked_fu_count = 3);
+      (fun r -> r.minterms_per_fu = 1);
+      (fun r -> r.minterms_per_fu = 2);
+      (fun r -> r.minterms_per_fu = 3);
+      (fun _ -> true);
+    ]
+  in
+  let cells = Experiments.fig5_cells suite in
+  List.iter2
+    (fun keep (cell : Experiments.fig5_cell) ->
+      check_ratios ("fig5 " ^ cell.cell_label) (List.filter keep pooled) cell.cell_ratios)
+    groups cells;
+  (* The printed Fig. 5 row of each group shows the obf-aware and the
+     heuristic co-design ratios, vs area then vs power. *)
+  let lines = String.split_on_char '\n' (Render.fig5 ~cells) in
+  List.iter2
+    (fun keep (cell : Experiments.fig5_cell) ->
+      let results = List.filter keep pooled in
+      let line =
+        List.find (String.starts_with ~prefix:(cell.cell_label ^ " ")) lines
+      in
+      let is_ratio t =
+        String.ends_with ~suffix:"x" t
+        && Float.of_string_opt (String.sub t 0 (String.length t - 1)) <> None
+      in
+      Alcotest.(check (list string))
+        ("fig5 printed " ^ cell.cell_label)
+        (List.map Render.fmt_ratio
+           [ mean results obf area; mean results obf power; mean results heur area;
+             mean results heur power ])
+        (List.filter is_ratio (String.split_on_char ' ' line)))
+    groups cells;
+  (* The headline lists hold each row's (area, power) pair, last row
+     first. *)
+  let pairs security =
+    List.fold_left
+      (fun acc (_, results) -> mean results security area :: mean results security power :: acc)
+      [] suite
+  in
+  let h = Experiments.headline suite in
+  exact "headline obf" (Stats.mean (pairs obf)) h.Experiments.hl_obf_mean;
+  exact "headline co-design" (Stats.mean (pairs heur)) h.Experiments.hl_cd_mean
 
 let test_experiments_ratio_floor () =
   Alcotest.(check (float 1e-9)) "normal" 2.0 (Experiments.ratio_vs 10 5);
@@ -934,6 +1038,47 @@ let test_experiments_post_binding () =
   Alcotest.(check bool) "None for missing kind" true
     (Experiments.post_binding ectx Dfg.Mul = None)
 
+(* One guard for every 2 x 2 probe: no FU of the kind, or fewer than
+   2 candidates, is [None]; the ablation drivers that cannot return
+   [None] raise instead. *)
+let test_probe_guard () =
+  let ctx = small_context () in
+  let probe kind candidates =
+    Experiments.probe ctx.Experiments.k ctx.Experiments.schedule ctx.Experiments.allocation
+      kind candidates
+  in
+  let top = Experiments.candidates_for ctx Dfg.Mul in
+  Alcotest.(check bool) "one candidate" true (probe Dfg.Mul (Array.sub top 0 1) = None);
+  (match probe Dfg.Mul (Array.sub top 0 2) with
+   | None -> Alcotest.fail "two candidates refused"
+   | Some solution ->
+     let config = solution.Codesign.config in
+     Alcotest.(check (list int)) "first two FUs"
+       (List.filteri (fun i _ -> i < 2) (Allocation.fu_ids ctx.Experiments.allocation Dfg.Mul))
+       (Config.locked_fus config);
+     List.iter
+       (fun fu ->
+         Alcotest.(check int) "two minterms" 2
+           (Minterm.Set.cardinal (Config.minterms_of config fu)))
+       (Config.locked_fus config));
+  let ecb = Rb_workload.Benchmark.find "ecb_enc4" in
+  let schedule = Rb_workload.Benchmark.schedule ecb in
+  let trace = Rb_workload.Benchmark.trace ~length:32 ecb in
+  let ectx = Experiments.context ~name:"ecb_enc4" schedule trace in
+  Alcotest.(check bool) "no FU" true
+    (Experiments.probe ectx.Experiments.k schedule ectx.Experiments.allocation Dfg.Mul
+       (Experiments.candidates_for ectx Dfg.Add)
+     = None);
+  Alcotest.(check int) "no strategy rows" 0
+    (List.length (Ablation.candidate_strategies ectx Dfg.Mul));
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no FU accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "generalization" (fun () -> ignore (Ablation.generalization schedule trace Dfg.Mul));
+  raises "profiling budget" (fun () -> ignore (Ablation.profiling_budget schedule trace Dfg.Mul))
+
 let test_experiments_overhead_fields () =
   let ctx = small_context () in
   let ov = Experiments.overhead ctx in
@@ -967,7 +1112,7 @@ let test_sweep_exhaustive_lex_order () =
   Alcotest.(check int) "four configurations" 4 (List.length results);
   List.iter
     (fun (r : Experiments.config_result) ->
-      Alcotest.(check bool) "exhaustive" false r.sampled;
+      Alcotest.(check int) "exhaustive" r.combos_total (Array.length r.combos);
       Alcotest.(check int) "full candidate list" n_cands r.optimal_candidates_used;
       let locked_fus = List.filteri (fun i _ -> i < r.locked_fu_count) fus in
       let subsets = Combi.k_subsets (Array.init n_cands Fun.id) r.minterms_per_fu in
@@ -1030,7 +1175,7 @@ let test_sweep_lookup_matches_dp () =
           Alcotest.(check int) "looked up" Codesign.n_candidates a.optimal_candidates_used;
           Alcotest.(check int) "one subset" b.minterms_per_fu b.optimal_candidates_used;
           Alcotest.(check bool) "combos equal" true (a.combos = b.combos);
-          if b.locked_fu_count = 1 && not b.sampled then
+          if b.locked_fu_count = 1 && Array.length b.combos = b.combos_total then
             List.iteri
               (fun t subset ->
                 Alcotest.(check int) "scored = Hungarian"
@@ -1177,7 +1322,6 @@ let test_codesign_binder_chooses_config () =
 (* ------------------------------------------------- parallel determinism *)
 
 module Pool = Rb_util.Pool
-module Render = Rb_core.Render
 
 module Metrics = Rb_util.Metrics
 
@@ -1201,7 +1345,13 @@ let test_parallel_determinism () =
           let ctxs = [ small_context () ] in
           let suite = Experiments.sweep_suite ~pool ctxs in
           let sampled =
-            List.exists (fun r -> r.Experiments.sampled) (Experiments.pooled_results suite)
+            List.exists
+              (fun (_, results) ->
+                List.exists
+                  (fun (r : Experiments.config_result) ->
+                    Array.length r.combos < r.combos_total)
+                  results)
+              suite
           in
           Alcotest.(check bool) "a sampled configuration" true sampled;
           let fig4 =
@@ -1210,7 +1360,7 @@ let test_parallel_determinism () =
               ~concentrations:(Experiments.concentrations ctxs)
           in
           let fig5 =
-            Render.fig5 ~cells:(Experiments.fig5_cells (Experiments.pooled_results suite))
+            Render.fig5 ~cells:(Experiments.fig5_cells suite)
           in
           (fig4, fig5))
     in
@@ -1272,9 +1422,11 @@ let () =
           Alcotest.test_case "fig4 row" `Slow test_experiments_fig4_row;
           Alcotest.test_case "fig4 empty kind" `Quick test_experiments_fig4_empty_kind;
           Alcotest.test_case "fig5 cells" `Slow test_experiments_fig5_cells;
+          Alcotest.test_case "ratio fold = reference means" `Quick test_ratio_fold_reference;
           Alcotest.test_case "ratio floor" `Quick test_experiments_ratio_floor;
           Alcotest.test_case "quality" `Quick test_experiments_quality;
           Alcotest.test_case "post-binding" `Quick test_experiments_post_binding;
+          Alcotest.test_case "probe guard" `Quick test_probe_guard;
           Alcotest.test_case "overhead fields" `Quick test_experiments_overhead_fields;
           Alcotest.test_case "sweep exhaustive lex order" `Quick
             test_sweep_exhaustive_lex_order;

@@ -167,6 +167,7 @@ let job_gen =
   let netlist_scheme = oneofl [ Job.Rll; Job.Pf; Job.Permnet ] in
   let kind = oneofl [ Rb_dfg.Dfg.Add; Rb_dfg.Dfg.Mul ] in
   let fus = int_range 1 64 in
+  let minterms = int_range 1 Rb_core.Codesign.n_candidates in
   oneof
     [
       return Job.List_benchmarks;
@@ -174,12 +175,12 @@ let job_gen =
       (let* benchmark = name and* seed = seed and* kind = kind in
        let* binder = oneofl (List.map Rb_core.Binders.name Rb_core.Binders.all)
        and* locked_fus = fus
-       and* minterms_per_fu = fus in
+       and* minterms_per_fu = minterms in
        return (Job.Bind { benchmark; seed; binder; kind; locked_fus; minterms_per_fu }));
       (let* benchmark = opt name
        and* seed = seed
        and* locked_fus = fus
-       and* minterms_per_fu = fus
+       and* minterms_per_fu = minterms
        and* min_lambda = opt (oneofl [ 0.5; 1.; 2.25 ]) in
        return (Job.Lint { benchmark; seed; locked_fus; minterms_per_fu; min_lambda }));
       (let* scheme = opt scheme and* width = int_range 2 8 and* strength = int_range 1 256 and* seed = seed in
@@ -195,7 +196,7 @@ let job_gen =
        and* expr = bool
        and* kind = kind
        and* locked_fus = fus
-       and* minterms_per_fu = fus
+       and* minterms_per_fu = minterms
        and* trace_length = int_range 1 1_000_000
        and* seed = seed in
        let source = if expr then Job.Expr_source text else Job.Dfg_source text in
@@ -621,39 +622,52 @@ let test_executor_rll_over_strength () =
 (* A locking shape the design cannot hold is infeasible, through the
    executor and through serve alike: more locked FUs than the kind has
    allocated (ecb_enc4 has no multiplier), or more locked minterms per
-   FU than the co-design candidate list (at most ten) offers, for a
-   benchmark bind and a custom kernel. Both pipelines share one check,
-   so both answer the same candidate-count message. *)
+   FU than the co-design candidate list offers (a one-sample custom
+   trace has one minterm). Both pipelines share one check, so both
+   answer the same messages. A budget above the longest candidate
+   list (ten) is refused before any work, as an invalid request. *)
 let test_infeasible_locking_shapes () =
   let adder_kernel = "input a, b\ny = a + b\noutput y" in
-  let custom kind minterms_per_fu =
+  let custom ?(trace_length = 256) kind minterms_per_fu =
     Job.Custom
       { source = Job.Expr_source adder_kernel; kind; locked_fus = 1; minterms_per_fu;
-        trace_length = 256; seed = 1789 }
+        trace_length; seed = 1789 }
   in
   let bind benchmark kind minterms_per_fu =
     Job.Bind
       { benchmark; seed = 1789; binder = "codesign"; kind; locked_fus = 1; minterms_per_fu }
   in
-  let few_candidates = "workload too uniform: not enough candidate minterms" in
+  let infeasible = "infeasible" and invalid = "invalid-request" in
+  let over_bound = "minterms must be in 1..10" in
   let cases =
     [
       ( "bind without multipliers",
         bind "ecb_enc4" Rb_dfg.Dfg.Mul 1,
+        infeasible,
         "only 0 mul FUs allocated" );
-      ("bind over the candidate list", bind "dct" Rb_dfg.Dfg.Mul 11, few_candidates);
-      ("custom without multipliers", custom Rb_dfg.Dfg.Mul 1, "only 0 mul FUs allocated");
-      ("custom over the candidate list", custom Rb_dfg.Dfg.Add 11, few_candidates);
+      ("bind over the candidate bound", bind "dct" Rb_dfg.Dfg.Mul 11, invalid, over_bound);
+      ("custom without multipliers", custom Rb_dfg.Dfg.Mul 1, infeasible, "only 0 mul FUs allocated");
+      ( "custom over the candidate list",
+        custom ~trace_length:1 Rb_dfg.Dfg.Add 2,
+        infeasible,
+        "workload too uniform: not enough candidate minterms" );
+      ("custom over the candidate bound", custom Rb_dfg.Dfg.Add 11, invalid, over_bound);
+      ( "lint over the candidate bound",
+        Job.Lint
+          { benchmark = Some "dct"; seed = 1789; locked_fus = 2; minterms_per_fu = 11;
+            min_lambda = None },
+        invalid,
+        over_bound );
     ]
   in
   with_executor (fun ex ->
       List.iter
-        (fun (name, job, message) ->
+        (fun (name, job, code, message) ->
           (match Executor.run ex job with
           | Error e ->
-            Alcotest.(check string) (name ^ " code") "infeasible" (Error.code_label e.Error.code);
+            Alcotest.(check string) (name ^ " code") code (Error.code_label e.Error.code);
             Alcotest.(check string) (name ^ " message") message e.Error.message
-          | Ok _ -> Alcotest.failf "%s: infeasible shape accepted" name);
+          | Ok _ -> Alcotest.failf "%s: shape accepted" name);
           let request =
             match Job.to_json job with
             | Json.Obj fields ->
@@ -661,8 +675,8 @@ let test_infeasible_locking_shapes () =
                 (Json.Obj (("schema", Json.String "rb-job/1") :: ("id", Json.Int 1) :: fields))
             | _ -> Alcotest.fail "job encoding is not an object"
           in
-          let code, msg = error_member (parse_response (Serve.respond ex request)) in
-          Alcotest.(check string) (name ^ " serve code") "infeasible" code;
+          let serve_code, msg = error_member (parse_response (Serve.respond ex request)) in
+          Alcotest.(check string) (name ^ " serve code") code serve_code;
           Alcotest.(check string) (name ^ " serve message") message msg)
         cases;
       Alcotest.(check int) "nothing cached" 0 (Store.size (Executor.store ex)))
